@@ -67,17 +67,19 @@ def _load_operator(path: str, basis: ModelSpaceBasis) -> np.ndarray:
 
 
 def _tol_from(args) -> float | None:
-    if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = os.environ.get(_TOL_ENV)
-    if env is None:
-        return None
+    """Decision tolerance from --tol, else from $MTTO_TOL; either must be
+    a finite number in (0, 1)."""
+    raw, source = getattr(args, "tol", None), "--tol"
+    if raw is None:
+        raw, source = os.environ.get(_TOL_ENV), _TOL_ENV
+        if raw is None:
+            return None
     try:
-        tol = float(env)
+        tol = float(raw)
     except ValueError as exc:
-        raise ParseError(f"{_TOL_ENV} must be a number, got {env!r}") from exc
-    if not 0 < tol < 1:
-        raise ParseError(f"{_TOL_ENV} must lie in (0, 1), got {tol}")
+        raise ParseError(f"{source} must be a number, got {raw!r}") from exc
+    if not 0 < tol < 1:  # also refuses nan
+        raise ParseError(f"{source} must lie in (0, 1), got {tol}")
     return tol
 
 
@@ -134,17 +136,19 @@ def _cmd_op_build(args) -> int:
 
 
 def _cmd_op_test(args) -> int:
+    tol = _tol_from(args)
     basis = ModelSpaceBasis(_load_inner(args.theta))
     mat = _load_operator(args.op, basis)
-    decision = is_mtto(basis, mat, _tol_from(args))
+    decision = is_mtto(basis, mat, tol)
     _emit(decision.to_json(), args.out)
     return 0 if decision.verdict else 1
 
 
 def _cmd_op_recover(args) -> int:
+    tol = _tol_from(args)
     basis = ModelSpaceBasis(_load_inner(args.theta))
     mat = _load_operator(args.op, basis)
-    rec = recover_symbol(basis, mat, _tol_from(args))
+    rec = recover_symbol(basis, mat, tol)
     _emit(
         {
             "schema_version": serialize.SCHEMA_VERSION,
@@ -158,9 +162,10 @@ def _cmd_op_recover(args) -> int:
 
 
 def _cmd_symbol_zero_test(args) -> int:
+    tol = _tol_from(args)
     basis = ModelSpaceBasis(_load_inner(args.theta))
     phi = _load_symbol(args.symbol)
-    result = zero_symbol_decompose(basis, phi, _tol_from(args))
+    result = zero_symbol_decompose(basis, phi, tol)
     doc = {
         "schema_version": serialize.SCHEMA_VERSION,
         "is_zero": result.is_zero,
@@ -203,7 +208,8 @@ def _add_out(p):
 
 def _add_tol(p):
     p.add_argument("--tol", type=float, metavar="T",
-                   help=f"decision tolerance; defaults to ${_TOL_ENV} or 1e-9 * (1 + ||A||)")
+                   help=f"decision tolerance in (0, 1); defaults to ${_TOL_ENV}, else 1e-9 * ||A|| "
+                        "for an operator and 1e-9 * (1 + ||Phi||) for a symbol")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,7 +3,9 @@
 The compressed shift, its defect spaces, the maps that invert the defect
 operators on their ranges, rank-d modifications of the shift, and the
 conjugation induced by a symmetric unitary all live here.  Everything is
-an n x n matrix tied to a ModelSpaceBasis.
+an n x n matrix tied to a ModelSpaceBasis.  The shift, the defect data
+and J depend on the space alone: they are computed once per basis, kept
+in its cache and handed out as read-only arrays.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import numpy as np
 
 from .errors import IdentityCheckError, NotGammaSymmetricError, NotUnitaryError
 from .laurent import MatLaurent, VecLaurent, multiply
-from .model_space import ModelSpaceBasis, kernel, tilde_kernel
-from .numerics import DEFAULT_TOL, complement_basis, opnorm, orthonormal_basis, projector, rank
+from .model_space import ModelSpaceBasis, kernel, kernel_frame, tilde_kernel, tilde_kernel_frame
+from .numerics import complement_basis, opnorm, orthonormal_basis, projector, rank
 
 
 @dataclass
@@ -59,20 +61,25 @@ def _backshift(f: VecLaurent) -> VecLaurent:
     return (f - VecLaurent.constant(f.coeff(0))).shift(-1)
 
 
-def s_theta(basis: ModelSpaceBasis, check_tol: float = 1e-10):
-    """Compressed shift and its adjoint, each assembled from its own
-    action (compress z f, respectively drop the constant term and divide
-    by z) and cross-checked against conjugate transposition."""
-    n = basis.n
-    s = np.zeros((n, n), dtype=np.complex128)
-    s_adj = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        e = basis.element(j)
-        s[:, j] = basis.coords(e.shift(1))
-        s_adj[:, j] = basis.coords(_backshift(e))
-    if np.linalg.norm(s_adj - s.conj().T) > check_tol:
-        raise IdentityCheckError("adjoint shift disagrees with conjugate transpose")
-    return OperatorMatrix(basis, s), OperatorMatrix(basis, s_adj)
+def _frozen(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+
+
+def s_theta(basis: ModelSpaceBasis):
+    """Compressed shift S = Q* Z Q and its adjoint Q* Z* Q, each the
+    compression of its own window action: Z shifts the coefficient blocks
+    down (multiply by z), Z* shifts them up (drop the constant term and
+    divide by z).  The adjoint is cross-checked against conjugate
+    transposition."""
+    if "shift" not in basis.cache:
+        z = np.eye(basis.q.shape[0], k=-basis.inner.d)
+        s, s_adj = basis.compress(z), basis.compress(z.T)
+        if np.linalg.norm(s_adj - s.conj().T) > 1e-10:
+            raise IdentityCheckError("adjoint shift disagrees with conjugate transpose")
+        _frozen(s, s_adj)
+        basis.cache["shift"] = (OperatorMatrix(basis, s), OperatorMatrix(basis, s_adj))
+    return basis.cache["shift"]
 
 
 @dataclass
@@ -82,39 +89,58 @@ class DefectSpaces:
     d_basis / dt_basis are orthonormal column collections in basis
     coordinates; d_frame / dt_frame are the raw kernel frames at the
     origin (column j comes from the j-th coordinate vector of C^d).
+    g / gt are the defect operators I - S S* and I - S* S, p_* the
+    projectors onto the two spaces and onto their complements, comp_*
+    orthonormal bases of the complements.
     """
 
     d_basis: np.ndarray
     dt_basis: np.ndarray
     d_frame: np.ndarray
     dt_frame: np.ndarray
+    g: np.ndarray
+    gt: np.ndarray
+    p_d: np.ndarray
+    p_dt: np.ndarray
+    p_d_perp: np.ndarray
+    p_dt_perp: np.ndarray
+    comp_d: np.ndarray
+    comp_dt: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.d_basis.shape[1]
 
 
-def defect_spaces(basis: ModelSpaceBasis, tol=DEFAULT_TOL) -> DefectSpaces:
-    inner = basis.inner
-    d = inner.d
-    eye = np.eye(d)
-    k0 = np.column_stack([basis.coords(kernel(basis, 0.0, eye[:, i])) for i in range(d)])
-    kt0 = np.column_stack([basis.coords(tilde_kernel(basis, 0.0, eye[:, i])) for i in range(d)])
+def defect_spaces(basis: ModelSpaceBasis) -> DefectSpaces:
+    """Defect spaces spanned by the kernel frames at the origin, checked
+    once per basis against the ranges of the two defect operators."""
+    if "defects" in basis.cache:
+        return basis.cache["defects"]
+    d, n, tol = basis.inner.d, basis.n, basis.tol
+    k0, kt0 = kernel_frame(basis, 0.0), tilde_kernel_frame(basis, 0.0)
     d_basis = orthonormal_basis(k0, tol)
     dt_basis = orthonormal_basis(kt0, tol)
     if d_basis.shape[1] != d or dt_basis.shape[1] != d:
         raise IdentityCheckError("defect spaces did not come out d-dimensional")
     s, s_adj = s_theta(basis)
-    n = basis.n
-    g = np.eye(n) - s.mat @ s_adj.mat
-    gt = np.eye(n) - s_adj.mat @ s.mat
-    for gg, qq, label in ((g, d_basis, "range of I - S S*"), (gt, dt_basis, "range of I - S* S")):
+    eye = np.eye(n)
+    g = eye - s.mat @ s_adj.mat
+    gt = eye - s_adj.mat @ s.mat
+    p_d, p_dt = projector(d_basis), projector(dt_basis)
+    for gg, pp, label in ((g, p_d, "range of I - S S*"), (gt, p_dt, "range of I - S* S")):
         if rank(gg, tol) != d:
             raise IdentityCheckError(f"{label} has unexpected rank")
-        resid = np.linalg.norm(gg - projector(qq) @ gg)
+        resid = np.linalg.norm(gg - pp @ gg)
         if resid > 1e-9 * max(1.0, np.linalg.norm(gg)):
             raise IdentityCheckError(f"{label} escapes its computed basis, residual {resid:.3e}")
-    return DefectSpaces(d_basis, dt_basis, k0, kt0)
+    ds = DefectSpaces(
+        d_basis, dt_basis, k0, kt0, g, gt, p_d, p_dt, eye - p_d, eye - p_dt,
+        complement_basis(d_basis, n, tol), complement_basis(dt_basis, n, tol),
+    )
+    _frozen(*vars(ds).values())
+    basis.cache["defects"] = ds
+    return ds
 
 
 def eval0_matrix(basis: ModelSpaceBasis) -> np.ndarray:
@@ -126,13 +152,10 @@ def action_check(basis: ModelSpaceBasis, tol: float = 1e-9) -> dict:
     """Exercise the closed-form action of the shift pair on the defect
     decomposition and the containments between the pieces."""
     inner = basis.inner
-    d, n = inner.d, basis.n
+    d = inner.d
     s, s_adj = s_theta(basis)
     ds = defect_spaces(basis)
-    p_d = projector(ds.d_basis)
-    p_dt = projector(ds.dt_basis)
-    comp_d = complement_basis(ds.d_basis, n)
-    comp_dt = complement_basis(ds.dt_basis, n)
+    comp_d, comp_dt = ds.comp_d, ds.comp_dt
     theta0 = inner.theta.coeff(0)
     eye = np.eye(d)
     checks = []
@@ -149,7 +172,7 @@ def action_check(basis: ModelSpaceBasis, tol: float = 1e-9) -> dict:
 
     worst = 0.0
     for i in range(d):
-        lhs = s.mat @ basis.coords(tilde_kernel(basis, 0.0, eye[:, i]))
+        lhs = s.mat @ ds.dt_frame[:, i]
         rhs = -basis.coords(kernel(basis, 0.0, theta0 @ eye[:, i]))
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     record("shift sends difference-quotient directions into the first defect space", worst)
@@ -164,61 +187,67 @@ def action_check(basis: ModelSpaceBasis, tol: float = 1e-9) -> dict:
 
     worst = 0.0
     for i in range(d):
-        lhs = s_adj.mat @ basis.coords(kernel(basis, 0.0, eye[:, i]))
+        lhs = s_adj.mat @ ds.d_frame[:, i]
         rhs = -basis.coords(tilde_kernel(basis, 0.0, theta0.conj().T @ eye[:, i]))
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     record("adjoint shift sends kernel directions into the second defect space", worst)
 
-    record("shift maps second defect space into first", opnorm((np.eye(n) - p_d) @ s.mat @ p_dt))
-    record("shift maps second complement into first complement", opnorm(p_d @ s.mat @ (np.eye(n) - p_dt)))
-    record("adjoint shift maps first defect space into second", opnorm((np.eye(n) - p_dt) @ s_adj.mat @ p_d))
-    record("adjoint shift maps first complement into second complement", opnorm(p_dt @ s_adj.mat @ (np.eye(n) - p_d)))
-
-    g = np.eye(n) - s.mat @ s_adj.mat
+    record("shift maps second defect space into first", opnorm(ds.p_d_perp @ s.mat @ ds.p_dt))
+    record("shift maps second complement into first complement", opnorm(ds.p_d @ s.mat @ ds.p_dt_perp))
+    record("adjoint shift maps first defect space into second", opnorm(ds.p_dt_perp @ s_adj.mat @ ds.p_d))
+    record("adjoint shift maps first complement into second complement", opnorm(ds.p_dt @ s_adj.mat @ ds.p_d_perp))
     record(
         "defect operator is evaluation at zero followed by the kernel frame",
-        opnorm(g - ds.d_frame @ eval0_matrix(basis)),
+        opnorm(ds.g - ds.d_frame @ eval0_matrix(basis)),
     )
 
     max_residual = max(c["residual"] for c in checks)
     return {"checks": checks, "max_residual": max_residual, "pass": max_residual <= tol}
 
 
-def omega(basis: ModelSpaceBasis, ds: DefectSpaces, tol=DEFAULT_TOL) -> np.ndarray:
+def omega(basis: ModelSpaceBasis, ds: DefectSpaces) -> np.ndarray:
     """Left inverse of the kernel frame: the map sending the defect
     vector built from x back to x, extended by zero off the defect space."""
-    om = np.linalg.pinv(ds.d_frame, rcond=tol.rank_cut * max(ds.d_frame.shape))
+    om = np.linalg.pinv(ds.d_frame, rcond=basis.tol.rank_cut * max(ds.d_frame.shape))
     resid = np.linalg.norm(om @ ds.d_frame - np.eye(ds.dim))
     if resid > 1e-9:
         raise IdentityCheckError(f"defect frame inversion residual {resid:.3e}")
     return om
 
 
-def j_operators(basis: ModelSpaceBasis, ds: DefectSpaces, tol=DEFAULT_TOL):
-    """Pseudo-inverses of the two defect operators.
+def j_operators(basis: ModelSpaceBasis, ds: DefectSpaces):
+    """Pseudo-inverses of the two defect operators, computed once per basis.
 
     J satisfies (I - S S*) J = J* (I - S S*) = projector onto the first
     defect space, and likewise for the second; both identities are
-    verified before returning.
+    verified before they are kept.
     """
-    s, s_adj = s_theta(basis)
-    n = basis.n
-    rcond = tol.rank_cut * n
-    g = np.eye(n) - s.mat @ s_adj.mat
-    gt = np.eye(n) - s_adj.mat @ s.mat
+    if "j" in basis.cache:
+        return basis.cache["j"]
+    rcond = basis.tol.rank_cut * basis.n
+    g, gt = ds.g, ds.gt
     j = np.linalg.pinv(g, rcond=rcond, hermitian=True)
     jt = np.linalg.pinv(gt, rcond=rcond, hermitian=True)
-    p_d = projector(ds.d_basis)
-    p_dt = projector(ds.dt_basis)
     for lhs, label in (
-        (g @ j - p_d, "G J"),
-        (j.conj().T @ g - p_d, "J* G"),
-        (gt @ jt - p_dt, "Gt Jt"),
-        (jt.conj().T @ gt - p_dt, "Jt* Gt"),
+        (g @ j - ds.p_d, "G J"),
+        (j.conj().T @ g - ds.p_d, "J* G"),
+        (gt @ jt - ds.p_dt, "Gt Jt"),
+        (jt.conj().T @ gt - ds.p_dt, "Jt* Gt"),
     ):
         if opnorm(lhs) > 1e-9:
             raise IdentityCheckError(f"{label} is not the defect projector")
+    _frozen(j, jt)
+    basis.cache["j"] = (j, jt)
     return j, jt
+
+
+def stein_constraint(basis: ModelSpaceBasis) -> np.ndarray:
+    """Matrix of X -> P (X - S X S*) P on row-major vec(X), with P the
+    projector off the first defect space: kron(P, P^T) - kron(P S, (S* P)^T).
+    Its kernel is the operator class."""
+    s, s_adj = s_theta(basis)
+    p = defect_spaces(basis).p_d_perp
+    return np.kron(p, p.T) - np.kron(p @ s.mat, (s_adj.mat @ p).T)
 
 
 def xhat(basis: ModelSpaceBasis, ds: DefectSpaces, x) -> OperatorMatrix:
@@ -233,9 +262,7 @@ def xhat(basis: ModelSpaceBasis, ds: DefectSpaces, x) -> OperatorMatrix:
 def modified_shift(basis: ModelSpaceBasis, ds: DefectSpaces, x) -> OperatorMatrix:
     """Replace the shift on the second defect space by the block x."""
     s, _ = s_theta(basis)
-    n = basis.n
-    p_dt = projector(ds.dt_basis)
-    return OperatorMatrix(basis, s.mat @ (np.eye(n) - p_dt) + xhat(basis, ds, x).mat @ p_dt)
+    return OperatorMatrix(basis, s.mat @ ds.p_dt_perp + xhat(basis, ds, x).mat @ ds.p_dt)
 
 
 class Conjugation:
@@ -312,7 +339,7 @@ def kernel_recurrence_check(basis: ModelSpaceBasis, count: int = 20, seed: int =
     rng = np.random.default_rng(seed)
     s, _ = s_theta(basis)
     eye = np.eye(d)
-    k0 = np.column_stack([basis.coords(kernel(basis, 0.0, eye[:, i])) for i in range(d)])
+    k0 = kernel_frame(basis, 0.0)
     worst_k = worst_kt = worst_op = 0.0
     for _ in range(count):
         lam = 0.0
@@ -327,7 +354,7 @@ def kernel_recurrence_check(basis: ModelSpaceBasis, count: int = 20, seed: int =
         ckt = basis.coords(tilde_kernel(basis, lam, y))
         ck0ty = basis.coords(kernel(basis, 0.0, inner.evaluate(lam) @ y))
         worst_kt = max(worst_kt, float(np.linalg.norm(s.mat @ ckt - (lam * ckt - ck0ty))))
-        klam = np.column_stack([basis.coords(kernel(basis, lam, eye[:, i])) for i in range(d)])
+        klam = kernel_frame(basis, lam)
         worst_op = max(worst_op, float(np.linalg.norm(s.mat @ klam - (klam - k0) / lb)))
     # removable point: the recurrence degenerates to the definition of S
     worst_zero = 0.0

@@ -33,7 +33,7 @@ from .laurent import (
     purity_margin,
     tilde,
 )
-from .numerics import DEFAULT_TOL, Tolerance, fix_column_phases, nullspace, rank
+from .numerics import DEFAULT_TOL, Tolerance, block_toeplitz, fix_column_phases, nullspace, rank
 
 INNER_COEFF_TOL = 1e-10
 
@@ -72,12 +72,7 @@ def det_degree(theta: MatLaurent, cut: float = 1e-8) -> int:
 def _constraint_matrix(theta: MatLaurent) -> np.ndarray:
     """Map sending the coefficients of a degree-<m polynomial f to the
     analytic-part coefficients of Theta* f; its kernel is the model space."""
-    d, m = theta.dim, theta.hi
-    c = np.zeros((m * d, m * d), dtype=np.complex128)
-    for k in range(m):
-        for j in range(m):
-            c[k * d : (k + 1) * d, j * d : (j + 1) * d] = theta.coeff(j - k).conj().T
-    return c
+    return block_toeplitz(lambda t: theta.coeff(-t).conj().T, theta.hi, theta.hi)
 
 
 class InnerFunction:
@@ -209,6 +204,7 @@ class ModelSpaceBasis:
             )
         self.q = fix_column_phases(np.column_stack(accepted)) if accepted else np.zeros((amb, 0), dtype=np.complex128)
         self._basis_id = None
+        self.cache = {}  # read-only operator data of this space, filled once by model_operator
 
     @property
     def n(self) -> int:
@@ -223,6 +219,11 @@ class ModelSpaceBasis:
             }
             self._basis_id = serialize.stable_hash(payload)
         return self._basis_id
+
+    def compress(self, window: np.ndarray) -> np.ndarray:
+        """Q* M Q: the matrix in this basis of the compression of an
+        operator M on the coefficient window (frequencies 0..m-1)."""
+        return self.q.conj().T @ window @ self.q
 
     def embed_window(self, f: VecLaurent) -> np.ndarray:
         """Stack the coefficients of frequencies 0..m-1 (all that the
@@ -264,10 +265,6 @@ class ModelSpaceBasis:
         for k in range(max(g.lo, 0), g.hi + 1):
             pos += float(np.linalg.norm(g.coeff(k)) ** 2)
         return float(np.sqrt(neg + pos))
-
-
-def model_dim(inner: InnerFunction) -> int:
-    return inner.n
 
 
 def kernel(basis: ModelSpaceBasis, lam: complex, x, return_witness: bool = False):
@@ -336,6 +333,17 @@ def tilde_kernel(basis: ModelSpaceBasis, lam: complex, y, return_witness: bool =
     return (out, rem) if return_witness else out
 
 
+def kernel_frame(basis: ModelSpaceBasis, lam: complex) -> np.ndarray:
+    """n x d matrix whose columns are the kernel directions at lam."""
+    eye = np.eye(basis.inner.d)
+    return np.column_stack([basis.coords(kernel(basis, lam, x)) for x in eye])
+
+
+def tilde_kernel_frame(basis: ModelSpaceBasis, lam: complex) -> np.ndarray:
+    eye = np.eye(basis.inner.d)
+    return np.column_stack([basis.coords(tilde_kernel(basis, lam, y)) for y in eye])
+
+
 def _theta_of(obj) -> MatLaurent:
     return obj.theta if isinstance(obj, InnerFunction) else obj
 
@@ -364,31 +372,19 @@ class SymbolSpaceBasis:
         inner = basis.inner
         d, m, n = inner.d, inner.m, inner.n
         self.elements = []
-        self.index = []
         for slot in range(d):
             for j in range(n):
                 coeffs = np.zeros((m, d, d), dtype=np.complex128)
                 coeffs[:, :, slot] = basis.q[:, j].reshape(m, d)
                 self.elements.append(MatLaurent(0, coeffs))
-                self.index.append((slot, j))
 
     def __len__(self):
         return len(self.elements)
 
 
-def symbol_space_basis(basis: ModelSpaceBasis) -> SymbolSpaceBasis:
-    return SymbolSpaceBasis(basis)
-
-
 def symbol_space_dim_bruteforce(basis: ModelSpaceBasis) -> int:
     """Dimension of the symbol space found by brute force: nullity of the
     analytic-part constraint on matrix polynomials of degree < m."""
-    inner = basis.inner
-    d, m = inner.d, inner.m
-    eye = np.eye(d)
-    c = np.zeros((m * d * d, m * d * d), dtype=np.complex128)
-    for k in range(m):
-        for j in range(m):
-            blk = np.kron(inner.theta.coeff(j - k).conj().T, eye)
-            c[k * d * d : (k + 1) * d * d, j * d * d : (j + 1) * d * d] = blk
-    return m * d * d - rank(c, basis.tol, scale=1.0)
+    theta, m, eye = basis.inner.theta, basis.inner.m, np.eye(basis.inner.d)
+    c = block_toeplitz(lambda t: np.kron(theta.coeff(-t).conj().T, eye), m, m)
+    return c.shape[1] - rank(c, basis.tol, scale=1.0)

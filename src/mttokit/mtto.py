@@ -5,7 +5,12 @@ Phi to the model space.  The class of all such operators is recognized
 (without knowing a symbol) by compressing A - S A S* to the complement
 of a defect space, symbols are recovered by least squares over the
 standard symbol space, and the zero-symbol ambiguity is resolved
-explicitly.  All decision thresholds default to 1e-9 * (1 + ||A||).
+explicitly.  Every operator is assembled as Q* M Q from a matrix M on the
+coefficient window: M = T_Phi, the block Toeplitz matrix of the symbol,
+gives A_Phi.  Membership decisions default to the scale-relative
+threshold DEFAULT_TOL.rel * ||A|| (1e-9 ||A||); the zero operator passes
+because its residual is exactly 0.  The zero-symbol tests default to
+1e-9 * (1 + ||Phi||).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .errors import (
     NotMttoError,
     NotZeroOperatorError,
 )
-from .laurent import MatLaurent, VecLaurent, analytic_split, boundary_adjoint, multiply
+from .laurent import MatLaurent, analytic_split, boundary_adjoint, multiply
 from .model_operator import (
     DefectSpaces,
     OperatorMatrix,
@@ -29,38 +34,38 @@ from .model_operator import (
     j_operators,
     matrix_of,
     s_theta,
+    stein_constraint,
     xhat,
 )
-from .model_space import ModelSpaceBasis, kernel, symbol_space_basis, tilde_kernel
-from .numerics import DEFAULT_TOL, complement_basis, opnorm, projector, rank, solve_min_norm
+from .model_space import ModelSpaceBasis, kernel_frame, tilde_kernel_frame
+from .numerics import DEFAULT_TOL, block_toeplitz, opnorm, rank, solve_min_norm
 
 
 def default_decision_tol(a) -> float:
-    return 1e-9 * (1.0 + opnorm(matrix_of(a)))
+    return DEFAULT_TOL.rel * opnorm(matrix_of(a))
+
+
+def _toeplitz_window(basis: ModelSpaceBasis, phi: MatLaurent) -> np.ndarray:
+    """T_Phi on the coefficient window: block (k, j) is Phi_{k-j}."""
+    return block_toeplitz(phi.coeff, basis.inner.m, basis.inner.m)
 
 
 def build(basis: ModelSpaceBasis, phi: MatLaurent) -> OperatorMatrix:
-    """Compress multiplication by phi to the model space."""
+    """Compress multiplication by phi to the model space: Q* T_Phi Q."""
     if phi.dim != basis.inner.d:
         raise DimensionMismatchError(
             f"symbol dimension {phi.dim} does not match model space over C^{basis.inner.d}"
         )
-    n = basis.n
-    mat = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        mat[:, j] = basis.coords(multiply(phi, basis.element(j)))
-    return OperatorMatrix(basis, mat)
+    return OperatorMatrix(basis, basis.compress(_toeplitz_window(basis, phi)))
 
 
 def semi_commutator_left_factor(basis: ModelSpaceBasis, phi: MatLaurent) -> np.ndarray:
-    """Matrix of f -> projection of phi times the constant f(0); this is
-    the left factor that turns the defect operator into A - S A S*."""
-    n = basis.n
-    om_domain = basis.q[: basis.inner.d, :]  # evaluation at zero
-    mat = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        mat[:, j] = basis.coords(multiply(phi, VecLaurent.constant(om_domain[:, j])))
-    return mat
+    """Matrix of f -> projection of phi times the constant f(0), that is
+    Q* T_Phi E0 Q with E0 keeping window block 0 only; this is the left
+    factor that turns the defect operator into A - S A S*."""
+    window = _toeplitz_window(basis, phi)
+    window[:, basis.inner.d :] = 0.0
+    return basis.compress(window)
 
 
 def semi_commutator_residual(basis: ModelSpaceBasis, phi: MatLaurent, a) -> float:
@@ -107,8 +112,7 @@ def shift_invariance_defect(basis: ModelSpaceBasis, a) -> float:
     operators this package recognizes."""
     amat = matrix_of(a)
     s, s_adj = s_theta(basis)
-    ds = defect_spaces(basis)
-    w = complement_basis(ds.dt_basis, basis.n)
+    w = defect_spaces(basis).comp_dt
     return opnorm(w.conj().T @ (amat - s_adj.mat @ amat @ s.mat) @ w)
 
 
@@ -127,11 +131,7 @@ def is_mtto(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> MttoDecis
         tol = default_decision_tol(amat)
     s, s_adj = s_theta(basis)
     ds = defect_spaces(basis)
-    eye = np.eye(n)
-    g = eye - s.mat @ s_adj.mat
-    gt = eye - s_adj.mat @ s.mat
-    p_d_perp = eye - projector(ds.d_basis)
-    p_dt_perp = eye - projector(ds.dt_basis)
+    g, gt, p_d_perp, p_dt_perp = ds.g, ds.gt, ds.p_d_perp, ds.p_dt_perp
     delta = amat - s.mat @ amat @ s_adj.mat
     delta_t = amat - s_adj.mat @ amat @ s.mat
     r_d = opnorm(p_d_perp @ delta @ p_d_perp)
@@ -166,19 +166,9 @@ def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent, check_tol: float =
     d, m = basis.inner.d, basis.inner.m
     q = phi.hi + m
     eye = np.eye(d)
-    n_rows = (m + q + 1) * d * d
-    n_cols = (q + 1) * d * d
-    sys = np.zeros((n_rows, n_cols), dtype=np.complex128)
-    for k in range(m + q + 1):
-        for j in range(q + 1):
-            if 0 <= k - j <= m:
-                sys[k * d * d : (k + 1) * d * d, j * d * d : (j + 1) * d * d] = np.kron(
-                    theta.coeff(k - j), eye
-                )
+    sys = block_toeplitz(lambda t: np.kron(theta.coeff(t), eye), m + q + 1, q + 1)
     rhs_fun = multiply(phi, theta)
-    rhs = np.zeros(n_rows, dtype=np.complex128)
-    for k in range(m + q + 1):
-        rhs[k * d * d : (k + 1) * d * d] = rhs_fun.coeff(k).reshape(-1)
+    rhs = np.concatenate([rhs_fun.coeff(k).reshape(-1) for k in range(m + q + 1)])
     x, _ = solve_min_norm(sys, rhs)
     phi1 = MatLaurent(0, x.reshape(q + 1, d, d))
     residual = (multiply(theta, phi1) - rhs_fun).norm()
@@ -193,17 +183,22 @@ def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent, check_tol: float =
     return phi1, float(residual)
 
 
-def _vec(mat: np.ndarray) -> np.ndarray:
-    return np.asarray(mat, dtype=np.complex128).reshape(-1)
+def _symbol_pair_map(basis: ModelSpaceBasis) -> np.ndarray:
+    """Linear map (coefficients of Psi1, coefficients of the starred
+    second slot) -> vec of the operator matrix, over the symbol-space
+    basis whose element (slot, j) puts basis function j in column slot.
 
-
-def _symbol_pair_map(basis: ModelSpaceBasis):
-    """Columns of the linear map (coefficients of Psi1, coefficients of
-    the starred second slot) -> operator matrix."""
-    sym = symbol_space_basis(basis)
-    cols = [_vec(build(basis, el).mat) for el in sym.elements]
-    cols += [_vec(build(basis, boundary_adjoint(el)).mat) for el in sym.elements]
-    return sym, np.column_stack(cols)
+    With F[k, c, a] the window blocks of Q, the first half is the one
+    contraction A_el[a, b] = sum over k, i, c of
+    conj(F[k, c, a]) F[k - i, c, j] F[i, slot, b], and A_{el*} = A_el*
+    gives the second."""
+    d, m, n = basis.inner.d, basis.inner.m, basis.n
+    f = basis.q.reshape(m, d, n)
+    zero = np.zeros((d, n))
+    shifted = block_toeplitz(lambda t: f[t] if t >= 0 else zero, m, m).reshape(m, d, m, n)
+    first = np.einsum("kca,kcij,isb->absj", f.conj(), shifted, f, optimize=True)
+    second = first.transpose(1, 0, 2, 3).conj()
+    return np.hstack([first.reshape(n * n, d * n), second.reshape(n * n, d * n)])
 
 
 @dataclass
@@ -224,14 +219,11 @@ def recover_symbol(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> Re
             f"operator is not a truncated Toeplitz operator: residual {decision.residual:.3e}"
             f" > tol {decision.tol:.3e}"
         )
-    sym, pair_map = _symbol_pair_map(basis)
-    x, _ = solve_min_norm(pair_map, _vec(amat))
-    k = len(sym.elements)
-    psi1 = MatLaurent.zero(basis.inner.d)
-    psi2 = MatLaurent.zero(basis.inner.d)
-    for i, el in enumerate(sym.elements):
-        psi1 = psi1 + complex(x[i]) * el
-        psi2 = psi2 + complex(np.conj(x[k + i])) * el
+    x, _ = solve_min_norm(_symbol_pair_map(basis), amat.reshape(-1))
+    d, m, n = basis.inner.d, basis.inner.m, basis.n
+    f = basis.q.reshape(m, d, n)  # element (slot, j) has F[t, :, j] in column slot
+    psi1 = MatLaurent(0, f @ x[: d * n].reshape(d, n).T)
+    psi2 = MatLaurent(0, f @ np.conj(x[d * n :]).reshape(d, n).T)
     rebuilt = build(basis, psi1 + boundary_adjoint(psi2))
     residual = opnorm(rebuilt.mat - amat)
     if residual > 1e-8 * (1.0 + opnorm(amat)):
@@ -264,25 +256,16 @@ def zero_symbol_decompose(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional
     q1 = max(phi.hi, m)
     q2 = max(-phi.lo, m)
     lo_k, hi_k = -(m + q2), m + q1
-    dd = d * d
-    n_rows = (hi_k - lo_k + 1) * dd
-    cols1 = (q1 + 1) * dd
-    cols2 = (q2 + 1) * dd
-    sys = np.zeros((n_rows, cols1 + cols2), dtype=np.complex128)
-    rhs = np.zeros(n_rows, dtype=np.complex128)
+    rows, dd, cols1 = hi_k - lo_k + 1, d * d, (q1 + 1) * d * d
     eye = np.eye(d)
-    for k in range(lo_k, hi_k + 1):
-        row = (k - lo_k) * dd
-        rhs[row : row + dd] = phi.coeff(k).reshape(-1)
-        for j in range(q1 + 1):
-            if 0 <= k - j <= m:
-                sys[row : row + dd, j * dd : (j + 1) * dd] = np.kron(theta.coeff(k - j), eye)
-        # second slot: coefficient k of the boundary adjoint of Theta Psi2,
-        # parametrized linearly by Y_j = Psi2_j* so the system stays C-linear
-        for j in range(q2 + 1):
-            if 0 <= -k - j <= m:
-                blk = np.kron(eye, np.conj(theta.coeff(-k - j)))
-                sys[row : row + dd, cols1 + j * dd : cols1 + (j + 1) * dd] = blk
+    # first slot: coefficient k of Theta Psi1, block (k, j) is Theta_{k-j} acting on Psi1_j
+    first = block_toeplitz(lambda t: np.kron(theta.coeff(t + lo_k), eye), rows, q1 + 1)
+    # second slot: coefficient k of the boundary adjoint of Theta Psi2,
+    # parametrized linearly by Y_j = Psi2_j* so the system stays C-linear;
+    # block (k, j) holds Theta_{-k-j}, a Toeplitz matrix read from the last row up
+    second = block_toeplitz(lambda t: np.kron(eye, np.conj(theta.coeff(t - hi_k))), rows, q2 + 1)
+    sys = np.hstack([first, second.reshape(rows, dd, -1)[::-1].reshape(rows * dd, -1)])
+    rhs = np.concatenate([phi.coeff(k).reshape(-1) for k in range(lo_k, hi_k + 1)])
     x, _ = solve_min_norm(sys, rhs)
     psi1 = MatLaurent(0, x[:cols1].reshape(q1 + 1, d, d))
     y = x[cols1:].reshape(q2 + 1, d, d)
@@ -349,20 +332,8 @@ def mtto_dimension(basis: ModelSpaceBasis, tol=DEFAULT_TOL) -> DimensionReport:
     2n^d - d^2 without assuming either.
     """
     n, d = basis.n, basis.inner.d
-    _, pair_map = _symbol_pair_map(basis)
-    dim_symbols = rank(pair_map, tol, scale=1.0)
-    s, s_adj = s_theta(basis)
-    ds = defect_spaces(basis)
-    eye = np.eye(n)
-    p_d_perp = eye - projector(ds.d_basis)
-    cols = []
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=np.complex128)
-            e[i, j] = 1.0
-            cols.append(_vec(p_d_perp @ (e - s.mat @ e @ s_adj.mat) @ p_d_perp))
-    constraint = np.column_stack(cols)
-    dim_operators = n * n - rank(constraint, tol, scale=1.0)
+    dim_symbols = rank(_symbol_pair_map(basis), tol, scale=1.0)
+    dim_operators = n * n - rank(stein_constraint(basis), tol, scale=1.0)
     if dim_symbols != dim_operators:
         raise IdentityCheckError(
             f"dimension routes disagree: symbol map gives {dim_symbols}, "
@@ -375,21 +346,6 @@ def mtto_dimension(basis: ModelSpaceBasis, tol=DEFAULT_TOL) -> DimensionReport:
         operator_space_dim=n * n,
         product_reading=2 * n**d - d * d,
         linear_reading=2 * n * d - d * d,
-    )
-
-
-def kernel_frame(basis: ModelSpaceBasis, lam: complex) -> np.ndarray:
-    """n x d matrix whose columns are the kernel directions at lam."""
-    eye = np.eye(basis.inner.d)
-    return np.column_stack(
-        [basis.coords(kernel(basis, lam, eye[:, i])) for i in range(basis.inner.d)]
-    )
-
-
-def tilde_kernel_frame(basis: ModelSpaceBasis, lam: complex) -> np.ndarray:
-    eye = np.eye(basis.inner.d)
-    return np.column_stack(
-        [basis.coords(tilde_kernel(basis, lam, eye[:, i])) for i in range(basis.inner.d)]
     )
 
 

@@ -2,8 +2,9 @@
 
 Everything here is a thin, opinionated wrapper around numpy's SVD/lstsq
 machinery: one rank rule, one orthonormalization rule, one least-squares
-solver, used consistently by the rest of the package so that every
-decision threshold traces back to a single Tolerance value.
+solver and one block-Toeplitz builder, used consistently by the rest of
+the package so that every decision threshold traces back to a single
+Tolerance value.
 """
 
 from dataclasses import dataclass
@@ -146,6 +147,17 @@ def solve_min_norm(a, b, tol: Tolerance = DEFAULT_TOL):
     if b_arr.ndim == 1:
         x = x[:, 0]
     return x, residual
+
+
+def block_toeplitz(block, rows: int, cols: int) -> np.ndarray:
+    """Matrix of rows x cols blocks whose (k, j) block is block(k - j).
+
+    `block` maps an integer offset to a 2-d array and is asked once per
+    offset; the blocks are copied in unchanged."""
+    tiles = np.array([block(t) for t in range(1 - cols, rows)], dtype=np.complex128)
+    r, c = tiles.shape[1:]
+    offsets = np.subtract.outer(np.arange(rows), np.arange(cols)) + cols - 1
+    return tiles[offsets].transpose(0, 2, 1, 3).reshape(rows * r, cols * c)
 
 
 def projector(q: np.ndarray) -> np.ndarray:

@@ -9,10 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 from .laurent import MatLaurent, multiply
-from .model_operator import Conjugation, defect_spaces, s_theta
+from .model_operator import Conjugation, stein_constraint
 from .model_space import InnerFunction, ModelSpaceBasis, make_inner_potapov
 from .mtto import is_mtto
-from .numerics import opnorm, projector, rank
+from .numerics import opnorm, rank
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -164,16 +164,7 @@ def random_non_member(basis: ModelSpaceBasis, rng: np.random.Generator, min_defe
     with a strict complement admit one.
     """
     n = basis.n
-    s, s_adj = s_theta(basis)
-    ds = defect_spaces(basis)
-    p_d_perp = np.eye(n) - projector(ds.d_basis)
-    cols = []
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=np.complex128)
-            e[i, j] = 1.0
-            cols.append((p_d_perp @ (e - s.mat @ e @ s_adj.mat) @ p_d_perp).reshape(-1))
-    constraint = np.column_stack(cols)
+    constraint = stein_constraint(basis)
     r = rank(constraint, scale=1.0)
     if r == 0:
         raise ValueError("every operator on this model space carries a symbol")

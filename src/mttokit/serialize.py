@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .errors import ParseError
-from .laurent import MatLaurent, VecLaurent
+from .laurent import MatLaurent
 
 SCHEMA_VERSION = 1
 
@@ -34,10 +34,15 @@ def complex_to_json(z):
 def json_to_complex(obj) -> complex:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
         raise ParseError(f"expected a [re, im] pair, got {obj!r}")
-    re, im = obj
-    if not all(isinstance(v, (int, float)) for v in (re, im)):
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
         raise ParseError(f"non-numeric entries in complex pair {obj!r}")
-    return complex(float(re), float(im))
+    try:
+        z = complex(float(obj[0]), float(obj[1]))
+    except OverflowError:  # an integer too large for a float
+        z = complex("nan")
+    if not np.isfinite(z):
+        raise ParseError(f"non-finite entries in complex pair {obj!r}")
+    return z
 
 
 def array_to_json(a):
@@ -80,30 +85,24 @@ def json_to_mat_laurent(obj) -> MatLaurent:
     try:
         coeffs = json_to_array(obj["coeffs"], 3)
         f = MatLaurent(int(obj["lo"]), coeffs)
+        dim = int(obj["dim"])
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad matrix Laurent payload: {exc}") from exc
-    if f.dim != int(obj["dim"]) and not f.is_zero():
-        raise ParseError(f"declared dim {obj['dim']} does not match coefficients")
+    if f.dim != dim and not f.is_zero():
+        raise ParseError(f"declared dim {dim} does not match coefficients")
     return f
 
 
-def json_to_vec_laurent(obj) -> VecLaurent:
-    try:
-        coeffs = json_to_array(obj["coeffs"], 2)
-        f = VecLaurent(int(obj["lo"]), coeffs)
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad vector Laurent payload: {exc}") from exc
-    return f
+def _reject_constant(name):
+    raise ParseError(f"non-finite number {name} in JSON input")
 
 
 def load_json_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -37,7 +37,6 @@ from .model_operator import (
 from .model_space import (
     ModelSpaceBasis,
     kernel,
-    model_dim,
     tau_adjoint_apply,
     tau_apply,
     tilde_kernel,
@@ -52,7 +51,7 @@ from .mtto import (
     semi_commutator_residual,
     zero_symbol_decompose,
 )
-from .numerics import opnorm, projector, rank
+from .numerics import opnorm, rank
 from .randgen import (
     random_commuting_symbol,
     random_element_coords,
@@ -267,9 +266,7 @@ def _check_defect_spaces(ctx, rng):
         out.add(0.0 if ds.d_basis.shape == (basis.n, d) else 1.0)
         out.add(0.0 if ds.dt_basis.shape == (basis.n, d) else 1.0)
         j, jt = j_operators(basis, ds)
-        s, s_adj = s_theta(basis)
-        g = np.eye(basis.n) - s.mat @ s_adj.mat
-        out.add(opnorm(g @ j - projector(ds.d_basis)))
+        out.add(opnorm(ds.g @ j - ds.p_d))
     return out
 
 
@@ -363,7 +360,7 @@ def _check_dimension(ctx, rng):
     for label, basis in ctx.spaces:
         report = mtto_dimension(basis)
         out.add(0.0)  # both routes agreed or mtto_dimension would have raised
-        out.add(0.0 if model_dim(basis.inner) == basis.n else 1.0)
+        out.add(0.0 if basis.q.shape[1] == basis.n else 1.0)
         if report.dim != report.linear_reading:
             out.notes.append(f"{label}: count {report.dim} differs from 2nd-d^2={report.linear_reading}")
     return out

@@ -24,7 +24,7 @@ from mttokit.model_operator import (
     defect_spaces,
     s_theta,
 )
-from mttokit.model_space import ModelSpaceBasis, kernel, make_inner_potapov, symbol_space_basis
+from mttokit.model_space import ModelSpaceBasis, SymbolSpaceBasis, kernel, make_inner_potapov
 from mttokit.mtto import (
     build,
     commutant_factor,
@@ -203,7 +203,7 @@ def test_06_zero_symbol_both_directions():
         basis = hosts[i % len(hosts)]
         theta = basis.inner.theta
         d = basis.inner.d
-        sym = symbol_space_basis(basis)
+        sym = SymbolSpaceBasis(basis)
         el = sym.elements[int(rng.integers(len(sym.elements)))]
         phi = multiply(theta, random_symbol(d, 0, 2, rng)) + el
         result = zero_symbol_decompose(basis, phi)

@@ -212,3 +212,62 @@ def test_usage_error_exits_2(capsys):
         main(["op", "build", "--theta", "FIX3"])  # missing --symbol
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def _member_op_file(tmp_path):
+    basis = ModelSpaceBasis(fixture("FIX3"))
+    op_path = tmp_path / "op.json"
+    serialize.dump_json_file(op_path, build(basis, MatLaurent.identity(2)).to_json())
+    return str(op_path)
+
+
+def _assert_parse_error(code, out, err):
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "E_PARSE"
+
+
+@pytest.mark.parametrize("source", ["--tol", "MTTO_TOL"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1"])
+def test_tol_outside_the_open_unit_interval_exits_2(tmp_path, capsys, monkeypatch, source, value):
+    argv = ["op", "test", "--theta", "FIX3", "--op", _member_op_file(tmp_path)]
+    if source == "--tol":
+        argv += ["--tol", value]
+    else:
+        monkeypatch.setenv(source, value)
+    _assert_parse_error(*run(capsys, *argv))
+
+
+def test_symbol_without_dim_exits_2(tmp_path, capsys):
+    doc = serialize.laurent_to_json(MatLaurent.identity(2))
+    del doc["dim"]
+    path = tmp_path / "sym.json"
+    serialize.dump_json_file(path, doc)
+    _assert_parse_error(*run(capsys, "op", "build", "--theta", "FIX3", "--symbol", str(path)))
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400])
+def test_non_finite_operator_entry_exits_2(tmp_path, capsys, bad):
+    text = json.dumps({"entries": serialize.matrix_to_json(np.zeros((3, 3)))})
+    path = tmp_path / "op.json"
+    path.write_text(text.replace("0.0", bad, 1))
+    _assert_parse_error(*run(capsys, "op", "test", "--theta", "FIX3", "--op", str(path)))
+
+
+def test_boolean_complex_entry_exits_2(tmp_path, capsys):
+    path = tmp_path / "op.json"
+    path.write_text('{"entries": [[[true, 0]]]}')
+    _assert_parse_error(*run(capsys, "op", "test", "--theta", "FIX1", "--op", str(path)))
+
+
+def test_tiny_non_member_is_rejected_and_tiny_member_accepted(tmp_path, capsys):
+    # the default tolerance scales with ||A||, so scaling an operator
+    # down by 1e-10 leaves its verdict alone
+    basis = ModelSpaceBasis(fixture("FIX2"))
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    member = build(basis, MatLaurent(-1, rng.standard_normal((3, 1, 1)))).mat
+    for mat, want in ((1e-10 * g / np.linalg.norm(g, 2), 1), (1e-10 * member, 0)):
+        path = tmp_path / "op.json"
+        serialize.dump_json_file(path, {"entries": serialize.matrix_to_json(mat)})
+        code, out, _ = run(capsys, "op", "test", "--theta", "FIX2", "--op", str(path))
+        assert code == want and json.loads(out)["verdict"] is (want == 0)

@@ -13,10 +13,10 @@ from mttokit.laurent import MatLaurent, VecLaurent, hs_inner, l2_inner, multiply
 from mttokit.model_space import (
     InnerFunction,
     ModelSpaceBasis,
+    SymbolSpaceBasis,
     det_degree,
     kernel,
     make_inner_potapov,
-    symbol_space_basis,
     symbol_space_dim_bruteforce,
     tau_adjoint_apply,
     tau_apply,
@@ -229,7 +229,7 @@ def test_symbol_space_basis_is_orthonormal_with_columns_in_model_space():
     for name in ("FIX3", "FIX5"):
         inner = fixture(name)
         basis = ModelSpaceBasis(inner)
-        sym = symbol_space_basis(basis)
+        sym = SymbolSpaceBasis(basis)
         assert len(sym) == inner.n * inner.d
         for a, ea in enumerate(sym.elements):
             for b, eb in enumerate(sym.elements):

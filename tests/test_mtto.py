@@ -5,7 +5,7 @@ from mttokit.errors import DimensionMismatchError, NotMttoError, NotZeroOperator
 from mttokit.fixtures import fix2, fix3, fix4, fix5, fixture
 from mttokit.laurent import MatLaurent, VecLaurent, boundary_adjoint, multiply
 from mttokit.model_operator import defect_spaces, s_theta
-from mttokit.model_space import ModelSpaceBasis, make_inner_potapov, symbol_space_basis
+from mttokit.model_space import ModelSpaceBasis, SymbolSpaceBasis, make_inner_potapov
 from mttokit.mtto import (
     build,
     commutant_factor,
@@ -217,7 +217,7 @@ def test_recover_symbol_round_trips_built_operators():
     rng = np.random.default_rng(38)
     for name in ("FIX2", "FIX3", "FIX5"):
         basis = _basis(name)
-        sym = symbol_space_basis(basis)
+        sym = SymbolSpaceBasis(basis)
         for _ in range(6):
             coeffs = rng.standard_normal(2 * len(sym)) + 1j * rng.standard_normal(2 * len(sym))
             psi1 = MatLaurent.zero(basis.inner.d)
@@ -365,3 +365,18 @@ def test_kernel_frame_columns_reproduce_kernels():
     lam = 0.25 - 0.1j
     k = kernel_frame(basis, lam)
     assert k.shape == (2, 1)
+
+
+def test_default_tolerance_is_relative_to_the_operator_scale():
+    basis = _basis("FIX2")
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    tiny = 1e-10 * g / opnorm(g)
+    decision = is_mtto(basis, tiny)
+    assert not decision.verdict and decision.residual > 1e3 * decision.tol
+    a = 1e-10 * build(basis, _rand_symbol(1, -1, 1, rng)).mat
+    assert is_mtto(basis, a).verdict
+    zero = is_mtto(basis, np.zeros((2, 2)))
+    assert zero.verdict and zero.residual == zero.tol == 0.0
+    rec = recover_symbol(basis, np.zeros((2, 2)))
+    assert rec.psi1.is_zero() and rec.psi2.is_zero()
