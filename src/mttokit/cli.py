@@ -53,6 +53,7 @@ def _load_symbol(path: str):
 
 def _load_operator(path: str, basis: ModelSpaceBasis) -> np.ndarray:
     obj = serialize.load_json_file(path)
+    serialize.check_schema_version(obj)
     if "entries" not in obj:
         raise ParseError("operator payload needs an 'entries' field")
     mat = serialize.json_to_matrix(obj["entries"])
@@ -89,6 +90,7 @@ def _candidate_theta(source: str):
     if source in FIXTURE_NAMES:
         return fixture(source).theta
     obj = serialize.load_json_file(source)
+    serialize.check_schema_version(obj)
     if obj.get("kind") == "coeffs":
         if "laurent" not in obj:
             raise ParseError("coefficient payload needs a 'laurent' field")
@@ -209,7 +211,7 @@ def _add_out(p):
 def _add_tol(p):
     p.add_argument("--tol", type=float, metavar="T",
                    help=f"decision tolerance in (0, 1); defaults to ${_TOL_ENV}, else 1e-9 * ||A|| "
-                        "for an operator and 1e-9 * (1 + ||Phi||) for a symbol")
+                        "for an operator and 1e-9 * ||Phi|| for a symbol")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import IdentityCheckError, NotGammaSymmetricError, NotUnitaryError
 from .laurent import MatLaurent, VecLaurent, multiply
 from .model_space import ModelSpaceBasis, kernel, kernel_frame, tilde_kernel, tilde_kernel_frame
-from .numerics import complement_basis, opnorm, orthonormal_basis, projector, rank
+from .numerics import DEFAULT_TOL, complement_basis, opnorm, orthonormal_basis, projector, rank
 
 
 @dataclass
@@ -323,12 +323,14 @@ def conjugation_matrix(basis: ModelSpaceBasis, gamma: Conjugation) -> np.ndarray
 
 
 def c_symmetric(basis: ModelSpaceBasis, gamma: Conjugation, a, tol: float = None):
-    """Test A = C A* C in coordinates; returns (verdict, residual)."""
+    """Test A = C A* C in coordinates; returns (verdict, residual).
+    The default threshold is DEFAULT_TOL.rel * ||A||, relative like the
+    property itself; the zero operator passes with residual exactly 0."""
     mat = matrix_of(a)
     m = conjugation_matrix(basis, gamma)
     residual = opnorm(mat - m @ mat.T @ m.conj().T)
     if tol is None:
-        tol = 1e-9 * (1.0 + opnorm(mat))
+        tol = DEFAULT_TOL.rel * opnorm(mat)
     return residual <= tol, float(residual)
 
 

@@ -10,8 +10,6 @@ dimensional coefficient window.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from . import serialize
@@ -39,31 +37,21 @@ INNER_COEFF_TOL = 1e-10
 
 
 def det_degree(theta: MatLaurent, cut: float = 1e-8) -> int:
-    """Degree of det Theta(z), by exact polynomial expansion.
+    """Degree of det Theta(z), by evaluation and interpolation.
 
-    Permutation expansion with scalar convolutions; fine for the small
-    d this package targets.
+    det Theta has degree at most m*d, so its values at N = m*d + 1 roots
+    of unity determine it: one FFT of the coefficient blocks gives Theta
+    there, one batched determinant gives det Theta, and one inverse FFT
+    gives its coefficients.  For an inner Theta, |det Theta| = 1 on the
+    circle, so nothing is amplified.  The degree is the index of the last
+    coefficient larger than `cut` * max(1, largest coefficient).
     """
     if theta.lo < 0:
         raise ValueError("determinant degree needs an analytic argument")
-    d = theta.dim
-    width = theta.hi * d + 1
-    total = np.zeros(width, dtype=np.complex128)
-    pad = np.zeros(theta.hi + 1, dtype=np.complex128)
-    for perm in itertools.permutations(range(d)):
-        sign = 1.0
-        seen = list(perm)
-        for i in range(d):  # parity by counting inversions
-            for j in range(i + 1, d):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = np.array([1.0 + 0.0j])
-        for i in range(d):
-            pad[:] = 0.0
-            for k in range(theta.lo, theta.hi + 1):
-                pad[k] = theta.coeff(k)[i, perm[i]]
-            term = np.convolve(term, pad)
-        total[: term.size] += sign * term
+    d, m = theta.dim, theta.hi
+    blocks = np.zeros((m + 1, d, d), dtype=np.complex128)
+    blocks[theta.lo :] = theta.coeffs
+    total = np.fft.ifft(np.linalg.det(np.fft.fft(blocks, n=m * d + 1, axis=0)))
     mags = np.abs(total)
     big = np.flatnonzero(mags > cut * max(1.0, mags.max()))
     return int(big[-1]) if big.size else 0
@@ -79,9 +67,11 @@ class InnerFunction:
     """A validated pure polynomial matrix inner function.
 
     Construction checks the coefficient identities for unitarity on the
-    circle and strict contractivity at the origin, and computes the model
-    space dimension n two independent ways (constraint-map nullity and
-    determinant degree), refusing to continue if they disagree.
+    circle and strict contractivity at the origin, and measures the model
+    space dimension n independently as the nullity of the constraint map
+    and as the degree of det Theta; for a Potapov product it also reads n
+    off as the sum of the factor ranks.  It refuses to continue unless
+    all of them agree.  `_potapov` is (U, [P_1, ...], sum of rank P_j).
     """
 
     def __init__(self, theta: MatLaurent, tol: Tolerance = DEFAULT_TOL, _potapov=None):
@@ -97,10 +87,12 @@ class InnerFunction:
         self.m = theta.hi
         self._potapov = _potapov
         nullity = self.m * self.d - rank(_constraint_matrix(theta), tol, scale=1.0)
-        deg = det_degree(theta)
-        if nullity != deg:
+        witnesses = {"constraint nullity": nullity, "det degree": det_degree(theta)}
+        if _potapov is not None:
+            witnesses["factor rank sum"] = _potapov[2]
+        if len(set(witnesses.values())) != 1:
             raise IdentityCheckError(
-                f"model dimension mismatch: constraint nullity {nullity}, det degree {deg}"
+                "model dimension mismatch: " + ", ".join(f"{k} {v}" for k, v in witnesses.items())
             )
         self.n = nullity
 
@@ -118,7 +110,7 @@ class InnerFunction:
     def to_json(self) -> dict:
         doc = {"schema_version": serialize.SCHEMA_VERSION}
         if self._potapov is not None:
-            u, factors = self._potapov
+            u, factors, _ = self._potapov
             doc["kind"] = "potapov"
             doc["left_unitary"] = serialize.matrix_to_json(u)
             doc["factors"] = [serialize.matrix_to_json(p) for p in factors]
@@ -130,7 +122,8 @@ class InnerFunction:
 
 def make_inner_potapov(factors, left_unitary=None, tol: Tolerance = DEFAULT_TOL) -> InnerFunction:
     """Product U (I - P_1 + z P_1) ... (I - P_r + z P_r) of elementary
-    factors built from orthogonal projections P_j."""
+    factors built from orthogonal projections P_j; its model space has
+    dimension sum rank P_j, read off from the rounded traces."""
     mats = [np.asarray(p, dtype=np.complex128) for p in factors]
     if not mats:
         raise ValueError("need at least one factor")
@@ -148,10 +141,12 @@ def make_inner_potapov(factors, left_unitary=None, tol: Tolerance = DEFAULT_TOL)
         if np.linalg.norm(p - p.conj().T) > 1e-10 or np.linalg.norm(p @ p - p) > 1e-10:
             raise NotProjectionError("factor is not an orthogonal projection")
         theta = multiply(theta, MatLaurent(0, np.stack([eye - p, p])))
-    return InnerFunction(theta, tol, _potapov=(u, mats))
+    rank_sum = sum(int(round(np.trace(p).real)) for p in mats)
+    return InnerFunction(theta, tol, _potapov=(u, mats, rank_sum))
 
 
 def inner_from_json(obj) -> InnerFunction:
+    serialize.check_schema_version(obj)
     try:
         kind = obj["kind"]
     except (KeyError, TypeError) as exc:

@@ -9,8 +9,9 @@ explicitly.  Every operator is assembled as Q* M Q from a matrix M on the
 coefficient window: M = T_Phi, the block Toeplitz matrix of the symbol,
 gives A_Phi.  Membership decisions default to the scale-relative
 threshold DEFAULT_TOL.rel * ||A|| (1e-9 ||A||); the zero operator passes
-because its residual is exactly 0.  The zero-symbol tests default to
-1e-9 * (1 + ||Phi||).
+because its residual is exactly 0.  The zero-symbol tests default to the
+same relative threshold on the symbol's scale, DEFAULT_TOL.rel * ||Phi||,
+with ||Phi|| the norm of its coefficients; the zero symbol passes.
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ def zero_symbol_decompose(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional
     d, m = basis.inner.d, basis.inner.m
     nrm = opnorm(build(basis, phi).mat)
     if tol is None:
-        tol = 1e-9 * (1.0 + phi.norm())
+        tol = DEFAULT_TOL.rel * phi.norm()
     if nrm > tol:
         return ZeroSymbolResult(is_zero=False, operator_norm=float(nrm))
     q1 = max(phi.hi, m)
@@ -288,7 +289,7 @@ def factor_through_theta(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional[
         raise ValueError("only analytic symbols factor through Theta")
     nrm = opnorm(build(basis, phi).mat)
     if tol is None:
-        tol = 1e-9 * (1.0 + phi.norm())
+        tol = DEFAULT_TOL.rel * phi.norm()
     if nrm > tol:
         raise NotZeroOperatorError(f"operator norm {nrm:.3e} exceeds {tol:.3e}")
     theta = basis.inner.theta

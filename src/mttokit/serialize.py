@@ -3,7 +3,8 @@
 Complex scalars travel as [re, im] pairs and floats are emitted with
 Python's shortest round-trip repr, so serializing and re-parsing a
 float64 payload is bit-exact and two identical runs produce identical
-bytes.  Top-level documents carry a schema_version field.
+bytes.  Top-level documents carry a schema_version field; readers refuse
+a version they do not know and read a document without one as current.
 """
 
 import hashlib
@@ -15,6 +16,15 @@ from .errors import ParseError
 from .laurent import MatLaurent
 
 SCHEMA_VERSION = 1
+
+
+def check_schema_version(obj) -> None:
+    """Refuse a document that declares a schema_version other than
+    SCHEMA_VERSION (the integer; "1" or true is not it)."""
+    if isinstance(obj, dict) and "schema_version" in obj:
+        version = obj["schema_version"]
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise ParseError(f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
 
 
 def canonical_json(obj) -> str:
@@ -82,6 +92,7 @@ def laurent_to_json(f) -> dict:
 
 
 def json_to_mat_laurent(obj) -> MatLaurent:
+    check_schema_version(obj)
     try:
         coeffs = json_to_array(obj["coeffs"], 3)
         f = MatLaurent(int(obj["lo"]), coeffs)

@@ -129,6 +129,18 @@ def test_symbol_zero_test_both_verdicts(tmp_path, capsys):
     assert code == 1 and not doc["is_zero"] and doc["operator_norm"] > 0.9
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-10])
+def test_symbol_zero_test_default_tolerance_is_relative(tmp_path, capsys, scale):
+    theta = fixture("FIX3").theta
+    zero_sym = write_symbol(tmp_path, "zero.json", scale * theta)
+    code, out, _ = run(capsys, "symbol", "zero-test", "--theta", "FIX3", "--symbol", zero_sym)
+    assert code == 0 and json.loads(out)["is_zero"]
+    live = write_symbol(tmp_path, "live.json", scale * MatLaurent.identity(2))
+    code, out, _ = run(capsys, "symbol", "zero-test", "--theta", "FIX3", "--symbol", live)
+    doc = json.loads(out)
+    assert code == 1 and not doc["is_zero"] and doc["operator_norm"] == pytest.approx(scale)
+
+
 def test_dim_command(capsys):
     code, out, _ = run(capsys, "dim", "--theta", "FIX2")
     doc = json.loads(out)
@@ -271,3 +283,50 @@ def test_tiny_non_member_is_rejected_and_tiny_member_accepted(tmp_path, capsys):
         serialize.dump_json_file(path, {"entries": serialize.matrix_to_json(mat)})
         code, out, _ = run(capsys, "op", "test", "--theta", "FIX2", "--op", str(path))
         assert code == want and json.loads(out)["verdict"] is (want == 0)
+
+
+def _versioned_inputs(tmp_path, version):
+    """Theta (both kinds), symbol and operator files for FIX3, each declaring `version`
+    (no schema_version field at all when version is None)."""
+    inner = fixture("FIX3")
+    docs = {
+        "theta": inner.to_json(),
+        "coeffs": {"kind": "coeffs", "laurent": serialize.laurent_to_json(inner.theta)},
+        "symbol": serialize.laurent_to_json(MatLaurent.identity(2)),
+        "op": build(ModelSpaceBasis(inner), MatLaurent.identity(2)).to_json(),
+    }
+    paths = {}
+    for name, doc in docs.items():
+        doc.pop("schema_version", None)
+        if version is not None:
+            doc["schema_version"] = version
+        paths[name] = str(tmp_path / f"{name}.json")
+        serialize.dump_json_file(paths[name], doc)
+    return paths
+
+
+_VERSIONED_COMMANDS = {
+    "theta": ("dim", "--theta", "{theta}"),
+    "coeffs": ("inner", "check", "--theta", "{coeffs}"),
+    "symbol": ("op", "build", "--theta", "FIX3", "--symbol", "{symbol}"),
+    "op": ("op", "test", "--theta", "FIX3", "--op", "{op}"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_VERSIONED_COMMANDS))
+@pytest.mark.parametrize("version", [2, "1"])
+def test_unknown_schema_version_exits_2(tmp_path, capsys, kind, version):
+    paths = _versioned_inputs(tmp_path, version)
+    argv = [a.format(**paths) for a in _VERSIONED_COMMANDS[kind]]
+    code, out, err = run(capsys, *argv)
+    _assert_parse_error(code, out, err)
+    assert "schema_version" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("kind", sorted(_VERSIONED_COMMANDS))
+@pytest.mark.parametrize("version", [1, None])
+def test_current_or_missing_schema_version_is_read(tmp_path, capsys, kind, version):
+    paths = _versioned_inputs(tmp_path, version)
+    argv = [a.format(**paths) for a in _VERSIONED_COMMANDS[kind]]
+    code, _, err = run(capsys, *argv)
+    assert code == 0 and err == ""

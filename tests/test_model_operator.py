@@ -222,6 +222,19 @@ def test_shift_is_c_symmetric_but_the_lower_corner_symbol_operator_is_not():
     assert not bad and res_bad > 0.5
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-10])
+def test_c_symmetry_verdict_does_not_depend_on_scale(scale):
+    basis = _basis("FIX3")
+    gamma = Conjugation(np.eye(2))
+    s, _ = s_theta(basis)
+    ok, res = c_symmetric(basis, gamma, scale * s.mat)
+    assert ok and res <= 1e-12 * scale
+    a = np.zeros((3, 3), dtype=complex)
+    a[1, 0] = scale
+    bad, res_bad = c_symmetric(basis, gamma, a)
+    assert not bad and res_bad == pytest.approx(scale)
+
+
 def test_kernel_recurrences_hold_on_fixtures():
     for name in ("FIX2", "FIX3", "FIX4", "FIX5"):
         report = kernel_recurrence_check(_basis(name), count=10, seed=3)

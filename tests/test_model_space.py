@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from mttokit.model_space import (
     tau_apply,
     tilde_kernel,
 )
+from mttokit.randgen import haar_unitary, random_inner, random_projection
 
 EXPECTED_SHAPE = {
     "FIX1": (1, 1, 1),
@@ -72,10 +75,71 @@ def test_inner_function_rejects_non_inner_coefficients():
         InnerFunction(MatLaurent(-1, np.stack([np.eye(2)])))
 
 
+def _det_degree_by_permutations(theta, cut=1e-8):
+    """Oracle: expand det Theta over all d! permutations with scalar
+    convolutions, and read the degree off with det_degree's cut rule."""
+    d = theta.dim
+    total = np.zeros(theta.hi * d + 1, dtype=np.complex128)
+    entry = np.zeros(theta.hi + 1, dtype=np.complex128)
+    for perm in itertools.permutations(range(d)):
+        inversions = sum(perm[i] > perm[j] for i in range(d) for j in range(i + 1, d))
+        term = np.array([(-1.0) ** inversions + 0.0j])
+        for i in range(d):
+            for k in range(theta.hi + 1):
+                entry[k] = theta.coeff(k)[i, perm[i]]
+            term = np.convolve(term, entry)
+        total[: term.size] += term
+    mags = np.abs(total)
+    big = np.flatnonzero(mags > cut * max(1.0, mags.max()))
+    return int(big[-1]) if big.size else 0
+
+
 def test_det_degree_matches_model_dimension():
     for name in EXPECTED_SHAPE:
         inner = fixture(name)
-        assert det_degree(inner.theta) == inner.n
+        assert det_degree(inner.theta) == inner.n == _det_degree_by_permutations(inner.theta)
+
+
+def test_det_degree_matches_permutation_expansion_on_random_inners():
+    rng = np.random.default_rng(60)
+    for d in range(1, 6):
+        for m in (1, 2, 3):
+            inner = random_inner(d, m, rng)
+            assert det_degree(inner.theta) == _det_degree_by_permutations(inner.theta) == inner.n
+
+
+def test_det_degree_matches_permutation_expansion_on_non_inner_input():
+    # analytic, not inner, some shifted off frequency 0, some with a
+    # rank-deficient top coefficient so that the degree falls below hi * d
+    rng = np.random.default_rng(61)
+    degrees = set()
+    for d in range(1, 6):
+        for lo, hi in ((0, 1), (0, 2), (1, 3)):
+            c = rng.standard_normal((hi - lo + 1, d, d)) + 1j * rng.standard_normal((hi - lo + 1, d, d))
+            for top_rank in sorted({1, d}):
+                low = c.copy()
+                low[-1] = c[-1][:, :top_rank] @ c[-1][:top_rank, :]
+                theta = MatLaurent(lo, low)
+                deg = det_degree(theta)
+                assert deg == _det_degree_by_permutations(theta)
+                degrees.add(deg == hi * d)
+    assert degrees == {True, False}
+
+
+@pytest.mark.parametrize("d, ranks", [(10, [6, 7, 5]), (16, [9, 12, 8, 3])])
+def test_det_degree_is_the_factor_rank_sum_at_large_d(d, ranks):
+    rng = np.random.default_rng(d)
+    factors = [random_projection(d, r, rng) for r in ranks]
+    inner = make_inner_potapov(factors, left_unitary=haar_unitary(d, rng))
+    assert det_degree(inner.theta) == inner.n == sum(ranks)
+
+
+def test_wrong_factor_rank_sum_is_refused():
+    inner = fix5()
+    u, factors, rank_sum = inner._potapov
+    assert rank_sum == inner.n
+    with pytest.raises(IdentityCheckError, match="factor rank sum 3"):
+        InnerFunction(inner.theta, _potapov=(u, factors, rank_sum + 1))
 
 
 def test_fix3_basis_is_the_expected_monomial_family():

@@ -272,6 +272,24 @@ def test_zero_symbol_detects_nonzero_component():
     assert result.psi1 is None
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-10])
+def test_zero_symbol_default_tolerance_is_relative(scale):
+    # a symbol's verdict must not depend on its scale: scale * I acts as
+    # scale * I on FIX3, and a zero symbol stays zero however small
+    basis = _basis("FIX3")
+    live = zero_symbol_decompose(basis, scale * MatLaurent.identity(2))
+    assert not live.is_zero
+    assert abs(live.operator_norm - scale) <= 1e-12 * scale
+    theta = basis.inner.theta
+    zero = scale * (multiply(theta, _lower_corner_symbol()) + boundary_adjoint(theta))
+    result = zero_symbol_decompose(basis, zero)
+    assert result.is_zero and result.residual <= 1e-12 * zero.norm()
+    with pytest.raises(NotZeroOperatorError):
+        factor_through_theta(basis, scale * MatLaurent.identity(2))
+    phi1, res = factor_through_theta(basis, scale * theta)
+    assert res <= 1e-12 * scale and (phi1 - scale * MatLaurent.identity(2)).norm() <= 1e-12 * scale
+
+
 def test_kernel_frame_pairs_induce_the_zero_operator():
     # the gauge freedom of the symbol pair: the kernel-frame symbol in the
     # first slot cancels its own boundary adjoint in the second

@@ -113,3 +113,14 @@ def test_load_json_file_errors(tmp_path):
     top.write_text("[1, 2]")
     with pytest.raises(ParseError):
         serialize.load_json_file(top)
+
+
+@pytest.mark.parametrize("version", [2, "1", True, 1.0, None])
+def test_readers_refuse_an_unknown_schema_version(version):
+    doc = fixture("FIX5").to_json()
+    doc["schema_version"] = version
+    sym = dict(serialize.laurent_to_json(MatLaurent.identity(2)), schema_version=version)
+    with pytest.raises(ParseError, match="schema_version"):
+        inner_from_json(doc)
+    with pytest.raises(ParseError, match="schema_version"):
+        serialize.json_to_mat_laurent(sym)

@@ -49,3 +49,9 @@ def test_report_shape_and_registry():
     non_members = next(c for c in report["checks"] if c["name"] == "non_members")
     assert any("FIX4" in note for note in non_members.get("notes", []))
     assert report["pass"]
+
+
+def test_random_inner_of_dimension_nine_passes():
+    # guards the model-space dimension checks against a cost that grows like d!
+    report = run_suite(SuiteConfig(seed=1, random_inners=((9, 2),)))
+    assert report["pass"]
