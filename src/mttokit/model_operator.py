@@ -205,11 +205,11 @@ def action_check(basis: ModelSpaceBasis, tol: float = 1e-9) -> dict:
     return {"checks": checks, "max_residual": max_residual, "pass": max_residual <= tol}
 
 
-def omega(basis: ModelSpaceBasis, ds: DefectSpaces) -> np.ndarray:
-    """Left inverse of the kernel frame: the map sending the defect
-    vector built from x back to x, extended by zero off the defect space."""
-    om = np.linalg.pinv(ds.d_frame, rcond=basis.tol.rank_cut * max(ds.d_frame.shape))
-    resid = np.linalg.norm(om @ ds.d_frame - np.eye(ds.dim))
+def omega(basis: ModelSpaceBasis, frame: np.ndarray) -> np.ndarray:
+    """Left inverse K+ of a kernel frame K (d_frame or dt_frame): K+ sends
+    K x back to x and vanishes off the span of K, so K K+ projects onto it."""
+    om = np.linalg.pinv(frame, rcond=basis.tol.rank_cut * max(frame.shape))
+    resid = np.linalg.norm(om @ frame - np.eye(frame.shape[1]))
     if resid > 1e-9:
         raise IdentityCheckError(f"defect frame inversion residual {resid:.3e}")
     return om

@@ -2,9 +2,9 @@
 
 An operator A_Phi compresses multiplication by a bounded matrix symbol
 Phi to the model space.  The class of all such operators is recognized
-(without knowing a symbol) by compressing A - S A S* to the complement
-of a defect space, symbols are recovered by least squares over the
-standard symbol space, and the zero-symbol ambiguity is resolved
+(without knowing a symbol) by splitting A - S A S* as X K0* + K0 Y*
+over the kernel frame K0 at 0; X and Y are the coordinates of a symbol
+pair, recovered at minimum norm, and the zero-symbol ambiguity is resolved
 explicitly.  Every operator is assembled as Q* M Q from a matrix M on the
 coefficient window: M = T_Phi, the block Toeplitz matrix of the symbol,
 gives A_Phi.  Membership decisions default to the scale-relative
@@ -32,8 +32,8 @@ from .model_operator import (
     DefectSpaces,
     OperatorMatrix,
     defect_spaces,
-    j_operators,
     matrix_of,
+    omega,
     s_theta,
     stein_constraint,
     xhat,
@@ -81,11 +81,20 @@ def semi_commutator_residual(basis: ModelSpaceBasis, phi: MatLaurent, a) -> floa
 
 @dataclass
 class MttoWitness:
-    """Pair (B, B') with A - S A S* = B (I - S S*) + (I - S S*) B'*."""
+    """n x d coordinates with Delta = X K* + K Y* up to `residual`, for
+    Delta = A - S A S* and K = K0, or A - S* A S and the second frame."""
 
-    b: np.ndarray
-    b_prime: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
     residual: float
+
+
+def _frame_split(basis: ModelSpaceBasis, delta: np.ndarray, frame: np.ndarray) -> MttoWitness:
+    """X = (I - K K+) Delta K+*, Y = (Delta - X K*)* K+*; the residual is ||P Delta P||, P = I - K K+."""
+    kp = omega(basis, frame)
+    x = (delta - frame @ (kp @ delta)) @ kp.conj().T
+    y = (delta - x @ frame.conj().T).conj().T @ kp.conj().T
+    return MttoWitness(x, y, opnorm(delta - x @ frame.conj().T - frame @ y.conj().T))
 
 
 @dataclass
@@ -118,11 +127,11 @@ def shift_invariance_defect(basis: ModelSpaceBasis, a) -> float:
 
 
 def is_mtto(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> MttoDecision:
-    """Decide membership by compressing the two defect identities.
+    """Decide membership by splitting the two defect identities.
 
-    Both the plain and the starred variant are computed and must agree;
-    the returned witnesses reconstruct the identities exactly up to the
-    reported compression residuals.
+    The plain (D) and starred (Dtilde) splits are both computed and must
+    agree; their residuals are the compressions of the identities to the
+    complements of the defect spaces, and the splits are the witnesses.
     """
     amat = matrix_of(a)
     n = basis.n
@@ -132,47 +141,35 @@ def is_mtto(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> MttoDecis
         tol = default_decision_tol(amat)
     s, s_adj = s_theta(basis)
     ds = defect_spaces(basis)
-    g, gt, p_d_perp, p_dt_perp = ds.g, ds.gt, ds.p_d_perp, ds.p_dt_perp
-    delta = amat - s.mat @ amat @ s_adj.mat
-    delta_t = amat - s_adj.mat @ amat @ s.mat
-    r_d = opnorm(p_d_perp @ delta @ p_d_perp)
-    r_dt = opnorm(p_dt_perp @ delta_t @ p_dt_perp)
-    r_shift = shift_invariance_defect(basis, amat)
-    j, jt = j_operators(basis, ds)
-    b = p_d_perp @ delta @ j
-    b_prime = delta.conj().T @ j
-    w_res = opnorm(delta - b @ g - g @ b_prime.conj().T)
-    bt = p_dt_perp @ delta_t @ jt
-    bt_prime = delta_t.conj().T @ jt
-    wt_res = opnorm(delta_t - bt @ gt - gt @ bt_prime.conj().T)
-    residual = max(r_d, r_dt)
+    witness = _frame_split(basis, amat - s.mat @ amat @ s_adj.mat, ds.d_frame)
+    witness_tilde = _frame_split(basis, amat - s_adj.mat @ amat @ s.mat, ds.dt_frame)
+    residual = max(witness.residual, witness_tilde.residual)
     return MttoDecision(
         verdict=bool(residual <= tol),
         residual=float(residual),
         tol=float(tol),
-        variants={"D": float(r_d), "Dtilde": float(r_dt), "shift": float(r_shift)},
-        witness=MttoWitness(b, b_prime, float(w_res)),
-        witness_tilde=MttoWitness(bt, bt_prime, float(wt_res)),
+        variants={"D": witness.residual, "Dtilde": witness_tilde.residual, "shift": shift_invariance_defect(basis, amat)},
+        witness=witness,
+        witness_tilde=witness_tilde,
     )
 
 
+def _divide_by_theta(theta: MatLaurent, target: MatLaurent):
+    """Analytic Phi1 = P+(Theta* target), which minimizes the returned
+    ||Theta Phi1 - target|| because Theta is unitary on the circle."""
+    phi1, _ = analytic_split(multiply(boundary_adjoint(theta), target))
+    return phi1, float((multiply(theta, phi1) - target).norm())
+
+
 def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent, check_tol: float = 1e-9):
-    """Solve Theta Phi1 = Phi Theta for an analytic Phi1 by least squares
-    over coefficients.  A small residual certifies that multiplication by
-    phi leaves Theta H^2 invariant, which forces A_phi to commute with
-    the shift; that consequence is verified before returning."""
+    """Solve Theta Phi1 = Phi Theta for an analytic Phi1 by division by
+    Theta.  A small residual certifies that multiplication by phi leaves
+    Theta H^2 invariant, which forces A_phi to commute with the shift;
+    that consequence is verified before returning."""
     if phi.lo < 0:
         raise ValueError("commutant factorization needs an analytic symbol")
     theta = basis.inner.theta
-    d, m = basis.inner.d, basis.inner.m
-    q = phi.hi + m
-    eye = np.eye(d)
-    sys = block_toeplitz(lambda t: np.kron(theta.coeff(t), eye), m + q + 1, q + 1)
-    rhs_fun = multiply(phi, theta)
-    rhs = np.concatenate([rhs_fun.coeff(k).reshape(-1) for k in range(m + q + 1)])
-    x, _ = solve_min_norm(sys, rhs)
-    phi1 = MatLaurent(0, x.reshape(q + 1, d, d))
-    residual = (multiply(theta, phi1) - rhs_fun).norm()
+    phi1, residual = _divide_by_theta(theta, multiply(phi, theta))
     if residual <= check_tol * (1.0 + phi.norm() * theta.norm()):
         a_phi = build(basis, phi)
         s, _ = s_theta(basis)
@@ -181,7 +178,7 @@ def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent, check_tol: float =
             raise IdentityCheckError(
                 f"factorization succeeded but the operator does not commute, norm {comm:.3e}"
             )
-    return phi1, float(residual)
+    return phi1, residual
 
 
 def _symbol_pair_map(basis: ModelSpaceBasis) -> np.ndarray:
@@ -212,7 +209,9 @@ class RecoveredSymbol:
 def recover_symbol(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> RecoveredSymbol:
     """Minimum-norm symbol pair (Psi1, Psi2), both in the standard symbol
     space, with A = A_{Psi1 + Psi2*}.  Refuses operators that fail the
-    membership test."""
+    membership test.  The columns of Psi1, Psi2 have as coordinates the
+    witness (X + K0 C, Y - K0 C*), with the d x d gauge C of minimum norm:
+    H C + C H = Y* K0 - K0* X for H = K0* K0, solved in the eigenbasis of H."""
     amat = matrix_of(a)
     decision = is_mtto(basis, amat, tol)
     if not decision.verdict:
@@ -220,14 +219,17 @@ def recover_symbol(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> Re
             f"operator is not a truncated Toeplitz operator: residual {decision.residual:.3e}"
             f" > tol {decision.tol:.3e}"
         )
-    x, _ = solve_min_norm(_symbol_pair_map(basis), amat.reshape(-1))
-    d, m, n = basis.inner.d, basis.inner.m, basis.n
-    f = basis.q.reshape(m, d, n)  # element (slot, j) has F[t, :, j] in column slot
-    psi1 = MatLaurent(0, f @ x[: d * n].reshape(d, n).T)
-    psi2 = MatLaurent(0, f @ np.conj(x[d * n :]).reshape(d, n).T)
+    x, y = decision.witness.x, decision.witness.y
+    k0 = defect_spaces(basis).d_frame
+    lam, v = np.linalg.eigh(k0.conj().T @ k0)
+    rhs = v.conj().T @ (y.conj().T @ k0 - k0.conj().T @ x) @ v
+    c = v @ (rhs / np.add.outer(lam, lam)) @ v.conj().T
+    f = basis.q.reshape(basis.inner.m, basis.inner.d, basis.n)  # window blocks of Q
+    psi1 = MatLaurent(0, f @ (x + k0 @ c))
+    psi2 = MatLaurent(0, f @ (y - k0 @ c.conj().T))
     rebuilt = build(basis, psi1 + boundary_adjoint(psi2))
     residual = opnorm(rebuilt.mat - amat)
-    if residual > 1e-8 * (1.0 + opnorm(amat)):
+    if residual > 1e-8 * opnorm(amat):
         raise IdentityCheckError(f"recovered symbol rebuilds with residual {residual:.3e}")
     return RecoveredSymbol(psi1, psi2, float(residual))
 
@@ -273,7 +275,7 @@ def zero_symbol_decompose(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional
     psi2 = MatLaurent(0, np.conj(np.transpose(y, (0, 2, 1))))
     resid_fun = phi - multiply(theta, psi1) - boundary_adjoint(multiply(theta, psi2))
     residual = resid_fun.norm()
-    if residual > 1e-8 * (1.0 + phi.norm()):
+    if residual > 1e-8 * phi.norm():
         raise IdentityCheckError(f"zero-operator symbol failed to decompose, residual {residual:.3e}")
     return ZeroSymbolResult(True, float(nrm), psi1, psi2, float(residual))
 
@@ -292,13 +294,10 @@ def factor_through_theta(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional[
         tol = DEFAULT_TOL.rel * phi.norm()
     if nrm > tol:
         raise NotZeroOperatorError(f"operator norm {nrm:.3e} exceeds {tol:.3e}")
-    theta = basis.inner.theta
-    full = multiply(boundary_adjoint(theta), phi)
-    phi1, _ = analytic_split(full)
-    residual = (multiply(theta, phi1) - phi).norm()
-    if residual > 1e-8 * (1.0 + phi.norm()):
+    phi1, residual = _divide_by_theta(basis.inner.theta, phi)
+    if residual > 1e-8 * phi.norm():
         raise IdentityCheckError(f"division by Theta left residual {residual:.3e}")
-    return phi1, float(residual)
+    return phi1, residual
 
 
 @dataclass

@@ -141,6 +141,20 @@ def test_symbol_zero_test_default_tolerance_is_relative(tmp_path, capsys, scale)
     assert code == 1 and not doc["is_zero"] and doc["operator_norm"] == pytest.approx(scale)
 
 
+def test_tiny_input_passed_by_a_loose_tol_fails_its_identity_check(tmp_path, capsys):
+    # --tol 1e-6 lets 1e-10 * I pass as a zero symbol and 1e-10 * E_22 as a
+    # member, but neither has a decomposition within 1e-8 of its own scale
+    tiny = write_symbol(tmp_path, "tiny.json", 1e-10 * MatLaurent.identity(2))
+    code, out, err = run(capsys, "symbol", "zero-test", "--theta", "FIX3", "--symbol", tiny, "--tol", "1e-6")
+    assert code == 1 and out == "" and json.loads(err)["error"] == "E_IDENTITY_CHECK"
+    outside = np.zeros((3, 3))
+    outside[2, 2] = 1e-10
+    path = tmp_path / "op.json"
+    serialize.dump_json_file(path, {"entries": serialize.matrix_to_json(outside)})
+    code, out, err = run(capsys, "op", "recover", "--theta", "FIX3", "--op", str(path), "--tol", "1e-6")
+    assert code == 1 and out == "" and json.loads(err)["error"] == "E_IDENTITY_CHECK"
+
+
 def test_dim_command(capsys):
     code, out, _ = run(capsys, "dim", "--theta", "FIX2")
     doc = json.loads(out)

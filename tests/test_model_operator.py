@@ -100,7 +100,7 @@ def test_omega_inverts_the_kernel_frame_and_extracts_values_at_zero():
     for name in ALL_FIXTURES:
         basis = _basis(name)
         ds = defect_spaces(basis)
-        om = omega(basis, ds)
+        om = omega(basis, ds.d_frame)
         np.testing.assert_allclose(om @ ds.d_frame, np.eye(ds.dim), atol=1e-10)
         s, s_adj = s_theta(basis)
         g = np.eye(basis.n) - s.mat @ s_adj.mat

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mttokit.errors import DimensionMismatchError, NotMttoError, NotZeroOperatorError
+from mttokit.errors import DimensionMismatchError, IdentityCheckError, NotMttoError, NotZeroOperatorError
 from mttokit.fixtures import fix2, fix3, fix4, fix5, fixture
 from mttokit.laurent import MatLaurent, VecLaurent, boundary_adjoint, multiply
 from mttokit.model_operator import defect_spaces, s_theta
@@ -288,6 +288,24 @@ def test_zero_symbol_default_tolerance_is_relative(scale):
         factor_through_theta(basis, scale * MatLaurent.identity(2))
     phi1, res = factor_through_theta(basis, scale * theta)
     assert res <= 1e-12 * scale and (phi1 - scale * MatLaurent.identity(2)).norm() <= 1e-12 * scale
+
+
+def test_identity_checks_are_relative_to_the_input_scale():
+    # a loose decision tol lets a 1e-10 input through; its identity check
+    # must still hold to 1e-8 of the input's own scale, not of 1 + scale
+    basis = _basis("FIX3")
+    tiny = 1e-10 * MatLaurent.identity(2)  # no Theta Psi1 + (Theta Psi2)* equals it
+    with pytest.raises(IdentityCheckError):
+        zero_symbol_decompose(basis, tiny, tol=1e-6)
+    with pytest.raises(IdentityCheckError):
+        factor_through_theta(basis, tiny, tol=1e-6)
+    outside = np.zeros((3, 3), dtype=complex)
+    outside[2, 2] = 1e-10
+    with pytest.raises(IdentityCheckError):
+        recover_symbol(basis, outside, tol=1e-6)
+    member = 1e-10 * build(basis, _rand_symbol(2, -2, 2, np.random.default_rng(44))).mat
+    rec = recover_symbol(basis, member)
+    assert rec.residual <= 1e-12 * opnorm(member)
 
 
 def test_kernel_frame_pairs_induce_the_zero_operator():

@@ -55,3 +55,18 @@ def test_random_inner_of_dimension_nine_passes():
     # guards the model-space dimension checks against a cost that grows like d!
     report = run_suite(SuiteConfig(seed=1, random_inners=((9, 2),)))
     assert report["pass"]
+
+
+def test_tol_is_the_relative_decision_threshold():
+    # a threshold below the roundoff of a built operator refuses the members,
+    # and the report counts each refusal as a failed case
+    base = {"seed": 7, "cases": 2, "fixtures": ["FIX3"], "random_inners": [[2, 2]]}
+    checks = {c["name"]: c for c in run_suite(SuiteConfig.from_json(base))["checks"]}
+    tight = {c["name"]: c for c in run_suite(SuiteConfig.from_json({**base, "tol": 1e-17}))["checks"]}
+    for name in ("members", "symbol_recovery"):
+        assert checks[name]["pass"] and not tight[name]["pass"], name
+        assert tight[name]["cases"] == checks[name]["cases"]
+    # a certified non-member of unit norm has residual above 1, so any
+    # tol in (0, 1) still rejects it
+    loose = {c["name"]: c for c in run_suite(SuiteConfig.from_json({**base, "tol": 0.5}))["checks"]}
+    assert loose["non_members"] == checks["non_members"]
