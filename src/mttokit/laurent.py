@@ -228,7 +228,8 @@ def analytic_split(f: MatLaurent):
     """Write F = F_plus + (F_star)* with F_plus, F_star both analytic.
 
     F_plus keeps the frequencies >= 0; F_star collects the rest, so its
-    support starts at 1 (or it is zero).  Recomposition is exact.
+    support starts at -min(hi, -1) >= 1 (or it is zero).  Recomposition
+    is exact.
     """
     d = f.dim
     if f.hi >= 0:
@@ -238,7 +239,7 @@ def analytic_split(f: MatLaurent):
     if f.lo < 0:
         neg = f.coeffs[: min(f.hi, -1) - f.lo + 1]  # frequencies lo..-1
         star = np.conj(np.transpose(neg[::-1], (0, 2, 1)))  # F_star_j = (F_{-j})*
-        f_star = MatLaurent(1, star)
+        f_star = MatLaurent(-min(f.hi, -1), star)
     else:
         f_star = MatLaurent.zero(d)
     return plus, f_star

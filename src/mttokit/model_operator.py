@@ -91,7 +91,7 @@ class DefectSpaces:
     origin (column j comes from the j-th coordinate vector of C^d).
     g / gt are the defect operators I - S S* and I - S* S, p_* the
     projectors onto the two spaces and onto their complements, comp_*
-    orthonormal bases of the complements.
+    orthonormal bases of the complements; d_pinv / dt_pinv are `omega` of the frames.
     """
 
     d_basis: np.ndarray
@@ -106,6 +106,8 @@ class DefectSpaces:
     p_dt_perp: np.ndarray
     comp_d: np.ndarray
     comp_dt: np.ndarray
+    d_pinv: np.ndarray
+    dt_pinv: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -136,7 +138,7 @@ def defect_spaces(basis: ModelSpaceBasis) -> DefectSpaces:
             raise IdentityCheckError(f"{label} escapes its computed basis, residual {resid:.3e}")
     ds = DefectSpaces(
         d_basis, dt_basis, k0, kt0, g, gt, p_d, p_dt, eye - p_d, eye - p_dt,
-        complement_basis(d_basis, n, tol), complement_basis(dt_basis, n, tol),
+        complement_basis(d_basis, n, tol), complement_basis(dt_basis, n, tol), omega(basis, k0), omega(basis, kt0),
     )
     _frozen(*vars(ds).values())
     basis.cache["defects"] = ds

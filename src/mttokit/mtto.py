@@ -33,17 +33,12 @@ from .model_operator import (
     OperatorMatrix,
     defect_spaces,
     matrix_of,
-    omega,
     s_theta,
     stein_constraint,
     xhat,
 )
 from .model_space import ModelSpaceBasis, kernel_frame, tilde_kernel_frame
-from .numerics import DEFAULT_TOL, block_toeplitz, opnorm, rank, solve_min_norm
-
-
-def default_decision_tol(a) -> float:
-    return DEFAULT_TOL.rel * opnorm(matrix_of(a))
+from .numerics import DEFAULT_TOL, block_toeplitz, opnorm, rank
 
 
 def _toeplitz_window(basis: ModelSpaceBasis, phi: MatLaurent) -> np.ndarray:
@@ -89,9 +84,8 @@ class MttoWitness:
     residual: float
 
 
-def _frame_split(basis: ModelSpaceBasis, delta: np.ndarray, frame: np.ndarray) -> MttoWitness:
+def _frame_split(delta: np.ndarray, frame: np.ndarray, kp: np.ndarray) -> MttoWitness:
     """X = (I - K K+) Delta K+*, Y = (Delta - X K*)* K+*; the residual is ||P Delta P||, P = I - K K+."""
-    kp = omega(basis, frame)
     x = (delta - frame @ (kp @ delta)) @ kp.conj().T
     y = (delta - x @ frame.conj().T).conj().T @ kp.conj().T
     return MttoWitness(x, y, opnorm(delta - x @ frame.conj().T - frame @ y.conj().T))
@@ -138,11 +132,11 @@ def is_mtto(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> MttoDecis
     if amat.shape != (n, n):
         raise DimensionMismatchError(f"operator must be {n} x {n}")
     if tol is None:
-        tol = default_decision_tol(amat)
+        tol = DEFAULT_TOL.rel * opnorm(amat)
     s, s_adj = s_theta(basis)
     ds = defect_spaces(basis)
-    witness = _frame_split(basis, amat - s.mat @ amat @ s_adj.mat, ds.d_frame)
-    witness_tilde = _frame_split(basis, amat - s_adj.mat @ amat @ s.mat, ds.dt_frame)
+    witness = _frame_split(amat - s.mat @ amat @ s_adj.mat, ds.d_frame, ds.d_pinv)
+    witness_tilde = _frame_split(amat - s_adj.mat @ amat @ s.mat, ds.dt_frame, ds.dt_pinv)
     residual = max(witness.residual, witness_tilde.residual)
     return MttoDecision(
         verdict=bool(residual <= tol),
@@ -155,10 +149,10 @@ def is_mtto(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> MttoDecis
 
 
 def _divide_by_theta(theta: MatLaurent, target: MatLaurent):
-    """Analytic Phi1 = P+(Theta* target), which minimizes the returned
-    ||Theta Phi1 - target|| because Theta is unitary on the circle."""
-    phi1, _ = analytic_split(multiply(boundary_adjoint(theta), target))
-    return phi1, float((multiply(theta, phi1) - target).norm())
+    """Analytic quotient Q = P+(Theta* target) and the remainder target - Theta Q,
+    whose norm Q minimizes because Theta is unitary on the circle."""
+    quotient, _ = analytic_split(multiply(boundary_adjoint(theta), target))
+    return quotient, target - multiply(theta, quotient)
 
 
 def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent, check_tol: float = 1e-9):
@@ -169,7 +163,8 @@ def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent, check_tol: float =
     if phi.lo < 0:
         raise ValueError("commutant factorization needs an analytic symbol")
     theta = basis.inner.theta
-    phi1, residual = _divide_by_theta(theta, multiply(phi, theta))
+    phi1, remainder = _divide_by_theta(theta, multiply(phi, theta))
+    residual = remainder.norm()
     if residual <= check_tol * (1.0 + phi.norm() * theta.norm()):
         a_phi = build(basis, phi)
         s, _ = s_theta(basis)
@@ -243,38 +238,37 @@ class ZeroSymbolResult:
     residual: Optional[float] = None
 
 
+def _analytic_slot(theta: MatLaurent, target: MatLaurent) -> MatLaurent:
+    """Psi in target = Theta Psi + (Theta Psi')*: Theta* target - Psi is
+    coanalytic, so the quotient Q by Theta agrees with Psi off j = 0 and the
+    remainder at k >= 1 is Theta_k (Psi(0) - Q(0)), solved by least squares
+    over [Theta_1; ...; Theta_m], whose Gram matrix I - Theta_0* Theta_0 is
+    positive definite for pure Theta."""
+    quotient, remainder = _divide_by_theta(theta, target)
+    ks = range(1, theta.hi + 1)
+    stacked = np.concatenate([theta.coeff(k) for k in ks])
+    fix = np.linalg.lstsq(stacked, np.concatenate([remainder.coeff(k) for k in ks]), rcond=None)[0]
+    return quotient + MatLaurent.constant(fix)
+
+
 def zero_symbol_decompose(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional[float] = None) -> ZeroSymbolResult:
     """If phi induces the zero operator, write it as Theta Psi1 plus the
     boundary adjoint of Theta Psi2 with both factors analytic; otherwise
-    report the operator norm as the non-vanishing certificate."""
+    report the operator norm as the non-vanishing certificate.  For pure
+    Theta the pair is unique (Theta Psi1 = -(Theta Psi2)* is a constant C
+    with Theta* C analytic, so C = 0); Psi1 and Psi2 come from dividing phi
+    and its boundary adjoint by Theta, each constant term from one solve."""
     if phi.dim != basis.inner.d:
         raise DimensionMismatchError("symbol dimension does not match")
     theta = basis.inner.theta
-    d, m = basis.inner.d, basis.inner.m
     nrm = opnorm(build(basis, phi).mat)
     if tol is None:
         tol = DEFAULT_TOL.rel * phi.norm()
     if nrm > tol:
         return ZeroSymbolResult(is_zero=False, operator_norm=float(nrm))
-    q1 = max(phi.hi, m)
-    q2 = max(-phi.lo, m)
-    lo_k, hi_k = -(m + q2), m + q1
-    rows, dd, cols1 = hi_k - lo_k + 1, d * d, (q1 + 1) * d * d
-    eye = np.eye(d)
-    # first slot: coefficient k of Theta Psi1, block (k, j) is Theta_{k-j} acting on Psi1_j
-    first = block_toeplitz(lambda t: np.kron(theta.coeff(t + lo_k), eye), rows, q1 + 1)
-    # second slot: coefficient k of the boundary adjoint of Theta Psi2,
-    # parametrized linearly by Y_j = Psi2_j* so the system stays C-linear;
-    # block (k, j) holds Theta_{-k-j}, a Toeplitz matrix read from the last row up
-    second = block_toeplitz(lambda t: np.kron(eye, np.conj(theta.coeff(t - hi_k))), rows, q2 + 1)
-    sys = np.hstack([first, second.reshape(rows, dd, -1)[::-1].reshape(rows * dd, -1)])
-    rhs = np.concatenate([phi.coeff(k).reshape(-1) for k in range(lo_k, hi_k + 1)])
-    x, _ = solve_min_norm(sys, rhs)
-    psi1 = MatLaurent(0, x[:cols1].reshape(q1 + 1, d, d))
-    y = x[cols1:].reshape(q2 + 1, d, d)
-    psi2 = MatLaurent(0, np.conj(np.transpose(y, (0, 2, 1))))
-    resid_fun = phi - multiply(theta, psi1) - boundary_adjoint(multiply(theta, psi2))
-    residual = resid_fun.norm()
+    psi1 = _analytic_slot(theta, phi)
+    psi2 = _analytic_slot(theta, boundary_adjoint(phi))
+    residual = (phi - multiply(theta, psi1) - boundary_adjoint(multiply(theta, psi2))).norm()
     if residual > 1e-8 * phi.norm():
         raise IdentityCheckError(f"zero-operator symbol failed to decompose, residual {residual:.3e}")
     return ZeroSymbolResult(True, float(nrm), psi1, psi2, float(residual))
@@ -294,7 +288,8 @@ def factor_through_theta(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional[
         tol = DEFAULT_TOL.rel * phi.norm()
     if nrm > tol:
         raise NotZeroOperatorError(f"operator norm {nrm:.3e} exceeds {tol:.3e}")
-    phi1, residual = _divide_by_theta(basis.inner.theta, phi)
+    phi1, remainder = _divide_by_theta(basis.inner.theta, phi)
+    residual = remainder.norm()
     if residual > 1e-8 * phi.norm():
         raise IdentityCheckError(f"division by Theta left residual {residual:.3e}")
     return phi1, residual

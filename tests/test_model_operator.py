@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mttokit import model_operator
 from mttokit.errors import NotGammaSymmetricError, NotUnitaryError
 from mttokit.fixtures import fix2, fix3, fix4, fix5, fixture
 from mttokit.laurent import VecLaurent, l2_inner
@@ -22,7 +23,9 @@ from mttokit.model_operator import (
     xhat,
 )
 from mttokit.model_space import ModelSpaceBasis
+from mttokit.mtto import build, is_mtto
 from mttokit.numerics import opnorm, rank
+from mttokit.randgen import random_symbol
 
 ALL_FIXTURES = ("FIX1", "FIX2", "FIX3", "FIX4", "FIX5")
 
@@ -105,6 +108,26 @@ def test_omega_inverts_the_kernel_frame_and_extracts_values_at_zero():
         s, s_adj = s_theta(basis)
         g = np.eye(basis.n) - s.mat @ s_adj.mat
         assert opnorm(om @ g - eval0_matrix(basis)) <= 1e-10
+
+
+def test_frame_inverses_are_computed_once_per_basis(monkeypatch):
+    calls = []
+
+    def counted(basis, frame):
+        calls.append(basis)
+        return omega(basis, frame)
+
+    monkeypatch.setattr(model_operator, "omega", counted)
+    rng = np.random.default_rng(12)
+    for name in ("FIX3", "FIX5"):
+        basis = _basis(name)
+        a = build(basis, random_symbol(basis.inner.d, -2, 2, rng)).mat
+        for _ in range(5):
+            assert is_mtto(basis, a).verdict
+        assert sum(b is basis for b in calls) <= 2
+        ds = defect_spaces(basis)
+        assert ds.d_pinv is defect_spaces(basis).d_pinv and not ds.dt_pinv.flags.writeable
+        np.testing.assert_allclose(ds.d_pinv, omega(basis, ds.d_frame), atol=1e-14)
 
 
 def test_j_operator_fix3_is_the_defect_projector():
