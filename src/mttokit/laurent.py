@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError
+from .numerics import INNER_TOL, REL
 
 
 def _validate_coeffs(coeffs, block_ndim: int) -> np.ndarray:
@@ -259,9 +260,9 @@ def inner_residual(theta: MatLaurent) -> float:
     return worst
 
 
-def is_inner(theta: MatLaurent, tol: float = 1e-10) -> bool:
+def is_inner(theta: MatLaurent) -> bool:
     """Unitary-valued on the circle, tested exactly on coefficients."""
-    return inner_residual(theta) <= tol
+    return inner_residual(theta) <= INNER_TOL
 
 
 def purity_margin(theta: MatLaurent) -> float:
@@ -271,6 +272,6 @@ def purity_margin(theta: MatLaurent) -> float:
     return 1.0 - float(np.linalg.norm(theta.coeff(0), 2))
 
 
-def is_pure(theta: MatLaurent, slack: float = 1e-9) -> bool:
+def is_pure(theta: MatLaurent) -> bool:
     """Strict contraction at the origin, with a numerical safety margin."""
-    return purity_margin(theta) > slack
+    return purity_margin(theta) > REL

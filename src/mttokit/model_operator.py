@@ -17,7 +17,7 @@ import numpy as np
 from .errors import IdentityCheckError, NotGammaSymmetricError, NotUnitaryError
 from .laurent import MatLaurent, VecLaurent, multiply
 from .model_space import ModelSpaceBasis, kernel, kernel_frame, tilde_kernel, tilde_kernel_frame
-from .numerics import DEFAULT_TOL, complement_basis, opnorm, orthonormal_basis, projector, rank
+from .numerics import CHECK_TOL, RANK_CUT, REL, complement_basis, opnorm, orthonormal_basis, projector, rank
 
 
 @dataclass
@@ -119,10 +119,10 @@ def defect_spaces(basis: ModelSpaceBasis) -> DefectSpaces:
     once per basis against the ranges of the two defect operators."""
     if "defects" in basis.cache:
         return basis.cache["defects"]
-    d, n, tol = basis.inner.d, basis.n, basis.tol
+    d, n = basis.inner.d, basis.n
     k0, kt0 = kernel_frame(basis, 0.0), tilde_kernel_frame(basis, 0.0)
-    d_basis = orthonormal_basis(k0, tol)
-    dt_basis = orthonormal_basis(kt0, tol)
+    d_basis = orthonormal_basis(k0)
+    dt_basis = orthonormal_basis(kt0)
     if d_basis.shape[1] != d or dt_basis.shape[1] != d:
         raise IdentityCheckError("defect spaces did not come out d-dimensional")
     s, s_adj = s_theta(basis)
@@ -131,14 +131,14 @@ def defect_spaces(basis: ModelSpaceBasis) -> DefectSpaces:
     gt = eye - s_adj.mat @ s.mat
     p_d, p_dt = projector(d_basis), projector(dt_basis)
     for gg, pp, label in ((g, p_d, "range of I - S S*"), (gt, p_dt, "range of I - S* S")):
-        if rank(gg, tol) != d:
+        if rank(gg) != d:
             raise IdentityCheckError(f"{label} has unexpected rank")
         resid = np.linalg.norm(gg - pp @ gg)
         if resid > 1e-9 * max(1.0, np.linalg.norm(gg)):
             raise IdentityCheckError(f"{label} escapes its computed basis, residual {resid:.3e}")
     ds = DefectSpaces(
         d_basis, dt_basis, k0, kt0, g, gt, p_d, p_dt, eye - p_d, eye - p_dt,
-        complement_basis(d_basis, n, tol), complement_basis(dt_basis, n, tol), omega(basis, k0), omega(basis, kt0),
+        complement_basis(d_basis, n), complement_basis(dt_basis, n), omega(basis, k0), omega(basis, kt0),
     )
     _frozen(*vars(ds).values())
     basis.cache["defects"] = ds
@@ -150,7 +150,7 @@ def eval0_matrix(basis: ModelSpaceBasis) -> np.ndarray:
     return basis.q[: basis.inner.d, :]
 
 
-def action_check(basis: ModelSpaceBasis, tol: float = 1e-9) -> dict:
+def action_check(basis: ModelSpaceBasis) -> dict:
     """Exercise the closed-form action of the shift pair on the defect
     decomposition and the containments between the pieces."""
     inner = basis.inner
@@ -204,13 +204,13 @@ def action_check(basis: ModelSpaceBasis, tol: float = 1e-9) -> dict:
     )
 
     max_residual = max(c["residual"] for c in checks)
-    return {"checks": checks, "max_residual": max_residual, "pass": max_residual <= tol}
+    return {"checks": checks, "max_residual": max_residual, "pass": max_residual <= CHECK_TOL}
 
 
 def omega(basis: ModelSpaceBasis, frame: np.ndarray) -> np.ndarray:
     """Left inverse K+ of a kernel frame K (d_frame or dt_frame): K+ sends
     K x back to x and vanishes off the span of K, so K K+ projects onto it."""
-    om = np.linalg.pinv(frame, rcond=basis.tol.rank_cut * max(frame.shape))
+    om = np.linalg.pinv(frame, rcond=RANK_CUT * max(frame.shape))
     resid = np.linalg.norm(om @ frame - np.eye(frame.shape[1]))
     if resid > 1e-9:
         raise IdentityCheckError(f"defect frame inversion residual {resid:.3e}")
@@ -226,7 +226,7 @@ def j_operators(basis: ModelSpaceBasis, ds: DefectSpaces):
     """
     if "j" in basis.cache:
         return basis.cache["j"]
-    rcond = basis.tol.rank_cut * basis.n
+    rcond = RANK_CUT * basis.n
     g, gt = ds.g, ds.gt
     j = np.linalg.pinv(g, rcond=rcond, hermitian=True)
     jt = np.linalg.pinv(gt, rcond=rcond, hermitian=True)
@@ -324,19 +324,17 @@ def conjugation_matrix(basis: ModelSpaceBasis, gamma: Conjugation) -> np.ndarray
     return mat
 
 
-def c_symmetric(basis: ModelSpaceBasis, gamma: Conjugation, a, tol: float = None):
+def c_symmetric(basis: ModelSpaceBasis, gamma: Conjugation, a):
     """Test A = C A* C in coordinates; returns (verdict, residual).
-    The default threshold is DEFAULT_TOL.rel * ||A||, relative like the
-    property itself; the zero operator passes with residual exactly 0."""
+    The threshold is REL * ||A||, relative like the property itself; the
+    zero operator passes with residual exactly 0."""
     mat = matrix_of(a)
     m = conjugation_matrix(basis, gamma)
     residual = opnorm(mat - m @ mat.T @ m.conj().T)
-    if tol is None:
-        tol = DEFAULT_TOL.rel * opnorm(mat)
-    return residual <= tol, float(residual)
+    return residual <= REL * opnorm(mat), float(residual)
 
 
-def kernel_recurrence_check(basis: ModelSpaceBasis, count: int = 20, seed: int = 0, tol: float = 1e-9) -> dict:
+def kernel_recurrence_check(basis: ModelSpaceBasis, count: int = 20, seed: int = 0) -> dict:
     """Sample the shift recurrences satisfied by the two kernel families."""
     inner = basis.inner
     d = inner.d
@@ -372,4 +370,4 @@ def kernel_recurrence_check(basis: ModelSpaceBasis, count: int = 20, seed: int =
         {"name": "origin limit via direct shift", "residual": worst_zero},
     ]
     max_residual = max(c["residual"] for c in checks)
-    return {"checks": checks, "max_residual": max_residual, "pass": max_residual <= tol}
+    return {"checks": checks, "max_residual": max_residual, "pass": max_residual <= CHECK_TOL}

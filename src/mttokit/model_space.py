@@ -27,16 +27,16 @@ from .laurent import (
     boundary_adjoint,
     evaluate,
     inner_residual,
+    is_pure,
     multiply,
-    purity_margin,
     tilde,
 )
-from .numerics import DEFAULT_TOL, Tolerance, block_toeplitz, fix_column_phases, nullspace, rank
+from .numerics import INNER_TOL, block_toeplitz, fix_column_phases, nullspace, rank
 
-INNER_COEFF_TOL = 1e-10
+DET_CUT = 1e-8  # det_degree: coefficients up to DET_CUT * max(1, largest) count as zero
 
 
-def det_degree(theta: MatLaurent, cut: float = 1e-8) -> int:
+def det_degree(theta: MatLaurent) -> int:
     """Degree of det Theta(z), by evaluation and interpolation.
 
     det Theta has degree at most m*d, so its values at N = m*d + 1 roots
@@ -44,7 +44,7 @@ def det_degree(theta: MatLaurent, cut: float = 1e-8) -> int:
     there, one batched determinant gives det Theta, and one inverse FFT
     gives its coefficients.  For an inner Theta, |det Theta| = 1 on the
     circle, so nothing is amplified.  The degree is the index of the last
-    coefficient larger than `cut` * max(1, largest coefficient).
+    coefficient larger than DET_CUT * max(1, largest coefficient).
     """
     if theta.lo < 0:
         raise ValueError("determinant degree needs an analytic argument")
@@ -53,7 +53,7 @@ def det_degree(theta: MatLaurent, cut: float = 1e-8) -> int:
     blocks[theta.lo :] = theta.coeffs
     total = np.fft.ifft(np.linalg.det(np.fft.fft(blocks, n=m * d + 1, axis=0)))
     mags = np.abs(total)
-    big = np.flatnonzero(mags > cut * max(1.0, mags.max()))
+    big = np.flatnonzero(mags > DET_CUT * max(1.0, mags.max()))
     return int(big[-1]) if big.size else 0
 
 
@@ -74,19 +74,19 @@ class InnerFunction:
     all of them agree.  `_potapov` is (U, [P_1, ...], sum of rank P_j).
     """
 
-    def __init__(self, theta: MatLaurent, tol: Tolerance = DEFAULT_TOL, _potapov=None):
+    def __init__(self, theta: MatLaurent, _potapov=None):
         if theta.lo < 0:
             raise NotInnerError("inner functions must be analytic")
         res = inner_residual(theta)
-        if res > INNER_COEFF_TOL:
+        if res > INNER_TOL:
             raise NotInnerError(f"coefficient unitarity residual {res:.3e}")
-        if purity_margin(theta) <= tol.rel:
+        if not is_pure(theta):
             raise NotPureError("value at the origin is not a strict contraction")
         self.theta = theta
         self.d = theta.dim
         self.m = theta.hi
         self._potapov = _potapov
-        nullity = self.m * self.d - rank(_constraint_matrix(theta), tol, scale=1.0)
+        nullity = self.m * self.d - rank(_constraint_matrix(theta), scale=1.0)
         witnesses = {"constraint nullity": nullity, "det degree": det_degree(theta)}
         if _potapov is not None:
             witnesses["factor rank sum"] = _potapov[2]
@@ -120,7 +120,7 @@ class InnerFunction:
         return doc
 
 
-def make_inner_potapov(factors, left_unitary=None, tol: Tolerance = DEFAULT_TOL) -> InnerFunction:
+def make_inner_potapov(factors, left_unitary=None) -> InnerFunction:
     """Product U (I - P_1 + z P_1) ... (I - P_r + z P_r) of elementary
     factors built from orthogonal projections P_j; its model space has
     dimension sum rank P_j, read off from the rounded traces."""
@@ -142,7 +142,7 @@ def make_inner_potapov(factors, left_unitary=None, tol: Tolerance = DEFAULT_TOL)
             raise NotProjectionError("factor is not an orthogonal projection")
         theta = multiply(theta, MatLaurent(0, np.stack([eye - p, p])))
     rank_sum = sum(int(round(np.trace(p).real)) for p in mats)
-    return InnerFunction(theta, tol, _potapov=(u, mats, rank_sum))
+    return InnerFunction(theta, _potapov=(u, mats, rank_sum))
 
 
 def inner_from_json(obj) -> InnerFunction:
@@ -175,12 +175,11 @@ class ModelSpaceBasis:
     operator matrices comparable across runs.
     """
 
-    def __init__(self, inner: InnerFunction, tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, inner: InnerFunction):
         self.inner = inner
-        self.tol = tol
         d, m, n = inner.d, inner.m, inner.n
         amb = m * d
-        null = nullspace(_constraint_matrix(inner.theta), tol, scale=1.0)
+        null = nullspace(_constraint_matrix(inner.theta), scale=1.0)
         if null.shape[1] != n:
             raise IdentityCheckError("nullspace dimension disagrees with model dimension")
         proj = null @ null.conj().T
@@ -382,4 +381,4 @@ def symbol_space_dim_bruteforce(basis: ModelSpaceBasis) -> int:
     analytic-part constraint on matrix polynomials of degree < m."""
     theta, m, eye = basis.inner.theta, basis.inner.m, np.eye(basis.inner.d)
     c = block_toeplitz(lambda t: np.kron(theta.coeff(-t).conj().T, eye), m, m)
-    return c.shape[1] - rank(c, basis.tol, scale=1.0)
+    return c.shape[1] - rank(c, scale=1.0)

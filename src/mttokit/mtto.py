@@ -8,10 +8,10 @@ pair, recovered at minimum norm, and the zero-symbol ambiguity is resolved
 explicitly.  Every operator is assembled as Q* M Q from a matrix M on the
 coefficient window: M = T_Phi, the block Toeplitz matrix of the symbol,
 gives A_Phi.  Membership decisions default to the scale-relative
-threshold DEFAULT_TOL.rel * ||A|| (1e-9 ||A||); the zero operator passes
+threshold numerics.REL * ||A|| (1e-9 ||A||); the zero operator passes
 because its residual is exactly 0.  The zero-symbol tests default to the
-same relative threshold on the symbol's scale, DEFAULT_TOL.rel * ||Phi||,
-with ||Phi|| the norm of its coefficients; the zero symbol passes.
+same relative threshold on the symbol's scale, REL * ||Phi||, with
+||Phi|| the norm of its coefficients; the zero symbol passes.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .model_operator import (
     xhat,
 )
 from .model_space import ModelSpaceBasis, kernel_frame, tilde_kernel_frame
-from .numerics import DEFAULT_TOL, block_toeplitz, opnorm, rank
+from .numerics import CHECK_TOL, REL, block_toeplitz, opnorm, rank
 
 
 def _toeplitz_window(basis: ModelSpaceBasis, phi: MatLaurent) -> np.ndarray:
@@ -132,7 +132,7 @@ def is_mtto(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> MttoDecis
     if amat.shape != (n, n):
         raise DimensionMismatchError(f"operator must be {n} x {n}")
     if tol is None:
-        tol = DEFAULT_TOL.rel * opnorm(amat)
+        tol = REL * opnorm(amat)
     s, s_adj = s_theta(basis)
     ds = defect_spaces(basis)
     witness = _frame_split(amat - s.mat @ amat @ s_adj.mat, ds.d_frame, ds.d_pinv)
@@ -155,7 +155,7 @@ def _divide_by_theta(theta: MatLaurent, target: MatLaurent):
     return quotient, target - multiply(theta, quotient)
 
 
-def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent, check_tol: float = 1e-9):
+def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent):
     """Solve Theta Phi1 = Phi Theta for an analytic Phi1 by division by
     Theta.  A small residual certifies that multiplication by phi leaves
     Theta H^2 invariant, which forces A_phi to commute with the shift;
@@ -165,7 +165,7 @@ def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent, check_tol: float =
     theta = basis.inner.theta
     phi1, remainder = _divide_by_theta(theta, multiply(phi, theta))
     residual = remainder.norm()
-    if residual <= check_tol * (1.0 + phi.norm() * theta.norm()):
+    if residual <= CHECK_TOL * (1.0 + phi.norm() * theta.norm()):
         a_phi = build(basis, phi)
         s, _ = s_theta(basis)
         comm = opnorm(a_phi.mat @ s.mat - s.mat @ a_phi.mat)
@@ -263,7 +263,7 @@ def zero_symbol_decompose(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional
     theta = basis.inner.theta
     nrm = opnorm(build(basis, phi).mat)
     if tol is None:
-        tol = DEFAULT_TOL.rel * phi.norm()
+        tol = REL * phi.norm()
     if nrm > tol:
         return ZeroSymbolResult(is_zero=False, operator_norm=float(nrm))
     psi1 = _analytic_slot(theta, phi)
@@ -285,7 +285,7 @@ def factor_through_theta(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional[
         raise ValueError("only analytic symbols factor through Theta")
     nrm = opnorm(build(basis, phi).mat)
     if tol is None:
-        tol = DEFAULT_TOL.rel * phi.norm()
+        tol = REL * phi.norm()
     if nrm > tol:
         raise NotZeroOperatorError(f"operator norm {nrm:.3e} exceeds {tol:.3e}")
     phi1, remainder = _divide_by_theta(basis.inner.theta, phi)
@@ -317,7 +317,7 @@ class DimensionReport:
         }
 
 
-def mtto_dimension(basis: ModelSpaceBasis, tol=DEFAULT_TOL) -> DimensionReport:
+def mtto_dimension(basis: ModelSpaceBasis) -> DimensionReport:
     """Brute-force the dimension of the operator class two ways.
 
     Route one: rank of the symbol-pair map over the standard symbol
@@ -327,8 +327,8 @@ def mtto_dimension(basis: ModelSpaceBasis, tol=DEFAULT_TOL) -> DimensionReport:
     2n^d - d^2 without assuming either.
     """
     n, d = basis.n, basis.inner.d
-    dim_symbols = rank(_symbol_pair_map(basis), tol, scale=1.0)
-    dim_operators = n * n - rank(stein_constraint(basis), tol, scale=1.0)
+    dim_symbols = rank(_symbol_pair_map(basis), scale=1.0)
+    dim_operators = n * n - rank(stein_constraint(basis), scale=1.0)
     if dim_symbols != dim_operators:
         raise IdentityCheckError(
             f"dimension routes disagree: symbol map gives {dim_symbols}, "

@@ -1,37 +1,20 @@
-"""Shared dense linear algebra helpers.
+"""Shared dense linear algebra helpers and the package's tolerances.
 
 Everything here is a thin, opinionated wrapper around numpy's SVD/lstsq
 machinery: one rank rule, one orthonormalization rule, one least-squares
 solver and one block-Toeplitz builder, used consistently by the rest of
-the package so that every decision threshold traces back to a single
-Tolerance value.
+the package.  Every threshold these helpers and the inner, pure and
+membership decisions apply is one of the named constants below; none of
+them can be set by a caller.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Numerical policy knobs.
-
-    rel       relative tolerance for residual comparisons
-    rank_cut  singular values below rank_cut * sigma_max * max(shape)
-              are treated as zero
-    """
-
-    rel: float = 1e-9
-    rank_cut: float = 1e-10
-
-    def __post_init__(self):
-        if not (self.rel > 0 and np.isfinite(self.rel)):
-            raise ValueError("rel must be positive and finite")
-        if not (self.rank_cut > 0 and np.isfinite(self.rank_cut)):
-            raise ValueError("rank_cut must be positive and finite")
-
-
-DEFAULT_TOL = Tolerance()
+REL = 1e-9  # relative decision threshold: tol = REL * scale of the input; also the purity floor
+RANK_CUT = 1e-10  # singular values up to RANK_CUT * sigma_max * max(shape) count as zero
+INNER_TOL = 1e-10  # largest coefficient-unitarity residual of an inner function
+CHECK_TOL = 1e-9  # largest residual the shift-action, recurrence and commutant checks accept
+PHASE_CUT = 1e-8  # entries up to PHASE_CUT * max(1, column max) cannot carry the phase
 
 
 def as_cmatrix(entries) -> np.ndarray:
@@ -52,7 +35,7 @@ def opnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def rank(a, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> int:
+def rank(a, scale: float = 0.0) -> int:
     """Numerical rank: count singular values above the relative cut.
 
     The cut is anchored at the largest singular value, or at `scale` if
@@ -62,11 +45,11 @@ def rank(a, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> int:
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
-    cut = tol.rank_cut * max(s[0], scale) * max(a.shape)
+    cut = RANK_CUT * max(s[0], scale) * max(a.shape)
     return int(np.sum(s > cut))
 
 
-def fix_column_phases(q: np.ndarray, cut: float = 1e-8) -> np.ndarray:
+def fix_column_phases(q: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significant entry is real positive.
 
     Makes SVD/Gram-Schmidt output reproducible up to the underlying
@@ -75,7 +58,7 @@ def fix_column_phases(q: np.ndarray, cut: float = 1e-8) -> np.ndarray:
     q = np.array(q, dtype=np.complex128, copy=True)
     for j in range(q.shape[1]):
         col = q[:, j]
-        idx = np.flatnonzero(np.abs(col) > cut * max(1.0, np.abs(col).max(initial=0.0)))
+        idx = np.flatnonzero(np.abs(col) > PHASE_CUT * max(1.0, np.abs(col).max(initial=0.0)))
         if idx.size == 0:
             continue
         pivot = col[idx[0]]
@@ -83,7 +66,7 @@ def fix_column_phases(q: np.ndarray, cut: float = 1e-8) -> np.ndarray:
     return q
 
 
-def orthonormal_basis(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def orthonormal_basis(vectors) -> np.ndarray:
     """Orthonormal basis of the span of the given column vectors.
 
     Accepts a 2-d array whose columns are the vectors, or a sequence of
@@ -104,32 +87,32 @@ def orthonormal_basis(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[0], 0), dtype=np.complex128)
-    cut = tol.rank_cut * s[0] * max(a.shape)
+    cut = RANK_CUT * s[0] * max(a.shape)
     r = int(np.sum(s > cut))
     return fix_column_phases(u[:, :r])
 
 
-def nullspace(a, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
+def nullspace(a, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis of the kernel, via SVD.  `scale` anchors the
     rank cut exactly as in `rank`."""
     a = as_cmatrix(a)
     if a.size == 0:
         return np.eye(a.shape[1], dtype=np.complex128)
     _, s, vh = np.linalg.svd(a)
-    cut = tol.rank_cut * max(s[0] if s.size else 0.0, scale) * max(a.shape)
+    cut = RANK_CUT * max(s[0] if s.size else 0.0, scale) * max(a.shape)
     r = int(np.sum(s > cut))
     return fix_column_phases(vh[r:].conj().T)
 
 
-def complement_basis(q: np.ndarray, dim: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def complement_basis(q: np.ndarray, dim: int) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of span(q) in C^dim."""
     q = np.asarray(q, dtype=np.complex128)
     if q.size == 0:
         return np.eye(dim, dtype=np.complex128)
-    return nullspace(q.conj().T, tol)
+    return nullspace(q.conj().T)
 
 
-def solve_min_norm(a, b, tol: Tolerance = DEFAULT_TOL):
+def solve_min_norm(a, b):
     """Minimum-norm least-squares solution of a x = b.
 
     Returns (x, residual) where residual is the Frobenius norm of a x - b,
@@ -141,7 +124,7 @@ def solve_min_norm(a, b, tol: Tolerance = DEFAULT_TOL):
     b2 = b_arr.reshape(-1, 1) if b_arr.ndim == 1 else b_arr
     if b2.shape[0] != a.shape[0]:
         raise ValueError(f"shape mismatch: a is {a.shape}, b has {b2.shape[0]} rows")
-    rcond = tol.rank_cut * max(a.shape)
+    rcond = RANK_CUT * max(a.shape)
     x, _, _, _ = np.linalg.lstsq(a, b2, rcond=rcond)
     residual = float(np.linalg.norm(a @ x - b2))
     if b_arr.ndim == 1:

@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
 from mttokit.numerics import (
-    Tolerance,
     complement_basis,
     nullspace,
     orthonormal_basis,
@@ -15,13 +13,6 @@ def _haar_unitary(d, rng):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def test_tolerance_rejects_bad_values():
-    with pytest.raises(ValueError):
-        Tolerance(rel=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(rank_cut=-1e-9)
 
 
 def test_orthonormal_basis_of_coordinate_vectors_is_identity():
