@@ -209,7 +209,7 @@ def _add_out(p):
 
 
 def _add_tol(p):
-    p.add_argument("--tol", type=float, metavar="T",
+    p.add_argument("--tol", metavar="T",
                    help=f"decision tolerance in (0, 1); defaults to ${_TOL_ENV}, else 1e-9 * ||A|| "
                         "for an operator and 1e-9 * ||Phi|| for a symbol")
 

@@ -261,6 +261,13 @@ class ModelSpaceBasis:
         return float(np.sqrt(neg + pos))
 
 
+def _disk_point(lam) -> complex:
+    lam = complex(lam)
+    if abs(lam) >= 1:
+        raise ValueError("kernel points must lie in the open unit disk")
+    return lam
+
+
 def kernel(basis: ModelSpaceBasis, lam: complex, x, return_witness: bool = False):
     """Reproducing kernel direction at lam applied to x in C^d.
 
@@ -269,9 +276,7 @@ def kernel(basis: ModelSpaceBasis, lam: complex, x, return_witness: bool = False
     at degree m-1, and the discarded tail is checked against that.
     """
     inner = basis.inner
-    lam = complex(lam)
-    if abs(lam) >= 1:
-        raise ValueError("kernel points must lie in the open unit disk")
+    lam = _disk_point(lam)
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     if x.size != inner.d:
         raise ValueError(f"expected a vector in C^{inner.d}")
@@ -301,9 +306,7 @@ def tilde_kernel(basis: ModelSpaceBasis, lam: complex, y, return_witness: bool =
     """Difference-quotient kernel (Theta(z) - Theta(lam)) y / (z - lam),
     computed by synthetic division (exact in coefficients)."""
     inner = basis.inner
-    lam = complex(lam)
-    if abs(lam) >= 1:
-        raise ValueError("kernel points must lie in the open unit disk")
+    lam = _disk_point(lam)
     y = np.asarray(y, dtype=np.complex128).reshape(-1)
     if y.size != inner.d:
         raise ValueError(f"expected a vector in C^{inner.d}")
@@ -328,14 +331,25 @@ def tilde_kernel(basis: ModelSpaceBasis, lam: complex, y, return_witness: bool =
 
 
 def kernel_frame(basis: ModelSpaceBasis, lam: complex) -> np.ndarray:
-    """n x d matrix whose columns are the kernel directions at lam."""
-    eye = np.eye(basis.inner.d)
-    return np.column_stack([basis.coords(kernel(basis, lam, x)) for x in eye])
+    """n x d matrix whose column j has the coordinates of the kernel at lam
+    applied to e_j.  That kernel is the projection of e_j / (1 - conj(lam) z),
+    so the frame is Q* V with window block k of V equal to conj(lam)^k I;
+    at lam = 0 it is Q[:d]*."""
+    d, m = basis.inner.d, basis.inner.m
+    powers = np.conj(_disk_point(lam)) ** np.arange(m)
+    return basis.q.conj().T @ np.kron(powers[:, None], np.eye(d))
 
 
 def tilde_kernel_frame(basis: ModelSpaceBasis, lam: complex) -> np.ndarray:
-    eye = np.eye(basis.inner.d)
-    return np.column_stack([basis.coords(tilde_kernel(basis, lam, y)) for y in eye])
+    """n x d matrix of the difference-quotient kernels at lam: Q* W with
+    window block k of W equal to sum over j > k of lam^(j-k-1) Theta_j,
+    by Horner's rule; at lam = 0 it is Q* [Theta_1; ...; Theta_m]."""
+    lam, theta, d, m = _disk_point(lam), basis.inner.theta, basis.inner.d, basis.inner.m
+    w = np.zeros((m, d, d), dtype=np.complex128)
+    w[m - 1] = theta.coeff(m)
+    for k in range(m - 1, 0, -1):
+        w[k - 1] = theta.coeff(k) + lam * w[k]
+    return basis.q.conj().T @ w.reshape(m * d, d)
 
 
 def _theta_of(obj) -> MatLaurent:

@@ -253,7 +253,7 @@ def _assert_parse_error(code, out, err):
 
 
 @pytest.mark.parametrize("source", ["--tol", "MTTO_TOL"])
-@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1", "abc"])
 def test_tol_outside_the_open_unit_interval_exits_2(tmp_path, capsys, monkeypatch, source, value):
     argv = ["op", "test", "--theta", "FIX3", "--op", _member_op_file(tmp_path)]
     if source == "--tol":

@@ -3,9 +3,16 @@ import pytest
 
 from mttokit.errors import DimensionMismatchError, IdentityCheckError, NotMttoError, NotZeroOperatorError
 from mttokit.fixtures import fix2, fix3, fix4, fix5, fixture
-from mttokit.laurent import MatLaurent, VecLaurent, boundary_adjoint, multiply
+from mttokit.laurent import MatLaurent, VecLaurent, boundary_adjoint, evaluate, multiply
 from mttokit.model_operator import defect_spaces, s_theta
-from mttokit.model_space import ModelSpaceBasis, SymbolSpaceBasis, make_inner_potapov
+from mttokit.model_space import (
+    ModelSpaceBasis,
+    SymbolSpaceBasis,
+    kernel,
+    make_inner_potapov,
+    tilde_kernel,
+    tilde_kernel_frame,
+)
 from mttokit.mtto import (
     build,
     commutant_factor,
@@ -22,6 +29,7 @@ from mttokit.mtto import (
     zero_symbol_decompose,
 )
 from mttokit.numerics import opnorm, rank
+from mttokit.randgen import random_inner
 
 
 def _basis(name):
@@ -397,10 +405,26 @@ def test_finite_rank_at_origin_matches_defect_block_form():
 
 
 def test_kernel_frame_columns_reproduce_kernels():
-    basis = _basis("FIX2")
-    lam = 0.25 - 0.1j
-    k = kernel_frame(basis, lam)
-    assert k.shape == (2, 1)
+    """The window frames agree column by column with the Laurent kernels,
+    and the kernel frame reproduces point values: <f, k_lam x> = <f(lam), x>."""
+    spaces = [_basis(name) for name in ("FIX1", "FIX2", "FIX3", "FIX4", "FIX5")]
+    spaces += [ModelSpaceBasis(random_inner(d, m, np.random.default_rng(40 + d))) for d, m in ((3, 2), (4, 3))]
+    rng = np.random.default_rng(9)
+    for basis in spaces:
+        d = basis.inner.d
+        for lam in (0.0, 0.25 - 0.1j, -0.7j):
+            k, kt = kernel_frame(basis, lam), tilde_kernel_frame(basis, lam)
+            assert k.shape == kt.shape == (basis.n, d)
+            for j, e in enumerate(np.eye(d)):
+                for got, want in (
+                    (k[:, j], basis.coords(kernel(basis, lam, e))),
+                    (kt[:, j], basis.coords(tilde_kernel(basis, lam, e))),
+                ):
+                    assert np.linalg.norm(got - want) <= 1e-12 * (1.0 + np.linalg.norm(want))
+            c = rng.standard_normal(basis.n) + 1j * rng.standard_normal(basis.n)
+            x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            value = evaluate(basis.from_coords(c), lam)
+            assert abs(np.vdot(k @ x, c) - np.vdot(x, value)) <= 1e-12 * (1.0 + np.linalg.norm(c) * np.linalg.norm(x))
 
 
 def test_default_tolerance_is_relative_to_the_operator_scale():
