@@ -243,15 +243,6 @@ def j_operators(basis: ModelSpaceBasis, ds: DefectSpaces):
     return j, jt
 
 
-def stein_constraint(basis: ModelSpaceBasis) -> np.ndarray:
-    """Matrix of X -> P (X - S X S*) P on row-major vec(X), with P the
-    projector off the first defect space: kron(P, P^T) - kron(P S, (S* P)^T).
-    Its kernel is the operator class."""
-    s, s_adj = s_theta(basis)
-    p = defect_spaces(basis).p_d_perp
-    return np.kron(p, p.T) - np.kron(p @ s.mat, (s_adj.mat @ p).T)
-
-
 def xhat(basis: ModelSpaceBasis, ds: DefectSpaces, x) -> OperatorMatrix:
     """Operator acting as x (in defect coordinates) from the second
     defect space to the first, and as zero on the complement."""

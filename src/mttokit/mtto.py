@@ -34,7 +34,6 @@ from .model_operator import (
     defect_spaces,
     matrix_of,
     s_theta,
-    stein_constraint,
     xhat,
 )
 from .model_space import ModelSpaceBasis, kernel_frame, tilde_kernel_frame
@@ -176,24 +175,6 @@ def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent):
     return phi1, residual
 
 
-def _symbol_pair_map(basis: ModelSpaceBasis) -> np.ndarray:
-    """Linear map (coefficients of Psi1, coefficients of the starred
-    second slot) -> vec of the operator matrix, over the symbol-space
-    basis whose element (slot, j) puts basis function j in column slot.
-
-    With F[k, c, a] the window blocks of Q, the first half is the one
-    contraction A_el[a, b] = sum over k, i, c of
-    conj(F[k, c, a]) F[k - i, c, j] F[i, slot, b], and A_{el*} = A_el*
-    gives the second."""
-    d, m, n = basis.inner.d, basis.inner.m, basis.n
-    f = basis.q.reshape(m, d, n)
-    zero = np.zeros((d, n))
-    shifted = block_toeplitz(lambda t: f[t] if t >= 0 else zero, m, m).reshape(m, d, m, n)
-    first = np.einsum("kca,kcij,isb->absj", f.conj(), shifted, f, optimize=True)
-    second = first.transpose(1, 0, 2, 3).conj()
-    return np.hstack([first.reshape(n * n, d * n), second.reshape(n * n, d * n)])
-
-
 @dataclass
 class RecoveredSymbol:
     psi1: MatLaurent
@@ -303,6 +284,8 @@ class DimensionReport:
     operator_space_dim: int
     product_reading: int
     linear_reading: int
+    nilpotency_residual: float
+    rank_p_perp: int
 
     def to_json(self) -> dict:
         return {
@@ -318,29 +301,46 @@ class DimensionReport:
 
 
 def mtto_dimension(basis: ModelSpaceBasis) -> DimensionReport:
-    """Brute-force the dimension of the operator class two ways.
+    """Count the dimension of the operator class two ways, from measured
+    quantities of the space.
 
-    Route one: rank of the symbol-pair map over the standard symbol
-    space.  Route two: nullity of the defect-compression constraint on
-    all of operator space.  The two must agree; the report also compares
-    the count against both closed-form candidates 2nd - d^2 and
-    2n^d - d^2 without assuming either.
+    Route one, the symbol side: A_{Psi1 + Psi2*} - S A S* = X K0* + K0 Y*
+    with X, Y the coordinates of the columns of Psi1, Psi2, and
+    (X, Y) -> X K0* + K0 Y* has exactly the d^2 gauge (K0 C, -K0 C*) as
+    kernel when rank K0 = d.  The count 2nd - d^2 stands once rank K0 = d
+    is measured.  Route two, the operator side: A is in the class iff
+    P (A - S A S*) P = 0, with P the projector off the first defect space,
+    and X -> X - S X S* is invertible because S is nilpotent.  The count
+    n^2 - (rank P)^2 stands once ||S^m|| <= CHECK_TOL is measured.  The two
+    must agree; the report also compares the count against both
+    closed-form candidates 2nd - d^2 and 2n^d - d^2.
     """
     n, d = basis.n, basis.inner.d
-    dim_symbols = rank(_symbol_pair_map(basis), scale=1.0)
-    dim_operators = n * n - rank(stein_constraint(basis), scale=1.0)
+    s, _ = s_theta(basis)
+    ds = defect_spaces(basis)
+    nilpotency = float(np.linalg.norm(np.linalg.matrix_power(s.mat, basis.inner.m)))
+    if nilpotency > CHECK_TOL:
+        raise IdentityCheckError(f"compressed shift is not nilpotent: ||S^m|| = {nilpotency:.3e}")
+    rank_k0 = rank(ds.d_frame, scale=1.0)
+    if rank_k0 != d:
+        raise IdentityCheckError(f"kernel frame K0 has rank {rank_k0}, expected {d}")
+    rank_p = rank(ds.p_d_perp, scale=1.0)
+    dim_symbols = 2 * n * d - d * d
+    dim_operators = n * n - rank_p * rank_p
     if dim_symbols != dim_operators:
         raise IdentityCheckError(
-            f"dimension routes disagree: symbol map gives {dim_symbols}, "
-            f"operator constraints give {dim_operators}"
+            f"dimension routes disagree: symbol side gives {dim_symbols}, "
+            f"operator side gives {dim_operators}"
         )
     return DimensionReport(
         dim=dim_symbols,
-        gauge_dim=2 * n * d - dim_symbols,
+        gauge_dim=d * d,
         symbol_pair_dim=2 * n * d,
         operator_space_dim=n * n,
         product_reading=2 * n**d - d * d,
         linear_reading=2 * n * d - d * d,
+        nilpotency_residual=nilpotency,
+        rank_p_perp=rank_p,
     )
 
 

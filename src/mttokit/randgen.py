@@ -9,10 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 from .laurent import MatLaurent, multiply
-from .model_operator import Conjugation, stein_constraint
+from .model_operator import Conjugation, defect_spaces, s_theta
 from .model_space import InnerFunction, ModelSpaceBasis, make_inner_potapov
 from .mtto import is_mtto
-from .numerics import opnorm, rank
+from .numerics import opnorm
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -159,20 +159,21 @@ def random_non_member(basis: ModelSpaceBasis, rng: np.random.Generator, min_defe
     """Unit-norm operator outside the symbol class, certified by the
     membership residual.
 
-    Candidates are drawn from the row space of the defect-compression
-    constraint, the orthogonal complement of the class, so only spaces
-    with a strict complement admit one.
+    The class is the kernel of X -> P (X - S X S*) P, with P the projector
+    off the first defect space, so its orthogonal complement is the range
+    of the adjoint map, {B - S* B S : B = P W P}.  Candidates take B
+    Gaussian on the complement of the defect space; only spaces with a
+    strict complement (n > d) admit one.
     """
-    n = basis.n
-    constraint = stein_constraint(basis)
-    r = rank(constraint, scale=1.0)
-    if r == 0:
+    comp = defect_spaces(basis).comp_d
+    k = comp.shape[1]
+    if k == 0:
         raise ValueError("every operator on this model space carries a symbol")
-    _, _, vh = np.linalg.svd(constraint)
-    row_space = vh[:r].conj().T
+    s, s_adj = s_theta(basis)
     for _ in range(64):
-        c = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-        a = (row_space @ c).reshape(n, n)
+        c = rng.standard_normal(k * k) + 1j * rng.standard_normal(k * k)
+        b = comp @ c.reshape(k, k) @ comp.conj().T
+        a = b - s_adj.mat @ b @ s.mat
         nrm = opnorm(a)
         if nrm < 1e-12:
             continue

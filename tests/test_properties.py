@@ -1,8 +1,9 @@
 """Property tests of the membership witness and the recovered symbol pair
 on random members: symbols of random degree range and scale, compressed
 to the fixtures and to seeded random model spaces.  Also the Laurent
-algebra the division by Theta rests on, and the zero-symbol pair it
-recovers on random pure spaces."""
+algebra the division by Theta rests on, the zero-symbol pair it
+recovers on random pure spaces, and the class dimension against its SVD
+counts."""
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from mttokit.fixtures import FIXTURE_NAMES, fixture  # noqa: E402
 from mttokit.laurent import analytic_split, boundary_adjoint, multiply  # noqa: E402
 from mttokit.model_operator import defect_spaces, s_theta  # noqa: E402
 from mttokit.model_space import ModelSpaceBasis  # noqa: E402
-from mttokit.mtto import build, is_mtto, recover_symbol, zero_symbol_decompose  # noqa: E402
+from mttokit.mtto import build, is_mtto, mtto_dimension, recover_symbol, zero_symbol_decompose  # noqa: E402
 from mttokit.numerics import opnorm  # noqa: E402
 from mttokit.randgen import random_inner, random_symbol  # noqa: E402
 from mttokit.serialize import SCHEMA_VERSION, json_to_mat_laurent, laurent_to_json  # noqa: E402
+
+from dimension_oracles import svd_counts  # noqa: E402
 
 SPACES = [ModelSpaceBasis(fixture(name)) for name in FIXTURE_NAMES] + [
     ModelSpaceBasis(random_inner(d, m, np.random.default_rng(60 + d))) for d, m in ((2, 3), (3, 2), (4, 2))
@@ -145,3 +148,12 @@ def test_zero_symbol_decompose_returns_the_generating_pair(case):
     assert result.is_zero and result.residual <= 1e-11 * phi.norm()
     scale = np.hypot(psi1.norm(), psi2.norm())
     assert np.hypot((result.psi1 - psi1).norm(), (result.psi2 - psi2).norm()) <= 1e-10 * scale
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 7).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, 12 // d), st.integers(0, 2**32 - 1))))
+def test_dimension_equals_both_svd_counts(shape):
+    d, m, seed = shape
+    basis = ModelSpaceBasis(random_inner(d, m, np.random.default_rng(seed)))
+    report = mtto_dimension(basis)
+    assert (report.dim, report.dim) == svd_counts(basis)

@@ -101,6 +101,18 @@ def test_random_non_member_certified():
         assert decision.residual >= 1e-3
 
 
+def test_random_non_member_is_orthogonal_to_the_class():
+    rng = np.random.default_rng(16)
+    bases = [ModelSpaceBasis(fixture(name)) for name in ("FIX2", "FIX3")]
+    bases += [ModelSpaceBasis(random_inner(d, m, rng)) for d, m in ((2, 4), (3, 3))]
+    for basis in bases:
+        a = random_non_member(basis, rng)
+        assert is_mtto(basis, a).residual >= 1e-3
+        for _ in range(4):
+            member = build(basis, random_symbol(basis.inner.d, -3, 3, rng)).mat
+            assert abs(np.vdot(member, a)) <= 1e-12 * np.linalg.norm(member)
+
+
 def test_random_non_member_refused_when_class_is_everything():
     rng = np.random.default_rng(15)
     basis = ModelSpaceBasis(fixture("FIX4"))

@@ -3,8 +3,8 @@
 Operators are assembled as Q* M Q from a matrix M on the coefficient
 window.  The helpers below assemble the same matrices the slow way, one
 basis element at a time through Laurent products and shifts, and serve
-as the reference for build, s_theta, the symbol-pair map and the Stein
-constraint.
+as the reference for build, s_theta and the two brute-force class maps
+that the dimension tests count by SVD.
 """
 
 import numpy as np
@@ -12,10 +12,12 @@ import pytest
 
 from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import VecLaurent, boundary_adjoint, multiply
-from mttokit.model_operator import defect_spaces, j_operators, s_theta, stein_constraint
+from mttokit.model_operator import defect_spaces, j_operators, s_theta
 from mttokit.model_space import ModelSpaceBasis, SymbolSpaceBasis
-from mttokit.mtto import _symbol_pair_map, build, semi_commutator_left_factor
+from mttokit.mtto import build, semi_commutator_left_factor
 from mttokit.randgen import random_inner, random_symbol
+
+from dimension_oracles import stein_constraint, symbol_pair_map
 
 
 def _spaces():
@@ -93,7 +95,7 @@ def test_symbol_pair_map_matches_per_element_build(basis):
     elements = SymbolSpaceBasis(basis).elements
     cols = [build(basis, el).mat.reshape(-1) for el in elements]
     cols += [build(basis, boundary_adjoint(el)).mat.reshape(-1) for el in elements]
-    _assert_close(_symbol_pair_map(basis), np.column_stack(cols))
+    _assert_close(symbol_pair_map(basis), np.column_stack(cols))
 
 
 @pytest.mark.parametrize("basis", SPACES, ids=IDS)

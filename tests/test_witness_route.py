@@ -20,7 +20,7 @@ from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent, boundary_adjoint, multiply, purity_margin
 from mttokit.model_operator import defect_spaces
 from mttokit.model_space import ModelSpaceBasis, make_inner_potapov
-from mttokit.mtto import _symbol_pair_map, build, commutant_factor, recover_symbol, zero_symbol_decompose
+from mttokit.mtto import build, commutant_factor, recover_symbol, zero_symbol_decompose
 from mttokit.numerics import block_toeplitz, opnorm, solve_min_norm
 from mttokit.randgen import (
     haar_unitary,
@@ -29,6 +29,8 @@ from mttokit.randgen import (
     random_projection,
     random_symbol,
 )
+
+from dimension_oracles import symbol_pair_map
 
 
 def _spaces():
@@ -56,7 +58,7 @@ def _coords(basis, psi) -> np.ndarray:
 def _lstsq_recovery(basis, amat):
     """Minimum-norm least squares over the symbol-pair map."""
     d, m, n = basis.inner.d, basis.inner.m, basis.n
-    x, _ = solve_min_norm(_symbol_pair_map(basis), amat.reshape(-1))
+    x, _ = solve_min_norm(symbol_pair_map(basis), amat.reshape(-1))
     f = basis.q.reshape(m, d, n)
     return f @ x[: d * n].reshape(d, n).T, f @ np.conj(x[d * n :]).reshape(d, n).T
 
