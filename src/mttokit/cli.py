@@ -10,6 +10,7 @@ used at all.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -214,6 +215,7 @@ def _add_tol(p):
                         "for an operator and 1e-9 * ||Phi|| for a symbol")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mtto", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

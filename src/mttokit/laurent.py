@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .numerics import INNER_TOL, REL
+from .numerics import INNER_TOL, REL, require_finite
 
 
 def _validate_coeffs(coeffs, block_ndim: int) -> np.ndarray:
@@ -21,17 +21,17 @@ def _validate_coeffs(coeffs, block_ndim: int) -> np.ndarray:
         raise ValueError(f"expected {block_ndim + 1}-d coefficient array, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValueError("need at least one coefficient block")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("coefficients must be finite")
-    return a
+    return require_finite(a, "coefficients must be finite")
 
 
 def _trim(lo: int, coeffs: np.ndarray):
     """Drop exactly-zero edge blocks; canonical zero sits at frequency 0."""
-    nz = [k for k in range(coeffs.shape[0]) if np.any(coeffs[k])]
-    if not nz:
-        return 0, np.zeros((1,) + coeffs.shape[1:], dtype=np.complex128)
-    return lo + nz[0], np.ascontiguousarray(coeffs[nz[0] : nz[-1] + 1])
+    if not (coeffs[0].any() and coeffs[-1].any()):
+        nz = np.flatnonzero(coeffs.reshape(coeffs.shape[0], -1).any(axis=1))
+        if nz.size == 0:
+            return 0, np.zeros((1,) + coeffs.shape[1:], dtype=np.complex128)
+        lo, coeffs = lo + int(nz[0]), coeffs[nz[0] : nz[-1] + 1]  # lo stays a Python int for JSON
+    return lo, np.ascontiguousarray(coeffs)
 
 
 class _Laurent:
@@ -42,6 +42,14 @@ class _Laurent:
     def __init__(self, lo: int, coeffs):
         coeffs = _validate_coeffs(coeffs, self._block_ndim)
         self.lo, self.coeffs = _trim(int(lo), coeffs)
+
+    @classmethod
+    def constant(cls, block):
+        return cls(0, np.asarray(block, dtype=np.complex128)[np.newaxis])
+
+    @classmethod
+    def zero(cls, dim: int):
+        return cls(0, np.zeros((1,) + (dim,) * cls._block_ndim))
 
     @property
     def hi(self) -> int:
@@ -116,14 +124,6 @@ class MatLaurent(_Laurent):
             raise ValueError("matrix coefficients must be square")
 
     @classmethod
-    def constant(cls, mat) -> "MatLaurent":
-        return cls(0, np.asarray(mat, dtype=np.complex128)[np.newaxis])
-
-    @classmethod
-    def zero(cls, dim: int) -> "MatLaurent":
-        return cls(0, np.zeros((1, dim, dim)))
-
-    @classmethod
     def identity(cls, dim: int) -> "MatLaurent":
         return cls.constant(np.eye(dim))
 
@@ -137,14 +137,6 @@ class VecLaurent(_Laurent):
     """Laurent polynomial with vectors in C^d as coefficients."""
 
     _block_ndim = 1
-
-    @classmethod
-    def constant(cls, vec) -> "VecLaurent":
-        return cls(0, np.asarray(vec, dtype=np.complex128)[np.newaxis])
-
-    @classmethod
-    def zero(cls, dim: int) -> "VecLaurent":
-        return cls(0, np.zeros((1, dim)))
 
 
 def multiply(f: MatLaurent, g):

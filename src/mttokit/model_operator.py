@@ -17,7 +17,7 @@ import numpy as np
 from .errors import IdentityCheckError, NotGammaSymmetricError, NotUnitaryError
 from .laurent import MatLaurent, VecLaurent, multiply
 from .model_space import ModelSpaceBasis, kernel, kernel_frame, tilde_kernel, tilde_kernel_frame
-from .numerics import CHECK_TOL, RANK_CUT, REL, complement_basis, opnorm, orthonormal_basis, projector, rank
+from .numerics import CHECK_TOL, RANK_CUT, REL, complement_basis, opnorm, orthonormal_basis, projector, rank, require_finite
 
 
 @dataclass
@@ -32,8 +32,7 @@ class OperatorMatrix:
         n = self.basis.n
         if self.mat.shape != (n, n):
             raise ValueError(f"operator matrix must be {n} x {n}, got {self.mat.shape}")
-        if not np.all(np.isfinite(self.mat.real)) or not np.all(np.isfinite(self.mat.imag)):
-            raise ValueError("operator entries must be finite")
+        require_finite(self.mat, "operator entries must be finite")
 
     def apply(self, f: VecLaurent) -> VecLaurent:
         return self.basis.from_coords(self.mat @ self.basis.coords(f))

@@ -287,10 +287,10 @@ def kernel(basis: ModelSpaceBasis, lam: complex, x, return_witness: bool = False
     for k in range(m + 1):
         g[k] -= inner.theta.coeff(k) @ tx
     lb = np.conj(lam)
+    powers = np.array([lb**j for j in range(2 * m + 1)])
     c = np.zeros((2 * m + 1, d), dtype=np.complex128)
-    for k in range(2 * m + 1):
-        for i in range(0, min(k, m) + 1):
-            c[k] += lb ** (k - i) * g[i]
+    for i in range(m + 1):
+        c[i:] += powers[: 2 * m + 1 - i, None] * g[i]
     scale = 1.0 + float(np.linalg.norm(x))
     tail = float(np.linalg.norm(c[m:]))
     if tail > 1e-9 * scale:

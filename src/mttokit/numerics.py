@@ -17,14 +17,19 @@ CHECK_TOL = 1e-9  # largest residual the shift-action, recurrence and commutant 
 PHASE_CUT = 1e-8  # entries up to PHASE_CUT * max(1, column max) cannot carry the phase
 
 
+def require_finite(a: np.ndarray, message: str) -> np.ndarray:
+    """Return `a` unchanged, or raise ValueError(message) if an entry is NaN or infinite."""
+    if not np.isfinite(a).all():
+        raise ValueError(message)
+    return a
+
+
 def as_cmatrix(entries) -> np.ndarray:
     """Coerce to a 2-d complex128 array and reject non-finite entries."""
     a = np.asarray(entries, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("matrix entries must be finite")
-    return a
+    return require_finite(a, "matrix entries must be finite")
 
 
 def opnorm(a: np.ndarray) -> float:
@@ -32,7 +37,7 @@ def opnorm(a: np.ndarray) -> float:
     a = np.atleast_2d(np.asarray(a, dtype=np.complex128))
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def rank(a, scale: float = 0.0) -> int:
@@ -82,8 +87,7 @@ def orthonormal_basis(vectors) -> np.ndarray:
         a = np.column_stack(cols)
     if a.shape[1] == 0:
         return np.zeros((a.shape[0], 0), dtype=np.complex128)
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("vector entries must be finite")
+    require_finite(a, "vector entries must be finite")
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[0], 0), dtype=np.complex128)

@@ -3,6 +3,7 @@ import numpy as np
 from mttokit.numerics import (
     complement_basis,
     nullspace,
+    opnorm,
     orthonormal_basis,
     rank,
     solve_min_norm,
@@ -97,3 +98,13 @@ def test_nullspace_and_complement_are_orthonormal_and_complete():
     comp = complement_basis(ns, 5)
     full = np.hstack([ns, comp])
     np.testing.assert_allclose(full.conj().T @ full, np.eye(5), atol=1e-12)
+
+
+def test_opnorm_equals_numpy_spectral_norm_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for shape in [(1, 1), (1, 5), (7, 1), (3, 3), (8, 8), (13, 13)]:
+        for _ in range(5):
+            a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert opnorm(a) == float(np.linalg.norm(a, 2))
+    for empty in [np.zeros((0, 3)), np.zeros((4, 0)), []]:
+        assert opnorm(empty) == 0.0
