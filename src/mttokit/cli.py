@@ -21,7 +21,7 @@ from . import serialize
 from .errors import MttoError, ParseError
 from .fixtures import FIXTURE_NAMES, fixture
 from .laurent import inner_residual, is_inner, is_pure, purity_margin
-from .model_space import ModelSpaceBasis, inner_from_json
+from .model_space import ModelSpaceBasis, inner_from_json, theta_from_json
 from .mtto import build, is_mtto, mtto_dimension, recover_symbol, zero_symbol_decompose
 from .suite import SuiteConfig, run_suite
 
@@ -61,10 +61,10 @@ def _load_operator(path: str, basis: ModelSpaceBasis) -> np.ndarray:
     if mat.shape != (basis.n, basis.n):
         raise ParseError(f"operator is {mat.shape[0]} x {mat.shape[1]}, space has dimension {basis.n}")
     declared = obj.get("basis_id")
+    if declared is not None and not str(declared).startswith("v2-"):
+        raise ParseError(f"basis_id {declared!r} has no v2- prefix; basis ids changed in v2, rebuild the operator")
     if declared is not None and declared != basis.basis_id:
-        raise ParseError(
-            f"operator was written in basis {declared}, current basis is {basis.basis_id}"
-        )
+        raise ParseError(f"operator was written in basis {declared}, current basis is {basis.basis_id}")
     return mat
 
 
@@ -90,13 +90,7 @@ def _candidate_theta(source: str):
     validation, so `inner check` can report a verdict on bad input."""
     if source in FIXTURE_NAMES:
         return fixture(source).theta
-    obj = serialize.load_json_file(source)
-    serialize.check_schema_version(obj)
-    if obj.get("kind") == "coeffs":
-        if "laurent" not in obj:
-            raise ParseError("coefficient payload needs a 'laurent' field")
-        return serialize.json_to_mat_laurent(obj["laurent"])
-    return inner_from_json(obj).theta
+    return theta_from_json(serialize.load_json_file(source))[0]
 
 
 def _cmd_inner_check(args) -> int:

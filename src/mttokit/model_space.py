@@ -72,6 +72,8 @@ class InnerFunction:
     and as the degree of det Theta; for a Potapov product it also reads n
     off as the sum of the factor ranks.  It refuses to continue unless
     all of them agree.  `_potapov` is (U, [P_1, ...], sum of rank P_j).
+    The nullity comes from the one SVD of the constraint map, whose
+    orthonormal kernel frame (m*d x n) the basis reuses as `null_frame`.
     """
 
     def __init__(self, theta: MatLaurent, _potapov=None):
@@ -86,7 +88,8 @@ class InnerFunction:
         self.d = theta.dim
         self.m = theta.hi
         self._potapov = _potapov
-        nullity = self.m * self.d - rank(_constraint_matrix(theta), scale=1.0)
+        self.null_frame = nullspace(_constraint_matrix(theta), scale=1.0)
+        nullity = self.null_frame.shape[1]
         witnesses = {"constraint nullity": nullity, "det degree": det_degree(theta)}
         if _potapov is not None:
             witnesses["factor rank sum"] = _potapov[2]
@@ -120,10 +123,10 @@ class InnerFunction:
         return doc
 
 
-def make_inner_potapov(factors, left_unitary=None) -> InnerFunction:
-    """Product U (I - P_1 + z P_1) ... (I - P_r + z P_r) of elementary
-    factors built from orthogonal projections P_j; its model space has
-    dimension sum rank P_j, read off from the rounded traces."""
+def potapov_product(factors, left_unitary=None):
+    """Validate the factors of U (I - P_1 + z P_1) ... (I - P_r + z P_r) and
+    multiply them out; purity is not checked.  Returns (Theta, (U, [P_1,
+    ...], sum rank P_j)), the ranks read off from the rounded traces."""
     mats = [np.asarray(p, dtype=np.complex128) for p in factors]
     if not mats:
         raise ValueError("need at least one factor")
@@ -141,11 +144,18 @@ def make_inner_potapov(factors, left_unitary=None) -> InnerFunction:
         if np.linalg.norm(p - p.conj().T) > 1e-10 or np.linalg.norm(p @ p - p) > 1e-10:
             raise NotProjectionError("factor is not an orthogonal projection")
         theta = multiply(theta, MatLaurent(0, np.stack([eye - p, p])))
-    rank_sum = sum(int(round(np.trace(p).real)) for p in mats)
-    return InnerFunction(theta, _potapov=(u, mats, rank_sum))
+    return theta, (u, mats, sum(int(round(np.trace(p).real)) for p in mats))
 
 
-def inner_from_json(obj) -> InnerFunction:
+def make_inner_potapov(factors, left_unitary=None) -> InnerFunction:
+    """The inner function `potapov_product` multiplies out; its model
+    space has dimension sum rank P_j."""
+    return InnerFunction(*potapov_product(factors, left_unitary))
+
+
+def theta_from_json(obj):
+    """(Theta, Potapov data or None) of an inner-function payload; Theta
+    is multiplied out but not yet checked to be pure inner."""
     serialize.check_schema_version(obj)
     try:
         kind = obj["kind"]
@@ -157,46 +167,48 @@ def inner_from_json(obj) -> InnerFunction:
             u = serialize.json_to_matrix(obj["left_unitary"]) if obj.get("left_unitary") is not None else None
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad potapov payload: {exc}") from exc
-        return make_inner_potapov(factors, u)
+        return potapov_product(factors, u)
     if kind == "coeffs":
         if "laurent" not in obj:
             raise ParseError("coeffs payload needs a 'laurent' field")
-        return InnerFunction(serialize.json_to_mat_laurent(obj["laurent"]))
+        return serialize.json_to_mat_laurent(obj["laurent"]), None
     raise ParseError(f"unknown inner function kind {kind!r}")
+
+
+def inner_from_json(obj) -> InnerFunction:
+    return InnerFunction(*theta_from_json(obj))
 
 
 class ModelSpaceBasis:
     """Deterministic orthonormal basis of the model space.
 
-    The basis comes from Gram-Schmidt applied to the projections of the
-    ambient coordinate vectors, taken in a fixed order, with each column's
-    first significant entry rotated to the positive real axis.  The same
-    Theta therefore always yields the same basis, which is what makes
-    operator matrices comparable across runs.
+    Gram-Schmidt of the projections P e_j of the ambient coordinate
+    vectors, in order, run on their coordinates N* e_j in the kernel frame
+    N of the inner function (P = N N*; two classical passes per column, a
+    column kept above 1e-7, a stop at n; Q = N R), with each column's first
+    significant entry rotated to the positive real axis.  The same Theta
+    always yields the same basis, named by `serialize.basis_id`, which
+    makes operator matrices comparable across runs.
     """
 
     def __init__(self, inner: InnerFunction):
         self.inner = inner
-        d, m, n = inner.d, inner.m, inner.n
-        amb = m * d
-        null = nullspace(_constraint_matrix(inner.theta), scale=1.0)
-        if null.shape[1] != n:
-            raise IdentityCheckError("nullspace dimension disagrees with model dimension")
-        proj = null @ null.conj().T
-        accepted = []
-        for j in range(amb):
-            v = proj[:, j].copy()
-            for _ in range(2):  # re-orthogonalize for stability
-                for u in accepted:
-                    v -= u * np.vdot(u, v)
+        frame, n = inner.null_frame, inner.n
+        accepted = np.zeros((n, n), dtype=np.complex128)  # row i: coordinates of column i of Q
+        k = 0
+        for row in frame:  # row j of N is the conjugate of N* e_j
+            if k == n:
+                break
+            v = row.conj()
+            for _ in range(2):  # the second pass restores orthogonality
+                v -= accepted[:k].T @ (accepted[:k] @ v.conj()).conj()
             nv = np.linalg.norm(v)
             if nv > 1e-7:
-                accepted.append(v / nv)
-        if len(accepted) != n:
-            raise IdentityCheckError(
-                f"pivoted orthogonalization found {len(accepted)} directions, expected {n}"
-            )
-        self.q = fix_column_phases(np.column_stack(accepted)) if accepted else np.zeros((amb, 0), dtype=np.complex128)
+                accepted[k] = v / nv
+                k += 1
+        if k != n:
+            raise IdentityCheckError(f"pivoted orthogonalization found {k} directions, expected {n}")
+        self.q = fix_column_phases(frame @ accepted.T)
         self._basis_id = None
         self.cache = {}  # read-only operator data of this space, filled once by model_operator
 
@@ -207,11 +219,7 @@ class ModelSpaceBasis:
     @property
     def basis_id(self) -> str:
         if self._basis_id is None:
-            payload = {
-                "theta": serialize.laurent_to_json(self.inner.theta),
-                "basis": serialize.array_to_json(self.q),
-            }
-            self._basis_id = serialize.stable_hash(payload)
+            self._basis_id = serialize.basis_id(self.inner.theta, self.q)
         return self._basis_id
 
     def compress(self, window: np.ndarray) -> np.ndarray:

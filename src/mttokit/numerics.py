@@ -59,15 +59,16 @@ def fix_column_phases(q: np.ndarray) -> np.ndarray:
 
     Makes SVD/Gram-Schmidt output reproducible up to the underlying
     factorization; columns that are numerically zero are left alone.
+    One pass over the whole matrix: the pivot of each column is its first
+    entry above PHASE_CUT * max(1, column max).
     """
     q = np.array(q, dtype=np.complex128, copy=True)
-    for j in range(q.shape[1]):
-        col = q[:, j]
-        idx = np.flatnonzero(np.abs(col) > PHASE_CUT * max(1.0, np.abs(col).max(initial=0.0)))
-        if idx.size == 0:
-            continue
-        pivot = col[idx[0]]
-        q[:, j] = col * (np.conj(pivot) / np.abs(pivot))
+    mags = np.abs(q)
+    big = mags > PHASE_CUT * np.maximum(1.0, mags.max(axis=0, initial=0.0))
+    cols = np.flatnonzero(big.any(axis=0))
+    if cols.size:
+        pivots = q[big[:, cols].argmax(axis=0), cols]
+        q[:, cols] *= np.conj(pivots) / np.abs(pivots)
     return q
 
 

@@ -1,10 +1,13 @@
 """JSON codecs for the on-disk interchange formats.
 
-Complex scalars travel as [re, im] pairs and floats are emitted with
-Python's shortest round-trip repr, so serializing and re-parsing a
-float64 payload is bit-exact and two identical runs produce identical
-bytes.  Top-level documents carry a schema_version field; readers refuse
-a version they do not know and read a document without one as current.
+Complex arrays travel as nested row-major lists with [re, im] pairs at
+the leaves, and floats are emitted with Python's shortest round-trip
+repr, so serializing and re-parsing a float64 payload is bit-exact and
+two identical runs produce identical bytes.  Both directions convert a
+whole array at once.  Top-level documents carry a schema_version field;
+readers refuse a version they do not know and read a document without
+one as current.  A model-space basis is named by `basis_id`, a hash of
+the bytes of Theta and Q.
 """
 
 import hashlib
@@ -14,6 +17,7 @@ import numpy as np
 
 from .errors import ParseError
 from .laurent import MatLaurent
+from .numerics import require_finite
 
 SCHEMA_VERSION = 1
 
@@ -32,50 +36,42 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def stable_hash(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()[:16]
-
-
-def complex_to_json(z):
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def json_to_complex(obj) -> complex:
-    if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
-        raise ParseError(f"expected a [re, im] pair, got {obj!r}")
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
-        raise ParseError(f"non-numeric entries in complex pair {obj!r}")
-    try:
-        z = complex(float(obj[0]), float(obj[1]))
-    except OverflowError:  # an integer too large for a float
-        z = complex("nan")
-    if not np.isfinite(z):
-        raise ParseError(f"non-finite entries in complex pair {obj!r}")
-    return z
+def basis_id(theta: MatLaurent, q) -> str:
+    """Identity of the basis Q of the model space of Theta: "v2-" and the
+    first 16 hex digits of the sha256 of the little-endian bytes of
+    (d, lo, hi, n) as int64, then of the coefficients of Theta and of Q,
+    each complex128 in row-major order."""
+    q = np.asarray(q, dtype=np.complex128)
+    h = hashlib.sha256(np.array([theta.dim, theta.lo, theta.hi, q.shape[1]], dtype="<i8").tobytes())
+    for a in (theta.coeffs, q):
+        h.update(np.ascontiguousarray(a, dtype="<c16").tobytes())
+    return "v2-" + h.hexdigest()[:16]
 
 
 def array_to_json(a):
     """Nested row-major lists with [re, im] leaves; works for any ndim."""
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim == 0:
-        return complex_to_json(a[()])
-    return [array_to_json(sub) for sub in a]
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def json_to_array(obj, ndim: int) -> np.ndarray:
-    """Inverse of array_to_json for a known nesting depth."""
-    if ndim == 0:
-        return np.asarray(json_to_complex(obj))
-    if not isinstance(obj, list):
-        raise ParseError(f"expected a list at depth {ndim}, got {type(obj).__name__}")
-    rows = [json_to_array(sub, ndim - 1) for sub in obj]
-    if not rows:
-        raise ParseError("empty array level in payload")
-    shapes = {r.shape for r in rows}
-    if len(shapes) != 1:
-        raise ParseError("ragged array in payload")
-    return np.stack(rows)
+    """Inverse of array_to_json for a known nesting depth.  The payload
+    must be ndim levels of non-empty, equally long lists over [re, im]
+    pairs of finite int or float entries (not bool)."""
+    try:
+        raw = np.array(obj, dtype=object)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"ragged array in payload: {exc}") from exc
+    if raw.ndim != ndim + 1 or raw.shape[-1] != 2 or 0 in raw.shape:
+        raise ParseError(f"expected {ndim} levels of non-empty, equally long lists over [re, im] pairs")
+    leaves = raw.ravel().tolist()
+    if not set(map(type, leaves)) <= {int, float}:
+        raise ParseError("non-numeric entries in array payload")
+    try:  # an integer too large for a float overflows
+        values = require_finite(np.array(leaves, dtype=np.float64), "non-finite entries")
+    except (OverflowError, ValueError) as exc:
+        raise ParseError("non-finite entries in array payload") from exc
+    return values.view(np.complex128).reshape(raw.shape[:-1])
 
 
 def matrix_to_json(a):
@@ -83,8 +79,7 @@ def matrix_to_json(a):
 
 
 def json_to_matrix(obj) -> np.ndarray:
-    a = json_to_array(obj, 2)
-    return a.astype(np.complex128)
+    return json_to_array(obj, 2)
 
 
 def laurent_to_json(f) -> dict:

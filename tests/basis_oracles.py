@@ -1,0 +1,59 @@
+"""Earlier implementations of the basis, its phase fix and the array
+encoder, kept as test references.
+
+`ModelSpaceBasis` runs Gram-Schmidt on the n-dimensional coordinates of
+the projected unit vectors, `numerics.fix_column_phases` rotates every
+column in one pass and `serialize.array_to_json` converts a whole array
+with one `tolist`.  The functions below do the same work the direct way:
+modified Gram-Schmidt, twice, over the m*d projector columns P e_j in the
+ambient space, one column at a time; a phase fix column by column; and an
+encoder that recurses once per scalar.
+"""
+
+import numpy as np
+
+from mttokit.model_space import _constraint_matrix
+from mttokit.numerics import PHASE_CUT, nullspace
+
+
+def fix_column_phases_loop(q: np.ndarray) -> np.ndarray:
+    """Rotate each column so its first entry above PHASE_CUT * max(1,
+    column max) is real positive; numerically zero columns stay alone."""
+    q = np.array(q, dtype=np.complex128, copy=True)
+    for j in range(q.shape[1]):
+        col = q[:, j]
+        idx = np.flatnonzero(np.abs(col) > PHASE_CUT * max(1.0, np.abs(col).max(initial=0.0)))
+        if idx.size == 0:
+            continue
+        pivot = col[idx[0]]
+        q[:, j] = col * (np.conj(pivot) / np.abs(pivot))
+    return q
+
+
+def gram_schmidt_loop(inner) -> np.ndarray:
+    """Basis matrix Q from Gram-Schmidt of P e_0, P e_1, ... in the m*d
+    dimensional window, every column of the projector visited."""
+    d, m, n = inner.d, inner.m, inner.n
+    null = nullspace(_constraint_matrix(inner.theta), scale=1.0)
+    assert null.shape[1] == n, "nullspace dimension disagrees with model dimension"
+    proj = null @ null.conj().T
+    accepted = []
+    for j in range(m * d):
+        v = proj[:, j].copy()
+        for _ in range(2):
+            for u in accepted:
+                v -= u * np.vdot(u, v)
+        nv = np.linalg.norm(v)
+        if nv > 1e-7:
+            accepted.append(v / nv)
+    assert len(accepted) == n, f"found {len(accepted)} directions, expected {n}"
+    return fix_column_phases_loop(np.column_stack(accepted))
+
+
+def array_to_json_recursive(a):
+    """Nested row-major lists with [re, im] leaves, one call per scalar."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim == 0:
+        z = complex(a[()])
+        return [float(z.real), float(z.imag)]
+    return [array_to_json_recursive(sub) for sub in a]

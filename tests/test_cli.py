@@ -47,6 +47,17 @@ def test_inner_check_rejects_non_inner_file(tmp_path, capsys):
     assert json.loads(out)["verdict"] is False
 
 
+def test_inner_check_reports_a_non_pure_potapov_product(tmp_path, capsys):
+    # one factor diag(1, 0) gives Theta = diag(z, 1): inner, but Theta(0) has norm 1
+    doc = {"kind": "potapov", "factors": [serialize.matrix_to_json(np.diag([1.0, 0.0]))]}
+    serialize.dump_json_file(tmp_path / "inner.json", doc)
+    code, out, err = run(capsys, "inner", "check", "--theta", str(tmp_path / "inner.json"))
+    report = json.loads(out)
+    assert code == 1 and err == ""
+    assert report["verdict"] is False and report["analytic"] is True
+    assert report["inner_residual"] <= 1e-12 and abs(report["purity_margin"]) <= 1e-12
+
+
 def test_space_basis_reports_dimensions(capsys):
     code, out, _ = run(capsys, "space", "basis", "--theta", "FIX3")
     doc = json.loads(out)
@@ -96,6 +107,37 @@ def test_op_file_from_other_basis_is_refused(tmp_path, capsys):
     serialize.dump_json_file(op_path, doc)
     code, _, err = run(capsys, "op", "test", "--theta", "FIX3", "--op", str(op_path))
     assert code == 2 and json.loads(err)["error"] == "E_PARSE"
+
+
+def _op_file_with_id(tmp_path, basis_id):
+    doc = build(ModelSpaceBasis(fixture("FIX3")), MatLaurent.identity(2)).to_json()
+    doc["basis_id"] = basis_id
+    op_path = tmp_path / "op.json"
+    serialize.dump_json_file(op_path, doc)
+    return str(op_path)
+
+
+def test_op_file_with_a_current_id_is_read(tmp_path, capsys):
+    basis_id = ModelSpaceBasis(fixture("FIX3")).basis_id
+    assert basis_id.startswith("v2-")
+    code, out, _ = run(capsys, "op", "test", "--theta", "FIX3", "--op", _op_file_with_id(tmp_path, basis_id))
+    assert code == 0 and json.loads(out)["verdict"]
+
+
+@pytest.mark.parametrize("command", ["test", "recover"])
+def test_op_file_with_an_unprefixed_id_is_refused(tmp_path, capsys, command):
+    # the form of the ids before v2: 16 hex digits of a hash of float reprs
+    code, out, err = run(capsys, "op", command, "--theta", "FIX3", "--op", _op_file_with_id(tmp_path, "3f2a9c0d1b7e4a55"))
+    _assert_parse_error(code, out, err)
+    message = json.loads(err)["message"]
+    assert "v2" in message and "rebuild" in message
+
+
+def test_op_file_with_a_wrong_v2_id_is_refused(tmp_path, capsys):
+    wrong = "v2-" + "0" * 16
+    code, out, err = run(capsys, "op", "test", "--theta", "FIX3", "--op", _op_file_with_id(tmp_path, wrong))
+    _assert_parse_error(code, out, err)
+    assert wrong in json.loads(err)["message"]
 
 
 def test_tol_flag_and_env_are_honored(tmp_path, capsys, monkeypatch):

@@ -6,9 +6,11 @@ import pytest
 
 from mttokit import serialize
 from mttokit.errors import ParseError
-from mttokit.fixtures import fixture
+from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent
-from mttokit.model_space import inner_from_json
+from mttokit.model_space import ModelSpaceBasis, inner_from_json
+
+from basis_oracles import array_to_json_recursive
 
 AWKWARD = [0.1, 1.0 / 3.0, 1e-300, 1e300, 123456789.123456789, -2.5e-17, math.pi]
 
@@ -17,21 +19,21 @@ def test_complex_round_trip_is_bit_exact():
     for re in AWKWARD:
         for im in (0.0, -re, re / 7.0):
             z = complex(re, im)
-            wire = json.loads(json.dumps(serialize.complex_to_json(z)))
-            back = serialize.json_to_complex(wire)
-            assert back.real == z.real and back.imag == z.imag
+            wire = json.loads(json.dumps(serialize.array_to_json(z)))
+            back = serialize.json_to_array(wire, 0)
+            assert back.shape == () and back.real == z.real and back.imag == z.imag
 
 
 def test_negative_zero_survives():
-    wire = json.loads(json.dumps(serialize.complex_to_json(complex(-0.0, 0.0))))
-    back = serialize.json_to_complex(wire)
+    wire = json.loads(json.dumps(serialize.array_to_json(complex(-0.0, 0.0))))
+    back = serialize.json_to_array(wire, 0)
     assert np.signbit(back.real) and not np.signbit(back.imag)
 
 
-def test_json_to_complex_rejects_garbage():
+def test_json_to_array_rejects_a_bad_scalar_pair():
     for bad in ([1.0], [1.0, 2.0, 3.0], "x", {"re": 1}):
         with pytest.raises(ParseError):
-            serialize.json_to_complex(bad)
+            serialize.json_to_array(bad, 0)
 
 
 def test_canonical_json_is_sorted_and_compact():
@@ -39,13 +41,6 @@ def test_canonical_json_is_sorted_and_compact():
     assert text == '{"a":[1.5,{"k":2,"z":0}],"b":1}'
     with pytest.raises(ValueError):
         serialize.canonical_json({"x": float("nan")})
-
-
-def test_stable_hash_properties():
-    h = serialize.stable_hash({"a": 1})
-    assert len(h) == 16 and int(h, 16) >= 0
-    assert h == serialize.stable_hash({"a": 1})
-    assert h != serialize.stable_hash({"a": 2})
 
 
 def test_array_round_trip():
@@ -95,7 +90,7 @@ def test_inner_function_round_trip_both_kinds():
 
 def test_file_round_trip(tmp_path):
     path = tmp_path / "doc.json"
-    doc = {"z": serialize.complex_to_json(0.1 + 0.2j), "n": 3}
+    doc = {"z": serialize.array_to_json(0.1 + 0.2j), "n": 3}
     serialize.dump_json_file(path, doc)
     text = path.read_text()
     assert text.endswith("\n") and '"n": 3' in text
@@ -124,3 +119,93 @@ def test_readers_refuse_an_unknown_schema_version(version):
         inner_from_json(doc)
     with pytest.raises(ParseError, match="schema_version"):
         serialize.json_to_mat_laurent(sym)
+
+
+# Floats whose repr is easy to get wrong: signed zeros, a subnormal, the
+# extremes, and integer-valued floats (which must stay floats: "3.0").
+SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e308, -1e308, 3.0, -2.0, 1e16, 2.0**53 + 2.0]
+
+
+def _special_arrays():
+    rng = np.random.default_rng(7)
+    values = np.array(SPECIAL)
+    for shape in ((), (), (5,), (3, 4), (2, 3, 2)):
+        a = np.empty(shape, dtype=np.complex128)
+        a.real, a.imag = rng.choice(values, size=shape), rng.choice(values, size=shape)
+        yield a
+
+
+@pytest.mark.parametrize("a", list(_special_arrays()), ids=lambda a: f"ndim{a.ndim}")
+def test_array_to_json_bytes_equal_the_recursive_encoder(a):
+    got = serialize.array_to_json(a)
+    want = array_to_json_recursive(a)
+    assert json.dumps(got) == json.dumps(want)
+    assert serialize.canonical_json(got) == serialize.canonical_json(want)
+
+
+@pytest.mark.parametrize("a", list(_special_arrays()), ids=lambda a: f"ndim{a.ndim}")
+def test_json_to_array_round_trips_bit_exactly(a):
+    back = serialize.json_to_array(json.loads(json.dumps(serialize.array_to_json(a))), a.ndim)
+    assert back.dtype == np.complex128 and back.shape == a.shape
+    assert back.tobytes() == np.asarray(a, dtype=np.complex128).tobytes()
+
+
+@pytest.mark.parametrize(
+    "obj, ndim",
+    [
+        ([True, 0.0], 0),
+        ([[1.0, 0.0], [0.0, False]], 1),
+        (["1.0", 0.0], 0),
+        ([[1.0, 0.0], [None, 0.0]], 1),
+        ([10**400, 0.0], 0),
+        ([[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]], 2),  # ragged rows
+        ([[1.0, 0.0], [2.0]], 1),  # ragged pairs
+        ([[1.0, 0.0], [2.0, 0.0]], 2),  # too shallow
+        ([[[1.0, 0.0]]], 1),  # too deep
+        ([], 1),  # empty level
+        ([[]], 2),
+        ([[[1.0, 0.0]], []], 2),
+    ],
+)
+def test_json_to_array_refusals(obj, ndim):
+    with pytest.raises(ParseError):
+        serialize.json_to_array(obj, ndim)
+
+
+def _theta_and_q(seed=5):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    q = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    return MatLaurent(0, c), q
+
+
+def test_basis_id_is_versioned_and_deterministic():
+    theta, q = _theta_and_q()
+    bid = serialize.basis_id(theta, q)
+    assert bid.startswith("v2-") and len(bid) == 19 and int(bid[3:], 16) >= 0
+    assert bid == serialize.basis_id(MatLaurent(0, theta.coeffs.copy()), q.copy())
+    for name in FIXTURE_NAMES:
+        assert ModelSpaceBasis(fixture(name)).basis_id == ModelSpaceBasis(fixture(name)).basis_id
+
+
+def test_basis_id_sees_one_ulp_of_theta_and_of_q():
+    theta, q = _theta_and_q()
+    bid = serialize.basis_id(theta, q)
+    c = theta.coeffs.copy()
+    c[1, 0, 1] = complex(np.nextafter(c[1, 0, 1].real, np.inf), c[1, 0, 1].imag)
+    assert serialize.basis_id(MatLaurent(0, c), q) != bid
+    q2 = q.copy()
+    q2[3, 2] = complex(q2[3, 2].real, np.nextafter(q2[3, 2].imag, -np.inf))
+    assert serialize.basis_id(theta, q2) != bid
+
+
+def test_basis_id_sees_the_shape_behind_equal_bytes():
+    theta, q = _theta_and_q()
+    bid = serialize.basis_id(theta, q)
+    shifted = MatLaurent(1, theta.coeffs)  # same coefficient bytes, lo 1
+    scalar = MatLaurent(0, theta.coeffs.reshape(8, 1, 1))  # same bytes, d 1
+    assert shifted.coeffs.tobytes() == scalar.coeffs.tobytes() == theta.coeffs.tobytes()
+    ids = {bid, serialize.basis_id(shifted, q), serialize.basis_id(scalar, q)}
+    assert len(ids) == 3
+    # the same bytes of Q read as 4 x 3 or as 6 x 2
+    assert serialize.basis_id(theta, q.reshape(6, 2)) != bid
