@@ -94,15 +94,17 @@ def _candidate_theta(source: str):
 
 
 def _cmd_inner_check(args) -> int:
+    """Verdict on a candidate Theta.  A non-analytic one has neither an
+    inner residual nor a purity margin: both are null, the verdict false."""
     candidate = _candidate_theta(args.theta)
-    residual = inner_residual(candidate) if candidate.lo >= 0 else float("inf")
-    margin = purity_margin(candidate)
-    ok = is_inner(candidate) and is_pure(candidate)
+    analytic = candidate.lo >= 0
+    residual = inner_residual(candidate) if analytic else float("inf")
+    ok = analytic and is_inner(candidate) and is_pure(candidate)
     _emit(
         {
             "inner_residual": residual if np.isfinite(residual) else None,
-            "analytic": candidate.lo >= 0,
-            "purity_margin": margin,
+            "analytic": analytic,
+            "purity_margin": purity_margin(candidate) if analytic else None,
             "verdict": bool(ok),
         },
         args.out,

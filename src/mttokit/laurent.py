@@ -205,18 +205,6 @@ def l2_inner(f: VecLaurent, g: VecLaurent) -> complex:
     return complex(total)
 
 
-def hs_inner(f: MatLaurent, g: MatLaurent) -> complex:
-    """Hilbert-Schmidt-valued L^2 pairing: sum of trace(G_k* F_k)."""
-    if f.dim != g.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    lo = max(f.lo, g.lo)
-    hi = min(f.hi, g.hi)
-    total = 0.0 + 0.0j
-    for k in range(lo, hi + 1):
-        total += np.trace(g.coeff(k).conj().T @ f.coeff(k))
-    return complex(total)
-
-
 def analytic_split(f: MatLaurent):
     """Write F = F_plus + (F_star)* with F_plus, F_star both analytic.
 

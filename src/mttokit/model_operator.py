@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import IdentityCheckError, NotGammaSymmetricError, NotUnitaryError
 from .laurent import MatLaurent, VecLaurent, multiply
-from .model_space import ModelSpaceBasis, kernel, kernel_frame, tilde_kernel, tilde_kernel_frame
+from .model_space import ModelSpaceBasis, kernel_frame, tilde_kernel_frame
 from .numerics import CHECK_TOL, RANK_CUT, REL, complement_basis, opnorm, orthonormal_basis, projector, rank, require_finite
 
 
@@ -53,11 +53,6 @@ class OperatorMatrix:
 
 def matrix_of(a) -> np.ndarray:
     return a.mat if isinstance(a, OperatorMatrix) else np.asarray(a, dtype=np.complex128)
-
-
-def _backshift(f: VecLaurent) -> VecLaurent:
-    """(f - f(0)) / z for analytic f."""
-    return (f - VecLaurent.constant(f.coeff(0))).shift(-1)
 
 
 def _frozen(*arrays):
@@ -149,61 +144,47 @@ def eval0_matrix(basis: ModelSpaceBasis) -> np.ndarray:
     return basis.q[: basis.inner.d, :]
 
 
-def action_check(basis: ModelSpaceBasis) -> dict:
-    """Exercise the closed-form action of the shift pair on the defect
-    decomposition and the containments between the pieces."""
-    inner = basis.inner
-    d = inner.d
-    s, s_adj = s_theta(basis)
-    ds = defect_spaces(basis)
-    comp_d, comp_dt = ds.comp_d, ds.comp_dt
-    theta0 = inner.theta.coeff(0)
-    eye = np.eye(d)
-    checks = []
+def _worst_column(r: np.ndarray) -> float:
+    """Largest column norm of a residual matrix; 0 when it has no columns."""
+    return float(np.linalg.norm(r, axis=0).max(initial=0.0))
 
-    def record(name, residual):
-        checks.append({"name": name, "residual": float(residual)})
 
-    worst = 0.0
-    for j in range(comp_dt.shape[1]):
-        f = basis.from_coords(comp_dt[:, j])
-        sf = basis.from_coords(s.mat @ comp_dt[:, j])
-        worst = max(worst, (f.shift(1) - sf).norm())
-    record("shift acts as multiplication off the second defect space", worst)
-
-    worst = 0.0
-    for i in range(d):
-        lhs = s.mat @ ds.dt_frame[:, i]
-        rhs = -basis.coords(kernel(basis, 0.0, theta0 @ eye[:, i]))
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    record("shift sends difference-quotient directions into the first defect space", worst)
-
-    worst = 0.0
-    for j in range(comp_d.shape[1]):
-        f = basis.from_coords(comp_d[:, j])
-        bf = basis.from_coords(s_adj.mat @ comp_d[:, j])
-        worst = max(worst, (_backshift(f) - bf).norm())
-        worst = max(worst, float(np.linalg.norm(f.coeff(0))))  # those f vanish at 0
-    record("adjoint shift divides by z off the first defect space", worst)
-
-    worst = 0.0
-    for i in range(d):
-        lhs = s_adj.mat @ ds.d_frame[:, i]
-        rhs = -basis.coords(tilde_kernel(basis, 0.0, theta0.conj().T @ eye[:, i]))
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    record("adjoint shift sends kernel directions into the second defect space", worst)
-
-    record("shift maps second defect space into first", opnorm(ds.p_d_perp @ s.mat @ ds.p_dt))
-    record("shift maps second complement into first complement", opnorm(ds.p_d @ s.mat @ ds.p_dt_perp))
-    record("adjoint shift maps first defect space into second", opnorm(ds.p_dt_perp @ s_adj.mat @ ds.p_d))
-    record("adjoint shift maps first complement into second complement", opnorm(ds.p_dt @ s_adj.mat @ ds.p_d_perp))
-    record(
-        "defect operator is evaluation at zero followed by the kernel frame",
-        opnorm(ds.g - ds.d_frame @ eval0_matrix(basis)),
-    )
-
+def _report(residuals: dict) -> dict:
+    """Named residuals, the worst of them and its verdict against CHECK_TOL."""
+    checks = [{"name": name, "residual": float(r)} for name, r in residuals.items()]
     max_residual = max(c["residual"] for c in checks)
     return {"checks": checks, "max_residual": max_residual, "pass": max_residual <= CHECK_TOL}
+
+
+def action_check(basis: ModelSpaceBasis) -> dict:
+    """Exercise the closed-form action of the shift pair on the defect
+    decomposition and the containments between the pieces, each identity
+    as one residual over the window matrix Q of the whole basis: z f stacks
+    a zero block over Q, (f - f(0)) / z drops block 0 of Q and appends a
+    zero block, and the kernels at the origin are the frames K0 and K0~."""
+    d, q = basis.inner.d, basis.q
+    s, s_adj = s_theta(basis)
+    ds = defect_spaces(basis)
+    theta0 = basis.inner.theta.coeff(0)
+    pad = np.zeros((d, basis.n))
+    mult_z = np.vstack([pad, q]) - np.vstack([q @ s.mat, pad])  # z f - S f, one block longer
+    div_z = np.vstack([q[d:], pad]) - q @ s_adj.mat  # (f - f(0)) / z - S* f
+    at_zero = eval0_matrix(basis) @ ds.comp_d  # those f vanish at 0
+    return _report({
+        "shift acts as multiplication off the second defect space": _worst_column(mult_z @ ds.comp_dt),
+        "shift sends difference-quotient directions into the first defect space":
+            _worst_column(s.mat @ ds.dt_frame + ds.d_frame @ theta0),
+        "adjoint shift divides by z off the first defect space":
+            max(_worst_column(div_z @ ds.comp_d), _worst_column(at_zero)),
+        "adjoint shift sends kernel directions into the second defect space":
+            _worst_column(s_adj.mat @ ds.d_frame + ds.dt_frame @ theta0.conj().T),
+        "shift maps second defect space into first": opnorm(ds.p_d_perp @ s.mat @ ds.p_dt),
+        "shift maps second complement into first complement": opnorm(ds.p_d @ s.mat @ ds.p_dt_perp),
+        "adjoint shift maps first defect space into second": opnorm(ds.p_dt_perp @ s_adj.mat @ ds.p_d),
+        "adjoint shift maps first complement into second complement": opnorm(ds.p_dt @ s_adj.mat @ ds.p_d_perp),
+        "defect operator is evaluation at zero followed by the kernel frame":
+            opnorm(ds.g - ds.d_frame @ eval0_matrix(basis)),
+    })
 
 
 def omega(basis: ModelSpaceBasis, frame: np.ndarray) -> np.ndarray:
@@ -325,39 +306,30 @@ def c_symmetric(basis: ModelSpaceBasis, gamma: Conjugation, a):
 
 
 def kernel_recurrence_check(basis: ModelSpaceBasis, count: int = 20, seed: int = 0) -> dict:
-    """Sample the shift recurrences satisfied by the two kernel families."""
+    """Sample the shift recurrences of the two kernel frames at `count`
+    points of the disk, each on the whole frame:
+    S K_lam = (K_lam - K_0) / conj(lam) and S K~_lam = lam K~_lam - K_0 Theta(lam).
+    At the removable point lam = 0 the first one is S Q* W = Q* Z W for the
+    closed-form kernel W = I - Theta(z) Theta(0)* on the window (the
+    projected frame K_0 would satisfy it by construction)."""
     inner = basis.inner
-    d = inner.d
+    d, m, q = inner.d, inner.m, basis.q
     rng = np.random.default_rng(seed)
     s, _ = s_theta(basis)
-    eye = np.eye(d)
     k0 = kernel_frame(basis, 0.0)
-    worst_k = worst_kt = worst_op = 0.0
+    worst_k = worst_kt = 0.0
     for _ in range(count):
         lam = 0.0
         while abs(lam) < 1e-3:  # keep away from the removable point
             lam = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * 0.6
-        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        y = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        lb = np.conj(lam)
-        ck = basis.coords(kernel(basis, lam, x))
-        ck0 = basis.coords(kernel(basis, 0.0, x))
-        worst_k = max(worst_k, float(np.linalg.norm(s.mat @ ck - (ck - ck0) / lb)))
-        ckt = basis.coords(tilde_kernel(basis, lam, y))
-        ck0ty = basis.coords(kernel(basis, 0.0, inner.evaluate(lam) @ y))
-        worst_kt = max(worst_kt, float(np.linalg.norm(s.mat @ ckt - (lam * ckt - ck0ty))))
-        klam = kernel_frame(basis, lam)
-        worst_op = max(worst_op, float(np.linalg.norm(s.mat @ klam - (klam - k0) / lb)))
-    # removable point: the recurrence degenerates to the definition of S
-    worst_zero = 0.0
-    for i in range(d):
-        f = kernel(basis, 0.0, eye[:, i])
-        worst_zero = max(worst_zero, float(np.linalg.norm(s.mat @ basis.coords(f) - basis.coords(f.shift(1)))))
-    checks = [
-        {"name": "kernel family recurrence", "residual": worst_k},
-        {"name": "difference-quotient family recurrence", "residual": worst_kt},
-        {"name": "kernel frame recurrence (matrix form)", "residual": worst_op},
-        {"name": "origin limit via direct shift", "residual": worst_zero},
-    ]
-    max_residual = max(c["residual"] for c in checks)
-    return {"checks": checks, "max_residual": max_residual, "pass": max_residual <= CHECK_TOL}
+        klam, tlam = kernel_frame(basis, lam), tilde_kernel_frame(basis, lam)
+        worst_k = max(worst_k, _worst_column(s.mat @ klam - (klam - k0) / np.conj(lam)))
+        worst_kt = max(worst_kt, _worst_column(s.mat @ tlam - (lam * tlam - k0 @ inner.evaluate(lam))))
+    theta_window = np.vstack([inner.theta.coeff(k) for k in range(m)])  # Theta_0, ..., Theta_{m-1}
+    w = np.eye(m * d, d) - theta_window @ inner.theta.coeff(0).conj().T
+    origin = s.mat @ q.conj().T @ w - q[d:].conj().T @ w[:-d]  # S Q* W - Q* Z W
+    return _report({
+        "kernel frame recurrence": worst_k,
+        "difference-quotient frame recurrence": worst_kt,
+        "origin limit via direct shift": _worst_column(origin),
+    })

@@ -31,7 +31,7 @@ from .laurent import (
     multiply,
     tilde,
 )
-from .numerics import INNER_TOL, block_toeplitz, fix_column_phases, nullspace, rank
+from .numerics import INNER_TOL, block_toeplitz, fix_column_phases, nullspace
 
 DET_CUT = 1e-8  # det_degree: coefficients up to DET_CUT * max(1, largest) count as zero
 
@@ -167,6 +167,8 @@ def theta_from_json(obj):
             u = serialize.json_to_matrix(obj["left_unitary"]) if obj.get("left_unitary") is not None else None
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad potapov payload: {exc}") from exc
+        if not factors:
+            raise ParseError("potapov payload needs at least one factor")
         return potapov_product(factors, u)
     if kind == "coeffs":
         if "laurent" not in obj:
@@ -376,31 +378,3 @@ def tau_adjoint_apply(theta, f: VecLaurent) -> VecLaurent:
     th = _theta_of(theta)
     return multiply(th, f.reverse()).shift(-1)
 
-
-class SymbolSpaceBasis:
-    """Orthonormal basis of the analytic matrix symbols orthogonal to
-    Theta H^2 of matrices: the functions whose columns all lie in the
-    model space.  Elements place one model-space basis function in one
-    column slot, so there are n*d of them."""
-
-    def __init__(self, basis: ModelSpaceBasis):
-        self.basis = basis
-        inner = basis.inner
-        d, m, n = inner.d, inner.m, inner.n
-        self.elements = []
-        for slot in range(d):
-            for j in range(n):
-                coeffs = np.zeros((m, d, d), dtype=np.complex128)
-                coeffs[:, :, slot] = basis.q[:, j].reshape(m, d)
-                self.elements.append(MatLaurent(0, coeffs))
-
-    def __len__(self):
-        return len(self.elements)
-
-
-def symbol_space_dim_bruteforce(basis: ModelSpaceBasis) -> int:
-    """Dimension of the symbol space found by brute force: nullity of the
-    analytic-part constraint on matrix polynomials of degree < m."""
-    theta, m, eye = basis.inner.theta, basis.inner.m, np.eye(basis.inner.d)
-    c = block_toeplitz(lambda t: np.kron(theta.coeff(-t).conj().T, eye), m, m)
-    return c.shape[1] - rank(c, scale=1.0)

@@ -86,12 +86,20 @@ def laurent_to_json(f) -> dict:
     return {"dim": f.dim, "lo": f.lo, "coeffs": array_to_json(f.coeffs)}
 
 
+def _json_int(obj, key: str) -> int:
+    """An integer field; booleans and floats (0.7, 1e400) are refused."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ParseError(f"field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def json_to_mat_laurent(obj) -> MatLaurent:
     check_schema_version(obj)
     try:
         coeffs = json_to_array(obj["coeffs"], 3)
-        f = MatLaurent(int(obj["lo"]), coeffs)
-        dim = int(obj["dim"])
+        f = MatLaurent(_json_int(obj, "lo"), coeffs)
+        dim = _json_int(obj, "dim")
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

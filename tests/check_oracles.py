@@ -1,0 +1,69 @@
+"""Earlier implementation of the shift-action check, kept as a test reference.
+
+`model_operator.action_check` states each identity as one residual over
+the window matrix of the whole basis.  The function below tests the same
+identities the direct way: one column at a time, through Laurent objects
+and the closed-form kernels, taking the worst column norm.
+"""
+
+import numpy as np
+
+from mttokit.laurent import VecLaurent
+from mttokit.model_operator import defect_spaces, eval0_matrix, s_theta
+from mttokit.model_space import kernel, tilde_kernel
+from mttokit.numerics import opnorm
+
+
+def _backshift(f: VecLaurent) -> VecLaurent:
+    """(f - f(0)) / z for analytic f."""
+    return (f - VecLaurent.constant(f.coeff(0))).shift(-1)
+
+
+def action_check_loop(basis) -> dict:
+    """Name -> residual for the nine identities of `action_check`."""
+    inner = basis.inner
+    d = inner.d
+    s, s_adj = s_theta(basis)
+    ds = defect_spaces(basis)
+    comp_d, comp_dt = ds.comp_d, ds.comp_dt
+    theta0 = inner.theta.coeff(0)
+    eye = np.eye(d)
+    checks = {}
+
+    worst = 0.0
+    for j in range(comp_dt.shape[1]):
+        f = basis.from_coords(comp_dt[:, j])
+        sf = basis.from_coords(s.mat @ comp_dt[:, j])
+        worst = max(worst, (f.shift(1) - sf).norm())
+    checks["shift acts as multiplication off the second defect space"] = worst
+
+    worst = 0.0
+    for i in range(d):
+        lhs = s.mat @ ds.dt_frame[:, i]
+        rhs = -basis.coords(kernel(basis, 0.0, theta0 @ eye[:, i]))
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    checks["shift sends difference-quotient directions into the first defect space"] = worst
+
+    worst = 0.0
+    for j in range(comp_d.shape[1]):
+        f = basis.from_coords(comp_d[:, j])
+        bf = basis.from_coords(s_adj.mat @ comp_d[:, j])
+        worst = max(worst, (_backshift(f) - bf).norm())
+        worst = max(worst, float(np.linalg.norm(f.coeff(0))))  # those f vanish at 0
+    checks["adjoint shift divides by z off the first defect space"] = worst
+
+    worst = 0.0
+    for i in range(d):
+        lhs = s_adj.mat @ ds.d_frame[:, i]
+        rhs = -basis.coords(tilde_kernel(basis, 0.0, theta0.conj().T @ eye[:, i]))
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    checks["adjoint shift sends kernel directions into the second defect space"] = worst
+
+    checks["shift maps second defect space into first"] = opnorm(ds.p_d_perp @ s.mat @ ds.p_dt)
+    checks["shift maps second complement into first complement"] = opnorm(ds.p_d @ s.mat @ ds.p_dt_perp)
+    checks["adjoint shift maps first defect space into second"] = opnorm(ds.p_dt_perp @ s_adj.mat @ ds.p_d)
+    checks["adjoint shift maps first complement into second complement"] = opnorm(ds.p_dt @ s_adj.mat @ ds.p_d_perp)
+    checks["defect operator is evaluation at zero followed by the kernel frame"] = opnorm(
+        ds.g - ds.d_frame @ eval0_matrix(basis)
+    )
+    return checks

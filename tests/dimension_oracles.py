@@ -1,14 +1,19 @@
-"""Brute-force matrices of the operator class, kept as test references.
+"""Brute-force matrices of the operator class and of the symbol space,
+kept as test references.
 
 `mtto_dimension` counts the class from measured ranks of n x n and n x d
 data.  The two maps below count it by SVD instead: the symbol-pair map
 (n^2 x 2nd, its rank) and the Stein constraint (n^2 x n^2, its nullity,
 O(n^6)).  The recovery tests also use the pair map as the least-squares
-reference for recover_symbol.
+reference for recover_symbol.  The symbol space (analytic matrix symbols
+whose columns all lie in the model space) has an explicit basis and a
+brute-force dimension count, and `hs_inner` pairs its elements.
 """
 
 import numpy as np
 
+from mttokit.errors import DimensionMismatchError
+from mttokit.laurent import MatLaurent
 from mttokit.model_operator import defect_spaces, s_theta
 from mttokit.numerics import block_toeplitz, rank
 
@@ -45,3 +50,44 @@ def svd_counts(basis) -> tuple[int, int]:
     the Stein constraint."""
     n = basis.n
     return rank(symbol_pair_map(basis), scale=1.0), n * n - rank(stein_constraint(basis), scale=1.0)
+
+
+def hs_inner(f: MatLaurent, g: MatLaurent) -> complex:
+    """Hilbert-Schmidt-valued L^2 pairing: sum of trace(G_k* F_k)."""
+    if f.dim != g.dim:
+        raise DimensionMismatchError(f"dimension mismatch: {f.dim} vs {g.dim}")
+    lo = max(f.lo, g.lo)
+    hi = min(f.hi, g.hi)
+    total = 0.0 + 0.0j
+    for k in range(lo, hi + 1):
+        total += np.trace(g.coeff(k).conj().T @ f.coeff(k))
+    return complex(total)
+
+
+class SymbolSpaceBasis:
+    """Orthonormal basis of the analytic matrix symbols orthogonal to
+    Theta H^2 of matrices: the functions whose columns all lie in the
+    model space.  Elements place one model-space basis function in one
+    column slot, so there are n*d of them."""
+
+    def __init__(self, basis):
+        self.basis = basis
+        inner = basis.inner
+        d, m, n = inner.d, inner.m, inner.n
+        self.elements = []
+        for slot in range(d):
+            for j in range(n):
+                coeffs = np.zeros((m, d, d), dtype=np.complex128)
+                coeffs[:, :, slot] = basis.q[:, j].reshape(m, d)
+                self.elements.append(MatLaurent(0, coeffs))
+
+    def __len__(self):
+        return len(self.elements)
+
+
+def symbol_space_dim_bruteforce(basis) -> int:
+    """Dimension of the symbol space found by brute force: nullity of the
+    analytic-part constraint on matrix polynomials of degree < m."""
+    theta, m, eye = basis.inner.theta, basis.inner.m, np.eye(basis.inner.d)
+    c = block_toeplitz(lambda t: np.kron(theta.coeff(-t).conj().T, eye), m, m)
+    return c.shape[1] - rank(c, scale=1.0)

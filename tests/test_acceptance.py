@@ -24,7 +24,7 @@ from mttokit.model_operator import (
     defect_spaces,
     s_theta,
 )
-from mttokit.model_space import ModelSpaceBasis, SymbolSpaceBasis, kernel, make_inner_potapov
+from mttokit.model_space import ModelSpaceBasis, kernel, make_inner_potapov
 from mttokit.mtto import (
     build,
     commutant_factor,
@@ -45,6 +45,8 @@ from mttokit.randgen import (
 )
 from mttokit.serialize import canonical_json
 from mttokit.suite import SuiteConfig, run_suite
+
+from dimension_oracles import SymbolSpaceBasis
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str):

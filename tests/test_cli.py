@@ -58,6 +58,14 @@ def test_inner_check_reports_a_non_pure_potapov_product(tmp_path, capsys):
     assert report["inner_residual"] <= 1e-12 and abs(report["purity_margin"]) <= 1e-12
 
 
+def test_inner_check_reports_a_non_analytic_theta(tmp_path, capsys):
+    doc = {"kind": "coeffs", "laurent": serialize.laurent_to_json(MatLaurent(-1, 0.5 * np.ones((2, 1, 1))))}
+    serialize.dump_json_file(tmp_path / "inner.json", doc)
+    code, out, err = run(capsys, "inner", "check", "--theta", str(tmp_path / "inner.json"))
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"analytic": False, "inner_residual": None, "purity_margin": None, "verdict": False}
+
+
 def test_space_basis_reports_dimensions(capsys):
     code, out, _ = run(capsys, "space", "basis", "--theta", "FIX3")
     doc = json.loads(out)
@@ -311,6 +319,29 @@ def test_symbol_without_dim_exits_2(tmp_path, capsys):
     path = tmp_path / "sym.json"
     serialize.dump_json_file(path, doc)
     _assert_parse_error(*run(capsys, "op", "build", "--theta", "FIX3", "--symbol", str(path)))
+
+
+@pytest.mark.parametrize("bad", ["true", "0.7", "1e400"])
+@pytest.mark.parametrize("field", ["lo", "dim"])
+@pytest.mark.parametrize("kind", ["symbol", "theta"])
+def test_non_integer_laurent_field_exits_2(tmp_path, capsys, kind, field, bad):
+    laurent = serialize.laurent_to_json(fixture("FIX3").theta if kind == "theta" else MatLaurent.identity(2))
+    laurent[field] = 987654321
+    doc = {"kind": "coeffs", "laurent": laurent} if kind == "theta" else laurent
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc).replace("987654321", bad))
+    if kind == "theta":
+        argv = ("dim", "--theta", str(path))
+    else:
+        argv = ("op", "build", "--theta", "FIX3", "--symbol", str(path))
+    code, out, err = run(capsys, *argv)
+    _assert_parse_error(code, out, err)
+    assert field in json.loads(err)["message"]
+
+
+def test_potapov_payload_without_factors_exits_2(tmp_path, capsys):
+    serialize.dump_json_file(tmp_path / "inner.json", {"kind": "potapov", "factors": []})
+    _assert_parse_error(*run(capsys, "dim", "--theta", str(tmp_path / "inner.json")))
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400])

@@ -7,7 +7,6 @@ from mttokit.laurent import (
     analytic_split,
     boundary_adjoint,
     evaluate,
-    hs_inner,
     inner_residual,
     is_inner,
     is_pure,
@@ -15,6 +14,8 @@ from mttokit.laurent import (
     multiply,
     tilde,
 )
+
+from dimension_oracles import hs_inner
 
 
 def _rand_mat_laurent(d, lo, hi, rng):

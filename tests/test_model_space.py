@@ -11,20 +11,20 @@ from mttokit.errors import (
     NotUnitaryError,
 )
 from mttokit.fixtures import fix1, fix2, fix3, fix4, fix5, fixture
-from mttokit.laurent import MatLaurent, VecLaurent, hs_inner, l2_inner, multiply
+from mttokit.laurent import MatLaurent, VecLaurent, l2_inner, multiply
 from mttokit.model_space import (
     InnerFunction,
     ModelSpaceBasis,
-    SymbolSpaceBasis,
     det_degree,
     kernel,
     make_inner_potapov,
-    symbol_space_dim_bruteforce,
     tau_adjoint_apply,
     tau_apply,
     tilde_kernel,
 )
 from mttokit.randgen import haar_unitary, random_inner, random_projection
+
+from dimension_oracles import SymbolSpaceBasis, hs_inner, symbol_space_dim_bruteforce
 
 EXPECTED_SHAPE = {
     "FIX1": (1, 1, 1),

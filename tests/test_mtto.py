@@ -7,7 +7,6 @@ from mttokit.laurent import MatLaurent, VecLaurent, boundary_adjoint, evaluate, 
 from mttokit.model_operator import defect_spaces, s_theta
 from mttokit.model_space import (
     ModelSpaceBasis,
-    SymbolSpaceBasis,
     kernel,
     make_inner_potapov,
     tilde_kernel,
@@ -30,6 +29,8 @@ from mttokit.mtto import (
 )
 from mttokit.numerics import opnorm, rank
 from mttokit.randgen import random_inner
+
+from dimension_oracles import SymbolSpaceBasis
 
 
 def _basis(name):

@@ -13,11 +13,11 @@ import pytest
 from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import VecLaurent, boundary_adjoint, multiply
 from mttokit.model_operator import defect_spaces, j_operators, s_theta
-from mttokit.model_space import ModelSpaceBasis, SymbolSpaceBasis
+from mttokit.model_space import ModelSpaceBasis
 from mttokit.mtto import build, semi_commutator_left_factor
 from mttokit.randgen import random_inner, random_symbol
 
-from dimension_oracles import stein_constraint, symbol_pair_map
+from dimension_oracles import SymbolSpaceBasis, stein_constraint, symbol_pair_map
 
 
 def _spaces():
