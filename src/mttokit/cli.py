@@ -1,17 +1,16 @@
 """Command line front end.
 
-Results go to stdout as JSON; errors go to stderr as one JSON object
-with an `error` code and a `message`.  Exit status 0 means success (and
-a positive verdict where the command decides something), 1 means a
-negative verdict or a domain error, 2 means the input could not be
-used at all.
+Results go to stdout, and errors (an `error` code and a `message`) to
+stderr, as one line of `serialize.canonical_json`.  Exit status 0 means
+success (and a positive verdict where the command decides something), 1
+means a negative verdict or a domain error, 2 means the input could not
+be used at all.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -29,7 +28,7 @@ _TOL_ENV = "MTTO_TOL"
 
 
 def _emit(doc, out_path=None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = serialize.canonical_json(doc) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -38,7 +37,7 @@ def _emit(doc, out_path=None) -> None:
 
 
 def _fail(code: str, message: str, status: int) -> int:
-    sys.stderr.write(json.dumps({"error": code, "message": message}) + "\n")
+    sys.stderr.write(serialize.canonical_json({"error": code, "message": message}) + "\n")
     return status
 
 

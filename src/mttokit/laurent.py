@@ -151,10 +151,10 @@ def multiply(f: MatLaurent, g):
     if f.dim != g.dim:
         raise DimensionMismatchError(f"dimension mismatch: {f.dim} vs {g.dim}")
     nf, ng = f.coeffs.shape[0], g.coeffs.shape[0]
+    prods = np.einsum("iab,kb...->ika...", f.coeffs, g.coeffs)  # prods[i, k] = F_i G_k
     out = np.zeros((nf + ng - 1,) + g.coeffs.shape[1:], dtype=np.complex128)
-    for i in range(nf):
-        blocks = np.einsum("ab,kb...->ka...", f.coeffs[i], g.coeffs)
-        out[i : i + ng] += blocks
+    for i in range(nf):  # in order of i: the summation order fixes the result's bytes
+        out[i : i + ng] += prods[i]
     return type(g)(f.lo + g.lo, out)
 
 
@@ -228,15 +228,20 @@ def analytic_split(f: MatLaurent):
 
 def inner_residual(theta: MatLaurent) -> float:
     """Largest deviation of the coefficient products sum_k A_k* A_{k+j}
-    from delta_{j0} I, i.e. how far Theta*Theta is from the constant I."""
+    from delta_{j0} I, i.e. how far Theta*Theta is from the constant I;
+    inf when that product or its norm overflows."""
     if theta.lo < 0:
         raise ValueError("inner test requires an analytic argument")
-    prod = multiply(boundary_adjoint(theta), theta)
-    worst = 0.0
-    eye = np.eye(theta.dim)
-    for k in range(prod.lo, prod.hi + 1):
-        target = eye if k == 0 else 0.0
-        worst = max(worst, float(np.linalg.norm(prod.coeff(k) - target)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            prod = multiply(boundary_adjoint(theta), theta)
+        except ValueError:  # a coefficient of Theta*Theta overflowed
+            return float("inf")
+        worst = 0.0
+        eye = np.eye(theta.dim)
+        for k in range(prod.lo, prod.hi + 1):
+            target = eye if k == 0 else 0.0
+            worst = max(worst, float(np.linalg.norm(prod.coeff(k) - target)))
     return worst
 
 

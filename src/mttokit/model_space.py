@@ -126,7 +126,9 @@ class InnerFunction:
 def potapov_product(factors, left_unitary=None):
     """Validate the factors of U (I - P_1 + z P_1) ... (I - P_r + z P_r) and
     multiply them out; purity is not checked.  Returns (Theta, (U, [P_1,
-    ...], sum rank P_j)), the ranks read off from the rounded traces."""
+    ...], sum rank P_j)), the ranks read off from the rounded traces.  Factor
+    j turns the blocks H_k of one (r+1, d, d) array into H_k (I - P_j) at k
+    plus H_k P_j at k + 1, contracted and summed as in `multiply`."""
     mats = [np.asarray(p, dtype=np.complex128) for p in factors]
     if not mats:
         raise ValueError("need at least one factor")
@@ -134,17 +136,24 @@ def potapov_product(factors, left_unitary=None):
     u = np.eye(d, dtype=np.complex128) if left_unitary is None else np.asarray(left_unitary, dtype=np.complex128)
     if u.shape != (d, d):
         raise NotUnitaryError(f"left unitary must be {d} x {d}")
-    if np.linalg.norm(u.conj().T @ u - np.eye(d)) > 1e-10:
+    if any(p.shape != (d, d) for p in mats):
+        raise NotProjectionError("factor dimensions disagree")
+    ps, eye = np.stack(mats), np.eye(d)
+    with np.errstate(all="ignore"):  # an overflow leaves an inf or nan residual, refused below
+        unitary = np.linalg.norm(u.conj().T @ u - eye)
+        hermitian = np.linalg.norm(ps - ps.conj().transpose(0, 2, 1), axis=(1, 2))
+        idempotent = np.linalg.norm(ps @ ps - ps, axis=(1, 2))
+    if not unitary <= 1e-10:
         raise NotUnitaryError("left factor is not unitary")
-    theta = MatLaurent.constant(u)
-    eye = np.eye(d)
-    for p in mats:
-        if p.shape != (d, d):
-            raise NotProjectionError("factor dimensions disagree")
-        if np.linalg.norm(p - p.conj().T) > 1e-10 or np.linalg.norm(p @ p - p) > 1e-10:
-            raise NotProjectionError("factor is not an orthogonal projection")
-        theta = multiply(theta, MatLaurent(0, np.stack([eye - p, p])))
-    return theta, (u, mats, sum(int(round(np.trace(p).real)) for p in mats))
+    if not (np.all(hermitian <= 1e-10) and np.all(idempotent <= 1e-10)):
+        raise NotProjectionError("factor is not an orthogonal projection")
+    coeffs = np.zeros((len(mats) + 1, d, d), dtype=np.complex128)
+    coeffs[0] = u
+    for j, p in enumerate(ps, start=1):
+        high = np.einsum("kab,bc->kac", coeffs[:j], p)
+        coeffs[:j] = np.einsum("kab,bc->kac", coeffs[:j], eye - p)
+        coeffs[1 : j + 1] += high
+    return MatLaurent(0, coeffs), (u, mats, sum(int(round(np.trace(p).real)) for p in mats))
 
 
 def make_inner_potapov(factors, left_unitary=None) -> InnerFunction:

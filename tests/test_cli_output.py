@@ -1,0 +1,131 @@
+"""What the command line writes: one line of `serialize.canonical_json` on
+stdout for every subcommand, and on stderr nothing or exactly one
+`{"error", "message"}` line, also for inputs that overflow in numpy.
+
+pytest's warning capture keeps numpy's RuntimeWarnings out of `capsys`,
+so the stderr contract is checked on `python -m mttokit.cli` in a
+subprocess.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mttokit import serialize
+from mttokit.cli import main
+from mttokit.fixtures import FIXTURE_NAMES, fixture
+from mttokit.laurent import MatLaurent
+from mttokit.model_space import ModelSpaceBasis
+from mttokit.mtto import build
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _inputs(tmp_path, name):
+    """Symbol, member operator and zero-symbol files for fixture `name`."""
+    inner = fixture(name)
+    d = inner.d
+    symbol = MatLaurent(-1, np.stack([np.eye(d), 0.5 * np.eye(d), np.eye(d)[::-1]]))
+    paths = {"symbol": tmp_path / "symbol.json", "op": tmp_path / "op.json", "zero": tmp_path / "zero.json"}
+    serialize.dump_json_file(paths["symbol"], serialize.laurent_to_json(symbol))
+    serialize.dump_json_file(paths["op"], build(ModelSpaceBasis(inner), symbol).to_json())
+    serialize.dump_json_file(paths["zero"], serialize.laurent_to_json(inner.theta))
+    return {k: str(v) for k, v in paths.items()}
+
+
+_COMMANDS = {
+    "inner check": ("inner", "check", "--theta", "{theta}"),
+    "space basis": ("space", "basis", "--theta", "{theta}"),
+    "op build": ("op", "build", "--theta", "{theta}", "--symbol", "{symbol}"),
+    "op test": ("op", "test", "--theta", "{theta}", "--op", "{op}"),
+    "op recover": ("op", "recover", "--theta", "{theta}", "--op", "{op}"),
+    "symbol zero-test": ("symbol", "zero-test", "--theta", "{theta}", "--symbol", "{zero}"),
+    "dim": ("dim", "--theta", "{theta}"),
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_stdout_is_one_canonical_json_line(tmp_path, capsys, command, name):
+    argv = [a.format(theta=name, **_inputs(tmp_path, name)) for a in _COMMANDS[command]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out == serialize.canonical_json(json.loads(captured.out)) + "\n"
+
+
+def test_suite_and_out_file_are_canonical_json(tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    assert main(["suite", "--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    assert out == serialize.canonical_json(json.loads(out)) + "\n"
+    assert main(["suite", "--seed", "7", "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == "" and out_path.read_text(encoding="utf-8") == out
+
+
+def test_errors_are_one_canonical_json_line(capsys):
+    assert main(["dim", "--theta", "/nonexistent/theta.json"]) == 2
+    err = capsys.readouterr().err
+    assert err == serialize.canonical_json(json.loads(err)) + "\n"
+    assert sorted(json.loads(err)) == ["error", "message"]
+
+
+def _coeffs_theta(scale):
+    block = [[[scale, 0.0]]]
+    return {"kind": "coeffs", "laurent": {"dim": 1, "lo": 0, "coeffs": [block, block]}}
+
+
+_OVERFLOWING = {
+    "coeffs 1e153": _coeffs_theta(1e153),
+    "coeffs 1e154": _coeffs_theta(1e154),
+    # Hermitian, but P P overflows to nan
+    "nan factor": {"kind": "potapov", "factors": [[[[1e200, 0], [1e200, 0]], [[1e200, 0], [-1e200, 0]]]]},
+    "1e308 unitary": {
+        "kind": "potapov",
+        "left_unitary": [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]],
+        "factors": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]],
+    },
+}
+
+# (exit status, error code or None, stdout document or None) per payload and command
+_EXPECTED = {
+    ("coeffs 1e153", "inner"): (1, None, {"analytic": True, "inner_residual": None,
+                                          "purity_margin": -1e153, "verdict": False}),
+    ("coeffs 1e154", "inner"): (1, None, {"analytic": True, "inner_residual": None,
+                                          "purity_margin": -1e154, "verdict": False}),
+    ("coeffs 1e153", "dim"): (1, "E_NOT_INNER", None),
+    ("coeffs 1e154", "dim"): (1, "E_NOT_INNER", None),
+    ("nan factor", "inner"): (1, "E_NOT_PROJECTION", None),
+    ("nan factor", "dim"): (1, "E_NOT_PROJECTION", None),
+    ("1e308 unitary", "inner"): (1, "E_NOT_UNITARY", None),
+    ("1e308 unitary", "dim"): (1, "E_NOT_UNITARY", None),
+}
+
+
+@pytest.mark.parametrize("payload, command", sorted(_EXPECTED))
+def test_overflowing_input_leaves_stderr_clean(tmp_path, payload, command):
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(_OVERFLOWING[payload]), encoding="utf-8")
+    argv = ["inner", "check"] if command == "inner" else ["dim"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mttokit.cli", *argv, "--theta", str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    status, error, doc = _EXPECTED[payload, command]
+    assert proc.returncode == status
+    if error is None:
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout) == doc
+    else:
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        report = json.loads(lines[0])
+        assert sorted(report) == ["error", "message"] and report["error"] == error
