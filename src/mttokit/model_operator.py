@@ -17,7 +17,7 @@ import numpy as np
 from .errors import IdentityCheckError, NotGammaSymmetricError, NotUnitaryError
 from .laurent import MatLaurent, VecLaurent, multiply
 from .model_space import ModelSpaceBasis, kernel_frame, tilde_kernel_frame
-from .numerics import CHECK_TOL, RANK_CUT, REL, complement_basis, opnorm, orthonormal_basis, projector, rank, require_finite
+from .numerics import CHECK_TOL, RANK_CUT, REL, fix_column_phases, opnorm, rank, require_finite
 
 
 @dataclass
@@ -80,12 +80,15 @@ def s_theta(basis: ModelSpaceBasis):
 class DefectSpaces:
     """Ranges of I - S S* and I - S* S, each of dimension d.
 
-    d_basis / dt_basis are orthonormal column collections in basis
-    coordinates; d_frame / dt_frame are the raw kernel frames at the
-    origin (column j comes from the j-th coordinate vector of C^d).
-    g / gt are the defect operators I - S S* and I - S* S, p_* the
-    projectors onto the two spaces and onto their complements, comp_*
-    orthonormal bases of the complements; d_pinv / dt_pinv are `omega` of the frames.
+    d_frame / dt_frame are the raw kernel frames at the origin (column j
+    comes from the j-th coordinate vector of C^d).  One full SVD
+    K = U Sigma V* of each frame gives the rest in basis coordinates:
+    d_basis / dt_basis are the first d columns of U and comp_* the others,
+    each phase-fixed, so [basis | comp] is unitary; d_pinv / dt_pinv are the
+    left inverses K+ = V Sigma^-1 U_d*, which send K x back to x and vanish
+    off the span of K.  g / gt are the defect operators I - S S* and
+    I - S* S, and p_* the projectors onto the two spaces and onto their
+    complements.
     """
 
     d_basis: np.ndarray
@@ -108,6 +111,21 @@ class DefectSpaces:
         return self.d_basis.shape[1]
 
 
+def _frame_svd(frame: np.ndarray):
+    """Orthonormal basis, complement basis and left inverse K+ of a kernel
+    frame K, all from one full SVD; refuses a frame whose rank, cut as in
+    `numerics.rank`, is not its column count d."""
+    d = frame.shape[1]
+    u, sv, vh = np.linalg.svd(frame)
+    if int(np.sum(sv > RANK_CUT * sv[0] * max(frame.shape))) != d:
+        raise IdentityCheckError("defect spaces did not come out d-dimensional")
+    kp = vh.conj().T @ ((1.0 / sv)[:, None] * u[:, :d].conj().T)
+    resid = np.linalg.norm(kp @ frame - np.eye(d))
+    if resid > 1e-9:
+        raise IdentityCheckError(f"defect frame inversion residual {resid:.3e}")
+    return fix_column_phases(u[:, :d]), fix_column_phases(u[:, d:]), kp
+
+
 def defect_spaces(basis: ModelSpaceBasis) -> DefectSpaces:
     """Defect spaces spanned by the kernel frames at the origin, checked
     once per basis against the ranges of the two defect operators."""
@@ -115,15 +133,13 @@ def defect_spaces(basis: ModelSpaceBasis) -> DefectSpaces:
         return basis.cache["defects"]
     d, n = basis.inner.d, basis.n
     k0, kt0 = kernel_frame(basis, 0.0), tilde_kernel_frame(basis, 0.0)
-    d_basis = orthonormal_basis(k0)
-    dt_basis = orthonormal_basis(kt0)
-    if d_basis.shape[1] != d or dt_basis.shape[1] != d:
-        raise IdentityCheckError("defect spaces did not come out d-dimensional")
+    d_basis, comp_d, d_pinv = _frame_svd(k0)
+    dt_basis, comp_dt, dt_pinv = _frame_svd(kt0)
     s, s_adj = s_theta(basis)
     eye = np.eye(n)
     g = eye - s.mat @ s_adj.mat
     gt = eye - s_adj.mat @ s.mat
-    p_d, p_dt = projector(d_basis), projector(dt_basis)
+    p_d, p_dt = d_basis @ d_basis.conj().T, dt_basis @ dt_basis.conj().T
     for gg, pp, label in ((g, p_d, "range of I - S S*"), (gt, p_dt, "range of I - S* S")):
         if rank(gg) != d:
             raise IdentityCheckError(f"{label} has unexpected rank")
@@ -131,8 +147,7 @@ def defect_spaces(basis: ModelSpaceBasis) -> DefectSpaces:
         if resid > 1e-9 * max(1.0, np.linalg.norm(gg)):
             raise IdentityCheckError(f"{label} escapes its computed basis, residual {resid:.3e}")
     ds = DefectSpaces(
-        d_basis, dt_basis, k0, kt0, g, gt, p_d, p_dt, eye - p_d, eye - p_dt,
-        complement_basis(d_basis, n), complement_basis(dt_basis, n), omega(basis, k0), omega(basis, kt0),
+        d_basis, dt_basis, k0, kt0, g, gt, p_d, p_dt, eye - p_d, eye - p_dt, comp_d, comp_dt, d_pinv, dt_pinv,
     )
     _frozen(*vars(ds).values())
     basis.cache["defects"] = ds
@@ -185,16 +200,6 @@ def action_check(basis: ModelSpaceBasis) -> dict:
         "defect operator is evaluation at zero followed by the kernel frame":
             opnorm(ds.g - ds.d_frame @ eval0_matrix(basis)),
     })
-
-
-def omega(basis: ModelSpaceBasis, frame: np.ndarray) -> np.ndarray:
-    """Left inverse K+ of a kernel frame K (d_frame or dt_frame): K+ sends
-    K x back to x and vanishes off the span of K, so K K+ projects onto it."""
-    om = np.linalg.pinv(frame, rcond=RANK_CUT * max(frame.shape))
-    resid = np.linalg.norm(om @ frame - np.eye(frame.shape[1]))
-    if resid > 1e-9:
-        raise IdentityCheckError(f"defect frame inversion residual {resid:.3e}")
-    return om
 
 
 def j_operators(basis: ModelSpaceBasis, ds: DefectSpaces):

@@ -109,22 +109,15 @@ class MttoDecision:
         }
 
 
-def shift_invariance_defect(basis: ModelSpaceBasis, a) -> float:
-    """Size of the quadratic form f -> <(A - S* A S) f, g> restricted to
-    the complement of the second defect space; zero exactly on the
-    operators this package recognizes."""
-    amat = matrix_of(a)
-    s, s_adj = s_theta(basis)
-    w = defect_spaces(basis).comp_dt
-    return opnorm(w.conj().T @ (amat - s_adj.mat @ amat @ s.mat) @ w)
-
-
 def is_mtto(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> MttoDecision:
     """Decide membership by splitting the two defect identities.
 
     The plain (D) and starred (Dtilde) splits are both computed and must
     agree; their residuals are the compressions of the identities to the
     complements of the defect spaces, and the splits are the witnesses.
+    The "shift" variant is A - S* A S compressed to the complement W of
+    the second defect space, ||W* (A - S* A S) W||: the size of the
+    shift-invariance defect, zero exactly on the class.
     """
     amat = matrix_of(a)
     n = basis.n
@@ -135,13 +128,15 @@ def is_mtto(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> MttoDecis
     s, s_adj = s_theta(basis)
     ds = defect_spaces(basis)
     witness = _frame_split(amat - s.mat @ amat @ s_adj.mat, ds.d_frame, ds.d_pinv)
-    witness_tilde = _frame_split(amat - s_adj.mat @ amat @ s.mat, ds.dt_frame, ds.dt_pinv)
+    delta_tilde = amat - s_adj.mat @ amat @ s.mat
+    witness_tilde = _frame_split(delta_tilde, ds.dt_frame, ds.dt_pinv)
     residual = max(witness.residual, witness_tilde.residual)
+    shift = opnorm(ds.comp_dt.conj().T @ delta_tilde @ ds.comp_dt)
     return MttoDecision(
         verdict=bool(residual <= tol),
         residual=float(residual),
         tol=float(tol),
-        variants={"D": witness.residual, "Dtilde": witness_tilde.residual, "shift": shift_invariance_defect(basis, amat)},
+        variants={"D": witness.residual, "Dtilde": witness_tilde.residual, "shift": shift},
         witness=witness,
         witness_tilde=witness_tilde,
     )

@@ -1,9 +1,9 @@
 """Shared dense linear algebra helpers and the package's tolerances.
 
 Everything here is a thin, opinionated wrapper around numpy's SVD/lstsq
-machinery: one rank rule, one orthonormalization rule, one least-squares
-solver and one block-Toeplitz builder, used consistently by the rest of
-the package.  Every threshold these helpers and the inner, pure and
+machinery: one rank rule, one phase convention for orthonormal columns,
+one least-squares solver and one block-Toeplitz builder, used consistently
+by the rest of the package.  Every threshold these helpers and the inner, pure and
 membership decisions apply is one of the named constants below; none of
 them can be set by a caller.
 """
@@ -72,31 +72,6 @@ def fix_column_phases(q: np.ndarray) -> np.ndarray:
     return q
 
 
-def orthonormal_basis(vectors) -> np.ndarray:
-    """Orthonormal basis of the span of the given column vectors.
-
-    Accepts a 2-d array whose columns are the vectors, or a sequence of
-    1-d vectors.  Returns a matrix with orthonormal columns spanning the
-    same subspace; the empty span gives a (dim, 0) matrix.
-    """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        a = np.asarray(vectors, dtype=np.complex128)
-    else:
-        cols = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
-        if not cols:
-            return np.zeros((0, 0), dtype=np.complex128)
-        a = np.column_stack(cols)
-    if a.shape[1] == 0:
-        return np.zeros((a.shape[0], 0), dtype=np.complex128)
-    require_finite(a, "vector entries must be finite")
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[0], 0), dtype=np.complex128)
-    cut = RANK_CUT * s[0] * max(a.shape)
-    r = int(np.sum(s > cut))
-    return fix_column_phases(u[:, :r])
-
-
 def nullspace(a, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis of the kernel, via SVD.  `scale` anchors the
     rank cut exactly as in `rank`."""
@@ -107,14 +82,6 @@ def nullspace(a, scale: float = 0.0) -> np.ndarray:
     cut = RANK_CUT * max(s[0] if s.size else 0.0, scale) * max(a.shape)
     r = int(np.sum(s > cut))
     return fix_column_phases(vh[r:].conj().T)
-
-
-def complement_basis(q: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of span(q) in C^dim."""
-    q = np.asarray(q, dtype=np.complex128)
-    if q.size == 0:
-        return np.eye(dim, dtype=np.complex128)
-    return nullspace(q.conj().T)
 
 
 def solve_min_norm(a, b):
@@ -147,11 +114,3 @@ def block_toeplitz(block, rows: int, cols: int) -> np.ndarray:
     offsets = np.subtract.outer(np.arange(rows), np.arange(cols)) + cols - 1
     return tiles[offsets].transpose(0, 2, 1, 3).reshape(rows * r, cols * c)
 
-
-def projector(q: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the span of orthonormal columns q."""
-    q = np.asarray(q, dtype=np.complex128)
-    n = q.shape[0]
-    if q.size == 0:
-        return np.zeros((n, n), dtype=np.complex128)
-    return q @ q.conj().T

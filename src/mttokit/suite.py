@@ -8,7 +8,7 @@ the worst normalized residual over all cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .mtto import (
     semi_commutator_residual,
     zero_symbol_decompose,
 )
-from .numerics import opnorm, rank
+from .numerics import REL, opnorm, rank
 from .randgen import (
     random_commuting_symbol,
     random_element_coords,
@@ -65,52 +65,55 @@ from .serialize import json_to_mat_laurent, laurent_to_json
 _DEFAULT_SHAPES = ((2, 2), (3, 2))
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass
 class SuiteConfig:
     seed: int
     cases: int = 5
     fixtures: tuple = tuple(FIXTURE_NAMES)
     random_inners: tuple = _DEFAULT_SHAPES
-    tol: float = 1e-9  # relative decision threshold: membership verdicts and recoveries use tol * ||A||
+    tol: float = REL  # relative decision threshold: membership verdicts and recoveries use tol * ||A||
 
     @classmethod
     def from_json(cls, obj) -> "SuiteConfig":
+        """Validate a config object; a key that is absent keeps its default."""
         if not isinstance(obj, dict):
             raise ParseError("suite config must be a JSON object")
         if "seed" not in obj:
             raise ParseError("suite config needs a seed")
-        known = {"seed", "cases", "fixtures", "random_inners", "tol"}
-        extra = set(obj) - known
+        extra = set(obj) - {f.name for f in fields(cls)}
         if extra:
             raise ParseError(f"unknown suite config keys: {sorted(extra)}")
-        seed = obj["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        if not _is_int(obj["seed"]) or obj["seed"] < 0:
             raise ParseError("seed must be a non-negative integer")
-        cases = obj.get("cases", 5)
-        if not isinstance(cases, int) or isinstance(cases, bool) or cases < 1:
+        if "cases" in obj and (not _is_int(obj["cases"]) or obj["cases"] < 1):
             raise ParseError("cases must be a positive integer")
-        fixtures = obj.get("fixtures", list(FIXTURE_NAMES))
-        if not isinstance(fixtures, list) or not fixtures:
-            raise ParseError("fixtures must be a non-empty list of fixture names")
-        for name in fixtures:
-            if name not in FIXTURE_NAMES:
-                raise ParseError(f"unknown fixture {name!r}")
-        shapes = obj.get("random_inners", [list(s) for s in _DEFAULT_SHAPES])
-        if not isinstance(shapes, list):
-            raise ParseError("random_inners must be a list of [d, m] pairs")
-        clean = []
-        for s in shapes:
-            if (
-                not isinstance(s, list)
-                or len(s) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in s)
-            ):
-                raise ParseError("random_inners entries must be pairs of positive integers")
-            clean.append((s[0], s[1]))
-        tol = obj.get("tol", 1e-9)
-        if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 < float(tol) < 1:
-            raise ParseError("tol must be a number in (0, 1)")
-        return cls(seed, cases, tuple(fixtures), tuple(clean), float(tol))
+        kwargs = dict(obj)
+        if "fixtures" in obj:
+            fixtures = obj["fixtures"]
+            if not isinstance(fixtures, list) or not fixtures:
+                raise ParseError("fixtures must be a non-empty list of fixture names")
+            for name in fixtures:
+                if name not in FIXTURE_NAMES:
+                    raise ParseError(f"unknown fixture {name!r}")
+            kwargs["fixtures"] = tuple(fixtures)
+        if "random_inners" in obj:
+            shapes = obj["random_inners"]
+            if not isinstance(shapes, list):
+                raise ParseError("random_inners must be a list of [d, m] pairs")
+            for s in shapes:
+                if not isinstance(s, list) or len(s) != 2 or not all(_is_int(v) and v >= 1 for v in s):
+                    raise ParseError("random_inners entries must be pairs of positive integers")
+            kwargs["random_inners"] = tuple((d, m) for d, m in shapes)
+        if "tol" in obj:
+            tol = obj["tol"]
+            if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 < float(tol) < 1:
+                raise ParseError("tol must be a number in (0, 1)")
+            kwargs["tol"] = float(tol)
+        return cls(**kwargs)
 
     def to_json(self) -> dict:
         return {

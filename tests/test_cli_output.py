@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mttokit import serialize
+from mttokit import cli, laurent, serialize
 from mttokit.cli import main
 from mttokit.fixtures import FIXTURE_NAMES, fixture
-from mttokit.laurent import MatLaurent
-from mttokit.model_space import ModelSpaceBasis
+from mttokit.laurent import MatLaurent, inner_residual, is_inner, is_pure, purity_margin
+from mttokit.model_space import ModelSpaceBasis, theta_from_json
 from mttokit.mtto import build
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -129,3 +129,45 @@ def test_overflowing_input_leaves_stderr_clean(tmp_path, payload, command):
         assert len(lines) == 1, proc.stderr
         report = json.loads(lines[0])
         assert sorted(report) == ["error", "message"] and report["error"] == error
+
+
+_CANDIDATES = {
+    "non-inner": _coeffs_theta(0.5),
+    "non-pure": {"kind": "potapov", "factors": [serialize.matrix_to_json(np.diag([1.0, 0.0]))]},
+    "non-analytic": {"kind": "coeffs", "laurent": serialize.laurent_to_json(MatLaurent(-1, 0.5 * np.ones((2, 1, 1))))},
+    "overflowing": _coeffs_theta(1e154),
+}
+
+
+def _inner_check_oracle(candidate) -> str:
+    """The earlier `inner check` body, which measured Theta*Theta and
+    ||Theta(0)|| a second time inside is_inner and is_pure."""
+    analytic = candidate.lo >= 0
+    residual = inner_residual(candidate) if analytic else float("inf")
+    ok = analytic and is_inner(candidate) and is_pure(candidate)
+    return serialize.canonical_json({
+        "inner_residual": residual if np.isfinite(residual) else None,
+        "analytic": analytic,
+        "purity_margin": purity_margin(candidate) if analytic else None,
+        "verdict": bool(ok),
+    }) + "\n"
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, *_CANDIDATES])
+def test_inner_check_measures_once_and_matches_the_earlier_output(tmp_path, capsys, monkeypatch, name):
+    if name in FIXTURE_NAMES:
+        source, candidate = name, fixture(name).theta
+    else:
+        source = str(tmp_path / "theta.json")
+        (tmp_path / "theta.json").write_text(json.dumps(_CANDIDATES[name]), encoding="utf-8")
+        candidate = theta_from_json(_CANDIDATES[name])[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _inner_check_oracle(candidate)
+    calls = []
+    counted = lambda theta: calls.append(theta) or inner_residual(theta)  # noqa: E731
+    monkeypatch.setattr(cli, "inner_residual", counted)
+    monkeypatch.setattr(laurent, "inner_residual", counted)
+    code = main(["inner", "check", "--theta", source])
+    out = capsys.readouterr().out
+    assert out == want and code == (0 if json.loads(want)["verdict"] else 1)
+    assert len(calls) == (1 if candidate.lo >= 0 else 0)

@@ -14,7 +14,7 @@ from mttokit.fixtures import fixture
 from mttokit.laurent import MatLaurent, VecLaurent, _trim, multiply
 from mttokit.model_operator import OperatorMatrix
 from mttokit.model_space import ModelSpaceBasis, kernel
-from mttokit.numerics import as_cmatrix, orthonormal_basis
+from mttokit.numerics import as_cmatrix
 from mttokit.randgen import random_inner
 from mttokit.serialize import canonical_json, laurent_to_json
 
@@ -118,10 +118,6 @@ def test_non_finite_entries_are_refused(bad):
         VecLaurent(-1, mat)
     with pytest.raises(ValueError, match="matrix entries must be finite"):
         as_cmatrix(mat)
-    with pytest.raises(ValueError, match="vector entries must be finite"):
-        orthonormal_basis(mat)
-    with pytest.raises(ValueError, match="vector entries must be finite"):
-        orthonormal_basis([mat[:, 0], mat[:, 1]])
     basis = ModelSpaceBasis(fixture("FIX1"))
     op = np.zeros((basis.n, basis.n), dtype=np.complex128)
     op[-1, 0] = bad

@@ -24,7 +24,6 @@ from mttokit.mtto import (
     recover_symbol,
     semi_commutator_left_factor,
     semi_commutator_residual,
-    shift_invariance_defect,
     zero_symbol_decompose,
 )
 from mttokit.numerics import opnorm, rank
@@ -163,11 +162,12 @@ def test_everything_is_a_member_when_the_defect_fills_the_space():
     rng = np.random.default_rng(35)
     for name in ("FIX4", "FIX5"):
         basis = _basis(name)
-        assert shift_invariance_defect(basis, np.zeros((basis.n, basis.n))) == 0.0
+        assert is_mtto(basis, np.zeros((basis.n, basis.n))).variants["shift"] == 0.0
         for _ in range(5):
             a = rng.standard_normal((basis.n, basis.n)) + 1j * rng.standard_normal((basis.n, basis.n))
-            assert is_mtto(basis, a).verdict
-            assert shift_invariance_defect(basis, a) <= 1e-12
+            decision = is_mtto(basis, a)
+            assert decision.verdict
+            assert decision.variants["shift"] <= 1e-12
 
 
 def test_shift_invariance_defect_agrees_with_membership():
@@ -176,7 +176,7 @@ def test_shift_invariance_defect_agrees_with_membership():
     for _ in range(20):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         decision = is_mtto(basis, a)
-        defect = shift_invariance_defect(basis, a)
+        defect = decision.variants["shift"]
         assert (defect <= decision.tol) == decision.verdict or decision.residual > 1e-6
         # the defect equals the starred compression exactly
         assert abs(defect - decision.variants["Dtilde"]) <= 1e-10 * (1 + defect)

@@ -1,49 +1,12 @@
 import numpy as np
 
-from mttokit.numerics import (
-    complement_basis,
-    nullspace,
-    opnorm,
-    orthonormal_basis,
-    rank,
-    solve_min_norm,
-)
+from mttokit.numerics import nullspace, opnorm, rank, solve_min_norm
 
 
 def _haar_unitary(d, rng):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def test_orthonormal_basis_of_coordinate_vectors_is_identity():
-    q = orthonormal_basis([np.array([1, 0]), np.array([0, 1])])
-    np.testing.assert_allclose(q, np.eye(2), atol=1e-14)
-
-
-def test_orthonormal_basis_collapses_parallel_vectors():
-    q = orthonormal_basis([np.array([1, 0]), np.array([2, 0])])
-    assert q.shape == (2, 1)
-    np.testing.assert_allclose(q[:, 0], [1, 0], atol=1e-14)
-
-
-def test_orthonormal_basis_gram_identity():
-    q = orthonormal_basis([np.array([1, 1]), np.array([1, -1])])
-    assert q.shape == (2, 2)
-    np.testing.assert_allclose(q.conj().T @ q, np.eye(2), atol=1e-12)
-
-
-def test_orthonormal_basis_preserves_span():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        cols = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-        cols[:, 2] = cols[:, 0] + cols[:, 1]  # force a rank drop
-        q = orthonormal_basis(cols)
-        assert q.shape[1] == 2
-        for j in range(cols.shape[1]):
-            v = cols[:, j]
-            resid = v - q @ (q.conj().T @ v)
-            assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(v)
 
 
 def test_rank_threshold_is_relative():
@@ -84,7 +47,7 @@ def test_solve_min_norm_residual_is_projection_onto_complement():
         a = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         _, resid = solve_min_norm(a, b)
-        q = orthonormal_basis(a)
+        q, _ = np.linalg.qr(a)
         expected = np.linalg.norm(b - q @ (q.conj().T @ b))
         assert abs(resid - expected) <= 1e-10
 
@@ -95,7 +58,7 @@ def test_nullspace_and_complement_are_orthonormal_and_complete():
     ns = nullspace(a)
     assert ns.shape == (5, 2)
     assert np.linalg.norm(a @ ns) <= 1e-12
-    comp = complement_basis(ns, 5)
+    comp = nullspace(ns.conj().T)
     full = np.hstack([ns, comp])
     np.testing.assert_allclose(full.conj().T @ full, np.eye(5), atol=1e-12)
 
