@@ -208,8 +208,9 @@ def _add_out(p):
 
 def _add_tol(p):
     p.add_argument("--tol", metavar="T",
-                   help=f"decision tolerance in (0, 1); defaults to ${_TOL_ENV}, else 1e-9 * ||A|| "
-                        "for an operator and 1e-9 * ||Phi|| for a symbol")
+                   help=f"decision tolerance in (0, 1); defaults to ${_TOL_ENV}, else 1e-9 * ||A||_F "
+                        "for an operator, compared with a Frobenius-norm residual, and 1e-9 * ||Phi|| "
+                        "for a symbol")
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,11 +7,15 @@ over the kernel frame K0 at 0; X and Y are the coordinates of a symbol
 pair, recovered at minimum norm, and the zero-symbol ambiguity is resolved
 explicitly.  Every operator is assembled as Q* M Q from a matrix M on the
 coefficient window: M = T_Phi, the block Toeplitz matrix of the symbol,
-gives A_Phi.  Membership decisions default to the scale-relative
-threshold numerics.REL * ||A|| (1e-9 ||A||); the zero operator passes
-because its residual is exactly 0.  The zero-symbol tests default to the
-same relative threshold on the symbol's scale, REL * ||Phi||, with
-||Phi|| the norm of its coefficients; the zero symbol passes.
+gives A_Phi.  Membership and recovery are decided in the Frobenius norm
+||.||_F, which needs no SVD: the residual is ||P (A - S A S*) P||_F with P
+the projector off the first defect space, the decision defaults to the
+scale-relative threshold numerics.REL * ||A||_F (1e-9 ||A||_F), and the zero
+operator passes because its residual is exactly 0.  The residual certifies
+the Frobenius distance to the class: residual / 2 <= dist <= m * residual.
+The zero-symbol tests default to the same relative threshold on the
+symbol's scale, REL * ||Phi||, with ||Phi|| the norm of its coefficients;
+the zero symbol passes.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .model_operator import (
     xhat,
 )
 from .model_space import ModelSpaceBasis, kernel_frame, tilde_kernel_frame
-from .numerics import CHECK_TOL, REL, block_toeplitz, opnorm, rank
+from .numerics import CHECK_TOL, REL, block_toeplitz, frobenius, opnorm, rank
 
 
 def _toeplitz_window(basis: ModelSpaceBasis, phi: MatLaurent) -> np.ndarray:
@@ -84,20 +88,24 @@ class MttoWitness:
 
 
 def _frame_split(delta: np.ndarray, frame: np.ndarray, kp: np.ndarray) -> MttoWitness:
-    """X = (I - K K+) Delta K+*, Y = (Delta - X K*)* K+*; the residual is ||P Delta P||, P = I - K K+."""
+    """X = (I - K K+) Delta K+*, Y = (Delta - X K*)* K+*; the residual is ||P Delta P||_F, P = I - K K+."""
     x = (delta - frame @ (kp @ delta)) @ kp.conj().T
     y = (delta - x @ frame.conj().T).conj().T @ kp.conj().T
-    return MttoWitness(x, y, opnorm(delta - x @ frame.conj().T - frame @ y.conj().T))
+    return MttoWitness(x, y, frobenius(delta - x @ frame.conj().T - frame @ y.conj().T))
 
 
 @dataclass
 class MttoDecision:
+    """Verdict residual <= tol.  `distance_bounds` = (residual / 2, m * residual)
+    brackets the Frobenius distance from A to the class, m the degree of Theta."""
+
     verdict: bool
     residual: float
     tol: float
     variants: dict
     witness: MttoWitness
     witness_tilde: MttoWitness
+    distance_bounds: tuple[float, float]
 
     def to_json(self) -> dict:
         return {
@@ -106,6 +114,7 @@ class MttoDecision:
             "tol": self.tol,
             "variant": "D",
             "variants": {k: float(v) for k, v in self.variants.items()},
+            "distance_bounds": list(self.distance_bounds),
         }
 
 
@@ -113,25 +122,29 @@ def is_mtto(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> MttoDecis
     """Decide membership by splitting the two defect identities.
 
     The plain (D) and starred (Dtilde) splits are both computed and must
-    agree; their residuals are the compressions of the identities to the
-    complements of the defect spaces, and the splits are the witnesses.
-    The "shift" variant is A - S* A S compressed to the complement W of
-    the second defect space, ||W* (A - S* A S) W||: the size of the
-    shift-invariance defect, zero exactly on the class.
+    agree; their residuals are the Frobenius norms of the compressions of
+    the identities to the complements of the defect spaces, and the splits
+    are the witnesses.  The "shift" variant is A - S* A S compressed to the
+    complement W of the second defect space, ||W* (A - S* A S) W||_F: the
+    size of the shift-invariance defect, zero exactly on the class.  The
+    verdict is residual <= tol, with residual the larger of D and Dtilde
+    and tol defaulting to REL * ||A||_F; no SVD is taken once the basis
+    cache holds S and the defect spaces.  L(X) = X - S X S* is inverted by
+    sum_{k<m} S^k X S*^k, so residual / 2 <= dist_F(A, class) <= m * residual.
     """
     amat = matrix_of(a)
     n = basis.n
     if amat.shape != (n, n):
         raise DimensionMismatchError(f"operator must be {n} x {n}")
     if tol is None:
-        tol = REL * opnorm(amat)
+        tol = REL * frobenius(amat)
     s, s_adj = s_theta(basis)
     ds = defect_spaces(basis)
     witness = _frame_split(amat - s.mat @ amat @ s_adj.mat, ds.d_frame, ds.d_pinv)
     delta_tilde = amat - s_adj.mat @ amat @ s.mat
     witness_tilde = _frame_split(delta_tilde, ds.dt_frame, ds.dt_pinv)
     residual = max(witness.residual, witness_tilde.residual)
-    shift = opnorm(ds.comp_dt.conj().T @ delta_tilde @ ds.comp_dt)
+    shift = frobenius(ds.comp_dt.conj().T @ delta_tilde @ ds.comp_dt)
     return MttoDecision(
         verdict=bool(residual <= tol),
         residual=float(residual),
@@ -139,6 +152,7 @@ def is_mtto(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> MttoDecis
         variants={"D": witness.residual, "Dtilde": witness_tilde.residual, "shift": shift},
         witness=witness,
         witness_tilde=witness_tilde,
+        distance_bounds=(residual / 2, basis.inner.m * residual),
     )
 
 
@@ -180,15 +194,18 @@ class RecoveredSymbol:
 def recover_symbol(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> RecoveredSymbol:
     """Minimum-norm symbol pair (Psi1, Psi2), both in the standard symbol
     space, with A = A_{Psi1 + Psi2*}.  Refuses operators that fail the
-    membership test.  The columns of Psi1, Psi2 have as coordinates the
+    membership test, naming the certified interval of its Frobenius
+    distance to the class; the rebuild is checked in the Frobenius norm,
+    to 1e-8 ||A||_F.  The columns of Psi1, Psi2 have as coordinates the
     witness (X + K0 C, Y - K0 C*), with the d x d gauge C of minimum norm:
     H C + C H = Y* K0 - K0* X for H = K0* K0, solved in the eigenbasis of H."""
     amat = matrix_of(a)
     decision = is_mtto(basis, amat, tol)
     if not decision.verdict:
+        lo, hi = decision.distance_bounds
         raise NotMttoError(
             f"operator is not a truncated Toeplitz operator: residual {decision.residual:.3e}"
-            f" > tol {decision.tol:.3e}"
+            f" > tol {decision.tol:.3e}; its Frobenius distance to the class lies in [{lo:.3e}, {hi:.3e}]"
         )
     x, y = decision.witness.x, decision.witness.y
     k0 = defect_spaces(basis).d_frame
@@ -199,8 +216,8 @@ def recover_symbol(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> Re
     psi1 = MatLaurent(0, f @ (x + k0 @ c))
     psi2 = MatLaurent(0, f @ (y - k0 @ c.conj().T))
     rebuilt = build(basis, psi1 + boundary_adjoint(psi2))
-    residual = opnorm(rebuilt.mat - amat)
-    if residual > 1e-8 * opnorm(amat):
+    residual = frobenius(rebuilt.mat - amat)
+    if residual > 1e-8 * frobenius(amat):
         raise IdentityCheckError(f"recovered symbol rebuilds with residual {residual:.3e}")
     return RecoveredSymbol(psi1, psi2, float(residual))
 

@@ -2,10 +2,11 @@
 
 Everything here is a thin, opinionated wrapper around numpy's SVD/lstsq
 machinery: one rank rule, one phase convention for orthonormal columns,
-one least-squares solver and one block-Toeplitz builder, used consistently
-by the rest of the package.  Every threshold these helpers and the inner, pure and
-membership decisions apply is one of the named constants below; none of
-them can be set by a caller.
+one least-squares solver, one block-Toeplitz assembly and the Frobenius norm
+the membership decisions use, used consistently by the rest of the package.
+Every threshold these helpers and the inner, pure and membership decisions
+apply is one of the named constants below; none of them can be set by a
+caller.
 """
 
 import numpy as np
@@ -38,6 +39,20 @@ def opnorm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def frobenius(a: np.ndarray) -> float:
+    """Frobenius norm, safe for every finite scale: numpy sums the squared
+    entries, which overflow above about 1e154 and underflow below 1e-154,
+    so a result outside (1e-150, 1e150) is taken again on a rescaled copy."""
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(a))
+    if 1e-150 < nrm < 1e150:
+        return nrm
+    big = float(np.abs(a).max(initial=0.0))
+    if big == 0.0 or not np.isfinite(big):
+        return big
+    return big * float(np.linalg.norm(a / big))
 
 
 def rank(a, scale: float = 0.0) -> int:

@@ -51,7 +51,7 @@ from .mtto import (
     semi_commutator_residual,
     zero_symbol_decompose,
 )
-from .numerics import REL, opnorm, rank
+from .numerics import REL, frobenius, opnorm, rank
 from .randgen import (
     random_commuting_symbol,
     random_element_coords,
@@ -75,7 +75,7 @@ class SuiteConfig:
     cases: int = 5
     fixtures: tuple = tuple(FIXTURE_NAMES)
     random_inners: tuple = _DEFAULT_SHAPES
-    tol: float = REL  # relative decision threshold: membership verdicts and recoveries use tol * ||A||
+    tol: float = REL  # relative decision threshold: membership verdicts and recoveries use tol * ||A||_F
 
     @classmethod
     def from_json(cls, obj) -> "SuiteConfig":
@@ -291,7 +291,7 @@ def _check_members(ctx, rng):
         for _ in range(ctx.config.cases):
             phi = random_symbol(d, -3, 3, rng)
             a = build(basis, phi)
-            decision = is_mtto(basis, a, ctx.config.tol * opnorm(a.mat))
+            decision = is_mtto(basis, a, ctx.config.tol * frobenius(a.mat))
             scale = 1.0 + opnorm(a.mat)
             out.add(decision.residual / scale)
             out.add(0.0 if decision.verdict else 1.0)
@@ -309,7 +309,7 @@ def _check_non_members(ctx, rng):
             continue
         for _ in range(ctx.config.cases):
             a = random_non_member(basis, rng)
-            decision = is_mtto(basis, a, ctx.config.tol * opnorm(a))
+            decision = is_mtto(basis, a, ctx.config.tol * frobenius(a))
             out.add(0.0 if not decision.verdict and decision.residual >= 1e-3 else 1.0)
     return out
 
@@ -319,7 +319,7 @@ def _check_variants_agree(ctx, rng):
     for _, basis in ctx.spaces:
         for _ in range(ctx.config.cases):
             a = rng.standard_normal((basis.n, basis.n)) + 1j * rng.standard_normal((basis.n, basis.n))
-            decision = is_mtto(basis, a, ctx.config.tol * opnorm(a))
+            decision = is_mtto(basis, a, ctx.config.tol * frobenius(a))
             spread = abs(decision.variants["Dtilde"] - decision.variants["shift"])
             out.add(spread / (1.0 + decision.residual))
             agree = (decision.variants["D"] <= decision.tol) == (
@@ -337,7 +337,7 @@ def _check_symbol_recovery(ctx, rng):
             phi = random_symbol(d, -2, 2, rng)
             a = build(basis, phi)
             try:
-                out.add(recover_symbol(basis, a, ctx.config.tol * opnorm(a.mat)).residual / (1.0 + opnorm(a.mat)))
+                out.add(recover_symbol(basis, a, ctx.config.tol * frobenius(a.mat)).residual / (1.0 + opnorm(a.mat)))
             except NotMttoError:  # a tol below roundoff refuses members
                 out.add(1.0)
     return out
@@ -440,7 +440,7 @@ def _check_worked_example(ctx, rng):
     out.add(0.0 if dist > 0.9 else 1.0)
     a = build(basis, phi)
     out.add(0.0 if rank(a.mat) == 1 else 1.0)
-    decision = is_mtto(basis, a, ctx.config.tol * opnorm(a.mat))
+    decision = is_mtto(basis, a, ctx.config.tol * frobenius(a.mat))
     out.add(decision.residual)
     out.add(0.0 if decision.verdict else 1.0)
     gamma = Conjugation(np.eye(2))

@@ -1,0 +1,69 @@
+"""Membership references kept outside the package.
+
+The compressed defect identities are taken here from an orthonormal
+complement of each kernel frame that a complete QR factorization gives,
+with the compressed shift assembled again from the basis, so nothing
+below reads the package's defect data.  `spectral_decision` is the rule
+is_mtto applied before it decided in the Frobenius norm: the larger
+spectral norm of the two compressions against REL times the spectral
+norm of A.  `class_span` is the operator class by brute force, the
+orthonormal span of the operators of the unit symbols E_ij z^t.
+"""
+
+import numpy as np
+
+from mttokit.laurent import MatLaurent
+from mttokit.model_space import kernel_frame, tilde_kernel_frame
+from mttokit.mtto import build
+from mttokit.numerics import REL, RANK_CUT
+
+
+def complement(frame: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of the columns of a
+    full-rank n x d frame, from a complete QR factorization."""
+    q, _ = np.linalg.qr(frame, mode="complete")
+    return q[:, frame.shape[1]:]
+
+
+def _shift(basis) -> np.ndarray:
+    d = basis.inner.d
+    return basis.q.conj().T @ np.eye(basis.q.shape[0], k=-d) @ basis.q
+
+
+def compressed_defects(basis, a: np.ndarray):
+    """C* (A - S A S*) C and Ct* (A - S* A S) Ct, with C and Ct the
+    complements of the kernel frames at the origin."""
+    s = _shift(basis)
+    c = complement(kernel_frame(basis, 0.0))
+    ct = complement(tilde_kernel_frame(basis, 0.0))
+    delta = a - s @ a @ s.conj().T
+    delta_tilde = a - s.conj().T @ a @ s
+    return c.conj().T @ delta @ c, ct.conj().T @ delta_tilde @ ct
+
+
+def spectral_decision(basis, a: np.ndarray):
+    """(verdict, residual, tol) of the membership rule in the spectral norm."""
+    residual = max(np.linalg.norm(e, 2) if e.size else 0.0 for e in compressed_defects(basis, a))
+    tol = REL * np.linalg.norm(a, 2)
+    return bool(residual <= tol), float(residual), float(tol)
+
+
+def class_span(basis) -> np.ndarray:
+    """Orthonormal columns spanning vec of every operator in the class:
+    the operators of E_ij z^t for |t| < m, orthonormalized by SVD."""
+    d, m, n = basis.inner.d, basis.inner.m, basis.n
+    cols = []
+    for t in range(1 - m, m):
+        for i in range(d):
+            for j in range(d):
+                unit = np.zeros((1, d, d))
+                unit[0, i, j] = 1.0
+                cols.append(build(basis, MatLaurent(t, unit)).mat.reshape(-1))
+    u, s, _ = np.linalg.svd(np.array(cols).T, full_matrices=False)
+    return u[:, : int(np.sum(s > RANK_CUT * s[0] * max(n * n, len(cols))))]
+
+
+def class_distance(span: np.ndarray, a: np.ndarray) -> float:
+    """Frobenius distance from A to the class spanned by `span`."""
+    v = a.reshape(-1)
+    return float(np.linalg.norm(v - span @ (span.conj().T @ v)))

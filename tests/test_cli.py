@@ -83,6 +83,7 @@ def test_op_build_test_recover_round_trip(tmp_path, capsys):
     doc = json.loads(out)
     assert code == 0 and doc["verdict"] and doc["residual"] <= doc["tol"]
     assert set(doc["variants"]) == {"D", "Dtilde", "shift"}
+    assert doc["distance_bounds"] == [doc["residual"] / 2, 2 * doc["residual"]]
     code, out, _ = run(capsys, "op", "recover", "--theta", "FIX3", "--op", op_path)
     rec = json.loads(out)
     assert code == 0 and rec["rebuild_residual"] <= 1e-9
@@ -101,9 +102,13 @@ def test_op_test_rejects_non_member_and_recover_refuses(tmp_path, capsys):
     op_path = tmp_path / "op.json"
     serialize.dump_json_file(op_path, {"n": 3, "entries": serialize.matrix_to_json(mat)})
     code, out, _ = run(capsys, "op", "test", "--theta", "FIX3", "--op", str(op_path))
-    assert code == 1 and json.loads(out)["verdict"] is False
+    doc = json.loads(out)
+    assert code == 1 and doc["verdict"] is False
+    lo, hi = doc["distance_bounds"]  # FIX3 has degree 2
+    assert 0 < lo == doc["residual"] / 2 and hi == 2 * doc["residual"]
     code, out, err = run(capsys, "op", "recover", "--theta", "FIX3", "--op", str(op_path))
     assert code == 1 and json.loads(err)["error"] == "E_NOT_MTTO"
+    assert f"[{lo:.3e}, {hi:.3e}]" in json.loads(err)["message"]
 
 
 def test_op_file_from_other_basis_is_refused(tmp_path, capsys):
