@@ -150,12 +150,19 @@ def multiply(f: MatLaurent, g):
         raise TypeError("right factor must be a MatLaurent or VecLaurent")
     if f.dim != g.dim:
         raise DimensionMismatchError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    nf, ng = f.coeffs.shape[0], g.coeffs.shape[0]
-    prods = np.einsum("iab,kb...->ika...", f.coeffs, g.coeffs)  # prods[i, k] = F_i G_k
-    out = np.zeros((nf + ng - 1,) + g.coeffs.shape[1:], dtype=np.complex128)
+    return type(g)(f.lo + g.lo, convolve(f.coeffs, g.coeffs))
+
+
+def convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Block convolution of coefficient arrays: block l of the result is the
+    sum over i + k = l of f[i] g[k].  f has shape (p, d, d) and g shape
+    (q, d) or (q, d, c), so the c columns of g are convolved at once."""
+    nf, ng = f.shape[0], g.shape[0]
+    prods = np.einsum("iab,kb...->ika...", f, g)  # prods[i, k] = F_i G_k
+    out = np.zeros((nf + ng - 1,) + g.shape[1:], dtype=np.complex128)
     for i in range(nf):  # in order of i: the summation order fixes the result's bytes
         out[i : i + ng] += prods[i]
-    return type(g)(f.lo + g.lo, out)
+    return out
 
 
 def boundary_adjoint(f: MatLaurent) -> MatLaurent:
@@ -191,18 +198,6 @@ def evaluate(f, z: complex) -> np.ndarray:
             acc = acc * w + f.coeff(k)
         out += acc * w
     return out
-
-
-def l2_inner(f: VecLaurent, g: VecLaurent) -> complex:
-    """L^2 inner product on the circle, linear in the first argument."""
-    if f.dim != g.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    lo = max(f.lo, g.lo)
-    hi = min(f.hi, g.hi)
-    total = 0.0 + 0.0j
-    for k in range(lo, hi + 1):
-        total += np.vdot(g.coeff(k), f.coeff(k))
-    return complex(total)
 
 
 def analytic_split(f: MatLaurent):

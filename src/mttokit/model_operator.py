@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IdentityCheckError, NotGammaSymmetricError, NotUnitaryError
-from .laurent import MatLaurent, VecLaurent, multiply
-from .model_space import ModelSpaceBasis, kernel_frame, tilde_kernel_frame
-from .numerics import CHECK_TOL, RANK_CUT, REL, fix_column_phases, opnorm, rank, require_finite
+from .laurent import MatLaurent, convolve
+from .model_space import ModelSpaceBasis, _constraint_matrix, kernel_frame, require_member, tilde_kernel_frame
+from .numerics import CHECK_TOL, RANK_CUT, REL, fix_column_phases, frobenius, opnorm, require_finite
 
 
 @dataclass
@@ -33,9 +33,6 @@ class OperatorMatrix:
         if self.mat.shape != (n, n):
             raise ValueError(f"operator matrix must be {n} x {n}, got {self.mat.shape}")
         require_finite(self.mat, "operator entries must be finite")
-
-    def apply(self, f: VecLaurent) -> VecLaurent:
-        return self.basis.from_coords(self.mat @ self.basis.coords(f))
 
     def adjoint(self) -> "OperatorMatrix":
         return OperatorMatrix(self.basis, self.mat.conj().T)
@@ -128,10 +125,13 @@ def _frame_svd(frame: np.ndarray):
 
 def defect_spaces(basis: ModelSpaceBasis) -> DefectSpaces:
     """Defect spaces spanned by the kernel frames at the origin, checked
-    once per basis against the ranges of the two defect operators."""
+    once per basis against the two defect operators: I - S S* = K0 K0* and
+    I - S* S = K0~ K0~*, in the Frobenius norm relative to the operator's
+    norm (floored at 1).  With rank K0 = rank K0~ = d from `_frame_svd`,
+    this also fixes the rank and range of each defect operator."""
     if "defects" in basis.cache:
         return basis.cache["defects"]
-    d, n = basis.inner.d, basis.n
+    n = basis.n
     k0, kt0 = kernel_frame(basis, 0.0), tilde_kernel_frame(basis, 0.0)
     d_basis, comp_d, d_pinv = _frame_svd(k0)
     dt_basis, comp_dt, dt_pinv = _frame_svd(kt0)
@@ -140,12 +140,10 @@ def defect_spaces(basis: ModelSpaceBasis) -> DefectSpaces:
     g = eye - s.mat @ s_adj.mat
     gt = eye - s_adj.mat @ s.mat
     p_d, p_dt = d_basis @ d_basis.conj().T, dt_basis @ dt_basis.conj().T
-    for gg, pp, label in ((g, p_d, "range of I - S S*"), (gt, p_dt, "range of I - S* S")):
-        if rank(gg) != d:
-            raise IdentityCheckError(f"{label} has unexpected rank")
-        resid = np.linalg.norm(gg - pp @ gg)
-        if resid > 1e-9 * max(1.0, np.linalg.norm(gg)):
-            raise IdentityCheckError(f"{label} escapes its computed basis, residual {resid:.3e}")
+    for gg, frame, label in ((g, k0, "I - S S* = K0 K0*"), (gt, kt0, "I - S* S = K0~ K0~*")):
+        resid = frobenius(gg - frame @ frame.conj().T)
+        if resid > REL * max(1.0, frobenius(gg)):
+            raise IdentityCheckError(f"defect identity {label} fails, residual {resid:.3e}")
     ds = DefectSpaces(
         d_basis, dt_basis, k0, kt0, g, gt, p_d, p_dt, eye - p_d, eye - p_dt, comp_d, comp_dt, d_pinv, dt_pinv,
     )
@@ -271,30 +269,27 @@ def gamma_symmetric_residual(f: MatLaurent, gamma: Conjugation) -> float:
     return worst
 
 
-def conjugation_apply(basis: ModelSpaceBasis, gamma: Conjugation, f: VecLaurent) -> VecLaurent:
-    """The model-space conjugation: apply gamma coefficientwise with
-    frequency reversal, shift down once, multiply by Theta."""
+def conjugation_matrix(basis: ModelSpaceBasis, gamma: Conjugation) -> np.ndarray:
+    """Coordinate matrix M of the model-space conjugation: C f has
+    coordinates M conj(c).  C f applies gamma coefficientwise with frequency
+    reversal, multiplies by Theta and shifts down once; on the window of Q
+    that is one block convolution over all n columns.  The images must lie
+    in the model space (no negative frequencies, Theta* f coanalytic) and M
+    must be symmetric unitary; both are verified."""
     inner = basis.inner
-    if gamma.dim != inner.d:
+    d, m, n = inner.d, inner.m, basis.n
+    if gamma.dim != d:
         raise ValueError("conjugation dimension does not match")
     res = gamma_symmetric_residual(inner.theta, gamma)
     if res > 1e-9:
         raise NotGammaSymmetricError(f"theta is not gamma-symmetric, residual {res:.3e}")
-    flipped = VecLaurent(-f.hi, np.conj(f.coeffs[::-1]) @ gamma.u.T)
-    return multiply(inner.theta, flipped).shift(-1)
-
-
-def conjugation_matrix(basis: ModelSpaceBasis, gamma: Conjugation) -> np.ndarray:
-    """Coordinate matrix M of the conjugation: C f has coordinates
-    M conj(c).  Symmetric unitary by construction; verified."""
-    n = basis.n
-    mat = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        image = conjugation_apply(basis, gamma, basis.element(j))
-        resid = basis.membership_residual(image)
-        if resid > 1e-9:
-            raise IdentityCheckError(f"conjugation left the model space, residual {resid:.3e}")
-        mat[:, j] = basis.coords(image)
+    flipped = gamma.u @ np.conj(basis.q.reshape(m, d, n)[::-1])
+    image = convolve(inner.blocks, flipped)  # block i sits at frequency i - m
+    window = image[m:].reshape(m * d, n)
+    negative = np.linalg.norm(image[:m], axis=(0, 1))
+    analytic = np.linalg.norm(_constraint_matrix(inner.theta) @ window, axis=0)
+    require_member(float(np.hypot(negative, analytic).max(initial=0.0)), 1.0, "conjugation")
+    mat = basis.q.conj().T @ window
     if np.linalg.norm(mat.conj().T @ mat - np.eye(n)) > 1e-9 or np.linalg.norm(mat - mat.T) > 1e-9:
         raise IdentityCheckError("conjugation matrix is not symmetric unitary")
     return mat
@@ -302,12 +297,13 @@ def conjugation_matrix(basis: ModelSpaceBasis, gamma: Conjugation) -> np.ndarray
 
 def c_symmetric(basis: ModelSpaceBasis, gamma: Conjugation, a):
     """Test A = C A* C in coordinates; returns (verdict, residual).
-    The threshold is REL * ||A||, relative like the property itself; the
-    zero operator passes with residual exactly 0."""
+    The residual is ||A - M A^T M*||_F and the threshold REL * ||A||_F, the
+    rule of the membership decisions; the zero operator passes with
+    residual exactly 0."""
     mat = matrix_of(a)
     m = conjugation_matrix(basis, gamma)
-    residual = opnorm(mat - m @ mat.T @ m.conj().T)
-    return residual <= REL * opnorm(mat), float(residual)
+    residual = frobenius(mat - m @ mat.T @ m.conj().T)
+    return residual <= REL * frobenius(mat), float(residual)
 
 
 def kernel_recurrence_check(basis: ModelSpaceBasis, count: int = 20, seed: int = 0) -> dict:
@@ -330,8 +326,7 @@ def kernel_recurrence_check(basis: ModelSpaceBasis, count: int = 20, seed: int =
         klam, tlam = kernel_frame(basis, lam), tilde_kernel_frame(basis, lam)
         worst_k = max(worst_k, _worst_column(s.mat @ klam - (klam - k0) / np.conj(lam)))
         worst_kt = max(worst_kt, _worst_column(s.mat @ tlam - (lam * tlam - k0 @ inner.evaluate(lam))))
-    theta_window = np.vstack([inner.theta.coeff(k) for k in range(m)])  # Theta_0, ..., Theta_{m-1}
-    w = np.eye(m * d, d) - theta_window @ inner.theta.coeff(0).conj().T
+    w = np.eye(m * d, d) - inner.blocks[:m].reshape(m * d, d) @ inner.blocks[0].conj().T
     origin = s.mat @ q.conj().T @ w - q[d:].conj().T @ w[:-d]  # S Q* W - Q* Z W
     return _report({
         "kernel frame recurrence": worst_k,

@@ -71,7 +71,8 @@ class InnerFunction:
     space dimension n independently as the nullity of the constraint map
     and as the degree of det Theta; for a Potapov product it also reads n
     off as the sum of the factor ranks.  It refuses to continue unless
-    all of them agree.  `_potapov` is (U, [P_1, ...], sum of rank P_j).
+    all of them agree.  `blocks` holds Theta_0, ..., Theta_m as one
+    (m+1, d, d) array.  `_potapov` is (U, [P_1, ...], sum of rank P_j).
     The nullity comes from the one SVD of the constraint map, whose
     orthonormal kernel frame (m*d x n) the basis reuses as `null_frame`.
     """
@@ -87,6 +88,9 @@ class InnerFunction:
         self.theta = theta
         self.d = theta.dim
         self.m = theta.hi
+        self.blocks = np.zeros((self.m + 1, self.d, self.d), dtype=np.complex128)  # Theta_0, ..., Theta_m
+        self.blocks[theta.lo :] = theta.coeffs
+        self.blocks.setflags(write=False)
         self._potapov = _potapov
         self.null_frame = nullspace(_constraint_matrix(theta), scale=1.0)
         nullity = self.null_frame.shape[1]
@@ -254,19 +258,6 @@ class ModelSpaceBasis:
             raise ValueError(f"dimension mismatch: {f.dim} vs {self.inner.d}")
         return self.q.conj().T @ self.embed_window(f)
 
-    def from_coords(self, c) -> VecLaurent:
-        c = np.asarray(c, dtype=np.complex128).reshape(-1)
-        if c.size != self.n:
-            raise ValueError(f"expected {self.n} coordinates, got {c.size}")
-        amb = self.q @ c
-        return VecLaurent(0, amb.reshape(self.inner.m, self.inner.d))
-
-    def element(self, j: int) -> VecLaurent:
-        return VecLaurent(0, self.q[:, j].reshape(self.inner.m, self.inner.d))
-
-    def project(self, g: VecLaurent) -> VecLaurent:
-        return self.from_coords(self.coords(g))
-
     def membership_residual(self, f: VecLaurent) -> float:
         """Distance witness for membership: energy at negative frequencies
         plus the analytic part of Theta* f."""
@@ -287,66 +278,77 @@ def _disk_point(lam) -> complex:
     return lam
 
 
-def kernel(basis: ModelSpaceBasis, lam: complex, x, return_witness: bool = False):
-    """Reproducing kernel direction at lam applied to x in C^d.
+def _vector(x, d: int) -> np.ndarray:
+    x = np.asarray(x, dtype=np.complex128).reshape(-1)
+    if x.size != d:
+        raise ValueError(f"expected a vector in C^{d}")
+    return x
+
+
+def require_member(residual: float, scale: float, what: str) -> None:
+    """Refuse a computed element whose membership residual exceeds 1e-9 * scale."""
+    if residual > 1e-9 * scale:
+        raise IdentityCheckError(f"{what} left the model space, residual {residual:.3e}")
+
+
+def kernel_window(inner: InnerFunction, lam: complex, x):
+    """Window blocks (m x d) of the reproducing kernel at lam applied to x
+    in C^d, and the norm of the tail that was cut off.
 
     Computed by multiplying (I - Theta(z) Theta(lam)*) x with the
     geometric series of 1/(1 - conj(lam) z); the product must break off
     at degree m-1, and the discarded tail is checked against that.
     """
-    inner = basis.inner
-    lam = _disk_point(lam)
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if x.size != inner.d:
-        raise ValueError(f"expected a vector in C^{inner.d}")
-    m, d = inner.m, inner.d
-    g = np.zeros((m + 1, d), dtype=np.complex128)
-    g[0] = x
-    tx = inner.evaluate(lam).conj().T @ x
-    for k in range(m + 1):
-        g[k] -= inner.theta.coeff(k) @ tx
-    lb = np.conj(lam)
-    powers = np.array([lb**j for j in range(2 * m + 1)])
-    c = np.zeros((2 * m + 1, d), dtype=np.complex128)
+    lam, x = _disk_point(lam), _vector(x, inner.d)
+    m = inner.m
+    g = -(inner.blocks @ (inner.evaluate(lam).conj().T @ x))  # (I - Theta(z) Theta(lam)*) x
+    g[0] += x
+    powers = np.conj(lam) ** np.arange(2 * m + 1)
+    c = np.zeros((2 * m + 1, inner.d), dtype=np.complex128)
     for i in range(m + 1):
         c[i:] += powers[: 2 * m + 1 - i, None] * g[i]
-    scale = 1.0 + float(np.linalg.norm(x))
     tail = float(np.linalg.norm(c[m:]))
-    if tail > 1e-9 * scale:
+    if tail > 1e-9 * (1.0 + float(np.linalg.norm(x))):
         raise IdentityCheckError(f"kernel truncation tail {tail:.3e} did not vanish")
-    out = VecLaurent(0, c[:m])
-    mem = basis.membership_residual(out)
-    if mem > 1e-9 * scale:
-        raise IdentityCheckError(f"kernel left the model space, residual {mem:.3e}")
-    return (out, tail) if return_witness else out
+    return c[:m], tail
 
 
-def tilde_kernel(basis: ModelSpaceBasis, lam: complex, y, return_witness: bool = False):
-    """Difference-quotient kernel (Theta(z) - Theta(lam)) y / (z - lam),
-    computed by synthetic division (exact in coefficients)."""
-    inner = basis.inner
-    lam = _disk_point(lam)
-    y = np.asarray(y, dtype=np.complex128).reshape(-1)
-    if y.size != inner.d:
-        raise ValueError(f"expected a vector in C^{inner.d}")
-    m, d = inner.m, inner.d
-    p = np.zeros((m + 1, d), dtype=np.complex128)
-    for k in range(m + 1):
-        p[k] = inner.theta.coeff(k) @ y
+def tilde_kernel_window(inner: InnerFunction, lam: complex, y):
+    """Window blocks (m x d) of the difference-quotient kernel
+    (Theta(z) - Theta(lam)) y / (z - lam), computed by synthetic division
+    (exact in coefficients), and the norm of the division's remainder."""
+    lam, y = _disk_point(lam), _vector(y, inner.d)
+    m = inner.m
+    p = inner.blocks @ y
     p[0] -= inner.evaluate(lam) @ y
-    q = np.zeros((m, d), dtype=np.complex128)
+    q = np.zeros((m, inner.d), dtype=np.complex128)
     q[m - 1] = p[m]
     for k in range(m - 1, 0, -1):
         q[k - 1] = p[k] + lam * q[k]
     rem = float(np.linalg.norm(p[0] + lam * q[0]))
-    scale = 1.0 + float(np.linalg.norm(y))
-    if rem > 1e-9 * scale:
+    if rem > 1e-9 * (1.0 + float(np.linalg.norm(y))):
         raise IdentityCheckError(f"synthetic division remainder {rem:.3e} did not vanish")
-    out = VecLaurent(0, q)
-    mem = basis.membership_residual(out)
-    if mem > 1e-9 * scale:
-        raise IdentityCheckError(f"difference-quotient kernel left the model space, residual {mem:.3e}")
-    return (out, rem) if return_witness else out
+    return q, rem
+
+
+def _checked_element(basis, window, witness, v, what, return_witness):
+    out = VecLaurent(0, window)
+    require_member(basis.membership_residual(out), 1.0 + float(np.linalg.norm(v)), what)
+    return (out, witness) if return_witness else out
+
+
+def kernel(basis: ModelSpaceBasis, lam: complex, x, return_witness: bool = False):
+    """Reproducing kernel direction at lam applied to x in C^d, checked to
+    lie in the model space; the witness is the tail of `kernel_window`."""
+    return _checked_element(basis, *kernel_window(basis.inner, lam, x), x, "kernel", return_witness)
+
+
+def tilde_kernel(basis: ModelSpaceBasis, lam: complex, y, return_witness: bool = False):
+    """Difference-quotient kernel at lam applied to y, checked to lie in the
+    model space; the witness is the remainder of `tilde_kernel_window`."""
+    return _checked_element(
+        basis, *tilde_kernel_window(basis.inner, lam, y), y, "difference-quotient kernel", return_witness
+    )
 
 
 def kernel_frame(basis: ModelSpaceBasis, lam: complex) -> np.ndarray:
@@ -363,27 +365,9 @@ def tilde_kernel_frame(basis: ModelSpaceBasis, lam: complex) -> np.ndarray:
     """n x d matrix of the difference-quotient kernels at lam: Q* W with
     window block k of W equal to sum over j > k of lam^(j-k-1) Theta_j,
     by Horner's rule; at lam = 0 it is Q* [Theta_1; ...; Theta_m]."""
-    lam, theta, d, m = _disk_point(lam), basis.inner.theta, basis.inner.d, basis.inner.m
+    lam, blocks, d, m = _disk_point(lam), basis.inner.blocks, basis.inner.d, basis.inner.m
     w = np.zeros((m, d, d), dtype=np.complex128)
-    w[m - 1] = theta.coeff(m)
+    w[m - 1] = blocks[m]
     for k in range(m - 1, 0, -1):
-        w[k - 1] = theta.coeff(k) + lam * w[k]
+        w[k - 1] = blocks[k] + lam * w[k]
     return basis.q.conj().T @ w.reshape(m * d, d)
-
-
-def _theta_of(obj) -> MatLaurent:
-    return obj.theta if isinstance(obj, InnerFunction) else obj
-
-
-def tau_apply(theta, f: VecLaurent) -> VecLaurent:
-    """Unitary map intertwining the model space of Theta with that of its
-    coefficient-adjointed partner: frequency-reverse f, multiply by the
-    coefficient-adjointed Theta, shift down by one."""
-    th = _theta_of(theta)
-    return multiply(tilde(th), f.reverse()).shift(-1)
-
-
-def tau_adjoint_apply(theta, f: VecLaurent) -> VecLaurent:
-    th = _theta_of(theta)
-    return multiply(th, f.reverse()).shift(-1)
-

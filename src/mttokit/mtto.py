@@ -41,7 +41,7 @@ from .model_operator import (
     xhat,
 )
 from .model_space import ModelSpaceBasis, kernel_frame, tilde_kernel_frame
-from .numerics import CHECK_TOL, REL, block_toeplitz, frobenius, opnorm, rank
+from .numerics import CHECK_TOL, REL, block_toeplitz, frobenius, opnorm
 
 
 def _toeplitz_window(basis: ModelSpaceBasis, phi: MatLaurent) -> np.ndarray:
@@ -313,39 +313,30 @@ class DimensionReport:
 
 
 def mtto_dimension(basis: ModelSpaceBasis) -> DimensionReport:
-    """Count the dimension of the operator class two ways, from measured
-    quantities of the space.
+    """Count the dimension of the operator class two ways.
 
     Route one, the symbol side: A_{Psi1 + Psi2*} - S A S* = X K0* + K0 Y*
     with X, Y the coordinates of the columns of Psi1, Psi2, and
     (X, Y) -> X K0* + K0 Y* has exactly the d^2 gauge (K0 C, -K0 C*) as
-    kernel when rank K0 = d.  The count 2nd - d^2 stands once rank K0 = d
-    is measured.  Route two, the operator side: A is in the class iff
-    P (A - S A S*) P = 0, with P the projector off the first defect space,
-    and X -> X - S X S* is invertible because S is nilpotent.  The count
-    n^2 - (rank P)^2 stands once ||S^m|| <= CHECK_TOL is measured.  The two
-    must agree; the report also compares the count against both
-    closed-form candidates 2nd - d^2 and 2n^d - d^2.
+    kernel when rank K0 = d, so the class has dimension 2nd - d^2.  Route
+    two, the operator side: A is in the class iff P (A - S A S*) P = 0, with
+    P the projector off the first defect space, and X -> X - S X S* is
+    invertible because S is nilpotent, so the class has dimension
+    n^2 - (rank P)^2.  Neither rank is measured again here: `defect_spaces`
+    refuses a kernel frame whose rank is not d, and it builds P from a
+    complement basis with [basis | complement] unitary, so rank P = n - d.
+    The two counts therefore agree by construction; what stands to be
+    measured is ||S^m|| <= CHECK_TOL.  The report also compares the count
+    against both closed-form candidates 2nd - d^2 and 2n^d - d^2.
     """
     n, d = basis.n, basis.inner.d
     s, _ = s_theta(basis)
-    ds = defect_spaces(basis)
+    rank_p = defect_spaces(basis).comp_d.shape[1]
     nilpotency = float(np.linalg.norm(np.linalg.matrix_power(s.mat, basis.inner.m)))
     if nilpotency > CHECK_TOL:
         raise IdentityCheckError(f"compressed shift is not nilpotent: ||S^m|| = {nilpotency:.3e}")
-    rank_k0 = rank(ds.d_frame, scale=1.0)
-    if rank_k0 != d:
-        raise IdentityCheckError(f"kernel frame K0 has rank {rank_k0}, expected {d}")
-    rank_p = rank(ds.p_d_perp, scale=1.0)
-    dim_symbols = 2 * n * d - d * d
-    dim_operators = n * n - rank_p * rank_p
-    if dim_symbols != dim_operators:
-        raise IdentityCheckError(
-            f"dimension routes disagree: symbol side gives {dim_symbols}, "
-            f"operator side gives {dim_operators}"
-        )
     return DimensionReport(
-        dim=dim_symbols,
+        dim=n * n - rank_p * rank_p,
         gauge_dim=d * d,
         symbol_pair_dim=2 * n * d,
         operator_space_dim=n * n,

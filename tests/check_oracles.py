@@ -13,6 +13,8 @@ from mttokit.model_operator import defect_spaces, eval0_matrix, s_theta
 from mttokit.model_space import kernel, tilde_kernel
 from mttokit.numerics import opnorm
 
+from suite_oracles import from_coords
+
 
 def _backshift(f: VecLaurent) -> VecLaurent:
     """(f - f(0)) / z for analytic f."""
@@ -32,8 +34,8 @@ def action_check_loop(basis) -> dict:
 
     worst = 0.0
     for j in range(comp_dt.shape[1]):
-        f = basis.from_coords(comp_dt[:, j])
-        sf = basis.from_coords(s.mat @ comp_dt[:, j])
+        f = from_coords(basis, comp_dt[:, j])
+        sf = from_coords(basis, s.mat @ comp_dt[:, j])
         worst = max(worst, (f.shift(1) - sf).norm())
     checks["shift acts as multiplication off the second defect space"] = worst
 
@@ -46,8 +48,8 @@ def action_check_loop(basis) -> dict:
 
     worst = 0.0
     for j in range(comp_d.shape[1]):
-        f = basis.from_coords(comp_d[:, j])
-        bf = basis.from_coords(s_adj.mat @ comp_d[:, j])
+        f = from_coords(basis, comp_d[:, j])
+        bf = from_coords(basis, s_adj.mat @ comp_d[:, j])
         worst = max(worst, (_backshift(f) - bf).norm())
         worst = max(worst, float(np.linalg.norm(f.coeff(0))))  # those f vanish at 0
     checks["adjoint shift divides by z off the first defect space"] = worst

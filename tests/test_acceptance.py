@@ -14,7 +14,6 @@ from mttokit.laurent import (
     boundary_adjoint,
     evaluate,
     inner_residual,
-    l2_inner,
     multiply,
 )
 from mttokit.model_operator import (
@@ -47,6 +46,7 @@ from mttokit.serialize import canonical_json
 from mttokit.suite import SuiteConfig, run_suite
 
 from dimension_oracles import SymbolSpaceBasis
+from suite_oracles import element, from_coords, l2_inner, tau_apply
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str):
@@ -101,7 +101,7 @@ def test_02_reproducing_kernels():
         k, witness = kernel(basis, lam, x, return_witness=True)
         worst_tail = max(worst_tail, witness)
         coords = random_element_coords(basis, rng)
-        f = basis.from_coords(coords / np.linalg.norm(coords))
+        f = from_coords(basis, coords / np.linalg.norm(coords))
         worst_pairing = max(worst_pairing, abs(l2_inner(f, k) - np.vdot(x, evaluate(f, lam))))
     ok = worst_pairing <= 1e-9 and worst_tail <= 1e-9
     _verdict(2, "reproducing property over 50 cases", ok,
@@ -109,15 +109,13 @@ def test_02_reproducing_kernels():
 
 
 def test_03_coefficient_reversal_operator_matrix():
-    from mttokit.model_space import tau_apply
-
     worst_unitary = 0.0
     worst_intertwine = 0.0
     for name in ("FIX2", "FIX3", "FIX5"):
         basis = ModelSpaceBasis(fixture(name))
         tilde_basis = ModelSpaceBasis(basis.inner.tilde())
         theta = basis.inner.theta
-        cols = [tilde_basis.coords(tau_apply(theta, basis.element(j))) for j in range(basis.n)]
+        cols = [tilde_basis.coords(tau_apply(theta, element(basis, j))) for j in range(basis.n)]
         t = np.column_stack(cols)
         worst_unitary = max(worst_unitary, opnorm(t.conj().T @ t - np.eye(basis.n)))
         s, _ = s_theta(basis)

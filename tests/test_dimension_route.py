@@ -1,12 +1,12 @@
-"""The class dimension from measured ranks, pinned to the SVD counts.
+"""The class dimension, pinned to the SVD counts.
 
-mtto_dimension counts the class as 2nd - d^2 once rank K0 = d is measured,
-and as n^2 - (rank P)^2 once S^m = 0 is measured.  The references count it
-by SVD of the n^2 x 2nd symbol-pair map and of the n^2 x n^2 Stein
-constraint; a measurement that fails its condition must raise.
+mtto_dimension counts the class as 2nd - d^2, with rank K0 = d measured by
+the frame SVD of defect_spaces, and as n^2 - (rank P)^2 = n^2 - (n - d)^2
+once S^m = 0 is measured.  The references count it by SVD of the n^2 x 2nd
+symbol-pair map and of the n^2 x n^2 Stein constraint; a measurement that
+fails its condition must raise.
 """
 
-import dataclasses
 import time
 
 import numpy as np
@@ -14,6 +14,7 @@ import pytest
 
 from mttokit.errors import IdentityCheckError
 from mttokit.fixtures import FIXTURE_NAMES, fixture
+from mttokit import model_operator
 from mttokit.model_operator import OperatorMatrix, defect_spaces, s_theta
 from mttokit.model_space import ModelSpaceBasis, make_inner_potapov
 from mttokit.mtto import mtto_dimension
@@ -73,17 +74,16 @@ def test_non_nilpotent_shift_is_refused():
         mtto_dimension(basis)
 
 
-def test_rank_deficient_kernel_frame_is_refused():
-    basis, _, ds = _fresh()
-    frame = ds.d_frame.copy()
-    frame[:, 1] = frame[:, 0]
-    basis.cache["defects"] = dataclasses.replace(ds, d_frame=frame)
-    with pytest.raises(IdentityCheckError, match="K0 has rank 1"):
-        mtto_dimension(basis)
+def test_rank_deficient_kernel_frame_is_refused(monkeypatch):
+    # rank K0 is measured once, by the frame SVD in defect_spaces
+    basis = _potapov(2, [1, 2, 1], 90)
+    frame_of = model_operator.kernel_frame
 
+    def deficient(b, lam):
+        frame = frame_of(b, lam).copy()
+        frame[:, 1] = frame[:, 0]
+        return frame
 
-def test_routes_that_disagree_are_refused():
-    basis, _, ds = _fresh()
-    basis.cache["defects"] = dataclasses.replace(ds, p_d_perp=np.eye(basis.n))
-    with pytest.raises(IdentityCheckError, match="disagree"):
+    monkeypatch.setattr(model_operator, "kernel_frame", deficient)
+    with pytest.raises(IdentityCheckError, match="d-dimensional"):
         mtto_dimension(basis)

@@ -10,12 +10,12 @@ from mttokit.laurent import (
     inner_residual,
     is_inner,
     is_pure,
-    l2_inner,
     multiply,
     tilde,
 )
 
 from dimension_oracles import hs_inner
+from suite_oracles import l2_inner
 
 
 def _rand_mat_laurent(d, lo, hi, rng):

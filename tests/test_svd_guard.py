@@ -1,0 +1,80 @@
+"""Per-space facts are read off the defect data, not measured again by SVD.
+
+`defect_spaces` takes one SVD per kernel frame, in `_frame_svd`, which
+fixes rank K0 = rank K0~ = d; it checks I - S S* = K0 K0* and
+I - S* S = K0~ K0~* in the Frobenius norm instead of taking the rank and
+range of each defect operator by SVD.  `mtto_dimension` reads
+rank P = n - d off the complement basis.  A wrapper around numpy's SVD
+counts what each call still takes, and names its caller.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from mttokit.errors import IdentityCheckError
+from mttokit.fixtures import FIXTURE_NAMES, fixture
+from mttokit.model_operator import OperatorMatrix, defect_spaces, s_theta
+from mttokit.model_space import ModelSpaceBasis
+from mttokit.mtto import mtto_dimension
+from mttokit.randgen import random_inner
+
+np_linalg = getattr(np.linalg, "_linalg", np.linalg)  # where np.linalg.norm and pinv look up svd
+INNERS = [fixture(name) for name in FIXTURE_NAMES] + [
+    random_inner(d, m, np.random.default_rng(40 + d)) for d, m in ((2, 3), (3, 2), (4, 2))
+]
+IDS = list(FIXTURE_NAMES) + ["random-2x3", "random-3x2", "random-4x2"]
+
+
+@pytest.fixture
+def svd_callers(monkeypatch):
+    """Name of the function behind every numpy SVD, in call order."""
+    callers = []
+    real = np_linalg.svd
+
+    def counted(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np_linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return callers
+
+
+@pytest.mark.parametrize("inner", INNERS, ids=IDS)
+def test_new_basis_takes_one_svd_per_kernel_frame(inner, svd_callers):
+    basis = ModelSpaceBasis(inner)
+    svd_callers.clear()
+    defect_spaces(basis)
+    assert svd_callers == ["_frame_svd", "_frame_svd"]
+
+
+@pytest.mark.parametrize("inner", INNERS, ids=IDS)
+def test_mtto_dimension_takes_no_svd_on_cached_defect_data(inner, svd_callers):
+    basis = ModelSpaceBasis(inner)
+    defect_spaces(basis)
+    svd_callers.clear()
+    report = mtto_dimension(basis)
+    assert svd_callers == []
+    n, d = basis.n, basis.inner.d
+    assert report.rank_p_perp == n - d and report.dim == 2 * n * d - d * d
+
+
+@pytest.mark.parametrize("inner", INNERS, ids=IDS)
+def test_defect_identities_hold_to_roundoff(inner):
+    basis = ModelSpaceBasis(inner)
+    ds = defect_spaces(basis)
+    for g, frame in ((ds.g, ds.d_frame), (ds.gt, ds.dt_frame)):
+        assert np.linalg.norm(g - frame @ frame.conj().T) <= 1e-13
+
+
+@pytest.mark.parametrize("inner", INNERS, ids=IDS)
+def test_perturbed_shift_fails_the_defect_identity(inner):
+    basis = ModelSpaceBasis(inner)
+    s = s_theta(basis)[0].mat
+    rng = np.random.default_rng(basis.n)
+    fake = s + 1e-3 * (rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape))
+    basis.cache["shift"] = (OperatorMatrix(basis, fake), OperatorMatrix(basis, fake.conj().T))
+    with pytest.raises(IdentityCheckError, match="I - S S\\* = K0 K0\\*"):
+        defect_spaces(basis)

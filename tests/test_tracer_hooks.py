@@ -4,7 +4,9 @@
 `getattr`, so renaming or deleting one of them in src/ breaks every
 traced benchmark run (`--trace 1`).  This runs the tracer in a fresh
 process against src/, makes one traced build, one membership test and a
-one-case suite, and checks that the hooked layers were counted.
+one-case suite, calls the hooked helpers that neither of them reaches
+(the per-vector kernels, J and `coords`), and checks that every hooked
+layer was counted.
 """
 
 import json
@@ -21,8 +23,9 @@ import numpy as np
 import mttokit.cli  # noqa: F401  (install wraps the modules already imported)
 import tracer as tracer_module
 tracer = tracer_module.Tracer().install()
-from mttokit.laurent import MatLaurent
-from mttokit.model_space import ModelSpaceBasis
+from mttokit.laurent import MatLaurent, VecLaurent
+from mttokit.model_operator import defect_spaces, j_operators
+from mttokit.model_space import ModelSpaceBasis, kernel, tilde_kernel
 from mttokit.mtto import build, is_mtto
 from mttokit.randgen import random_inner
 from mttokit.suite import SuiteConfig, run_suite
@@ -30,6 +33,10 @@ basis = ModelSpaceBasis(random_inner(2, 2, np.random.default_rng(0)))
 op = build(basis, MatLaurent.identity(2))
 assert is_mtto(basis, op.mat).verdict
 assert run_suite(SuiteConfig(seed=1, cases=1, fixtures=("FIX2",), random_inners=()))["pass"]
+kernel(basis, 0.3, [1.0, 0.0])
+tilde_kernel(basis, 0.3, [1.0, 0.0])
+j_operators(basis, defect_spaces(basis))
+basis.coords(VecLaurent.constant([1.0, 0.0]))
 layers = [row[0] for row in tracer_module.TIMED + tracer_module.TIMED_INIT + tracer_module.COUNTED]
 layers += [tracer_module.SERIALIZE[0], "model_space.coords", "laurent.objects"]
 print(json.dumps({{"layers": layers, "calls": dict(tracer.calls)}}))

@@ -18,6 +18,7 @@ from mttokit.mtto import build, semi_commutator_left_factor
 from mttokit.randgen import random_inner, random_symbol
 
 from dimension_oracles import SymbolSpaceBasis, stein_constraint, symbol_pair_map
+from suite_oracles import element
 
 
 def _spaces():
@@ -36,13 +37,13 @@ def _assert_close(got, want):
 
 
 def _laurent_build(basis, phi):
-    return np.column_stack([basis.coords(multiply(phi, basis.element(j))) for j in range(basis.n)])
+    return np.column_stack([basis.coords(multiply(phi, element(basis, j))) for j in range(basis.n)])
 
 
 def _laurent_shift_pair(basis):
     s, s_adj = [], []
     for j in range(basis.n):
-        e = basis.element(j)
+        e = element(basis, j)
         s.append(basis.coords(e.shift(1)))
         s_adj.append(basis.coords((e - VecLaurent.constant(e.coeff(0))).shift(-1)))
     return np.column_stack(s), np.column_stack(s_adj)
