@@ -65,6 +65,14 @@ class _Laurent:
             return self.coeffs[k - self.lo]
         return np.zeros(self.coeffs.shape[1:], dtype=np.complex128)
 
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """Coefficient blocks at frequencies lo..hi as one array (zero outside the support)."""
+        out = np.zeros((hi - lo + 1,) + self.coeffs.shape[1:], dtype=np.complex128)
+        a, b = max(lo, self.lo), min(hi, self.hi)
+        if a <= b:
+            out[a - lo : b - lo + 1] = self.coeffs[a - self.lo : b - self.lo + 1]
+        return out
+
     def is_zero(self) -> bool:
         return not np.any(self.coeffs)
 
@@ -165,10 +173,14 @@ def convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
+def reversed_adjoint(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficient blocks of F(z)* from those of F: reversed, each block adjointed."""
+    return np.conj(np.transpose(coeffs[::-1], (0, 2, 1)))
+
+
 def boundary_adjoint(f: MatLaurent) -> MatLaurent:
     """Pointwise adjoint on the circle: F(z)* has coefficient (F_{-k})* at k."""
-    adj = np.conj(np.transpose(f.coeffs[::-1], (0, 2, 1)))
-    return MatLaurent(-f.hi, adj)
+    return MatLaurent(-f.hi, reversed_adjoint(f.coeffs))
 
 
 def tilde(f: MatLaurent) -> MatLaurent:
@@ -200,27 +212,6 @@ def evaluate(f, z: complex) -> np.ndarray:
     return out
 
 
-def analytic_split(f: MatLaurent):
-    """Write F = F_plus + (F_star)* with F_plus, F_star both analytic.
-
-    F_plus keeps the frequencies >= 0; F_star collects the rest, so its
-    support starts at -min(hi, -1) >= 1 (or it is zero).  Recomposition
-    is exact.
-    """
-    d = f.dim
-    if f.hi >= 0:
-        plus = MatLaurent(max(f.lo, 0), f.coeffs[max(f.lo, 0) - f.lo :])
-    else:
-        plus = MatLaurent.zero(d)
-    if f.lo < 0:
-        neg = f.coeffs[: min(f.hi, -1) - f.lo + 1]  # frequencies lo..-1
-        star = np.conj(np.transpose(neg[::-1], (0, 2, 1)))  # F_star_j = (F_{-j})*
-        f_star = MatLaurent(-min(f.hi, -1), star)
-    else:
-        f_star = MatLaurent.zero(d)
-    return plus, f_star
-
-
 def inner_residual(theta: MatLaurent) -> float:
     """Largest deviation of the coefficient products sum_k A_k* A_{k+j}
     from delta_{j0} I, i.e. how far Theta*Theta is from the constant I;
@@ -232,12 +223,9 @@ def inner_residual(theta: MatLaurent) -> float:
             prod = multiply(boundary_adjoint(theta), theta)
         except ValueError:  # a coefficient of Theta*Theta overflowed
             return float("inf")
-        worst = 0.0
-        eye = np.eye(theta.dim)
-        for k in range(prod.lo, prod.hi + 1):
-            target = eye if k == 0 else 0.0
-            worst = max(worst, float(np.linalg.norm(prod.coeff(k) - target)))
-    return worst
+        dev = prod.coeffs.copy()
+        dev[-prod.lo] -= np.eye(theta.dim)  # frequency 0 lies in the symmetric support of Theta*Theta
+        return max(float(np.linalg.norm(block)) for block in dev)
 
 
 def is_inner(theta: MatLaurent) -> bool:

@@ -262,11 +262,7 @@ class Conjugation:
 def gamma_symmetric_residual(f: MatLaurent, gamma: Conjugation) -> float:
     """How far the coefficients are from A_k = U A_k^T U*."""
     u = gamma.u
-    worst = 0.0
-    for k in range(f.lo, f.hi + 1):
-        a = f.coeff(k)
-        worst = max(worst, float(np.linalg.norm(a - u @ a.T @ u.conj().T)))
-    return worst
+    return max(float(np.linalg.norm(a - u @ a.T @ u.conj().T)) for a in f.coeffs)
 
 
 def conjugation_matrix(basis: ModelSpaceBasis, gamma: Conjugation) -> np.ndarray:

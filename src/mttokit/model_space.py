@@ -29,6 +29,7 @@ from .laurent import (
     inner_residual,
     is_pure,
     multiply,
+    reversed_adjoint,
     tilde,
 )
 from .numerics import INNER_TOL, block_toeplitz, fix_column_phases, nullspace
@@ -60,7 +61,8 @@ def det_degree(theta: MatLaurent) -> int:
 def _constraint_matrix(theta: MatLaurent) -> np.ndarray:
     """Map sending the coefficients of a degree-<m polynomial f to the
     analytic-part coefficients of Theta* f; its kernel is the model space."""
-    return block_toeplitz(lambda t: theta.coeff(-t).conj().T, theta.hi, theta.hi)
+    m = theta.hi
+    return block_toeplitz(reversed_adjoint(theta.window(1 - m, m - 1)), m, m)  # block (k, j) is Theta_{j-k}*
 
 
 class InnerFunction:
@@ -225,7 +227,7 @@ class ModelSpaceBasis:
             raise IdentityCheckError(f"pivoted orthogonalization found {k} directions, expected {n}")
         self.q = fix_column_phases(frame @ accepted.T)
         self._basis_id = None
-        self.cache = {}  # read-only operator data of this space, filled once by model_operator
+        self.cache = {}  # read-only operator data of this space, filled once by model_operator and mtto
 
     @property
     def n(self) -> int:
@@ -245,11 +247,7 @@ class ModelSpaceBasis:
     def embed_window(self, f: VecLaurent) -> np.ndarray:
         """Stack the coefficients of frequencies 0..m-1 (all that the
         model space can see) into one ambient vector."""
-        d, m = self.inner.d, self.inner.m
-        v = np.zeros(m * d, dtype=np.complex128)
-        for k in range(max(f.lo, 0), min(f.hi, m - 1) + 1):
-            v[k * d : (k + 1) * d] = f.coeff(k)
-        return v
+        return f.window(0, self.inner.m - 1).reshape(-1)
 
     def coords(self, f: VecLaurent) -> np.ndarray:
         """Coefficients against the basis; for f outside the model space
@@ -261,14 +259,8 @@ class ModelSpaceBasis:
     def membership_residual(self, f: VecLaurent) -> float:
         """Distance witness for membership: energy at negative frequencies
         plus the analytic part of Theta* f."""
-        neg = 0.0
-        for k in range(f.lo, min(f.hi, -1) + 1):
-            neg += float(np.linalg.norm(f.coeff(k)) ** 2)
         g = multiply(boundary_adjoint(self.inner.theta), f)
-        pos = 0.0
-        for k in range(max(g.lo, 0), g.hi + 1):
-            pos += float(np.linalg.norm(g.coeff(k)) ** 2)
-        return float(np.sqrt(neg + pos))
+        return float(np.hypot(np.linalg.norm(f.coeffs[: max(-f.lo, 0)]), np.linalg.norm(g.coeffs[max(-g.lo, 0) :])))
 
 
 def _disk_point(lam) -> complex:

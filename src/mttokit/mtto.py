@@ -15,7 +15,9 @@ operator passes because its residual is exactly 0.  The residual certifies
 the Frobenius distance to the class: residual / 2 <= dist <= m * residual.
 The zero-symbol tests default to the same relative threshold on the
 symbol's scale, REL * ||Phi||, with ||Phi|| the norm of its coefficients;
-the zero symbol passes.
+the zero symbol passes.  A symbol of the zero operator is split by one
+batched division by Theta on coefficient arrays, Phi and Phi* side by side,
+with both constant terms from one QR of [Theta_1; ...; Theta_m] per space.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
     NotMttoError,
     NotZeroOperatorError,
 )
-from .laurent import MatLaurent, analytic_split, boundary_adjoint, multiply
+from .laurent import MatLaurent, convolve, reversed_adjoint
 from .model_operator import (
     DefectSpaces,
     OperatorMatrix,
@@ -46,7 +48,8 @@ from .numerics import CHECK_TOL, REL, block_toeplitz, frobenius, opnorm
 
 def _toeplitz_window(basis: ModelSpaceBasis, phi: MatLaurent) -> np.ndarray:
     """T_Phi on the coefficient window: block (k, j) is Phi_{k-j}."""
-    return block_toeplitz(phi.coeff, basis.inner.m, basis.inner.m)
+    m = basis.inner.m
+    return block_toeplitz(phi.window(1 - m, m - 1), m, m)
 
 
 def build(basis: ModelSpaceBasis, phi: MatLaurent) -> OperatorMatrix:
@@ -156,11 +159,22 @@ def is_mtto(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> MttoDecis
     )
 
 
-def _divide_by_theta(theta: MatLaurent, target: MatLaurent):
-    """Analytic quotient Q = P+(Theta* target) and the remainder target - Theta Q,
-    whose norm Q minimizes because Theta is unitary on the circle."""
-    quotient, _ = analytic_split(multiply(boundary_adjoint(theta), target))
-    return quotient, target - multiply(theta, quotient)
+def _divide_by_theta(blocks: np.ndarray, lo: int, target: np.ndarray):
+    """Divide a coefficient array by Theta, all its columns in one batch:
+    `target` (K, d, ...) holds frequencies lo..hi of one symbol or several
+    side by side (Phi and Phi* in `zero_symbol_decompose`, whose constant
+    terms `_analytic_slot` fixes with the QR cached per space), `blocks`
+    Theta_0..Theta_m.  Returns Q = P+(Theta* target) over frequencies
+    0..top, top = max(hi, 0), and the remainder target - Theta Q over
+    min(lo, 0)..top + m, least in norm because Theta is unitary on the circle."""
+    m, base, top = blocks.shape[0] - 1, min(lo, 0), max(lo + target.shape[0] - 1, 0)
+    keep = convolve(reversed_adjoint(blocks), target)[max(m - lo, 0) :]  # frequencies max(lo - m, 0)..top
+    quotient = np.zeros((top + 1,) + target.shape[1:], dtype=np.complex128)
+    quotient[top + 1 - keep.shape[0] :] = keep
+    remainder = np.zeros((top + m + 1 - base,) + target.shape[1:], dtype=np.complex128)
+    remainder[lo - base : lo - base + target.shape[0]] = target
+    remainder[-base:] -= convolve(blocks, quotient)
+    return quotient, remainder
 
 
 def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent):
@@ -170,10 +184,10 @@ def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent):
     that consequence is verified before returning."""
     if phi.lo < 0:
         raise ValueError("commutant factorization needs an analytic symbol")
-    theta = basis.inner.theta
-    phi1, remainder = _divide_by_theta(theta, multiply(phi, theta))
-    residual = remainder.norm()
-    if residual <= CHECK_TOL * (1.0 + phi.norm() * theta.norm()):
+    blocks = basis.inner.blocks
+    phi1, remainder = _divide_by_theta(blocks, phi.lo, convolve(phi.coeffs, blocks))  # Phi Theta from phi.lo
+    residual = float(np.linalg.norm(remainder))
+    if residual <= CHECK_TOL * (1.0 + phi.norm() * basis.inner.theta.norm()):
         a_phi = build(basis, phi)
         s, _ = s_theta(basis)
         comm = opnorm(a_phi.mat @ s.mat - s.mat @ a_phi.mat)
@@ -181,7 +195,7 @@ def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent):
             raise IdentityCheckError(
                 f"factorization succeeded but the operator does not commute, norm {comm:.3e}"
             )
-    return phi1, residual
+    return MatLaurent(0, phi1), residual
 
 
 @dataclass
@@ -212,14 +226,15 @@ def recover_symbol(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> Re
     lam, v = np.linalg.eigh(k0.conj().T @ k0)
     rhs = v.conj().T @ (y.conj().T @ k0 - k0.conj().T @ x) @ v
     c = v @ (rhs / np.add.outer(lam, lam)) @ v.conj().T
-    f = basis.q.reshape(basis.inner.m, basis.inner.d, basis.n)  # window blocks of Q
-    psi1 = MatLaurent(0, f @ (x + k0 @ c))
-    psi2 = MatLaurent(0, f @ (y - k0 @ c.conj().T))
-    rebuilt = build(basis, psi1 + boundary_adjoint(psi2))
-    residual = frobenius(rebuilt.mat - amat)
-    if residual > 1e-8 * frobenius(amat):
+    m = basis.inner.m
+    f = basis.q.reshape(m, basis.inner.d, basis.n)  # window blocks of Q
+    p1, p2 = f @ (x + k0 @ c), f @ (y - k0 @ c.conj().T)
+    # T_{Psi1 + Psi2*}: block (k, j) is Psi1_{k-j} for k >= j plus (Psi2_{j-k})* for j >= k
+    tiles = np.concatenate([reversed_adjoint(p2[1:]), p1[:1] + reversed_adjoint(p2[:1]), p1[1:]])
+    residual = frobenius(basis.compress(block_toeplitz(tiles, m, m)) - amat)
+    if not residual <= 1e-8 * frobenius(amat):
         raise IdentityCheckError(f"recovered symbol rebuilds with residual {residual:.3e}")
-    return RecoveredSymbol(psi1, psi2, float(residual))
+    return RecoveredSymbol(MatLaurent(0, p1), MatLaurent(0, p2), float(residual))
 
 
 @dataclass
@@ -231,17 +246,25 @@ class ZeroSymbolResult:
     residual: Optional[float] = None
 
 
-def _analytic_slot(theta: MatLaurent, target: MatLaurent) -> MatLaurent:
-    """Psi in target = Theta Psi + (Theta Psi')*: Theta* target - Psi is
-    coanalytic, so the quotient Q by Theta agrees with Psi off j = 0 and the
-    remainder at k >= 1 is Theta_k (Psi(0) - Q(0)), solved by least squares
-    over [Theta_1; ...; Theta_m], whose Gram matrix I - Theta_0* Theta_0 is
-    positive definite for pure Theta."""
-    quotient, remainder = _divide_by_theta(theta, target)
-    ks = range(1, theta.hi + 1)
-    stacked = np.concatenate([theta.coeff(k) for k in ks])
-    fix = np.linalg.lstsq(stacked, np.concatenate([remainder.coeff(k) for k in ks]), rcond=None)[0]
-    return quotient + MatLaurent.constant(fix)
+def _analytic_slot(basis: ModelSpaceBasis, pair: np.ndarray):
+    """Psi in target = Theta Psi + (Theta Psi')* for every column block of
+    `pair` (frequencies -b..b): Theta* target - Psi is coanalytic, so the
+    quotient Q agrees with Psi off j = 0 and the remainder at k = 1..m is
+    Theta_k (Psi(0) - Q(0)), solved by the left inverse R^-1 Q* of the stack
+    [Theta_1; ...; Theta_m] = QR, of rank d for pure Theta (its Gram matrix
+    is I - Theta_0* Theta_0) and kept in the basis cache.  Returns Psi over
+    0..b and target - Theta Psi over -b..b+m."""
+    blocks, d, m = basis.inner.blocks, basis.inner.d, basis.inner.m
+    if "tail_inverse" not in basis.cache:
+        q, r = np.linalg.qr(blocks[1:].reshape(m * d, d))
+        basis.cache["tail_inverse"] = np.linalg.solve(r, q.conj().T)
+        basis.cache["tail_inverse"].setflags(write=False)
+    b = pair.shape[0] // 2
+    psi, remainder = _divide_by_theta(blocks, -b, pair)
+    fix = basis.cache["tail_inverse"] @ remainder[b + 1 : b + m + 1].reshape(m * d, -1)
+    psi[0] += fix
+    remainder[b : b + m + 1] -= blocks @ fix
+    return psi, remainder
 
 
 def zero_symbol_decompose(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional[float] = None) -> ZeroSymbolResult:
@@ -249,22 +272,28 @@ def zero_symbol_decompose(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional
     boundary adjoint of Theta Psi2 with both factors analytic; otherwise
     report the operator norm as the non-vanishing certificate.  For pure
     Theta the pair is unique (Theta Psi1 = -(Theta Psi2)* is a constant C
-    with Theta* C analytic, so C = 0); Psi1 and Psi2 come from dividing phi
-    and its boundary adjoint by Theta, each constant term from one solve."""
-    if phi.dim != basis.inner.d:
+    with Theta* C analytic, so C = 0); Psi1 and Psi2 come from one division
+    of [Phi, Phi*] by Theta, both constant terms from one solve."""
+    d, m = basis.inner.d, basis.inner.m
+    if phi.dim != d:
         raise DimensionMismatchError("symbol dimension does not match")
-    theta = basis.inner.theta
     nrm = opnorm(build(basis, phi).mat)
     if tol is None:
         tol = REL * phi.norm()
     if nrm > tol:
         return ZeroSymbolResult(is_zero=False, operator_norm=float(nrm))
-    psi1 = _analytic_slot(theta, phi)
-    psi2 = _analytic_slot(theta, boundary_adjoint(phi))
-    residual = (phi - multiply(theta, psi1) - boundary_adjoint(multiply(theta, psi2))).norm()
+    b = max(phi.hi, -phi.lo)
+    window = phi.window(-b, b)
+    psi, remainder = _analytic_slot(basis, np.concatenate([window, reversed_adjoint(window)], axis=2))
+    # Phi - Theta Psi1 - (Theta Psi2)* = R1 + R2* - Phi for R = [Phi, Phi*] - Theta [Psi1, Psi2]
+    err = np.zeros((2 * (b + m) + 1, d, d), dtype=np.complex128)  # frequencies -(b+m)..b+m
+    err[m:] = remainder[:, :, :d]
+    err[: 2 * b + m + 1] += reversed_adjoint(remainder[:, :, d:])
+    err[m : m + 2 * b + 1] -= window
+    residual = float(np.linalg.norm(err))
     if residual > 1e-8 * phi.norm():
         raise IdentityCheckError(f"zero-operator symbol failed to decompose, residual {residual:.3e}")
-    return ZeroSymbolResult(True, float(nrm), psi1, psi2, float(residual))
+    return ZeroSymbolResult(True, float(nrm), MatLaurent(0, psi[:, :, :d]), MatLaurent(0, psi[:, :, d:]), residual)
 
 
 def factor_through_theta(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional[float] = None):
@@ -281,11 +310,11 @@ def factor_through_theta(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional[
         tol = REL * phi.norm()
     if nrm > tol:
         raise NotZeroOperatorError(f"operator norm {nrm:.3e} exceeds {tol:.3e}")
-    phi1, remainder = _divide_by_theta(basis.inner.theta, phi)
-    residual = remainder.norm()
+    phi1, remainder = _divide_by_theta(basis.inner.blocks, phi.lo, phi.coeffs)
+    residual = float(np.linalg.norm(remainder))
     if residual > 1e-8 * phi.norm():
         raise IdentityCheckError(f"division by Theta left residual {residual:.3e}")
-    return phi1, residual
+    return MatLaurent(0, phi1), residual
 
 
 @dataclass

@@ -119,12 +119,11 @@ def solve_min_norm(a, b):
     return x, residual
 
 
-def block_toeplitz(block, rows: int, cols: int) -> np.ndarray:
-    """Matrix of rows x cols blocks whose (k, j) block is block(k - j).
+def block_toeplitz(tiles: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Matrix of rows x cols blocks whose (k, j) block is tiles[k - j + cols - 1].
 
-    `block` maps an integer offset to a 2-d array and is asked once per
-    offset; the blocks are copied in unchanged."""
-    tiles = np.array([block(t) for t in range(1 - cols, rows)], dtype=np.complex128)
+    `tiles` holds the blocks at offsets 1 - cols, ..., rows - 1 in order;
+    they are copied in unchanged."""
     r, c = tiles.shape[1:]
     offsets = np.subtract.outer(np.arange(rows), np.arange(cols)) + cols - 1
     return tiles[offsets].transpose(0, 2, 1, 3).reshape(rows * r, cols * c)

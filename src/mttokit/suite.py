@@ -46,6 +46,7 @@ from .model_space import (
     tilde_kernel_window,
 )
 from .mtto import (
+    _divide_by_theta,
     build,
     finite_rank,
     finite_rank_as_xhat,
@@ -200,7 +201,7 @@ def _check_projection(ctx, rng):
         d, m, q = basis.inner.d, basis.inner.m, basis.q
         for _ in range(ctx.config.cases):
             h = random_symbol(d, 0, 2, rng)
-            blocked = convolve(basis.inner.blocks, np.array([h.coeff(k) for k in range(3)]))  # Theta h
+            blocked = convolve(basis.inner.blocks, h.window(0, 2))  # Theta h
             projected = q @ (q.conj().T @ blocked[:m].reshape(m * d, d))
             out.add(np.linalg.norm(projected, axis=0) / (1.0 + np.linalg.norm(blocked, axis=(0, 1))))
             g = q @ random_element_coords(basis, rng)
@@ -364,11 +365,9 @@ def _check_symbol_recovery(ctx, rng):
 def _check_zero_symbols(ctx, rng):
     out = _CheckResult()
     for _, basis in ctx.spaces:
-        theta = basis.inner.theta
-        d = basis.inner.d
+        theta, d = basis.inner.theta, basis.inner.d
         for _ in range(ctx.config.cases):
-            psi1 = random_symbol(d, 0, 2, rng)
-            psi2 = random_symbol(d, 0, 2, rng)
+            psi1, psi2 = random_symbol(d, 0, 2, rng), random_symbol(d, 0, 2, rng)
             phi = multiply(theta, psi1) + boundary_adjoint(multiply(theta, psi2))
             result = zero_symbol_decompose(basis, phi)
             out.add(0.0 if result.is_zero else 1.0)
@@ -445,16 +444,13 @@ def _check_worked_example(ctx, rng):
     Theta H^2, the operator is a rank-one member, and it breaks the
     conjugation symmetry that the compressed shift has."""
     out = _CheckResult()
-    basis = ModelSpaceBasis(fixture("FIX3"))
-    theta = basis.inner.theta
+    basis = dict(ctx.spaces).get("FIX3") or ModelSpaceBasis(fixture("FIX3"))
     phi = MatLaurent.constant(np.array([[0.0, 0.0], [1.0, 0.0]]))
     f = VecLaurent(1, [[1.0, 0.0]])
     image = multiply(phi, f)
     out.add(basis.membership_residual(image))
-    # distance to Theta H^2 is the full norm of the image
-    full = multiply(boundary_adjoint(theta), image)
-    h_plus = VecLaurent(0, np.array([full.coeff(k) for k in range(max(full.hi, 0) + 1)]))
-    dist = (image - multiply(theta, h_plus)).norm()
+    # distance to Theta H^2, the norm of the remainder of the division by Theta, is the full norm of the image
+    dist = np.linalg.norm(_divide_by_theta(basis.inner.blocks, image.lo, image.coeffs)[1])
     out.add(0.0 if dist > 0.9 else 1.0)
     a = build(basis, phi)
     out.add(0.0 if rank(a.mat) == 1 else 1.0)

@@ -18,6 +18,11 @@ from mttokit.model_operator import defect_spaces, s_theta
 from mttokit.numerics import block_toeplitz, rank
 
 
+def toeplitz_of(block, rows: int, cols: int) -> np.ndarray:
+    """block_toeplitz with the block at each offset t given as block(t)."""
+    return block_toeplitz(np.array([block(t) for t in range(1 - cols, rows)], dtype=np.complex128), rows, cols)
+
+
 def symbol_pair_map(basis) -> np.ndarray:
     """Linear map (coefficients of Psi1, coefficients of the starred
     second slot) -> vec of the operator matrix, over the symbol-space
@@ -30,7 +35,7 @@ def symbol_pair_map(basis) -> np.ndarray:
     d, m, n = basis.inner.d, basis.inner.m, basis.n
     f = basis.q.reshape(m, d, n)
     zero = np.zeros((d, n))
-    shifted = block_toeplitz(lambda t: f[t] if t >= 0 else zero, m, m).reshape(m, d, m, n)
+    shifted = toeplitz_of(lambda t: f[t] if t >= 0 else zero, m, m).reshape(m, d, m, n)
     first = np.einsum("kca,kcij,isb->absj", f.conj(), shifted, f, optimize=True)
     second = first.transpose(1, 0, 2, 3).conj()
     return np.hstack([first.reshape(n * n, d * n), second.reshape(n * n, d * n)])
@@ -89,5 +94,5 @@ def symbol_space_dim_bruteforce(basis) -> int:
     """Dimension of the symbol space found by brute force: nullity of the
     analytic-part constraint on matrix polynomials of degree < m."""
     theta, m, eye = basis.inner.theta, basis.inner.m, np.eye(basis.inner.d)
-    c = block_toeplitz(lambda t: np.kron(theta.coeff(-t).conj().T, eye), m, m)
+    c = toeplitz_of(lambda t: np.kron(theta.coeff(-t).conj().T, eye), m, m)
     return c.shape[1] - rank(c, scale=1.0)

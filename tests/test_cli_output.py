@@ -1,6 +1,7 @@
 """What the command line writes: one line of `serialize.canonical_json` on
 stdout for every subcommand, and on stderr nothing or exactly one
 `{"error", "message"}` line, also for inputs that overflow in numpy.
+`symbol zero-test` writes what the Laurent-object division by Theta wrote.
 
 pytest's warning capture keeps numpy's RuntimeWarnings out of `capsys`,
 so the stderr contract is checked on `python -m mttokit.cli` in a
@@ -19,9 +20,12 @@ import pytest
 from mttokit import cli, laurent, serialize
 from mttokit.cli import main
 from mttokit.fixtures import FIXTURE_NAMES, fixture
-from mttokit.laurent import MatLaurent, inner_residual, is_inner, is_pure, purity_margin
+from mttokit.laurent import MatLaurent, boundary_adjoint, inner_residual, is_inner, is_pure, multiply, purity_margin
 from mttokit.model_space import ModelSpaceBasis, theta_from_json
 from mttokit.mtto import build
+from mttokit.randgen import random_symbol
+
+import division_oracles
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -171,3 +175,35 @@ def test_inner_check_measures_once_and_matches_the_earlier_output(tmp_path, caps
     out = capsys.readouterr().out
     assert out == want and code == (0 if json.loads(want)["verdict"] else 1)
     assert len(calls) == (1 if candidate.lo >= 0 else 0)
+
+
+def _zero_test_symbols(inner):
+    """A symbol of the zero operator, its costar-only part (Theta Psi2)*, and a symbol of a non-zero operator."""
+    rng = np.random.default_rng(inner.n + 61)
+    theta, d = inner.theta, inner.d
+    costar = boundary_adjoint(multiply(theta, random_symbol(d, 0, 2, rng)))
+    return {"zero": multiply(theta, random_symbol(d, 0, 2, rng)) + costar, "costar": costar,
+            "non-zero": random_symbol(d, -1, 1, rng)}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_symbol_zero_test_matches_the_laurent_route(tmp_path, capsys, name):
+    inner = fixture(name)
+    for label, phi in _zero_test_symbols(inner).items():
+        path = tmp_path / f"{label}.json"
+        serialize.dump_json_file(path, serialize.laurent_to_json(phi))
+        code = main(["symbol", "zero-test", "--theta", name, "--symbol", str(path)])
+        got = json.loads(capsys.readouterr().out)
+        want = division_oracles.zero_symbol_decompose(ModelSpaceBasis(inner), phi)
+        assert want.is_zero is (label != "non-zero")
+        assert got["is_zero"] is want.is_zero and code == (0 if want.is_zero else 1)
+        tol = 1e-15 * phi.norm()  # every float is measured in the symbol's norm
+        assert abs(got["operator_norm"] - want.operator_norm) <= tol
+        if not want.is_zero:
+            assert sorted(got) == ["is_zero", "operator_norm", "schema_version"]
+            continue
+        assert abs(got["residual"] - want.residual) <= tol
+        for key, ref in (("analytic_factor", want.psi1), ("costar_factor", want.psi2)):
+            factor = serialize.json_to_mat_laurent(got[key])
+            lo, hi = min(factor.lo, ref.lo), max(factor.hi, ref.hi)
+            assert factor.lo >= 0 and np.linalg.norm(factor.window(lo, hi) - ref.window(lo, hi)) <= tol

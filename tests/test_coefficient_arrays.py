@@ -1,0 +1,139 @@
+"""Loops over Laurent coefficient blocks that became array operations,
+pinned to the loops they replaced.
+
+`window` reads a frequency range as one array; `embed_window`,
+`membership_residual`, `inner_residual` and `gamma_symmetric_residual` use
+whole coefficient arrays; `block_toeplitz` takes the blocks at every offset
+as one array; and `recover_symbol` checks its pair on T_{Psi1 + Psi2*}
+assembled straight from the two coefficient arrays.  Where the arithmetic
+is the same the results must be equal; `membership_residual` now sums its
+squares in another order, so it gets a tolerance of a few ulps.
+"""
+
+import numpy as np
+import pytest
+
+from mttokit.fixtures import FIXTURE_NAMES, fixture
+from mttokit.laurent import MatLaurent, VecLaurent, boundary_adjoint, inner_residual, multiply
+from mttokit.model_operator import Conjugation, gamma_symmetric_residual
+from mttokit.model_space import ModelSpaceBasis
+from mttokit.mtto import build, recover_symbol
+from mttokit.numerics import frobenius
+from mttokit.randgen import random_inner, random_symbol
+
+INNERS = [fixture(name) for name in FIXTURE_NAMES] + [
+    random_inner(d, m, np.random.default_rng(80 + d)) for d, m in ((1, 3), (2, 3), (3, 2))
+]
+IDS = list(FIXTURE_NAMES) + ["random-1x3", "random-2x3", "random-3x2"]
+BASES = [ModelSpaceBasis(inner) for inner in INNERS]
+
+
+def _loop_window(f, lo, hi):
+    return np.array([f.coeff(k) for k in range(lo, hi + 1)])
+
+
+def _loop_embed_window(basis, f):
+    d, m = basis.inner.d, basis.inner.m
+    v = np.zeros(m * d, dtype=np.complex128)
+    for k in range(max(f.lo, 0), min(f.hi, m - 1) + 1):
+        v[k * d : (k + 1) * d] = f.coeff(k)
+    return v
+
+
+def _loop_membership_residual(basis, f):
+    neg = 0.0
+    for k in range(f.lo, min(f.hi, -1) + 1):
+        neg += float(np.linalg.norm(f.coeff(k)) ** 2)
+    g = multiply(boundary_adjoint(basis.inner.theta), f)
+    pos = 0.0
+    for k in range(max(g.lo, 0), g.hi + 1):
+        pos += float(np.linalg.norm(g.coeff(k)) ** 2)
+    return float(np.sqrt(neg + pos))
+
+
+def _loop_inner_residual(theta):
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            prod = multiply(boundary_adjoint(theta), theta)
+        except ValueError:
+            return float("inf")
+        worst = 0.0
+        eye = np.eye(theta.dim)
+        for k in range(prod.lo, prod.hi + 1):
+            target = eye if k == 0 else 0.0
+            worst = max(worst, float(np.linalg.norm(prod.coeff(k) - target)))
+    return worst
+
+
+def _loop_gamma_symmetric_residual(f, gamma):
+    u = gamma.u
+    worst = 0.0
+    for k in range(f.lo, f.hi + 1):
+        a = f.coeff(k)
+        worst = max(worst, float(np.linalg.norm(a - u @ a.T @ u.conj().T)))
+    return worst
+
+
+def _vectors(d, m, rng):
+    """Vector symbols inside the window, straddling both ends, and wholly below or above it."""
+    for lo, hi in ((0, m - 1), (-2, m + 1), (1, 1), (-4, -2), (m + 1, m + 3)):
+        yield VecLaurent(lo, rng.standard_normal((hi - lo + 1, d)) + 1j * rng.standard_normal((hi - lo + 1, d)))
+
+
+@pytest.mark.parametrize("basis", BASES, ids=IDS)
+def test_window_and_embed_window_match_the_coefficient_loops(basis):
+    rng = np.random.default_rng(basis.n + 1)
+    d, m = basis.inner.d, basis.inner.m
+    for f in _vectors(d, m, rng):
+        assert np.array_equal(basis.embed_window(f), _loop_embed_window(basis, f))
+        ranges = ((f.lo, f.hi), (f.lo - 2, f.hi + 2), (f.hi + 1, f.hi + 3), (f.lo - 3, f.lo - 1), (f.lo - 6, f.lo - 3), (0, 0))
+        for lo, hi in ranges:
+            assert np.array_equal(f.window(lo, hi), _loop_window(f, lo, hi))
+
+
+@pytest.mark.parametrize("basis", BASES, ids=IDS)
+def test_membership_residual_matches_the_coefficient_loop(basis):
+    rng = np.random.default_rng(basis.n + 2)
+    d, m = basis.inner.d, basis.inner.m
+    members = [VecLaurent(0, (basis.q @ rng.standard_normal(basis.n)).reshape(m, d))]
+    for f in [*members, *_vectors(d, m, rng)]:
+        want = _loop_membership_residual(basis, f)
+        assert abs(basis.membership_residual(f) - want) <= 4e-16 * (want + f.norm())
+    assert basis.membership_residual(members[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("inner", INNERS, ids=IDS)
+def test_inner_residual_matches_the_coefficient_loop(inner):
+    rng = np.random.default_rng(inner.n + 3)
+    theta, d = inner.theta, inner.d
+    candidates = [
+        theta,
+        theta + MatLaurent(1, 1e-3 * rng.standard_normal((1, d, d))),
+        random_symbol(d, 0, 2, rng),
+        theta * 1e153,  # Theta* Theta is finite, the norm of its blocks overflows
+        theta * 1e160,  # a block of Theta* Theta overflows
+    ]
+    for candidate in candidates:
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert inner_residual(candidate) == _loop_inner_residual(candidate)
+
+
+@pytest.mark.parametrize("inner", INNERS, ids=IDS)
+def test_gamma_symmetric_residual_matches_the_coefficient_loop(inner):
+    rng = np.random.default_rng(inner.n + 4)
+    d = inner.d
+    gammas = [Conjugation(np.eye(d)), Conjugation(np.eye(d)[::-1])]
+    for f in (inner.theta, random_symbol(d, -2, 2, rng)):
+        for gamma in gammas:
+            assert gamma_symmetric_residual(f, gamma) == _loop_gamma_symmetric_residual(f, gamma)
+
+
+@pytest.mark.parametrize("basis", BASES, ids=IDS)
+def test_recover_symbol_checks_the_pair_on_the_window_that_build_assembles(basis):
+    rng = np.random.default_rng(basis.n + 5)
+    d = basis.inner.d
+    for lo, hi in ((-2, 2), (0, 3), (-3, 0)):
+        a = build(basis, random_symbol(d, lo, hi, rng)).mat
+        rec = recover_symbol(basis, a)
+        rebuilt = build(basis, rec.psi1 + boundary_adjoint(rec.psi2)).mat
+        assert rec.residual == frobenius(rebuilt - a)

@@ -4,7 +4,6 @@ import pytest
 from mttokit.laurent import (
     MatLaurent,
     VecLaurent,
-    analytic_split,
     boundary_adjoint,
     evaluate,
     inner_residual,
@@ -15,6 +14,7 @@ from mttokit.laurent import (
 )
 
 from dimension_oracles import hs_inner
+from division_oracles import analytic_split
 from suite_oracles import l2_inner
 
 

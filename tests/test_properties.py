@@ -12,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from mttokit.fixtures import FIXTURE_NAMES, fixture  # noqa: E402
-from mttokit.laurent import analytic_split, boundary_adjoint, multiply  # noqa: E402
+from mttokit.laurent import boundary_adjoint, multiply  # noqa: E402
 from mttokit.model_operator import defect_spaces, s_theta  # noqa: E402
 from mttokit.model_space import ModelSpaceBasis  # noqa: E402
 from mttokit.mtto import build, is_mtto, mtto_dimension, recover_symbol, zero_symbol_decompose  # noqa: E402
@@ -21,6 +21,7 @@ from mttokit.randgen import random_inner, random_symbol  # noqa: E402
 from mttokit.serialize import SCHEMA_VERSION, json_to_mat_laurent, laurent_to_json  # noqa: E402
 
 from dimension_oracles import svd_counts  # noqa: E402
+from division_oracles import analytic_split  # noqa: E402
 
 SPACES = [ModelSpaceBasis(fixture(name)) for name in FIXTURE_NAMES] + [
     ModelSpaceBasis(random_inner(d, m, np.random.default_rng(60 + d))) for d, m in ((2, 3), (3, 2), (4, 2))

@@ -4,7 +4,9 @@
 fixes rank K0 = rank K0~ = d; it checks I - S S* = K0 K0* and
 I - S* S = K0~ K0~* in the Frobenius norm instead of taking the rank and
 range of each defect operator by SVD.  `mtto_dimension` reads
-rank P = n - d off the complement basis.  A wrapper around numpy's SVD
+rank P = n - d off the complement basis.  `zero_symbol_decompose` divides
+by Theta on coefficient arrays with a left inverse factored once per space
+by QR, so its one SVD is the operator norm.  A wrapper around numpy's SVD
 counts what each call still takes, and names its caller.
 """
 
@@ -15,10 +17,11 @@ import pytest
 
 from mttokit.errors import IdentityCheckError
 from mttokit.fixtures import FIXTURE_NAMES, fixture
+from mttokit.laurent import MatLaurent, boundary_adjoint, multiply
 from mttokit.model_operator import OperatorMatrix, defect_spaces, s_theta
 from mttokit.model_space import ModelSpaceBasis
-from mttokit.mtto import mtto_dimension
-from mttokit.randgen import random_inner
+from mttokit.mtto import mtto_dimension, zero_symbol_decompose
+from mttokit.randgen import random_inner, random_symbol
 
 np_linalg = getattr(np.linalg, "_linalg", np.linalg)  # where np.linalg.norm and pinv look up svd
 INNERS = [fixture(name) for name in FIXTURE_NAMES] + [
@@ -78,3 +81,41 @@ def test_perturbed_shift_fails_the_defect_identity(inner):
     basis.cache["shift"] = (OperatorMatrix(basis, fake), OperatorMatrix(basis, fake.conj().T))
     with pytest.raises(IdentityCheckError, match="I - S S\\* = K0 K0\\*"):
         defect_spaces(basis)
+
+
+@pytest.fixture
+def made_laurents(monkeypatch):
+    """Every MatLaurent built, in order."""
+    made = []
+    real = MatLaurent.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(MatLaurent, "__init__", counted)
+    return made
+
+
+@pytest.mark.parametrize("inner", INNERS, ids=IDS)
+def test_zero_symbol_decompose_takes_one_svd_and_builds_only_its_factors(inner, svd_callers, made_laurents, monkeypatch):
+    basis = ModelSpaceBasis(inner)
+    rng = np.random.default_rng(basis.n + 5)
+    theta, d = inner.theta, inner.d
+    phi = multiply(theta, random_symbol(d, 0, 2, rng)) + boundary_adjoint(multiply(theta, random_symbol(d, 0, 2, rng)))
+    factorizations = []
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: pytest.fail("lstsq called"))
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: factorizations.append(a) or np_linalg.qr(*a, **k))
+    zero_symbol_decompose(basis, phi)
+    assert len(factorizations) == 1  # [Theta_1; ...; Theta_m], factored on first use
+    svd_callers.clear()
+    made_laurents.clear()
+    result = zero_symbol_decompose(basis, phi)
+    assert result.is_zero and len(factorizations) == 1
+    assert svd_callers == ["opnorm"]
+    assert made_laurents == [result.psi1, result.psi2]
+    outside = phi + MatLaurent.identity(d)
+    svd_callers.clear()
+    made_laurents.clear()
+    refused = zero_symbol_decompose(basis, outside)
+    assert not refused.is_zero and svd_callers == ["opnorm"] and made_laurents == []

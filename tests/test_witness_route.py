@@ -8,7 +8,8 @@ divides a zero symbol and its boundary adjoint by Theta.  The references
 below solve the same problems by minimum-norm least squares: over the
 symbol-pair map for recovery, over the block-Toeplitz matrix of
 multiplication by Theta for the commutant, and over the block-Toeplitz
-matrix of (Psi1, Psi2) -> Theta Psi1 + (Theta Psi2)* for zero symbols.
+matrix of (Psi1, Psi2) -> Theta Psi1 + (Theta Psi2)* for zero symbols; the
+last two live in division_oracles.
 """
 
 import time
@@ -17,20 +18,15 @@ import numpy as np
 import pytest
 
 from mttokit.fixtures import FIXTURE_NAMES, fixture
-from mttokit.laurent import MatLaurent, boundary_adjoint, multiply, purity_margin
+from mttokit.laurent import MatLaurent, boundary_adjoint, purity_margin
 from mttokit.model_operator import defect_spaces
-from mttokit.model_space import ModelSpaceBasis, make_inner_potapov
+from mttokit.model_space import ModelSpaceBasis
 from mttokit.mtto import build, commutant_factor, recover_symbol, zero_symbol_decompose
-from mttokit.numerics import block_toeplitz, opnorm, solve_min_norm
-from mttokit.randgen import (
-    haar_unitary,
-    random_commuting_symbol,
-    random_inner,
-    random_projection,
-    random_symbol,
-)
+from mttokit.numerics import opnorm, solve_min_norm
+from mttokit.randgen import random_commuting_symbol, random_inner, random_symbol
 
 from dimension_oracles import symbol_pair_map
+from division_oracles import lstsq_commutant, lstsq_zero_symbol, near_impure_space, rank_one_space, zero_symbol
 
 
 def _spaces():
@@ -63,75 +59,11 @@ def _lstsq_recovery(basis, amat):
     return f @ x[: d * n].reshape(d, n).T, f @ np.conj(x[d * n :]).reshape(d, n).T
 
 
-def _lstsq_commutant(basis, phi):
-    """Minimum-norm least squares for Theta Phi1 = Phi Theta over the
-    coefficients of Phi1 up to degree phi.hi + m."""
-    theta = basis.inner.theta
-    d, m = basis.inner.d, basis.inner.m
-    q = phi.hi + m
-    sys = block_toeplitz(lambda t: np.kron(theta.coeff(t), np.eye(d)), m + q + 1, q + 1)
-    rhs_fun = multiply(phi, theta)
-    rhs = np.concatenate([rhs_fun.coeff(k).reshape(-1) for k in range(m + q + 1)])
-    x, _ = solve_min_norm(sys, rhs)
-    phi1 = MatLaurent(0, x.reshape(q + 1, d, d))
-    return phi1, (multiply(theta, phi1) - rhs_fun).norm()
-
-
-def _lstsq_zero_symbol(basis, phi):
-    """Minimum-norm least squares for Theta Psi1 + (Theta Psi2)* = Phi over
-    the coefficients of Psi1 up to degree max(phi.hi, m) and of Psi2 up to
-    max(-phi.lo, m)."""
-    theta = basis.inner.theta
-    d, m = basis.inner.d, basis.inner.m
-    q1, q2 = max(phi.hi, m), max(-phi.lo, m)
-    lo_k, hi_k = -(m + q2), m + q1
-    rows, dd, cols1 = hi_k - lo_k + 1, d * d, (q1 + 1) * d * d
-    eye = np.eye(d)
-    # first slot: coefficient k of Theta Psi1, block (k, j) is Theta_{k-j} acting on Psi1_j
-    first = block_toeplitz(lambda t: np.kron(theta.coeff(t + lo_k), eye), rows, q1 + 1)
-    # second slot: coefficient k of the boundary adjoint of Theta Psi2,
-    # parametrized linearly by Y_j = Psi2_j* so the system stays C-linear;
-    # block (k, j) holds Theta_{-k-j}, a Toeplitz matrix read from the last row up
-    second = block_toeplitz(lambda t: np.kron(eye, np.conj(theta.coeff(t - hi_k))), rows, q2 + 1)
-    sys = np.hstack([first, second.reshape(rows, dd, -1)[::-1].reshape(rows * dd, -1)])
-    rhs = np.concatenate([phi.coeff(k).reshape(-1) for k in range(lo_k, hi_k + 1)])
-    x, _ = solve_min_norm(sys, rhs)
-    y = x[cols1:].reshape(q2 + 1, d, d)
-    return MatLaurent(0, x[:cols1].reshape(q1 + 1, d, d)), MatLaurent(0, np.conj(np.transpose(y, (0, 2, 1))))
-
-
-def _zero_symbol(theta, psi1, psi2):
-    return multiply(theta, psi1) + boundary_adjoint(multiply(theta, psi2))
-
-
 def _pair_window(psi1, psi2, count):
     return np.concatenate([_window(psi1, count), _window(psi2, count)])
 
 
-def _rank_one_space(d, m, seed):
-    """Potapov product of rank-one factors behind a Haar unitary: Theta(0)
-    is neither 0 nor close to an isometry."""
-    rng = np.random.default_rng(seed)
-    factors = [random_projection(d, 1, rng) for _ in range(m)]
-    return ModelSpaceBasis(make_inner_potapov(factors, left_unitary=haar_unitary(d, rng)))
-
-
-def _near_impure_space(margin, count=4, seed=7):
-    """Potapov product on C^2 whose projections are nearly orthogonal to
-    one unit vector v, so that ||Theta(0) v|| is close to 1: each factor
-    keeps 1 - eps^2 of |v|^2, and count * eps^2 / 2 is about the margin."""
-    rng = np.random.default_rng(seed)
-    eps = np.sqrt(2.0 * margin / count)
-    v = haar_unitary(2, rng)[:, 0]
-    w = np.array([-np.conj(v[1]), np.conj(v[0])])  # unit vector orthogonal to v
-    factors = []
-    for _ in range(count):
-        u = eps * v + np.sqrt(1.0 - eps**2) * np.exp(2j * np.pi * rng.uniform()) * w
-        factors.append(np.outer(u, u.conj()))
-    return ModelSpaceBasis(make_inner_potapov(factors, left_unitary=haar_unitary(2, rng)))
-
-
-ZERO_SPACES = SPACES + [_rank_one_space(2, 3, 54), _rank_one_space(3, 3, 55), _rank_one_space(3, 4, 56)]
+ZERO_SPACES = SPACES + [rank_one_space(2, 3, 54), rank_one_space(3, 3, 55), rank_one_space(3, 4, 56)]
 ZERO_IDS = IDS + ["rank-one-2x3", "rank-one-3x3", "rank-one-3x4"]
 
 
@@ -158,7 +90,7 @@ def test_commutant_factor_matches_block_toeplitz_least_squares(basis):
     symbols = [random_commuting_symbol(basis, rng), random_symbol(d, 0, 2, rng), basis.inner.theta]
     for phi in symbols:
         phi1, res = commutant_factor(basis, phi)
-        want, want_res = _lstsq_commutant(basis, phi)
+        want, want_res = lstsq_commutant(basis, phi)
         count = max(phi1.hi, want.hi) + 1
         _assert_close(_window(phi1, count), _window(want, count))
         assert abs(res - want_res) <= 1e-12 * (1.0 + phi.norm())
@@ -172,10 +104,10 @@ def test_zero_symbol_decompose_matches_block_toeplitz_least_squares(basis):
     d, m = basis.inner.d, basis.inner.m
     for hi1, hi2 in ((0, 0), (2, 1), (1, 3), (m, m)):
         psi1, psi2 = random_symbol(d, 0, hi1, rng), random_symbol(d, 0, hi2, rng)
-        phi = _zero_symbol(theta, psi1, psi2)
+        phi = zero_symbol(theta, psi1, psi2)
         result = zero_symbol_decompose(basis, phi)
         assert result.is_zero and result.residual <= 1e-12 * phi.norm()
-        want1, want2 = _lstsq_zero_symbol(basis, phi)
+        want1, want2 = lstsq_zero_symbol(basis, phi)
         count = max(result.psi1.hi, result.psi2.hi, want1.hi, want2.hi) + 1
         got = _pair_window(result.psi1, result.psi2, count)
         _assert_close(got, _pair_window(want1, want2, count))
@@ -186,13 +118,13 @@ def test_zero_symbol_decompose_matches_block_toeplitz_least_squares(basis):
 def test_zero_symbol_decompose_near_the_purity_edge(margin):
     # the constant terms come from a solve whose Gram matrix
     # I - Theta(0)* Theta(0) has smallest eigenvalue about 2 * margin
-    basis = _near_impure_space(margin)
+    basis = near_impure_space(margin)
     theta = basis.inner.theta
     assert margin / 2 <= purity_margin(theta) <= margin
     rng = np.random.default_rng(10)
     for _ in range(5):
         psi1, psi2 = random_symbol(2, 0, 2, rng), random_symbol(2, 0, 2, rng)
-        phi = _zero_symbol(theta, psi1, psi2)
+        phi = zero_symbol(theta, psi1, psi2)
         result = zero_symbol_decompose(basis, phi)
         assert result.is_zero and result.residual <= 1e-11 * phi.norm()
         count = max(result.psi1.hi, result.psi2.hi, 2) + 1
@@ -205,7 +137,7 @@ def test_zero_symbol_of_degree_sixty():
     basis = ModelSpaceBasis(random_inner(6, 4, np.random.default_rng(3)))
     rng = np.random.default_rng(4)
     psi1, psi2 = random_symbol(6, 0, 56, rng), random_symbol(6, 0, 56, rng)
-    phi = _zero_symbol(basis.inner.theta, psi1, psi2)
+    phi = zero_symbol(basis.inner.theta, psi1, psi2)
     assert (phi.lo, phi.hi) == (-60, 60)
     start = time.perf_counter()
     result = zero_symbol_decompose(basis, phi)
