@@ -10,7 +10,7 @@ in its cache and handed out as read-only arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,7 +85,10 @@ class DefectSpaces:
     left inverses K+ = V Sigma^-1 U_d*, which send K x back to x and vanish
     off the span of K.  g / gt are the defect operators I - S S* and
     I - S* S, and p_* the projectors onto the two spaces and onto their
-    complements.
+    complements.  With C = comp_d and C~ = comp_dt, shift_d = C* S and
+    shift_dt = C~* S* compress the two defect identities to the complements
+    (`compressed_identities`): C* (A - S A S*) C = C* A C - shift_d A shift_d*,
+    and likewise C~* (A - S* A S) C~ = C~* A C~ - shift_dt A shift_dt*.
     """
 
     d_basis: np.ndarray
@@ -102,10 +105,26 @@ class DefectSpaces:
     comp_dt: np.ndarray
     d_pinv: np.ndarray
     dt_pinv: np.ndarray
+    shift_d: np.ndarray
+    shift_dt: np.ndarray
+    _left: np.ndarray = field(init=False, repr=False)  # [C*; L; C~*; L~]
+    _right: np.ndarray = field(init=False, repr=False)  # C, L*, C~, L~* stacked
+
+    def __post_init__(self):
+        self._left = np.concatenate([self.comp_d.conj().T, self.shift_d, self.comp_dt.conj().T, self.shift_dt])
+        self._right = np.stack([self.comp_d, self.shift_d.conj().T, self.comp_dt, self.shift_dt.conj().T])
 
     @property
     def dim(self) -> int:
         return self.d_basis.shape[1]
+
+    def compressed_identities(self, a: np.ndarray) -> np.ndarray:
+        """C* (A - S A S*) C and C~* (A - S* A S) C~ as a (2, n - d, n - d)
+        array: the four sandwiches C* A C, L A L*, C~* A C~, L~ A L~* take one
+        product on each side, all four at once."""
+        n, k = self._right.shape[1:]
+        r = (self._left @ a).reshape(4, k, n) @ self._right
+        return r[0::2] - r[1::2]
 
 
 def _frame_svd(frame: np.ndarray):
@@ -146,6 +165,7 @@ def defect_spaces(basis: ModelSpaceBasis) -> DefectSpaces:
             raise IdentityCheckError(f"defect identity {label} fails, residual {resid:.3e}")
     ds = DefectSpaces(
         d_basis, dt_basis, k0, kt0, g, gt, p_d, p_dt, eye - p_d, eye - p_dt, comp_d, comp_dt, d_pinv, dt_pinv,
+        comp_d.conj().T @ s.mat, comp_dt.conj().T @ s_adj.mat,
     )
     _frozen(*vars(ds).values())
     basis.cache["defects"] = ds
@@ -191,12 +211,12 @@ def action_check(basis: ModelSpaceBasis) -> dict:
             max(_worst_column(div_z @ ds.comp_d), _worst_column(at_zero)),
         "adjoint shift sends kernel directions into the second defect space":
             _worst_column(s_adj.mat @ ds.d_frame + ds.dt_frame @ theta0.conj().T),
-        "shift maps second defect space into first": opnorm(ds.p_d_perp @ s.mat @ ds.p_dt),
-        "shift maps second complement into first complement": opnorm(ds.p_d @ s.mat @ ds.p_dt_perp),
-        "adjoint shift maps first defect space into second": opnorm(ds.p_dt_perp @ s_adj.mat @ ds.p_d),
-        "adjoint shift maps first complement into second complement": opnorm(ds.p_dt @ s_adj.mat @ ds.p_d_perp),
+        "shift maps second defect space into first": frobenius(ds.p_d_perp @ s.mat @ ds.p_dt),
+        "shift maps second complement into first complement": frobenius(ds.p_d @ s.mat @ ds.p_dt_perp),
+        "adjoint shift maps first defect space into second": frobenius(ds.p_dt_perp @ s_adj.mat @ ds.p_d),
+        "adjoint shift maps first complement into second complement": frobenius(ds.p_dt @ s_adj.mat @ ds.p_d_perp),
         "defect operator is evaluation at zero followed by the kernel frame":
-            opnorm(ds.g - ds.d_frame @ eval0_matrix(basis)),
+            frobenius(ds.g - ds.d_frame @ eval0_matrix(basis)),
     })
 
 

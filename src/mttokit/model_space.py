@@ -350,7 +350,7 @@ def kernel_frame(basis: ModelSpaceBasis, lam: complex) -> np.ndarray:
     at lam = 0 it is Q[:d]*."""
     d, m = basis.inner.d, basis.inner.m
     powers = np.conj(_disk_point(lam)) ** np.arange(m)
-    return basis.q.conj().T @ np.kron(powers[:, None], np.eye(d))
+    return basis.q.conj().T @ (powers[:, None, None] * np.eye(d)).reshape(m * d, d)
 
 
 def tilde_kernel_frame(basis: ModelSpaceBasis, lam: complex) -> np.ndarray:

@@ -2,27 +2,31 @@
 
 An operator A_Phi compresses multiplication by a bounded matrix symbol
 Phi to the model space.  The class of all such operators is recognized
-(without knowing a symbol) by splitting A - S A S* as X K0* + K0 Y*
-over the kernel frame K0 at 0; X and Y are the coordinates of a symbol
-pair, recovered at minimum norm, and the zero-symbol ambiguity is resolved
-explicitly.  Every operator is assembled as Q* M Q from a matrix M on the
-coefficient window: M = T_Phi, the block Toeplitz matrix of the symbol,
-gives A_Phi.  Membership and recovery are decided in the Frobenius norm
-||.||_F, which needs no SVD: the residual is ||P (A - S A S*) P||_F with P
-the projector off the first defect space, the decision defaults to the
-scale-relative threshold numerics.REL * ||A||_F (1e-9 ||A||_F), and the zero
-operator passes because its residual is exactly 0.  The residual certifies
-the Frobenius distance to the class: residual / 2 <= dist <= m * residual.
-The zero-symbol tests default to the same relative threshold on the
-symbol's scale, REL * ||Phi||, with ||Phi|| the norm of its coefficients;
-the zero symbol passes.  A symbol of the zero operator is split by one
-batched division by Theta on coefficient arrays, Phi and Phi* side by side,
-with both constant terms from one QR of [Theta_1; ...; Theta_m] per space.
+(without knowing a symbol) by A - S A S* = X K0* + K0 Y* over the kernel
+frame K0 at 0, which holds exactly when P (A - S A S*) P = 0 with P = C C*
+the projector onto the complement C of the first defect space; X and Y are
+the coordinates of a symbol pair, recovered at minimum norm, and the
+zero-symbol ambiguity is resolved explicitly.  Every operator is assembled
+as Q* M Q from a matrix M on the coefficient window: M = T_Phi, the block
+Toeplitz matrix of the symbol, gives A_Phi.  Membership and recovery are
+decided in the Frobenius norm ||.||_F, which needs no SVD: the residual is
+||C* A C - L A L*||_F with L = C* S cached per space (and likewise for the
+starred identity), the witnesses (X, Y) are split only when read, the
+decision defaults to the scale-relative threshold numerics.REL * ||A||_F
+(1e-9 ||A||_F), and the zero operator passes because its residual is
+exactly 0.  The residual certifies the Frobenius distance to the class:
+residual / 2 <= dist <= m * residual.  The zero-symbol tests default to
+the same relative threshold on the symbol's scale, REL * ||Phi||, with
+||Phi|| the norm of its coefficients; the zero symbol passes.  A symbol of
+the zero operator is split by one batched division by Theta on coefficient
+arrays, Phi and Phi* side by side, with both constant terms from one QR of
+[Theta_1; ...; Theta_m] per space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -100,15 +104,32 @@ def _frame_split(delta: np.ndarray, frame: np.ndarray, kp: np.ndarray) -> MttoWi
 @dataclass
 class MttoDecision:
     """Verdict residual <= tol.  `distance_bounds` = (residual / 2, m * residual)
-    brackets the Frobenius distance from A to the class, m the degree of Theta."""
+    brackets the Frobenius distance from A to the class, m the degree of Theta.
+    The witnesses split the two identities of `basis` and `amat` (a read-only
+    copy of A) on first read; a caller that only wants the verdict never
+    pays for them."""
 
     verdict: bool
     residual: float
     tol: float
     variants: dict
-    witness: MttoWitness
-    witness_tilde: MttoWitness
     distance_bounds: tuple[float, float]
+    basis: ModelSpaceBasis = field(repr=False, compare=False)
+    amat: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def witness(self) -> MttoWitness:
+        """The split of A - S A S* over K0."""
+        s, s_adj = s_theta(self.basis)
+        ds = defect_spaces(self.basis)
+        return _frame_split(self.amat - s.mat @ self.amat @ s_adj.mat, ds.d_frame, ds.d_pinv)
+
+    @cached_property
+    def witness_tilde(self) -> MttoWitness:
+        """The split of A - S* A S over the second kernel frame."""
+        s, s_adj = s_theta(self.basis)
+        ds = defect_spaces(self.basis)
+        return _frame_split(self.amat - s_adj.mat @ self.amat @ s.mat, ds.dt_frame, ds.dt_pinv)
 
     def to_json(self) -> dict:
         return {
@@ -122,40 +143,41 @@ class MttoDecision:
 
 
 def is_mtto(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> MttoDecision:
-    """Decide membership by splitting the two defect identities.
+    """Decide membership on the two defect identities compressed to the
+    complements of the defect spaces.
 
-    The plain (D) and starred (Dtilde) splits are both computed and must
-    agree; their residuals are the Frobenius norms of the compressions of
-    the identities to the complements of the defect spaces, and the splits
-    are the witnesses.  The "shift" variant is A - S* A S compressed to the
-    complement W of the second defect space, ||W* (A - S* A S) W||_F: the
-    size of the shift-invariance defect, zero exactly on the class.  The
-    verdict is residual <= tol, with residual the larger of D and Dtilde
-    and tol defaulting to REL * ||A||_F; no SVD is taken once the basis
-    cache holds S and the defect spaces.  L(X) = X - S X S* is inverted by
-    sum_{k<m} S^k X S*^k, so residual / 2 <= dist_F(A, class) <= m * residual.
+    With C, C~ the cached complement bases of the two defect spaces and
+    L = C* S, L~ = C~* S* (`DefectSpaces.shift_d`, `.shift_dt`), the plain
+    (D) residual is ||C* A C - L A L*||_F = ||P (A - S A S*) P||_F and the
+    starred (Dtilde) residual ||C~* A C~ - L~ A L~*||_F: two sandwich
+    products per identity and no split, and no SVD once the basis cache
+    holds the defect data.  The "shift" variant, the starred difference
+    compressed to the complement W of the second defect space, is that same
+    quantity (W = C~), so it reports the Dtilde value.
+    The verdict is residual <= tol, with residual the larger of D and Dtilde
+    and tol defaulting to REL * ||A||_F.  The witnesses (X, Y) with
+    Delta = X K* + K Y* are split only when a caller reads them.
+    The map X -> X - S X S* is inverted by sum_{k<m} S^k X S*^k, so
+    residual / 2 <= dist_F(A, class) <= m * residual.
     """
-    amat = matrix_of(a)
+    amat = np.array(matrix_of(a), dtype=np.complex128)
     n = basis.n
     if amat.shape != (n, n):
         raise DimensionMismatchError(f"operator must be {n} x {n}")
+    amat.setflags(write=False)
     if tol is None:
         tol = REL * frobenius(amat)
-    s, s_adj = s_theta(basis)
-    ds = defect_spaces(basis)
-    witness = _frame_split(amat - s.mat @ amat @ s_adj.mat, ds.d_frame, ds.d_pinv)
-    delta_tilde = amat - s_adj.mat @ amat @ s.mat
-    witness_tilde = _frame_split(delta_tilde, ds.dt_frame, ds.dt_pinv)
-    residual = max(witness.residual, witness_tilde.residual)
-    shift = frobenius(ds.comp_dt.conj().T @ delta_tilde @ ds.comp_dt)
+    compressed = defect_spaces(basis).compressed_identities(amat)
+    plain, starred = frobenius(compressed[0]), frobenius(compressed[1])
+    residual = max(plain, starred)
     return MttoDecision(
         verdict=bool(residual <= tol),
         residual=float(residual),
         tol=float(tol),
-        variants={"D": witness.residual, "Dtilde": witness_tilde.residual, "shift": shift},
-        witness=witness,
-        witness_tilde=witness_tilde,
+        variants={"D": plain, "Dtilde": starred, "shift": starred},
         distance_bounds=(residual / 2, basis.inner.m * residual),
+        basis=basis,
+        amat=amat,
     )
 
 

@@ -299,7 +299,7 @@ def _check_semi_commutator(ctx, rng):
         for _ in range(ctx.config.cases):
             phi = random_symbol(d, 0, 3, rng)
             a = build(basis, phi)
-            out.add(semi_commutator_residual(basis, phi, a) / (1.0 + opnorm(a.mat)))
+            out.add(semi_commutator_residual(basis, phi, a) / (1.0 + frobenius(a.mat)))
     return out
 
 
@@ -311,7 +311,7 @@ def _check_members(ctx, rng):
             phi = random_symbol(d, -3, 3, rng)
             a = build(basis, phi)
             decision = is_mtto(basis, a, ctx.config.tol * frobenius(a.mat))
-            scale = 1.0 + opnorm(a.mat)
+            scale = 1.0 + frobenius(a.mat)
             out.add(decision.residual / scale)
             out.add(0.0 if decision.verdict else 1.0)
             out.add(decision.witness.residual / scale)
@@ -339,7 +339,7 @@ def _check_variants_agree(ctx, rng):
         for _ in range(ctx.config.cases):
             a = rng.standard_normal((basis.n, basis.n)) + 1j * rng.standard_normal((basis.n, basis.n))
             decision = is_mtto(basis, a, ctx.config.tol * frobenius(a))
-            spread = abs(decision.variants["Dtilde"] - decision.variants["shift"])
+            spread = abs(decision.witness_tilde.residual - decision.variants["Dtilde"])  # split against compressed
             out.add(spread / (1.0 + decision.residual))
             agree = (decision.variants["D"] <= decision.tol) == (
                 decision.variants["Dtilde"] <= decision.tol
@@ -356,7 +356,7 @@ def _check_symbol_recovery(ctx, rng):
             phi = random_symbol(d, -2, 2, rng)
             a = build(basis, phi)
             try:
-                out.add(recover_symbol(basis, a, ctx.config.tol * frobenius(a.mat)).residual / (1.0 + opnorm(a.mat)))
+                out.add(recover_symbol(basis, a, ctx.config.tol * frobenius(a.mat)).residual / (1.0 + frobenius(a.mat)))
             except NotMttoError:  # a tol below roundoff refuses members
                 out.add(1.0)
     return out
@@ -396,11 +396,11 @@ def _check_finite_rank(ctx, rng):
             y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             op = finite_rank(basis, lam, y)
             out.add(0.0 if rank(op.mat) == rank(y) else 1.0)
-            out.add(is_mtto(basis, op).residual / (1.0 + opnorm(op.mat)))
+            out.add(is_mtto(basis, op).residual / (1.0 + frobenius(op.mat)))
         y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         direct = finite_rank(basis, 0.0, y)
         via = finite_rank_as_xhat(basis, ds, y)
-        out.add(opnorm(direct.mat - via.mat) / (1.0 + opnorm(direct.mat)))
+        out.add(opnorm(direct.mat - via.mat) / (1.0 + frobenius(direct.mat)))
     return out
 
 
@@ -419,7 +419,7 @@ def _check_commutant(ctx, rng):
         for _ in range(ctx.config.cases):
             phi = random_commuting_symbol(basis, rng)
             a = build(basis, phi)
-            out.add(opnorm(a.mat @ s.mat - s.mat @ a.mat) / (1.0 + opnorm(a.mat)))
+            out.add(frobenius(a.mat @ s.mat - s.mat @ a.mat) / (1.0 + frobenius(a.mat)))
     return out
 
 

@@ -3,7 +3,9 @@
 `model_operator.action_check` states each identity as one residual over
 the window matrix of the whole basis.  The function below tests the same
 identities the direct way: one column at a time, through Laurent objects
-and the closed-form kernels, taking the worst column norm.
+and the closed-form kernels, taking the worst column norm; the four
+mapping identities and the defect-operator identity are whole-matrix
+residuals in the Frobenius norm.
 """
 
 import numpy as np
@@ -11,7 +13,6 @@ import numpy as np
 from mttokit.laurent import VecLaurent
 from mttokit.model_operator import defect_spaces, eval0_matrix, s_theta
 from mttokit.model_space import kernel, tilde_kernel
-from mttokit.numerics import opnorm
 
 from suite_oracles import from_coords
 
@@ -61,11 +62,13 @@ def action_check_loop(basis) -> dict:
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     checks["adjoint shift sends kernel directions into the second defect space"] = worst
 
-    checks["shift maps second defect space into first"] = opnorm(ds.p_d_perp @ s.mat @ ds.p_dt)
-    checks["shift maps second complement into first complement"] = opnorm(ds.p_d @ s.mat @ ds.p_dt_perp)
-    checks["adjoint shift maps first defect space into second"] = opnorm(ds.p_dt_perp @ s_adj.mat @ ds.p_d)
-    checks["adjoint shift maps first complement into second complement"] = opnorm(ds.p_dt @ s_adj.mat @ ds.p_d_perp)
-    checks["defect operator is evaluation at zero followed by the kernel frame"] = opnorm(
+    # the mapping identities and the defect-operator identity in the Frobenius norm
+    norm = np.linalg.norm
+    checks["shift maps second defect space into first"] = norm(ds.p_d_perp @ s.mat @ ds.p_dt)
+    checks["shift maps second complement into first complement"] = norm(ds.p_d @ s.mat @ ds.p_dt_perp)
+    checks["adjoint shift maps first defect space into second"] = norm(ds.p_dt_perp @ s_adj.mat @ ds.p_d)
+    checks["adjoint shift maps first complement into second complement"] = norm(ds.p_dt @ s_adj.mat @ ds.p_d_perp)
+    checks["defect operator is evaluation at zero followed by the kernel frame"] = norm(
         ds.g - ds.d_frame @ eval0_matrix(basis)
     )
     return checks

@@ -8,14 +8,20 @@ is_mtto applied before it decided in the Frobenius norm: the larger
 spectral norm of the two compressions against REL times the spectral
 norm of A.  `class_span` is the operator class by brute force, the
 orthonormal span of the operators of the unit symbols E_ij z^t.
+`split_decision` is is_mtto as it was before it read the residuals off
+the compressed identities: both identities split over their kernel frames
+on every call, with the starred one compressed a third time for "shift".
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from mttokit.laurent import MatLaurent
+from mttokit.model_operator import defect_spaces, s_theta
 from mttokit.model_space import kernel_frame, tilde_kernel_frame
 from mttokit.mtto import build
-from mttokit.numerics import REL, RANK_CUT
+from mttokit.numerics import REL, RANK_CUT, frobenius
 
 
 def complement(frame: np.ndarray) -> np.ndarray:
@@ -67,3 +73,48 @@ def class_distance(span: np.ndarray, a: np.ndarray) -> float:
     """Frobenius distance from A to the class spanned by `span`."""
     v = a.reshape(-1)
     return float(np.linalg.norm(v - span @ (span.conj().T @ v)))
+
+
+@dataclass
+class Split:
+    """Delta = X K* + K Y* up to `residual`."""
+
+    x: np.ndarray
+    y: np.ndarray
+    residual: float
+
+
+@dataclass
+class SplitDecision:
+    verdict: bool
+    residual: float
+    tol: float
+    variants: dict
+    witness: Split
+    witness_tilde: Split
+
+
+def frame_split(delta: np.ndarray, frame: np.ndarray, kp: np.ndarray) -> Split:
+    """X = (I - K K+) Delta K+*, Y = (Delta - X K*)* K+*; the residual is
+    ||Delta - X K* - K Y*||_F = ||P Delta P||_F with P = I - K K+."""
+    x = (delta - frame @ (kp @ delta)) @ kp.conj().T
+    y = (delta - x @ frame.conj().T).conj().T @ kp.conj().T
+    return Split(x, y, frobenius(delta - x @ frame.conj().T - frame @ y.conj().T))
+
+
+def split_decision(basis, a: np.ndarray, tol=None) -> SplitDecision:
+    """Membership by splitting both defect identities over the cached
+    kernel frames and their left inverses, with "shift" the starred
+    difference compressed to the complement of the second defect space;
+    norms are taken by the package's scale-safe `frobenius`."""
+    if tol is None:
+        tol = REL * frobenius(a)
+    s, s_adj = (op.mat for op in s_theta(basis))
+    ds = defect_spaces(basis)
+    witness = frame_split(a - s @ a @ s_adj, ds.d_frame, ds.d_pinv)
+    delta_tilde = a - s_adj @ a @ s
+    witness_tilde = frame_split(delta_tilde, ds.dt_frame, ds.dt_pinv)
+    residual = max(witness.residual, witness_tilde.residual)
+    shift = frobenius(ds.comp_dt.conj().T @ delta_tilde @ ds.comp_dt)
+    variants = {"D": witness.residual, "Dtilde": witness_tilde.residual, "shift": shift}
+    return SplitDecision(bool(residual <= tol), residual, float(tol), variants, witness, witness_tilde)

@@ -7,14 +7,19 @@ range of each defect operator by SVD.  `mtto_dimension` reads
 rank P = n - d off the complement basis.  `zero_symbol_decompose` divides
 by Theta on coefficient arrays with a left inverse factored once per space
 by QR, so its one SVD is the operator norm.  A wrapper around numpy's SVD
-counts what each call still takes, and names its caller.
+counts what each call still takes, and names its caller.  A suite request
+scales its roundoff residuals by Frobenius norms; what SVDs it still takes
+are pinned per caller and check.
 """
 
+import collections
+import os
 import sys
 
 import numpy as np
 import pytest
 
+import mttokit
 from mttokit.errors import IdentityCheckError
 from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent, boundary_adjoint, multiply
@@ -22,6 +27,7 @@ from mttokit.model_operator import OperatorMatrix, defect_spaces, s_theta
 from mttokit.model_space import ModelSpaceBasis
 from mttokit.mtto import mtto_dimension, zero_symbol_decompose
 from mttokit.randgen import random_inner, random_symbol
+from mttokit.suite import SuiteConfig, run_suite
 
 np_linalg = getattr(np.linalg, "_linalg", np.linalg)  # where np.linalg.norm and pinv look up svd
 INNERS = [fixture(name) for name in FIXTURE_NAMES] + [
@@ -119,3 +125,51 @@ def test_zero_symbol_decompose_takes_one_svd_and_builds_only_its_factors(inner, 
     made_laurents.clear()
     refused = zero_symbol_decompose(basis, outside)
     assert not refused.is_zero and svd_callers == ["opnorm"] and made_laurents == []
+
+
+PACKAGE_DIR = os.path.dirname(mttokit.__file__) + os.sep
+# Per suite request of the benchmark's shape: the innermost mttokit function
+# that took each SVD, and the check it ran under ("" for the shared spaces).
+SUITE_SVDS = {
+    ("_frame_svd", "_check_shift_actions"): 12,  # defect_spaces, two frames for each of the six spaces
+    ("nullspace", ""): 6,  # the constraint kernel of each space
+    ("nullspace", "_check_conjugation"): 1,
+    ("opnorm", ""): 1,  # random_inner's margin
+    ("opnorm", "_check_basis_orthonormal"): 6,
+    ("opnorm", "_check_coefficient_unitarity"): 6,
+    ("opnorm", "_check_conjugation"): 1,
+    ("opnorm", "_check_finite_rank"): 6,
+    ("opnorm", "_check_non_members"): 3,
+    ("opnorm", "_check_semi_commutator"): 6,
+    ("opnorm", "_check_shift_actions"): 6,  # ||S^m||
+    ("opnorm", "_check_zero_symbols"): 6,
+    ("purity_margin", ""): 6,
+    ("purity_margin", "_check_conjugation"): 1,
+    ("purity_margin", "_check_purity"): 6,
+    ("rank", "_check_finite_rank"): 24,  # rank is the claim there
+    ("rank", "_check_worked_example"): 1,
+}
+
+
+def test_suite_request_svds_per_caller(monkeypatch):
+    counts = collections.Counter()
+    real = np_linalg.svd
+
+    def counted(*args, **kwargs):
+        frame, inner, check = sys._getframe(1), None, ""
+        while frame is not None:
+            if frame.f_code.co_filename.startswith(PACKAGE_DIR):
+                inner = inner or frame.f_code.co_name
+                if frame.f_code.co_name.startswith("_check_"):
+                    check = frame.f_code.co_name
+                    break
+            frame = frame.f_back
+        counts[(inner, check)] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np_linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    report = run_suite(SuiteConfig(seed=7, cases=1, random_inners=((2, 2),)))
+    assert report["pass"]
+    assert dict(counts) == SUITE_SVDS
+    assert sum(counts.values()) == 98
