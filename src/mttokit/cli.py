@@ -61,8 +61,10 @@ def _load_operator(path: str, basis: ModelSpaceBasis) -> np.ndarray:
     if mat.shape != (basis.n, basis.n):
         raise ParseError(f"operator is {mat.shape[0]} x {mat.shape[1]}, space has dimension {basis.n}")
     declared = obj.get("basis_id")
-    if declared is not None and not str(declared).startswith("v2-"):
-        raise ParseError(f"basis_id {declared!r} has no v2- prefix; basis ids changed in v2, rebuild the operator")
+    if declared is not None and not str(declared).startswith("v3-"):
+        raise ParseError(
+            f"basis_id {declared!r} has no v3- prefix; basis ids changed in v2 and again in v3, rebuild the operator"
+        )
     if declared is not None and declared != basis.basis_id:
         raise ParseError(f"operator was written in basis {declared}, current basis is {basis.basis_id}")
     return mat

@@ -219,12 +219,10 @@ def inner_residual(theta: MatLaurent) -> float:
     if theta.lo < 0:
         raise ValueError("inner test requires an analytic argument")
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            prod = multiply(boundary_adjoint(theta), theta)
-        except ValueError:  # a coefficient of Theta*Theta overflowed
+        dev = convolve(reversed_adjoint(theta.coeffs), theta.coeffs)  # Theta*Theta at -(hi-lo)..hi-lo
+        if not np.isfinite(dev).all():  # a coefficient of Theta*Theta overflowed
             return float("inf")
-        dev = prod.coeffs.copy()
-        dev[-prod.lo] -= np.eye(theta.dim)  # frequency 0 lies in the symmetric support of Theta*Theta
+        dev[theta.hi - theta.lo] -= np.eye(theta.dim)
         return max(float(np.linalg.norm(block)) for block in dev)
 
 

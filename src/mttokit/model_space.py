@@ -5,7 +5,10 @@ model space is the orthogonal complement of Theta H^2 inside H^2 of
 C^d-valued functions.  Because every zero of Theta sits at the origin,
 z^m H^2 is contained in Theta H^2 and the whole space embeds in the
 polynomials of degree < m; all computations happen in that m*d
-dimensional coefficient window.
+dimensional coefficient window, where the orthogonal projector onto the
+space is I - L L* with L the block Toeplitz matrix of Theta.  No SVD is
+needed: n is the trace of that projector and the basis is Gram-Schmidt
+over its columns.
 """
 
 from __future__ import annotations
@@ -32,9 +35,12 @@ from .laurent import (
     reversed_adjoint,
     tilde,
 )
-from .numerics import INNER_TOL, block_toeplitz, fix_column_phases, nullspace
+from .numerics import INNER_TOL, TRACE_TOL, block_toeplitz, fix_column_phases
 
 DET_CUT = 1e-8  # det_degree: coefficients up to DET_CUT * max(1, largest) count as zero
+MAX_WINDOW = 2048  # largest m*d coefficient window a model space is built on
+PANEL = 64  # projector columns orthogonalized per block step of the basis
+GS_CUT = 1e-7  # the basis keeps a projected column whose residual norm exceeds GS_CUT
 
 
 def det_degree(theta: MatLaurent) -> int:
@@ -65,23 +71,50 @@ def _constraint_matrix(theta: MatLaurent) -> np.ndarray:
     return block_toeplitz(reversed_adjoint(theta.window(1 - m, m - 1)), m, m)  # block (k, j) is Theta_{j-k}*
 
 
+def window_projector(blocks: np.ndarray) -> np.ndarray:
+    """Orthogonal projector P = I - L L* onto the model space, on the
+    coefficient window of an inner Theta with blocks Theta_0, ..., Theta_m.
+
+    L is the lower block-triangular Toeplitz matrix of Theta_0, ...,
+    Theta_{m-1}: T_Theta is an isometry and z^m H^2 lies in Theta H^2, so
+    the compression of T_Theta T_Theta* to the window is L L*, and it is
+    the projector onto Theta H^2 there.  Block (k, j) of L L* is
+    G_kj = G_{k-1,j-1} + Theta_k Theta_j*, so one product of the stacked
+    blocks and a running sum along the block diagonals give it.
+    """
+    m, d = blocks.shape[0] - 1, blocks.shape[1]
+    stacked = blocks[:m].reshape(m * d, d)
+    g = (stacked @ stacked.conj().T).reshape(m, d, m, d)  # block (k, j) is Theta_k Theta_j*
+    for k in range(1, m):
+        g[k, :, 1:] += g[k - 1, :, :-1]
+    p = np.negative(g, out=g).reshape(m * d, m * d)
+    p[np.diag_indices(m * d)] += 1.0
+    return p
+
+
 class InnerFunction:
     """A validated pure polynomial matrix inner function.
 
     Construction checks the coefficient identities for unitarity on the
     circle and strict contractivity at the origin, and measures the model
-    space dimension n independently as the nullity of the constraint map
-    and as the degree of det Theta; for a Potapov product it also reads n
-    off as the sum of the factor ranks.  It refuses to continue unless
-    all of them agree.  `blocks` holds Theta_0, ..., Theta_m as one
-    (m+1, d, d) array.  `_potapov` is (U, [P_1, ...], sum of rank P_j).
-    The nullity comes from the one SVD of the constraint map, whose
-    orthonormal kernel frame (m*d x n) the basis reuses as `null_frame`.
+    space dimension n independently as the trace of the window projector
+    P (which must lie within m*d*TRACE_TOL of an integer) and as the degree
+    of det Theta; for a Potapov product it also reads n off as the sum of
+    the factor ranks, and the basis counts its Gram-Schmidt directions.  It
+    refuses to continue unless all of them agree.  A window wider than
+    MAX_WINDOW coordinates is refused before anything is allocated.
+    `blocks` holds Theta_0, ..., Theta_m as one (m+1, d, d) array and
+    `projector` the m*d x m*d matrix P, both read-only.  `_potapov` is (U,
+    [P_1, ...], sum of rank P_j).
     """
 
     def __init__(self, theta: MatLaurent, _potapov=None):
         if theta.lo < 0:
             raise NotInnerError("inner functions must be analytic")
+        if theta.hi * theta.dim > MAX_WINDOW:
+            raise ParseError(
+                f"coefficient window m*d = {theta.hi} * {theta.dim} exceeds the limit of {MAX_WINDOW} coordinates"
+            )
         res = inner_residual(theta)
         if res > INNER_TOL:
             raise NotInnerError(f"coefficient unitarity residual {res:.3e}")
@@ -94,16 +127,20 @@ class InnerFunction:
         self.blocks[theta.lo :] = theta.coeffs
         self.blocks.setflags(write=False)
         self._potapov = _potapov
-        self.null_frame = nullspace(_constraint_matrix(theta), scale=1.0)
-        nullity = self.null_frame.shape[1]
-        witnesses = {"constraint nullity": nullity, "det degree": det_degree(theta)}
+        self.projector = window_projector(self.blocks)
+        self.projector.setflags(write=False)
+        trace = float(np.trace(self.projector).real)
+        tol = self.m * self.d * TRACE_TOL
+        if not abs(trace - round(trace)) <= tol:
+            raise IdentityCheckError(f"projector trace {trace!r} is not within {tol:.1e} of an integer")
+        witnesses = {"projector trace": int(round(trace)), "det degree": det_degree(theta)}
         if _potapov is not None:
             witnesses["factor rank sum"] = _potapov[2]
         if len(set(witnesses.values())) != 1:
             raise IdentityCheckError(
                 "model dimension mismatch: " + ", ".join(f"{k} {v}" for k, v in witnesses.items())
             )
-        self.n = nullity
+        self.n = witnesses["projector trace"]
 
     def __repr__(self):
         return f"InnerFunction(d={self.d}, m={self.m}, n={self.n})"
@@ -196,36 +233,78 @@ def inner_from_json(obj) -> InnerFunction:
     return InnerFunction(*theta_from_json(obj))
 
 
+def _triangular_sweep(r: np.ndarray, room: int) -> np.ndarray:
+    """Directions, in the coordinates of the rows of the upper triangular
+    r, that Gram-Schmidt keeps from the columns of r in order, at most room
+    of them.  Up to the first column with |r_jj| <= GS_CUT they are the
+    coordinate axes.  That column is dropped; the later columns keep only
+    their rows from it on, which is their part outside the axes kept, and
+    those left of norm <= GS_CUT before the first larger one are dropped
+    as well.  The rest is factored again by QR and swept the same way."""
+    axes = np.eye(r.shape[0], dtype=np.complex128)
+    kept = []
+    while True:
+        small = np.flatnonzero(np.abs(np.diagonal(r)) <= GS_CUT)
+        stop = int(small[0]) if small.size else r.shape[1]
+        kept.append(axes[:, : min(stop, room)])
+        room -= kept[-1].shape[1]
+        rest = r[stop:, stop + 1 :]  # what the later columns have outside the axes kept
+        big = np.flatnonzero(np.linalg.norm(rest, axis=0) > GS_CUT)  # the columns before big[0] are dropped too
+        if not room or not big.size:
+            return np.concatenate(kept, axis=1)
+        w, r = np.linalg.qr(rest[:, big[0] :])
+        axes = axes[:, stop:] @ w
+
+
+def _panel_gram_schmidt(p: np.ndarray, n: int) -> np.ndarray:
+    """The first n directions of in-order Gram-Schmidt over the columns of
+    p, a column kept when its residual norm exceeds GS_CUT; fewer when the
+    columns run out.  Each panel of PANEL columns is projected twice
+    against the directions kept so far, by two products per pass, and
+    factored by one Householder QR: its columns are the panel's
+    Gram-Schmidt directions up to phase, and |R_jj| are the residual
+    norms, up to the first skipped column.  A panel with skips is swept
+    further on R alone (`_triangular_sweep`)."""
+    q = np.zeros((p.shape[0], n), dtype=np.complex128)
+    k = 0
+    for start in range(0, p.shape[1], PANEL):
+        if k == n:
+            break
+        panel = p[:, start : start + PANEL]
+        for _ in range(2 if k else 0):  # the second pass restores orthogonality
+            panel = panel - q[:, :k] @ (q[:, :k].conj().T @ panel)
+        frame, r = np.linalg.qr(panel)  # panel = frame @ r
+        small = np.flatnonzero(np.abs(np.diagonal(r)) <= GS_CUT)
+        if small.size and small[0] < n - k:
+            kept = frame @ _triangular_sweep(r, n - k)
+        else:
+            kept = frame[:, : n - k]
+        q[:, k : k + kept.shape[1]] = kept
+        k += kept.shape[1]
+    return q[:, :k]
+
+
 class ModelSpaceBasis:
     """Deterministic orthonormal basis of the model space.
 
-    Gram-Schmidt of the projections P e_j of the ambient coordinate
-    vectors, in order, run on their coordinates N* e_j in the kernel frame
-    N of the inner function (P = N N*; two classical passes per column, a
-    column kept above 1e-7, a stop at n; Q = N R), with each column's first
-    significant entry rotated to the positive real axis.  The same Theta
-    always yields the same basis, named by `serialize.basis_id`, which
-    makes operator matrices comparable across runs.
+    Gram-Schmidt of the columns P e_j of the window projector, in order:
+    each column is projected twice against the directions kept so far and
+    kept when what is left exceeds GS_CUT, and the sweep stops at n
+    (`_panel_gram_schmidt` runs this rule a panel of columns at a time).
+    Each column's first significant entry is then rotated to the positive
+    real axis and signed zeros are made positive, so the same Theta always
+    yields the same bytes.  The basis is named by `serialize.basis_id`, a
+    hash of Theta, which makes operator matrices comparable across runs.
     """
 
     def __init__(self, inner: InnerFunction):
         self.inner = inner
-        frame, n = inner.null_frame, inner.n
-        accepted = np.zeros((n, n), dtype=np.complex128)  # row i: coordinates of column i of Q
-        k = 0
-        for row in frame:  # row j of N is the conjugate of N* e_j
-            if k == n:
-                break
-            v = row.conj()
-            for _ in range(2):  # the second pass restores orthogonality
-                v -= accepted[:k].T @ (accepted[:k] @ v.conj()).conj()
-            nv = np.linalg.norm(v)
-            if nv > 1e-7:
-                accepted[k] = v / nv
-                k += 1
-        if k != n:
-            raise IdentityCheckError(f"pivoted orthogonalization found {k} directions, expected {n}")
-        self.q = fix_column_phases(frame @ accepted.T)
+        q = _panel_gram_schmidt(inner.projector, inner.n)
+        if q.shape[1] != inner.n:
+            raise IdentityCheckError(
+                f"model dimension mismatch: Gram-Schmidt count {q.shape[1]}, projector trace {inner.n}"
+            )
+        self.q = fix_column_phases(q) + 0.0  # adding +0.0 turns every -0.0 into +0.0
         self._basis_id = None
         self.cache = {}  # read-only operator data of this space, filled once by model_operator and mtto
 
@@ -236,7 +315,7 @@ class ModelSpaceBasis:
     @property
     def basis_id(self) -> str:
         if self._basis_id is None:
-            self._basis_id = serialize.basis_id(self.inner.theta, self.q)
+            self._basis_id = serialize.basis_id(self.inner.theta, self.n)
         return self._basis_id
 
     def compress(self, window: np.ndarray) -> np.ndarray:

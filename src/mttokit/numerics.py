@@ -2,11 +2,13 @@
 
 Everything here is a thin, opinionated wrapper around numpy's SVD/lstsq
 machinery: one rank rule, one phase convention for orthonormal columns,
-one least-squares solver, one block-Toeplitz assembly and the Frobenius norm
-the membership decisions use, used consistently by the rest of the package.
-Every threshold these helpers and the inner, pure and membership decisions
-apply is one of the named constants below; none of them can be set by a
-caller.
+one block-Toeplitz assembly and the Frobenius norm the membership
+decisions use, used consistently by the rest of the package.  `nullspace`
+and the least-squares solver `solve_min_norm` have no caller in the
+package; they stay for code that looks them up by name.  Every threshold
+these helpers and the inner, pure, model-dimension and membership
+decisions apply is one of the named constants below; none of them can be
+set by a caller.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ import numpy as np
 REL = 1e-9  # relative decision threshold: tol = REL * scale of the input; also the purity floor
 RANK_CUT = 1e-10  # singular values up to RANK_CUT * sigma_max * max(shape) count as zero
 INNER_TOL = 1e-10  # largest coefficient-unitarity residual of an inner function
+TRACE_TOL = INNER_TOL  # the model-space projector's trace may miss an integer by m*d*TRACE_TOL
 CHECK_TOL = 1e-9  # largest residual the shift-action, recurrence and commutant checks accept
 PHASE_CUT = 1e-8  # entries up to PHASE_CUT * max(1, column max) cannot carry the phase
 

@@ -7,7 +7,7 @@ two identical runs produce identical bytes.  Both directions convert a
 whole array at once.  Top-level documents carry a schema_version field;
 readers refuse a version they do not know and read a document without
 one as current.  A model-space basis is named by `basis_id`, a hash of
-the bytes of Theta and Q.
+the bytes of Theta.
 """
 
 import hashlib
@@ -36,16 +36,16 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def basis_id(theta: MatLaurent, q) -> str:
-    """Identity of the basis Q of the model space of Theta: "v2-" and the
+def basis_id(theta: MatLaurent, n: int) -> str:
+    """Identity of the basis of the model space of Theta: "v3-" and the
     first 16 hex digits of the sha256 of the little-endian bytes of
-    (d, lo, hi, n) as int64, then of the coefficients of Theta and of Q,
-    each complex128 in row-major order."""
-    q = np.asarray(q, dtype=np.complex128)
-    h = hashlib.sha256(np.array([theta.dim, theta.lo, theta.hi, q.shape[1]], dtype="<i8").tobytes())
-    for a in (theta.coeffs, q):
-        h.update(np.ascontiguousarray(a, dtype="<c16").tobytes())
-    return "v2-" + h.hexdigest()[:16]
+    (d, lo, hi, n) as int64, then of the coefficients of Theta as
+    complex128 in row-major order.  The basis is a function of Theta under
+    a fixed rule, so the id hashes Theta alone and does not move when that
+    rule's roundoff does."""
+    h = hashlib.sha256(np.array([theta.dim, theta.lo, theta.hi, n], dtype="<i8").tobytes())
+    h.update(np.ascontiguousarray(theta.coeffs, dtype="<c16").tobytes())
+    return "v3-" + h.hexdigest()[:16]
 
 
 def array_to_json(a):

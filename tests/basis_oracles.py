@@ -1,13 +1,13 @@
 """Earlier implementations of the basis, its phase fix and the array
 encoder, kept as test references.
 
-`ModelSpaceBasis` runs Gram-Schmidt on the n-dimensional coordinates of
-the projected unit vectors, `numerics.fix_column_phases` rotates every
-column in one pass and `serialize.array_to_json` converts a whole array
-with one `tolist`.  The functions below do the same work the direct way:
-modified Gram-Schmidt, twice, over the m*d projector columns P e_j in the
-ambient space, one column at a time; a phase fix column by column; and an
-encoder that recurses once per scalar.
+`ModelSpaceBasis` runs Gram-Schmidt on panels of the columns of the
+projector I - L L*, `numerics.fix_column_phases` rotates every column in
+one pass and `serialize.array_to_json` converts a whole array with one
+`tolist`.  The functions below do the same work the direct way: modified
+Gram-Schmidt, twice, over the m*d columns P e_j of the projector formed
+from an SVD of the constraint map, one column at a time; a phase fix
+column by column; and an encoder that recurses once per scalar.
 """
 
 import numpy as np

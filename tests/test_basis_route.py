@@ -1,11 +1,14 @@
 """The model-space basis pinned to the ambient-space Gram-Schmidt.
 
-`ModelSpaceBasis` orthogonalizes the coordinates N* e_j of the projected
-unit vectors in the kernel frame N that `InnerFunction` keeps from its one
-SVD of the constraint matrix.  `basis_oracles.gram_schmidt_loop` does the
-same work on the m*d dimensional projector columns themselves, and
-`fix_column_phases_loop` fixes the phases column by column; both are the
-references here.
+`InnerFunction` builds the window projector P = I - L L* by running sums
+along its block diagonals and reads n off trace P; `ModelSpaceBasis` runs
+Gram-Schmidt on the columns of P a panel at a time, by block passes and
+one Householder QR per panel, and sweeps a panel with skipped columns
+further on its triangular factor.  `basis_oracles.gram_schmidt_loop`
+does the same work column by column on the projector built from an SVD
+of the constraint matrix, and `fix_column_phases_loop` fixes the phases
+column by column; both are the references here.  The rotated monomial
+spaces of `monomial_oracles` skip many columns of P and have n = sum m_i.
 """
 
 import numpy as np
@@ -14,20 +17,42 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from mttokit import model_space  # noqa: E402
+from mttokit.errors import IdentityCheckError, ParseError  # noqa: E402
 from mttokit.fixtures import FIXTURE_NAMES, fixture  # noqa: E402
+from mttokit.laurent import MatLaurent  # noqa: E402
 from mttokit.model_space import (  # noqa: E402
+    MAX_WINDOW,
+    PANEL,
     InnerFunction,
     ModelSpaceBasis,
     _constraint_matrix,
     potapov_product,
+    window_projector,
 )
 from mttokit.numerics import PHASE_CUT, fix_column_phases  # noqa: E402
 from mttokit.randgen import haar_unitary, random_inner, random_projection  # noqa: E402
 
 from basis_oracles import fix_column_phases_loop, gram_schmidt_loop  # noqa: E402
+from monomial_oracles import monomial_inner  # noqa: E402
 
 # (d, m, seed) of seeded random spaces; the last has n >= 120
 SEEDED = [(1, 4, 11), (2, 3, 12), (3, 5, 13), (4, 12, 14), (6, 40, 15)]
+# unequal m_i of rotated monomial spaces, n = sum m_i from 7 to 59
+MONOMIAL = [(1, 4, 2), (5, 5, 1, 3), (3, 1, 7, 2, 6), (9, 2, 14, 7, 1, 12, 4, 10)]
+
+
+def _monomial(ms):
+    return monomial_inner(haar_unitary(len(ms), np.random.default_rng(sum(ms))), ms)
+
+
+def _spaces():
+    for name in FIXTURE_NAMES:
+        yield name, fixture(name)
+    for d, m, seed in SEEDED:
+        yield f"seeded {d}x{m}", random_inner(d, m, np.random.default_rng(seed))
+    for ms in MONOMIAL:
+        yield f"monomial {ms}", _monomial(ms)
 
 
 def _assert_orthonormal_in_kernel(basis):
@@ -103,4 +128,103 @@ def test_constraint_matrix_is_factored_once(monkeypatch, d, ranks, kind):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     basis = ModelSpaceBasis(InnerFunction(theta, potapov if kind == "potapov" else None))
     assert basis.n == sum(ranks)
-    assert shapes.count((md, md)) == 1
+    assert shapes.count((md, md)) == 0  # P = I - L L* needs no factorization of the constraint map
+
+
+@pytest.mark.parametrize("label, inner", list(_spaces()))
+def test_window_projector_is_i_minus_l_l_star(label, inner):
+    c = _constraint_matrix(inner.theta)  # L*
+    p = inner.projector
+    assert np.abs(p - (np.eye(c.shape[1]) - c.conj().T @ c)).max() <= 1e-14
+    assert np.abs(p - p.conj().T).max() <= 1e-14 and np.abs(p @ p - p).max() <= 1e-13
+    assert abs(np.trace(p).real - inner.n) <= 1e-12
+    assert not p.flags.writeable
+
+
+@pytest.mark.parametrize("ms", MONOMIAL, ids=str)
+def test_monomial_basis_takes_the_skip_branch_and_matches_the_loop(monkeypatch, ms):
+    inner = _monomial(ms)
+    assert inner.n == sum(ms) and abs(np.trace(inner.projector).real - sum(ms)) <= 1e-12
+    sweeps, factored = [], []
+    real, real_qr = model_space._triangular_sweep, np.linalg.qr
+    monkeypatch.setattr(model_space, "_triangular_sweep", lambda r, room: sweeps.append(room) or real(r, room))
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: factored.append(np.shape(a)) or real_qr(a, *args, **kw))
+    basis = ModelSpaceBasis(inner)
+    assert sweeps  # some panel had a skipped column
+    # each window block k >= min m_i ends in a run of skipped columns, refactored once (twice if a panel splits it)
+    panels = -(-inner.m * inner.d // PANEL)
+    assert len(factored) <= 2 * panels + max(ms) - min(ms)
+    assert np.abs(basis.q - gram_schmidt_loop(inner)).max() <= 1e-12
+    _assert_orthonormal_in_kernel(basis)
+
+
+@pytest.mark.parametrize("d, m, seed", SEEDED)
+def test_basis_without_skips_takes_one_qr_per_panel(monkeypatch, d, m, seed):
+    inner = random_inner(d, m, np.random.default_rng(seed))
+    factored = []
+    real_qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: factored.append(np.shape(a)) or real_qr(a, *args, **kw))
+    monkeypatch.setattr(model_space, "_triangular_sweep", lambda r, room: pytest.fail("no column is skipped"))
+    ModelSpaceBasis(inner)
+    assert len(factored) == -(-inner.n // PANEL)  # the panels that hold the first n columns, one QR each
+
+
+def test_basis_has_no_negative_zeros():
+    # exact data; before its signed zeros are made positive, the last basis has four -0.0 entries
+    swap = np.array([[0, 1j], [1j, 0]])
+    inners = [fixture(name) for name in FIXTURE_NAMES]
+    inners.append(InnerFunction(*potapov_product([np.diag([1.0, 0.0]), np.full((2, 2), 0.5)], swap)))
+    for inner in inners:
+        q = ModelSpaceBasis(inner).q
+        for part in (q.real, q.imag):
+            assert not np.signbit(part[part == 0]).any(), inner
+
+
+def test_near_dependent_column_in_a_later_panel_stays_orthogonal():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((120, 100)) + 1j * rng.standard_normal((120, 100))
+    a[:, 90] = a[:, 3] + 1e-6 * (rng.standard_normal(120) + 1j * rng.standard_normal(120))
+    q = model_space._panel_gram_schmidt(a, 100)  # column 90 keeps about 1e-5 of its norm 16
+    assert q.shape == (120, 100)
+    assert np.abs(q.conj().T @ q - np.eye(100)).max() <= 1e-13  # one block pass leaves about 1e-9
+    assert np.abs(np.tril(q.conj().T @ a, -1)).max() <= 1e-13 * np.abs(a).max()
+
+
+def test_wrong_factor_rank_sum_is_refused_by_the_projector_trace():
+    rng = np.random.default_rng(3)
+    theta, (u, factors, rank_sum) = potapov_product([random_projection(3, r, rng) for r in (1, 2, 2)], haar_unitary(3, rng))
+    assert InnerFunction(theta, (u, factors, rank_sum)).n == rank_sum == 5
+    with pytest.raises(IdentityCheckError, match="projector trace 5, det degree 5, factor rank sum 4"):
+        InnerFunction(theta, (u, factors, rank_sum - 1))
+
+
+def test_projector_trace_off_an_integer_is_refused(monkeypatch):
+    def shifted(blocks):
+        p = window_projector(blocks)
+        p[0, 0] += 1e-6
+        return p
+
+    monkeypatch.setattr(model_space, "window_projector", shifted)
+    with pytest.raises(IdentityCheckError, match="projector trace"):
+        fixture("FIX5")
+
+
+def test_gram_schmidt_count_below_the_trace_is_refused():
+    inner = fixture("FIX5")
+    inner.n += 1
+    with pytest.raises(IdentityCheckError, match="Gram-Schmidt count 2, projector trace 3"):
+        ModelSpaceBasis(inner)
+
+
+@pytest.mark.parametrize("d, m", [(1, MAX_WINDOW + 1), (2, MAX_WINDOW // 2 + 1), (7, 10**6)])
+def test_window_above_the_cap_is_refused_before_it_is_built(monkeypatch, d, m):
+    monkeypatch.setattr(model_space, "window_projector", lambda blocks: pytest.fail("window built"))
+    monkeypatch.setattr(model_space, "det_degree", lambda theta: pytest.fail("det degree taken"))
+    with pytest.raises(ParseError, match=f"{MAX_WINDOW}"):
+        InnerFunction(MatLaurent(m, np.eye(d)[None]))
+
+
+def test_window_of_a_thousand_coordinates_is_admitted():
+    inner = InnerFunction(MatLaurent(1000, np.eye(1)[None]))  # Theta = z^1000: P is the identity
+    assert (inner.m * inner.d, inner.n) == (1000, 1000)
+    assert np.array_equal(inner.projector, np.eye(1000))

@@ -132,7 +132,7 @@ def _op_file_with_id(tmp_path, basis_id):
 
 def test_op_file_with_a_current_id_is_read(tmp_path, capsys):
     basis_id = ModelSpaceBasis(fixture("FIX3")).basis_id
-    assert basis_id.startswith("v2-")
+    assert basis_id.startswith("v3-")
     code, out, _ = run(capsys, "op", "test", "--theta", "FIX3", "--op", _op_file_with_id(tmp_path, basis_id))
     assert code == 0 and json.loads(out)["verdict"]
 
@@ -151,6 +151,44 @@ def test_op_file_with_a_wrong_v2_id_is_refused(tmp_path, capsys):
     code, out, err = run(capsys, "op", "test", "--theta", "FIX3", "--op", _op_file_with_id(tmp_path, wrong))
     _assert_parse_error(code, out, err)
     assert wrong in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("command", ["test", "recover"])
+def test_op_file_with_a_v2_id_is_refused(tmp_path, capsys, command):
+    # the id FIX3's basis had in v2, which also hashed the bytes of Q
+    code, out, err = run(capsys, "op", command, "--theta", "FIX3", "--op", _op_file_with_id(tmp_path, "v2-c94075ba28d66639"))
+    _assert_parse_error(code, out, err)
+    message = json.loads(err)["message"]
+    assert "v2-c94075ba28d66639" in message and "v3" in message and "rebuild" in message
+
+
+def test_op_file_with_a_wrong_v3_id_is_refused(tmp_path, capsys):
+    wrong = "v3-" + "0" * 16
+    code, out, err = run(capsys, "op", "test", "--theta", "FIX3", "--op", _op_file_with_id(tmp_path, wrong))
+    _assert_parse_error(code, out, err)
+    message = json.loads(err)["message"]
+    assert wrong in message and ModelSpaceBasis(fixture("FIX3")).basis_id in message
+
+
+# Theta = z^1000000 with d = 1: inner and pure, but its coefficient window has a million coordinates
+HUGE_WINDOW = {"kind": "coeffs", "laurent": {"dim": 1, "lo": 1000000, "coeffs": [[[[1.0, 0.0]]]]}}
+
+
+@pytest.mark.parametrize("argv", [["dim"], ["space", "basis"], ["op", "build", "--symbol", "SYMBOL"]])
+def test_window_above_the_cap_exits_2(tmp_path, capsys, argv):
+    serialize.dump_json_file(tmp_path / "theta.json", HUGE_WINDOW)
+    symbol = write_symbol(tmp_path, "symbol.json", MatLaurent.identity(1))
+    argv = [symbol if a == "SYMBOL" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--theta", str(tmp_path / "theta.json"))
+    _assert_parse_error(code, out, err)
+    assert "1000000" in json.loads(err)["message"]
+
+
+def test_inner_check_answers_on_a_window_above_the_cap(tmp_path, capsys):
+    serialize.dump_json_file(tmp_path / "theta.json", HUGE_WINDOW)
+    code, out, err = run(capsys, "inner", "check", "--theta", str(tmp_path / "theta.json"))
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"analytic": True, "inner_residual": 0.0, "purity_margin": 1.0, "verdict": True}
 
 
 def test_tol_flag_and_env_are_honored(tmp_path, capsys, monkeypatch):

@@ -19,11 +19,11 @@ from mttokit.randgen import haar_unitary, random_projection
 from product_oracles import multiply_loop, potapov_product_loop
 
 FIXTURE_IDS = {
-    "FIX1": "v2-0d769ea947415d17",
-    "FIX2": "v2-d9930464493561c6",
-    "FIX3": "v2-c94075ba28d66639",
-    "FIX4": "v2-6920ab3ce3942672",
-    "FIX5": "v2-25fa44efbe2c13ae",
+    "FIX1": "v3-91e997794146500c",
+    "FIX2": "v3-5617624a15eff4cf",
+    "FIX3": "v3-8745784d20305f31",
+    "FIX4": "v3-5d4c20469799903c",
+    "FIX5": "v3-56d18d237fc06806",
 }
 
 

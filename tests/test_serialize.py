@@ -8,7 +8,8 @@ from mttokit import serialize
 from mttokit.errors import ParseError
 from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent
-from mttokit.model_space import ModelSpaceBasis, inner_from_json
+from mttokit.model_space import InnerFunction, ModelSpaceBasis, inner_from_json
+from mttokit.randgen import random_inner
 
 from basis_oracles import array_to_json_recursive
 
@@ -172,40 +173,40 @@ def test_json_to_array_refusals(obj, ndim):
         serialize.json_to_array(obj, ndim)
 
 
-def _theta_and_q(seed=5):
+def _theta(seed=5):
     rng = np.random.default_rng(seed)
-    c = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
-    q = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    return MatLaurent(0, c), q
+    return MatLaurent(0, rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2)))
 
 
 def test_basis_id_is_versioned_and_deterministic():
-    theta, q = _theta_and_q()
-    bid = serialize.basis_id(theta, q)
-    assert bid.startswith("v2-") and len(bid) == 19 and int(bid[3:], 16) >= 0
-    assert bid == serialize.basis_id(MatLaurent(0, theta.coeffs.copy()), q.copy())
+    theta = _theta()
+    bid = serialize.basis_id(theta, 3)
+    assert bid.startswith("v3-") and len(bid) == 19 and int(bid[3:], 16) >= 0
+    assert bid == serialize.basis_id(MatLaurent(0, theta.coeffs.copy()), 3)
     for name in FIXTURE_NAMES:
         assert ModelSpaceBasis(fixture(name)).basis_id == ModelSpaceBasis(fixture(name)).basis_id
 
 
-def test_basis_id_sees_one_ulp_of_theta_and_of_q():
-    theta, q = _theta_and_q()
-    bid = serialize.basis_id(theta, q)
+def test_basis_id_sees_one_ulp_of_theta_and_q_is_rebuilt_bit_for_bit():
+    theta = _theta()
+    bid = serialize.basis_id(theta, 3)
     c = theta.coeffs.copy()
     c[1, 0, 1] = complex(np.nextafter(c[1, 0, 1].real, np.inf), c[1, 0, 1].imag)
-    assert serialize.basis_id(MatLaurent(0, c), q) != bid
-    q2 = q.copy()
-    q2[3, 2] = complex(q2[3, 2].real, np.nextafter(q2[3, 2].imag, -np.inf))
-    assert serialize.basis_id(theta, q2) != bid
+    assert serialize.basis_id(MatLaurent(0, c), 3) != bid
+    # the id no longer hashes Q, so Q itself must come out the same bytes from the same Theta
+    for name in FIXTURE_NAMES:
+        assert ModelSpaceBasis(fixture(name)).q.tobytes() == ModelSpaceBasis(fixture(name)).q.tobytes()
+    inner = random_inner(3, 5, np.random.default_rng(8))
+    again = InnerFunction(MatLaurent(inner.theta.lo, inner.theta.coeffs.copy()))
+    assert ModelSpaceBasis(inner).q.tobytes() == ModelSpaceBasis(again).q.tobytes()
 
 
 def test_basis_id_sees_the_shape_behind_equal_bytes():
-    theta, q = _theta_and_q()
-    bid = serialize.basis_id(theta, q)
+    theta = _theta()
+    bid = serialize.basis_id(theta, 3)
     shifted = MatLaurent(1, theta.coeffs)  # same coefficient bytes, lo 1
     scalar = MatLaurent(0, theta.coeffs.reshape(8, 1, 1))  # same bytes, d 1
     assert shifted.coeffs.tobytes() == scalar.coeffs.tobytes() == theta.coeffs.tobytes()
-    ids = {bid, serialize.basis_id(shifted, q), serialize.basis_id(scalar, q)}
+    ids = {bid, serialize.basis_id(shifted, 3), serialize.basis_id(scalar, 3)}
     assert len(ids) == 3
-    # the same bytes of Q read as 4 x 3 or as 6 x 2
-    assert serialize.basis_id(theta, q.reshape(6, 2)) != bid
+    assert serialize.basis_id(theta, 2) != bid  # the same Theta with another n

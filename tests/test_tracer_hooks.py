@@ -52,5 +52,5 @@ def test_tracer_installs_and_counts_the_hooked_layers():
     for layer in ("mtto.build", "mtto.is_mtto", "suite.run_suite"):
         assert calls.get(layer, 0) >= 1, layer
     missing = {layer for layer in doc["layers"] if calls.get(layer, 0) == 0}
-    # nothing in src/ calls solve_min_norm any more, and the CLI is not run here
-    assert missing <= {"numerics.solve_min_norm", "cli.main"}, missing
+    # nothing in src/ calls solve_min_norm or nullspace any more, and the CLI is not run here
+    assert missing <= {"numerics.solve_min_norm", "numerics.nullspace", "cli.main"}, missing
