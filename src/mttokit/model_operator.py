@@ -2,19 +2,19 @@
 
 The compressed shift, its defect spaces, the maps that invert the defect
 operators on their ranges, rank-d modifications of the shift, and the
-conjugation induced by a symmetric unitary all live here.  Everything is
-an n x n matrix tied to a ModelSpaceBasis.  The shift, the defect data
-and J depend on the space alone: they are computed once per basis, kept
-in its cache and handed out as read-only arrays.
+conjugation induced by a symmetric unitary all live here, tied to a
+ModelSpaceBasis.  The shift, the n x d defect data and J depend on the
+space alone: they are computed once per basis, kept in its cache and
+handed out as read-only arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdentityCheckError, NotGammaSymmetricError, NotUnitaryError
+from .errors import DimensionMismatchError, IdentityCheckError, NotGammaSymmetricError, NotUnitaryError
 from .laurent import MatLaurent, convolve
 from .model_space import ModelSpaceBasis, _constraint_matrix, kernel_frame, require_member, tilde_kernel_frame
 from .numerics import CHECK_TOL, RANK_CUT, REL, fix_column_phases, frobenius, opnorm, require_finite
@@ -48,8 +48,22 @@ class OperatorMatrix:
         }
 
 
-def matrix_of(a) -> np.ndarray:
-    return a.mat if isinstance(a, OperatorMatrix) else np.asarray(a, dtype=np.complex128)
+def matrix_of(a, basis: ModelSpaceBasis) -> np.ndarray:
+    """The n x n matrix of an operator on `basis`; refuses an OperatorMatrix
+    of another space (another basis_id) and a matrix of the wrong size."""
+    if isinstance(a, OperatorMatrix):
+        if a.basis is not basis and a.basis.basis_id != basis.basis_id:
+            raise DimensionMismatchError(f"operator belongs to the space {a.basis.basis_id}, not {basis.basis_id}")
+        return a.mat
+    mat = np.asarray(a, dtype=np.complex128)
+    if mat.shape != (basis.n, basis.n):
+        raise DimensionMismatchError(f"operator must be {basis.n} x {basis.n}")
+    return mat
+
+
+def off_span(r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """R (I - U U*) for U with orthonormal columns: one rank-d correction."""
+    return r - (r @ u) @ u.conj().T
 
 
 def _frozen(*arrays):
@@ -75,98 +89,63 @@ def s_theta(basis: ModelSpaceBasis):
 
 @dataclass
 class DefectSpaces:
-    """Ranges of I - S S* and I - S* S, each of dimension d.
-
-    d_frame / dt_frame are the raw kernel frames at the origin (column j
-    comes from the j-th coordinate vector of C^d).  One full SVD
-    K = U Sigma V* of each frame gives the rest in basis coordinates:
-    d_basis / dt_basis are the first d columns of U and comp_* the others,
-    each phase-fixed, so [basis | comp] is unitary; d_pinv / dt_pinv are the
-    left inverses K+ = V Sigma^-1 U_d*, which send K x back to x and vanish
-    off the span of K.  g / gt are the defect operators I - S S* and
-    I - S* S, and p_* the projectors onto the two spaces and onto their
-    complements.  With C = comp_d and C~ = comp_dt, shift_d = C* S and
-    shift_dt = C~* S* compress the two defect identities to the complements
-    (`compressed_identities`): C* (A - S A S*) C = C* A C - shift_d A shift_d*,
-    and likewise C~* (A - S* A S) C~ = C~* A C~ - shift_dt A shift_dt*.
-    """
+    """The ranges of I - S S* = K0 K0* and I - S* S = K0~ K0~*, each of
+    dimension d, as O(nd) data: the kernel frames d_frame / dt_frame at the
+    origin (column j from the j-th coordinate vector of C^d) and, from one
+    thin SVD K = U Sigma V* of each, the phase-fixed orthonormal bases U
+    (d_basis / dt_basis) and the left inverses K+ = V Sigma^-1 U*
+    (d_pinv / dt_pinv).  gram_values / gram_vectors diagonalize H = K0* K0
+    for the gauge solve of `recover_symbol`.  Projectors are not kept: a
+    reader applies I - U U* as a rank-d correction (`off_span`)."""
 
     d_basis: np.ndarray
     dt_basis: np.ndarray
     d_frame: np.ndarray
     dt_frame: np.ndarray
-    g: np.ndarray
-    gt: np.ndarray
-    p_d: np.ndarray
-    p_dt: np.ndarray
-    p_d_perp: np.ndarray
-    p_dt_perp: np.ndarray
-    comp_d: np.ndarray
-    comp_dt: np.ndarray
     d_pinv: np.ndarray
     dt_pinv: np.ndarray
-    shift_d: np.ndarray
-    shift_dt: np.ndarray
-    _left: np.ndarray = field(init=False, repr=False)  # [C*; L; C~*; L~]
-    _right: np.ndarray = field(init=False, repr=False)  # C, L*, C~, L~* stacked
-
-    def __post_init__(self):
-        self._left = np.concatenate([self.comp_d.conj().T, self.shift_d, self.comp_dt.conj().T, self.shift_dt])
-        self._right = np.stack([self.comp_d, self.shift_d.conj().T, self.comp_dt, self.shift_dt.conj().T])
+    gram_values: np.ndarray
+    gram_vectors: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.d_basis.shape[1]
 
-    def compressed_identities(self, a: np.ndarray) -> np.ndarray:
-        """C* (A - S A S*) C and C~* (A - S* A S) C~ as a (2, n - d, n - d)
-        array: the four sandwiches C* A C, L A L*, C~* A C~, L~ A L~* take one
-        product on each side, all four at once."""
-        n, k = self._right.shape[1:]
-        r = (self._left @ a).reshape(4, k, n) @ self._right
-        return r[0::2] - r[1::2]
-
 
 def _frame_svd(frame: np.ndarray):
-    """Orthonormal basis, complement basis and left inverse K+ of a kernel
-    frame K, all from one full SVD; refuses a frame whose rank, cut as in
+    """Orthonormal basis and left inverse K+ of a kernel frame K, both
+    from one thin SVD; refuses a frame whose rank, cut as in
     `numerics.rank`, is not its column count d."""
     d = frame.shape[1]
-    u, sv, vh = np.linalg.svd(frame)
+    u, sv, vh = np.linalg.svd(frame, full_matrices=False)
     if int(np.sum(sv > RANK_CUT * sv[0] * max(frame.shape))) != d:
         raise IdentityCheckError("defect spaces did not come out d-dimensional")
-    kp = vh.conj().T @ ((1.0 / sv)[:, None] * u[:, :d].conj().T)
+    kp = vh.conj().T @ ((1.0 / sv)[:, None] * u.conj().T)
     resid = np.linalg.norm(kp @ frame - np.eye(d))
     if resid > 1e-9:
         raise IdentityCheckError(f"defect frame inversion residual {resid:.3e}")
-    return fix_column_phases(u[:, :d]), fix_column_phases(u[:, d:]), kp
+    return fix_column_phases(u), kp
 
 
 def defect_spaces(basis: ModelSpaceBasis) -> DefectSpaces:
     """Defect spaces spanned by the kernel frames at the origin, checked
-    once per basis against the two defect operators: I - S S* = K0 K0* and
-    I - S* S = K0~ K0~*, in the Frobenius norm relative to the operator's
-    norm (floored at 1).  With rank K0 = rank K0~ = d from `_frame_svd`,
-    this also fixes the rank and range of each defect operator."""
+    once per basis against the two defect operators, formed for this check
+    only: I - S S* = K0 K0* and I - S* S = K0~ K0~*, in the Frobenius norm
+    relative to the operator's norm (floored at 1).  With rank K0 =
+    rank K0~ = d from `_frame_svd`, this fixes the rank and range of each."""
     if "defects" in basis.cache:
         return basis.cache["defects"]
-    n = basis.n
     k0, kt0 = kernel_frame(basis, 0.0), tilde_kernel_frame(basis, 0.0)
-    d_basis, comp_d, d_pinv = _frame_svd(k0)
-    dt_basis, comp_dt, dt_pinv = _frame_svd(kt0)
+    d_basis, d_pinv = _frame_svd(k0)
+    dt_basis, dt_pinv = _frame_svd(kt0)
     s, s_adj = s_theta(basis)
-    eye = np.eye(n)
-    g = eye - s.mat @ s_adj.mat
-    gt = eye - s_adj.mat @ s.mat
-    p_d, p_dt = d_basis @ d_basis.conj().T, dt_basis @ dt_basis.conj().T
-    for gg, frame, label in ((g, k0, "I - S S* = K0 K0*"), (gt, kt0, "I - S* S = K0~ K0~*")):
+    eye = np.eye(basis.n)
+    for gg, frame, label in ((eye - s.mat @ s_adj.mat, k0, "I - S S* = K0 K0*"),
+                             (eye - s_adj.mat @ s.mat, kt0, "I - S* S = K0~ K0~*")):
         resid = frobenius(gg - frame @ frame.conj().T)
         if resid > REL * max(1.0, frobenius(gg)):
             raise IdentityCheckError(f"defect identity {label} fails, residual {resid:.3e}")
-    ds = DefectSpaces(
-        d_basis, dt_basis, k0, kt0, g, gt, p_d, p_dt, eye - p_d, eye - p_dt, comp_d, comp_dt, d_pinv, dt_pinv,
-        comp_d.conj().T @ s.mat, comp_dt.conj().T @ s_adj.mat,
-    )
+    ds = DefectSpaces(d_basis, dt_basis, k0, kt0, d_pinv, dt_pinv, *np.linalg.eigh(k0.conj().T @ k0))
     _frozen(*vars(ds).values())
     basis.cache["defects"] = ds
     return ds
@@ -194,29 +173,32 @@ def action_check(basis: ModelSpaceBasis) -> dict:
     decomposition and the containments between the pieces, each identity
     as one residual over the window matrix Q of the whole basis: z f stacks
     a zero block over Q, (f - f(0)) / z drops block 0 of Q and appends a
-    zero block, and the kernels at the origin are the frames K0 and K0~."""
+    zero block, and the kernels at the origin are the frames K0 and K0~.
+    Off a defect space with basis U, the columns of I - U U* are tested."""
     d, q = basis.inner.d, basis.q
     s, s_adj = s_theta(basis)
     ds = defect_spaces(basis)
+    u, ut = ds.d_basis, ds.dt_basis
     theta0 = basis.inner.theta.coeff(0)
     pad = np.zeros((d, basis.n))
     mult_z = np.vstack([pad, q]) - np.vstack([q @ s.mat, pad])  # z f - S f, one block longer
     div_z = np.vstack([q[d:], pad]) - q @ s_adj.mat  # (f - f(0)) / z - S* f
-    at_zero = eval0_matrix(basis) @ ds.comp_d  # those f vanish at 0
+    s_ut, s_adj_u = s.mat @ ut, s_adj.mat @ u
     return _report({
-        "shift acts as multiplication off the second defect space": _worst_column(mult_z @ ds.comp_dt),
+        "shift acts as multiplication off the second defect space": _worst_column(off_span(mult_z, ut)),
         "shift sends difference-quotient directions into the first defect space":
             _worst_column(s.mat @ ds.dt_frame + ds.d_frame @ theta0),
         "adjoint shift divides by z off the first defect space":
-            max(_worst_column(div_z @ ds.comp_d), _worst_column(at_zero)),
+            max(_worst_column(off_span(div_z, u)), _worst_column(off_span(eval0_matrix(basis), u))),
         "adjoint shift sends kernel directions into the second defect space":
             _worst_column(s_adj.mat @ ds.d_frame + ds.dt_frame @ theta0.conj().T),
-        "shift maps second defect space into first": frobenius(ds.p_d_perp @ s.mat @ ds.p_dt),
-        "shift maps second complement into first complement": frobenius(ds.p_d @ s.mat @ ds.p_dt_perp),
-        "adjoint shift maps first defect space into second": frobenius(ds.p_dt_perp @ s_adj.mat @ ds.p_d),
-        "adjoint shift maps first complement into second complement": frobenius(ds.p_dt @ s_adj.mat @ ds.p_d_perp),
+        "shift maps second defect space into first": frobenius(s_ut - u @ (u.conj().T @ s_ut)),
+        "shift maps second complement into first complement": frobenius(off_span(u.conj().T @ s.mat, ut)),
+        "adjoint shift maps first defect space into second": frobenius(s_adj_u - ut @ (ut.conj().T @ s_adj_u)),
+        "adjoint shift maps first complement into second complement":
+            frobenius(off_span(ut.conj().T @ s_adj.mat, u)),
         "defect operator is evaluation at zero followed by the kernel frame":
-            frobenius(ds.g - ds.d_frame @ eval0_matrix(basis)),
+            frobenius(np.eye(basis.n) - s.mat @ s_adj.mat - ds.d_frame @ eval0_matrix(basis)),
     })
 
 
@@ -230,14 +212,17 @@ def j_operators(basis: ModelSpaceBasis, ds: DefectSpaces):
     if "j" in basis.cache:
         return basis.cache["j"]
     rcond = RANK_CUT * basis.n
-    g, gt = ds.g, ds.gt
+    s, s_adj = s_theta(basis)
+    eye = np.eye(basis.n)
+    g, gt = eye - s.mat @ s_adj.mat, eye - s_adj.mat @ s.mat
+    p_d, p_dt = ds.d_basis @ ds.d_basis.conj().T, ds.dt_basis @ ds.dt_basis.conj().T
     j = np.linalg.pinv(g, rcond=rcond, hermitian=True)
     jt = np.linalg.pinv(gt, rcond=rcond, hermitian=True)
     for lhs, label in (
-        (g @ j - ds.p_d, "G J"),
-        (j.conj().T @ g - ds.p_d, "J* G"),
-        (gt @ jt - ds.p_dt, "Gt Jt"),
-        (jt.conj().T @ gt - ds.p_dt, "Jt* Gt"),
+        (g @ j - p_d, "G J"),
+        (j.conj().T @ g - p_d, "J* G"),
+        (gt @ jt - p_dt, "Gt Jt"),
+        (jt.conj().T @ gt - p_dt, "Jt* Gt"),
     ):
         if opnorm(lhs) > 1e-9:
             raise IdentityCheckError(f"{label} is not the defect projector")
@@ -256,9 +241,10 @@ def xhat(basis: ModelSpaceBasis, ds: DefectSpaces, x) -> OperatorMatrix:
 
 
 def modified_shift(basis: ModelSpaceBasis, ds: DefectSpaces, x) -> OperatorMatrix:
-    """Replace the shift on the second defect space by the block x."""
+    """Replace the shift on the second defect space by the block x:
+    S (I - U~ U~*) + xhat(x), with U~ the second defect basis."""
     s, _ = s_theta(basis)
-    return OperatorMatrix(basis, s.mat @ ds.p_dt_perp + xhat(basis, ds, x).mat @ ds.p_dt)
+    return OperatorMatrix(basis, off_span(s.mat, ds.dt_basis) + xhat(basis, ds, x).mat)
 
 
 class Conjugation:
@@ -316,7 +302,7 @@ def c_symmetric(basis: ModelSpaceBasis, gamma: Conjugation, a):
     The residual is ||A - M A^T M*||_F and the threshold REL * ||A||_F, the
     rule of the membership decisions; the zero operator passes with
     residual exactly 0."""
-    mat = matrix_of(a)
+    mat = matrix_of(a, basis)
     m = conjugation_matrix(basis, gamma)
     residual = frobenius(mat - m @ mat.T @ m.conj().T)
     return residual <= REL * frobenius(mat), float(residual)

@@ -1,26 +1,23 @@
 """Truncated Toeplitz operators with matrix symbols on a model space.
 
 An operator A_Phi compresses multiplication by a bounded matrix symbol
-Phi to the model space.  The class of all such operators is recognized
-(without knowing a symbol) by A - S A S* = X K0* + K0 Y* over the kernel
-frame K0 at 0, which holds exactly when P (A - S A S*) P = 0 with P = C C*
-the projector onto the complement C of the first defect space; X and Y are
-the coordinates of a symbol pair, recovered at minimum norm, and the
-zero-symbol ambiguity is resolved explicitly.  Every operator is assembled
-as Q* M Q from a matrix M on the coefficient window: M = T_Phi, the block
-Toeplitz matrix of the symbol, gives A_Phi.  Membership and recovery are
-decided in the Frobenius norm ||.||_F, which needs no SVD: the residual is
-||C* A C - L A L*||_F with L = C* S cached per space (and likewise for the
-starred identity), the witnesses (X, Y) are split only when read, the
-decision defaults to the scale-relative threshold numerics.REL * ||A||_F
-(1e-9 ||A||_F), and the zero operator passes because its residual is
-exactly 0.  The residual certifies the Frobenius distance to the class:
-residual / 2 <= dist <= m * residual.  The zero-symbol tests default to
-the same relative threshold on the symbol's scale, REL * ||Phi||, with
-||Phi|| the norm of its coefficients; the zero symbol passes.  A symbol of
-the zero operator is split by one batched division by Theta on coefficient
-arrays, Phi and Phi* side by side, with both constant terms from one QR of
-[Theta_1; ...; Theta_m] per space.
+Phi to the model space.  As in Sarason's scalar theory, one defect
+identity recognizes the class without a symbol: A is in it exactly when
+Delta = A - S A S* = X K0* + K0 Y* over the kernel frame K0 at 0, that is
+when P Delta P = 0 for P = I - U U* off the first defect space (U its
+orthonormal basis).  The split (X, Y) gives the coordinates of a symbol
+pair, recovered at minimum norm, with the zero-symbol gauge resolved
+explicitly.  Every operator is assembled as Q* M Q from a matrix M on the
+coefficient window: M = T_Phi, the block Toeplitz matrix of the symbol,
+gives A_Phi.  Membership and recovery form Delta once and decide in the
+Frobenius norm, with no SVD, on ||P Delta P||_F against the scale-relative
+threshold numerics.REL * ||A||_F (1e-9 ||A||_F); the zero operator passes
+with residual exactly 0, and residual / 2 <= dist_F(A, class) <=
+m * residual.  The zero-symbol tests default to REL * ||Phi||, with ||Phi||
+the norm of the coefficients.  A symbol of the zero operator is split by
+one batched division by Theta on coefficient arrays, Phi and Phi* side by
+side, with both constant terms from one QR of [Theta_1; ...; Theta_m] per
+space.
 """
 
 from __future__ import annotations
@@ -43,6 +40,7 @@ from .model_operator import (
     OperatorMatrix,
     defect_spaces,
     matrix_of,
+    off_span,
     s_theta,
     xhat,
 )
@@ -78,10 +76,7 @@ def semi_commutator_residual(basis: ModelSpaceBasis, phi: MatLaurent, a) -> floa
     """Check A - S A S* against its closed form for an analytic symbol."""
     if phi.lo < 0:
         raise ValueError("the semi-commutator identity needs an analytic symbol")
-    amat = matrix_of(a)
-    s, s_adj = s_theta(basis)
-    delta = amat - s.mat @ amat @ s_adj.mat
-    return opnorm(delta - semi_commutator_left_factor(basis, phi))
+    return opnorm(_plain_delta(basis, matrix_of(a, basis)) - semi_commutator_left_factor(basis, phi))
 
 
 @dataclass
@@ -94,25 +89,44 @@ class MttoWitness:
     residual: float
 
 
-def _frame_split(delta: np.ndarray, frame: np.ndarray, kp: np.ndarray) -> MttoWitness:
-    """X = (I - K K+) Delta K+*, Y = (Delta - X K*)* K+*; the residual is ||P Delta P||_F, P = I - K K+."""
+def _split_coords(delta: np.ndarray, frame: np.ndarray, kp: np.ndarray):
+    """X = (I - K K+) Delta K+*, Y = (Delta - X K*)* K+*."""
     x = (delta - frame @ (kp @ delta)) @ kp.conj().T
-    y = (delta - x @ frame.conj().T).conj().T @ kp.conj().T
+    return x, (delta - x @ frame.conj().T).conj().T @ kp.conj().T
+
+
+def _frame_split(delta: np.ndarray, frame: np.ndarray, kp: np.ndarray) -> MttoWitness:
+    """The split with its residual ||Delta - X K* - K Y*||_F = ||P Delta P||_F, P = I - K K+."""
+    x, y = _split_coords(delta, frame, kp)
     return MttoWitness(x, y, frobenius(delta - x @ frame.conj().T - frame @ y.conj().T))
+
+
+def _off_defect_norm(delta: np.ndarray, u: np.ndarray) -> float:
+    """||P Delta P||_F for P = I - U U*, as two rank-d corrections; exactly
+    0 when the defect basis U is square (n = d), where P = 0."""
+    if u.shape[1] == u.shape[0]:
+        return 0.0
+    return frobenius(off_span(delta - u @ (u.conj().T @ delta), u))
+
+
+def _plain_delta(basis: ModelSpaceBasis, amat: np.ndarray) -> np.ndarray:
+    s, s_adj = s_theta(basis)
+    return amat - s.mat @ amat @ s_adj.mat
 
 
 @dataclass
 class MttoDecision:
-    """Verdict residual <= tol.  `distance_bounds` = (residual / 2, m * residual)
-    brackets the Frobenius distance from A to the class, m the degree of Theta.
-    The witnesses split the two identities of `basis` and `amat` (a read-only
-    copy of A) on first read; a caller that only wants the verdict never
-    pays for them."""
+    """Verdict residual <= tol on D = ||P Delta P||_F for `amat`, a
+    read-only copy of A; `distance_bounds` = (residual / 2, m * residual)
+    brackets the Frobenius distance to the class.  The witness forms
+    Delta = A - S A S* again and splits it on first read, and the starred
+    identity A - S* A S behind `variants` and `witness_tilde` is formed on
+    first read of either; a caller that only wants the verdict pays for
+    neither and keeps no n x n array but A."""
 
     verdict: bool
     residual: float
     tol: float
-    variants: dict
     distance_bounds: tuple[float, float]
     basis: ModelSpaceBasis = field(repr=False, compare=False)
     amat: np.ndarray = field(repr=False, compare=False)
@@ -120,16 +134,27 @@ class MttoDecision:
     @cached_property
     def witness(self) -> MttoWitness:
         """The split of A - S A S* over K0."""
-        s, s_adj = s_theta(self.basis)
         ds = defect_spaces(self.basis)
-        return _frame_split(self.amat - s.mat @ self.amat @ s_adj.mat, ds.d_frame, ds.d_pinv)
+        return _frame_split(_plain_delta(self.basis, self.amat), ds.d_frame, ds.d_pinv)
+
+    @cached_property
+    def delta_tilde(self) -> np.ndarray:
+        s, s_adj = s_theta(self.basis)
+        return self.amat - s_adj.mat @ self.amat @ s.mat
+
+    @cached_property
+    def variants(self) -> dict:
+        """D and, by the same route off the second defect space, Dtilde;
+        D = Dtilde in exact arithmetic.  "shift" (the starred difference
+        compressed to the second complement) is Dtilde."""
+        starred = _off_defect_norm(self.delta_tilde, defect_spaces(self.basis).dt_basis)
+        return {"D": self.residual, "Dtilde": starred, "shift": starred}
 
     @cached_property
     def witness_tilde(self) -> MttoWitness:
         """The split of A - S* A S over the second kernel frame."""
-        s, s_adj = s_theta(self.basis)
         ds = defect_spaces(self.basis)
-        return _frame_split(self.amat - s_adj.mat @ self.amat @ s.mat, ds.dt_frame, ds.dt_pinv)
+        return _frame_split(self.delta_tilde, ds.dt_frame, ds.dt_pinv)
 
     def to_json(self) -> dict:
         return {
@@ -143,38 +168,22 @@ class MttoDecision:
 
 
 def is_mtto(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> MttoDecision:
-    """Decide membership on the two defect identities compressed to the
-    complements of the defect spaces.
-
-    With C, C~ the cached complement bases of the two defect spaces and
-    L = C* S, L~ = C~* S* (`DefectSpaces.shift_d`, `.shift_dt`), the plain
-    (D) residual is ||C* A C - L A L*||_F = ||P (A - S A S*) P||_F and the
-    starred (Dtilde) residual ||C~* A C~ - L~ A L~*||_F: two sandwich
-    products per identity and no split, and no SVD once the basis cache
-    holds the defect data.  The "shift" variant, the starred difference
-    compressed to the complement W of the second defect space, is that same
-    quantity (W = C~), so it reports the Dtilde value.
-    The verdict is residual <= tol, with residual the larger of D and Dtilde
-    and tol defaulting to REL * ||A||_F.  The witnesses (X, Y) with
-    Delta = X K* + K Y* are split only when a caller reads them.
-    The map X -> X - S X S* is inverted by sum_{k<m} S^k X S*^k, so
-    residual / 2 <= dist_F(A, class) <= m * residual.
-    """
-    amat = np.array(matrix_of(a), dtype=np.complex128)
-    n = basis.n
-    if amat.shape != (n, n):
-        raise DimensionMismatchError(f"operator must be {n} x {n}")
+    """Decide membership on the one defect identity Delta = A - S A S*:
+    the residual is D = ||P Delta P||_F with P = I - U U* off the first
+    defect space, two n x n products and two rank-d corrections, no SVD on
+    a warm basis, and exactly 0 when n = d (P = 0).  The verdict is
+    residual <= tol, tol defaulting to REL * ||A||_F.  X -> X - S X S* is
+    inverted by sum_{k<m} S^k X S*^k, so residual / 2 <= dist_F(A, class)
+    <= m * residual.  An operator of another space is refused."""
+    amat = np.array(matrix_of(a, basis), dtype=np.complex128)
     amat.setflags(write=False)
     if tol is None:
         tol = REL * frobenius(amat)
-    compressed = defect_spaces(basis).compressed_identities(amat)
-    plain, starred = frobenius(compressed[0]), frobenius(compressed[1])
-    residual = max(plain, starred)
+    residual = _off_defect_norm(_plain_delta(basis, amat), defect_spaces(basis).d_basis)
     return MttoDecision(
         verdict=bool(residual <= tol),
         residual=float(residual),
         tol=float(tol),
-        variants={"D": plain, "Dtilde": starred, "shift": starred},
         distance_bounds=(residual / 2, basis.inner.m * residual),
         basis=basis,
         amat=amat,
@@ -229,32 +238,35 @@ class RecoveredSymbol:
 
 def recover_symbol(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> RecoveredSymbol:
     """Minimum-norm symbol pair (Psi1, Psi2), both in the standard symbol
-    space, with A = A_{Psi1 + Psi2*}.  Refuses operators that fail the
-    membership test, naming the certified interval of its Frobenius
-    distance to the class; the rebuild is checked in the Frobenius norm,
-    to 1e-8 ||A||_F.  The columns of Psi1, Psi2 have as coordinates the
-    witness (X + K0 C, Y - K0 C*), with the d x d gauge C of minimum norm:
-    H C + C H = Y* K0 - K0* X for H = K0* K0, solved in the eigenbasis of H."""
-    amat = matrix_of(a)
-    decision = is_mtto(basis, amat, tol)
-    if not decision.verdict:
-        lo, hi = decision.distance_bounds
+    space, with A = A_{Psi1 + Psi2*}.  Delta = A - S A S* is formed once and
+    decided on exactly as in is_mtto, so the two agree at every tol: above
+    tol (default REL * ||A||_F) the residual ||P Delta P||_F refuses the
+    operator, naming the certified interval of its distance to the class;
+    otherwise Delta is split once over K0, and the rebuild is checked to
+    1e-8 ||A||_F.  Psi1, Psi2 have coordinates (X + K0 C, Y - K0 C*), with
+    the d x d gauge C of minimum norm: H C + C H = Y* K0 - K0* X for
+    H = K0* K0, in the cached eigenbasis of H."""
+    amat, ds, m = np.asarray(matrix_of(a, basis), dtype=np.complex128), defect_spaces(basis), basis.inner.m
+    delta = _plain_delta(basis, amat)
+    residual = _off_defect_norm(delta, ds.d_basis)
+    scale = frobenius(amat)
+    if tol is None:
+        tol = REL * scale
+    if not residual <= tol:
         raise NotMttoError(
-            f"operator is not a truncated Toeplitz operator: residual {decision.residual:.3e}"
-            f" > tol {decision.tol:.3e}; its Frobenius distance to the class lies in [{lo:.3e}, {hi:.3e}]"
+            f"operator is not a truncated Toeplitz operator: residual {residual:.3e}"
+            f" > tol {tol:.3e}; its Frobenius distance to the class lies in [{residual / 2:.3e}, {m * residual:.3e}]"
         )
-    x, y = decision.witness.x, decision.witness.y
-    k0 = defect_spaces(basis).d_frame
-    lam, v = np.linalg.eigh(k0.conj().T @ k0)
+    lam, v, k0 = ds.gram_values, ds.gram_vectors, ds.d_frame
+    x, y = _split_coords(delta, k0, ds.d_pinv)
     rhs = v.conj().T @ (y.conj().T @ k0 - k0.conj().T @ x) @ v
     c = v @ (rhs / np.add.outer(lam, lam)) @ v.conj().T
-    m = basis.inner.m
     f = basis.q.reshape(m, basis.inner.d, basis.n)  # window blocks of Q
     p1, p2 = f @ (x + k0 @ c), f @ (y - k0 @ c.conj().T)
     # T_{Psi1 + Psi2*}: block (k, j) is Psi1_{k-j} for k >= j plus (Psi2_{j-k})* for j >= k
     tiles = np.concatenate([reversed_adjoint(p2[1:]), p1[:1] + reversed_adjoint(p2[:1]), p1[1:]])
     residual = frobenius(basis.compress(block_toeplitz(tiles, m, m)) - amat)
-    if not residual <= 1e-8 * frobenius(amat):
+    if not residual <= 1e-8 * scale:
         raise IdentityCheckError(f"recovered symbol rebuilds with residual {residual:.3e}")
     return RecoveredSymbol(MatLaurent(0, p1), MatLaurent(0, p2), float(residual))
 
@@ -373,16 +385,15 @@ def mtto_dimension(basis: ModelSpaceBasis) -> DimensionReport:
     two, the operator side: A is in the class iff P (A - S A S*) P = 0, with
     P the projector off the first defect space, and X -> X - S X S* is
     invertible because S is nilpotent, so the class has dimension
-    n^2 - (rank P)^2.  Neither rank is measured again here: `defect_spaces`
-    refuses a kernel frame whose rank is not d, and it builds P from a
-    complement basis with [basis | complement] unitary, so rank P = n - d.
-    The two counts therefore agree by construction; what stands to be
-    measured is ||S^m|| <= CHECK_TOL.  The report also compares the count
+    n^2 - (rank P)^2.  Neither rank is measured again: `_frame_svd` refuses
+    a kernel frame whose rank is not d, so rank P = rank (I - U U*) = n - d
+    and the counts agree by construction; what stands to be measured is
+    ||S^m|| <= CHECK_TOL.  The report also compares the count
     against both closed-form candidates 2nd - d^2 and 2n^d - d^2.
     """
     n, d = basis.n, basis.inner.d
     s, _ = s_theta(basis)
-    rank_p = defect_spaces(basis).comp_d.shape[1]
+    rank_p = n - defect_spaces(basis).dim
     nilpotency = float(np.linalg.norm(np.linalg.matrix_power(s.mat, basis.inner.m)))
     if nilpotency > CHECK_TOL:
         raise IdentityCheckError(f"compressed shift is not nilpotent: ||S^m|| = {nilpotency:.3e}")

@@ -162,10 +162,11 @@ def random_non_member(basis: ModelSpaceBasis, rng: np.random.Generator, min_defe
     The class is the kernel of X -> P (X - S X S*) P, with P the projector
     off the first defect space, so its orthogonal complement is the range
     of the adjoint map, {B - S* B S : B = P W P}.  Candidates take B
-    Gaussian on the complement of the defect space; only spaces with a
-    strict complement (n > d) admit one.
+    Gaussian on the complement of the defect space (its basis from a
+    complete QR); only spaces with a strict complement (n > d) admit one.
     """
-    comp = defect_spaces(basis).comp_d
+    u = defect_spaces(basis).d_basis
+    comp = np.linalg.qr(u, mode="complete")[0][:, u.shape[1]:]
     k = comp.shape[1]
     if k == 0:
         raise ValueError("every operator on this model space carries a symbol")

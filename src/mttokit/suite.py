@@ -285,10 +285,11 @@ def _check_defect_spaces(ctx, rng):
     out = _CheckResult()
     for _, basis in ctx.spaces:
         ds = defect_spaces(basis)
+        s, s_adj = s_theta(basis)
         d = basis.inner.d
         out.add(0.0 if ds.d_basis.shape == (basis.n, d) else 1.0)
         out.add(0.0 if ds.dt_basis.shape == (basis.n, d) else 1.0)
-        out.add(frobenius(ds.g - ds.d_frame @ ds.d_frame.conj().T))  # G = K0 K0*
+        out.add(frobenius(np.eye(basis.n) - s.mat @ s_adj.mat - ds.d_frame @ ds.d_frame.conj().T))  # G = K0 K0*
     return out
 
 

@@ -3,9 +3,11 @@
 `model_operator.action_check` states each identity as one residual over
 the window matrix of the whole basis.  The function below tests the same
 identities the direct way: one column at a time, through Laurent objects
-and the closed-form kernels, taking the worst column norm; the four
-mapping identities and the defect-operator identity are whole-matrix
-residuals in the Frobenius norm.
+and the closed-form kernels, taking the worst column norm; an identity off
+a defect space runs over the columns of the n x n projector I - U U*, U
+the defect basis.  The four mapping identities and the defect-operator
+identity are whole-matrix residuals in the Frobenius norm, with the
+projectors and I - S S* formed as n x n matrices.
 """
 
 import numpy as np
@@ -28,7 +30,9 @@ def action_check_loop(basis) -> dict:
     d = inner.d
     s, s_adj = s_theta(basis)
     ds = defect_spaces(basis)
-    comp_d, comp_dt = ds.comp_d, ds.comp_dt
+    n_eye = np.eye(basis.n)
+    p_d, p_dt = ds.d_basis @ ds.d_basis.conj().T, ds.dt_basis @ ds.dt_basis.conj().T
+    comp_d, comp_dt = n_eye - p_d, n_eye - p_dt  # columns off each defect space
     theta0 = inner.theta.coeff(0)
     eye = np.eye(d)
     checks = {}
@@ -64,11 +68,11 @@ def action_check_loop(basis) -> dict:
 
     # the mapping identities and the defect-operator identity in the Frobenius norm
     norm = np.linalg.norm
-    checks["shift maps second defect space into first"] = norm(ds.p_d_perp @ s.mat @ ds.p_dt)
-    checks["shift maps second complement into first complement"] = norm(ds.p_d @ s.mat @ ds.p_dt_perp)
-    checks["adjoint shift maps first defect space into second"] = norm(ds.p_dt_perp @ s_adj.mat @ ds.p_d)
-    checks["adjoint shift maps first complement into second complement"] = norm(ds.p_dt @ s_adj.mat @ ds.p_d_perp)
+    checks["shift maps second defect space into first"] = norm(comp_d @ s.mat @ p_dt)
+    checks["shift maps second complement into first complement"] = norm(p_d @ s.mat @ comp_dt)
+    checks["adjoint shift maps first defect space into second"] = norm(comp_dt @ s_adj.mat @ p_d)
+    checks["adjoint shift maps first complement into second complement"] = norm(p_dt @ s_adj.mat @ comp_d)
     checks["defect operator is evaluation at zero followed by the kernel frame"] = norm(
-        ds.g - ds.d_frame @ eval0_matrix(basis)
+        n_eye - s.mat @ s_adj.mat - ds.d_frame @ eval0_matrix(basis)
     )
     return checks

@@ -46,7 +46,8 @@ def stein_constraint(basis) -> np.ndarray:
     projector off the first defect space: kron(P, P^T) - kron(P S, (S* P)^T).
     Its kernel is the operator class."""
     s, s_adj = s_theta(basis)
-    p = defect_spaces(basis).p_d_perp
+    u = defect_spaces(basis).d_basis
+    p = np.eye(basis.n) - u @ u.conj().T
     return np.kron(p, p.T) - np.kron(p @ s.mat, (s_adj.mat @ p).T)
 
 

@@ -8,9 +8,10 @@ is_mtto applied before it decided in the Frobenius norm: the larger
 spectral norm of the two compressions against REL times the spectral
 norm of A.  `class_span` is the operator class by brute force, the
 orthonormal span of the operators of the unit symbols E_ij z^t.
-`split_decision` is is_mtto as it was before it read the residuals off
-the compressed identities: both identities split over their kernel frames
-on every call, with the starred one compressed a third time for "shift".
+`split_decision` is is_mtto as it was before it decided on one identity:
+both identities split over their kernel frames on every call, the residual
+the larger of the two, with the starred one compressed a third time for
+"shift".
 """
 
 from dataclasses import dataclass
@@ -115,6 +116,7 @@ def split_decision(basis, a: np.ndarray, tol=None) -> SplitDecision:
     delta_tilde = a - s_adj @ a @ s
     witness_tilde = frame_split(delta_tilde, ds.dt_frame, ds.dt_pinv)
     residual = max(witness.residual, witness_tilde.residual)
-    shift = frobenius(ds.comp_dt.conj().T @ delta_tilde @ ds.comp_dt)
+    comp_dt = complement(ds.dt_frame)
+    shift = frobenius(comp_dt.conj().T @ delta_tilde @ comp_dt)
     variants = {"D": witness.residual, "Dtilde": witness_tilde.residual, "shift": shift}
     return SplitDecision(bool(residual <= tol), residual, float(tol), variants, witness, witness_tilde)

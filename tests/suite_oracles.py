@@ -111,7 +111,7 @@ def conjugation_matrix(basis, gamma) -> np.ndarray:
 def c_symmetric(basis, gamma, a, norm=frobenius):
     """A = C A* C through the per-element conjugation matrix; `norm=opnorm`
     is the spectral rule, residual <= REL * ||A|| in the operator norm."""
-    mat = matrix_of(a)
+    mat = matrix_of(a, basis)
     m = conjugation_matrix(basis, gamma)
     residual = norm(mat - m @ mat.T @ m.conj().T)
     return residual <= REL * norm(mat), float(residual)

@@ -133,8 +133,9 @@ def test_04_defect_ranges_and_action_formulas():
         s, s_adj = s_theta(basis)
         ds = defect_spaces(basis)
         eye = np.eye(basis.n)
-        worst_range = max(worst_range, opnorm(_range_projector(eye - s.mat @ s_adj.mat) - ds.p_d))
-        worst_range = max(worst_range, opnorm(_range_projector(eye - s_adj.mat @ s.mat) - ds.p_dt))
+        p_d, p_dt = ds.d_basis @ ds.d_basis.conj().T, ds.dt_basis @ ds.dt_basis.conj().T
+        worst_range = max(worst_range, opnorm(_range_projector(eye - s.mat @ s_adj.mat) - p_d))
+        worst_range = max(worst_range, opnorm(_range_projector(eye - s_adj.mat @ s.mat) - p_dt))
         report = action_check(basis)
         assert report["pass"], report
         worst_action = max(worst_action, report["max_residual"])

@@ -1,8 +1,8 @@
 """The defect data of a model space pinned to the earlier route.
 
-`defect_spaces` takes one full SVD K = U Sigma V* of each kernel frame at
-the origin and reads the basis, the complement basis and the left inverse
-off it.  `defect_oracles.frame_basis_and_inverse` computes the basis from
+`defect_spaces` takes one thin SVD K = U Sigma V* of each kernel frame at
+the origin and reads the basis and the left inverse off it; it keeps no
+n x n array.  `defect_oracles.frame_basis_and_inverse` computes the basis from
 a thin SVD and the inverse with numpy's pinv, as before; the bases must
 agree bit for bit and the inverses entry for entry (pinv factors conj(K),
 so an exact zero may come out with the other sign).
@@ -42,14 +42,16 @@ def test_bases_and_inverses_match_the_earlier_route(basis):
 
 
 @pytest.mark.parametrize("basis", SPACES, ids=lambda b: f"{b.inner.d}x{b.inner.m}-{b.basis_id[:8]}")
-def test_basis_and_complement_are_unitary(basis):
+def test_bases_are_orthonormal_and_every_array_is_rank_d(basis):
     ds = defect_spaces(basis)
-    eye = np.eye(basis.n)
-    for q, comp, p, p_perp in ((ds.d_basis, ds.comp_d, ds.p_d, ds.p_d_perp), (ds.dt_basis, ds.comp_dt, ds.p_dt, ds.p_dt_perp)):
-        full = np.hstack([q, comp])
-        assert full.shape == (basis.n, basis.n)
-        assert np.abs(full.conj().T @ full - eye).max() <= 1e-12
-        assert np.abs(p - q @ q.conj().T).max() == 0.0 and np.abs(p + p_perp - eye).max() == 0.0
+    n, d = basis.n, basis.inner.d
+    for q, frame, kp in ((ds.d_basis, ds.d_frame, ds.d_pinv), (ds.dt_basis, ds.dt_frame, ds.dt_pinv)):
+        assert q.shape == frame.shape == (n, d) and kp.shape == (d, n)
+        assert np.abs(q.conj().T @ q - np.eye(d)).max() <= 1e-12
+    h = ds.d_frame.conj().T @ ds.d_frame
+    assert ds.gram_values.shape == (d,) and ds.gram_vectors.shape == (d, d)
+    lam, v = np.linalg.eigh(h)
+    assert np.array_equal(ds.gram_values, lam) and np.array_equal(ds.gram_vectors, v)
 
 
 def test_rank_deficient_frame_is_refused():

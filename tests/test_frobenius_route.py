@@ -1,8 +1,8 @@
 """Membership and recovery decided in the Frobenius norm.
 
-is_mtto reports the residuals ||C* (A - S A S*) C||_F and
-||Ct* (A - S* A S) Ct||_F, with C and Ct orthonormal complements of the
-two defect spaces, decides against REL * ||A||_F, and on a basis whose
+is_mtto decides on ||C* (A - S A S*) C||_F against REL * ||A||_F and
+reports it with ||Ct* (A - S* A S) Ct||_F as variants, with C and Ct
+orthonormal complements of the two defect spaces, and on a basis whose
 shift and defect data are cached takes no SVD; recover_symbol checks its
 rebuild in the same norm.  The references are in membership_oracles:
 the compressions through complements computed here, and the spectral rule
@@ -95,7 +95,7 @@ def test_variants_are_the_frobenius_norms_of_the_compressed_identities(basis):
         assert abs(decision.variants["D"] - want) <= scale, label
         assert abs(decision.variants["Dtilde"] - want_tilde) <= scale, label
         assert abs(decision.variants["shift"] - want_tilde) <= scale, label
-        assert decision.residual == max(decision.variants["D"], decision.variants["Dtilde"])
+        assert decision.residual == decision.variants["D"]
         assert decision.tol == REL * np.linalg.norm(a)
         lo, hi = decision.distance_bounds
         assert (lo, hi) == (decision.residual / 2, basis.inner.m * decision.residual)

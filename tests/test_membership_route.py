@@ -1,37 +1,48 @@
-"""Membership decided on the compressed defect identities.
+"""Membership decided and symbols recovered on one defect identity.
 
-is_mtto reads both residuals off C* A C - L A L* and C~* A C~ - L~ A L~*,
-with C, C~ the complements of the defect spaces and L = C* S, L~ = C~* S*
-cached per space; the witnesses are split only when a caller reads them.
-The reference is `membership_oracles.split_decision`, the route that split
-both identities on every call: verdicts must be equal and residuals agree
-to 1e-13 max(1, ||A||_F) on the fixtures, rotated monomial spaces, seeded
-spaces and a scale sweep, including n = d, where C is n x 0.  A counting
-wrapper shows that a warm is_mtto splits nothing and takes no SVD, and that
-recover_symbol splits the plain identity once.  The suite's variants_agree
-check compares the split residual with the compressed one.
+is_mtto forms Delta = A - S A S* once and reads D = ||P Delta P||_F off it
+with P = I - U U* applied as two rank-d corrections; the decision keeps
+only its copy of A, the witness forms Delta again when read, and the
+starred identity A - S* A S behind `variants` and `witness_tilde` is
+formed only when read.  recover_symbol forms Delta once, decides on it as
+is_mtto does, so the two agree at every tol, and splits it once.  The reference is
+`membership_oracles.split_decision`, the route that split both identities
+on every call and decided on the larger residual: verdicts must be equal
+and residuals agree to 1e-13 max(1, ||A||_F) on the fixtures, rotated
+monomial spaces, seeded spaces and a scale sweep, including n = d, where
+P = 0, where the fixtures with Theta(0) = 0 match the reference exactly.
+On that sweep D = Dtilde to 1e-13 ||A||_F, and recover_symbol
+refuses exactly the operators is_mtto rejects.  A counting wrapper shows
+that a warm is_mtto splits nothing and takes no SVD, and that
+recover_symbol splits the plain identity once and never calls is_mtto.
+The defect data is O(nd): its arrays hold at most 8 n d complex entries,
+fewer than n^2 on a space with n = 48, d = 2.
+The suite's variants_agree check compares the split residual with the
+projector one.  An operator of another space is refused by name at every
+entry point that takes one.
 """
 
 import numpy as np
 import pytest
 
 from mttokit import mtto
+from mttokit.errors import DimensionMismatchError, NotMttoError
 from mttokit.fixtures import FIXTURE_NAMES, fixture
-from mttokit.model_operator import defect_spaces, s_theta
-from mttokit.model_space import ModelSpaceBasis
-from mttokit.mtto import build, finite_rank, is_mtto, mtto_dimension, recover_symbol
+from mttokit.model_operator import Conjugation, c_symmetric, defect_spaces, s_theta
+from mttokit.model_space import ModelSpaceBasis, make_inner_potapov
+from mttokit.mtto import build, finite_rank, is_mtto, mtto_dimension, recover_symbol, semi_commutator_residual
 from mttokit.numerics import frobenius
-from mttokit.randgen import haar_unitary, random_inner, random_non_member, random_symbol
+from mttokit.randgen import haar_unitary, random_inner, random_non_member, random_projection, random_symbol
 from mttokit.suite import SuiteConfig, _check_variants_agree, _Context
 
-from membership_oracles import split_decision
+from membership_oracles import complement, split_decision
 from monomial_oracles import monomial_inner
 
 
 def _spaces():
     named = [(name, fixture(name)) for name in FIXTURE_NAMES]
     named += [(f"monomial-{ms}", monomial_inner(haar_unitary(len(ms), np.random.default_rng(80 + len(ms))), ms)) for ms in ((1, 3), (2, 1, 2), (4,))]
-    named += [(f"random-{d}x{m}", random_inner(d, m, np.random.default_rng(90 + d + m))) for d, m in ((1, 5), (2, 3), (3, 2), (4, 2))]
+    named += [(f"random-{d}x{m}", random_inner(d, m, np.random.default_rng(90 + d + m))) for d, m in ((1, 5), (2, 3), (3, 2), (4, 2), (2, 24))]
     return [(label, ModelSpaceBasis(inner)) for label, inner in named]
 
 
@@ -62,20 +73,26 @@ def _assert_same_decision(basis, a, bound):
     got, want = is_mtto(basis, a), split_decision(basis, a)
     assert got.verdict is want.verdict
     assert got.tol == want.tol
+    assert abs(got.residual - want.residual) <= bound
+    assert got.residual == got.variants["D"]
     for key in ("D", "Dtilde", "shift"):
         assert abs(got.variants[key] - want.variants[key]) <= bound, key
-    assert abs(got.residual - want.residual) <= bound
-    assert got.residual == max(got.variants["D"], got.variants["Dtilde"])
     assert got.variants["shift"] == got.variants["Dtilde"]  # the same compression, W = C~
+    assert abs(got.variants["D"] - got.variants["Dtilde"]) <= bound  # D = Dtilde in exact arithmetic
     for lazy, split in ((got.witness, want.witness), (got.witness_tilde, want.witness_tilde)):
         assert abs(lazy.residual - split.residual) <= bound
         for mine, theirs in ((lazy.x, split.x), (lazy.y, split.y)):
             assert frobenius(mine - theirs) <= bound
+    if got.verdict:
+        recover_symbol(basis, a)
+    else:
+        with pytest.raises(NotMttoError):
+            recover_symbol(basis, a)
     return got
 
 
 @pytest.mark.parametrize("basis", BASES, ids=IDS)
-def test_compressed_route_decides_as_the_split_route(basis):
+def test_one_identity_decides_as_the_split_route(basis):
     rng = np.random.default_rng(basis.n + 11)
     for a in _operators(basis, rng):
         _assert_same_decision(basis, a, 1e-13 * max(1.0, frobenius(a)))
@@ -83,7 +100,7 @@ def test_compressed_route_decides_as_the_split_route(basis):
 
 @pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e-6, 1.0, 1e6, 1e100, 1e200])
 @pytest.mark.parametrize("basis", BASES, ids=IDS)
-def test_compressed_route_decides_as_the_split_route_at_every_scale(basis, scale):
+def test_one_identity_decides_as_the_split_route_at_every_scale(basis, scale):
     rng = np.random.default_rng(basis.n + 12)
     for a in _operators(basis, rng):
         a = scale * a
@@ -91,46 +108,78 @@ def test_compressed_route_decides_as_the_split_route_at_every_scale(basis, scale
         _assert_same_decision(basis, a, bound)
 
 
-@pytest.mark.parametrize("name", ["FIX1", "FIX4"])
-def test_every_operator_is_a_member_when_the_complement_is_empty(name):
-    basis = ModelSpaceBasis(fixture(name))
-    ds = defect_spaces(basis)
-    assert basis.n == basis.inner.d and ds.comp_d.shape == (basis.n, 0) and ds.shift_d.shape == (0, basis.n)
+def _two_factor_square_space():
+    """n = d = 2 from two rank-1 Potapov factors: Theta(0) != 0, so the kernel
+    frame K0 is not unitary and its split leaves roundoff."""
+    rng = np.random.default_rng(5)
+    return make_inner_potapov([random_projection(2, 1, rng), random_projection(2, 1, rng)])
+
+
+@pytest.mark.parametrize(
+    "inner, rel",
+    [(fixture("FIX1"), 0.0), (fixture("FIX4"), 0.0), (_two_factor_square_space(), 1e-13)],
+    ids=["FIX1", "FIX4", "potapov-1+1"],
+)
+def test_every_operator_is_a_member_when_the_complement_is_empty(inner, rel):
+    """Exact agreement with the reference where Theta(0) = 0 makes K0 unitary;
+    roundoff allowed only where it does not."""
+    basis = ModelSpaceBasis(inner)
+    assert basis.n == basis.inner.d == defect_spaces(basis).dim
     rng = np.random.default_rng(3)
     for a in (np.zeros((basis.n, basis.n)), _gaussian(basis.n, rng), 1e200 * _gaussian(basis.n, rng)):
-        got = _assert_same_decision(basis, a, 0.0)
+        got = _assert_same_decision(basis, a, rel * frobenius(a))
         assert got.verdict and got.residual == 0.0 and got.variants == {"D": 0.0, "Dtilde": 0.0, "shift": 0.0}
-        assert ds.compressed_identities(a).shape == (2, 0, 0)
+        assert recover_symbol(basis, a, 1e-300).residual <= 1e-8 * frobenius(a)  # P = 0: no tol refuses
 
 
 @pytest.mark.parametrize("basis", BASES, ids=IDS)
-def test_cached_compressions_are_the_complements_times_the_shift(basis):
+def test_the_defect_data_is_rank_d_and_the_decision_keeps_only_a(basis):
     ds = defect_spaces(basis)
     s, s_adj = s_theta(basis)
-    assert np.array_equal(ds.shift_d, ds.comp_d.conj().T @ s.mat)
-    assert np.array_equal(ds.shift_dt, ds.comp_dt.conj().T @ s_adj.mat)
-    for arr in (ds.shift_d, ds.shift_dt, ds._left, ds._right):
+    n, d = basis.n, basis.inner.d
+    for arr in vars(ds).values():
         assert not arr.flags.writeable
+    assert sum(arr.nbytes for arr in vars(ds).values()) <= 8 * n * d * 16
     rng = np.random.default_rng(basis.n + 13)
-    a = _gaussian(basis.n, rng)
-    c, ct = ds.comp_d, ds.comp_dt
-    want = [c.conj().T @ (a - s.mat @ a @ s_adj.mat) @ c, ct.conj().T @ (a - s_adj.mat @ a @ s.mat) @ ct]
-    got = ds.compressed_identities(a)
-    for g, w in zip(got, want):
-        assert frobenius(g - w) <= 1e-13 * frobenius(a)
+    a = _gaussian(n, rng)
+    decision = is_mtto(basis, a)
+    assert [k for k, v in vars(decision).items() if isinstance(v, np.ndarray)] == ["amat"]
+    assert "delta_tilde" not in vars(decision)  # the starred identity waits for its reader
+    c, ct = complement(ds.d_frame), complement(ds.dt_frame)
+    want = frobenius(c.conj().T @ (a - s.mat @ a @ s_adj.mat) @ c)
+    assert abs(decision.residual - want) <= 1e-13 * frobenius(a)
+    want_tilde = frobenius(ct.conj().T @ (a - s_adj.mat @ a @ s.mat) @ ct)
+    assert abs(decision.variants["Dtilde"] - want_tilde) <= 1e-13 * frobenius(a)
+
+
+@pytest.mark.parametrize("basis", [b for b in BASES if b.n > b.inner.d], ids=[i for i, b in SPACES if b.n > b.inner.d])
+def test_recover_symbol_and_is_mtto_agree_at_tol_equal_to_the_residual(basis):
+    rng = np.random.default_rng(basis.n + 17)
+    member = build(basis, random_symbol(basis.inner.d, -2, 2, rng)).mat
+    off = random_non_member(basis, rng)
+    a = member + 1e-10 * frobenius(member) / frobenius(off) * off
+    residual = is_mtto(basis, a).residual
+    assert residual > 0.0
+    for tol, member_at_tol in ((residual, True), (np.nextafter(residual, 0.0), False)):
+        assert is_mtto(basis, a, tol).verdict is member_at_tol
+        if member_at_tol:
+            recover_symbol(basis, a, tol)
+        else:
+            with pytest.raises(NotMttoError):
+                recover_symbol(basis, a, tol)
 
 
 @pytest.fixture
 def splits(monkeypatch):
-    """Every `_frame_split` call, by the frame it splits over."""
+    """Every split of a defect identity, by the frame it splits over."""
     calls = []
-    real = mtto._frame_split
+    real = mtto._split_coords
 
     def counted(delta, frame, kp):
         calls.append(frame)
         return real(delta, frame, kp)
 
-    monkeypatch.setattr(mtto, "_frame_split", counted)
+    monkeypatch.setattr(mtto, "_split_coords", counted)
     return calls
 
 
@@ -157,6 +206,7 @@ def test_a_warm_decision_splits_nothing_and_takes_no_svd(basis, splits, svds):
     svds.clear()
     decision = is_mtto(basis, a)
     is_mtto(basis, _gaussian(basis.n, rng))
+    assert "delta_tilde" not in vars(decision)
     decision.to_json()
     assert splits == [] and svds == []
     ds = defect_spaces(basis)
@@ -168,11 +218,12 @@ def test_a_warm_decision_splits_nothing_and_takes_no_svd(basis, splits, svds):
 
 
 @pytest.mark.parametrize("basis", BASES, ids=IDS)
-def test_recover_symbol_splits_the_plain_identity_once(basis, splits):
+def test_recover_symbol_splits_the_plain_identity_once(basis, splits, monkeypatch):
     rng = np.random.default_rng(basis.n + 15)
     a = build(basis, random_symbol(basis.inner.d, -2, 2, rng))
     recover_symbol(basis, a)
     splits.clear()
+    monkeypatch.setattr(mtto, "is_mtto", lambda *args, **kwargs: pytest.fail("recover_symbol called is_mtto"))
     recover_symbol(basis, a)
     assert len(splits) == 1 and splits[0] is defect_spaces(basis).d_frame
 
@@ -189,7 +240,7 @@ def test_witnesses_split_the_operator_as_it_was_decided():
     assert not decision.amat.flags.writeable
 
 
-def test_variants_agree_compares_the_split_route_with_the_compressed_one(monkeypatch):
+def test_variants_agree_compares_the_split_route_with_the_projector_one(monkeypatch):
     """The suite's cross-route check must see a split residual that is off,
     and read more than 0 on working code, where the two routes differ only
     by roundoff."""
@@ -205,3 +256,34 @@ def test_variants_agree_compares_the_split_route_with_the_compressed_one(monkeyp
 
     monkeypatch.setattr(mtto, "_frame_split", off)
     assert _check_variants_agree(ctx, np.random.default_rng(1)).max_residual > 0.5
+
+
+def _other_space_operator():
+    """An operator of FIX3 (n = 3) and another space of the same dimension."""
+    b3 = ModelSpaceBasis(fixture("FIX3"))
+    other = ModelSpaceBasis(random_inner(2, 2, np.random.default_rng(1)))
+    assert other.n == b3.n and other.basis_id != b3.basis_id
+    return b3, other, build(b3, random_symbol(2, -1, 1, np.random.default_rng(0)))
+
+
+ENTRY_POINTS = {
+    "is_mtto": lambda basis, a: is_mtto(basis, a),
+    "recover_symbol": lambda basis, a: recover_symbol(basis, a),
+    "semi_commutator_residual": lambda basis, a: semi_commutator_residual(
+        basis, random_symbol(2, 0, 2, np.random.default_rng(2)), a
+    ),
+    "c_symmetric": lambda basis, a: c_symmetric(basis, Conjugation(np.eye(2)), a),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=str)
+def test_an_operator_of_another_space_is_refused_by_name(entry):
+    b3, other, a = _other_space_operator()
+    assert is_mtto(b3, a).verdict
+    with pytest.raises(DimensionMismatchError) as err:
+        ENTRY_POINTS[entry](other, a)
+    assert b3.basis_id in str(err.value) and other.basis_id in str(err.value)
+    same = ModelSpaceBasis(b3.inner)  # another object for the same space is accepted
+    assert same is not b3 and same.basis_id == b3.basis_id
+    if entry != "c_symmetric":  # FIX3 is not symmetric for the identity conjugation
+        ENTRY_POINTS[entry](same, a)

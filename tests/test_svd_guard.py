@@ -74,7 +74,9 @@ def test_mtto_dimension_takes_no_svd_on_cached_defect_data(inner, svd_callers):
 def test_defect_identities_hold_to_roundoff(inner):
     basis = ModelSpaceBasis(inner)
     ds = defect_spaces(basis)
-    for g, frame in ((ds.g, ds.d_frame), (ds.gt, ds.dt_frame)):
+    s, s_adj = (op.mat for op in s_theta(basis))
+    eye = np.eye(basis.n)
+    for g, frame in ((eye - s @ s_adj, ds.d_frame), (eye - s_adj @ s, ds.dt_frame)):
         assert np.linalg.norm(g - frame @ frame.conj().T) <= 1e-13
 
 

@@ -114,7 +114,7 @@ def test_operator_data_is_computed_once_per_basis():
     assert again_s.mat is s.mat and again_adj.mat is s_adj.mat
     assert defect_spaces(basis) is ds
     assert all(a is b for a, b in zip(j_operators(basis, ds), (j, jt)))
-    for a in (s.mat, s_adj.mat, ds.d_basis, ds.g, ds.p_d_perp, ds.comp_dt, j, jt):
+    for a in (s.mat, s_adj.mat, ds.d_basis, ds.dt_frame, ds.d_pinv, ds.gram_vectors, j, jt):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
