@@ -48,10 +48,11 @@ from .model_space import ModelSpaceBasis, kernel_frame, tilde_kernel_frame
 from .numerics import CHECK_TOL, REL, block_toeplitz, frobenius, opnorm
 
 
-def _toeplitz_window(basis: ModelSpaceBasis, phi: MatLaurent) -> np.ndarray:
-    """T_Phi on the coefficient window: block (k, j) is Phi_{k-j}."""
+def _compress_toeplitz(basis: ModelSpaceBasis, tiles: np.ndarray) -> np.ndarray:
+    """Q* T Q for the block Toeplitz T on the coefficient window whose
+    block (k, j) is tiles[k - j + m - 1], the blocks at offsets 1 - m .. m - 1."""
     m = basis.inner.m
-    return block_toeplitz(phi.window(1 - m, m - 1), m, m)
+    return basis.compress(block_toeplitz(tiles, m, m))
 
 
 def build(basis: ModelSpaceBasis, phi: MatLaurent) -> OperatorMatrix:
@@ -60,16 +61,17 @@ def build(basis: ModelSpaceBasis, phi: MatLaurent) -> OperatorMatrix:
         raise DimensionMismatchError(
             f"symbol dimension {phi.dim} does not match model space over C^{basis.inner.d}"
         )
-    return OperatorMatrix(basis, basis.compress(_toeplitz_window(basis, phi)))
+    m = basis.inner.m
+    return OperatorMatrix(basis, _compress_toeplitz(basis, phi.window(1 - m, m - 1)))
 
 
 def semi_commutator_left_factor(basis: ModelSpaceBasis, phi: MatLaurent) -> np.ndarray:
-    """Matrix of f -> projection of phi times the constant f(0), that is
-    Q* T_Phi E0 Q with E0 keeping window block 0 only; this is the left
-    factor that turns the defect operator into A - S A S*."""
-    window = _toeplitz_window(basis, phi)
-    window[:, basis.inner.d :] = 0.0
-    return basis.compress(window)
+    """Matrix of f -> projection of phi times the constant f(0): Q* T_Phi E0 Q
+    with E0 keeping window block 0, that is Q* [Phi_0; ...; Phi_{m-1}] Q[:d];
+    the left factor that turns the defect operator into A - S A S*."""
+    d, m, q = basis.inner.d, basis.inner.m, basis.q
+    column = phi.window(0, m - 1).reshape(m * d, d)
+    return (column.conj().T @ q).conj().T @ q[:d]  # (column* Q)* = Q* column, without copying Q*
 
 
 def semi_commutator_residual(basis: ModelSpaceBasis, phi: MatLaurent, a) -> float:
@@ -265,7 +267,7 @@ def recover_symbol(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> Re
     p1, p2 = f @ (x + k0 @ c), f @ (y - k0 @ c.conj().T)
     # T_{Psi1 + Psi2*}: block (k, j) is Psi1_{k-j} for k >= j plus (Psi2_{j-k})* for j >= k
     tiles = np.concatenate([reversed_adjoint(p2[1:]), p1[:1] + reversed_adjoint(p2[:1]), p1[1:]])
-    residual = frobenius(basis.compress(block_toeplitz(tiles, m, m)) - amat)
+    residual = frobenius(_compress_toeplitz(basis, tiles) - amat)
     if not residual <= 1e-8 * scale:
         raise IdentityCheckError(f"recovered symbol rebuilds with residual {residual:.3e}")
     return RecoveredSymbol(MatLaurent(0, p1), MatLaurent(0, p2), float(residual))

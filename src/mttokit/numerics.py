@@ -47,7 +47,9 @@ def opnorm(a: np.ndarray) -> float:
 def frobenius(a: np.ndarray) -> float:
     """Frobenius norm, safe for every finite scale: numpy sums the squared
     entries, which overflow above about 1e154 and underflow below 1e-154,
-    so a result outside (1e-150, 1e150) is taken again on a rescaled copy."""
+    so a result outside (1e-150, 1e150) is taken again on the magnitudes
+    rescaled by the largest one (real division: a complex division by a
+    subnormal scalar overflows forming its reciprocal)."""
     with np.errstate(over="ignore"):
         nrm = float(np.linalg.norm(a))
     if 1e-150 < nrm < 1e150:
@@ -55,7 +57,7 @@ def frobenius(a: np.ndarray) -> float:
     big = float(np.abs(a).max(initial=0.0))
     if big == 0.0 or not np.isfinite(big):
         return big
-    return big * float(np.linalg.norm(a / big))
+    return big * float(np.linalg.norm(np.abs(a) / big))
 
 
 def rank(a, scale: float = 0.0) -> int:

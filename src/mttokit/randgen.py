@@ -14,6 +14,10 @@ from .model_space import InnerFunction, ModelSpaceBasis, make_inner_potapov
 from .mtto import is_mtto
 from .numerics import opnorm
 
+LAURENT_SPAN = 2  # the gamma-symmetric symbol has frequencies -LAURENT_SPAN..LAURENT_SPAN
+COMMUTING_TERMS, MAX_SHIFT, MAX_POWER = 4, 2, 2  # terms c z^a Theta^p, a <= MAX_SHIFT, p <= MAX_POWER
+MIN_DEFECT = 1e-3  # least membership residual of a certified unit-norm non-member
+
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Unitary drawn from the rotation-invariant distribution."""
@@ -93,12 +97,7 @@ def gamma_real_basis(gamma: Conjugation, rng: np.random.Generator) -> np.ndarray
     return np.column_stack(vecs)
 
 
-def random_gamma_symmetric_triple(
-    d: int,
-    m: int,
-    rng: np.random.Generator,
-    laurent_span: int = 2,
-):
+def random_gamma_symmetric_triple(d: int, m: int, rng: np.random.Generator):
     """Conjugation, a compatible inner function, and a compatible symbol.
 
     All three are diagonal in one basis of fixed vectors of the
@@ -124,40 +123,34 @@ def random_gamma_symmetric_triple(
         cols = b[:, mask]
         factors.append(cols @ cols.conj().T)
     inner = make_inner_potapov(factors)
-    width = 2 * laurent_span + 1
+    width = 2 * LAURENT_SPAN + 1
     q = rng.standard_normal((width, d)) + 1j * rng.standard_normal((width, d))
     coeffs = np.einsum("ki,ai,bi->kab", q, b, b.conj())
-    phi = MatLaurent(-laurent_span, coeffs)
+    phi = MatLaurent(-LAURENT_SPAN, coeffs)
     return gamma, inner, phi
 
 
-def random_commuting_symbol(
-    basis: ModelSpaceBasis,
-    rng: np.random.Generator,
-    terms: int = 4,
-    max_shift: int = 2,
-    max_power: int = 2,
-) -> MatLaurent:
+def random_commuting_symbol(basis: ModelSpaceBasis, rng: np.random.Generator) -> MatLaurent:
     """Random polynomial in z and the inner function itself; symbols of
     this shape leave Theta H^2 invariant, so the built operator commutes
     with the compressed shift."""
     theta = basis.inner.theta
     d = basis.inner.d
     powers = [MatLaurent.identity(d)]
-    for _ in range(max_power):
+    for _ in range(MAX_POWER):
         powers.append(multiply(powers[-1], theta))
     phi = MatLaurent.zero(d)
-    for _ in range(terms):
+    for _ in range(COMMUTING_TERMS):
         c = rng.standard_normal() + 1j * rng.standard_normal()
-        a = int(rng.integers(0, max_shift + 1))
-        p = int(rng.integers(0, max_power + 1))
+        a = int(rng.integers(0, MAX_SHIFT + 1))
+        p = int(rng.integers(0, MAX_POWER + 1))
         phi = phi + c * powers[p].shift(a)
     return phi
 
 
-def random_non_member(basis: ModelSpaceBasis, rng: np.random.Generator, min_defect: float = 1e-3) -> np.ndarray:
-    """Unit-norm operator outside the symbol class, certified by the
-    membership residual.
+def random_non_member(basis: ModelSpaceBasis, rng: np.random.Generator) -> np.ndarray:
+    """Unit-norm operator outside the symbol class, certified by a
+    membership residual of at least MIN_DEFECT.
 
     The class is the kernel of X -> P (X - S X S*) P, with P the projector
     off the first defect space, so its orthogonal complement is the range
@@ -179,6 +172,6 @@ def random_non_member(basis: ModelSpaceBasis, rng: np.random.Generator, min_defe
         if nrm < 1e-12:
             continue
         a = a / nrm
-        if is_mtto(basis, a).residual >= min_defect:
+        if is_mtto(basis, a).residual >= MIN_DEFECT:
             return a
-    raise RuntimeError("could not certify a non-member; lower min_defect")
+    raise RuntimeError(f"no candidate in 64 draws reached membership residual {MIN_DEFECT:g}")

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +247,16 @@ def test_tiny_input_passed_by_a_loose_tol_fails_its_identity_check(tmp_path, cap
     serialize.dump_json_file(path, {"entries": serialize.matrix_to_json(outside)})
     code, out, err = run(capsys, "op", "recover", "--theta", "FIX3", "--op", str(path), "--tol", "1e-6")
     assert code == 1 and out == "" and json.loads(err)["error"] == "E_IDENTITY_CHECK"
+
+
+def test_op_recover_of_a_member_scaled_to_1e_300_succeeds_without_warnings(tmp_path, capsys):
+    basis = ModelSpaceBasis(fixture("FIX5"))
+    path = tmp_path / "op.json"
+    serialize.dump_json_file(path, build(basis, MatLaurent(-1, 1e-300 * np.ones((3, 2, 2)))).to_json())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "op", "recover", "--theta", "FIX5", "--op", str(path))
+    assert code == 0 and err == "" and json.loads(out)["rebuild_residual"] <= 1e-308
 
 
 def test_dim_command(capsys):

@@ -11,10 +11,13 @@ members, certified non-members, Gaussian matrices and finite-rank
 sandwiches at every scale.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from mttokit.fixtures import FIXTURE_NAMES, fixture
+from mttokit.laurent import MatLaurent
 from mttokit.model_space import ModelSpaceBasis
 from mttokit.mtto import build, finite_rank, is_mtto, mtto_dimension, recover_symbol
 from mttokit.numerics import REL, frobenius
@@ -118,3 +121,17 @@ def test_frobenius_is_safe_at_every_finite_scale(scale):
     a = _gaussian(6, rng)
     want = np.linalg.norm(a)
     assert abs(frobenius(scale * a) - scale * want) <= 1e-14 * scale * want
+
+
+def test_a_member_with_a_subnormal_largest_entry_keeps_a_finite_tolerance():
+    # the rescale in `frobenius` divides magnitudes: a complex division by
+    # a subnormal scalar overflows forming its reciprocal and gave tol nan
+    basis = ModelSpaceBasis(fixture("FIX3"))
+    member = build(basis, MatLaurent(-1, np.ones((3, 2, 2)))).mat
+    a = 1e-310 * member
+    assert 0.0 < np.abs(a).max() < np.finfo(float).tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        decision = is_mtto(basis, a)
+    want = REL * 1e-310 * frobenius(member)  # itself subnormal, so good to a few digits only
+    assert decision.verdict and abs(decision.tol - want) <= 1e-3 * want
