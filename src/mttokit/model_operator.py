@@ -1,12 +1,11 @@
 """Operators on a model space, as matrices in its deterministic basis.
 
 The compressed shift, its defect spaces, the maps that invert the defect
-operators on their ranges, rank-d modifications of the shift, and the
-conjugation induced by a symmetric unitary all live here, tied to a
-ModelSpaceBasis.  The shift is the row-block shift of the basis, with no
-md x md window matrix formed; it, the n x d defect data and J depend on
-the space alone: they are computed once per basis, kept in its cache and
-handed out as read-only arrays.
+operators on their ranges, and the conjugation induced by a symmetric
+unitary all live here, tied to a ModelSpaceBasis.  The shift is the
+row-block shift of the basis, with no md x md window matrix formed; it,
+the n x d defect data and J depend on the space alone: they are computed
+once per basis, kept in its cache and handed out as read-only arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, IdentityCheckError, NotGammaSymmetricError, NotUnitaryError
 from .laurent import MatLaurent, convolve
-from .model_space import ModelSpaceBasis, _constraint_matrix, kernel_frame, require_member, tilde_kernel_frame
+from .model_space import ModelSpaceBasis, kernel_frame, require_member, tilde_kernel_frame
 from .numerics import CHECK_TOL, RANK_CUT, REL, fix_column_phases, frobenius, opnorm, require_finite
 
 
@@ -240,13 +239,6 @@ def xhat(basis: ModelSpaceBasis, ds: DefectSpaces, x) -> OperatorMatrix:
     return OperatorMatrix(basis, ds.d_basis @ x @ ds.dt_basis.conj().T)
 
 
-def modified_shift(basis: ModelSpaceBasis, ds: DefectSpaces, x) -> OperatorMatrix:
-    """Replace the shift on the second defect space by the block x:
-    S (I - U~ U~*) + xhat(x), with U~ the second defect basis."""
-    s, _ = s_theta(basis)
-    return OperatorMatrix(basis, off_span(s.mat, ds.dt_basis) + xhat(basis, ds, x).mat)
-
-
 class Conjugation:
     """Antilinear involution x -> U conj(x) on C^d for symmetric unitary U."""
 
@@ -289,7 +281,7 @@ def conjugation_matrix(basis: ModelSpaceBasis, gamma: Conjugation) -> np.ndarray
     image = convolve(inner.blocks, flipped)  # block i sits at frequency i - m
     window = image[m:].reshape(m * d, n)
     negative = np.linalg.norm(image[:m], axis=(0, 1))
-    analytic = np.linalg.norm(_constraint_matrix(inner.theta) @ window, axis=0)
+    analytic = np.linalg.norm(window - inner.projector @ window, axis=0)  # ||L* w|| = ||w - P w||
     require_member(float(np.hypot(negative, analytic).max(initial=0.0)), 1.0, "conjugation")
     mat = basis.q.conj().T @ window
     if np.linalg.norm(mat.conj().T @ mat - np.eye(n)) > 1e-9 or np.linalg.norm(mat - mat.T) > 1e-9:

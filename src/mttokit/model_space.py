@@ -32,10 +32,9 @@ from .laurent import (
     inner_residual,
     is_pure,
     multiply,
-    reversed_adjoint,
     tilde,
 )
-from .numerics import INNER_TOL, TRACE_TOL, block_toeplitz, fix_column_phases
+from .numerics import INNER_TOL, TRACE_TOL, fix_column_phases
 
 DET_CUT = 1e-8  # det_degree: coefficients up to DET_CUT * max(1, largest) count as zero
 MAX_WINDOW = 2048  # largest m*d coefficient window a model space is built on
@@ -62,13 +61,6 @@ def det_degree(theta: MatLaurent) -> int:
     mags = np.abs(total)
     big = np.flatnonzero(mags > DET_CUT * max(1.0, mags.max()))
     return int(big[-1]) if big.size else 0
-
-
-def _constraint_matrix(theta: MatLaurent) -> np.ndarray:
-    """Map sending the coefficients of a degree-<m polynomial f to the
-    analytic-part coefficients of Theta* f; its kernel is the model space."""
-    m = theta.hi
-    return block_toeplitz(reversed_adjoint(theta.window(1 - m, m - 1)), m, m)  # block (k, j) is Theta_{j-k}*
 
 
 def window_projector(blocks: np.ndarray) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Earlier implementations of the basis, its phase fix and the array
 encoder, kept as test references.
 
-`ModelSpaceBasis` runs Gram-Schmidt on panels of the columns of the
-projector I - L L*, `numerics.fix_column_phases` rotates every column in
+`window_projector` forms I - L L* by running sums along its block
+diagonals, `ModelSpaceBasis` runs Gram-Schmidt on panels of the columns
+of that projector, `numerics.fix_column_phases` rotates every column in
 one pass and `serialize.array_to_json` converts a whole array with one
-`tolist`.  The functions below do the same work the direct way: modified
+`tolist`.  The functions below do the same work the direct way: L* as
+one md x md block Toeplitz matrix (`constraint_matrix`), modified
 Gram-Schmidt, twice, over the m*d columns P e_j of the projector formed
 from an SVD of the constraint map, one column at a time; a phase fix
 column by column; and an encoder that recurses once per scalar.
@@ -12,8 +14,16 @@ column by column; and an encoder that recurses once per scalar.
 
 import numpy as np
 
-from mttokit.model_space import _constraint_matrix
-from mttokit.numerics import PHASE_CUT, nullspace
+from mttokit.laurent import reversed_adjoint
+from mttokit.numerics import PHASE_CUT, block_toeplitz, nullspace
+
+
+def constraint_matrix(theta) -> np.ndarray:
+    """L*, the map sending the coefficients of a degree-<m polynomial f to
+    the analytic-part coefficients of Theta* f, as an md x md block
+    Toeplitz matrix; its kernel is the model space."""
+    m = theta.hi
+    return block_toeplitz(reversed_adjoint(theta.window(1 - m, m - 1)), m, m)  # block (k, j) is Theta_{j-k}*
 
 
 def fix_column_phases_loop(q: np.ndarray) -> np.ndarray:
@@ -34,7 +44,7 @@ def gram_schmidt_loop(inner) -> np.ndarray:
     """Basis matrix Q from Gram-Schmidt of P e_0, P e_1, ... in the m*d
     dimensional window, every column of the projector visited."""
     d, m, n = inner.d, inner.m, inner.n
-    null = nullspace(_constraint_matrix(inner.theta), scale=1.0)
+    null = nullspace(constraint_matrix(inner.theta), scale=1.0)
     assert null.shape[1] == n, "nullspace dimension disagrees with model dimension"
     proj = null @ null.conj().T
     accepted = []

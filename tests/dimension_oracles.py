@@ -1,8 +1,8 @@
 """Brute-force matrices of the operator class and of the symbol space,
 kept as test references.
 
-`mtto_dimension` counts the class from measured ranks of n x n and n x d
-data.  The two maps below count it by SVD instead: the symbol-pair map
+`mtto_dimension` reads the count 2nd - d^2 off n and d.  The two maps
+below count the class by SVD instead: the symbol-pair map
 (n^2 x 2nd, its rank) and the Stein constraint (n^2 x n^2, its nullity,
 O(n^6)).  The recovery tests also use the pair map as the least-squares
 reference for recover_symbol.  The symbol space (analytic matrix symbols

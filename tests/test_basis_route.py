@@ -26,14 +26,13 @@ from mttokit.model_space import (  # noqa: E402
     PANEL,
     InnerFunction,
     ModelSpaceBasis,
-    _constraint_matrix,
     potapov_product,
     window_projector,
 )
 from mttokit.numerics import PHASE_CUT, fix_column_phases  # noqa: E402
 from mttokit.randgen import haar_unitary, random_inner, random_projection  # noqa: E402
 
-from basis_oracles import fix_column_phases_loop, gram_schmidt_loop  # noqa: E402
+from basis_oracles import constraint_matrix, fix_column_phases_loop, gram_schmidt_loop  # noqa: E402
 from monomial_oracles import monomial_inner  # noqa: E402
 
 # (d, m, seed) of seeded random spaces; the last has n >= 120
@@ -59,7 +58,7 @@ def _assert_orthonormal_in_kernel(basis):
     q, n = basis.q, basis.n
     assert q.shape == (basis.inner.m * basis.inner.d, n)
     assert np.abs(q.conj().T @ q - np.eye(n)).max() <= 1e-12
-    assert np.abs(_constraint_matrix(basis.inner.theta) @ q).max() <= 1e-12
+    assert np.abs(constraint_matrix(basis.inner.theta) @ q).max() <= 1e-12
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -133,7 +132,7 @@ def test_constraint_matrix_is_factored_once(monkeypatch, d, ranks, kind):
 
 @pytest.mark.parametrize("label, inner", list(_spaces()))
 def test_window_projector_is_i_minus_l_l_star(label, inner):
-    c = _constraint_matrix(inner.theta)  # L*
+    c = constraint_matrix(inner.theta)  # L*
     p = inner.projector
     assert np.abs(p - (np.eye(c.shape[1]) - c.conj().T @ c)).max() <= 1e-14
     assert np.abs(p - p.conj().T).max() <= 1e-14 and np.abs(p @ p - p).max() <= 1e-13

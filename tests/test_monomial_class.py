@@ -71,4 +71,4 @@ def test_class_dimension_is_the_exact_count(ms):
     exact = sum(mi + mj - 1 for mi in ms for mj in ms)
     assert exact == 2 * n * d - d * d
     report = mtto_dimension(basis)
-    assert report.dim == exact and report.rank_p_perp == n - d
+    assert report.dim == exact

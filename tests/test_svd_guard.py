@@ -3,11 +3,12 @@
 `defect_spaces` takes one SVD per kernel frame, in `_frame_svd`, which
 fixes rank K0 = rank K0~ = d; it checks I - S S* = K0 K0* and
 I - S* S = K0~ K0~* in the Frobenius norm instead of taking the rank and
-range of each defect operator by SVD.  `mtto_dimension` reads
-rank P = n - d off the complement basis.  `zero_symbol_decompose` divides
-by Theta on coefficient arrays with a left inverse factored once per space
-by QR, so its one SVD is the operator norm.  A wrapper around numpy's SVD
-counts what each call still takes, and names its caller.  A suite request
+range of each defect operator by SVD.  `mtto_dimension` is a count on n
+and d: on a fresh basis it takes no SVD and caches nothing.
+`zero_symbol_decompose` divides by Theta on coefficient arrays with a left
+inverse factored once per space by QR, so its one SVD is the operator
+norm.  A wrapper around numpy's SVD counts what each call still takes, and
+names its caller.  A suite request
 scales its roundoff residuals by Frobenius norms; what SVDs it still takes
 are pinned per caller and check.
 """
@@ -60,14 +61,13 @@ def test_new_basis_takes_one_svd_per_kernel_frame(inner, svd_callers):
 
 
 @pytest.mark.parametrize("inner", INNERS, ids=IDS)
-def test_mtto_dimension_takes_no_svd_on_cached_defect_data(inner, svd_callers):
+def test_mtto_dimension_takes_no_svd_and_leaves_the_cache_empty(inner, svd_callers):
     basis = ModelSpaceBasis(inner)
-    defect_spaces(basis)
     svd_callers.clear()
     report = mtto_dimension(basis)
-    assert svd_callers == []
+    assert svd_callers == [] and basis.cache == {}
     n, d = basis.n, basis.inner.d
-    assert report.rank_p_perp == n - d and report.dim == 2 * n * d - d * d
+    assert report.dim == 2 * n * d - d * d
 
 
 @pytest.mark.parametrize("inner", INNERS, ids=IDS)
