@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, IdentityCheckError, NotGammaSymmetricError, NotUnitaryError
 from .laurent import MatLaurent, convolve
-from .model_space import ModelSpaceBasis, kernel_frame, require_member, tilde_kernel_frame
+from .model_space import ModelSpaceBasis, kernel_frame, off_space, require_member, tilde_kernel_frame
 from .numerics import CHECK_TOL, RANK_CUT, REL, fix_column_phases, frobenius, opnorm, require_finite
 
 
@@ -268,8 +268,9 @@ def conjugation_matrix(basis: ModelSpaceBasis, gamma: Conjugation) -> np.ndarray
     coordinates M conj(c).  C f applies gamma coefficientwise with frequency
     reversal, multiplies by Theta and shifts down once; on the window of Q
     that is one block convolution over all n columns.  The images must lie
-    in the model space (no negative frequencies, Theta* f coanalytic) and M
-    must be symmetric unitary; both are verified."""
+    in the model space (no negative frequencies and L* W = 0, measured by
+    `off_space` from Theta's blocks) and M must be symmetric unitary; both
+    are verified."""
     inner = basis.inner
     d, m, n = inner.d, inner.m, basis.n
     if gamma.dim != d:
@@ -281,8 +282,7 @@ def conjugation_matrix(basis: ModelSpaceBasis, gamma: Conjugation) -> np.ndarray
     image = convolve(inner.blocks, flipped)  # block i sits at frequency i - m
     window = image[m:].reshape(m * d, n)
     negative = np.linalg.norm(image[:m], axis=(0, 1))
-    analytic = np.linalg.norm(window - inner.projector @ window, axis=0)  # ||L* w|| = ||w - P w||
-    require_member(float(np.hypot(negative, analytic).max(initial=0.0)), 1.0, "conjugation")
+    require_member(float(np.hypot(negative, off_space(inner, window)).max(initial=0.0)), 1.0, "conjugation")
     mat = basis.q.conj().T @ window
     if np.linalg.norm(mat.conj().T @ mat - np.eye(n)) > 1e-9 or np.linalg.norm(mat - mat.T) > 1e-9:
         raise IdentityCheckError("conjugation matrix is not symmetric unitary")

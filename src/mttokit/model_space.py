@@ -8,7 +8,8 @@ polynomials of degree < m; all computations happen in that m*d
 dimensional coefficient window, where the orthogonal projector onto the
 space is I - L L* with L the block Toeplitz matrix of Theta.  No SVD is
 needed: n is the trace of that projector and the basis is Gram-Schmidt
-over its columns.
+over its columns; the projector is read for nothing else.  Membership of
+a window element f is ||L* f||, read off Theta's blocks by `off_space`.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ from .errors import (
 from .laurent import (
     MatLaurent,
     VecLaurent,
-    boundary_adjoint,
     evaluate,
     inner_residual,
     is_pure,
-    multiply,
     tilde,
 )
 from .numerics import INNER_TOL, TRACE_TOL, fix_column_phases
@@ -96,8 +95,9 @@ class InnerFunction:
     refuses to continue unless all of them agree.  A window wider than
     MAX_WINDOW coordinates is refused before anything is allocated.
     `blocks` holds Theta_0, ..., Theta_m as one (m+1, d, d) array and
-    `projector` the m*d x m*d matrix P, both read-only.  `_potapov` is (U,
-    [P_1, ...], sum of rank P_j).
+    `projector` the m*d x m*d matrix P, both read-only; P is read only to
+    get n and to build the basis, and membership is measured from
+    `blocks` (`off_space`).  `_potapov` is (U, [P_1, ...], sum of rank P_j).
     """
 
     def __init__(self, theta: MatLaurent, _potapov=None):
@@ -310,28 +310,13 @@ class ModelSpaceBasis:
             self._basis_id = serialize.basis_id(self.inner.theta, self.n)
         return self._basis_id
 
-    def compress(self, window: np.ndarray) -> np.ndarray:
-        """Q* M Q: the matrix in this basis of the compression of an
-        operator M on the coefficient window (frequencies 0..m-1)."""
-        return self.q.conj().T @ window @ self.q
-
-    def embed_window(self, f: VecLaurent) -> np.ndarray:
-        """Stack the coefficients of frequencies 0..m-1 (all that the
-        model space can see) into one ambient vector."""
-        return f.window(0, self.inner.m - 1).reshape(-1)
-
     def coords(self, f: VecLaurent) -> np.ndarray:
-        """Coefficients against the basis; for f outside the model space
-        these are the coordinates of its orthogonal projection."""
+        """Coefficients against the basis of the window of f (frequencies
+        0..m-1, all that the model space can see); for f outside the model
+        space these are the coordinates of its orthogonal projection."""
         if f.dim != self.inner.d:
             raise ValueError(f"dimension mismatch: {f.dim} vs {self.inner.d}")
-        return self.q.conj().T @ self.embed_window(f)
-
-    def membership_residual(self, f: VecLaurent) -> float:
-        """Distance witness for membership: energy at negative frequencies
-        plus the analytic part of Theta* f."""
-        g = multiply(boundary_adjoint(self.inner.theta), f)
-        return float(np.hypot(np.linalg.norm(f.coeffs[: max(-f.lo, 0)]), np.linalg.norm(g.coeffs[max(-g.lo, 0) :])))
+        return self.q.conj().T @ f.window(0, self.inner.m - 1).reshape(-1)
 
 
 def _disk_point(lam) -> complex:
@@ -346,6 +331,20 @@ def _vector(x, d: int) -> np.ndarray:
     if x.size != d:
         raise ValueError(f"expected a vector in C^{d}")
     return x
+
+
+def off_space(inner: InnerFunction, w: np.ndarray) -> np.ndarray:
+    """||L* f|| for each element f in the columns of the window array w
+    (m*d rows): block k of L* f is the sum over i of Theta_i* f_{k+i}, the
+    analytic part of Theta* f at frequency k, which vanishes exactly on the
+    model space.  It reads Theta, not the projector the basis was built
+    from, and forms no md x md matrix."""
+    m = inner.m
+    w = w.reshape(m, inner.d, -1)
+    out = np.zeros(w.shape, dtype=np.complex128)
+    for i in range(m):
+        out[: m - i] += inner.blocks[i].conj().T @ w[i:]
+    return np.linalg.norm(out, axis=(0, 1))
 
 
 def require_member(residual: float, scale: float, what: str) -> None:
@@ -376,18 +375,26 @@ def kernel_window(inner: InnerFunction, lam: complex, x):
     return c[:m], tail
 
 
+def _synthetic_division(p: np.ndarray, lam: complex) -> np.ndarray:
+    """Blocks q_0, ..., q_{m-1} of the quotient of p_0 + p_1 z + ... + p_m z^m
+    by z - lam, by Horner's rule: q_{m-1} = p_m and q_{k-1} = p_k + lam q_k.
+    The remainder p_0 + lam q_0 is p(lam)."""
+    m = p.shape[0] - 1
+    q = np.zeros((m,) + p.shape[1:], dtype=np.complex128)
+    q[m - 1] = p[m]
+    for k in range(m - 1, 0, -1):
+        q[k - 1] = p[k] + lam * q[k]
+    return q
+
+
 def tilde_kernel_window(inner: InnerFunction, lam: complex, y):
     """Window blocks (m x d) of the difference-quotient kernel
     (Theta(z) - Theta(lam)) y / (z - lam), computed by synthetic division
     (exact in coefficients), and the norm of the division's remainder."""
     lam, y = _disk_point(lam), _vector(y, inner.d)
-    m = inner.m
     p = inner.blocks @ y
     p[0] -= inner.evaluate(lam) @ y
-    q = np.zeros((m, inner.d), dtype=np.complex128)
-    q[m - 1] = p[m]
-    for k in range(m - 1, 0, -1):
-        q[k - 1] = p[k] + lam * q[k]
+    q = _synthetic_division(p, lam)
     rem = float(np.linalg.norm(p[0] + lam * q[0]))
     if rem > 1e-9 * (1.0 + float(np.linalg.norm(y))):
         raise IdentityCheckError(f"synthetic division remainder {rem:.3e} did not vanish")
@@ -396,7 +403,7 @@ def tilde_kernel_window(inner: InnerFunction, lam: complex, y):
 
 def _checked_element(basis, window, witness, v, what, return_witness):
     out = VecLaurent(0, window)
-    require_member(basis.membership_residual(out), 1.0 + float(np.linalg.norm(v)), what)
+    require_member(float(off_space(basis.inner, window)[0]), 1.0 + float(np.linalg.norm(v)), what)
     return (out, witness) if return_witness else out
 
 
@@ -427,10 +434,8 @@ def kernel_frame(basis: ModelSpaceBasis, lam: complex) -> np.ndarray:
 def tilde_kernel_frame(basis: ModelSpaceBasis, lam: complex) -> np.ndarray:
     """n x d matrix of the difference-quotient kernels at lam: Q* W with
     window block k of W equal to sum over j > k of lam^(j-k-1) Theta_j,
-    by Horner's rule; at lam = 0 it is Q* [Theta_1; ...; Theta_m]."""
-    lam, blocks, d, m = _disk_point(lam), basis.inner.blocks, basis.inner.d, basis.inner.m
-    w = np.zeros((m, d, d), dtype=np.complex128)
-    w[m - 1] = blocks[m]
-    for k in range(m - 1, 0, -1):
-        w[k - 1] = blocks[k] + lam * w[k]
-    return basis.q.conj().T @ w.reshape(m * d, d)
+    the quotient of Theta(z) by z - lam; at lam = 0 it is
+    Q* [Theta_1; ...; Theta_m]."""
+    inner = basis.inner
+    w = _synthetic_division(inner.blocks, _disk_point(lam))
+    return basis.q.conj().T @ w.reshape(inner.m * inner.d, inner.d)

@@ -51,8 +51,8 @@ from .numerics import CHECK_TOL, REL, block_toeplitz, frobenius, opnorm
 def _compress_toeplitz(basis: ModelSpaceBasis, tiles: np.ndarray) -> np.ndarray:
     """Q* T Q for the block Toeplitz T on the coefficient window whose
     block (k, j) is tiles[k - j + m - 1], the blocks at offsets 1 - m .. m - 1."""
-    m = basis.inner.m
-    return basis.compress(block_toeplitz(tiles, m, m))
+    m, q = basis.inner.m, basis.q
+    return q.conj().T @ block_toeplitz(tiles, m, m) @ q
 
 
 def build(basis: ModelSpaceBasis, phi: MatLaurent) -> OperatorMatrix:

@@ -1,5 +1,5 @@
-"""Earlier implementations of the basis, its phase fix and the array
-encoder, kept as test references.
+"""Earlier implementations of the basis, its phase fix, the array
+encoder and the Laurent membership residual, kept as test references.
 
 `window_projector` forms I - L L* by running sums along its block
 diagonals, `ModelSpaceBasis` runs Gram-Schmidt on panels of the columns
@@ -10,11 +10,14 @@ one md x md block Toeplitz matrix (`constraint_matrix`), modified
 Gram-Schmidt, twice, over the m*d columns P e_j of the projector formed
 from an SVD of the constraint map, one column at a time; a phase fix
 column by column; and an encoder that recurses once per scalar.
+`model_space.off_space` measures membership as ||L* f|| on the window
+from Theta's blocks; `membership_residual` takes it through Laurent
+objects, Theta* f in full, and also sees frequencies outside the window.
 """
 
 import numpy as np
 
-from mttokit.laurent import reversed_adjoint
+from mttokit.laurent import boundary_adjoint, multiply, reversed_adjoint
 from mttokit.numerics import PHASE_CUT, block_toeplitz, nullspace
 
 
@@ -24,6 +27,13 @@ def constraint_matrix(theta) -> np.ndarray:
     Toeplitz matrix; its kernel is the model space."""
     m = theta.hi
     return block_toeplitz(reversed_adjoint(theta.window(1 - m, m - 1)), m, m)  # block (k, j) is Theta_{j-k}*
+
+
+def membership_residual(basis, f) -> float:
+    """Distance witness for membership: energy at negative frequencies
+    plus the analytic part of Theta* f."""
+    g = multiply(boundary_adjoint(basis.inner.theta), f)
+    return float(np.hypot(np.linalg.norm(f.coeffs[: max(-f.lo, 0)]), np.linalg.norm(g.coeffs[max(-g.lo, 0) :])))
 
 
 def fix_column_phases_loop(q: np.ndarray) -> np.ndarray:

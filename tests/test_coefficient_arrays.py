@@ -1,13 +1,15 @@
 """Loops over Laurent coefficient blocks that became array operations,
 pinned to the loops they replaced.
 
-`window` reads a frequency range as one array; `embed_window`,
-`membership_residual`, `inner_residual` and `gamma_symmetric_residual` use
-whole coefficient arrays; `block_toeplitz` takes the blocks at every offset
-as one array; and `recover_symbol` checks its pair on T_{Psi1 + Psi2*}
-assembled straight from the two coefficient arrays.  Where the arithmetic
-is the same the results must be equal; `membership_residual` now sums its
-squares in another order, so it gets a tolerance of a few ulps.
+`window` reads a frequency range as one array, and `coords` reads the
+window 0..m-1 of an element through it; `model_space.off_space` measures
+membership as ||L* f|| from Theta's blocks on window arrays;
+`inner_residual` and `gamma_symmetric_residual` use whole coefficient
+arrays; `block_toeplitz` takes the blocks at every offset as one array;
+and `recover_symbol` checks its pair on T_{Psi1 + Psi2*} assembled straight
+from the two coefficient arrays.  Where the arithmetic is the same the
+results must be equal; `off_space` sums its squares in another order than
+the loop over Theta* f, so it gets a tolerance of a few ulps.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent, VecLaurent, boundary_adjoint, inner_residual, multiply
 from mttokit.model_operator import Conjugation, gamma_symmetric_residual
-from mttokit.model_space import ModelSpaceBasis
+from mttokit.model_space import ModelSpaceBasis, off_space
 from mttokit.mtto import build, recover_symbol
 from mttokit.numerics import frobenius
 from mttokit.randgen import random_inner, random_symbol
@@ -81,25 +83,30 @@ def _vectors(d, m, rng):
 
 
 @pytest.mark.parametrize("basis", BASES, ids=IDS)
-def test_window_and_embed_window_match_the_coefficient_loops(basis):
+def test_window_and_coords_match_the_coefficient_loops(basis):
     rng = np.random.default_rng(basis.n + 1)
     d, m = basis.inner.d, basis.inner.m
     for f in _vectors(d, m, rng):
-        assert np.array_equal(basis.embed_window(f), _loop_embed_window(basis, f))
+        embedded = _loop_embed_window(basis, f)
+        assert np.array_equal(f.window(0, m - 1).reshape(-1), embedded)
+        assert np.array_equal(basis.coords(f), basis.q.conj().T @ embedded)
         ranges = ((f.lo, f.hi), (f.lo - 2, f.hi + 2), (f.hi + 1, f.hi + 3), (f.lo - 3, f.lo - 1), (f.lo - 6, f.lo - 3), (0, 0))
         for lo, hi in ranges:
             assert np.array_equal(f.window(lo, hi), _loop_window(f, lo, hi))
 
 
 @pytest.mark.parametrize("basis", BASES, ids=IDS)
-def test_membership_residual_matches_the_coefficient_loop(basis):
+def test_off_space_matches_the_coefficient_loop(basis):
     rng = np.random.default_rng(basis.n + 2)
     d, m = basis.inner.d, basis.inner.m
-    members = [VecLaurent(0, (basis.q @ rng.standard_normal(basis.n)).reshape(m, d))]
-    for f in [*members, *_vectors(d, m, rng)]:
+    members = [VecLaurent(0, (basis.q @ rng.standard_normal(basis.n)).reshape(m, d)) for _ in range(2)]
+    inside = [f for f in _vectors(d, m, rng) if f.lo >= 0 and f.hi <= m - 1]  # what the window holds in full
+    fs = [*members, *inside]
+    got = off_space(basis.inner, np.stack([f.window(0, m - 1).reshape(-1) for f in fs], axis=1))
+    for f, residual in zip(fs, got):
         want = _loop_membership_residual(basis, f)
-        assert abs(basis.membership_residual(f) - want) <= 4e-16 * (want + f.norm())
-    assert basis.membership_residual(members[0]) <= 1e-12
+        assert abs(residual - want) <= 4e-16 * (want + f.norm())
+    assert got[: len(members)].max() <= 1e-12
 
 
 @pytest.mark.parametrize("inner", INNERS, ids=IDS)

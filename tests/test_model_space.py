@@ -22,6 +22,7 @@ from mttokit.model_space import (
 )
 from mttokit.randgen import haar_unitary, random_inner, random_projection
 
+from basis_oracles import membership_residual
 from dimension_oracles import SymbolSpaceBasis, hs_inner, symbol_space_dim_bruteforce
 from suite_oracles import element, from_coords, l2_inner, project, tau_adjoint_apply, tau_apply
 
@@ -167,10 +168,10 @@ def test_basis_is_orthonormal_and_deterministic():
 def test_basis_membership_residuals():
     basis = ModelSpaceBasis(fix5())
     for j in range(basis.n):
-        assert basis.membership_residual(element(basis, j)) <= 1e-12
+        assert membership_residual(basis, element(basis, j)) <= 1e-12
     # z^m x lands inside Theta H^2, far from the model space
     outside = VecLaurent(basis.inner.m, [[1.0, 0.0]])
-    assert basis.membership_residual(outside) > 0.5
+    assert membership_residual(basis, outside) > 0.5
 
 
 def test_projection_is_idempotent_and_kills_invariant_part():
@@ -185,7 +186,7 @@ def test_projection_is_idempotent_and_kills_invariant_part():
             p1 = project(basis, g)
             p2 = project(basis, p1)
             assert (p1 - p2).norm() <= 1e-12 * (1 + p1.norm())
-            assert basis.membership_residual(p1) <= 1e-10 * (1 + p1.norm())
+            assert membership_residual(basis, p1) <= 1e-10 * (1 + p1.norm())
         # anything of the form Theta h projects to zero
         h = VecLaurent(0, rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d)))
         th_h = multiply(inner.theta, h)
@@ -269,7 +270,7 @@ def test_tau_is_unitary_onto_the_partner_model_space():
             f = _random_element(basis, rng)
             tf = tau_apply(inner, f)
             assert abs(tf.norm() - f.norm()) <= 1e-12 * (1 + f.norm())
-            assert partner.membership_residual(tf) <= 1e-10 * (1 + f.norm())
+            assert membership_residual(partner, tf) <= 1e-10 * (1 + f.norm())
             back = tau_adjoint_apply(inner, tf)
             assert (back - f).norm() <= 1e-12 * (1 + f.norm())
 
@@ -301,7 +302,7 @@ def test_symbol_space_basis_is_orthonormal_with_columns_in_model_space():
         for el in sym.elements:
             for col in range(inner.d):
                 colfun = VecLaurent(el.lo, el.coeffs[:, :, col])
-                assert basis.membership_residual(colfun) <= 1e-10
+                assert membership_residual(basis, colfun) <= 1e-10
 
 
 def test_symbol_space_dimension_brute_force():

@@ -29,6 +29,7 @@ from mttokit.mtto import (
 from mttokit.numerics import opnorm, rank
 from mttokit.randgen import random_inner
 
+from basis_oracles import membership_residual
 from dimension_oracles import SymbolSpaceBasis
 from suite_oracles import from_coords, project
 
@@ -99,7 +100,7 @@ def test_example_vector_stays_in_model_space_but_leaves_invariant_subspace():
     image = multiply(phi, f)  # (0, z)
     assert (image - VecLaurent(1, [[0.0, 1.0]])).norm() <= 1e-14
     # the image lies in the model space, hence outside Theta H^2
-    assert basis.membership_residual(image) <= 1e-12
+    assert membership_residual(basis, image) <= 1e-12
     assert (project(basis, image) - image).norm() <= 1e-12
 
 
