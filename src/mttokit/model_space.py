@@ -7,9 +7,9 @@ z^m H^2 is contained in Theta H^2 and the whole space embeds in the
 polynomials of degree < m; all computations happen in that m*d
 dimensional coefficient window, where the orthogonal projector onto the
 space is I - L L* with L the block Toeplitz matrix of Theta.  No SVD is
-needed: n is the trace of that projector and the basis is Gram-Schmidt
-over its columns; the projector is read for nothing else.  Membership of
-a window element f is ||L* f||, read off Theta's blocks by `off_space`.
+needed: n is trace P, read off Theta's blocks, and the basis is
+Gram-Schmidt over the columns of P, which only the basis build forms.
+Membership of a window element f is ||L* f||, read by `off_space`.
 """
 
 from __future__ import annotations
@@ -89,15 +89,15 @@ class InnerFunction:
     Construction checks the coefficient identities for unitarity on the
     circle and strict contractivity at the origin, and measures the model
     space dimension n independently as the trace of the window projector
-    P (which must lie within m*d*TRACE_TOL of an integer) and as the degree
-    of det Theta; for a Potapov product it also reads n off as the sum of
-    the factor ranks, and the basis counts its Gram-Schmidt directions.  It
-    refuses to continue unless all of them agree.  A window wider than
-    MAX_WINDOW coordinates is refused before anything is allocated.
-    `blocks` holds Theta_0, ..., Theta_m as one (m+1, d, d) array and
-    `projector` the m*d x m*d matrix P, both read-only; P is read only to
-    get n and to build the basis, and membership is measured from
-    `blocks` (`off_space`).  `_potapov` is (U, [P_1, ...], sum of rank P_j).
+    P = I - L L* (which must lie within m*d*TRACE_TOL of an integer) and
+    as the degree of det Theta; for a Potapov product it also reads n off
+    as the sum of the factor ranks, and the basis counts its Gram-Schmidt
+    directions.  It refuses to continue unless all of them agree.  Diagonal
+    block k of L L* is the sum over i <= k of Theta_i Theta_i*, so trace P
+    = m*d - sum over k < m of (m - k) ||Theta_k||_F^2, with no P formed.  A
+    window wider than MAX_WINDOW coordinates is refused before anything is
+    allocated.  `blocks` holds Theta_0, ..., Theta_m as one read-only
+    (m+1, d, d) array; `_potapov` is (U, [P_1, ...], sum of rank P_j).
     """
 
     def __init__(self, theta: MatLaurent, _potapov=None):
@@ -119,9 +119,8 @@ class InnerFunction:
         self.blocks[theta.lo :] = theta.coeffs
         self.blocks.setflags(write=False)
         self._potapov = _potapov
-        self.projector = window_projector(self.blocks)
-        self.projector.setflags(write=False)
-        trace = float(np.trace(self.projector).real)
+        norms = np.sum(np.abs(self.blocks[: self.m]) ** 2, axis=(1, 2))  # ||Theta_k||_F^2, k < m
+        trace = self.m * self.d - float(np.arange(self.m, 0, -1) @ norms)  # trace of P = I - L L*
         tol = self.m * self.d * TRACE_TOL
         if not abs(trace - round(trace)) <= tol:
             raise IdentityCheckError(f"projector trace {trace!r} is not within {tol:.1e} of an integer")
@@ -291,7 +290,7 @@ class ModelSpaceBasis:
 
     def __init__(self, inner: InnerFunction):
         self.inner = inner
-        q = _panel_gram_schmidt(inner.projector, inner.n)
+        q = _panel_gram_schmidt(window_projector(inner.blocks), inner.n)
         if q.shape[1] != inner.n:
             raise IdentityCheckError(
                 f"model dimension mismatch: Gram-Schmidt count {q.shape[1]}, projector trace {inner.n}"

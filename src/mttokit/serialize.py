@@ -104,7 +104,7 @@ def json_to_mat_laurent(obj) -> MatLaurent:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad matrix Laurent payload: {exc}") from exc
-    if f.dim != dim and not f.is_zero():
+    if f.dim != dim:
         raise ParseError(f"declared dim {dim} does not match coefficients")
     return f
 

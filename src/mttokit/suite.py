@@ -483,14 +483,14 @@ _REGISTRY = [
     ("difference_quotients", "(z - lam) ktilde_lam y = (Theta(z) - Theta(lam)) y", _check_difference_quotients, 1e-9),
     ("tau_unitary", "coefficient-reversal map preserves norms and inverts", _check_tau, 1e-9),
     ("shift_actions", "compressed shift acts by multiplication off the defects, S^m = 0", _check_shift_actions, 1e-9),
-    ("defect_spaces", "defect ranks equal d and G pinv(G) is the defect projector", _check_defect_spaces, 1e-9),
+    ("defect_spaces", "defect bases are n x d and I - S S* = K0 K0*", _check_defect_spaces, 1e-9),
     ("semi_commutator", "A - S A S* sees only the symbol times the value at 0", _check_semi_commutator, 1e-9),
     ("members", "built operators pass the compression test with exact witnesses", _check_members, 1e-8),
     ("non_members", "certified complement operators are rejected", _check_non_members, 0.5),
     ("variants_agree", "plain and starred compressions decide alike", _check_variants_agree, 0.5),
     ("symbol_recovery", "recovered pair rebuilds the operator", _check_symbol_recovery, 1e-8),
     ("zero_symbols", "Theta Psi1 + (Theta Psi2)* induces the zero operator", _check_zero_symbols, 1e-8),
-    ("dimension", "symbol-map rank equals operator-constraint nullity", _check_dimension, 0.5),
+    ("dimension", "basis has n Gram-Schmidt columns; 2nd - d^2 is a count on n and d", _check_dimension, 0.5),
     ("finite_rank", "kernel sandwiches keep rank and membership", _check_finite_rank, 1e-8),
     ("kernel_recurrences", "shift moves reproducing kernels by the two-term rules", _check_kernel_recurrences, 1e-9),
     ("commutant", "symbols polynomial in z and Theta commute with the shift", _check_commutant, 1e-9),

@@ -1,15 +1,18 @@
 """The model-space basis pinned to the ambient-space Gram-Schmidt.
 
-`InnerFunction` builds the window projector P = I - L L* by running sums
-along its block diagonals and reads n off trace P; `ModelSpaceBasis` runs
-Gram-Schmidt on the columns of P a panel at a time, by block passes and
-one Householder QR per panel, and sweeps a panel with skipped columns
-further on its triangular factor.  `basis_oracles.gram_schmidt_loop`
-does the same work column by column on the projector built from an SVD
-of the constraint matrix, and `fix_column_phases_loop` fixes the phases
-column by column; both are the references here.  The rotated monomial
-spaces of `monomial_oracles` skip many columns of P and have n = sum m_i.
+`InnerFunction` reads n off trace P, P = I - L L* the window projector,
+in closed form from Theta's blocks; `ModelSpaceBasis` builds P by running
+sums along its block diagonals and runs Gram-Schmidt on its columns a
+panel at a time, by block passes and one Householder QR per panel, and
+sweeps a panel with skipped columns further on its triangular factor.
+`basis_oracles.gram_schmidt_loop` does the same work column by column on
+the projector built from an SVD of the constraint matrix, and
+`fix_column_phases_loop` fixes the phases column by column; both are the
+references here.  The rotated monomial spaces of `monomial_oracles` skip
+many columns of P and have n = sum m_i.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -133,17 +136,33 @@ def test_constraint_matrix_is_factored_once(monkeypatch, d, ranks, kind):
 @pytest.mark.parametrize("label, inner", list(_spaces()))
 def test_window_projector_is_i_minus_l_l_star(label, inner):
     c = constraint_matrix(inner.theta)  # L*
-    p = inner.projector
+    p = window_projector(inner.blocks)
     assert np.abs(p - (np.eye(c.shape[1]) - c.conj().T @ c)).max() <= 1e-14
     assert np.abs(p - p.conj().T).max() <= 1e-14 and np.abs(p @ p - p).max() <= 1e-13
     assert abs(np.trace(p).real - inner.n) <= 1e-12
-    assert not p.flags.writeable
+
+
+def _closed_form_trace(theta):
+    """The trace `InnerFunction` reads off the blocks, as its refusal
+    reports it when no trace is within TRACE_TOL of an integer."""
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(IdentityCheckError, match="projector trace") as err:
+        patch.setattr(model_space, "TRACE_TOL", -1.0)
+        InnerFunction(theta)
+    return float(re.search(r"projector trace (\S+) is not within", str(err.value)).group(1))
+
+
+@pytest.mark.parametrize("label, inner", list(_spaces()))
+def test_closed_form_trace_is_the_trace_of_the_window_projector(label, inner):
+    trace = _closed_form_trace(inner.theta)
+    md = inner.m * inner.d
+    assert abs(trace - np.trace(window_projector(inner.blocks)).real) <= 1e-14 * md
+    assert round(trace) == inner.n
 
 
 @pytest.mark.parametrize("ms", MONOMIAL, ids=str)
 def test_monomial_basis_takes_the_skip_branch_and_matches_the_loop(monkeypatch, ms):
     inner = _monomial(ms)
-    assert inner.n == sum(ms) and abs(np.trace(inner.projector).real - sum(ms)) <= 1e-12
+    assert inner.n == sum(ms) and abs(np.trace(window_projector(inner.blocks)).real - sum(ms)) <= 1e-12
     sweeps, factored = [], []
     real, real_qr = model_space._triangular_sweep, np.linalg.qr
     monkeypatch.setattr(model_space, "_triangular_sweep", lambda r, room: sweeps.append(room) or real(r, room))
@@ -198,14 +217,13 @@ def test_wrong_factor_rank_sum_is_refused_by_the_projector_trace():
 
 
 def test_projector_trace_off_an_integer_is_refused(monkeypatch):
-    def shifted(blocks):
-        p = window_projector(blocks)
-        p[0, 0] += 1e-6
-        return p
-
-    monkeypatch.setattr(model_space, "window_projector", shifted)
-    with pytest.raises(IdentityCheckError, match="projector trace"):
-        fixture("FIX5")
+    theta = random_inner(*SEEDED[2][:2], np.random.default_rng(SEEDED[2][2])).theta
+    trace = _closed_form_trace(theta)
+    assert 0 < abs(trace - round(trace)) <= 1e-14  # roundoff, inside the default tolerance
+    assert InnerFunction(theta).n == round(trace)
+    monkeypatch.setattr(model_space, "TRACE_TOL", abs(trace - round(trace)) / 30)  # m*d = 15: half the miss
+    with pytest.raises(IdentityCheckError, match=f"projector trace {trace!r} is not within"):
+        InnerFunction(theta)
 
 
 def test_gram_schmidt_count_below_the_trace_is_refused():
@@ -226,4 +244,4 @@ def test_window_above_the_cap_is_refused_before_it_is_built(monkeypatch, d, m):
 def test_window_of_a_thousand_coordinates_is_admitted():
     inner = InnerFunction(MatLaurent(1000, np.eye(1)[None]))  # Theta = z^1000: P is the identity
     assert (inner.m * inner.d, inner.n) == (1000, 1000)
-    assert np.array_equal(inner.projector, np.eye(1000))
+    assert np.array_equal(window_projector(inner.blocks), np.eye(1000))

@@ -97,6 +97,15 @@ def test_op_build_rejects_wrong_symbol_dimension(tmp_path, capsys):
     assert json.loads(err)["error"] == "E_DIM_MISMATCH"
 
 
+@pytest.mark.parametrize("command", [("op", "build"), ("symbol", "zero-test")])
+def test_zero_symbol_with_a_wrong_declared_dim_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "sym.json"
+    serialize.dump_json_file(path, {"dim": 3, "lo": 0, "coeffs": serialize.array_to_json(np.zeros((1, 2, 2)))})
+    code, out, err = run(capsys, *command, "--theta", "FIX3", "--symbol", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "E_PARSE" and "declared dim 3" in json.loads(err)["message"]
+
+
 def test_op_test_rejects_non_member_and_recover_refuses(tmp_path, capsys):
     mat = np.zeros((3, 3))
     mat[2, 2] = 1.0

@@ -1,10 +1,12 @@
-"""Window membership is measured from Theta's blocks alone.
+"""The window projector lives only inside the basis build.
 
-`model_space.off_space` takes ||L* f|| from the blocks of Theta, so the
-projector that `InnerFunction` keeps to count n and build the basis is
-read by nothing after construction.  A space whose cached projector is
-zeroed must therefore give the same bytes as the clean one on every path
-that checks an element or an operator against the model space.
+`InnerFunction` reads n off Theta's blocks and `ModelSpaceBasis` forms
+P = I - L L* only to run Gram-Schmidt on it, and lets it go; window
+membership is measured from Theta's blocks (`model_space.off_space`).
+So no array a space keeps is as large as one md x md matrix: the largest
+are Theta's blocks and the md x n basis Q.  A space rebuilt from the same
+Theta gives the same bytes on every path that checks an element or an
+operator against the model space.
 """
 
 import numpy as np
@@ -32,12 +34,42 @@ def _results(gamma, basis, phi):
     return out
 
 
-def test_a_zeroed_projector_changes_no_result():
+def _array_sizes(obj, seen):
+    """Entry counts of the arrays reachable from obj through attributes,
+    dicts, lists and tuples."""
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj.size]
+    if isinstance(obj, dict):
+        items = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        items = list(obj)
+    elif hasattr(obj, "__dict__"):
+        items = list(vars(obj).values())
+    else:
+        return []
+    return [size for item in items for size in _array_sizes(item, seen)]
+
+
+def test_a_space_keeps_no_window_sized_matrix():
+    gamma, basis, phi = _space()
+    inner = basis.inner
+    m, d, n = inner.m, inner.d, inner.n
+    assert n < m * d  # an md x md array would be larger than the bound
+    bound = max((m + 1) * d * d, m * d * n)
+    sizes = _array_sizes([inner, basis], set())
+    assert m * d * n in sizes and max(sizes) <= bound
+    _results(gamma, basis, phi)  # fills the operator cache
+    assert basis.cache and max(_array_sizes([inner, basis], set())) <= bound
+
+
+def test_a_rebuilt_space_gives_the_same_bytes():
     gamma, clean, phi = _space()
-    _, blind, _ = _space()
-    blind.inner.projector = np.zeros_like(clean.inner.projector)
-    assert np.array_equal(blind.q, clean.q)
-    got, want = _results(gamma, blind, phi), _results(gamma, clean, phi)
+    _, rebuilt, _ = _space()
+    assert np.array_equal(rebuilt.q, clean.q)
+    got, want = _results(gamma, rebuilt, phi), _results(gamma, clean, phi)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.shape == w.shape and np.array_equal(g, w)

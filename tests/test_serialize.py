@@ -76,6 +76,20 @@ def test_laurent_dim_mismatch_rejected():
         serialize.json_to_mat_laurent(doc)
 
 
+def test_declared_dim_of_a_zero_symbol_is_checked():
+    doc = serialize.laurent_to_json(MatLaurent.zero(2))
+    doc["dim"] = 3
+    with pytest.raises(ParseError, match="declared dim 3 does not match coefficients"):
+        serialize.json_to_mat_laurent(doc)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_zero_symbol_round_trips(d):
+    wire = json.loads(json.dumps(serialize.laurent_to_json(MatLaurent.zero(d))))
+    back = serialize.json_to_mat_laurent(wire)
+    assert (back.dim, back.lo) == (d, 0) and back.is_zero() and back.coeffs.shape == (1, d, d)
+
+
 def test_inner_function_round_trip_both_kinds():
     inner = fixture("FIX5")
     back = inner_from_json(inner.to_json())
