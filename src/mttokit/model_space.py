@@ -33,33 +33,29 @@ from .laurent import (
     is_pure,
     tilde,
 )
-from .numerics import INNER_TOL, TRACE_TOL, fix_column_phases
+from .numerics import DET_TOL, INNER_TOL, TRACE_TOL, fix_column_phases
 
-DET_CUT = 1e-8  # det_degree: coefficients up to DET_CUT * max(1, largest) count as zero
 MAX_WINDOW = 2048  # largest m*d coefficient window a model space is built on
 PANEL = 64  # projector columns orthogonalized per block step of the basis
 GS_CUT = 1e-7  # the basis keeps a projected column whose residual norm exceeds GS_CUT
 
 
 def det_degree(theta: MatLaurent) -> int:
-    """Degree of det Theta(z), by evaluation and interpolation.
+    """Degree of det Theta(z), read off one point inside the disk.
 
-    det Theta has degree at most m*d, so its values at N = m*d + 1 roots
-    of unity determine it: one FFT of the coefficient blocks gives Theta
-    there, one batched determinant gives det Theta, and one inverse FFT
-    gives its coefficients.  For an inner Theta, |det Theta| = 1 on the
-    circle, so nothing is amplified.  The degree is the index of the last
-    coefficient larger than DET_CUT * max(1, largest coefficient).
+    For a pure polynomial inner Theta, det Theta(z) = c z^n with |c| = 1, so
+    n = -m log|det Theta(r)| at r = e^(-1/m), where ||Theta(r)^-1|| <= r^-m = e
+    (Theta(z) z^m Theta(1/conj z)* = z^m I): one Horner pass and one `slogdet`.
+    A reading not finite or not within DET_TOL of an integer is refused.
     """
     if theta.lo < 0:
         raise ValueError("determinant degree needs an analytic argument")
-    d, m = theta.dim, theta.hi
-    blocks = np.zeros((m + 1, d, d), dtype=np.complex128)
-    blocks[theta.lo :] = theta.coeffs
-    total = np.fft.ifft(np.linalg.det(np.fft.fft(blocks, n=m * d + 1, axis=0)))
-    mags = np.abs(total)
-    big = np.flatnonzero(mags > DET_CUT * max(1.0, mags.max()))
-    return int(big[-1]) if big.size else 0
+    m = theta.hi
+    r = np.exp(-1.0 / max(m, 1))  # a constant Theta (m = 0) reads 0
+    reading = -m * float(np.linalg.slogdet(evaluate(theta, r))[1])
+    if not (np.isfinite(reading) and abs(reading - round(reading)) <= DET_TOL):
+        raise IdentityCheckError(f"det degree reading {reading!r} is not within {DET_TOL} of an integer")
+    return int(round(reading))
 
 
 def window_projector(blocks: np.ndarray) -> np.ndarray:
@@ -90,14 +86,15 @@ class InnerFunction:
     circle and strict contractivity at the origin, and measures the model
     space dimension n independently as the trace of the window projector
     P = I - L L* (which must lie within m*d*TRACE_TOL of an integer) and
-    as the degree of det Theta; for a Potapov product it also reads n off
-    as the sum of the factor ranks, and the basis counts its Gram-Schmidt
-    directions.  It refuses to continue unless all of them agree.  Diagonal
-    block k of L L* is the sum over i <= k of Theta_i Theta_i*, so trace P
-    = m*d - sum over k < m of (m - k) ||Theta_k||_F^2, with no P formed.  A
-    window wider than MAX_WINDOW coordinates is refused before anything is
-    allocated.  `blocks` holds Theta_0, ..., Theta_m as one read-only
-    (m+1, d, d) array; `_potapov` is (U, [P_1, ...], sum of rank P_j).
+    as the degree of det Theta, read at one interior point; for a Potapov
+    product it also reads n off as the sum of the factor ranks, and the
+    basis counts its Gram-Schmidt directions.  It refuses to continue unless
+    all of them agree.  Diagonal block k of L L* is the sum over i <= k of
+    Theta_i Theta_i*, so trace P = m*d - sum over k < m of (m - k)
+    ||Theta_k||_F^2, with no P formed.  A window wider than MAX_WINDOW
+    coordinates is refused before anything is allocated.  `blocks` holds
+    Theta_0, ..., Theta_m as one read-only (m+1, d, d) array; `_potapov`
+    is (U, [P_1, ...], sum of rank P_j).
     """
 
     def __init__(self, theta: MatLaurent, _potapov=None):

@@ -17,6 +17,7 @@ REL = 1e-9  # relative decision threshold: tol = REL * scale of the input; also 
 RANK_CUT = 1e-10  # singular values up to RANK_CUT * sigma_max * max(shape) count as zero
 INNER_TOL = 1e-10  # largest coefficient-unitarity residual of an inner function
 TRACE_TOL = INNER_TOL  # the model-space projector's trace may miss an integer by m*d*TRACE_TOL
+DET_TOL = 0.25  # det_degree's reading -m log|det Theta(e^(-1/m))| may miss an integer by DET_TOL
 CHECK_TOL = 1e-9  # largest residual the shift-action, recurrence and commutant checks accept
 PHASE_CUT = 1e-8  # entries up to PHASE_CUT * max(1, column max) cannot carry the phase
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParseError
 from .laurent import MatLaurent, multiply
 from .model_operator import Conjugation, defect_spaces, s_theta
 from .model_space import InnerFunction, ModelSpaceBasis, make_inner_potapov
@@ -17,6 +18,7 @@ from .numerics import opnorm
 LAURENT_SPAN = 2  # the gamma-symmetric symbol has frequencies -LAURENT_SPAN..LAURENT_SPAN
 COMMUTING_TERMS, MAX_SHIFT, MAX_POWER = 4, 2, 2  # terms c z^a Theta^p, a <= MAX_SHIFT, p <= MAX_POWER
 MIN_DEFECT = 1e-3  # least membership residual of a certified unit-norm non-member
+MIN_PURITY = 1e-6  # a drawn inner function's value at the origin has norm at most 1 - MIN_PURITY
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -35,12 +37,12 @@ def random_projection(dim: int, rk: int, rng: np.random.Generator) -> np.ndarray
     return cols @ cols.conj().T
 
 
-def random_inner(d: int, m: int, rng: np.random.Generator, min_purity: float = 1e-6) -> InnerFunction:
+def random_inner(d: int, m: int, rng: np.random.Generator) -> InnerFunction:
     """Pure polynomial inner function of C^d with m elementary factors.
 
     Factor ranks are drawn uniformly from 1..d, so expect the zero count
-    n anywhere between m and m*d.  Draws are repeated until the value at
-    the origin has norm at most 1 - min_purity.
+    n anywhere between m and m*d.  Up to 200 draws are made for a value at
+    the origin of norm at most 1 - MIN_PURITY (m = 1 needs a rank-d factor).
     """
     if d < 1 or m < 1:
         raise ValueError("need d >= 1 and m >= 1")
@@ -50,9 +52,9 @@ def random_inner(d: int, m: int, rng: np.random.Generator, min_purity: float = 1
         value0 = u.copy()
         for p in factors:
             value0 = value0 @ (np.eye(d) - p)
-        if opnorm(value0) <= 1.0 - min_purity:
+        if opnorm(value0) <= 1.0 - MIN_PURITY:
             return make_inner_potapov(factors, left_unitary=u)
-    raise RuntimeError("could not draw a pure inner function; lower min_purity")
+    raise ParseError(f"could not draw a pure inner function with d = {d}, m = {m} in 200 draws")
 
 
 def random_symbol(d: int, lo: int, hi: int, rng: np.random.Generator, scale: float = 1.0) -> MatLaurent:

@@ -8,6 +8,8 @@ O(n^6)).  The recovery tests also use the pair map as the least-squares
 reference for recover_symbol.  The symbol space (analytic matrix symbols
 whose columns all lie in the model space) has an explicit basis and a
 brute-force dimension count, and `hs_inner` pairs its elements.
+`det_degree_by_fft` is the route `model_space.det_degree` took before it
+read n off one interior point: the degree of det Theta by interpolation.
 """
 
 import numpy as np
@@ -16,6 +18,29 @@ from mttokit.errors import DimensionMismatchError
 from mttokit.laurent import MatLaurent
 from mttokit.model_operator import defect_spaces, s_theta
 from mttokit.numerics import block_toeplitz, rank
+
+DET_CUT = 1e-8  # det_degree_by_fft: coefficients up to DET_CUT * max(1, largest) count as zero
+
+
+def det_degree_by_fft(theta: MatLaurent) -> int:
+    """Degree of det Theta(z), by evaluation and interpolation.
+
+    det Theta has degree at most m*d, so its values at N = m*d + 1 roots
+    of unity determine it: one FFT of the coefficient blocks gives Theta
+    there, one batched determinant gives det Theta, and one inverse FFT
+    gives its coefficients.  For an inner Theta, |det Theta| = 1 on the
+    circle, so nothing is amplified.  The degree is the index of the last
+    coefficient larger than DET_CUT * max(1, largest coefficient).
+    """
+    if theta.lo < 0:
+        raise ValueError("determinant degree needs an analytic argument")
+    d, m = theta.dim, theta.hi
+    blocks = np.zeros((m + 1, d, d), dtype=np.complex128)
+    blocks[theta.lo :] = theta.coeffs
+    total = np.fft.ifft(np.linalg.det(np.fft.fft(blocks, n=m * d + 1, axis=0)))
+    mags = np.abs(total)
+    big = np.flatnonzero(mags > DET_CUT * max(1.0, mags.max()))
+    return int(big[-1]) if big.size else 0
 
 
 def toeplitz_of(block, rows: int, cols: int) -> np.ndarray:

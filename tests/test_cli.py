@@ -304,6 +304,15 @@ def test_suite_config_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_suite_shape_that_draws_no_pure_inner_exits_2(tmp_path, capsys):
+    # m = 1 needs a rank-d factor, drawn once in d: at d = 150 the draws run out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 0, "cases": 1, "fixtures": ["FIX1"], "random_inners": [[150, 1]]}))
+    code, out, err = run(capsys, "suite", "--config", str(cfg))
+    _assert_parse_error(code, out, err)
+    assert "d = 150, m = 1" in json.loads(err)["message"]
+
+
 def test_missing_theta_file_exits_2(capsys):
     code, _, err = run(capsys, "dim", "--theta", "/nonexistent/theta.json")
     assert code == 2 and json.loads(err)["error"] == "E_PARSE"

@@ -12,10 +12,11 @@ m*d coefficient window:
 - the compressed shift as P Z P (Z the down-shift of the window): its
   rank, and S^m = 0;
 - the class dimension as the rank of the map Phi -> P T_Phi P over the
-  symbol frequencies -(m - 1)..m - 1, the only ones the window sees.
+  symbol frequencies -(m - 1)..m - 1, the only ones the window sees;
+- n again, as the degree of the polynomial det Theta(z).
 
-Each count is compared with `InnerFunction.n`, the float S of
-`s_theta` and `mtto_dimension`.
+Each count is compared with `InnerFunction.n`, `det_degree`, the float S
+of `s_theta` and `mtto_dimension`.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ import pytest
 
 from mttokit.fixtures import fixture
 from mttokit.model_operator import s_theta
-from mttokit.model_space import ModelSpaceBasis, make_inner_potapov
+from mttokit.model_space import ModelSpaceBasis, det_degree, make_inner_potapov
 from mttokit.mtto import mtto_dimension
 from mttokit.numerics import rank
 
@@ -99,13 +100,18 @@ def _seeded_factors(seed, ranks, turned):
     return factors, (sympy.eye(3) - skew) * (sympy.eye(3) + skew).inv()
 
 
+def _exact_det_degree(blocks):
+    z = sympy.Symbol("z")
+    return sympy.Poly(sum((b * z**k for k, b in enumerate(blocks)), sympy.zeros(*blocks[0].shape)).det(), z).degree()
+
+
 def _assert_float_space_counts(inner, blocks, p, shift, counts):
     """Compare the exact window data of `_exact_counts` with the float space."""
     exact = np.array([np.array(b, dtype=np.complex128) for b in blocks])
     assert exact.shape == inner.blocks.shape and np.abs(exact - inner.blocks).max() <= 1e-15
     n, rank_s, dim = counts
     basis = ModelSpaceBasis(inner)
-    assert inner.n == basis.n == n
+    assert inner.n == basis.n == n == det_degree(inner.theta) == _exact_det_degree(blocks)
     s, _ = s_theta(basis)
     assert rank(s.mat, scale=1.0) == rank_s
     assert np.abs(np.linalg.matrix_power(s.mat, inner.m)).max() <= 1e-14

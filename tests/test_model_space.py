@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,19 +12,21 @@ from mttokit.errors import (
     NotUnitaryError,
 )
 from mttokit.fixtures import fix1, fix2, fix3, fix4, fix5, fixture
-from mttokit.laurent import MatLaurent, VecLaurent, multiply
+from mttokit.laurent import MatLaurent, VecLaurent, evaluate, inner_residual, multiply
 from mttokit.model_space import (
     InnerFunction,
     ModelSpaceBasis,
     det_degree,
     kernel,
     make_inner_potapov,
+    potapov_product,
     tilde_kernel,
 )
+from mttokit.numerics import DET_TOL, INNER_TOL, TRACE_TOL
 from mttokit.randgen import haar_unitary, random_inner, random_projection
 
 from basis_oracles import membership_residual
-from dimension_oracles import SymbolSpaceBasis, hs_inner, symbol_space_dim_bruteforce
+from dimension_oracles import DET_CUT, SymbolSpaceBasis, det_degree_by_fft, hs_inner, symbol_space_dim_bruteforce
 from suite_oracles import element, from_coords, l2_inner, project, tau_adjoint_apply, tau_apply
 
 EXPECTED_SHAPE = {
@@ -75,9 +78,9 @@ def test_inner_function_rejects_non_inner_coefficients():
         InnerFunction(MatLaurent(-1, np.stack([np.eye(2)])))
 
 
-def _det_degree_by_permutations(theta, cut=1e-8):
+def _det_degree_by_permutations(theta, cut=DET_CUT):
     """Oracle: expand det Theta over all d! permutations with scalar
-    convolutions, and read the degree off with det_degree's cut rule."""
+    convolutions, and read the degree off with det_degree_by_fft's cut rule."""
     d = theta.dim
     total = np.zeros(theta.hi * d + 1, dtype=np.complex128)
     entry = np.zeros(theta.hi + 1, dtype=np.complex128)
@@ -98,6 +101,7 @@ def test_det_degree_matches_model_dimension():
     for name in EXPECTED_SHAPE:
         inner = fixture(name)
         assert det_degree(inner.theta) == inner.n == _det_degree_by_permutations(inner.theta)
+        assert det_degree_by_fft(inner.theta) == inner.n
 
 
 def test_det_degree_matches_permutation_expansion_on_random_inners():
@@ -106,11 +110,14 @@ def test_det_degree_matches_permutation_expansion_on_random_inners():
         for m in (1, 2, 3):
             inner = random_inner(d, m, rng)
             assert det_degree(inner.theta) == _det_degree_by_permutations(inner.theta) == inner.n
+            assert det_degree_by_fft(inner.theta) == inner.n
 
 
 def test_det_degree_matches_permutation_expansion_on_non_inner_input():
-    # analytic, not inner, some shifted off frequency 0, some with a
-    # rank-deficient top coefficient so that the degree falls below hi * d
+    # pins the interpolation oracle, which reads a degree off any analytic
+    # input (det_degree refuses these); not inner, some shifted off
+    # frequency 0, some with a rank-deficient top coefficient so that the
+    # degree falls below hi * d
     rng = np.random.default_rng(61)
     degrees = set()
     for d in range(1, 6):
@@ -120,7 +127,7 @@ def test_det_degree_matches_permutation_expansion_on_non_inner_input():
                 low = c.copy()
                 low[-1] = c[-1][:, :top_rank] @ c[-1][:top_rank, :]
                 theta = MatLaurent(lo, low)
-                deg = det_degree(theta)
+                deg = det_degree_by_fft(theta)
                 assert deg == _det_degree_by_permutations(theta)
                 degrees.add(deg == hi * d)
     assert degrees == {True, False}
@@ -131,7 +138,73 @@ def test_det_degree_is_the_factor_rank_sum_at_large_d(d, ranks):
     rng = np.random.default_rng(d)
     factors = [random_projection(d, r, rng) for r in ranks]
     inner = make_inner_potapov(factors, left_unitary=haar_unitary(d, rng))
-    assert det_degree(inner.theta) == inner.n == sum(ranks)
+    assert det_degree(inner.theta) == det_degree_by_fft(inner.theta) == inner.n == sum(ranks)
+
+
+@pytest.mark.parametrize("exponents", [(1000,), (1, 1000), (1, 2, 3, 500)])
+def test_det_degree_reads_monomials_of_high_degree(exponents):
+    # U diag(z^e_1, ..., z^e_d) V: det Theta(r) = c r^n with n = sum e_i and
+    # m = max e_i; Theta(r) has condition number up to r^-m, so r must
+    # approach 1 as m grows
+    d, m = len(exponents), max(exponents)
+    rng = np.random.default_rng(m + d)
+    u, v = (haar_unitary(d, rng), haar_unitary(d, rng)) if d > 1 else (np.eye(1), np.eye(1))
+    coeffs = np.zeros((m + 1, d, d), dtype=np.complex128)
+    for i, e in enumerate(exponents):
+        coeffs[e] += np.outer(u[:, i], v[i])
+    inner = InnerFunction(MatLaurent(0, coeffs))
+    assert det_degree(inner.theta) == det_degree_by_fft(inner.theta) == inner.n == sum(exponents)
+
+
+def test_det_degree_of_a_constant_unitary_is_zero():
+    theta = MatLaurent.constant(haar_unitary(3, np.random.default_rng(5)))
+    assert det_degree(theta) == det_degree_by_fft(theta) == 0
+
+
+@pytest.mark.parametrize("low", [0.5, 0.0])
+def test_det_degree_refuses_a_reading_off_the_integers(low):
+    # diag(z, 1/2) reads 1 + log 2 ~ 1.69; diag(z, 0) is singular inside
+    # the disk and reads inf
+    theta = MatLaurent(0, np.array([np.diag([0.0, low]), np.diag([1.0, 0.0])], dtype=np.complex128))
+    with pytest.raises(IdentityCheckError, match="det degree reading") as err:
+        det_degree(theta)
+    if low:
+        assert f"{1 + np.log(2):.6f}" in str(err.value)
+
+
+def test_det_degree_memory_does_not_grow_with_the_window():
+    # one d x d value and its LU factors: 0.6 MiB at d = 100, against 31 MiB
+    # for the (m*d + 1) d x d values of the interpolation route
+    rng = np.random.default_rng(100)
+    factors = [random_projection(100, r, rng) for r in (60, 70)]
+    inner = make_inner_potapov(factors, left_unitary=haar_unitary(100, rng))
+    tracemalloc.start()
+    try:
+        assert det_degree(inner.theta) == inner.n == 130
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_inner_function_accepts_theta_perturbed_along_the_reading():
+    # a seeded n = 240 Potapov product (d = 6, eighty rank-3 factors), moved
+    # along the gradient of the reading x = -m log|det Theta(r)| until its
+    # unitarity residual is 0.9 INNER_TOL: x then misses n by far more than
+    # the trace's m*d*TRACE_TOL, yet by far less than DET_TOL
+    d, m = 6, 80
+    rng = np.random.default_rng(1)
+    u = haar_unitary(d, rng)
+    theta, _ = potapov_product([random_projection(d, 3, rng) for _ in range(m)], u)
+    r = np.exp(-1.0 / m)
+    grad = -m * r ** np.arange(m + 1)[:, None, None] * np.linalg.inv(evaluate(theta, r)).conj().T
+    grad /= np.linalg.norm(grad)
+    step = 1e-9 * 0.9 * INNER_TOL / inner_residual(MatLaurent(0, theta.coeffs + 1e-9 * grad))
+    moved = MatLaurent(0, theta.coeffs + step * grad)
+    assert 0.85 * INNER_TOL < inner_residual(moved) < 0.95 * INNER_TOL
+    miss = abs(-m * np.linalg.slogdet(evaluate(moved, r))[1] - 240)
+    assert m * d * TRACE_TOL < miss < 1e-3 * DET_TOL
+    assert InnerFunction(moved).n == det_degree(moved) == 240
 
 
 def test_wrong_factor_rank_sum_is_refused():

@@ -5,6 +5,8 @@ algebra the division by Theta rests on, the zero-symbol pair it
 recovers on random pure spaces, and the class dimension against its SVD
 counts."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from mttokit.model_operator import defect_spaces, s_theta  # noqa: E402
 from mttokit.model_space import ModelSpaceBasis  # noqa: E402
 from mttokit.mtto import build, is_mtto, mtto_dimension, recover_symbol, zero_symbol_decompose  # noqa: E402
 from mttokit.numerics import opnorm  # noqa: E402
+from mttokit import randgen  # noqa: E402
 from mttokit.randgen import random_inner, random_symbol  # noqa: E402
 from mttokit.serialize import SCHEMA_VERSION, json_to_mat_laurent, laurent_to_json  # noqa: E402
 
@@ -132,7 +135,8 @@ def zero_symbols(draw):
     symbols with Theta Psi1 + (Theta Psi2)* inducing the zero operator."""
     d, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    basis = ModelSpaceBasis(random_inner(d, m, rng, min_purity=1e-3))
+    with patch.object(randgen, "MIN_PURITY", 1e-3):
+        basis = ModelSpaceBasis(random_inner(d, m, rng))
     scale = 10.0 ** draw(st.integers(-6, 6))
     psi1 = random_symbol(d, 0, draw(st.integers(0, 4)), rng, scale)
     psi2 = random_symbol(d, 0, draw(st.integers(0, 4)), rng, scale)

@@ -52,7 +52,7 @@ def test_report_shape_and_registry():
 
 
 def test_random_inner_of_dimension_nine_passes():
-    # guards the model-space dimension checks against a cost that grows like d!
+    # a d = 9 space passes every check of the battery
     report = run_suite(SuiteConfig(seed=1, random_inners=((9, 2),)))
     assert report["pass"]
 
