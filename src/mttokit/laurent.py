@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .numerics import INNER_TOL, REL, require_finite
+from .numerics import INNER_TOL, REL, frobenius, require_finite
 
 
 def _validate_coeffs(coeffs, block_ndim: int) -> np.ndarray:
@@ -85,7 +85,7 @@ class _Laurent:
         return type(self)(-self.hi, self.coeffs[::-1])
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        return frobenius(self.coeffs)
 
     def _binop_coeffs(self, other, sign):
         if not isinstance(other, type(self)):

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import DimensionMismatchError, IdentityCheckError, NotGammaSymmetricError, NotUnitaryError
 from .laurent import MatLaurent, convolve
 from .model_space import ModelSpaceBasis, kernel_frame, off_space, require_member, tilde_kernel_frame
-from .numerics import CHECK_TOL, RANK_CUT, REL, fix_column_phases, frobenius, opnorm, require_finite
+from .numerics import (CHECK_TOL, INPUT_TOL, RANK_CUT, REL, fix_column_phases, frobenius, opnorm, require_finite,
+                       require_small)
 
 
 @dataclass
@@ -58,7 +59,7 @@ def matrix_of(a, basis: ModelSpaceBasis) -> np.ndarray:
     mat = np.asarray(a, dtype=np.complex128)
     if mat.shape != (basis.n, basis.n):
         raise DimensionMismatchError(f"operator must be {basis.n} x {basis.n}")
-    return mat
+    return require_finite(mat, "operator entries must be finite")
 
 
 def off_span(r: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -120,9 +121,8 @@ def _frame_svd(frame: np.ndarray):
     if int(np.sum(sv > RANK_CUT * sv[0] * max(frame.shape))) != d:
         raise IdentityCheckError("defect spaces did not come out d-dimensional")
     kp = vh.conj().T @ ((1.0 / sv)[:, None] * u.conj().T)
-    resid = np.linalg.norm(kp @ frame - np.eye(d))
-    if resid > 1e-9:
-        raise IdentityCheckError(f"defect frame inversion residual {resid:.3e}")
+    require_small(frobenius(kp @ frame - np.eye(d)), CHECK_TOL, IdentityCheckError,
+                  "defect frame inversion residual {residual:.3e}")
     return fix_column_phases(u), kp
 
 
@@ -141,9 +141,8 @@ def defect_spaces(basis: ModelSpaceBasis) -> DefectSpaces:
     eye = np.eye(basis.n)
     for gg, frame, label in ((eye - s.mat @ s_adj.mat, k0, "I - S S* = K0 K0*"),
                              (eye - s_adj.mat @ s.mat, kt0, "I - S* S = K0~ K0~*")):
-        resid = frobenius(gg - frame @ frame.conj().T)
-        if resid > REL * max(1.0, frobenius(gg)):
-            raise IdentityCheckError(f"defect identity {label} fails, residual {resid:.3e}")
+        require_small(frobenius(gg - frame @ frame.conj().T), REL * max(1.0, frobenius(gg)), IdentityCheckError,
+                      "defect identity " + label + " fails, residual {residual:.3e}")
     ds = DefectSpaces(d_basis, dt_basis, k0, kt0, d_pinv, dt_pinv, *np.linalg.eigh(k0.conj().T @ k0))
     _frozen(*vars(ds).values())
     basis.cache["defects"] = ds
@@ -223,8 +222,7 @@ def j_operators(basis: ModelSpaceBasis, ds: DefectSpaces):
         (gt @ jt - p_dt, "Gt Jt"),
         (jt.conj().T @ gt - p_dt, "Jt* Gt"),
     ):
-        if opnorm(lhs) > 1e-9:
-            raise IdentityCheckError(f"{label} is not the defect projector")
+        require_small(opnorm(lhs), CHECK_TOL, IdentityCheckError, f"{label} is not the defect projector")
     _frozen(j, jt)
     basis.cache["j"] = (j, jt)
     return j, jt
@@ -243,13 +241,12 @@ class Conjugation:
     """Antilinear involution x -> U conj(x) on C^d for symmetric unitary U."""
 
     def __init__(self, u):
-        u = np.asarray(u, dtype=np.complex128)
+        u = require_finite(np.asarray(u, dtype=np.complex128), "conjugation matrix entries must be finite")
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError("conjugation matrix must be square")
-        if np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) > 1e-10:
-            raise NotUnitaryError("conjugation matrix is not unitary")
-        if np.linalg.norm(u - u.T) > 1e-10:
-            raise ValueError("conjugation matrix must be symmetric")
+        require_small(frobenius(u.conj().T @ u - np.eye(u.shape[0])), INPUT_TOL, NotUnitaryError,
+                      "conjugation matrix is not unitary")
+        require_small(frobenius(u - u.T), INPUT_TOL, ValueError, "conjugation matrix must be symmetric")
         self.u = u
         self.dim = u.shape[0]
 
@@ -260,7 +257,7 @@ class Conjugation:
 def gamma_symmetric_residual(f: MatLaurent, gamma: Conjugation) -> float:
     """How far the coefficients are from A_k = U A_k^T U*."""
     u = gamma.u
-    return max(float(np.linalg.norm(a - u @ a.T @ u.conj().T)) for a in f.coeffs)
+    return max(frobenius(a - u @ a.T @ u.conj().T) for a in f.coeffs)
 
 
 def conjugation_matrix(basis: ModelSpaceBasis, gamma: Conjugation) -> np.ndarray:
@@ -275,17 +272,16 @@ def conjugation_matrix(basis: ModelSpaceBasis, gamma: Conjugation) -> np.ndarray
     d, m, n = inner.d, inner.m, basis.n
     if gamma.dim != d:
         raise ValueError("conjugation dimension does not match")
-    res = gamma_symmetric_residual(inner.theta, gamma)
-    if res > 1e-9:
-        raise NotGammaSymmetricError(f"theta is not gamma-symmetric, residual {res:.3e}")
+    require_small(gamma_symmetric_residual(inner.theta, gamma), CHECK_TOL, NotGammaSymmetricError,
+                  "theta is not gamma-symmetric, residual {residual:.3e}")
     flipped = gamma.u @ np.conj(basis.q.reshape(m, d, n)[::-1])
     image = convolve(inner.blocks, flipped)  # block i sits at frequency i - m
     window = image[m:].reshape(m * d, n)
     negative = np.linalg.norm(image[:m], axis=(0, 1))
     require_member(float(np.hypot(negative, off_space(inner, window)).max(initial=0.0)), 1.0, "conjugation")
     mat = basis.q.conj().T @ window
-    if np.linalg.norm(mat.conj().T @ mat - np.eye(n)) > 1e-9 or np.linalg.norm(mat - mat.T) > 1e-9:
-        raise IdentityCheckError("conjugation matrix is not symmetric unitary")
+    for resid in (frobenius(mat.conj().T @ mat - np.eye(n)), frobenius(mat - mat.T)):
+        require_small(resid, CHECK_TOL, IdentityCheckError, "conjugation matrix is not symmetric unitary")
     return mat
 
 

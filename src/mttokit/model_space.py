@@ -33,7 +33,7 @@ from .laurent import (
     is_pure,
     tilde,
 )
-from .numerics import DET_TOL, INNER_TOL, TRACE_TOL, fix_column_phases
+from .numerics import CHECK_TOL, DET_TOL, INNER_TOL, INPUT_TOL, TRACE_TOL, fix_column_phases, frobenius, require_small
 
 MAX_WINDOW = 2048  # largest m*d coefficient window a model space is built on
 PANEL = 64  # projector columns orthogonalized per block step of the basis
@@ -53,8 +53,9 @@ def det_degree(theta: MatLaurent) -> int:
     m = theta.hi
     r = np.exp(-1.0 / max(m, 1))  # a constant Theta (m = 0) reads 0
     reading = -m * float(np.linalg.slogdet(evaluate(theta, r))[1])
-    if not (np.isfinite(reading) and abs(reading - round(reading)) <= DET_TOL):
-        raise IdentityCheckError(f"det degree reading {reading!r} is not within {DET_TOL} of an integer")
+    miss = abs(reading - round(reading)) if np.isfinite(reading) else reading
+    require_small(miss, DET_TOL, IdentityCheckError,
+                  f"det degree reading {reading!r} is not within {DET_TOL} of an integer")
     return int(round(reading))
 
 
@@ -104,9 +105,7 @@ class InnerFunction:
             raise ParseError(
                 f"coefficient window m*d = {theta.hi} * {theta.dim} exceeds the limit of {MAX_WINDOW} coordinates"
             )
-        res = inner_residual(theta)
-        if res > INNER_TOL:
-            raise NotInnerError(f"coefficient unitarity residual {res:.3e}")
+        require_small(inner_residual(theta), INNER_TOL, NotInnerError, "coefficient unitarity residual {residual:.3e}")
         if not is_pure(theta):
             raise NotPureError("value at the origin is not a strict contraction")
         self.theta = theta
@@ -119,8 +118,8 @@ class InnerFunction:
         norms = np.sum(np.abs(self.blocks[: self.m]) ** 2, axis=(1, 2))  # ||Theta_k||_F^2, k < m
         trace = self.m * self.d - float(np.arange(self.m, 0, -1) @ norms)  # trace of P = I - L L*
         tol = self.m * self.d * TRACE_TOL
-        if not abs(trace - round(trace)) <= tol:
-            raise IdentityCheckError(f"projector trace {trace!r} is not within {tol:.1e} of an integer")
+        require_small(abs(trace - round(trace)), tol, IdentityCheckError,
+                      f"projector trace {trace!r} is not within {tol:.1e} of an integer")
         witnesses = {"projector trace": int(round(trace)), "det degree": det_degree(theta)}
         if _potapov is not None:
             witnesses["factor rank sum"] = _potapov[2]
@@ -174,10 +173,9 @@ def potapov_product(factors, left_unitary=None):
         unitary = np.linalg.norm(u.conj().T @ u - eye)
         hermitian = np.linalg.norm(ps - ps.conj().transpose(0, 2, 1), axis=(1, 2))
         idempotent = np.linalg.norm(ps @ ps - ps, axis=(1, 2))
-    if not unitary <= 1e-10:
-        raise NotUnitaryError("left factor is not unitary")
-    if not (np.all(hermitian <= 1e-10) and np.all(idempotent <= 1e-10)):
-        raise NotProjectionError("factor is not an orthogonal projection")
+    require_small(unitary, INPUT_TOL, NotUnitaryError, "left factor is not unitary")
+    require_small(np.maximum(hermitian, idempotent).max(), INPUT_TOL, NotProjectionError,
+                  "factor is not an orthogonal projection")
     coeffs = np.zeros((len(mats) + 1, d, d), dtype=np.complex128)
     coeffs[0] = u
     for j, p in enumerate(ps, start=1):
@@ -344,9 +342,9 @@ def off_space(inner: InnerFunction, w: np.ndarray) -> np.ndarray:
 
 
 def require_member(residual: float, scale: float, what: str) -> None:
-    """Refuse a computed element whose membership residual exceeds 1e-9 * scale."""
-    if residual > 1e-9 * scale:
-        raise IdentityCheckError(f"{what} left the model space, residual {residual:.3e}")
+    """Refuse a computed element whose membership residual exceeds CHECK_TOL * scale."""
+    require_small(residual, CHECK_TOL * scale, IdentityCheckError,
+                  what + " left the model space, residual {residual:.3e}")
 
 
 def kernel_window(inner: InnerFunction, lam: complex, x):
@@ -365,9 +363,8 @@ def kernel_window(inner: InnerFunction, lam: complex, x):
     c = np.zeros((2 * m + 1, inner.d), dtype=np.complex128)
     for i in range(m + 1):
         c[i:] += powers[: 2 * m + 1 - i, None] * g[i]
-    tail = float(np.linalg.norm(c[m:]))
-    if tail > 1e-9 * (1.0 + float(np.linalg.norm(x))):
-        raise IdentityCheckError(f"kernel truncation tail {tail:.3e} did not vanish")
+    tail = require_small(frobenius(c[m:]), CHECK_TOL * (1.0 + frobenius(x)), IdentityCheckError,
+                         "kernel truncation tail {residual:.3e} did not vanish")
     return c[:m], tail
 
 
@@ -391,15 +388,14 @@ def tilde_kernel_window(inner: InnerFunction, lam: complex, y):
     p = inner.blocks @ y
     p[0] -= inner.evaluate(lam) @ y
     q = _synthetic_division(p, lam)
-    rem = float(np.linalg.norm(p[0] + lam * q[0]))
-    if rem > 1e-9 * (1.0 + float(np.linalg.norm(y))):
-        raise IdentityCheckError(f"synthetic division remainder {rem:.3e} did not vanish")
+    rem = require_small(frobenius(p[0] + lam * q[0]), CHECK_TOL * (1.0 + frobenius(y)), IdentityCheckError,
+                        "synthetic division remainder {residual:.3e} did not vanish")
     return q, rem
 
 
 def _checked_element(basis, window, witness, v, what, return_witness):
     out = VecLaurent(0, window)
-    require_member(float(off_space(basis.inner, window)[0]), 1.0 + float(np.linalg.norm(v)), what)
+    require_member(float(off_space(basis.inner, window)[0]), 1.0 + frobenius(v), what)
     return (out, witness) if return_witness else out
 
 

@@ -45,7 +45,7 @@ from .model_operator import (
     xhat,
 )
 from .model_space import ModelSpaceBasis, kernel_frame, tilde_kernel_frame
-from .numerics import CHECK_TOL, REL, block_toeplitz, frobenius, opnorm
+from .numerics import CHECK_TOL, REBUILD_TOL, REL, block_toeplitz, frobenius, opnorm, require_small
 
 
 def _compress_toeplitz(basis: ModelSpaceBasis, tiles: np.ndarray) -> np.ndarray:
@@ -219,15 +219,13 @@ def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent):
         raise ValueError("commutant factorization needs an analytic symbol")
     blocks = basis.inner.blocks
     phi1, remainder = _divide_by_theta(blocks, phi.lo, convolve(phi.coeffs, blocks))  # Phi Theta from phi.lo
-    residual = float(np.linalg.norm(remainder))
+    residual = frobenius(remainder)
     if residual <= CHECK_TOL * (1.0 + phi.norm() * basis.inner.theta.norm()):
         a_phi = build(basis, phi)
         s, _ = s_theta(basis)
         comm = opnorm(a_phi.mat @ s.mat - s.mat @ a_phi.mat)
-        if comm > 1e-9 * (1.0 + opnorm(a_phi.mat)):
-            raise IdentityCheckError(
-                f"factorization succeeded but the operator does not commute, norm {comm:.3e}"
-            )
+        require_small(comm, CHECK_TOL * (1.0 + opnorm(a_phi.mat)), IdentityCheckError,
+                      "factorization succeeded but the operator does not commute, norm {residual:.3e}")
     return MatLaurent(0, phi1), residual
 
 
@@ -245,7 +243,7 @@ def recover_symbol(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> Re
     tol (default REL * ||A||_F) the residual ||P Delta P||_F refuses the
     operator, naming the certified interval of its distance to the class;
     otherwise Delta is split once over K0, and the rebuild is checked to
-    1e-8 ||A||_F.  Psi1, Psi2 have coordinates (X + K0 C, Y - K0 C*), with
+    REBUILD_TOL ||A||_F.  Psi1, Psi2 have coordinates (X + K0 C, Y - K0 C*), with
     the d x d gauge C of minimum norm: H C + C H = Y* K0 - K0* X for
     H = K0* K0, in the cached eigenbasis of H."""
     amat, ds, m = np.asarray(matrix_of(a, basis), dtype=np.complex128), defect_spaces(basis), basis.inner.m
@@ -267,9 +265,8 @@ def recover_symbol(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> Re
     p1, p2 = f @ (x + k0 @ c), f @ (y - k0 @ c.conj().T)
     # T_{Psi1 + Psi2*}: block (k, j) is Psi1_{k-j} for k >= j plus (Psi2_{j-k})* for j >= k
     tiles = np.concatenate([reversed_adjoint(p2[1:]), p1[:1] + reversed_adjoint(p2[:1]), p1[1:]])
-    residual = frobenius(_compress_toeplitz(basis, tiles) - amat)
-    if not residual <= 1e-8 * scale:
-        raise IdentityCheckError(f"recovered symbol rebuilds with residual {residual:.3e}")
+    residual = require_small(frobenius(_compress_toeplitz(basis, tiles) - amat), REBUILD_TOL * scale,
+                             IdentityCheckError, "recovered symbol rebuilds with residual {residual:.3e}")
     return RecoveredSymbol(MatLaurent(0, p1), MatLaurent(0, p2), float(residual))
 
 
@@ -313,9 +310,9 @@ def zero_symbol_decompose(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional
     d, m = basis.inner.d, basis.inner.m
     if phi.dim != d:
         raise DimensionMismatchError("symbol dimension does not match")
-    nrm = opnorm(build(basis, phi).mat)
+    nrm, scale = opnorm(build(basis, phi).mat), phi.norm()
     if tol is None:
-        tol = REL * phi.norm()
+        tol = REL * scale
     if nrm > tol:
         return ZeroSymbolResult(is_zero=False, operator_norm=float(nrm))
     b = max(phi.hi, -phi.lo)
@@ -326,9 +323,8 @@ def zero_symbol_decompose(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional
     err[m:] = remainder[:, :, :d]
     err[: 2 * b + m + 1] += reversed_adjoint(remainder[:, :, d:])
     err[m : m + 2 * b + 1] -= window
-    residual = float(np.linalg.norm(err))
-    if residual > 1e-8 * phi.norm():
-        raise IdentityCheckError(f"zero-operator symbol failed to decompose, residual {residual:.3e}")
+    residual = require_small(frobenius(err), REBUILD_TOL * scale, IdentityCheckError,
+                             "zero-operator symbol failed to decompose, residual {residual:.3e}")
     return ZeroSymbolResult(True, float(nrm), MatLaurent(0, psi[:, :, :d]), MatLaurent(0, psi[:, :, d:]), residual)
 
 
@@ -341,15 +337,14 @@ def factor_through_theta(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional[
     """
     if phi.lo < 0:
         raise ValueError("only analytic symbols factor through Theta")
-    nrm = opnorm(build(basis, phi).mat)
+    nrm, scale = opnorm(build(basis, phi).mat), phi.norm()
     if tol is None:
-        tol = REL * phi.norm()
+        tol = REL * scale
     if nrm > tol:
         raise NotZeroOperatorError(f"operator norm {nrm:.3e} exceeds {tol:.3e}")
     phi1, remainder = _divide_by_theta(basis.inner.blocks, phi.lo, phi.coeffs)
-    residual = float(np.linalg.norm(remainder))
-    if residual > 1e-8 * phi.norm():
-        raise IdentityCheckError(f"division by Theta left residual {residual:.3e}")
+    residual = require_small(frobenius(remainder), REBUILD_TOL * scale, IdentityCheckError,
+                             "division by Theta left residual {residual:.3e}")
     return MatLaurent(0, phi1), residual
 
 

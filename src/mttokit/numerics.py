@@ -1,15 +1,18 @@
-"""Shared dense linear algebra helpers and the package's tolerances.
+"""Shared dense linear algebra helpers, the package's tolerances and its residual gate.
 
 Everything here is a thin, opinionated wrapper around numpy's SVD/lstsq
 machinery: one rank rule, one phase convention for orthonormal columns,
-one block-Toeplitz assembly and the Frobenius norm the membership
-decisions use, used consistently by the rest of the package.  `nullspace`
-and the least-squares solver `solve_min_norm` have no caller in the
-package; they stay for code that looks them up by name.  Every threshold
-these helpers and the inner, pure, model-dimension and membership
-decisions apply is one of the named constants below; none of them can be
-set by a caller.
+one block-Toeplitz assembly and the Frobenius norm, finite at every finite
+scale, used consistently by the rest of the package.  `nullspace` and
+`solve_min_norm` have no caller in the package; they stay for code that
+looks them up by name.  Every threshold is one of the named constants
+below, which no caller can set.  Every identity check hands its residual
+and its bound (INNER_TOL, m*d*TRACE_TOL, DET_TOL, INPUT_TOL, CHECK_TOL, or
+REL or REBUILD_TOL times a norm) to the one gate, `require_small`, which
+refuses a residual above the bound, NaN or infinite.
 """
+
+import math
 
 import numpy as np
 
@@ -18,7 +21,9 @@ RANK_CUT = 1e-10  # singular values up to RANK_CUT * sigma_max * max(shape) coun
 INNER_TOL = 1e-10  # largest coefficient-unitarity residual of an inner function
 TRACE_TOL = INNER_TOL  # the model-space projector's trace may miss an integer by m*d*TRACE_TOL
 DET_TOL = 0.25  # det_degree's reading -m log|det Theta(e^(-1/m))| may miss an integer by DET_TOL
-CHECK_TOL = 1e-9  # largest residual the shift-action, recurrence and commutant checks accept
+INPUT_TOL = 1e-10  # largest unitarity, projection or symmetry residual of a caller's matrices
+CHECK_TOL = 1e-9  # largest residual, absolute or per unit of its scale, of an internal identity check
+REBUILD_TOL = 1e-8  # largest residual per unit of the input's norm of a rebuild or a division by Theta
 PHASE_CUT = 1e-8  # entries up to PHASE_CUT * max(1, column max) cannot carry the phase
 
 
@@ -27,6 +32,13 @@ def require_finite(a: np.ndarray, message: str) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError(message)
     return a
+
+
+def require_small(residual: float, bound: float, error: type[Exception], message: str) -> float:
+    """Return `residual` if finite and <= bound, else raise error(message.format(residual=residual))."""
+    if not (math.isfinite(residual) and residual <= bound):
+        raise error(message.format(residual=residual))
+    return residual
 
 
 def as_cmatrix(entries) -> np.ndarray:

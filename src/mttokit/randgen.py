@@ -40,14 +40,14 @@ def random_projection(dim: int, rk: int, rng: np.random.Generator) -> np.ndarray
 def random_inner(d: int, m: int, rng: np.random.Generator) -> InnerFunction:
     """Pure polynomial inner function of C^d with m elementary factors.
 
-    Factor ranks are drawn uniformly from 1..d, so expect the zero count
-    n anywhere between m and m*d.  Up to 200 draws are made for a value at
-    the origin of norm at most 1 - MIN_PURITY (m = 1 needs a rank-d factor).
+    Factor ranks are drawn uniformly from 1..d, except that m = 1 takes P = I,
+    the one factor that gives a pure Theta = z U; n lies between m and m*d.
+    Up to 200 draws are made for a value at the origin of norm <= 1 - MIN_PURITY.
     """
     if d < 1 or m < 1:
         raise ValueError("need d >= 1 and m >= 1")
     for _ in range(200):
-        factors = [random_projection(d, int(rng.integers(1, d + 1)), rng) for _ in range(m)]
+        factors = [np.eye(d)] if m == 1 else [random_projection(d, int(rng.integers(1, d + 1)), rng) for _ in range(m)]
         u = haar_unitary(d, rng)
         value0 = u.copy()
         for p in factors:

@@ -10,12 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mttokit import serialize
+from mttokit import randgen, serialize
 from mttokit.cli import main
 from mttokit.fixtures import fixture
 from mttokit.laurent import MatLaurent
 from mttokit.model_space import ModelSpaceBasis
 from mttokit.mtto import build
+from mttokit.suite import SuiteConfig, _Context
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -304,13 +305,29 @@ def test_suite_config_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_suite_shape_that_draws_no_pure_inner_exits_2(tmp_path, capsys):
-    # m = 1 needs a rank-d factor, drawn once in d: at d = 150 the draws run out
+def test_suite_shape_that_draws_no_pure_inner_exits_2(tmp_path, capsys, monkeypatch):
+    # no draw reaches a value at the origin of norm <= 1 - MIN_PURITY = 0
+    monkeypatch.setattr(randgen, "MIN_PURITY", 1.0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 0, "cases": 1, "fixtures": ["FIX1"], "random_inners": [[3, 2]]}))
+    code, out, err = run(capsys, "suite", "--config", str(cfg))
+    _assert_parse_error(code, out, err)
+    assert "d = 3, m = 2" in json.loads(err)["message"]
+
+
+def test_suite_shape_with_one_factor_passes(tmp_path, capsys):
+    # m = 1 draws Theta = z U directly: at d = 150 a rank drawn from 1..d used to run the draws out
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 0, "cases": 1, "fixtures": ["FIX1"], "random_inners": [[150, 1]]}))
     code, out, err = run(capsys, "suite", "--config", str(cfg))
-    _assert_parse_error(code, out, err)
-    assert "d = 150, m = 1" in json.loads(err)["message"]
+    assert code == 0 and err == "" and json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_suite_draws_a_one_factor_space_at_every_seed(seed):
+    config = SuiteConfig.from_json({"seed": seed, "cases": 1, "fixtures": ["FIX1"], "random_inners": [[150, 1]]})
+    (_, basis), = _Context(config).spaces[1:]
+    assert basis.n == 150 and basis.inner.m == 1
 
 
 def test_missing_theta_file_exits_2(capsys):

@@ -287,3 +287,13 @@ def test_an_operator_of_another_space_is_refused_by_name(entry):
     assert same is not b3 and same.basis_id == b3.basis_id
     if entry != "c_symmetric":  # FIX3 is not symmetric for the identity conjugation
         ENTRY_POINTS[entry](same, a)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=str)
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_array_is_refused_by_every_entry_point(entry, value):
+    basis = ModelSpaceBasis(fixture("FIX3"))
+    raw = np.eye(basis.n, dtype=np.complex128)
+    raw[0, 1] = value
+    with pytest.raises(ValueError, match="^operator entries must be finite$"):
+        ENTRY_POINTS[entry](basis, raw)
