@@ -61,10 +61,9 @@ def _load_operator(path: str, basis: ModelSpaceBasis) -> np.ndarray:
     if mat.shape != (basis.n, basis.n):
         raise ParseError(f"operator is {mat.shape[0]} x {mat.shape[1]}, space has dimension {basis.n}")
     declared = obj.get("basis_id")
-    if declared is not None and not str(declared).startswith("v3-"):
-        raise ParseError(
-            f"basis_id {declared!r} has no v3- prefix; basis ids changed in v2 and again in v3, rebuild the operator"
-        )
+    if declared is not None and not str(declared).startswith(serialize.BASIS_ID_PREFIX):
+        raise ParseError(f"basis_id {declared!r} has no {serialize.BASIS_ID_PREFIX} prefix; "
+                         "basis ids changed in v2 and again in v3, rebuild the operator")
     if declared is not None and declared != basis.basis_id:
         raise ParseError(f"operator was written in basis {declared}, current basis is {basis.basis_id}")
     return mat

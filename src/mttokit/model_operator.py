@@ -17,8 +17,8 @@ import numpy as np
 from .errors import DimensionMismatchError, IdentityCheckError, NotGammaSymmetricError, NotUnitaryError
 from .laurent import MatLaurent, convolve
 from .model_space import ModelSpaceBasis, kernel_frame, off_space, require_member, tilde_kernel_frame
-from .numerics import (CHECK_TOL, INPUT_TOL, RANK_CUT, REL, fix_column_phases, frobenius, opnorm, require_finite,
-                       require_small)
+from .numerics import (CHECK_TOL, INPUT_TOL, RANK_CUT, REL, column_norms, fix_column_phases, frobenius, opnorm,
+                       require_finite, require_small)
 
 
 @dataclass
@@ -244,9 +244,10 @@ class Conjugation:
         u = require_finite(np.asarray(u, dtype=np.complex128), "conjugation matrix entries must be finite")
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError("conjugation matrix must be square")
-        require_small(frobenius(u.conj().T @ u - np.eye(u.shape[0])), INPUT_TOL, NotUnitaryError,
-                      "conjugation matrix is not unitary")
-        require_small(frobenius(u - u.T), INPUT_TOL, ValueError, "conjugation matrix must be symmetric")
+        with np.errstate(all="ignore"):  # an overflow shows as an infinite residual, which the gate refuses
+            unitarity, symmetry = u.conj().T @ u - np.eye(u.shape[0]), u - u.T
+        require_small(frobenius(unitarity), INPUT_TOL, NotUnitaryError, "conjugation matrix is not unitary")
+        require_small(frobenius(symmetry), INPUT_TOL, ValueError, "conjugation matrix must be symmetric")
         self.u = u
         self.dim = u.shape[0]
 
@@ -277,7 +278,7 @@ def conjugation_matrix(basis: ModelSpaceBasis, gamma: Conjugation) -> np.ndarray
     flipped = gamma.u @ np.conj(basis.q.reshape(m, d, n)[::-1])
     image = convolve(inner.blocks, flipped)  # block i sits at frequency i - m
     window = image[m:].reshape(m * d, n)
-    negative = np.linalg.norm(image[:m], axis=(0, 1))
+    negative = column_norms(image[:m].reshape(m * d, n))
     require_member(float(np.hypot(negative, off_space(inner, window)).max(initial=0.0)), 1.0, "conjugation")
     mat = basis.q.conj().T @ window
     for resid in (frobenius(mat.conj().T @ mat - np.eye(n)), frobenius(mat - mat.T)):

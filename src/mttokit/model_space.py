@@ -33,7 +33,8 @@ from .laurent import (
     is_pure,
     tilde,
 )
-from .numerics import CHECK_TOL, DET_TOL, INNER_TOL, INPUT_TOL, TRACE_TOL, fix_column_phases, frobenius, require_small
+from .numerics import (CHECK_TOL, DET_TOL, INNER_TOL, INPUT_TOL, TRACE_TOL, column_norms, fix_column_phases, frobenius,
+                       require_small)
 
 MAX_WINDOW = 2048  # largest m*d coefficient window a model space is built on
 PANEL = 64  # projector columns orthogonalized per block step of the basis
@@ -338,7 +339,7 @@ def off_space(inner: InnerFunction, w: np.ndarray) -> np.ndarray:
     out = np.zeros(w.shape, dtype=np.complex128)
     for i in range(m):
         out[: m - i] += inner.blocks[i].conj().T @ w[i:]
-    return np.linalg.norm(out, axis=(0, 1))
+    return column_norms(out.reshape(m * inner.d, -1))
 
 
 def require_member(residual: float, scale: float, what: str) -> None:

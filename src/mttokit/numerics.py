@@ -73,6 +73,16 @@ def frobenius(a: np.ndarray) -> float:
     return big * float(np.linalg.norm(np.abs(a) / big))
 
 
+def column_norms(a: np.ndarray) -> np.ndarray:
+    """`frobenius` of each column of a 2-d array: numpy's norms, with only
+    the columns outside (1e-150, 1e150) taken again by the rescaling rule."""
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(a, axis=0)
+    for j in np.flatnonzero(~((1e-150 < nrm) & (nrm < 1e150))):
+        nrm[j] = frobenius(a[:, j])
+    return nrm
+
+
 def rank(a, scale: float = 0.0) -> int:
     """Numerical rank: count singular values above the relative cut.
 

@@ -20,6 +20,7 @@ from .laurent import MatLaurent
 from .numerics import require_finite
 
 SCHEMA_VERSION = 1
+BASIS_ID_PREFIX = "v3-"  # changes whenever the rule that builds a basis from Theta does
 
 
 def check_schema_version(obj) -> None:
@@ -37,7 +38,7 @@ def canonical_json(obj) -> str:
 
 
 def basis_id(theta: MatLaurent, n: int) -> str:
-    """Identity of the basis of the model space of Theta: "v3-" and the
+    """Identity of the basis of the model space of Theta: BASIS_ID_PREFIX and the
     first 16 hex digits of the sha256 of the little-endian bytes of
     (d, lo, hi, n) as int64, then of the coefficients of Theta as
     complex128 in row-major order.  The basis is a function of Theta under
@@ -45,7 +46,7 @@ def basis_id(theta: MatLaurent, n: int) -> str:
     rule's roundoff does."""
     h = hashlib.sha256(np.array([theta.dim, theta.lo, theta.hi, n], dtype="<i8").tobytes())
     h.update(np.ascontiguousarray(theta.coeffs, dtype="<c16").tobytes())
-    return "v3-" + h.hexdigest()[:16]
+    return BASIS_ID_PREFIX + h.hexdigest()[:16]
 
 
 def array_to_json(a):

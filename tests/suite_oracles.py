@@ -5,12 +5,11 @@ model-space element as a VecLaurent: built from coordinates, projected
 through `coords`, paired by the L^2 inner product and mapped by tau and
 by the conjugation one element at a time.  Those helpers and the checks
 written on them live here; the tests pin each window check of
-`mttokit.suite` to its oracle, residual for residual.  Results are made
-through `suite._CheckResult`, so a test can swap in `Recorder` for both
-routes at once.
+`mttokit.suite` to its oracle, residual for residual.  Each oracle has the
+signature of its check: it takes one space (the conjugation check: the
+run's list of spaces), the check's stream and the suite config, and yields
+its residuals in order.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,17 +23,6 @@ from mttokit.numerics import REL, frobenius, opnorm
 from mttokit.randgen import random_element_coords, random_gamma_symmetric_triple, random_symbol
 
 from basis_oracles import membership_residual
-
-
-@dataclass
-class Recorder(suite._CheckResult):
-    """A check result that also keeps every residual, in order."""
-
-    residuals: list = field(default_factory=list)
-
-    def add(self, residuals):
-        self.residuals.extend(float(r) for r in np.ravel(residuals))
-        super().add(residuals)
 
 
 def l2_inner(f: VecLaurent, g: VecLaurent) -> complex:
@@ -119,89 +107,72 @@ def c_symmetric(basis, gamma, a, norm=frobenius):
     return residual <= REL * norm(mat), float(residual)
 
 
-def basis_orthonormal(ctx, rng):
-    out = suite._CheckResult()
-    for _, basis in ctx.spaces:
-        q = basis.q
-        out.add(opnorm(q.conj().T @ q - np.eye(basis.n)))
-        for j in range(basis.n):
-            out.add(membership_residual(basis, element(basis, j)))
-    return out
+def basis_orthonormal(basis, rng, config):
+    q = basis.q
+    yield opnorm(q.conj().T @ q - np.eye(basis.n))
+    for j in range(basis.n):
+        yield membership_residual(basis, element(basis, j))
 
 
-def projection(ctx, rng):
-    out = suite._CheckResult()
-    for _, basis in ctx.spaces:
-        d = basis.inner.d
-        for _ in range(ctx.config.cases):
-            h = random_symbol(d, 0, 2, rng)
-            blocked = multiply(basis.inner.theta, h)
-            for i in range(d):
-                col = VecLaurent(blocked.lo, blocked.coeffs[:, :, i])
-                out.add(project(basis, col).norm() / (1.0 + col.norm()))
-            g = from_coords(basis, random_element_coords(basis, rng))
-            out.add((project(basis, g) - g).norm() / (1.0 + g.norm()))
-    return out
+def projection(basis, rng, config):
+    d = basis.inner.d
+    for _ in range(config.cases):
+        h = random_symbol(d, 0, 2, rng)
+        blocked = multiply(basis.inner.theta, h)
+        for i in range(d):
+            col = VecLaurent(blocked.lo, blocked.coeffs[:, :, i])
+            yield project(basis, col).norm() / (1.0 + col.norm())
+        g = from_coords(basis, random_element_coords(basis, rng))
+        yield (project(basis, g) - g).norm() / (1.0 + g.norm())
 
 
-def reproducing_kernels(ctx, rng):
-    out = suite._CheckResult()
-    for _, basis in ctx.spaces:
-        d = basis.inner.d
-        for _ in range(ctx.config.cases):
-            lam = 0.8 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-            x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            k, witness = kernel(basis, lam, x, return_witness=True)
-            out.add(witness / (1.0 + np.linalg.norm(x)))
-            f = from_coords(basis, random_element_coords(basis, rng))
-            lhs = l2_inner(f, k)
-            rhs = np.vdot(x, evaluate(f, lam))
-            out.add(abs(lhs - rhs) / (1.0 + abs(rhs)))
-    return out
+def reproducing_kernels(basis, rng, config):
+    d = basis.inner.d
+    for _ in range(config.cases):
+        lam = 0.8 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        k, witness = kernel(basis, lam, x, return_witness=True)
+        yield witness / (1.0 + np.linalg.norm(x))
+        f = from_coords(basis, random_element_coords(basis, rng))
+        lhs = l2_inner(f, k)
+        rhs = np.vdot(x, evaluate(f, lam))
+        yield abs(lhs - rhs) / (1.0 + abs(rhs))
 
 
-def difference_quotients(ctx, rng):
-    out = suite._CheckResult()
-    for _, basis in ctx.spaces:
-        d = basis.inner.d
-        theta = basis.inner.theta
-        for _ in range(ctx.config.cases):
-            lam = 0.8 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-            y = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            kt, witness = tilde_kernel(basis, lam, y, return_witness=True)
-            out.add(witness / (1.0 + np.linalg.norm(y)))
-            shifted = kt.shift(1) - complex(lam) * kt
-            target = multiply(theta, VecLaurent.constant(y)) - VecLaurent.constant(evaluate(theta, lam) @ y)
-            out.add((shifted - target).norm() / (1.0 + np.linalg.norm(y)))
-    return out
+def difference_quotients(basis, rng, config):
+    d = basis.inner.d
+    theta = basis.inner.theta
+    for _ in range(config.cases):
+        lam = 0.8 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+        y = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        kt, witness = tilde_kernel(basis, lam, y, return_witness=True)
+        yield witness / (1.0 + np.linalg.norm(y))
+        shifted = kt.shift(1) - complex(lam) * kt
+        target = multiply(theta, VecLaurent.constant(y)) - VecLaurent.constant(evaluate(theta, lam) @ y)
+        yield (shifted - target).norm() / (1.0 + np.linalg.norm(y))
 
 
-def tau_unitary(ctx, rng):
-    out = suite._CheckResult()
-    for _, basis in ctx.spaces:
-        theta = basis.inner.theta
-        for _ in range(ctx.config.cases):
-            f = from_coords(basis, random_element_coords(basis, rng))
-            g = tau_apply(theta, f)
-            out.add(abs(g.norm() - f.norm()) / (1.0 + f.norm()))
-            back = tau_adjoint_apply(theta, g)
-            out.add((back - f).norm() / (1.0 + f.norm()))
-    return out
+def tau_unitary(basis, rng, config):
+    theta = basis.inner.theta
+    for _ in range(config.cases):
+        f = from_coords(basis, random_element_coords(basis, rng))
+        g = tau_apply(theta, f)
+        yield abs(g.norm() - f.norm()) / (1.0 + f.norm())
+        back = tau_adjoint_apply(theta, g)
+        yield (back - f).norm() / (1.0 + f.norm())
 
 
-def conjugation(ctx, rng):
-    out = suite._CheckResult()
-    for _ in range(ctx.config.cases):
+def conjugation(spaces, rng, config):
+    for _ in range(config.cases):
         d = int(rng.integers(2, 4))
         m = int(rng.integers(1, 4))
         gamma, inner, phi = random_gamma_symmetric_triple(d, m, rng)
-        out.add(gamma_symmetric_residual(inner.theta, gamma) / 10.0)
+        yield gamma_symmetric_residual(inner.theta, gamma) / 10.0
         basis = suite.ModelSpaceBasis(inner)
         a = build(basis, phi)
         ok, res = c_symmetric(basis, gamma, a.mat)
-        out.add(res / (1.0 + opnorm(a.mat)))
-        out.add(0.0 if ok else 1.0)
-    return out
+        yield res / (1.0 + opnorm(a.mat))
+        yield 0.0 if ok else 1.0
 
 
 # suite check name -> (window check, per-vector oracle)

@@ -16,7 +16,7 @@ from mttokit.fixtures import fixture
 from mttokit.laurent import MatLaurent
 from mttokit.model_space import ModelSpaceBasis
 from mttokit.mtto import build
-from mttokit.suite import SuiteConfig, _Context
+from mttokit.suite import SuiteConfig, _spaces
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -326,7 +326,7 @@ def test_suite_shape_with_one_factor_passes(tmp_path, capsys):
 @pytest.mark.parametrize("seed", range(6))
 def test_suite_draws_a_one_factor_space_at_every_seed(seed):
     config = SuiteConfig.from_json({"seed": seed, "cases": 1, "fixtures": ["FIX1"], "random_inners": [[150, 1]]})
-    (_, basis), = _Context(config).spaces[1:]
+    (_, basis), = _spaces(config)[1:]
     assert basis.n == 150 and basis.inner.m == 1
 
 

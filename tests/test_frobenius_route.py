@@ -20,7 +20,7 @@ from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent
 from mttokit.model_space import ModelSpaceBasis
 from mttokit.mtto import build, finite_rank, is_mtto, mtto_dimension, recover_symbol
-from mttokit.numerics import REL, frobenius
+from mttokit.numerics import REL, column_norms, frobenius
 from mttokit.randgen import random_inner, random_non_member, random_symbol
 
 from membership_oracles import compressed_defects, spectral_decision
@@ -121,6 +121,17 @@ def test_frobenius_is_safe_at_every_finite_scale(scale):
     a = _gaussian(6, rng)
     want = np.linalg.norm(a)
     assert abs(frobenius(scale * a) - scale * want) <= 1e-14 * scale * want
+
+
+def test_column_norms_are_numpys_in_range_and_frobenius_outside():
+    a = _gaussian(6, np.random.default_rng(5))
+    assert np.array_equal(column_norms(a), np.linalg.norm(a, axis=0))  # bit for bit
+    scales = np.array([1e300, 1e200, 1.0, 1e-200, 1e-300, 0.0])
+    got = column_norms(a * scales)
+    assert np.array_equal(got[2], np.linalg.norm(a[:, 2]))
+    assert np.array_equal(got, [frobenius(col) for col in (a * scales).T])
+    want = scales * np.linalg.norm(a, axis=0)
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
 
 
 def test_a_member_with_a_subnormal_largest_entry_keeps_a_finite_tolerance():

@@ -213,6 +213,13 @@ def test_conjugation_validation():
         Conjugation(np.array([[0.0, 1.0], [-1.0, 0.0]]))  # unitary but antisymmetric
 
 
+def test_conjugation_refuses_an_overflowing_matrix_without_a_warning():
+    # U*U overflows to inf: the gate refuses the infinite residual, and
+    # forming it warns of nothing (warnings are errors in the tests)
+    with pytest.raises(NotUnitaryError, match="not unitary"):
+        Conjugation(1e200 * np.eye(2))
+
+
 def test_conjugation_on_scalar_double_shift_sends_one_to_z():
     basis = _basis("FIX2")
     gamma = Conjugation(np.eye(1))

@@ -10,11 +10,12 @@ operator against the model space.
 """
 
 import numpy as np
+import pytest
 
 from mttokit.model_operator import conjugation_matrix
-from mttokit.model_space import ModelSpaceBasis, kernel, tilde_kernel
+from mttokit.model_space import ModelSpaceBasis, kernel, off_space, tilde_kernel
 from mttokit.mtto import build, is_mtto, recover_symbol
-from mttokit.randgen import random_gamma_symmetric_triple
+from mttokit.randgen import random_gamma_symmetric_triple, random_inner
 
 
 def _space():
@@ -73,3 +74,19 @@ def test_a_rebuilt_space_gives_the_same_bytes():
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.shape == w.shape and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_membership_is_measured_at_every_finite_scale(scale):
+    """Each column's ||L* f|| is taken by frobenius's rescaling rule: numpy's
+    sum of squares overflows at 1e200, which refused every kernel there, and
+    underflows to 0 at 1e-200."""
+    basis = ModelSpaceBasis(random_inner(3, 3, np.random.default_rng(4)))
+    w = np.random.default_rng(5).standard_normal((basis.inner.m * basis.inner.d, 4))
+    want = off_space(basis.inner, w)
+    assert want.min() > 0.1  # these columns lie outside the space
+    np.testing.assert_allclose(off_space(basis.inner, scale * w), scale * want, rtol=1e-14, atol=0)
+    x = np.array([1.0, -1.0, 0.3])
+    for f in (kernel, tilde_kernel):
+        k = f(basis, 0.3 - 0.4j, scale * x)
+        np.testing.assert_allclose(k.coeffs, scale * f(basis, 0.3 - 0.4j, x).coeffs, rtol=1e-13, atol=0)

@@ -9,7 +9,6 @@ the verdicts of the spectral rule it replaced.
 """
 
 import copy
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from mttokit.mtto import build
 from mttokit.numerics import opnorm
 from mttokit.randgen import random_gamma_symmetric_triple, random_inner
 
-TOL = {name: tol for name, _, _, tol in suite._REGISTRY}
+TOL = {name: tol for _, name, _, _, tol in suite._REGISTRY}
 SEEDED = [((2, 2), 31), ((3, 2), 32), ((2, 3), 33)]
 
 
@@ -39,34 +38,33 @@ def _spaces():
 SPACES = _spaces()
 
 
-def _ctx(spaces, cases=3):
-    return SimpleNamespace(spaces=spaces, config=suite.SuiteConfig(seed=0, cases=cases))
-
-
-def _run(fn, ctx, seed):
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    return fn(ctx, rng), rng.bit_generator.state
+def _residuals(name, fn, label, basis, rng, cases=3):
+    """Every residual the check yields on one space, arrays flattened, in
+    order: the cases `run_suite` counts.  The conjugation check takes the
+    run's list of spaces."""
+    target = [(label, basis)] if name == "conjugation" else basis
+    config = suite.SuiteConfig(seed=0, cases=cases)
+    return [float(r) for residual in fn(target, rng, config) for r in np.ravel(residual)]
 
 
 @pytest.mark.parametrize("name", sorted(suite_oracles.CHECKS))
 @pytest.mark.parametrize("label,basis", SPACES, ids=[label for label, _ in SPACES])
-def test_window_check_matches_its_oracle_and_draws_alike(monkeypatch, name, label, basis):
-    monkeypatch.setattr(suite, "_CheckResult", suite_oracles.Recorder)
+def test_window_check_matches_its_oracle_and_draws_alike(name, label, basis):
     window, oracle = suite_oracles.CHECKS[name]
-    ctx = _ctx([(label, basis)])
-    got, got_state = _run(window, ctx, 5)
-    want, want_state = _run(oracle, ctx, 5)
-    assert got_state == want_state
-    assert got.cases == want.cases == len(got.residuals) == len(want.residuals)
-    np.testing.assert_allclose(got.residuals, want.residuals, rtol=0, atol=1e-13)
-    assert got.max_residual <= TOL[name]
+    got_rng, want_rng = (np.random.default_rng(np.random.SeedSequence(entropy=5)) for _ in range(2))
+    got = _residuals(name, window, label, basis, got_rng)
+    want = _residuals(name, oracle, label, basis, want_rng)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert len(got) == len(want)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    assert max(got) <= TOL[name]
 
 
-def _outcome(fn, ctx):
+def _outcome(name, fn, label, basis):
     """The refusal a check raised, as (type, message up to its residual), or
-    its recorded residuals."""
+    its residuals."""
     try:
-        return fn(ctx, np.random.default_rng(7)).residuals
+        return _residuals(name, fn, label, basis, np.random.default_rng(7), cases=2)
     except MttoError as exc:  # a refused identity fails the check as well
         return type(exc), str(exc).split(" residual")[0]
 
@@ -100,14 +98,12 @@ def test_both_routes_fail_alike_on_a_corrupted_space(monkeypatch, perturb, names
     """Both routes refuse with the same error, or both report the same
     residuals, above the check's tolerance: a window form that cut a
     product to the window or skipped a refusal would differ here."""
-    monkeypatch.setattr(suite, "_CheckResult", suite_oracles.Recorder)
     broken = perturb(basis, np.random.default_rng(11))
     # the conjugation check builds its own spaces: corrupt each one the same way for both routes
     monkeypatch.setattr(suite, "ModelSpaceBasis",
                         lambda inner: perturb(ModelSpaceBasis(inner), np.random.default_rng(12)))
-    ctx = _ctx([(label, broken)], cases=2)
     for name in names:
-        window, oracle = (_outcome(fn, ctx) for fn in suite_oracles.CHECKS[name])
+        window, oracle = (_outcome(name, fn, label, broken) for fn in suite_oracles.CHECKS[name])
         if isinstance(window, list):
             assert isinstance(oracle, list) and len(window) == len(oracle), name
             np.testing.assert_allclose(window, oracle, rtol=1e-9, atol=1e-13, err_msg=name)
@@ -128,8 +124,8 @@ def test_both_routes_refuse_a_kernel_outside_the_space(monkeypatch, name, attr, 
 
     monkeypatch.setattr(model_space, attr, outside)
     monkeypatch.setattr(suite, attr, outside)
-    ctx = _ctx([("FIX3", ModelSpaceBasis(fixture("FIX3")))], cases=1)
-    outcomes = {_outcome(fn, ctx) for fn in suite_oracles.CHECKS[name]}
+    fix3 = ModelSpaceBasis(fixture("FIX3"))
+    outcomes = {_outcome(name, fn, "FIX3", fix3) for fn in suite_oracles.CHECKS[name]}
     assert outcomes == {(IdentityCheckError, f"{what} left the model space,")}
 
 
