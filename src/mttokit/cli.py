@@ -28,13 +28,16 @@ from .suite import SuiteConfig, run_suite
 _TOL_ENV = "MTTO_TOL"
 
 
-def _emit(doc, out_path=None) -> None:
+def _emit(doc, out_path) -> None:
     text = serialize.canonical_json(doc) + "\n"
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _fail(code: str, message: str, status: int) -> int:
@@ -42,10 +45,11 @@ def _fail(code: str, message: str, status: int) -> int:
     return status
 
 
-def _load_inner(source: str):
-    if source in FIXTURE_NAMES:
-        return fixture(source)
-    return inner_from_json(serialize.load_json_file(source))
+def _basis(args) -> ModelSpaceBasis:
+    """The model space of --theta, a fixture name or an inner-function file."""
+    name = args.theta
+    inner = fixture(name) if name in FIXTURE_NAMES else inner_from_json(serialize.load_json_file(name))
+    return ModelSpaceBasis(inner)
 
 
 def _load_symbol(path: str):
@@ -69,10 +73,10 @@ def _load_operator(path: str, basis: ModelSpaceBasis) -> np.ndarray:
     return mat
 
 
-def _tol_from(args) -> float | None:
-    """Decision tolerance from --tol, else from $MTTO_TOL; either must be
-    a finite number in (0, 1)."""
-    raw, source = getattr(args, "tol", None), "--tol"
+def _tol_from(raw: str | None) -> float | None:
+    """Decision tolerance from --tol (`raw`), else from $MTTO_TOL; either
+    must be a finite number in (0, 1)."""
+    source = "--tol"
     if raw is None:
         raw, source = os.environ.get(_TOL_ENV), _TOL_ENV
         if raw is None:
@@ -94,7 +98,7 @@ def _candidate_theta(source: str):
     return theta_from_json(serialize.load_json_file(source))[0]
 
 
-def _cmd_inner_check(args) -> int:
+def _inner_check(args):
     """Verdict on a candidate Theta.  A non-analytic one has neither an
     inner residual nor a purity margin: both are null, the verdict false."""
     candidate = _candidate_theta(args.theta)
@@ -102,91 +106,64 @@ def _cmd_inner_check(args) -> int:
     residual = inner_residual(candidate) if analytic else float("inf")
     margin = purity_margin(candidate) if analytic else None
     ok = analytic and residual <= INNER_TOL and margin > REL  # is_inner and is_pure, each measured once
-    _emit(
-        {
-            "inner_residual": residual if np.isfinite(residual) else None,
-            "analytic": analytic,
-            "purity_margin": margin,
-            "verdict": bool(ok),
-        },
-        args.out,
-    )
-    return 0 if ok else 1
+    return {
+        "inner_residual": residual if np.isfinite(residual) else None,
+        "analytic": analytic,
+        "purity_margin": margin,
+        "verdict": bool(ok),
+    }, 0 if ok else 1
 
 
-def _cmd_space_basis(args) -> int:
-    basis = ModelSpaceBasis(_load_inner(args.theta))
-    doc = {
+def _space_basis(args):
+    basis = _basis(args)
+    return {
         "schema_version": serialize.SCHEMA_VERSION,
         "basis_id": basis.basis_id,
         "n": basis.n,
         "d": basis.inner.d,
         "degree": basis.inner.m,
         "columns": serialize.matrix_to_json(basis.q),
-    }
-    _emit(doc, args.out)
-    return 0
+    }, 0
 
 
-def _cmd_op_build(args) -> int:
-    basis = ModelSpaceBasis(_load_inner(args.theta))
-    phi = _load_symbol(args.symbol)
-    op = build(basis, phi)
-    _emit(op.to_json(), args.out)
-    return 0
+def _op_build(args):
+    basis = _basis(args)
+    return build(basis, _load_symbol(args.symbol)).to_json(), 0
 
 
-def _cmd_op_test(args) -> int:
-    tol = _tol_from(args)
-    basis = ModelSpaceBasis(_load_inner(args.theta))
-    mat = _load_operator(args.op, basis)
-    decision = is_mtto(basis, mat, tol)
-    _emit(decision.to_json(), args.out)
-    return 0 if decision.verdict else 1
+def _op_test(args):
+    basis = _basis(args)
+    decision = is_mtto(basis, _load_operator(args.op, basis), args.tol)
+    return decision.to_json(), 0 if decision.verdict else 1
 
 
-def _cmd_op_recover(args) -> int:
-    tol = _tol_from(args)
-    basis = ModelSpaceBasis(_load_inner(args.theta))
-    mat = _load_operator(args.op, basis)
-    rec = recover_symbol(basis, mat, tol)
-    _emit(
-        {
-            "schema_version": serialize.SCHEMA_VERSION,
-            "analytic_part": serialize.laurent_to_json(rec.psi1),
-            "costar_part": serialize.laurent_to_json(rec.psi2),
-            "rebuild_residual": rec.residual,
-        },
-        args.out,
-    )
-    return 0
-
-
-def _cmd_symbol_zero_test(args) -> int:
-    tol = _tol_from(args)
-    basis = ModelSpaceBasis(_load_inner(args.theta))
-    phi = _load_symbol(args.symbol)
-    result = zero_symbol_decompose(basis, phi, tol)
-    doc = {
+def _op_recover(args):
+    basis = _basis(args)
+    rec = recover_symbol(basis, _load_operator(args.op, basis), args.tol)
+    return {
         "schema_version": serialize.SCHEMA_VERSION,
-        "is_zero": result.is_zero,
-        "operator_norm": result.operator_norm,
-    }
+        "analytic_part": serialize.laurent_to_json(rec.psi1),
+        "costar_part": serialize.laurent_to_json(rec.psi2),
+        "rebuild_residual": rec.residual,
+    }, 0
+
+
+def _symbol_zero_test(args):
+    basis = _basis(args)
+    result = zero_symbol_decompose(basis, _load_symbol(args.symbol), args.tol)
+    doc = {"schema_version": serialize.SCHEMA_VERSION, "is_zero": result.is_zero, "operator_norm": result.operator_norm}
     if result.is_zero:
         doc["analytic_factor"] = serialize.laurent_to_json(result.psi1)
         doc["costar_factor"] = serialize.laurent_to_json(result.psi2)
         doc["residual"] = result.residual
-    _emit(doc, args.out)
-    return 0 if result.is_zero else 1
+    return doc, 0 if result.is_zero else 1
 
 
-def _cmd_dim(args) -> int:
-    basis = ModelSpaceBasis(_load_inner(args.theta))
-    _emit(mtto_dimension(basis).to_json(), args.out)
-    return 0
+def _dim(args):
+    return mtto_dimension(_basis(args)).to_json(), 0
 
 
-def _cmd_suite(args) -> int:
+def _suite(args):
     if args.config:
         cfg = SuiteConfig.from_json(serialize.load_json_file(args.config))
     elif args.seed is not None:
@@ -194,98 +171,73 @@ def _cmd_suite(args) -> int:
     else:
         raise ParseError("suite needs --config or --seed")
     report = run_suite(cfg)
-    _emit(report, args.out)
-    return 0 if report["pass"] else 1
+    return report, 0 if report["pass"] else 1
 
 
-def _add_theta(p):
-    p.add_argument("--theta", required=True, metavar="NAME|FILE",
-                   help=f"fixture name ({', '.join(FIXTURE_NAMES)}) or inner-function JSON file")
+_THETA = ("--theta", dict(required=True, metavar="NAME|FILE",
+                          help=f"fixture name ({', '.join(FIXTURE_NAMES)}) or inner-function JSON file"))
+_TOL = ("--tol", dict(metavar="T",
+                      help=f"decision tolerance in (0, 1); defaults to ${_TOL_ENV}, else 1e-9 * ||A||_F "
+                           "for an operator, compared with a Frobenius-norm residual, and 1e-9 * ||Phi|| "
+                           "for a symbol"))
+_OUT = ("--out", dict(metavar="FILE", help="write the JSON result here instead of stdout"))
+
+# (group, group help, command, command help, arguments, handler) in the order
+# `mtto --help` lists them; a command without a group sits at the top level,
+# and every command also takes --out, last.  A handler returns (document, exit
+# status), and `main` emits the document.
+COMMANDS = (
+    ("inner", "inner-function utilities", "check", "test coefficient unitarity and purity",
+     (_THETA,), _inner_check),
+    ("space", "model space utilities", "basis", "emit the deterministic orthonormal basis",
+     (_THETA,), _space_basis),
+    ("op", "operator commands", "build", "compress a symbol to the model space",
+     (_THETA, ("--symbol", dict(required=True, metavar="FILE", help="matrix Laurent JSON"))), _op_build),
+    ("op", "operator commands", "test", "decide whether a matrix carries a symbol",
+     (_THETA, ("--op", dict(required=True, metavar="FILE", help="operator JSON (entries field)")), _TOL), _op_test),
+    ("op", "operator commands", "recover", "recover a minimum-norm symbol pair",
+     (_THETA, ("--op", dict(required=True, metavar="FILE")), _TOL), _op_recover),
+    ("symbol", "symbol commands", "zero-test", "decide whether a symbol induces the zero operator",
+     (_THETA, ("--symbol", dict(required=True, metavar="FILE")), _TOL), _symbol_zero_test),
+    (None, None, "dim", "dimension report for the operator class",
+     (_THETA,), _dim),
+    (None, None, "suite", "run the randomized self-check battery",
+     (("--config", dict(metavar="FILE", help="suite configuration JSON")),
+      ("--seed", dict(type=int, metavar="N", help="shorthand for a default config"))), _suite),
+)
 
 
-def _add_out(p):
-    p.add_argument("--out", metavar="FILE", help="write the JSON result here instead of stdout")
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ParseError: one JSON line, exit 2.  Subparsers inherit the class."""
 
-
-def _add_tol(p):
-    p.add_argument("--tol", metavar="T",
-                   help=f"decision tolerance in (0, 1); defaults to ${_TOL_ENV}, else 1e-9 * ||A||_F "
-                        "for an operator, compared with a Frobenius-norm residual, and 1e-9 * ||Phi|| "
-                        "for a symbol")
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
 
 
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mtto", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    inner = sub.add_parser("inner", help="inner-function utilities").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = inner.add_parser("check", help="test coefficient unitarity and purity")
-    _add_theta(p)
-    _add_out(p)
-    p.set_defaults(fn=_cmd_inner_check)
-
-    space = sub.add_parser("space", help="model space utilities").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = space.add_parser("basis", help="emit the deterministic orthonormal basis")
-    _add_theta(p)
-    _add_out(p)
-    p.set_defaults(fn=_cmd_space_basis)
-
-    op = sub.add_parser("op", help="operator commands").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = op.add_parser("build", help="compress a symbol to the model space")
-    _add_theta(p)
-    p.add_argument("--symbol", required=True, metavar="FILE", help="matrix Laurent JSON")
-    _add_out(p)
-    p.set_defaults(fn=_cmd_op_build)
-
-    p = op.add_parser("test", help="decide whether a matrix carries a symbol")
-    _add_theta(p)
-    p.add_argument("--op", required=True, metavar="FILE", help="operator JSON (entries field)")
-    _add_tol(p)
-    _add_out(p)
-    p.set_defaults(fn=_cmd_op_test)
-
-    p = op.add_parser("recover", help="recover a minimum-norm symbol pair")
-    _add_theta(p)
-    p.add_argument("--op", required=True, metavar="FILE")
-    _add_tol(p)
-    _add_out(p)
-    p.set_defaults(fn=_cmd_op_recover)
-
-    symbol = sub.add_parser("symbol", help="symbol commands").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = symbol.add_parser("zero-test", help="decide whether a symbol induces the zero operator")
-    _add_theta(p)
-    p.add_argument("--symbol", required=True, metavar="FILE")
-    _add_tol(p)
-    _add_out(p)
-    p.set_defaults(fn=_cmd_symbol_zero_test)
-
-    p = sub.add_parser("dim", help="dimension report for the operator class")
-    _add_theta(p)
-    _add_out(p)
-    p.set_defaults(fn=_cmd_dim)
-
-    p = sub.add_parser("suite", help="run the randomized self-check battery")
-    p.add_argument("--config", metavar="FILE", help="suite configuration JSON")
-    p.add_argument("--seed", type=int, metavar="N", help="shorthand for a default config")
-    _add_out(p)
-    p.set_defaults(fn=_cmd_suite)
-
+    parser = _Parser(prog="mtto", description=__doc__.splitlines()[0])
+    top, groups = parser.add_subparsers(dest="command", required=True), {}
+    for group, group_help, name, help_, arguments, handler in COMMANDS:
+        sub = top if group is None else groups.get(group)
+        if sub is None:
+            group_parser = top.add_parser(group, help=group_help)
+            sub = groups[group] = group_parser.add_subparsers(dest="subcommand", required=True)
+        p = sub.add_parser(name, help=help_)
+        for flag, kwargs in (*arguments, _OUT):
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        args = build_parser().parse_args(argv)
+        if "tol" in args:  # read before anything is loaded, so a bad tolerance is reported first
+            args.tol = _tol_from(args.tol)
+        doc, status = args.fn(args)
+        _emit(doc, args.out)
+        return status
     except ParseError as exc:
         return _fail(exc.code, str(exc), 2)
     except MttoError as exc:

@@ -34,7 +34,7 @@ from .errors import (
     NotMttoError,
     NotZeroOperatorError,
 )
-from .laurent import MatLaurent, convolve, reversed_adjoint
+from .laurent import MatLaurent, boundary_adjoint, convolve, reversed_adjoint
 from .model_operator import (
     DefectSpaces,
     OperatorMatrix,
@@ -197,17 +197,21 @@ def _divide_by_theta(blocks: np.ndarray, lo: int, target: np.ndarray):
     `target` (K, d, ...) holds frequencies lo..hi of one symbol or several
     side by side (Phi and Phi* in `zero_symbol_decompose`, whose constant
     terms `_analytic_slot` fixes with the QR cached per space), `blocks`
-    Theta_0..Theta_m.  Returns Q = P+(Theta* target) over frequencies
-    0..top, top = max(hi, 0), and the remainder target - Theta Q over
-    min(lo, 0)..top + m, least in norm because Theta is unitary on the circle."""
-    m, base, top = blocks.shape[0] - 1, min(lo, 0), max(lo + target.shape[0] - 1, 0)
-    keep = convolve(reversed_adjoint(blocks), target)[max(m - lo, 0) :]  # frequencies max(lo - m, 0)..top
-    quotient = np.zeros((top + 1,) + target.shape[1:], dtype=np.complex128)
-    quotient[top + 1 - keep.shape[0] :] = keep
+    Theta_0..Theta_m.  Returns (start, Q, R): Q = P+(Theta* target) over
+    frequencies start..top, start = max(lo - m, 0) (Theta* target vanishes
+    below lo - m) and top = max(hi, 0), and the remainder R = target - Theta Q
+    over min(lo, start)..top + m, least in norm because Theta is unitary on
+    the circle.  So the cost follows the length of target, not |lo|."""
+    m, hi = blocks.shape[0] - 1, lo + target.shape[0] - 1
+    start, top = max(lo - m, 0), max(hi, 0)
+    base = min(lo, start)
+    keep = convolve(reversed_adjoint(blocks), target)[max(m - lo, 0) :]  # frequencies start..top
+    quotient = np.zeros((top + 1 - start,) + target.shape[1:], dtype=np.complex128)
+    quotient[quotient.shape[0] - keep.shape[0] :] = keep
     remainder = np.zeros((top + m + 1 - base,) + target.shape[1:], dtype=np.complex128)
     remainder[lo - base : lo - base + target.shape[0]] = target
-    remainder[-base:] -= convolve(blocks, quotient)
-    return quotient, remainder
+    remainder[start - base :] -= convolve(blocks, quotient)
+    return start, quotient, remainder
 
 
 def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent):
@@ -218,7 +222,7 @@ def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent):
     if phi.lo < 0:
         raise ValueError("commutant factorization needs an analytic symbol")
     blocks = basis.inner.blocks
-    phi1, remainder = _divide_by_theta(blocks, phi.lo, convolve(phi.coeffs, blocks))  # Phi Theta from phi.lo
+    start, phi1, remainder = _divide_by_theta(blocks, phi.lo, convolve(phi.coeffs, blocks))  # Phi Theta from phi.lo
     residual = frobenius(remainder)
     if residual <= CHECK_TOL * (1.0 + phi.norm() * basis.inner.theta.norm()):
         a_phi = build(basis, phi)
@@ -226,7 +230,7 @@ def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent):
         comm = opnorm(a_phi.mat @ s.mat - s.mat @ a_phi.mat)
         require_small(comm, CHECK_TOL * (1.0 + opnorm(a_phi.mat)), IdentityCheckError,
                       "factorization succeeded but the operator does not commute, norm {residual:.3e}")
-    return MatLaurent(0, phi1), residual
+    return MatLaurent(start, phi1), residual
 
 
 @dataclass
@@ -293,7 +297,7 @@ def _analytic_slot(basis: ModelSpaceBasis, pair: np.ndarray):
         basis.cache["tail_inverse"] = np.linalg.solve(r, q.conj().T)
         basis.cache["tail_inverse"].setflags(write=False)
     b = pair.shape[0] // 2
-    psi, remainder = _divide_by_theta(blocks, -b, pair)
+    _, psi, remainder = _divide_by_theta(blocks, -b, pair)
     fix = basis.cache["tail_inverse"] @ remainder[b + 1 : b + m + 1].reshape(m * d, -1)
     psi[0] += fix
     remainder[b : b + m + 1] -= blocks @ fix
@@ -306,7 +310,9 @@ def zero_symbol_decompose(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional
     report the operator norm as the non-vanishing certificate.  For pure
     Theta the pair is unique (Theta Psi1 = -(Theta Psi2)* is a constant C
     with Theta* C analytic, so C = 0); Psi1 and Psi2 come from one division
-    of [Phi, Phi*] by Theta, both constant terms from one solve."""
+    of [Phi, Phi*] by Theta, both constant terms from one solve.  A symbol
+    wholly at |k| >= m has the closed form Psi1 = Theta* Phi, Psi2 = 0 (or
+    the mirror image for k <= -m), whose cost does not grow with |k|."""
     d, m = basis.inner.d, basis.inner.m
     if phi.dim != d:
         raise DimensionMismatchError("symbol dimension does not match")
@@ -315,17 +321,25 @@ def zero_symbol_decompose(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional
         tol = REL * scale
     if nrm > tol:
         return ZeroSymbolResult(is_zero=False, operator_norm=float(nrm))
-    b = max(phi.hi, -phi.lo)
-    window = phi.window(-b, b)
-    psi, remainder = _analytic_slot(basis, np.concatenate([window, reversed_adjoint(window)], axis=2))
-    # Phi - Theta Psi1 - (Theta Psi2)* = R1 + R2* - Phi for R = [Phi, Phi*] - Theta [Psi1, Psi2]
-    err = np.zeros((2 * (b + m) + 1, d, d), dtype=np.complex128)  # frequencies -(b+m)..b+m
-    err[m:] = remainder[:, :, :d]
-    err[: 2 * b + m + 1] += reversed_adjoint(remainder[:, :, d:])
-    err[m : m + 2 * b + 1] -= window
+    if phi.lo >= m or phi.hi <= -m:  # Phi = Theta (Theta* Phi), or Phi* = Theta (Theta* Phi*)
+        far = phi if phi.lo >= m else boundary_adjoint(phi)
+        start, psi, err = _divide_by_theta(basis.inner.blocks, far.lo, far.coeffs)
+        psi1, psi2 = MatLaurent(start, psi), MatLaurent.zero(d)
+        if far is not phi:
+            psi1, psi2 = psi2, psi1
+    else:
+        b = max(phi.hi, -phi.lo)
+        window = phi.window(-b, b)
+        psi, remainder = _analytic_slot(basis, np.concatenate([window, reversed_adjoint(window)], axis=2))
+        # Phi - Theta Psi1 - (Theta Psi2)* = R1 + R2* - Phi for R = [Phi, Phi*] - Theta [Psi1, Psi2]
+        err = np.zeros((2 * (b + m) + 1, d, d), dtype=np.complex128)  # frequencies -(b+m)..b+m
+        err[m:] = remainder[:, :, :d]
+        err[: 2 * b + m + 1] += reversed_adjoint(remainder[:, :, d:])
+        err[m : m + 2 * b + 1] -= window
+        psi1, psi2 = MatLaurent(0, psi[:, :, :d]), MatLaurent(0, psi[:, :, d:])
     residual = require_small(frobenius(err), REBUILD_TOL * scale, IdentityCheckError,
                              "zero-operator symbol failed to decompose, residual {residual:.3e}")
-    return ZeroSymbolResult(True, float(nrm), MatLaurent(0, psi[:, :, :d]), MatLaurent(0, psi[:, :, d:]), residual)
+    return ZeroSymbolResult(True, float(nrm), psi1, psi2, residual)
 
 
 def factor_through_theta(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional[float] = None):
@@ -342,10 +356,10 @@ def factor_through_theta(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional[
         tol = REL * scale
     if nrm > tol:
         raise NotZeroOperatorError(f"operator norm {nrm:.3e} exceeds {tol:.3e}")
-    phi1, remainder = _divide_by_theta(basis.inner.blocks, phi.lo, phi.coeffs)
+    start, phi1, remainder = _divide_by_theta(basis.inner.blocks, phi.lo, phi.coeffs)
     residual = require_small(frobenius(remainder), REBUILD_TOL * scale, IdentityCheckError,
                              "division by Theta left residual {residual:.3e}")
-    return MatLaurent(0, phi1), residual
+    return MatLaurent(start, phi1), residual
 
 
 @dataclass

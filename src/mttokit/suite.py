@@ -342,7 +342,7 @@ def _check_worked_example(spaces, rng, config):
     image = multiply(phi, f)
     yield off_space(basis.inner, image.window(0, basis.inner.m - 1))  # the support {1} lies in the window
     # distance to Theta H^2, the norm of the remainder of the division by Theta, is the full norm of the image
-    dist = np.linalg.norm(_divide_by_theta(basis.inner.blocks, image.lo, image.coeffs)[1])
+    dist = np.linalg.norm(_divide_by_theta(basis.inner.blocks, image.lo, image.coeffs)[2])
     yield 0.0 if dist > 0.9 else 1.0
     a = build(basis, phi)
     yield 0.0 if rank(a.mat) == 1 else 1.0

@@ -1,9 +1,11 @@
 import importlib.metadata
+import itertools
 import json
 import os
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from mttokit import randgen, serialize
-from mttokit.cli import main
+from mttokit.cli import COMMANDS, build_parser, main
 from mttokit.fixtures import fixture
 from mttokit.laurent import MatLaurent
 from mttokit.model_space import ModelSpaceBasis
@@ -372,11 +374,119 @@ def test_entry_point_is_installed():
     assert shutil.which("mtto") is not None
 
 
-def test_usage_error_exits_2(capsys):
+@pytest.mark.parametrize("argv, prog, words", [
+    (["op", "build", "--theta", "FIX3"], "mtto op build", "required: --symbol"),
+    (["suite", "--seed", "x"], "mtto suite", "invalid int value"),
+    (["bogus"], "mtto", "invalid choice"),
+    (["op"], "mtto op", "required"),
+    (["dim", "--theta", "FIX3", "--tol", "1e-3"], "mtto", "unrecognized arguments: --tol"),
+])
+def test_usage_error_exits_2(capsys, argv, prog, words):
+    # one E_PARSE line on stderr, as for every other unusable input
+    code, out, err = run(capsys, *argv)
+    _assert_parse_error(code, out, err)
+    message = json.loads(err)["message"]
+    assert err.count("\n") == 1 and message.startswith(prog + ": ") and words in message
+
+
+def test_help_still_goes_to_stdout_with_exit_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["op", "build", "--theta", "FIX3"])  # missing --symbol
-    assert exc.value.code == 2
-    capsys.readouterr()
+        main(["op", "test", "--help"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.err == ""
+    assert captured.out.startswith("usage: mtto op test [-h] --theta NAME|FILE --op FILE [--tol T] [--out FILE]")
+
+
+def _small_suite_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3, "cases": 1, "fixtures": ["FIX1"], "random_inners": [[1, 1]]}))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("target", ["missing directory", "a directory"])
+@pytest.mark.parametrize("command", ["dim", "suite"])
+def test_out_that_cannot_be_written_exits_2(tmp_path, capsys, command, target):
+    path = str(tmp_path / "no" / "such" / "dir" / "x.json") if target == "missing directory" else str(tmp_path)
+    argv = ["dim", "--theta", "FIX3"] if command == "dim" else ["suite", "--config", _small_suite_config(tmp_path)]
+    code, out, err = run(capsys, *argv, "--out", path)
+    _assert_parse_error(code, out, err)
+    assert err.count("\n") == 1 and json.loads(err)["message"].startswith(f"cannot write {path}: ")
+
+
+_NO_TOL_COMMANDS = {
+    "dim": ["dim", "--theta", "FIX3"],
+    "space basis": ["space", "basis", "--theta", "FIX3"],
+    "op build": ["op", "build", "--theta", "FIX3", "--symbol", "SYMBOL"],
+    "inner check": ["inner", "check", "--theta", "FIX3"],
+    "suite": ["suite", "--config", "CONFIG"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_NO_TOL_COMMANDS))
+def test_a_bad_mtto_tol_is_not_read_by_commands_without_tol(tmp_path, capsys, monkeypatch, command):
+    inputs = {"SYMBOL": write_symbol(tmp_path, "sym.json", MatLaurent.identity(2)), "CONFIG": _small_suite_config(tmp_path)}
+    monkeypatch.setenv("MTTO_TOL", "not-a-number")
+    code, out, err = run(capsys, *[inputs.get(a, a) for a in _NO_TOL_COMMANDS[command]])
+    assert code == 0 and err == "" and json.loads(out)
+
+
+@pytest.mark.parametrize("source", ["--tol", "MTTO_TOL"])
+@pytest.mark.parametrize("command, input_flag", [(("op", "test"), "--op"), (("op", "recover"), "--op"),
+                                                 (("symbol", "zero-test"), "--symbol")])
+def test_a_bad_tol_is_reported_before_a_missing_theta_file(capsys, monkeypatch, source, command, input_flag):
+    argv = [*command, "--theta", "/nonexistent/theta.json", input_flag, "/nonexistent/input.json"]
+    if source == "--tol":
+        argv += ["--tol", "abc"]
+    else:
+        monkeypatch.setenv("MTTO_TOL", "abc")
+    code, out, err = run(capsys, *argv)
+    _assert_parse_error(code, out, err)
+    assert json.loads(err)["message"] == f"{source} must be a number, got 'abc'"
+
+
+@pytest.mark.parametrize("command", [("op", "build"), ("symbol", "zero-test")])
+def test_theta_is_loaded_before_the_symbol(capsys, command):
+    code, out, err = run(capsys, *command, "--theta", "/nonexistent/theta.json", "--symbol", "/nonexistent/sym.json")
+    _assert_parse_error(code, out, err)
+    assert json.loads(err)["message"].startswith("cannot read /nonexistent/theta.json: ")
+
+
+def _readme_commands():
+    """The command words of each line of the `sh` block under "Command line" in README.md."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        words = line.split()
+        assert words[0] == "mtto", line
+        commands.append(tuple(itertools.takewhile(lambda w: not w.startswith("--"), words[1:])))
+    return commands
+
+
+def test_readme_lists_exactly_the_commands_of_the_cli_table():
+    table = [(name,) if group is None else (group, name) for group, _, name, *_ in COMMANDS]
+    assert _readme_commands() == table
+
+
+@pytest.mark.parametrize("row", COMMANDS, ids=lambda row: " ".join(filter(None, (row[0], row[2]))))
+def test_every_command_accepts_out(row):
+    group, _, name, _, arguments, handler = row
+    required = [a for flag, kwargs in arguments if kwargs.get("required") for a in (flag, "x")]
+    args = build_parser().parse_args([*filter(None, (group, name)), *required, "--out", "result.json"])
+    assert args.out == "result.json" and args.fn is handler
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_zero_test_of_a_symbol_at_frequency_1e12_is_cheap(tmp_path, capsys, sign):
+    path = tmp_path / "far.json"
+    serialize.dump_json_file(path, {"dim": 2, "lo": sign * 10**12, "coeffs": serialize.array_to_json(np.eye(2)[None])})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "symbol", "zero-test", "--theta", "FIX3", "--symbol", str(path))
+    assert time.perf_counter() - start < 1.0
+    doc = json.loads(out)
+    factor, other = ("analytic_factor", "costar_factor") if sign > 0 else ("costar_factor", "analytic_factor")
+    assert code == 0 and err == "" and doc["is_zero"] and doc["residual"] <= 1e-13
+    assert doc[factor]["lo"] == 10**12 - 2 and doc[other] == serialize.laurent_to_json(MatLaurent.zero(2))
 
 
 def _member_op_file(tmp_path):

@@ -8,15 +8,18 @@ and fixes both constant terms with one cached left inverse, and
 it.  Each must give what the Laurent route of division_oracles gives, on
 fixtures, seeded Potapov products and inner functions given by their
 coefficients, with d = 1 and m = 1 among them, and on symbols whose support
-misses frequency 0.
+misses frequency 0.  A symbol wholly at |k| >= m, as far out as 1e12, is
+divided at a cost that follows its length, not its frequencies.
 """
+
+import time
 
 import numpy as np
 import pytest
 
 from mttokit.errors import IdentityCheckError, NotZeroOperatorError
 from mttokit.fixtures import FIXTURE_NAMES, fixture
-from mttokit.laurent import MatLaurent, boundary_adjoint, multiply
+from mttokit.laurent import MatLaurent, boundary_adjoint, multiply, reversed_adjoint
 from mttokit.model_space import InnerFunction, ModelSpaceBasis
 from mttokit.mtto import _divide_by_theta, commutant_factor, factor_through_theta, zero_symbol_decompose
 from mttokit.randgen import haar_unitary, random_commuting_symbol, random_inner, random_symbol
@@ -75,13 +78,17 @@ def test_array_division_matches_the_laurent_division(basis):
     theta, d, m = basis.inner.theta, basis.inner.d, basis.inner.m
     for lo, hi in ((0, 2), (m + 2, m + 4), (-4, -1), (-3, m + 1), (0, 0)):
         f, g = random_symbol(d, lo, hi, rng), random_symbol(d, lo, hi, rng)
-        quotient, remainder = _divide_by_theta(basis.inner.blocks, f.lo, np.concatenate([f.coeffs, g.coeffs], axis=2))
-        top, base = max(f.hi, 0), min(f.lo, 0)
-        assert quotient.shape[0] == top + 1 and remainder.shape[0] == top + m + 1 - base
+        start, quotient, remainder = _divide_by_theta(basis.inner.blocks, f.lo, np.concatenate([f.coeffs, g.coeffs], axis=2))
+        top, base = max(f.hi, 0), min(f.lo, start)
+        assert start == max(lo - m, 0)
+        assert quotient.shape[0] == top + 1 - start and remainder.shape[0] == top + m + 1 - base
         for half, target in ((slice(0, d), f), (slice(d, 2 * d), g)):
             want_q, want_r = oracle.divide_by_theta(theta, target)
-            _assert_close(quotient[:, :, half], _window(want_q, 0, top), target.norm())
+            _assert_close(quotient[:, :, half], _window(want_q, start, top), target.norm())
             _assert_close(remainder[:, :, half], _window(want_r, base, top + m), target.norm())
+            # nothing is left out: the Laurent route is zero below start
+            assert not _window(want_q, 0, top).any(axis=(1, 2))[:start].any()
+            assert not _window(want_r, min(lo, 0), top + m).any(axis=(1, 2))[: base - min(lo, 0)].any()
 
 
 @pytest.mark.parametrize("basis", BASES, ids=IDS)
@@ -185,3 +192,45 @@ def test_a_broken_constant_term_solve_is_refused():
     basis.cache["tail_inverse"] = np.zeros_like(basis.cache["tail_inverse"])
     with pytest.raises(IdentityCheckError, match="failed to decompose"):
         zero_symbol_decompose(basis, phi)
+
+
+@pytest.mark.parametrize("basis", BASES, ids=IDS)
+def test_a_symbol_wholly_at_or_beyond_the_degree_matches_the_laurent_route(basis):
+    # Phi = Theta (Theta* Phi) for Phi at k >= m, and the mirror image at k <= -m
+    rng = np.random.default_rng(basis.n + 36)
+    d, m = basis.inner.d, basis.inner.m
+    for lo in (m, m + 3, 1000):
+        for phi in (random_symbol(d, lo, lo + 2, rng), random_symbol(d, -lo - 2, -lo, rng)):
+            result = zero_symbol_decompose(basis, phi)
+            want = oracle.zero_symbol_decompose(basis, phi)
+            assert result.is_zero and want.is_zero and result.operator_norm == want.operator_norm
+            _assert_same_pair(result, (want.psi1, want.psi2), phi.norm())
+            assert (result.psi2 if phi.lo > 0 else result.psi1).is_zero()
+            assert abs(result.residual - want.residual) <= 1e-12 * phi.norm()
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_symbol_at_frequency_1e12_takes_the_closed_form_at_once(name, sign):
+    basis = SPACES[name]
+    theta, d, m = basis.inner.theta, basis.inner.d, basis.inner.m
+    far = 10**12
+    start = time.perf_counter()
+    result = zero_symbol_decompose(basis, MatLaurent(sign * far, np.eye(d)[None]))
+    assert time.perf_counter() - start < 1.0
+    factor, other = (result.psi1, result.psi2) if sign > 0 else (result.psi2, result.psi1)
+    assert result.is_zero and result.residual <= 1e-13 and other.is_zero()
+    assert factor.lo == far - m and np.array_equal(factor.coeffs, reversed_adjoint(theta.coeffs))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_factor_and_commutant_factor_at_frequency_1e12(name):
+    basis = SPACES[name]
+    theta, d, far = basis.inner.theta, basis.inner.d, 10**12
+    z_far = MatLaurent(far, np.eye(d)[None])
+    start = time.perf_counter()
+    phi1, res = factor_through_theta(basis, multiply(theta, z_far))
+    assert phi1.lo == far and res <= 1e-13 and np.allclose(phi1.coeffs, np.eye(d)[None], atol=1e-14)
+    phi1, res = commutant_factor(basis, z_far)  # Phi Theta = Theta Phi for a scalar Phi
+    assert phi1.lo == far and res <= 1e-13 and np.allclose(phi1.coeffs, np.eye(d)[None], atol=1e-14)
+    assert time.perf_counter() - start < 1.0
