@@ -10,6 +10,7 @@ be used at all.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import sys
@@ -18,9 +19,9 @@ import numpy as np
 
 from . import serialize
 from .errors import MttoError, ParseError
-from .fixtures import FIXTURE_NAMES, fixture
+from .fixtures import FIXTURE_FACTORS, FIXTURE_NAMES
 from .laurent import inner_residual, purity_margin
-from .model_space import ModelSpaceBasis, inner_from_json, theta_from_json
+from .model_space import InnerFunction, ModelSpaceBasis, potapov_product, theta_from_json
 from .mtto import build, is_mtto, mtto_dimension, recover_symbol, zero_symbol_decompose
 from .numerics import INNER_TOL, REL
 from .suite import SuiteConfig, run_suite
@@ -40,16 +41,30 @@ def _emit(doc, out_path) -> None:
         raise ParseError(f"cannot write {out_path}: {exc}") from exc
 
 
+def _check_out(path: str) -> None:
+    """Refuse, before any input is read, an --out path that `_emit` could not
+    open, with `open`'s message; nothing is created or truncated."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        code = errno.EISDIR if os.path.isdir(path) else errno.EACCES if os.path.isdir(folder) else errno.ENOENT
+        raise ParseError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
+
+
 def _fail(code: str, message: str, status: int) -> int:
     sys.stderr.write(serialize.canonical_json({"error": code, "message": message}) + "\n")
     return status
 
 
+def _theta(source: str):
+    """(Theta, Potapov data or None) of --theta, a fixture name or a file, not
+    yet checked to be pure inner, so that `inner check` can judge bad input."""
+    if source in FIXTURE_FACTORS:
+        return potapov_product(FIXTURE_FACTORS[source])
+    return theta_from_json(serialize.load_json_file(source))
+
+
 def _basis(args) -> ModelSpaceBasis:
-    """The model space of --theta, a fixture name or an inner-function file."""
-    name = args.theta
-    inner = fixture(name) if name in FIXTURE_NAMES else inner_from_json(serialize.load_json_file(name))
-    return ModelSpaceBasis(inner)
+    return ModelSpaceBasis(InnerFunction(*_theta(args.theta)))
 
 
 def _load_symbol(path: str):
@@ -90,18 +105,10 @@ def _tol_from(raw: str | None) -> float | None:
     return tol
 
 
-def _candidate_theta(source: str):
-    """Matrix function to be tested, without the constructor's own
-    validation, so `inner check` can report a verdict on bad input."""
-    if source in FIXTURE_NAMES:
-        return fixture(source).theta
-    return theta_from_json(serialize.load_json_file(source))[0]
-
-
 def _inner_check(args):
     """Verdict on a candidate Theta.  A non-analytic one has neither an
     inner residual nor a purity margin: both are null, the verdict false."""
-    candidate = _candidate_theta(args.theta)
+    candidate = _theta(args.theta)[0]
     analytic = candidate.lo >= 0
     residual = inner_residual(candidate) if analytic else float("inf")
     margin = purity_margin(candidate) if analytic else None
@@ -235,6 +242,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if "tol" in args:  # read before anything is loaded, so a bad tolerance is reported first
             args.tol = _tol_from(args.tol)
+        if args.out:
+            _check_out(args.out)
         doc, status = args.fn(args)
         _emit(doc, args.out)
         return status

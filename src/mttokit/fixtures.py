@@ -1,4 +1,5 @@
-"""Named built-in inner functions used by the test suite and the CLI.
+"""Named built-in inner functions used by the test suite and the CLI, each
+given by its Potapov factors in FIXTURE_FACTORS (the left unitary is I).
 
 FIX1  scalar shift, d=1, Theta = z
 FIX2  scalar double shift, d=1, Theta = z^2
@@ -11,37 +12,17 @@ import numpy as np
 
 from .model_space import InnerFunction, make_inner_potapov
 
-FIXTURE_NAMES = ("FIX1", "FIX2", "FIX3", "FIX4", "FIX5")
+FIXTURE_FACTORS = {
+    "FIX1": [np.eye(1)],
+    "FIX2": [np.eye(1), np.eye(1)],
+    "FIX3": [np.diag([0.0, 1.0]), np.eye(2)],
+    "FIX4": [np.eye(2)],
+    "FIX5": [np.full((2, 2), 0.5), np.diag([1.0, 0.0])],
+}
+FIXTURE_NAMES = tuple(FIXTURE_FACTORS)
 
 
 def fixture(name: str) -> InnerFunction:
-    try:
-        build = _BUILDERS[name.upper()]
-    except KeyError:
-        raise KeyError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}") from None
-    return build()
-
-
-def fix1() -> InnerFunction:
-    return make_inner_potapov([np.eye(1)])
-
-
-def fix2() -> InnerFunction:
-    return make_inner_potapov([np.eye(1), np.eye(1)])
-
-
-def fix3() -> InnerFunction:
-    return make_inner_potapov([np.diag([0.0, 1.0]), np.eye(2)])
-
-
-def fix4() -> InnerFunction:
-    return make_inner_potapov([np.eye(2)])
-
-
-def fix5() -> InnerFunction:
-    p = np.full((2, 2), 0.5)
-    q = np.diag([1.0, 0.0])
-    return make_inner_potapov([p, q])
-
-
-_BUILDERS = {"FIX1": fix1, "FIX2": fix2, "FIX3": fix3, "FIX4": fix4, "FIX5": fix5}
+    if name.upper() not in FIXTURE_FACTORS:
+        raise KeyError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
+    return make_inner_potapov(FIXTURE_FACTORS[name.upper()])

@@ -41,6 +41,11 @@ PANEL = 64  # projector columns orthogonalized per block step of the basis
 GS_CUT = 1e-7  # the basis keeps a projected column whose residual norm exceeds GS_CUT
 
 
+def _require_window(m: int, d: int) -> None:
+    if m * d > MAX_WINDOW:
+        raise ParseError(f"coefficient window m*d = {m} * {d} exceeds the limit of {MAX_WINDOW} coordinates")
+
+
 def det_degree(theta: MatLaurent) -> int:
     """Degree of det Theta(z), read off one point inside the disk.
 
@@ -102,10 +107,7 @@ class InnerFunction:
     def __init__(self, theta: MatLaurent, _potapov=None):
         if theta.lo < 0:
             raise NotInnerError("inner functions must be analytic")
-        if theta.hi * theta.dim > MAX_WINDOW:
-            raise ParseError(
-                f"coefficient window m*d = {theta.hi} * {theta.dim} exceeds the limit of {MAX_WINDOW} coordinates"
-            )
+        _require_window(theta.hi, theta.dim)
         require_small(inner_residual(theta), INNER_TOL, NotInnerError, "coefficient unitarity residual {residual:.3e}")
         if not is_pure(theta):
             raise NotPureError("value at the origin is not a strict contraction")
@@ -159,7 +161,8 @@ def potapov_product(factors, left_unitary=None):
     multiply them out; purity is not checked.  Returns (Theta, (U, [P_1,
     ...], sum rank P_j)), the ranks read off from the rounded traces.  Factor
     j turns the blocks H_k of one (r+1, d, d) array into H_k (I - P_j) at k
-    plus H_k P_j at k + 1, contracted and summed as in `multiply`."""
+    plus H_k P_j at k + 1, contracted and summed as in `multiply`.  r*d >
+    MAX_WINDOW is refused before any product, even if U P_1 ... P_r = 0."""
     mats = [np.asarray(p, dtype=np.complex128) for p in factors]
     if not mats:
         raise ValueError("need at least one factor")
@@ -169,6 +172,7 @@ def potapov_product(factors, left_unitary=None):
         raise NotUnitaryError(f"left unitary must be {d} x {d}")
     if any(p.shape != (d, d) for p in mats):
         raise NotProjectionError("factor dimensions disagree")
+    _require_window(len(mats), d)
     ps, eye = np.stack(mats), np.eye(d)
     with np.errstate(all="ignore"):  # an overflow leaves an inf or nan residual, refused below
         unitary = np.linalg.norm(u.conj().T @ u - eye)
@@ -193,8 +197,8 @@ def make_inner_potapov(factors, left_unitary=None) -> InnerFunction:
 
 
 def theta_from_json(obj):
-    """(Theta, Potapov data or None) of an inner-function payload; Theta
-    is multiplied out but not yet checked to be pure inner."""
+    """(Theta, Potapov data or None) of an inner-function payload, its window
+    within MAX_WINDOW; Theta is multiplied out but not checked to be pure inner."""
     serialize.check_schema_version(obj)
     try:
         kind = obj["kind"]
@@ -212,7 +216,9 @@ def theta_from_json(obj):
     if kind == "coeffs":
         if "laurent" not in obj:
             raise ParseError("coeffs payload needs a 'laurent' field")
-        return serialize.json_to_mat_laurent(obj["laurent"]), None
+        theta = serialize.json_to_mat_laurent(obj["laurent"])
+        _require_window(theta.hi, theta.dim)
+        return theta, None
     raise ParseError(f"unknown inner function kind {kind!r}")
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mttokit import randgen, serialize
+from mttokit import cli, randgen, serialize
 from mttokit.cli import COMMANDS, build_parser, main
 from mttokit.fixtures import fixture
 from mttokit.laurent import MatLaurent
@@ -187,7 +187,7 @@ def test_op_file_with_a_wrong_v3_id_is_refused(tmp_path, capsys):
 HUGE_WINDOW = {"kind": "coeffs", "laurent": {"dim": 1, "lo": 1000000, "coeffs": [[[[1.0, 0.0]]]]}}
 
 
-@pytest.mark.parametrize("argv", [["dim"], ["space", "basis"], ["op", "build", "--symbol", "SYMBOL"]])
+@pytest.mark.parametrize("argv", [["dim"], ["space", "basis"], ["op", "build", "--symbol", "SYMBOL"], ["inner", "check"]])
 def test_window_above_the_cap_exits_2(tmp_path, capsys, argv):
     serialize.dump_json_file(tmp_path / "theta.json", HUGE_WINDOW)
     symbol = write_symbol(tmp_path, "symbol.json", MatLaurent.identity(1))
@@ -197,11 +197,18 @@ def test_window_above_the_cap_exits_2(tmp_path, capsys, argv):
     assert "1000000" in json.loads(err)["message"]
 
 
-def test_inner_check_answers_on_a_window_above_the_cap(tmp_path, capsys):
-    serialize.dump_json_file(tmp_path / "theta.json", HUGE_WINDOW)
-    code, out, err = run(capsys, "inner", "check", "--theta", str(tmp_path / "theta.json"))
-    assert code == 0 and err == ""
-    assert json.loads(out) == {"analytic": True, "inner_residual": 0.0, "purity_margin": 1.0, "verdict": True}
+@pytest.mark.parametrize("argv", [["dim"], ["inner", "check"]])
+def test_more_factors_than_the_window_holds_exit_2_before_any_product(tmp_path, capsys, monkeypatch, argv):
+    # 1025 factors at d = 2 would multiply out to diag(z^513, z^512), but the bound counts factors
+    factors = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])] * 512 + [np.diag([1.0, 0.0])]
+    serialize.dump_json_file(tmp_path / "theta.json",
+                             {"kind": "potapov", "factors": [serialize.matrix_to_json(p) for p in factors]})
+    products = []
+    monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: products.append(args))
+    code, out, err = run(capsys, *argv, "--theta", str(tmp_path / "theta.json"))
+    _assert_parse_error(code, out, err)
+    assert json.loads(err)["message"] == "coefficient window m*d = 1025 * 2 exceeds the limit of 2048 coordinates"
+    assert products == []
 
 
 def test_tol_flag_and_env_are_honored(tmp_path, capsys, monkeypatch):
@@ -411,6 +418,39 @@ def test_out_that_cannot_be_written_exits_2(tmp_path, capsys, command, target):
     code, out, err = run(capsys, *argv, "--out", path)
     _assert_parse_error(code, out, err)
     assert err.count("\n") == 1 and json.loads(err)["message"].startswith(f"cannot write {path}: ")
+
+
+def test_out_is_checked_before_any_work(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "no" / "r.json")
+    suites = []
+    monkeypatch.setattr(cli, "run_suite", suites.append)
+    code, out, err = run(capsys, "suite", "--seed", "7", "--out", path)
+    _assert_parse_error(code, out, err)
+    assert err.count("\n") == 1 and suites == []
+    assert json.loads(err)["message"] == f"cannot write {path}: [Errno 2] No such file or directory: {path!r}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["op", "test", "--op", "MISSING", "--tol", "abc", "--out", "BAD"], "--tol must be a number, got 'abc'"),
+    (["op", "test", "--op", "MISSING", "--out", "BAD"], "cannot write BAD: "),
+    (["dim", "--out", "BAD"], "cannot write BAD: "),
+])
+def test_errors_come_in_order_tol_then_out_then_input(tmp_path, capsys, argv, message):
+    bad, missing = str(tmp_path / "no" / "r.json"), str(tmp_path / "missing.json")
+    names = {"BAD": bad, "MISSING": missing}
+    code, out, err = run(capsys, *[names.get(a, a) for a in argv], "--theta", missing)
+    _assert_parse_error(code, out, err)
+    assert json.loads(err)["message"].startswith(message.replace("BAD", bad))
+
+
+def test_a_run_that_fails_on_its_input_leaves_out_alone(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    argv = ["dim", "--theta", str(tmp_path / "missing.json"), "--out", str(path)]
+    _assert_parse_error(*run(capsys, *argv))
+    assert not path.exists()
+    path.write_text("kept")
+    _assert_parse_error(*run(capsys, *argv))
+    assert path.read_text() == "kept"
 
 
 _NO_TOL_COMMANDS = {

@@ -63,6 +63,18 @@ def test_stdout_is_one_canonical_json_line(tmp_path, capsys, command, name):
     assert captured.out == serialize.canonical_json(json.loads(captured.out)) + "\n"
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_a_fixture_name_and_its_file_give_the_same_bytes(tmp_path, capsys, command, name):
+    inputs, path = _inputs(tmp_path, name), tmp_path / "theta.json"
+    serialize.dump_json_file(path, fixture(name).to_json())
+    runs = []
+    for theta in (name, str(path)):
+        code = main([a.format(theta=theta, **inputs) for a in _COMMANDS[command]])
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1]
+
+
 def test_suite_and_out_file_are_canonical_json(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     assert main(["suite", "--seed", "7"]) == 0

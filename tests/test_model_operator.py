@@ -3,7 +3,7 @@ import pytest
 
 from mttokit import model_operator
 from mttokit.errors import NotGammaSymmetricError, NotUnitaryError
-from mttokit.fixtures import fix2, fix3, fix4, fix5, fixture
+from mttokit.fixtures import fixture
 from mttokit.laurent import VecLaurent
 from mttokit.model_operator import (
     Conjugation,

@@ -11,7 +11,7 @@ from mttokit.errors import (
     NotPureError,
     NotUnitaryError,
 )
-from mttokit.fixtures import fix1, fix2, fix3, fix4, fix5, fixture
+from mttokit.fixtures import fixture
 from mttokit.laurent import MatLaurent, VecLaurent, evaluate, inner_residual, multiply
 from mttokit.model_space import (
     InnerFunction,
@@ -208,7 +208,7 @@ def test_inner_function_accepts_theta_perturbed_along_the_reading():
 
 
 def test_wrong_factor_rank_sum_is_refused():
-    inner = fix5()
+    inner = fixture("FIX5")
     u, factors, rank_sum = inner._potapov
     assert rank_sum == inner.n
     with pytest.raises(IdentityCheckError, match="factor rank sum 3"):
@@ -216,7 +216,7 @@ def test_wrong_factor_rank_sum_is_refused():
 
 
 def test_fix3_basis_is_the_expected_monomial_family():
-    basis = ModelSpaceBasis(fix3())
+    basis = ModelSpaceBasis(fixture("FIX3"))
     want = [
         VecLaurent(0, [[1.0, 0.0]]),
         VecLaurent(0, [[0.0, 1.0]]),
@@ -239,7 +239,7 @@ def test_basis_is_orthonormal_and_deterministic():
 
 
 def test_basis_membership_residuals():
-    basis = ModelSpaceBasis(fix5())
+    basis = ModelSpaceBasis(fixture("FIX5"))
     for j in range(basis.n):
         assert membership_residual(basis, element(basis, j)) <= 1e-12
     # z^m x lands inside Theta H^2, far from the model space
@@ -268,7 +268,7 @@ def test_projection_is_idempotent_and_kills_invariant_part():
 
 def test_projection_matches_inner_product_expansion():
     rng = np.random.default_rng(11)
-    basis = ModelSpaceBasis(fix3())
+    basis = ModelSpaceBasis(fixture("FIX3"))
     g = VecLaurent(-2, rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2)))
     expansion = VecLaurent.zero(2)
     for j in range(basis.n):
@@ -278,7 +278,7 @@ def test_projection_matches_inner_product_expansion():
 
 
 def test_kernel_for_scalar_double_shift_is_short_geometric_series():
-    basis = ModelSpaceBasis(fix2())
+    basis = ModelSpaceBasis(fixture("FIX2"))
     lam = 0.4 - 0.3j
     k = kernel(basis, lam, [1.0])
     want = VecLaurent(0, np.array([[1.0], [np.conj(lam)]]))
@@ -304,13 +304,13 @@ def test_kernel_reproduces_point_evaluations():
 
 
 def test_kernel_rejects_points_outside_disk():
-    basis = ModelSpaceBasis(fix2())
+    basis = ModelSpaceBasis(fixture("FIX2"))
     with pytest.raises(ValueError):
         kernel(basis, 1.2, [1.0])
 
 
 def test_tilde_kernel_fix3_at_origin():
-    basis = ModelSpaceBasis(fix3())
+    basis = ModelSpaceBasis(fixture("FIX3"))
     k1 = tilde_kernel(basis, 0.0, [1.0, 0.0])
     k2 = tilde_kernel(basis, 0.0, [0.0, 1.0])
     assert (k1 - VecLaurent(0, [[1.0, 0.0]])).norm() <= 1e-12
@@ -319,7 +319,7 @@ def test_tilde_kernel_fix3_at_origin():
 
 def test_tilde_kernel_division_is_exact():
     rng = np.random.default_rng(13)
-    basis = ModelSpaceBasis(fix5())
+    basis = ModelSpaceBasis(fixture("FIX5"))
     for _ in range(10):
         lam = 0.7 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / 2
         y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -350,7 +350,7 @@ def test_tau_is_unitary_onto_the_partner_model_space():
 
 def test_tau_intertwines_the_projections():
     rng = np.random.default_rng(15)
-    inner = fix5()
+    inner = fixture("FIX5")
     basis = ModelSpaceBasis(inner)
     partner = ModelSpaceBasis(inner.tilde())
     m, d = inner.m, inner.d
@@ -386,13 +386,13 @@ def test_symbol_space_dimension_brute_force():
         basis = ModelSpaceBasis(inner)
         dim = symbol_space_dim_bruteforce(basis)
         assert dim == n * d
-    basis3 = ModelSpaceBasis(fix3())
+    basis3 = ModelSpaceBasis(fixture("FIX3"))
     assert symbol_space_dim_bruteforce(basis3) == 6 != 3 ** 2
 
 
 def test_inner_tilde_of_diagonal_real_theta_is_itself():
-    inner = fix3()
+    inner = fixture("FIX3")
     assert (inner.tilde().theta - inner.theta).norm() == 0.0
-    inner5 = fix5()
+    inner5 = fixture("FIX5")
     diff = (inner5.tilde().theta - inner5.theta).norm()
     assert diff > 0.1  # the two elementary factors do not commute

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mttokit.errors import DimensionMismatchError, IdentityCheckError, NotMttoError, NotZeroOperatorError
-from mttokit.fixtures import fix2, fix3, fix4, fix5, fixture
+from mttokit.fixtures import fixture
 from mttokit.laurent import MatLaurent, VecLaurent, boundary_adjoint, evaluate, multiply
 from mttokit.model_operator import defect_spaces, s_theta
 from mttokit.model_space import (

@@ -10,7 +10,7 @@ must agree to the byte.
 import numpy as np
 import pytest
 
-from mttokit.errors import NotProjectionError, NotUnitaryError
+from mttokit.errors import NotProjectionError, NotUnitaryError, ParseError
 from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent, VecLaurent, multiply
 from mttokit.model_space import ModelSpaceBasis, potapov_product
@@ -59,6 +59,12 @@ def test_fixture_basis_ids_are_pinned(name):
     assert ModelSpaceBasis(fixture(name)).basis_id == FIXTURE_IDS[name]
 
 
+def test_fixture_lookup_ignores_case_and_names_the_known_fixtures():
+    assert fixture("fix5").theta.coeffs.tobytes() == fixture("FIX5").theta.coeffs.tobytes()
+    with pytest.raises(KeyError, match="unknown fixture 'FIX6'; known: FIX1, FIX2, FIX3, FIX4, FIX5"):
+        fixture("FIX6")
+
+
 def _multiply_pairs(count=600):
     rng = np.random.default_rng(2024)
     for k in range(count):
@@ -95,3 +101,18 @@ def test_bad_factors_are_refused_without_warnings(factors, u, error, recwarn):
     with pytest.raises(error):
         potapov_product(factors, u)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_more_factors_than_the_window_holds_are_refused_before_any_product(monkeypatch):
+    """The bound counts factors: 1025 of them at d = 2 are refused although
+    their top coefficient P_1 ... P_r is zero and Theta would trim to
+    diag(z^513, z^512); 1024 of them, at the limit, multiply out."""
+    factors = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])] * 512 + [np.diag([1.0, 0.0])]
+    products = []
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "einsum", lambda *args, **kwargs: products.append(args))
+        with pytest.raises(ParseError, match=r"^coefficient window m\*d = 1025 \* 2 exceeds the limit of 2048 "):
+            potapov_product(factors)
+    assert products == []
+    theta, _ = potapov_product(factors[:-1])
+    assert theta.hi == 512 and np.array_equal(theta.coeffs[-1], np.eye(2))
