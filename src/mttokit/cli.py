@@ -63,8 +63,12 @@ def _theta(source: str):
     return theta_from_json(serialize.load_json_file(source))
 
 
+def _inner(args) -> InnerFunction:
+    return InnerFunction(*_theta(args.theta))
+
+
 def _basis(args) -> ModelSpaceBasis:
-    return ModelSpaceBasis(InnerFunction(*_theta(args.theta)))
+    return ModelSpaceBasis(_inner(args))
 
 
 def _load_symbol(path: str):
@@ -167,7 +171,11 @@ def _symbol_zero_test(args):
 
 
 def _dim(args):
-    return mtto_dimension(_basis(args)).to_json(), 0
+    """The class dimension read off the validated Theta's n and d.  No basis
+    is built, so `dim` forms no window projector and runs no Gram-Schmidt
+    count check; n is witnessed by the projector trace, the det degree and,
+    for a Potapov payload, the factor rank sum."""
+    return mtto_dimension(_inner(args)).to_json(), 0
 
 
 def _suite(args):

@@ -205,6 +205,9 @@ def theta_from_json(obj):
     except (KeyError, TypeError) as exc:
         raise ParseError("inner function payload needs a 'kind' field") from exc
     if kind == "potapov":
+        raw = obj.get("factors")
+        if isinstance(raw, list) and raw and isinstance(raw[0], list):  # refused before any factor is parsed
+            _require_window(len(raw), len(raw[0]))
         try:
             factors = [serialize.json_to_matrix(p) for p in obj["factors"]]
             u = serialize.json_to_matrix(obj["left_unitary"]) if obj.get("left_unitary") is not None else None
@@ -304,6 +307,10 @@ class ModelSpaceBasis:
     @property
     def n(self) -> int:
         return self.inner.n
+
+    @property
+    def d(self) -> int:
+        return self.inner.d
 
     @property
     def basis_id(self) -> str:

@@ -44,7 +44,7 @@ from .model_operator import (
     s_theta,
     xhat,
 )
-from .model_space import ModelSpaceBasis, kernel_frame, tilde_kernel_frame
+from .model_space import InnerFunction, ModelSpaceBasis, kernel_frame, tilde_kernel_frame
 from .numerics import CHECK_TOL, REBUILD_TOL, REL, block_toeplitz, frobenius, opnorm, require_small
 
 
@@ -366,14 +366,12 @@ def factor_through_theta(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional[
 class DimensionReport:
     """The class dimension 2nd - d^2 with the counts it is made of (2nd
     coordinates of a symbol pair, less the d^2 of the zero-symbol gauge)
-    and the closed-form readings it is compared against, 2nd - d^2 and
-    2n^d - d^2."""
+    and the closed-form reading 2nd - d^2 it is compared against."""
 
     dim: int
     gauge_dim: int
     symbol_pair_dim: int
     operator_space_dim: int
-    product_reading: int
     linear_reading: int
 
     def to_json(self) -> dict:
@@ -383,14 +381,13 @@ class DimensionReport:
             "symbol_pair_dim": self.symbol_pair_dim,
             "operator_space_dim": self.operator_space_dim,
             "matches_linear_reading": self.dim == self.linear_reading,
-            "matches_product_reading": self.dim == self.product_reading,
             "linear_reading": self.linear_reading,
-            "product_reading": self.product_reading,
         }
 
 
-def mtto_dimension(basis: ModelSpaceBasis) -> DimensionReport:
-    """The dimension 2nd - d^2 of the operator class, read off n and d.
+def mtto_dimension(space: InnerFunction | ModelSpaceBasis) -> DimensionReport:
+    """The dimension 2nd - d^2 of the operator class, read off the .n and
+    .d of an `InnerFunction` or of a `ModelSpaceBasis`; no basis is needed.
 
     A_{Psi1 + Psi2*} - S A S* = X K0* + K0 Y* with X, Y the coordinates of
     the columns of Psi1, Psi2.  S is nilpotent, so X -> X - S X S* is
@@ -398,16 +395,16 @@ def mtto_dimension(basis: ModelSpaceBasis) -> DimensionReport:
     (K0 C, -K0 C*) as kernel when rank K0 = d.  Both facts hold on every
     basis of a pure Theta: K0* K0 = I - Theta(0) Theta(0)* is invertible,
     and S^k = Q* Z^k Q because Z maps Theta H^2 into itself, so S^m = 0.
-    Nothing is measured here; `defect_spaces` refuses a rank-deficient
-    kernel frame, and the suite measures ||S^m||.
+    Nothing is measured here; `InnerFunction` has already checked n by
+    the projector trace and the det degree, `defect_spaces` refuses a
+    rank-deficient kernel frame, and the suite measures ||S^m||.
     """
-    n, d = basis.n, basis.inner.d
+    n, d = space.n, space.d
     return DimensionReport(
         dim=2 * n * d - d * d,
         gauge_dim=d * d,
         symbol_pair_dim=2 * n * d,
         operator_space_dim=n * n,
-        product_reading=2 * n**d - d * d,
         linear_reading=2 * n * d - d * d,
     )
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import NotMttoError, ParseError
-from .fixtures import FIXTURE_NAMES, fixture
+from .fixtures import FIXTURE_FACTORS, FIXTURE_NAMES, fixture
 from .laurent import (
     MatLaurent,
     VecLaurent,
@@ -67,6 +67,9 @@ from .randgen import (
 from .serialize import json_to_mat_laurent, laurent_to_json
 
 _DEFAULT_SHAPES = ((2, 2), (3, 2))
+MAX_SUITE_CASES = 100  # largest `cases` a config may ask for
+MAX_SUITE_WORK = 2**25  # largest `predicted_work` of a run
+SPACE_WORK_FLOOR = 32  # a space counts as a window of at least this many coordinates
 
 
 def _is_int(v) -> bool:
@@ -119,6 +122,15 @@ class SuiteConfig:
             kwargs["tol"] = float(tol)
         return cls(**kwargs)
 
+    def __post_init__(self):
+        """Refuse, before any draw, a run whose size is out of bounds."""
+        if self.cases > MAX_SUITE_CASES:
+            raise ParseError(f"cases {self.cases} exceeds the limit of {MAX_SUITE_CASES}")
+        work = predicted_work(self)
+        if work > MAX_SUITE_WORK:
+            raise ParseError(f"predicted suite work {work} exceeds the limit of {MAX_SUITE_WORK} "
+                             f"(cases times the sum over the spaces of max(m*d, {SPACE_WORK_FLOOR})^3)")
+
     def to_json(self) -> dict:
         return {
             "seed": self.seed,
@@ -127,6 +139,15 @@ class SuiteConfig:
             "random_inners": [list(s) for s in self.random_inners],
             "tol": self.tol,
         }
+
+
+def predicted_work(config: SuiteConfig) -> int:
+    """cases * sum over the spaces of the run of max(m*d, SPACE_WORK_FLOOR)^3.
+    A case's dense n x n products cost O(n^3) with n <= m*d, and a space of
+    any size costs about as much as one with a window of SPACE_WORK_FLOOR."""
+    windows = [len(FIXTURE_FACTORS[name]) * len(FIXTURE_FACTORS[name][0]) for name in config.fixtures]
+    windows += [d * m for d, m in config.random_inners]
+    return config.cases * sum(max(w, SPACE_WORK_FLOOR) ** 3 for w in windows)
 
 
 def _spaces(config: SuiteConfig) -> list:

@@ -211,6 +211,29 @@ def test_more_factors_than_the_window_holds_exit_2_before_any_product(tmp_path, 
     assert products == []
 
 
+def test_oversized_potapov_payload_is_refused_before_any_factor_is_parsed(tmp_path, capsys, monkeypatch):
+    # 3000 factors at d = 8: the count and the first factor's rows are read off the JSON
+    serialize.dump_json_file(tmp_path / "theta.json",
+                             {"kind": "potapov", "factors": [serialize.matrix_to_json(np.eye(8))] * 3000})
+    parsed = []
+    monkeypatch.setattr(serialize, "json_to_matrix", lambda obj: parsed.append(obj))
+    code, out, err = run(capsys, "dim", "--theta", str(tmp_path / "theta.json"))
+    _assert_parse_error(code, out, err)
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["message"] == "coefficient window m*d = 3000 * 8 exceeds the limit of 2048 coordinates"
+    assert parsed == []
+
+
+@pytest.mark.parametrize("first", ["oops", []])
+def test_malformed_first_factor_keeps_its_parse_error(tmp_path, capsys, first):
+    # no rows to count: the factors are parsed as before, and the first one is refused
+    factors = [first] + [serialize.matrix_to_json(np.eye(8))] * 2999
+    serialize.dump_json_file(tmp_path / "theta.json", {"kind": "potapov", "factors": factors})
+    code, out, err = run(capsys, "dim", "--theta", str(tmp_path / "theta.json"))
+    _assert_parse_error(code, out, err)
+    assert json.loads(err)["message"] == "expected 2 levels of non-empty, equally long lists over [re, im] pairs"
+
+
 def test_tol_flag_and_env_are_honored(tmp_path, capsys, monkeypatch):
     basis = ModelSpaceBasis(fixture("FIX3"))
     op = build(basis, MatLaurent.identity(2))
@@ -312,6 +335,22 @@ def test_suite_config_errors_exit_2(tmp_path, capsys):
     assert code == 2
     code, _, err = run(capsys, "suite")
     assert code == 2
+
+
+@pytest.mark.parametrize("config", [
+    {"seed": 0, "cases": 1000000000, "random_inners": [[2, 2]], "fixtures": ["FIX1"]},
+    {"seed": 0, "cases": 1, "random_inners": [[8, 128]], "fixtures": ["FIX1"]},
+    {"seed": 0, "cases": 1, "random_inners": [[1, 1]] * 2000, "fixtures": ["FIX1"]},
+])
+def test_suite_past_its_work_bound_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, config):
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: pytest.fail("run_suite called"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "suite", "--config", str(path))
+    assert time.perf_counter() - start < 1.0
+    _assert_parse_error(code, out, err)
+    assert len(err.splitlines()) == 1
 
 
 def test_suite_shape_that_draws_no_pure_inner_exits_2(tmp_path, capsys, monkeypatch):

@@ -10,21 +10,25 @@ shift that is not the compressed shift.  `mtto dim` writes literal bytes
 on the fixtures: 2n - 1 for d = 1 and n^2 for n = d.
 """
 
+import json
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from mttokit import cli, model_space, serialize
 from mttokit.cli import main
 from mttokit.errors import IdentityCheckError
 from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent
 from mttokit import model_operator
 from mttokit.model_operator import OperatorMatrix, action_check, defect_spaces, s_theta
-from mttokit.model_space import ModelSpaceBasis, make_inner_potapov
+from mttokit.model_space import InnerFunction, ModelSpaceBasis, make_inner_potapov
 from mttokit.mtto import build, is_mtto, mtto_dimension
 from mttokit.numerics import CHECK_TOL
-from mttokit.randgen import haar_unitary, random_projection
+from mttokit.randgen import haar_unitary, random_inner, random_projection
+from mttokit.serialize import canonical_json
 
 from dimension_oracles import svd_counts
 
@@ -102,15 +106,15 @@ def test_rank_deficient_kernel_frame_is_refused(monkeypatch):
 # (2, 2), (2, 2); dim = 2nd - d^2, that is 2n - 1 for d = 1 and n^2 for n = d
 DIM_STDOUT = {
     "FIX1": '{"dim":1,"gauge_dim":1,"linear_reading":1,"matches_linear_reading":true,'
-            '"matches_product_reading":true,"operator_space_dim":1,"product_reading":1,"symbol_pair_dim":2}\n',
+            '"operator_space_dim":1,"symbol_pair_dim":2}\n',
     "FIX2": '{"dim":3,"gauge_dim":1,"linear_reading":3,"matches_linear_reading":true,'
-            '"matches_product_reading":true,"operator_space_dim":4,"product_reading":3,"symbol_pair_dim":4}\n',
+            '"operator_space_dim":4,"symbol_pair_dim":4}\n',
     "FIX3": '{"dim":8,"gauge_dim":4,"linear_reading":8,"matches_linear_reading":true,'
-            '"matches_product_reading":false,"operator_space_dim":9,"product_reading":14,"symbol_pair_dim":12}\n',
+            '"operator_space_dim":9,"symbol_pair_dim":12}\n',
     "FIX4": '{"dim":4,"gauge_dim":4,"linear_reading":4,"matches_linear_reading":true,'
-            '"matches_product_reading":true,"operator_space_dim":4,"product_reading":4,"symbol_pair_dim":8}\n',
+            '"operator_space_dim":4,"symbol_pair_dim":8}\n',
     "FIX5": '{"dim":4,"gauge_dim":4,"linear_reading":4,"matches_linear_reading":true,'
-            '"matches_product_reading":true,"operator_space_dim":4,"product_reading":4,"symbol_pair_dim":8}\n',
+            '"operator_space_dim":4,"symbol_pair_dim":8}\n',
 }
 
 
@@ -118,3 +122,78 @@ DIM_STDOUT = {
 def test_dim_stdout_is_pinned_on_the_fixtures(capsys, name):
     assert main(["dim", "--theta", name]) == 0
     assert capsys.readouterr().out == DIM_STDOUT[name]
+
+
+def test_report_of_a_space_with_n_equal_to_d_1400_serializes():
+    # an admitted window (m = 1, m*d = 1400); 2n^d - d^2 would have had more
+    # than 4300 digits, past what Python converts from int to str
+    doc = mtto_dimension(SimpleNamespace(n=1400, d=1400)).to_json()
+    assert canonical_json(doc) == ('{"dim":1960000,"gauge_dim":1960000,"linear_reading":1960000,'
+                                   '"matches_linear_reading":true,"operator_space_dim":1960000,'
+                                   '"symbol_pair_dim":3920000}')
+
+
+def _theta_files(tmp_path):
+    """--theta sources of the three kinds: a fixture, a Potapov file and a coeffs file."""
+    inner = random_inner(3, 3, np.random.default_rng(95))
+    serialize.dump_json_file(tmp_path / "potapov.json", inner.to_json())
+    serialize.dump_json_file(tmp_path / "coeffs.json", {"kind": "coeffs", "laurent": serialize.laurent_to_json(inner.theta)})
+    return {"fixture": "FIX5", "potapov": str(tmp_path / "potapov.json"), "coeffs": str(tmp_path / "coeffs.json")}
+
+
+@pytest.mark.parametrize("kind", ["fixture", "potapov", "coeffs"])
+def test_dim_builds_no_basis_and_no_projector(tmp_path, capsys, monkeypatch, kind):
+    source = _theta_files(tmp_path)[kind]
+    want = canonical_json(mtto_dimension(ModelSpaceBasis(InnerFunction(*cli._theta(source)))).to_json()) + "\n"
+    monkeypatch.setattr(cli, "ModelSpaceBasis", lambda inner: pytest.fail("basis built"))
+    monkeypatch.setattr(model_space, "window_projector", lambda blocks: pytest.fail("projector formed"))
+    assert main(["dim", "--theta", source]) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("kind", ["fixture", "potapov", "coeffs"])
+def test_space_basis_builds_one_basis_and_one_projector(tmp_path, capsys, monkeypatch, kind):
+    source, built = _theta_files(tmp_path)[kind], []
+    basis_of, projector_of = cli.ModelSpaceBasis, model_space.window_projector
+    monkeypatch.setattr(cli, "ModelSpaceBasis", lambda inner: built.append("basis") or basis_of(inner))
+    monkeypatch.setattr(model_space, "window_projector", lambda blocks: built.append("projector") or projector_of(blocks))
+    assert main(["space", "basis", "--theta", source]) == 0
+    assert built == ["basis", "projector"]
+
+
+def test_dim_runs_no_gram_schmidt_count_check(capsys, monkeypatch):
+    # a basis one direction short: `space basis` refuses it, `dim` never builds it
+    sweep = model_space._panel_gram_schmidt
+    monkeypatch.setattr(model_space, "_panel_gram_schmidt", lambda p, n: sweep(p, n)[:, :-1])
+    assert main(["space", "basis", "--theta", "FIX3"]) == 1
+    assert "Gram-Schmidt count 2, projector trace 3" in json.loads(capsys.readouterr().err)["message"]
+    assert main(["dim", "--theta", "FIX3"]) == 0
+    assert capsys.readouterr().out == DIM_STDOUT["FIX3"]
+
+
+_REFUSED = {  # payload: (exit status, error code) of both `dim` and `space basis`
+    "not inner": ({"kind": "coeffs", "laurent": {"dim": 1, "lo": 0, "coeffs": [[[[0.5, 0]]], [[[0.5, 0]]]]}},
+                  (1, "E_NOT_INNER")),
+    "overflowing": ({"kind": "coeffs", "laurent": {"dim": 1, "lo": 0, "coeffs": [[[[1e154, 0]]], [[[1e154, 0]]]]}},
+                    (1, "E_NOT_INNER")),
+    "not pure": ({"kind": "potapov", "factors": [serialize.matrix_to_json(np.diag([1.0, 0.0]))]}, (1, "E_NOT_PURE")),
+    "not a projection": ({"kind": "potapov", "factors": [serialize.matrix_to_json(np.full((2, 2), 0.7))]},
+                         (1, "E_NOT_PROJECTION")),
+    "not unitary": ({"kind": "potapov", "left_unitary": serialize.matrix_to_json(2 * np.eye(2)),
+                     "factors": [serialize.matrix_to_json(np.eye(2))]}, (1, "E_NOT_UNITARY")),
+    "window": ({"kind": "coeffs", "laurent": {"dim": 1, "lo": 10**6, "coeffs": [[[[1.0, 0.0]]]]}}, (2, "E_PARSE")),
+    "factor window": ({"kind": "potapov", "factors": [serialize.matrix_to_json(np.eye(2))] * 1025}, (2, "E_PARSE")),
+    "unknown kind": ({"kind": "spline"}, (2, "E_PARSE")),
+    "no factors": ({"kind": "potapov", "factors": []}, (2, "E_PARSE")),
+    "ragged factor": ({"kind": "potapov", "factors": [[[[1, 0]], [[0, 0], [1, 0]]]]}, (2, "E_PARSE")),
+}
+
+
+@pytest.mark.parametrize("payload", sorted(_REFUSED))
+@pytest.mark.parametrize("argv", [["dim"], ["space", "basis"]])
+def test_dim_refuses_what_the_basis_route_refuses(tmp_path, capsys, payload, argv):
+    doc, (status, code) = _REFUSED[payload]
+    serialize.dump_json_file(tmp_path / "theta.json", doc)
+    assert main([*argv, "--theta", str(tmp_path / "theta.json")]) == status
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err)["error"] == code

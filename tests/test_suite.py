@@ -36,6 +36,23 @@ def test_config_rejects_bad_payloads(payload):
         SuiteConfig.from_json(payload)
 
 
+def test_default_and_benchmark_configs_are_within_the_work_bound():
+    benchmark = SuiteConfig(seed=0, cases=1, random_inners=((2, 2),))
+    assert suite.predicted_work(SuiteConfig(seed=0)) == 5 * 7 * 32**3
+    assert suite.predicted_work(benchmark) == 6 * 32**3
+    assert suite.predicted_work(SuiteConfig(seed=0, cases=suite.MAX_SUITE_CASES)) <= suite.MAX_SUITE_WORK
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"cases": 101}, "cases 101 exceeds the limit of 100"),
+    ({"cases": 1, "fixtures": ("FIX1",), "random_inners": ((16, 128),)}, "predicted suite work 8589967360 exceeds"),
+    ({"cases": 1, "fixtures": ("FIX1",) * 1100, "random_inners": ()}, "predicted suite work 36044800 exceeds"),
+])
+def test_config_past_the_work_bound_is_refused_on_construction(kwargs, message):
+    with pytest.raises(ParseError, match=message):
+        SuiteConfig(seed=0, **kwargs)
+
+
 def test_report_shape_and_registry():
     names = check_names()
     assert len(names) == len(set(names))
