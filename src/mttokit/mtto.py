@@ -22,7 +22,7 @@ space.  The class dimension is a count, 2nd - d^2, read off the space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -116,15 +116,36 @@ def _plain_delta(basis: ModelSpaceBasis, amat: np.ndarray) -> np.ndarray:
     return amat - s.mat @ amat @ s_adj.mat
 
 
+def _starred_delta(basis: ModelSpaceBasis, amat: np.ndarray) -> np.ndarray:
+    s, s_adj = s_theta(basis)
+    return amat - s_adj.mat @ amat @ s.mat
+
+
+def _membership(basis: ModelSpaceBasis, amat: np.ndarray, tol: Optional[float]):
+    """The membership rule, written once for `is_mtto` and `recover_symbol`:
+    (Delta, residual, ||A||_F, tol, bracket) for Delta = A - S A S* and the
+    residual ||P Delta P||_F, P = I - U U* off the first defect space, two
+    n x n products and two rank-d corrections, no SVD on a warm basis, and
+    exactly 0 when n = d (P = 0).  A is a member when residual <= tol, tol
+    defaulting to REL * ||A||_F.  X -> X - S X S* is inverted by
+    sum_{k<m} S^k X S*^k, so the bracket (residual / 2, m * residual) holds
+    dist_F(A, class)."""
+    delta = _plain_delta(basis, amat)
+    residual = _off_defect_norm(delta, defect_spaces(basis).d_basis)
+    scale = frobenius(amat)
+    tol = REL * scale if tol is None else tol
+    return delta, residual, scale, tol, (residual / 2, basis.inner.m * residual)
+
+
 @dataclass
 class MttoDecision:
     """Verdict residual <= tol on D = ||P Delta P||_F for `amat`, a
     read-only copy of A; `distance_bounds` = (residual / 2, m * residual)
     brackets the Frobenius distance to the class.  The witness forms
-    Delta = A - S A S* again and splits it on first read, and the starred
-    identity A - S* A S behind `variants` and `witness_tilde` is formed on
-    first read of either; a caller that only wants the verdict pays for
-    neither and keeps no n x n array but A."""
+    Delta = A - S A S* again and splits it on first read, and
+    `witness_tilde` forms the starred identity A - S* A S on first read; a
+    caller that only wants the verdict pays for neither and keeps no n x n
+    array but A."""
 
     verdict: bool
     residual: float
@@ -140,56 +161,32 @@ class MttoDecision:
         return _frame_split(_plain_delta(self.basis, self.amat), ds.d_frame, ds.d_pinv)
 
     @cached_property
-    def delta_tilde(self) -> np.ndarray:
-        s, s_adj = s_theta(self.basis)
-        return self.amat - s_adj.mat @ self.amat @ s.mat
-
-    @cached_property
-    def variants(self) -> dict:
-        """D and, by the same route off the second defect space, Dtilde;
-        D = Dtilde in exact arithmetic.  "shift" (the starred difference
-        compressed to the second complement) is Dtilde."""
-        starred = _off_defect_norm(self.delta_tilde, defect_spaces(self.basis).dt_basis)
-        return {"D": self.residual, "Dtilde": starred, "shift": starred}
-
-    @cached_property
     def witness_tilde(self) -> MttoWitness:
-        """The split of A - S* A S over the second kernel frame."""
+        """The split of A - S* A S over the second kernel frame; its residual
+        equals the witness's in exact arithmetic (S K0~ spans the first
+        defect space)."""
         ds = defect_spaces(self.basis)
-        return _frame_split(self.delta_tilde, ds.dt_frame, ds.dt_pinv)
+        return _frame_split(_starred_delta(self.basis, self.amat), ds.dt_frame, ds.dt_pinv)
 
     def to_json(self) -> dict:
         return {
             "verdict": self.verdict,
             "residual": self.residual,
             "tol": self.tol,
-            "variant": "D",
-            "variants": {k: float(v) for k, v in self.variants.items()},
             "distance_bounds": list(self.distance_bounds),
         }
 
 
 def is_mtto(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> MttoDecision:
-    """Decide membership on the one defect identity Delta = A - S A S*:
-    the residual is D = ||P Delta P||_F with P = I - U U* off the first
-    defect space, two n x n products and two rank-d corrections, no SVD on
-    a warm basis, and exactly 0 when n = d (P = 0).  The verdict is
-    residual <= tol, tol defaulting to REL * ||A||_F.  X -> X - S X S* is
-    inverted by sum_{k<m} S^k X S*^k, so residual / 2 <= dist_F(A, class)
-    <= m * residual.  An operator of another space is refused."""
+    """Decide membership: the verdict is residual <= tol on the residual
+    ||P Delta P||_F of Delta = A - S A S*, tol defaulting to REL * ||A||_F,
+    with the bracket (residual / 2, m * residual) of the distance to the
+    class, by the one rule that recover_symbol shares (`_membership`).  An
+    operator of another space is refused."""
     amat = np.array(matrix_of(a, basis), dtype=np.complex128)
     amat.setflags(write=False)
-    if tol is None:
-        tol = REL * frobenius(amat)
-    residual = _off_defect_norm(_plain_delta(basis, amat), defect_spaces(basis).d_basis)
-    return MttoDecision(
-        verdict=bool(residual <= tol),
-        residual=float(residual),
-        tol=float(tol),
-        distance_bounds=(residual / 2, basis.inner.m * residual),
-        basis=basis,
-        amat=amat,
-    )
+    _, residual, _, tol, bounds = _membership(basis, amat, tol)
+    return MttoDecision(bool(residual <= tol), float(residual), float(tol), bounds, basis, amat)
 
 
 def _divide_by_theta(blocks: np.ndarray, lo: int, target: np.ndarray):
@@ -242,24 +239,19 @@ class RecoveredSymbol:
 
 def recover_symbol(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> RecoveredSymbol:
     """Minimum-norm symbol pair (Psi1, Psi2), both in the standard symbol
-    space, with A = A_{Psi1 + Psi2*}.  Delta = A - S A S* is formed once and
-    decided on exactly as in is_mtto, so the two agree at every tol: above
-    tol (default REL * ||A||_F) the residual ||P Delta P||_F refuses the
-    operator, naming the certified interval of its distance to the class;
-    otherwise Delta is split once over K0, and the rebuild is checked to
-    REBUILD_TOL ||A||_F.  Psi1, Psi2 have coordinates (X + K0 C, Y - K0 C*), with
-    the d x d gauge C of minimum norm: H C + C H = Y* K0 - K0* X for
-    H = K0* K0, in the cached eigenbasis of H."""
+    space, with A = A_{Psi1 + Psi2*}.  The rule of `_membership`, the one
+    is_mtto decides by, forms Delta = A - S A S*, so the two agree at every
+    tol: a non-member is refused with the certified interval of its
+    distance to the class; a member's Delta is split once over K0, and the
+    rebuild is checked to REBUILD_TOL ||A||_F.  Psi1, Psi2 have coordinates
+    (X + K0 C, Y - K0 C*), with the d x d gauge C of minimum norm:
+    H C + C H = Y* K0 - K0* X for H = K0* K0, in the cached eigenbasis of H."""
     amat, ds, m = np.asarray(matrix_of(a, basis), dtype=np.complex128), defect_spaces(basis), basis.inner.m
-    delta = _plain_delta(basis, amat)
-    residual = _off_defect_norm(delta, ds.d_basis)
-    scale = frobenius(amat)
-    if tol is None:
-        tol = REL * scale
+    delta, residual, scale, tol, (low, high) = _membership(basis, amat, tol)
     if not residual <= tol:
         raise NotMttoError(
             f"operator is not a truncated Toeplitz operator: residual {residual:.3e}"
-            f" > tol {tol:.3e}; its Frobenius distance to the class lies in [{residual / 2:.3e}, {m * residual:.3e}]"
+            f" > tol {tol:.3e}; its Frobenius distance to the class lies in [{low:.3e}, {high:.3e}]"
         )
     lam, v, k0 = ds.gram_values, ds.gram_vectors, ds.d_frame
     x, y = _split_coords(delta, k0, ds.d_pinv)
@@ -304,6 +296,13 @@ def _analytic_slot(basis: ModelSpaceBasis, pair: np.ndarray):
     return psi, remainder
 
 
+def _zero_operator_test(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional[float]):
+    """(||A_Phi||, ||Phi||, tol) for the zero-operator test ||A_Phi|| <= tol,
+    tol defaulting to REL * ||Phi|| with ||Phi|| the norm of the coefficients."""
+    nrm, scale = opnorm(build(basis, phi).mat), phi.norm()
+    return nrm, scale, REL * scale if tol is None else tol
+
+
 def zero_symbol_decompose(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional[float] = None) -> ZeroSymbolResult:
     """If phi induces the zero operator, write it as Theta Psi1 plus the
     boundary adjoint of Theta Psi2 with both factors analytic; otherwise
@@ -316,9 +315,7 @@ def zero_symbol_decompose(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional
     d, m = basis.inner.d, basis.inner.m
     if phi.dim != d:
         raise DimensionMismatchError("symbol dimension does not match")
-    nrm, scale = opnorm(build(basis, phi).mat), phi.norm()
-    if tol is None:
-        tol = REL * scale
+    nrm, scale, tol = _zero_operator_test(basis, phi, tol)
     if nrm > tol:
         return ZeroSymbolResult(is_zero=False, operator_norm=float(nrm))
     if phi.lo >= m or phi.hi <= -m:  # Phi = Theta (Theta* Phi), or Phi* = Theta (Theta* Phi*)
@@ -351,9 +348,7 @@ def factor_through_theta(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional[
     """
     if phi.lo < 0:
         raise ValueError("only analytic symbols factor through Theta")
-    nrm, scale = opnorm(build(basis, phi).mat), phi.norm()
-    if tol is None:
-        tol = REL * scale
+    nrm, scale, tol = _zero_operator_test(basis, phi, tol)
     if nrm > tol:
         raise NotZeroOperatorError(f"operator norm {nrm:.3e} exceeds {tol:.3e}")
     start, phi1, remainder = _divide_by_theta(basis.inner.blocks, phi.lo, phi.coeffs)
@@ -364,25 +359,16 @@ def factor_through_theta(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional[
 
 @dataclass
 class DimensionReport:
-    """The class dimension 2nd - d^2 with the counts it is made of (2nd
-    coordinates of a symbol pair, less the d^2 of the zero-symbol gauge)
-    and the closed-form reading 2nd - d^2 it is compared against."""
+    """The class dimension 2nd - d^2 with the counts it is made of: 2nd
+    coordinates of a symbol pair, less the d^2 of the zero-symbol gauge."""
 
     dim: int
     gauge_dim: int
     symbol_pair_dim: int
     operator_space_dim: int
-    linear_reading: int
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "gauge_dim": self.gauge_dim,
-            "symbol_pair_dim": self.symbol_pair_dim,
-            "operator_space_dim": self.operator_space_dim,
-            "matches_linear_reading": self.dim == self.linear_reading,
-            "linear_reading": self.linear_reading,
-        }
+        return asdict(self)
 
 
 def mtto_dimension(space: InnerFunction | ModelSpaceBasis) -> DimensionReport:
@@ -405,7 +391,6 @@ def mtto_dimension(space: InnerFunction | ModelSpaceBasis) -> DimensionReport:
         gauge_dim=d * d,
         symbol_pair_dim=2 * n * d,
         operator_space_dim=n * n,
-        linear_reading=2 * n * d - d * d,
     )
 
 

@@ -10,8 +10,7 @@ norm of A.  `class_span` is the operator class by brute force, the
 orthonormal span of the operators of the unit symbols E_ij z^t.
 `split_decision` is is_mtto as it was before it decided on one identity:
 both identities split over their kernel frames on every call, the residual
-the larger of the two, with the starred one compressed a third time for
-"shift".
+the larger of the two.
 """
 
 from dataclasses import dataclass
@@ -90,7 +89,6 @@ class SplitDecision:
     verdict: bool
     residual: float
     tol: float
-    variants: dict
     witness: Split
     witness_tilde: Split
 
@@ -105,18 +103,13 @@ def frame_split(delta: np.ndarray, frame: np.ndarray, kp: np.ndarray) -> Split:
 
 def split_decision(basis, a: np.ndarray, tol=None) -> SplitDecision:
     """Membership by splitting both defect identities over the cached
-    kernel frames and their left inverses, with "shift" the starred
-    difference compressed to the complement of the second defect space;
-    norms are taken by the package's scale-safe `frobenius`."""
+    kernel frames and their left inverses; norms are taken by the
+    package's scale-safe `frobenius`."""
     if tol is None:
         tol = REL * frobenius(a)
     s, s_adj = (op.mat for op in s_theta(basis))
     ds = defect_spaces(basis)
     witness = frame_split(a - s @ a @ s_adj, ds.d_frame, ds.d_pinv)
-    delta_tilde = a - s_adj @ a @ s
-    witness_tilde = frame_split(delta_tilde, ds.dt_frame, ds.dt_pinv)
+    witness_tilde = frame_split(a - s_adj @ a @ s, ds.dt_frame, ds.dt_pinv)
     residual = max(witness.residual, witness_tilde.residual)
-    comp_dt = complement(ds.dt_frame)
-    shift = frobenius(comp_dt.conj().T @ delta_tilde @ comp_dt)
-    variants = {"D": witness.residual, "Dtilde": witness_tilde.residual, "shift": shift}
-    return SplitDecision(bool(residual <= tol), residual, float(tol), variants, witness, witness_tilde)
+    return SplitDecision(bool(residual <= tol), residual, float(tol), witness, witness_tilde)

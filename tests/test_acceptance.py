@@ -180,12 +180,11 @@ def test_05_membership_characterization():
     ok = worst_witness <= 1e-8 and least_defect >= 1e-3 and agree and worst_member <= 1e-9
     _verdict(5, "membership decided with witnesses on 50 members and 20 rejections", ok,
              f"witness {worst_witness:.2e} <= 1e-8, rejection margin {least_defect:.2e} >= 1e-3, "
-             f"variants agree on all 70: {agree}")
+             f"plain and starred residuals agree on all 70: {agree}")
 
 
 def _predicates_agree(decision) -> bool:
-    votes = [v <= decision.tol for v in decision.variants.values()]
-    return all(votes) or not any(votes)
+    return (decision.residual <= decision.tol) == (decision.witness_tilde.residual <= decision.tol)
 
 
 def test_06_zero_symbol_both_directions():

@@ -8,16 +8,18 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mttokit import cli, randgen, serialize
+from mttokit import cli, mtto, randgen, serialize
 from mttokit.cli import COMMANDS, build_parser, main
-from mttokit.fixtures import fixture
+from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent
+from mttokit.model_operator import OperatorMatrix
 from mttokit.model_space import ModelSpaceBasis
-from mttokit.mtto import build
+from mttokit.mtto import build, is_mtto
 from mttokit.suite import SuiteConfig, _spaces
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,7 +88,7 @@ def test_op_build_test_recover_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "op", "test", "--theta", "FIX3", "--op", op_path)
     doc = json.loads(out)
     assert code == 0 and doc["verdict"] and doc["residual"] <= doc["tol"]
-    assert set(doc["variants"]) == {"D", "Dtilde", "shift"}
+    assert set(doc) == {"distance_bounds", "residual", "tol", "verdict"}
     assert doc["distance_bounds"] == [doc["residual"] / 2, 2 * doc["residual"]]
     code, out, _ = run(capsys, "op", "recover", "--theta", "FIX3", "--op", op_path)
     rec = json.loads(out)
@@ -305,6 +307,68 @@ def test_dim_command(capsys):
     code, out, _ = run(capsys, "dim", "--theta", "FIX2")
     doc = json.loads(out)
     assert code == 0 and doc["dim"] == 3 and doc["gauge_dim"] == 1
+
+
+def _counted(monkeypatch, name):
+    """Calls of the mtto function `name`, counted from here on."""
+    calls, real = [], getattr(mtto, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mtto, name, counted)
+    return calls
+
+
+def test_op_test_decides_by_the_one_rule_and_never_forms_the_starred_identity(tmp_path, capsys, monkeypatch):
+    """On FIX1-FIX5 and a seeded Potapov file, `op test` on a member and on a
+    Gaussian operator goes through `_membership` once and never forms
+    A - S* A S; `op recover` goes through the same rule."""
+    potapov = tmp_path / "potapov.json"
+    serialize.dump_json_file(potapov, randgen.random_inner(2, 3, np.random.default_rng(32)).to_json())
+    starred, rules = _counted(monkeypatch, "_starred_delta"), _counted(monkeypatch, "_membership")
+    rng = np.random.default_rng(33)
+    for source in (*FIXTURE_NAMES, str(potapov)):
+        basis = cli._basis(SimpleNamespace(theta=source))
+        gaussian = rng.standard_normal((basis.n, basis.n))
+        for i, op in enumerate((build(basis, MatLaurent.identity(basis.inner.d)), OperatorMatrix(basis, gaussian))):
+            path = tmp_path / f"op{i}.json"
+            serialize.dump_json_file(path, op.to_json())
+            rules.clear()
+            code, out, err = run(capsys, "op", "test", "--theta", source, "--op", str(path))
+            assert code in (0, 1) and err == "" and json.loads(out)["verdict"] is (code == 0)
+            assert len(rules) == 1 and starred == [], source
+        rules.clear()
+        assert run(capsys, "op", "recover", "--theta", source, "--op", str(tmp_path / "op0.json"))[0] == 0
+        assert len(rules) == 1 and starred == [], source
+    is_mtto(basis, gaussian).witness_tilde  # the spy sees the starred identity where it is formed
+    assert len(starred) == 1
+
+
+def test_every_command_writes_its_pinned_keys_on_fix3(tmp_path, capsys):
+    symbol = write_symbol(tmp_path, "symbol.json", MatLaurent.identity(2))
+    zero = write_symbol(tmp_path, "zero.json", fixture("FIX3").theta)
+    op = _member_op_file(tmp_path)
+    zero_keys = {"schema_version", "is_zero", "operator_norm"}
+    runs = {
+        ("inner", "check"): ([], {"analytic", "inner_residual", "purity_margin", "verdict"}),
+        ("space", "basis"): ([], {"schema_version", "basis_id", "n", "d", "degree", "columns"}),
+        ("op", "build"): (["--symbol", symbol], {"schema_version", "n", "basis_id", "entries"}),
+        ("op", "test"): (["--op", op], {"distance_bounds", "residual", "tol", "verdict"}),
+        ("op", "recover"): (["--op", op], {"schema_version", "analytic_part", "costar_part", "rebuild_residual"}),
+        ("symbol", "zero-test"): (["--symbol", symbol], zero_keys),
+        (None, "dim"): ([], {"dim", "gauge_dim", "operator_space_dim", "symbol_pair_dim"}),
+    }
+    assert set(runs) | {(None, "suite")} == {(row[0], row[2]) for row in COMMANDS}
+    for (group, name), (extra, keys) in runs.items():
+        code, out, _ = run(capsys, *([group] if group else []), name, "--theta", "FIX3", *extra)
+        assert code == 0 or name == "zero-test", name
+        assert set(json.loads(out)) == keys, name
+    code, out, _ = run(capsys, "symbol", "zero-test", "--theta", "FIX3", "--symbol", zero)
+    assert code == 0 and set(json.loads(out)) == zero_keys | {"analytic_factor", "costar_factor", "residual"}
+    code, out, _ = run(capsys, "suite", "--config", _small_suite_config(tmp_path))
+    assert code == 0 and set(json.loads(out)) == {"schema_version", "config", "checks", "pass"}
 
 
 def test_suite_runs_are_byte_identical(tmp_path, capsys):

@@ -105,16 +105,11 @@ def test_rank_deficient_kernel_frame_is_refused(monkeypatch):
 # `mtto dim` on the fixtures as literal bytes: (n, d) = (1, 1), (2, 1), (3, 2),
 # (2, 2), (2, 2); dim = 2nd - d^2, that is 2n - 1 for d = 1 and n^2 for n = d
 DIM_STDOUT = {
-    "FIX1": '{"dim":1,"gauge_dim":1,"linear_reading":1,"matches_linear_reading":true,'
-            '"operator_space_dim":1,"symbol_pair_dim":2}\n',
-    "FIX2": '{"dim":3,"gauge_dim":1,"linear_reading":3,"matches_linear_reading":true,'
-            '"operator_space_dim":4,"symbol_pair_dim":4}\n',
-    "FIX3": '{"dim":8,"gauge_dim":4,"linear_reading":8,"matches_linear_reading":true,'
-            '"operator_space_dim":9,"symbol_pair_dim":12}\n',
-    "FIX4": '{"dim":4,"gauge_dim":4,"linear_reading":4,"matches_linear_reading":true,'
-            '"operator_space_dim":4,"symbol_pair_dim":8}\n',
-    "FIX5": '{"dim":4,"gauge_dim":4,"linear_reading":4,"matches_linear_reading":true,'
-            '"operator_space_dim":4,"symbol_pair_dim":8}\n',
+    "FIX1": '{"dim":1,"gauge_dim":1,"operator_space_dim":1,"symbol_pair_dim":2}\n',
+    "FIX2": '{"dim":3,"gauge_dim":1,"operator_space_dim":4,"symbol_pair_dim":4}\n',
+    "FIX3": '{"dim":8,"gauge_dim":4,"operator_space_dim":9,"symbol_pair_dim":12}\n',
+    "FIX4": '{"dim":4,"gauge_dim":4,"operator_space_dim":4,"symbol_pair_dim":8}\n',
+    "FIX5": '{"dim":4,"gauge_dim":4,"operator_space_dim":4,"symbol_pair_dim":8}\n',
 }
 
 
@@ -128,8 +123,7 @@ def test_report_of_a_space_with_n_equal_to_d_1400_serializes():
     # an admitted window (m = 1, m*d = 1400); 2n^d - d^2 would have had more
     # than 4300 digits, past what Python converts from int to str
     doc = mtto_dimension(SimpleNamespace(n=1400, d=1400)).to_json()
-    assert canonical_json(doc) == ('{"dim":1960000,"gauge_dim":1960000,"linear_reading":1960000,'
-                                   '"matches_linear_reading":true,"operator_space_dim":1960000,'
+    assert canonical_json(doc) == ('{"dim":1960000,"gauge_dim":1960000,"operator_space_dim":1960000,'
                                    '"symbol_pair_dim":3920000}')
 
 

@@ -1,8 +1,8 @@
 """Membership and recovery decided in the Frobenius norm.
 
-is_mtto decides on ||C* (A - S A S*) C||_F against REL * ||A||_F and
-reports it with ||Ct* (A - S* A S) Ct||_F as variants, with C and Ct
-orthonormal complements of the two defect spaces, and on a basis whose
+is_mtto decides on ||C* (A - S A S*) C||_F against REL * ||A||_F, and the
+split residual of its starred witness is ||Ct* (A - S* A S) Ct||_F, with C
+and Ct orthonormal complements of the two defect spaces; on a basis whose
 shift and defect data are cached takes no SVD; recover_symbol checks its
 rebuild in the same norm.  The references are in membership_oracles:
 the compressions through complements computed here, and the spectral rule
@@ -88,17 +88,15 @@ def test_no_svd_in_is_mtto_or_recover_symbol_on_a_warm_basis(basis, svd_calls):
 
 
 @pytest.mark.parametrize("basis", SPACES, ids=IDS)
-def test_variants_are_the_frobenius_norms_of_the_compressed_identities(basis):
+def test_residuals_are_the_frobenius_norms_of_the_compressed_identities(basis):
     rng = np.random.default_rng(basis.n + 1)
     for label, a in _operators(basis, rng):
         e, e_tilde = compressed_defects(basis, a)
         want, want_tilde = np.linalg.norm(e), np.linalg.norm(e_tilde)
         decision = is_mtto(basis, a)
         scale = 1e-12 * frobenius(a)
-        assert abs(decision.variants["D"] - want) <= scale, label
-        assert abs(decision.variants["Dtilde"] - want_tilde) <= scale, label
-        assert abs(decision.variants["shift"] - want_tilde) <= scale, label
-        assert decision.residual == decision.variants["D"]
+        assert abs(decision.residual - want) <= scale, label
+        assert abs(decision.witness_tilde.residual - want_tilde) <= scale, label
         assert decision.tol == REL * np.linalg.norm(a)
         lo, hi = decision.distance_bounds
         assert (lo, hi) == (decision.residual / 2, basis.inner.m * decision.residual)

@@ -3,15 +3,15 @@
 is_mtto forms Delta = A - S A S* once and reads D = ||P Delta P||_F off it
 with P = I - U U* applied as two rank-d corrections; the decision keeps
 only its copy of A, the witness forms Delta again when read, and the
-starred identity A - S* A S behind `variants` and `witness_tilde` is
-formed only when read.  recover_symbol forms Delta once, decides on it as
-is_mtto does, so the two agree at every tol, and splits it once.  The reference is
+starred identity A - S* A S behind `witness_tilde` is formed only when
+read.  recover_symbol decides by the same rule, `_membership`, so the two
+agree at every tol, and splits Delta once.  The reference is
 `membership_oracles.split_decision`, the route that split both identities
 on every call and decided on the larger residual: verdicts must be equal
 and residuals agree to 1e-13 max(1, ||A||_F) on the fixtures, rotated
 monomial spaces, seeded spaces and a scale sweep, including n = d, where
 P = 0, where the fixtures with Theta(0) = 0 match the reference exactly.
-On that sweep D = Dtilde to 1e-13 ||A||_F, and recover_symbol
+On that sweep the starred split residual equals D to 1e-13 ||A||_F, and recover_symbol
 refuses exactly the operators is_mtto rejects.  A counting wrapper shows
 that a warm is_mtto splits nothing and takes no SVD, and that
 recover_symbol splits the plain identity once and never calls is_mtto.
@@ -74,11 +74,7 @@ def _assert_same_decision(basis, a, bound):
     assert got.verdict is want.verdict
     assert got.tol == want.tol
     assert abs(got.residual - want.residual) <= bound
-    assert got.residual == got.variants["D"]
-    for key in ("D", "Dtilde", "shift"):
-        assert abs(got.variants[key] - want.variants[key]) <= bound, key
-    assert got.variants["shift"] == got.variants["Dtilde"]  # the same compression, W = C~
-    assert abs(got.variants["D"] - got.variants["Dtilde"]) <= bound  # D = Dtilde in exact arithmetic
+    assert abs(got.residual - got.witness_tilde.residual) <= bound  # equal in exact arithmetic
     for lazy, split in ((got.witness, want.witness), (got.witness_tilde, want.witness_tilde)):
         assert abs(lazy.residual - split.residual) <= bound
         for mine, theirs in ((lazy.x, split.x), (lazy.y, split.y)):
@@ -128,7 +124,7 @@ def test_every_operator_is_a_member_when_the_complement_is_empty(inner, rel):
     rng = np.random.default_rng(3)
     for a in (np.zeros((basis.n, basis.n)), _gaussian(basis.n, rng), 1e200 * _gaussian(basis.n, rng)):
         got = _assert_same_decision(basis, a, rel * frobenius(a))
-        assert got.verdict and got.residual == 0.0 and got.variants == {"D": 0.0, "Dtilde": 0.0, "shift": 0.0}
+        assert got.verdict and got.residual == 0.0
         assert recover_symbol(basis, a, 1e-300).residual <= 1e-8 * frobenius(a)  # P = 0: no tol refuses
 
 
@@ -144,12 +140,12 @@ def test_the_defect_data_is_rank_d_and_the_decision_keeps_only_a(basis):
     a = _gaussian(n, rng)
     decision = is_mtto(basis, a)
     assert [k for k, v in vars(decision).items() if isinstance(v, np.ndarray)] == ["amat"]
-    assert "delta_tilde" not in vars(decision)  # the starred identity waits for its reader
+    assert "witness_tilde" not in vars(decision)  # the starred identity waits for its reader
     c, ct = complement(ds.d_frame), complement(ds.dt_frame)
     want = frobenius(c.conj().T @ (a - s.mat @ a @ s_adj.mat) @ c)
     assert abs(decision.residual - want) <= 1e-13 * frobenius(a)
     want_tilde = frobenius(ct.conj().T @ (a - s_adj.mat @ a @ s.mat) @ ct)
-    assert abs(decision.variants["Dtilde"] - want_tilde) <= 1e-13 * frobenius(a)
+    assert abs(decision.witness_tilde.residual - want_tilde) <= 1e-13 * frobenius(a)
 
 
 @pytest.mark.parametrize("basis", [b for b in BASES if b.n > b.inner.d], ids=[i for i, b in SPACES if b.n > b.inner.d])
@@ -206,7 +202,7 @@ def test_a_warm_decision_splits_nothing_and_takes_no_svd(basis, splits, svds):
     svds.clear()
     decision = is_mtto(basis, a)
     is_mtto(basis, _gaussian(basis.n, rng))
-    assert "delta_tilde" not in vars(decision)
+    assert "witness_tilde" not in vars(decision)
     decision.to_json()
     assert splits == [] and svds == []
     ds = defect_spaces(basis)

@@ -16,24 +16,44 @@ def test_config_defaults_and_round_trip():
 
 
 @pytest.mark.parametrize(
-    "payload",
+    "payload, message",
     [
-        {},
-        {"seed": "3"},
-        {"seed": True},
-        {"seed": 3, "cases": -1},
-        {"seed": 3, "fixtures": ["FIX9"]},
-        {"seed": 3, "fixtures": "FIX1"},
-        {"seed": 3, "random_inners": [[2]]},
-        {"seed": 3, "random_inners": [[2, 0]]},
-        {"seed": 3, "tol": 2.0},
-        {"seed": 3, "bogus": 1},
-        ["seed", 3],
+        ({}, "suite config needs a seed"),
+        ({"seed": "3"}, "seed must be a non-negative integer"),
+        ({"seed": True}, "seed must be a non-negative integer"),
+        ({"seed": 3, "cases": -1}, "cases must be a positive integer"),
+        ({"seed": 3, "fixtures": ["FIX9"]}, "unknown fixture 'FIX9'"),
+        ({"seed": 3, "fixtures": "FIX1"}, "fixtures must be a non-empty list of fixture names"),
+        ({"seed": 3, "random_inners": [[2]]}, "random_inners entries must be pairs of positive integers"),
+        ({"seed": 3, "random_inners": [[2, 0]]}, "random_inners entries must be pairs of positive integers"),
+        ({"seed": 3, "tol": 2.0}, "tol must be a number in (0, 1)"),
+        ({"seed": 3, "bogus": 1}, "unknown suite config keys: ['bogus']"),
+        (["seed", 3], "suite config must be a JSON object"),
     ],
 )
-def test_config_rejects_bad_payloads(payload):
-    with pytest.raises(ParseError):
+def test_config_rejects_bad_payloads(payload, message):
+    with pytest.raises(ParseError) as err:
         SuiteConfig.from_json(payload)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seed": -1}, "seed must be a non-negative integer"),
+    ({"seed": 0, "cases": 0}, "cases must be a positive integer"),
+    ({"seed": 0, "random_inners": ((0, 2),)}, "random_inners entries must be pairs of positive integers"),
+    ({"seed": 0, "tol": 5.0}, "tol must be a number in (0, 1)"),
+    ({"seed": 0, "fixtures": ("FIX9",)}, "unknown fixture 'FIX9'"),
+])
+def test_config_fields_are_checked_on_every_construction(kwargs, message):
+    with pytest.raises(ParseError) as err:
+        SuiteConfig(**kwargs)
+    assert str(err.value) == message
+
+
+def test_constructed_configs_hold_tuples():
+    cfg = SuiteConfig(seed=0, fixtures=["FIX2"], random_inners=[[2, 2]], tol=1e-8)
+    assert cfg == SuiteConfig(seed=0, fixtures=("FIX2",), random_inners=((2, 2),), tol=1e-8)
+    assert SuiteConfig(seed=0, random_inners=()).random_inners == ()
 
 
 def test_default_and_benchmark_configs_are_within_the_work_bound():
