@@ -45,8 +45,14 @@ def _check_out(path: str) -> None:
     """Refuse, before any input is read, an --out path that `_emit` could not
     open, with `open`'s message; nothing is created or truncated."""
     folder = os.path.dirname(path) or "."
-    if os.path.isdir(path) or not os.access(path if os.path.exists(path) else folder, os.W_OK):
-        code = errno.EISDIR if os.path.isdir(path) else errno.EACCES if os.path.isdir(folder) else errno.ENOENT
+    try:
+        os.stat(os.path.join(folder, ""))  # a trailing separator: ENOENT, or ENOTDIR for a file, as `open` gives
+    except OSError as exc:
+        code = exc.errno
+    else:
+        writable = os.access(path if os.path.exists(path) else folder, os.W_OK)
+        code = errno.EISDIR if os.path.isdir(path) else 0 if writable else errno.EACCES
+    if code:
         raise ParseError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
 
 

@@ -5,7 +5,9 @@ Phi to the model space.  As in Sarason's scalar theory, one defect
 identity recognizes the class without a symbol: A is in it exactly when
 Delta = A - S A S* = X K0* + K0 Y* over the kernel frame K0 at 0, that is
 when P Delta P = 0 for P = I - U U* off the first defect space (U its
-orthonormal basis).  The split (X, Y) gives the coordinates of a symbol
+orthonormal basis), or when A - S* A S splits so over the second kernel
+frame; `_delta` alone forms either identity, and `membership_witness`
+splits one on request.  The split (X, Y) gives the coordinates of a symbol
 pair, recovered at minimum norm, with the zero-symbol gauge resolved
 explicitly.  Every operator is assembled as Q* M Q from a matrix M on the
 coefficient window: M = T_Phi, the block Toeplitz matrix of the symbol,
@@ -22,8 +24,7 @@ space.  The class dimension is a count, 2nd - d^2, read off the space.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -78,7 +79,7 @@ def semi_commutator_residual(basis: ModelSpaceBasis, phi: MatLaurent, a) -> floa
     """Check A - S A S* against its closed form for an analytic symbol."""
     if phi.lo < 0:
         raise ValueError("the semi-commutator identity needs an analytic symbol")
-    return opnorm(_plain_delta(basis, matrix_of(a, basis)) - semi_commutator_left_factor(basis, phi))
+    return opnorm(_delta(basis, matrix_of(a, basis)) - semi_commutator_left_factor(basis, phi))
 
 
 @dataclass
@@ -111,14 +112,21 @@ def _off_defect_norm(delta: np.ndarray, u: np.ndarray) -> float:
     return frobenius(off_span(delta - u @ (u.conj().T @ delta), u))
 
 
-def _plain_delta(basis: ModelSpaceBasis, amat: np.ndarray) -> np.ndarray:
+def _delta(basis: ModelSpaceBasis, amat: np.ndarray, starred: bool = False) -> np.ndarray:
+    """The defect identity Delta = A - S A S*, or A - S* A S when `starred`."""
     s, s_adj = s_theta(basis)
-    return amat - s.mat @ amat @ s_adj.mat
+    left, right = (s_adj, s) if starred else (s, s_adj)
+    return amat - left.mat @ amat @ right.mat
 
 
-def _starred_delta(basis: ModelSpaceBasis, amat: np.ndarray) -> np.ndarray:
-    s, s_adj = s_theta(basis)
-    return amat - s_adj.mat @ amat @ s.mat
+def membership_witness(basis: ModelSpaceBasis, a, starred: bool = False) -> MttoWitness:
+    """The split of A - S A S* over K0, or of A - S* A S over the second
+    kernel frame when `starred`; its residual is ||P Delta P||_F off that
+    frame, and the two residuals agree in exact arithmetic (S K0~ spans the
+    first defect space)."""
+    ds = defect_spaces(basis)
+    frame, kp = (ds.dt_frame, ds.dt_pinv) if starred else (ds.d_frame, ds.d_pinv)
+    return _frame_split(_delta(basis, matrix_of(a, basis), starred), frame, kp)
 
 
 def _membership(basis: ModelSpaceBasis, amat: np.ndarray, tol: Optional[float]):
@@ -130,7 +138,7 @@ def _membership(basis: ModelSpaceBasis, amat: np.ndarray, tol: Optional[float]):
     defaulting to REL * ||A||_F.  X -> X - S X S* is inverted by
     sum_{k<m} S^k X S*^k, so the bracket (residual / 2, m * residual) holds
     dist_F(A, class)."""
-    delta = _plain_delta(basis, amat)
+    delta = _delta(basis, amat)
     residual = _off_defect_norm(delta, defect_spaces(basis).d_basis)
     scale = frobenius(amat)
     tol = REL * scale if tol is None else tol
@@ -139,54 +147,28 @@ def _membership(basis: ModelSpaceBasis, amat: np.ndarray, tol: Optional[float]):
 
 @dataclass
 class MttoDecision:
-    """Verdict residual <= tol on D = ||P Delta P||_F for `amat`, a
-    read-only copy of A; `distance_bounds` = (residual / 2, m * residual)
-    brackets the Frobenius distance to the class.  The witness forms
-    Delta = A - S A S* again and splits it on first read, and
-    `witness_tilde` forms the starred identity A - S* A S on first read; a
-    caller that only wants the verdict pays for neither and keeps no n x n
-    array but A."""
+    """Verdict residual <= tol on D = ||P Delta P||_F; `distance_bounds` =
+    (residual / 2, m * residual) brackets the Frobenius distance to the
+    class.  It keeps no array: `membership_witness` gives the split."""
 
     verdict: bool
     residual: float
     tol: float
     distance_bounds: tuple[float, float]
-    basis: ModelSpaceBasis = field(repr=False, compare=False)
-    amat: np.ndarray = field(repr=False, compare=False)
-
-    @cached_property
-    def witness(self) -> MttoWitness:
-        """The split of A - S A S* over K0."""
-        ds = defect_spaces(self.basis)
-        return _frame_split(_plain_delta(self.basis, self.amat), ds.d_frame, ds.d_pinv)
-
-    @cached_property
-    def witness_tilde(self) -> MttoWitness:
-        """The split of A - S* A S over the second kernel frame; its residual
-        equals the witness's in exact arithmetic (S K0~ spans the first
-        defect space)."""
-        ds = defect_spaces(self.basis)
-        return _frame_split(_starred_delta(self.basis, self.amat), ds.dt_frame, ds.dt_pinv)
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "residual": self.residual,
-            "tol": self.tol,
-            "distance_bounds": list(self.distance_bounds),
-        }
+        return asdict(self)
 
 
 def is_mtto(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> MttoDecision:
     """Decide membership: the verdict is residual <= tol on the residual
     ||P Delta P||_F of Delta = A - S A S*, tol defaulting to REL * ||A||_F,
     with the bracket (residual / 2, m * residual) of the distance to the
-    class, by the one rule that recover_symbol shares (`_membership`).  An
-    operator of another space is refused."""
-    amat = np.array(matrix_of(a, basis), dtype=np.complex128)
-    amat.setflags(write=False)
-    _, residual, _, tol, bounds = _membership(basis, amat, tol)
-    return MttoDecision(bool(residual <= tol), float(residual), float(tol), bounds, basis, amat)
+    class, by the one rule that recover_symbol shares (`_membership`).  It
+    forms Delta once, copies nothing and splits nothing.  An operator of
+    another space is refused."""
+    _, residual, _, tol, bounds = _membership(basis, matrix_of(a, basis), tol)
+    return MttoDecision(bool(residual <= tol), float(residual), float(tol), bounds)
 
 
 def _divide_by_theta(blocks: np.ndarray, lo: int, target: np.ndarray):
@@ -246,7 +228,7 @@ def recover_symbol(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> Re
     rebuild is checked to REBUILD_TOL ||A||_F.  Psi1, Psi2 have coordinates
     (X + K0 C, Y - K0 C*), with the d x d gauge C of minimum norm:
     H C + C H = Y* K0 - K0* X for H = K0* K0, in the cached eigenbasis of H."""
-    amat, ds, m = np.asarray(matrix_of(a, basis), dtype=np.complex128), defect_spaces(basis), basis.inner.m
+    amat, ds, m = matrix_of(a, basis), defect_spaces(basis), basis.inner.m
     delta, residual, scale, tol, (low, high) = _membership(basis, amat, tol)
     if not residual <= tol:
         raise NotMttoError(

@@ -10,9 +10,9 @@ import numpy as np
 
 from .errors import ParseError
 from .laurent import MatLaurent, multiply
-from .model_operator import Conjugation, defect_spaces, s_theta
+from .model_operator import Conjugation, defect_spaces
 from .model_space import InnerFunction, ModelSpaceBasis, make_inner_potapov
-from .mtto import is_mtto
+from .mtto import _delta, is_mtto
 from .numerics import opnorm
 
 LAURENT_SPAN = 2  # the gamma-symmetric symbol has frequencies -LAURENT_SPAN..LAURENT_SPAN
@@ -165,11 +165,10 @@ def random_non_member(basis: ModelSpaceBasis, rng: np.random.Generator) -> np.nd
     k = comp.shape[1]
     if k == 0:
         raise ValueError("every operator on this model space carries a symbol")
-    s, s_adj = s_theta(basis)
     for _ in range(64):
         c = rng.standard_normal(k * k) + 1j * rng.standard_normal(k * k)
         b = comp @ c.reshape(k, k) @ comp.conj().T
-        a = b - s_adj.mat @ b @ s.mat
+        a = _delta(basis, b, starred=True)
         nrm = opnorm(a)
         if nrm < 1e-12:
             continue

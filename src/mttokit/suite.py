@@ -45,13 +45,15 @@ from .model_space import (
     tilde_kernel_window,
 )
 from .mtto import (
+    _delta,
     _divide_by_theta,
+    _frame_split,
     _off_defect_norm,
-    _starred_delta,
     build,
     finite_rank,
     finite_rank_as_xhat,
     is_mtto,
+    membership_witness,
     mtto_dimension,
     recover_symbol,
     semi_commutator_residual,
@@ -78,7 +80,7 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteConfig:
     seed: int
     cases: int = 5
@@ -100,7 +102,8 @@ class SuiteConfig:
 
     def __post_init__(self):
         """Refuse, before any draw, a field out of its domain or a run whose
-        size is out of bounds.  Lists, as JSON gives them, are kept as tuples."""
+        size is out of bounds.  Lists, as JSON gives them, are kept as tuples;
+        the config is frozen, so no later assignment gets round the bounds."""
         if not _is_int(self.seed) or self.seed < 0:
             raise ParseError("seed must be a non-negative integer")
         if not _is_int(self.cases) or self.cases < 1:
@@ -110,16 +113,16 @@ class SuiteConfig:
         for name in self.fixtures:
             if name not in FIXTURE_NAMES:
                 raise ParseError(f"unknown fixture {name!r}")
-        self.fixtures = tuple(self.fixtures)
+        object.__setattr__(self, "fixtures", tuple(self.fixtures))
         if not isinstance(self.random_inners, (list, tuple)):
             raise ParseError("random_inners must be a list of [d, m] pairs")
         for s in self.random_inners:
             if not isinstance(s, (list, tuple)) or len(s) != 2 or not all(_is_int(v) and v >= 1 for v in s):
                 raise ParseError("random_inners entries must be pairs of positive integers")
-        self.random_inners = tuple((d, m) for d, m in self.random_inners)
+        object.__setattr__(self, "random_inners", tuple((d, m) for d, m in self.random_inners))
         if not isinstance(self.tol, (int, float)) or isinstance(self.tol, bool) or not 0 < float(self.tol) < 1:
             raise ParseError("tol must be a number in (0, 1)")
-        self.tol = float(self.tol)
+        object.__setattr__(self, "tol", float(self.tol))
         if self.cases > MAX_SUITE_CASES:
             raise ParseError(f"cases {self.cases} exceeds the limit of {MAX_SUITE_CASES}")
         work = predicted_work(self)
@@ -263,8 +266,8 @@ def _check_members(basis, rng, config):
         scale = 1.0 + frobenius(a.mat)
         yield decision.residual / scale
         yield 0.0 if decision.verdict else 1.0
-        yield decision.witness.residual / scale
-        yield decision.witness_tilde.residual / scale
+        yield membership_witness(basis, a).residual / scale
+        yield membership_witness(basis, a, starred=True).residual / scale
 
 
 def _check_non_members(basis, rng, config):
@@ -279,13 +282,15 @@ def _check_non_members(basis, rng, config):
 
 def _check_variants_agree(basis, rng, config):
     """The starred identity A - S* A S decided by the projector route off the
-    second defect space against its split and against the plain verdict."""
-    dt_basis = defect_spaces(basis).dt_basis
+    second defect space against its split and against the plain verdict,
+    both read off one starred Delta."""
+    ds = defect_spaces(basis)
     for _ in range(config.cases):
         a = rng.standard_normal((basis.n, basis.n)) + 1j * rng.standard_normal((basis.n, basis.n))
         decision = is_mtto(basis, a, config.tol * frobenius(a))
-        starred = _off_defect_norm(_starred_delta(basis, decision.amat), dt_basis)
-        spread = abs(decision.witness_tilde.residual - starred)  # split against compressed
+        delta = _delta(basis, a, starred=True)
+        starred = _off_defect_norm(delta, ds.dt_basis)
+        spread = abs(_frame_split(delta, ds.dt_frame, ds.dt_pinv).residual - starred)  # split against compressed
         yield spread / (1.0 + decision.residual)
         agree = (decision.residual <= decision.tol) == (starred <= decision.tol)
         yield 0.0 if agree or decision.residual < 10 * decision.tol else 1.0

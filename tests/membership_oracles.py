@@ -10,7 +10,8 @@ norm of A.  `class_span` is the operator class by brute force, the
 orthonormal span of the operators of the unit symbols E_ij z^t.
 `split_decision` is is_mtto as it was before it decided on one identity:
 both identities split over their kernel frames on every call, the residual
-the larger of the two.
+the larger of the two.  `non_member` is randgen.random_non_member with the
+starred identity B - S* B S written out.
 """
 
 from dataclasses import dataclass
@@ -20,8 +21,9 @@ import numpy as np
 from mttokit.laurent import MatLaurent
 from mttokit.model_operator import defect_spaces, s_theta
 from mttokit.model_space import kernel_frame, tilde_kernel_frame
-from mttokit.mtto import build
-from mttokit.numerics import REL, RANK_CUT, frobenius
+from mttokit.mtto import build, is_mtto
+from mttokit.numerics import REL, RANK_CUT, frobenius, opnorm
+from mttokit.randgen import MIN_DEFECT
 
 
 def complement(frame: np.ndarray) -> np.ndarray:
@@ -113,3 +115,22 @@ def split_decision(basis, a: np.ndarray, tol=None) -> SplitDecision:
     witness_tilde = frame_split(a - s_adj @ a @ s, ds.dt_frame, ds.dt_pinv)
     residual = max(witness.residual, witness_tilde.residual)
     return SplitDecision(bool(residual <= tol), residual, float(tol), witness, witness_tilde)
+
+
+def non_member(basis, rng) -> np.ndarray:
+    """B - S* B S for B Gaussian on the complement of the first defect
+    space, scaled to unit norm, drawn until its membership residual is at
+    least MIN_DEFECT, at most 64 times: the draws of random_non_member,
+    one for one."""
+    u = defect_spaces(basis).d_basis
+    comp = np.linalg.qr(u, mode="complete")[0][:, u.shape[1]:]
+    k = comp.shape[1]
+    s, s_adj = (op.mat for op in s_theta(basis))
+    for _ in range(64):
+        c = rng.standard_normal(k * k) + 1j * rng.standard_normal(k * k)
+        b = comp @ c.reshape(k, k) @ comp.conj().T
+        a = b - s_adj @ b @ s
+        nrm = opnorm(a)
+        if nrm >= 1e-12 and is_mtto(basis, a / nrm).residual >= MIN_DEFECT:
+            return a / nrm
+    raise AssertionError("no candidate reached MIN_DEFECT")

@@ -30,6 +30,7 @@ from mttokit.mtto import (
     finite_rank,
     finite_rank_as_xhat,
     is_mtto,
+    membership_witness,
     mtto_dimension,
     zero_symbol_decompose,
 )
@@ -162,10 +163,10 @@ def test_05_membership_characterization():
             worst_member = max(worst_member, decision.residual / scale)
             worst_witness = max(
                 worst_witness,
-                decision.witness.residual / scale,
-                decision.witness_tilde.residual / scale,
+                membership_witness(basis, a).residual / scale,
+                membership_witness(basis, a, starred=True).residual / scale,
             )
-            agree = agree and _predicates_agree(decision)
+            agree = agree and _predicates_agree(basis, a, decision)
     # 20 non-members from the spaces with a strict complement
     z2eye = make_inner_potapov([np.eye(2), np.eye(2)])
     hosts = [ModelSpaceBasis(fixture("FIX2")), ModelSpaceBasis(fixture("FIX3")), ModelSpaceBasis(z2eye)]
@@ -176,15 +177,15 @@ def test_05_membership_characterization():
         decision = is_mtto(basis, a)
         assert not decision.verdict
         least_defect = min(least_defect, decision.residual)
-        agree = agree and _predicates_agree(decision)
+        agree = agree and _predicates_agree(basis, a, decision)
     ok = worst_witness <= 1e-8 and least_defect >= 1e-3 and agree and worst_member <= 1e-9
     _verdict(5, "membership decided with witnesses on 50 members and 20 rejections", ok,
              f"witness {worst_witness:.2e} <= 1e-8, rejection margin {least_defect:.2e} >= 1e-3, "
              f"plain and starred residuals agree on all 70: {agree}")
 
 
-def _predicates_agree(decision) -> bool:
-    return (decision.residual <= decision.tol) == (decision.witness_tilde.residual <= decision.tol)
+def _predicates_agree(basis, a, decision) -> bool:
+    return (decision.residual <= decision.tol) == (membership_witness(basis, a, starred=True).residual <= decision.tol)
 
 
 def test_06_zero_symbol_both_directions():

@@ -1,4 +1,6 @@
+import errno
 import importlib.metadata
+import inspect
 import itertools
 import json
 import os
@@ -19,7 +21,7 @@ from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent
 from mttokit.model_operator import OperatorMatrix
 from mttokit.model_space import ModelSpaceBasis
-from mttokit.mtto import build, is_mtto
+from mttokit.mtto import build, membership_witness
 from mttokit.suite import SuiteConfig, _spaces
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -310,11 +312,12 @@ def test_dim_command(capsys):
 
 
 def _counted(monkeypatch, name):
-    """Calls of the mtto function `name`, counted from here on."""
+    """The arguments, by name, of every call of the mtto function `name` from here on."""
     calls, real = [], getattr(mtto, name)
+    signature = inspect.signature(real)
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(signature.bind(*args, **kwargs).arguments)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(mtto, name, counted)
@@ -323,11 +326,12 @@ def _counted(monkeypatch, name):
 
 def test_op_test_decides_by_the_one_rule_and_never_forms_the_starred_identity(tmp_path, capsys, monkeypatch):
     """On FIX1-FIX5 and a seeded Potapov file, `op test` on a member and on a
-    Gaussian operator goes through `_membership` once and never forms
-    A - S* A S; `op recover` goes through the same rule."""
+    Gaussian operator goes through `_membership` once, which forms
+    A - S A S* once and never A - S* A S; `op recover` goes through the same
+    rule."""
     potapov = tmp_path / "potapov.json"
     serialize.dump_json_file(potapov, randgen.random_inner(2, 3, np.random.default_rng(32)).to_json())
-    starred, rules = _counted(monkeypatch, "_starred_delta"), _counted(monkeypatch, "_membership")
+    deltas, rules = _counted(monkeypatch, "_delta"), _counted(monkeypatch, "_membership")
     rng = np.random.default_rng(33)
     for source in (*FIXTURE_NAMES, str(potapov)):
         basis = cli._basis(SimpleNamespace(theta=source))
@@ -336,14 +340,17 @@ def test_op_test_decides_by_the_one_rule_and_never_forms_the_starred_identity(tm
             path = tmp_path / f"op{i}.json"
             serialize.dump_json_file(path, op.to_json())
             rules.clear()
+            deltas.clear()
             code, out, err = run(capsys, "op", "test", "--theta", source, "--op", str(path))
             assert code in (0, 1) and err == "" and json.loads(out)["verdict"] is (code == 0)
-            assert len(rules) == 1 and starred == [], source
+            assert len(rules) == 1 and [c.get("starred", False) for c in deltas] == [False], source
         rules.clear()
+        deltas.clear()
         assert run(capsys, "op", "recover", "--theta", source, "--op", str(tmp_path / "op0.json"))[0] == 0
-        assert len(rules) == 1 and starred == [], source
-    is_mtto(basis, gaussian).witness_tilde  # the spy sees the starred identity where it is formed
-    assert len(starred) == 1
+        assert len(rules) == 1 and [c.get("starred", False) for c in deltas] == [False], source
+    deltas.clear()
+    membership_witness(basis, gaussian, starred=True)  # the spy sees the starred identity where it is formed
+    assert [c.get("starred") for c in deltas] == [True]
 
 
 def test_every_command_writes_its_pinned_keys_on_fix3(tmp_path, capsys):
@@ -531,6 +538,25 @@ def test_out_is_checked_before_any_work(tmp_path, capsys, monkeypatch):
     _assert_parse_error(code, out, err)
     assert err.count("\n") == 1 and suites == []
     assert json.loads(err)["message"] == f"cannot write {path}: [Errno 2] No such file or directory: {path!r}"
+
+
+@pytest.mark.parametrize("command", ["dim", "suite"])
+def test_out_under_a_file_is_refused_before_any_input_or_work(tmp_path, capsys, monkeypatch, command):
+    """A parent that is a regular file: ENOTDIR, as `open` reports it, before
+    the missing --theta of `dim` is read and before `suite` runs."""
+    parent = tmp_path / "file"
+    parent.write_text("kept")
+    path = str(parent / "r.json")
+    with pytest.raises(OSError) as opened:
+        open(path, "w")
+    assert opened.value.errno == errno.ENOTDIR
+    suites = []
+    monkeypatch.setattr(cli, "run_suite", suites.append)
+    argv = ["dim", "--theta", str(tmp_path / "missing.json")] if command == "dim" else ["suite", "--seed", "7"]
+    code, out, err = run(capsys, *argv, "--out", path)
+    _assert_parse_error(code, out, err)
+    assert json.loads(err)["message"] == f"cannot write {path}: {opened.value}"
+    assert suites == [] and parent.read_text() == "kept"
 
 
 @pytest.mark.parametrize("argv, message", [

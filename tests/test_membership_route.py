@@ -1,11 +1,11 @@
 """Membership decided and symbols recovered on one defect identity.
 
-is_mtto forms Delta = A - S A S* once and reads D = ||P Delta P||_F off it
-with P = I - U U* applied as two rank-d corrections; the decision keeps
-only its copy of A, the witness forms Delta again when read, and the
-starred identity A - S* A S behind `witness_tilde` is formed only when
-read.  recover_symbol decides by the same rule, `_membership`, so the two
-agree at every tol, and splits Delta once.  The reference is
+is_mtto forms Delta = A - S A S* once, and never A - S* A S, and reads
+D = ||P Delta P||_F off it with P = I - U U* applied as two rank-d
+corrections; the decision is its four numbers and keeps no array, and
+`membership_witness` splits either identity on request.  recover_symbol
+decides by the same rule, `_membership`, so the two agree at every tol,
+and splits Delta once.  The reference is
 `membership_oracles.split_decision`, the route that split both identities
 on every call and decided on the larger residual: verdicts must be equal
 and residuals agree to 1e-13 max(1, ||A||_F) on the fixtures, rotated
@@ -15,11 +15,12 @@ On that sweep the starred split residual equals D to 1e-13 ||A||_F, and recover_
 refuses exactly the operators is_mtto rejects.  A counting wrapper shows
 that a warm is_mtto splits nothing and takes no SVD, and that
 recover_symbol splits the plain identity once and never calls is_mtto.
+`_delta` is the one place either identity is formed.
 The defect data is O(nd): its arrays hold at most 8 n d complex entries,
 fewer than n^2 on a space with n = 48, d = 2.
 The suite's variants_agree check compares the split residual with the
-projector one.  An operator of another space is refused by name at every
-entry point that takes one.
+projector one, both read off one starred Delta per case.  An operator of
+another space is refused by name at every entry point that takes one.
 """
 
 import numpy as np
@@ -30,7 +31,15 @@ from mttokit.errors import DimensionMismatchError, NotMttoError
 from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.model_operator import Conjugation, c_symmetric, defect_spaces, s_theta
 from mttokit.model_space import ModelSpaceBasis, make_inner_potapov
-from mttokit.mtto import build, finite_rank, is_mtto, mtto_dimension, recover_symbol, semi_commutator_residual
+from mttokit.mtto import (
+    build,
+    finite_rank,
+    is_mtto,
+    membership_witness,
+    mtto_dimension,
+    recover_symbol,
+    semi_commutator_residual,
+)
 from mttokit.numerics import frobenius
 from mttokit.randgen import haar_unitary, random_inner, random_non_member, random_projection, random_symbol
 from mttokit.suite import SuiteConfig, _check_variants_agree
@@ -74,10 +83,11 @@ def _assert_same_decision(basis, a, bound):
     assert got.verdict is want.verdict
     assert got.tol == want.tol
     assert abs(got.residual - want.residual) <= bound
-    assert abs(got.residual - got.witness_tilde.residual) <= bound  # equal in exact arithmetic
-    for lazy, split in ((got.witness, want.witness), (got.witness_tilde, want.witness_tilde)):
-        assert abs(lazy.residual - split.residual) <= bound
-        for mine, theirs in ((lazy.x, split.x), (lazy.y, split.y)):
+    plain, starred = membership_witness(basis, a), membership_witness(basis, a, starred=True)
+    assert abs(got.residual - starred.residual) <= bound  # equal in exact arithmetic
+    for witness, split in ((plain, want.witness), (starred, want.witness_tilde)):
+        assert abs(witness.residual - split.residual) <= bound
+        for mine, theirs in ((witness.x, split.x), (witness.y, split.y)):
             assert frobenius(mine - theirs) <= bound
     if got.verdict:
         recover_symbol(basis, a)
@@ -129,7 +139,7 @@ def test_every_operator_is_a_member_when_the_complement_is_empty(inner, rel):
 
 
 @pytest.mark.parametrize("basis", BASES, ids=IDS)
-def test_the_defect_data_is_rank_d_and_the_decision_keeps_only_a(basis):
+def test_the_defect_data_is_rank_d_and_the_decision_keeps_no_array(basis):
     ds = defect_spaces(basis)
     s, s_adj = s_theta(basis)
     n, d = basis.n, basis.inner.d
@@ -139,13 +149,13 @@ def test_the_defect_data_is_rank_d_and_the_decision_keeps_only_a(basis):
     rng = np.random.default_rng(basis.n + 13)
     a = _gaussian(n, rng)
     decision = is_mtto(basis, a)
-    assert [k for k, v in vars(decision).items() if isinstance(v, np.ndarray)] == ["amat"]
-    assert "witness_tilde" not in vars(decision)  # the starred identity waits for its reader
+    assert list(vars(decision)) == ["verdict", "residual", "tol", "distance_bounds"]
+    assert not any(isinstance(v, np.ndarray) for v in vars(decision).values())
     c, ct = complement(ds.d_frame), complement(ds.dt_frame)
     want = frobenius(c.conj().T @ (a - s.mat @ a @ s_adj.mat) @ c)
     assert abs(decision.residual - want) <= 1e-13 * frobenius(a)
     want_tilde = frobenius(ct.conj().T @ (a - s_adj.mat @ a @ s.mat) @ ct)
-    assert abs(decision.witness_tilde.residual - want_tilde) <= 1e-13 * frobenius(a)
+    assert abs(membership_witness(basis, a, starred=True).residual - want_tilde) <= 1e-13 * frobenius(a)
 
 
 @pytest.mark.parametrize("basis", [b for b in BASES if b.n > b.inner.d], ids=[i for i, b in SPACES if b.n > b.inner.d])
@@ -202,14 +212,12 @@ def test_a_warm_decision_splits_nothing_and_takes_no_svd(basis, splits, svds):
     svds.clear()
     decision = is_mtto(basis, a)
     is_mtto(basis, _gaussian(basis.n, rng))
-    assert "witness_tilde" not in vars(decision)
     decision.to_json()
     assert splits == [] and svds == []
     ds = defect_spaces(basis)
-    first = decision.witness
+    membership_witness(basis, a)
     assert len(splits) == 1 and splits[0] is ds.d_frame
-    assert decision.witness is first and len(splits) == 1  # kept once read
-    decision.witness_tilde
+    membership_witness(basis, a, starred=True)
     assert len(splits) == 2 and splits[1] is ds.dt_frame and svds == []
 
 
@@ -224,16 +232,47 @@ def test_recover_symbol_splits_the_plain_identity_once(basis, splits, monkeypatc
     assert len(splits) == 1 and splits[0] is defect_spaces(basis).d_frame
 
 
-def test_witnesses_split_the_operator_as_it_was_decided():
+def test_witnesses_are_the_reference_splits_bit_for_bit():
     basis = ModelSpaceBasis(fixture("FIX3"))
     rng = np.random.default_rng(16)
-    a = build(basis, random_symbol(2, -2, 2, rng)).mat
-    want = split_decision(basis, a.copy())
-    decision = is_mtto(basis, a)
-    a[:] = _gaussian(basis.n, rng)  # the caller reuses its array
-    assert np.array_equal(decision.witness.x, want.witness.x)
-    assert np.array_equal(decision.witness_tilde.y, want.witness_tilde.y)
-    assert not decision.amat.flags.writeable
+    for a in (build(basis, random_symbol(2, -2, 2, rng)).mat, _gaussian(basis.n, rng)):
+        want = split_decision(basis, a)
+        for got, split in ((membership_witness(basis, a), want.witness),
+                           (membership_witness(basis, a, starred=True), want.witness_tilde)):
+            assert np.array_equal(got.x, split.x) and np.array_equal(got.y, split.y)
+            assert got.residual == split.residual
+
+
+@pytest.fixture
+def deltas(monkeypatch):
+    """The `starred` flag of every defect identity formed, in mtto and in the suite."""
+    calls = []
+    real = mtto._delta
+
+    def counted(basis, amat, starred=False):
+        calls.append(starred)
+        return real(basis, amat, starred)
+
+    monkeypatch.setattr(mtto, "_delta", counted)
+    monkeypatch.setattr(suite, "_delta", counted)
+    return calls
+
+
+@pytest.mark.parametrize("basis", BASES, ids=IDS)
+def test_is_mtto_forms_the_plain_identity_once_and_the_starred_one_never(basis, deltas):
+    rng = np.random.default_rng(basis.n + 18)
+    for a in (build(basis, random_symbol(basis.inner.d, -2, 2, rng)).mat, _gaussian(basis.n, rng)):
+        deltas.clear()
+        is_mtto(basis, a).to_json()
+        assert deltas == [False]
+
+
+def test_variants_agree_forms_the_starred_identity_once_per_case(deltas):
+    config = SuiteConfig(seed=7, cases=3, fixtures=("FIX2", "FIX3"))
+    for _, basis in suite._spaces(config):
+        deltas.clear()
+        list(_check_variants_agree(basis, np.random.default_rng(1), config))
+        assert deltas == [False, True] * config.cases  # is_mtto's Delta, then the one starred Delta
 
 
 def test_variants_agree_compares_the_split_route_with_the_projector_one(monkeypatch):
@@ -247,14 +286,14 @@ def test_variants_agree_compares_the_split_route_with_the_projector_one(monkeypa
         return max(r for _, basis in suite._spaces(config) for r in _check_variants_agree(basis, rng, config))
 
     assert 0.0 < worst() <= 1e-13
-    real = mtto._frame_split
+    real = suite._frame_split
 
     def off(delta, frame, kp):
         split = real(delta, frame, kp)
         split.residual += 1e3
         return split
 
-    monkeypatch.setattr(mtto, "_frame_split", off)
+    monkeypatch.setattr(suite, "_frame_split", off)  # the suite splits its own starred Delta
     assert worst() > 0.5
 
 

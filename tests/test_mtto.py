@@ -20,6 +20,7 @@ from mttokit.mtto import (
     finite_rank_as_xhat,
     is_mtto,
     kernel_frame,
+    membership_witness,
     mtto_dimension,
     recover_symbol,
     semi_commutator_left_factor,
@@ -136,8 +137,8 @@ def test_built_operators_pass_the_membership_test():
             a = build(basis, phi)
             decision = is_mtto(basis, a)
             assert decision.verdict, (name, decision.residual)
-            assert decision.witness.residual <= 1e-8 * (1 + opnorm(a.mat))
-            assert decision.witness_tilde.residual <= 1e-8 * (1 + opnorm(a.mat))
+            assert membership_witness(basis, a).residual <= 1e-8 * (1 + opnorm(a.mat))
+            assert membership_witness(basis, a, starred=True).residual <= 1e-8 * (1 + opnorm(a.mat))
 
 
 def test_membership_variants_agree_and_reject_outside_operators():
@@ -147,7 +148,7 @@ def test_membership_variants_agree_and_reject_outside_operators():
     decision = is_mtto(basis, bad)
     assert not decision.verdict
     assert decision.residual >= 1e-3
-    assert decision.witness_tilde.residual >= 1e-3
+    assert membership_witness(basis, bad, starred=True).residual >= 1e-3
     s, _ = s_theta(basis)
     assert is_mtto(basis, s.mat).verdict
     assert is_mtto(basis, np.eye(3)).verdict
@@ -163,12 +164,12 @@ def test_everything_is_a_member_when_the_defect_fills_the_space():
     rng = np.random.default_rng(35)
     for name in ("FIX4", "FIX5"):
         basis = _basis(name)
-        assert is_mtto(basis, np.zeros((basis.n, basis.n))).witness_tilde.residual == 0.0
+        assert membership_witness(basis, np.zeros((basis.n, basis.n)), starred=True).residual == 0.0
         for _ in range(5):
             a = rng.standard_normal((basis.n, basis.n)) + 1j * rng.standard_normal((basis.n, basis.n))
             decision = is_mtto(basis, a)
             assert decision.verdict
-            assert decision.witness_tilde.residual <= 1e-12
+            assert membership_witness(basis, a, starred=True).residual <= 1e-12
 
 
 def test_shift_invariance_defect_agrees_with_membership():
@@ -177,7 +178,7 @@ def test_shift_invariance_defect_agrees_with_membership():
     for _ in range(20):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         decision = is_mtto(basis, a)
-        defect = decision.witness_tilde.residual
+        defect = membership_witness(basis, a, starred=True).residual
         assert (defect <= decision.tol) == decision.verdict or decision.residual > 1e-6
         # the starred split residual equals the plain residual in exact arithmetic
         assert abs(defect - decision.residual) <= 1e-10 * (1 + defect)

@@ -17,7 +17,14 @@ from mttokit.fixtures import FIXTURE_NAMES, fixture  # noqa: E402
 from mttokit.laurent import boundary_adjoint, multiply  # noqa: E402
 from mttokit.model_operator import defect_spaces, s_theta  # noqa: E402
 from mttokit.model_space import ModelSpaceBasis  # noqa: E402
-from mttokit.mtto import build, is_mtto, mtto_dimension, recover_symbol, zero_symbol_decompose  # noqa: E402
+from mttokit.mtto import (  # noqa: E402
+    build,
+    is_mtto,
+    membership_witness,
+    mtto_dimension,
+    recover_symbol,
+    zero_symbol_decompose,
+)
 from mttokit.numerics import opnorm  # noqa: E402
 from mttokit import randgen  # noqa: E402
 from mttokit.randgen import random_inner, random_symbol  # noqa: E402
@@ -55,11 +62,10 @@ def test_witness_splits_both_defect_identities(member):
     basis, a = member
     s, s_adj = s_theta(basis)
     ds = defect_spaces(basis)
-    decision = is_mtto(basis, a)
-    assert decision.verdict
+    assert is_mtto(basis, a).verdict
     for w, delta, k in (
-        (decision.witness, a - s.mat @ a @ s_adj.mat, ds.d_frame),
-        (decision.witness_tilde, a - s_adj.mat @ a @ s.mat, ds.dt_frame),
+        (membership_witness(basis, a), a - s.mat @ a @ s_adj.mat, ds.d_frame),
+        (membership_witness(basis, a, starred=True), a - s_adj.mat @ a @ s.mat, ds.dt_frame),
     ):
         assert w.x.shape == w.y.shape == (basis.n, basis.inner.d)
         assert opnorm(delta - w.x @ k.conj().T - k @ w.y.conj().T) <= 1e-12 * opnorm(a)

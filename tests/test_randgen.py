@@ -19,6 +19,8 @@ from mttokit.randgen import (
     random_symbol,
 )
 
+from membership_oracles import non_member
+
 
 def test_haar_unitary_is_unitary_and_seeded():
     rng = np.random.default_rng(7)
@@ -111,6 +113,17 @@ def test_random_non_member_is_orthogonal_to_the_class():
         for _ in range(4):
             member = build(basis, random_symbol(basis.inner.d, -3, 3, rng)).mat
             assert abs(np.vdot(member, a)) <= 1e-12 * np.linalg.norm(member)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+def test_random_non_member_draws_the_reference_operators_bit_for_bit(seed):
+    bases = [ModelSpaceBasis(fixture(name)) for name in ("FIX2", "FIX3")]
+    bases += [ModelSpaceBasis(random_inner(2, 3, np.random.default_rng(seed)))]
+    for basis in bases:
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert np.array_equal(random_non_member(basis, got), non_member(basis, want))
+        assert got.bit_generator.state == want.bit_generator.state
 
 
 def test_random_non_member_refused_when_class_is_everything():

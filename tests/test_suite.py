@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,14 @@ def test_constructed_configs_hold_tuples():
     cfg = SuiteConfig(seed=0, fixtures=["FIX2"], random_inners=[[2, 2]], tol=1e-8)
     assert cfg == SuiteConfig(seed=0, fixtures=("FIX2",), random_inners=((2, 2),), tol=1e-8)
     assert SuiteConfig(seed=0, random_inners=()).random_inners == ()
+
+
+@pytest.mark.parametrize("field", ["seed", "cases", "fixtures", "random_inners", "tol"])
+def test_a_config_is_frozen_so_no_assignment_gets_round_its_bounds(field):
+    cfg = SuiteConfig(seed=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, field, 10**9)
+    assert cfg == SuiteConfig(seed=0) and suite.predicted_work(cfg) <= suite.MAX_SUITE_WORK
 
 
 def test_default_and_benchmark_configs_are_within_the_work_bound():
