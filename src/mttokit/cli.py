@@ -92,7 +92,7 @@ def _load_operator(path: str, basis: ModelSpaceBasis) -> np.ndarray:
     declared = obj.get("basis_id")
     if declared is not None and not str(declared).startswith(serialize.BASIS_ID_PREFIX):
         raise ParseError(f"basis_id {declared!r} has no {serialize.BASIS_ID_PREFIX} prefix; "
-                         "basis ids changed in v2 and again in v3, rebuild the operator")
+                         "basis ids changed in v2, v3 and v4, rebuild the operator")
     if declared is not None and declared != basis.basis_id:
         raise ParseError(f"operator was written in basis {declared}, current basis is {basis.basis_id}")
     return mat

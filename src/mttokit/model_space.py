@@ -8,7 +8,8 @@ polynomials of degree < m; all computations happen in that m*d
 dimensional coefficient window, where the orthogonal projector onto the
 space is I - L L* with L the block Toeplitz matrix of Theta.  No SVD is
 needed: n is trace P, read off Theta's blocks, and the basis is
-Gram-Schmidt over the columns of P, which only the basis build forms.
+Gram-Schmidt over the columns of P, which only the basis build forms; it
+normalizes no residual below GS_CUT = 1 / MAX_WINDOW and still keeps n.
 Membership of a window element f is ||L* f||, read by `off_space`.
 """
 
@@ -38,7 +39,7 @@ from .numerics import (CHECK_TOL, DET_TOL, INNER_TOL, INPUT_TOL, TRACE_TOL, colu
 
 MAX_WINDOW = 2048  # largest m*d coefficient window a model space is built on
 PANEL = 64  # projector columns orthogonalized per block step of the basis
-GS_CUT = 1e-7  # the basis keeps a projected column whose residual norm exceeds GS_CUT
+GS_CUT = 1 / MAX_WINDOW  # the basis keeps a projected column whose residual norm exceeds GS_CUT
 
 
 def _require_window(m: int, d: int) -> None:
@@ -287,6 +288,10 @@ class ModelSpaceBasis:
     each column is projected twice against the directions kept so far and
     kept when what is left exceeds GS_CUT, and the sweep stops at n
     (`_panel_gram_schmidt` runs this rule a panel of columns at a time).
+    GS_CUT is 1 / MAX_WINDOW: the final residuals of the at most m*d skipped
+    columns square-sum to n minus the count kept, which is then below 1, so
+    n are kept; and no direction is normalized from a residual below the
+    cut, which bounds how much one step magnifies the rounding of P.
     Each column's first significant entry is then rotated to the positive
     real axis and signed zeros are made positive, so the same Theta always
     yields the same bytes.  The basis is named by `serialize.basis_id`, a

@@ -68,51 +68,21 @@ def random_element_coords(basis: ModelSpaceBasis, rng: np.random.Generator) -> n
     return rng.standard_normal(basis.n) + 1j * rng.standard_normal(basis.n)
 
 
-def random_gamma(d: int, rng: np.random.Generator) -> Conjugation:
-    """Conjugation x -> U conj(x) with U = V V^T symmetric unitary."""
-    v = haar_unitary(d, rng)
-    return Conjugation(v @ v.T)
-
-
-def gamma_real_basis(gamma: Conjugation, rng: np.random.Generator) -> np.ndarray:
-    """Orthonormal basis of fixed vectors of the conjugation.
-
-    Fixed vectors span the whole space over R and pairwise inner
-    products between them are real, so Gram-Schmidt with real
-    coefficients keeps every iterate fixed and still delivers a complex
-    orthonormal basis.
-    """
-    d = gamma.dim
-    vecs: list[np.ndarray] = []
-    attempts = 0
-    while len(vecs) < d:
-        attempts += 1
-        if attempts > 100 * d:
-            raise RuntimeError("failed to complete a fixed-vector basis")
-        y = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        x = y + gamma.apply(y)
-        for b in vecs:
-            x = x - b * np.vdot(b, x).real
-        nrm = np.linalg.norm(x)
-        if nrm > 1e-6:
-            vecs.append(x / nrm)
-    return np.column_stack(vecs)
-
-
 def random_gamma_symmetric_triple(d: int, m: int, rng: np.random.Generator):
     """Conjugation, a compatible inner function, and a compatible symbol.
 
-    All three are diagonal in one basis of fixed vectors of the
-    conjugation: the inner factors project onto subsets of the basis
-    (chosen to cover every direction, which forces purity) and the
-    symbol carries an arbitrary scalar Laurent polynomial on each
-    direction.  The coefficient matrices A of both functions then
-    satisfy A = U A^T U*.
+    The conjugation is x -> U conj(x) with U = V V^T for a Haar unitary V,
+    and the columns of V are an orthonormal basis of its fixed vectors:
+    U conj(V e_j) = V V^T conj(V) e_j = V e_j.  All three are diagonal in
+    that basis: the inner factors project onto subsets of it (chosen to
+    cover every direction, which forces purity) and the symbol carries an
+    arbitrary scalar Laurent polynomial on each direction.  The
+    coefficient matrices A of both functions then satisfy A = U A^T U*.
     """
     if m < 1:
         raise ValueError("need at least one factor")
-    gamma = random_gamma(d, rng)
-    b = gamma_real_basis(gamma, rng)
+    b = haar_unitary(d, rng)
+    gamma = Conjugation(b @ b.T)
     factors = []
     covered = np.zeros(d, dtype=bool)
     for j in range(m):

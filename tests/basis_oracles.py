@@ -17,6 +17,7 @@ objects, Theta* f in full, and also sees frequencies outside the window.
 
 import numpy as np
 
+from mttokit import model_space
 from mttokit.laurent import boundary_adjoint, multiply, reversed_adjoint
 from mttokit.numerics import PHASE_CUT, block_toeplitz, nullspace
 
@@ -52,7 +53,8 @@ def fix_column_phases_loop(q: np.ndarray) -> np.ndarray:
 
 def gram_schmidt_loop(inner) -> np.ndarray:
     """Basis matrix Q from Gram-Schmidt of P e_0, P e_1, ... in the m*d
-    dimensional window, every column of the projector visited."""
+    dimensional window, every column of the projector visited, a column
+    kept above the same cut as the library's, `model_space.GS_CUT`."""
     d, m, n = inner.d, inner.m, inner.n
     null = nullspace(constraint_matrix(inner.theta), scale=1.0)
     assert null.shape[1] == n, "nullspace dimension disagrees with model dimension"
@@ -64,7 +66,7 @@ def gram_schmidt_loop(inner) -> np.ndarray:
             for u in accepted:
                 v -= u * np.vdot(u, v)
         nv = np.linalg.norm(v)
-        if nv > 1e-7:
+        if nv > model_space.GS_CUT:
             accepted.append(v / nv)
     assert len(accepted) == n, f"found {len(accepted)} directions, expected {n}"
     return fix_column_phases_loop(np.column_stack(accepted))

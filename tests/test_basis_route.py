@@ -201,11 +201,23 @@ def test_basis_has_no_negative_zeros():
 def test_near_dependent_column_in_a_later_panel_stays_orthogonal():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((120, 100)) + 1j * rng.standard_normal((120, 100))
-    a[:, 90] = a[:, 3] + 1e-6 * (rng.standard_normal(120) + 1j * rng.standard_normal(120))
-    q = model_space._panel_gram_schmidt(a, 100)  # column 90 keeps about 1e-5 of its norm 16
+    a[:, 90] = a[:, 3] + 2e-4 * (rng.standard_normal(120) + 1j * rng.standard_normal(120))
+    q = model_space._panel_gram_schmidt(a, 100)  # column 90 keeps about 1.4e-3 of its norm 16, above GS_CUT
     assert q.shape == (120, 100)
-    assert np.abs(q.conj().T @ q - np.eye(100)).max() <= 1e-13  # one block pass leaves about 1e-9
+    assert np.abs(q.conj().T @ q - np.eye(100)).max() <= 1e-13  # one block pass leaves about 1e-11
     assert np.abs(np.tril(q.conj().T @ a, -1)).max() <= 1e-13 * np.abs(a).max()
+
+
+def test_the_window_cut_keeps_n_columns_and_moves_no_generic_basis(monkeypatch):
+    # at most MAX_WINDOW skipped columns, each left below the cut, miss less than 1 of trace P
+    assert model_space.GS_CUT == 1 / MAX_WINDOW and MAX_WINDOW * model_space.GS_CUT**2 < 1
+    spaces = [inner for _, inner in _spaces()]
+    spaces += [random_inner(d, m, np.random.default_rng(seed))
+               for seed in range(20) for d, m in ((1, 3), (2, 2), (2, 6), (3, 4), (4, 3))]
+    bases = [ModelSpaceBasis(inner).q for inner in spaces]
+    monkeypatch.setattr(model_space, "GS_CUT", 1e-7)  # the cut before it was tied to the window bound
+    for inner, q in zip(spaces, bases):
+        assert ModelSpaceBasis(inner).q.tobytes() == q.tobytes(), inner
 
 
 def test_wrong_factor_rank_sum_is_refused_by_the_projector_trace():

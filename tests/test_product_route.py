@@ -19,11 +19,11 @@ from mttokit.randgen import haar_unitary, random_projection
 from product_oracles import multiply_loop, potapov_product_loop
 
 FIXTURE_IDS = {
-    "FIX1": "v3-91e997794146500c",
-    "FIX2": "v3-5617624a15eff4cf",
-    "FIX3": "v3-8745784d20305f31",
-    "FIX4": "v3-5d4c20469799903c",
-    "FIX5": "v3-56d18d237fc06806",
+    "FIX1": "v4-91e997794146500c",
+    "FIX2": "v4-5617624a15eff4cf",
+    "FIX3": "v4-8745784d20305f31",
+    "FIX4": "v4-5d4c20469799903c",
+    "FIX5": "v4-56d18d237fc06806",
 }
 
 

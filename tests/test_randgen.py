@@ -8,10 +8,8 @@ from mttokit.model_space import ModelSpaceBasis
 from mttokit.mtto import build, is_mtto
 from mttokit.numerics import opnorm
 from mttokit.randgen import (
-    gamma_real_basis,
     haar_unitary,
     random_commuting_symbol,
-    random_gamma,
     random_gamma_symmetric_triple,
     random_inner,
     random_non_member,
@@ -57,29 +55,21 @@ def test_random_symbol_window():
     assert phi.lo >= -2 and phi.hi <= 3 and phi.dim == 2
 
 
-def test_random_gamma_fixed_basis():
-    rng = np.random.default_rng(11)
-    gamma = random_gamma(3, rng)
-    b = gamma_real_basis(gamma, rng)
-    assert opnorm(b.conj().T @ b - np.eye(3)) <= 1e-10
-    for i in range(3):
-        assert np.linalg.norm(gamma.apply(b[:, i]) - b[:, i]) <= 1e-10
-
-
-def test_gamma_symmetric_triple_properties():
-    rng = np.random.default_rng(12)
-    for d, m in ((2, 2), (3, 3)):
-        gamma, inner, phi = random_gamma_symmetric_triple(d, m, rng)
-        assert is_pure(inner.theta)
-        assert gamma_symmetric_residual(inner.theta, gamma) <= 1e-10
-        assert gamma_symmetric_residual(phi, gamma) <= 1e-10
-        assert (multiply(phi, inner.theta) - multiply(inner.theta, phi)).norm() <= 1e-10
-        basis = ModelSpaceBasis(inner)
-        a = build(basis, phi)
-        ok, res = c_symmetric(basis, gamma, a.mat)
-        assert ok, res
-        # the conjugation matrix itself must exist for these inners
-        conjugation_matrix(basis, gamma)
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gamma_symmetric_triple_properties(d, seed):
+    rng = np.random.default_rng(seed)
+    gamma, inner, phi = random_gamma_symmetric_triple(d, 1 + seed % 3, rng)
+    assert is_pure(inner.theta)
+    assert gamma_symmetric_residual(inner.theta, gamma) <= 1e-10
+    assert gamma_symmetric_residual(phi, gamma) <= 1e-10
+    assert (multiply(phi, inner.theta) - multiply(inner.theta, phi)).norm() <= 1e-10
+    basis = ModelSpaceBasis(inner)
+    a = build(basis, phi)
+    ok, res = c_symmetric(basis, gamma, a.mat)
+    assert ok, res
+    # the conjugation matrix itself must exist for these inners
+    conjugation_matrix(basis, gamma)
 
 
 def test_random_commuting_symbol_commutes():

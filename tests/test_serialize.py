@@ -195,7 +195,7 @@ def _theta(seed=5):
 def test_basis_id_is_versioned_and_deterministic():
     theta = _theta()
     bid = serialize.basis_id(theta, 3)
-    assert bid.startswith("v3-") and len(bid) == 19 and int(bid[3:], 16) >= 0
+    assert bid.startswith("v4-") and len(bid) == 19 and int(bid[3:], 16) >= 0
     assert bid == serialize.basis_id(MatLaurent(0, theta.coeffs.copy()), 3)
     for name in FIXTURE_NAMES:
         assert ModelSpaceBasis(fixture(name)).basis_id == ModelSpaceBasis(fixture(name)).basis_id
