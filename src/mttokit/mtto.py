@@ -41,7 +41,6 @@ from .model_operator import (
     OperatorMatrix,
     defect_spaces,
     matrix_of,
-    off_span,
     s_theta,
     xhat,
 )
@@ -105,11 +104,15 @@ def _frame_split(delta: np.ndarray, frame: np.ndarray, kp: np.ndarray) -> MttoWi
 
 
 def _off_defect_norm(delta: np.ndarray, u: np.ndarray) -> float:
-    """||P Delta P||_F for P = I - U U*, as two rank-d corrections; exactly
-    0 when the defect basis U is square (n = d), where P = 0."""
+    """||P Delta P||_F for P = I - U U*, as two rank-d corrections with U*
+    formed once, the second subtracted in place; exactly 0 when the defect
+    basis U is square (n = d), where P = 0."""
     if u.shape[1] == u.shape[0]:
         return 0.0
-    return frobenius(off_span(delta - u @ (u.conj().T @ delta), u))
+    u_adj = u.conj().T
+    off = delta - u @ (u_adj @ delta)
+    off -= (off @ u) @ u_adj
+    return frobenius(off)
 
 
 def _delta(basis: ModelSpaceBasis, amat: np.ndarray, starred: bool = False) -> np.ndarray:
@@ -180,13 +183,20 @@ def _divide_by_theta(blocks: np.ndarray, lo: int, target: np.ndarray):
     frequencies start..top, start = max(lo - m, 0) (Theta* target vanishes
     below lo - m) and top = max(hi, 0), and the remainder R = target - Theta Q
     over min(lo, start)..top + m, least in norm because Theta is unitary on
-    the circle.  So the cost follows the length of target, not |lo|."""
+    the circle.  Theta* has frequencies -m..0 only, so it lowers every
+    frequency it multiplies: the target's blocks below 0 never reach the
+    quotient, and only those at max(lo, 0)..hi are convolved (a target
+    wholly below 0 has quotient 0), each quotient block the same sum in the
+    same order as over the whole target.  So the cost follows the length of
+    target, not |lo|, and a zero symbol's split convolves half of it."""
     m, hi = blocks.shape[0] - 1, lo + target.shape[0] - 1
     start, top = max(lo - m, 0), max(hi, 0)
     base = min(lo, start)
-    keep = convolve(reversed_adjoint(blocks), target)[max(m - lo, 0) :]  # frequencies start..top
-    quotient = np.zeros((top + 1 - start,) + target.shape[1:], dtype=np.complex128)
-    quotient[quotient.shape[0] - keep.shape[0] :] = keep
+    if hi < 0:
+        quotient = np.zeros((1,) + target.shape[1:], dtype=np.complex128)
+    else:
+        analytic = max(lo, 0)
+        quotient = convolve(reversed_adjoint(blocks), target[analytic - lo :])[max(m - analytic, 0) :]
     remainder = np.zeros((top + m + 1 - base,) + target.shape[1:], dtype=np.complex128)
     remainder[lo - base : lo - base + target.shape[0]] = target
     remainder[start - base :] -= convolve(blocks, quotient)

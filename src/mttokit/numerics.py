@@ -2,8 +2,12 @@
 
 Everything here is a thin, opinionated wrapper around numpy's SVD/lstsq
 machinery: one rank rule, one phase convention for orthonormal columns,
-one block-Toeplitz assembly and the Frobenius norm, finite at every finite
-scale, used consistently by the rest of the package.  `nullspace` and
+one block-Toeplitz assembly, whose block-offset index is built once per
+shape, and the Frobenius norm, finite at every finite scale and equal bit
+for bit to numpy's, used consistently by the rest of the package.  The
+hot helpers do no more per call than their result needs: at the sizes the
+package decides on most (n up to a few dozen) a call costs its numpy
+dispatch, not its flops.  `nullspace` and
 `solve_min_norm` have no caller in the package; they stay for code that
 looks them up by name.  Every threshold is one of the named constants
 below, which no caller can set.  Every identity check hands its residual
@@ -12,6 +16,7 @@ REL or REBUILD_TOL times a norm) to the one gate, `require_small`, which
 refuses a residual above the bound, NaN or infinite.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -58,13 +63,24 @@ def opnorm(a: np.ndarray) -> float:
 
 
 def frobenius(a: np.ndarray) -> float:
-    """Frobenius norm, safe for every finite scale: numpy sums the squared
-    entries, which overflow above about 1e154 and underflow below 1e-154,
-    so a result outside (1e-150, 1e150) is taken again on the magnitudes
-    rescaled by the largest one (real division: a complex division by a
-    subnormal scalar overflows forming its reciprocal)."""
-    with np.errstate(over="ignore"):
-        nrm = float(np.linalg.norm(a))
+    """Frobenius norm, bit for bit `np.linalg.norm(a)` wherever that is
+    finite and normal, and safe for every finite scale.
+
+    It takes numpy's own sum, the two real dots of the real and imaginary
+    parts of `a` raveled in memory order, with `np.vdot`, which sets no
+    floating-point warning, so no `np.errstate` context is entered and no
+    `np.linalg.norm` dispatched.  The squares overflow above about 1e154
+    and underflow below 1e-154, so a result outside (1e-150, 1e150) is
+    taken again on the magnitudes rescaled by the largest one (real
+    division: a complex division by a subnormal scalar overflows forming
+    its reciprocal).  NaN gives nan and an infinite entry inf."""
+    x = np.asarray(a).ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        nrm = math.sqrt(np.vdot(re, re) + np.vdot(im, im))
+    else:
+        x = x.astype(float, copy=False)  # as np.linalg.norm reads an integer array
+        nrm = math.sqrt(np.vdot(x, x))
     if 1e-150 < nrm < 1e150:
         return nrm
     big = float(np.abs(a).max(initial=0.0))
@@ -147,12 +163,20 @@ def solve_min_norm(a, b):
     return x, residual
 
 
+@functools.lru_cache(maxsize=16)
+def _toeplitz_offsets(rows: int, cols: int) -> np.ndarray:
+    """The read-only index k - j + cols - 1 of block (k, j), built once per
+    shape; a space has one window, so a run holds a few of these at most."""
+    offsets = np.subtract.outer(np.arange(rows), np.arange(cols)) + cols - 1
+    offsets.setflags(write=False)
+    return offsets
+
+
 def block_toeplitz(tiles: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Matrix of rows x cols blocks whose (k, j) block is tiles[k - j + cols - 1].
 
     `tiles` holds the blocks at offsets 1 - cols, ..., rows - 1 in order;
-    they are copied in unchanged."""
+    they are copied in unchanged, through the offset index of the shape,
+    built once (`_toeplitz_offsets`)."""
     r, c = tiles.shape[1:]
-    offsets = np.subtract.outer(np.arange(rows), np.arange(cols)) + cols - 1
-    return tiles[offsets].transpose(0, 2, 1, 3).reshape(rows * r, cols * c)
-
+    return tiles[_toeplitz_offsets(rows, cols)].transpose(0, 2, 1, 3).reshape(rows * r, cols * c)

@@ -74,6 +74,7 @@ _DEFAULT_SHAPES = ((2, 2), (3, 2))
 MAX_SUITE_CASES = 100  # largest `cases` a config may ask for
 MAX_SUITE_WORK = 2**25  # largest `predicted_work` of a run
 SPACE_WORK_FLOOR = 32  # a space counts as a window of at least this many coordinates
+D_WORK = 8  # weight of a space's n x d work, m*d * d^2, against its n x n work, max(m*d, SPACE_WORK_FLOOR)^3
 
 
 def _is_int(v) -> bool:
@@ -128,7 +129,7 @@ class SuiteConfig:
         work = predicted_work(self)
         if work > MAX_SUITE_WORK:
             raise ParseError(f"predicted suite work {work} exceeds the limit of {MAX_SUITE_WORK} "
-                             f"(cases times the sum over the spaces of max(m*d, {SPACE_WORK_FLOOR})^3)")
+                             f"(cases times the sum over the spaces of max(m*d, {SPACE_WORK_FLOOR})^3 + {D_WORK}*m*d^3)")
 
     def to_json(self) -> dict:
         return {
@@ -141,12 +142,20 @@ class SuiteConfig:
 
 
 def predicted_work(config: SuiteConfig) -> int:
-    """cases * sum over the spaces of the run of max(m*d, SPACE_WORK_FLOOR)^3.
-    A case's dense n x n products cost O(n^3) with n <= m*d, and a space of
-    any size costs about as much as one with a window of SPACE_WORK_FLOOR."""
-    windows = [len(FIXTURE_FACTORS[name]) * len(FIXTURE_FACTORS[name][0]) for name in config.fixtures]
-    windows += [d * m for d, m in config.random_inners]
-    return config.cases * sum(max(w, SPACE_WORK_FLOOR) ** 3 for w in windows)
+    """cases * sum over the spaces of the run of
+    max(m*d, SPACE_WORK_FLOOR)^3 + D_WORK * m*d * d^2.  A case's dense
+    n x n products cost O(n^3) with n <= m*d, and a space of any size costs
+    about as much as one with a window of SPACE_WORK_FLOOR.  Its d x d and
+    n x d work (Haar draws, d x d norms, frames and symbols d columns wide)
+    costs O(n d^2), which the window alone misses at large d: at one
+    predicted 3.3e7 by the window, one case of [d, m] = [320, 1] took 9 to
+    12 times as long as one of [1, 320] (one BLAS thread), and one of
+    [150, 1] about as long as [1, 320].  D_WORK = 8 is the largest weight
+    that still admits [150, 1]; [320, 1] then counts 9 times [1, 320], and
+    [4, 64], which ran in half the time of [1, 320], half of it."""
+    shapes = [(len(FIXTURE_FACTORS[name][0]), len(FIXTURE_FACTORS[name])) for name in config.fixtures]
+    shapes += config.random_inners
+    return config.cases * sum(max(m * d, SPACE_WORK_FLOOR) ** 3 + D_WORK * m * d**3 for d, m in shapes)
 
 
 def _spaces(config: SuiteConfig) -> list:

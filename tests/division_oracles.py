@@ -9,7 +9,10 @@ left inverse of [Theta_1; ...; Theta_m].  The functions below are the
 route it replaced, one Laurent product, split, subtraction and `lstsq` per
 slot, with the same tolerances and refusals, the split F = F_plus + F_star*
 it rested on, and the minimum-norm least squares over block-Toeplitz
-systems that the witness tests pin both to.
+systems that the witness tests pin both to.  `full_array_division` is the
+array route as it was before it dropped the target's frequencies below 0:
+one convolution of Theta* with the whole target, of which only the blocks
+at start..top are kept.
 """
 
 from typing import Optional
@@ -17,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from mttokit.errors import DimensionMismatchError, IdentityCheckError, NotZeroOperatorError
-from mttokit.laurent import MatLaurent, boundary_adjoint, multiply, reversed_adjoint
+from mttokit.laurent import MatLaurent, boundary_adjoint, convolve, multiply, reversed_adjoint
 from mttokit.model_operator import s_theta
 from mttokit.model_space import ModelSpaceBasis, make_inner_potapov
 from mttokit.mtto import ZeroSymbolResult, build
@@ -25,6 +28,21 @@ from mttokit.numerics import CHECK_TOL, REL, opnorm, solve_min_norm
 from mttokit.randgen import haar_unitary, random_projection
 
 from dimension_oracles import toeplitz_of
+
+
+def full_array_division(blocks: np.ndarray, lo: int, target: np.ndarray):
+    """(start, Q, R) as `mtto._divide_by_theta` gives them, with Theta*
+    convolved over the whole target, frequencies lo..hi."""
+    m, hi = blocks.shape[0] - 1, lo + target.shape[0] - 1
+    start, top = max(lo - m, 0), max(hi, 0)
+    base = min(lo, start)
+    keep = convolve(reversed_adjoint(blocks), target)[max(m - lo, 0) :]  # frequencies start..top
+    quotient = np.zeros((top + 1 - start,) + target.shape[1:], dtype=np.complex128)
+    quotient[quotient.shape[0] - keep.shape[0] :] = keep
+    remainder = np.zeros((top + m + 1 - base,) + target.shape[1:], dtype=np.complex128)
+    remainder[lo - base : lo - base + target.shape[0]] = target
+    remainder[start - base :] -= convolve(blocks, quotient)
+    return start, quotient, remainder
 
 
 def analytic_split(f: MatLaurent):

@@ -420,6 +420,8 @@ def test_suite_config_errors_exit_2(tmp_path, capsys):
     {"seed": 0, "cases": 1000000000, "random_inners": [[2, 2]], "fixtures": ["FIX1"]},
     {"seed": 0, "cases": 1, "random_inners": [[8, 128]], "fixtures": ["FIX1"]},
     {"seed": 0, "cases": 1, "random_inners": [[1, 1]] * 2000, "fixtures": ["FIX1"]},
+    {"seed": 0, "cases": 1, "random_inners": [[320, 1]], "fixtures": ["FIX1"]},
+    {"seed": 0, "cases": 1, "random_inners": [[200, 1]]},
 ])
 def test_suite_past_its_work_bound_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, config):
     monkeypatch.setattr(cli, "run_suite", lambda cfg: pytest.fail("run_suite called"))

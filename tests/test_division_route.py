@@ -92,6 +92,27 @@ def test_array_division_matches_the_laurent_division(basis):
 
 
 @pytest.mark.parametrize("basis", BASES, ids=IDS)
+def test_the_division_of_the_analytic_part_is_the_full_division_bit_for_bit(basis):
+    # Theta* lowers frequencies, so the target's blocks below 0 never reach
+    # the quotient: dropping them must not move a bit of Q or R
+    rng = np.random.default_rng(basis.n + 37)
+    d, m = basis.inner.d, basis.inner.m
+    spans = [(-m - 3, 2), (-m - 3, m + 2), (-m, 0), (-m, m), (-1, 1), (0, 0), (0, m + 1), (m - 1, m + 1),
+             (m, m), (m + 2, m + 5), (-m - 4, -1), (-2, -1), (-1, -1), (-10, 10)]
+    for lo, hi in spans:
+        for columns in (d, 2 * d, 3 * d):
+            target = rng.standard_normal((hi - lo + 1, d, columns)) + 1j * rng.standard_normal((hi - lo + 1, d, columns))
+            start, quotient, remainder = _divide_by_theta(basis.inner.blocks, lo, target)
+            want = oracle.full_array_division(basis.inner.blocks, lo, target)
+            assert start == want[0], (lo, hi)
+            assert quotient.dtype == want[1].dtype and remainder.dtype == want[2].dtype
+            assert np.array_equal(quotient, want[1]) and np.array_equal(remainder, want[2]), (lo, hi, columns)
+            if hi < 0:  # wholly below 0: the quotient is 0 and the remainder is the target
+                assert quotient.shape[0] == 1 and not quotient.any()
+                assert np.array_equal(remainder[: hi - lo + 1], target) and not remainder[hi - lo + 1 :].any()
+
+
+@pytest.mark.parametrize("basis", BASES, ids=IDS)
 def test_zero_symbol_decompose_matches_the_laurent_route_and_least_squares(basis):
     rng = np.random.default_rng(basis.n + 32)
     for label, phi in _zero_symbols(basis, rng).items():

@@ -17,6 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mttokit import numerics
 from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent
 from mttokit.model_space import ModelSpaceBasis
@@ -87,6 +88,49 @@ def test_no_svd_in_is_mtto_or_recover_symbol_on_a_warm_basis(basis, svd_calls):
     recover_symbol(basis, a)
     recover_symbol(basis, a, 1e-6 * frobenius(a))
     assert svd_calls == []
+
+
+@pytest.mark.parametrize("basis", SPACES, ids=IDS)
+def test_no_norm_dispatch_and_no_errstate_in_warm_build_is_mtto_or_recover_symbol(basis, monkeypatch):
+    rng = np.random.default_rng(basis.n)
+    phi = random_symbol(basis.inner.d, -2, 2, rng)
+    a = build(basis, phi).mat
+    is_mtto(basis, a)  # fills the basis cache: shift and defect spaces
+    calls = []
+    real_norm, real_enter = np.linalg.norm, np.errstate.__enter__
+
+    def norm(*args, **kwargs):
+        calls.append("norm")
+        return real_norm(*args, **kwargs)
+
+    def enter(self):
+        calls.append("errstate")
+        return real_enter(self)
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    monkeypatch.setattr(np_linalg, "norm", norm)
+    monkeypatch.setattr(np.errstate, "__enter__", enter)
+    build(basis, phi)
+    assert is_mtto(basis, a).verdict
+    is_mtto(basis, _gaussian(basis.n, rng))
+    recover_symbol(basis, a)
+    assert calls == []
+
+
+def test_the_toeplitz_offset_index_is_built_once_per_shape():
+    offsets = numerics._toeplitz_offsets
+    offsets.cache_clear()
+    rng = np.random.default_rng(3)
+    for basis in SPACES:
+        phi = random_symbol(basis.inner.d, -2, 2, rng)
+        for _ in range(3):
+            a = build(basis, phi).mat
+            recover_symbol(basis, a)
+    shapes = {(basis.inner.m, basis.inner.m) for basis in SPACES}
+    info = offsets.cache_info()
+    assert info.misses == len(shapes) and info.hits == 6 * len(SPACES) - len(shapes)
+    assert info.currsize == len(shapes) <= info.maxsize
+    assert not offsets(4, 4).flags.writeable
 
 
 @pytest.mark.parametrize("basis", SPACES, ids=IDS)

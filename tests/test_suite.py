@@ -68,19 +68,37 @@ def test_a_config_is_frozen_so_no_assignment_gets_round_its_bounds(field):
 
 def test_default_and_benchmark_configs_are_within_the_work_bound():
     benchmark = SuiteConfig(seed=0, cases=1, random_inners=((2, 2),))
-    assert suite.predicted_work(SuiteConfig(seed=0)) == 5 * 7 * 32**3
-    assert suite.predicted_work(benchmark) == 6 * 32**3
+    # FIX1 to FIX5 are [d, m] = [1, 1], [1, 2], [2, 2], [2, 1], [2, 2]
+    fixtures_d_term = 8 * (1 + 2 + 2 * 8 + 8 + 2 * 8)
+    assert suite.predicted_work(SuiteConfig(seed=0)) == 5 * (7 * 32**3 + fixtures_d_term + 8 * (2 * 8 + 2 * 27))
+    assert suite.predicted_work(benchmark) == 6 * 32**3 + fixtures_d_term + 8 * 2 * 8
     assert suite.predicted_work(SuiteConfig(seed=0, cases=suite.MAX_SUITE_CASES)) <= suite.MAX_SUITE_WORK
 
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"cases": 101}, "cases 101 exceeds the limit of 100"),
-    ({"cases": 1, "fixtures": ("FIX1",), "random_inners": ((16, 128),)}, "predicted suite work 8589967360 exceeds"),
-    ({"cases": 1, "fixtures": ("FIX1",) * 1100, "random_inners": ()}, "predicted suite work 36044800 exceeds"),
+    ({"cases": 1, "fixtures": ("FIX1",), "random_inners": ((16, 128),)}, "predicted suite work 8594161672 exceeds"),
+    ({"cases": 1, "fixtures": ("FIX1",) * 1100, "random_inners": ()}, "predicted suite work 36053600 exceeds"),
+    ({"cases": 1, "fixtures": ("FIX1",), "random_inners": ((320, 1),)}, "predicted suite work 294944776 exceeds"),
+    ({"cases": 1, "fixtures": ("FIX1",), "random_inners": ((200, 1),)}, "predicted suite work 72032776 exceeds"),
 ])
 def test_config_past_the_work_bound_is_refused_on_construction(kwargs, message):
     with pytest.raises(ParseError, match=message):
         SuiteConfig(seed=0, **kwargs)
+
+
+def test_the_d_term_refuses_large_d_and_counts_small_d_by_the_window():
+    # [320, 1] and [1, 320] have one window, but a case of the first ran 9 to 12 times longer
+    def work(shape):
+        return suite.predicted_work(SuiteConfig(seed=0, cases=1, fixtures=("FIX1",), random_inners=(shape,)))
+
+    fix1 = 32**3 + 8
+    assert work((1, 320)) == fix1 + 320**3 + 8 * 320
+    assert work((4, 64)) == fix1 + 256**3 + 8 * 64 * 4**3
+    assert work((150, 1)) == fix1 + 9 * 150**3 <= suite.MAX_SUITE_WORK  # ran about as long as [1, 320]
+    assert work((1, 320)) <= suite.MAX_SUITE_WORK
+    with pytest.raises(ParseError, match="max\\(m\\*d, 32\\)\\^3 \\+ 8\\*m\\*d\\^3"):
+        SuiteConfig(seed=0, cases=1, fixtures=("FIX1",), random_inners=((320, 1),))
 
 
 def test_report_shape_and_registry():
