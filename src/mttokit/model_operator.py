@@ -75,9 +75,9 @@ def _frozen(*arrays):
 def s_theta(basis: ModelSpaceBasis):
     """Compressed shift S = Q* Z Q and its adjoint S* = S.conj().T.  Z moves
     window block j to block j + 1 (multiply by z), so S = Q[d:]* Q[:md - d]
-    is one n x n product of row blocks of Q (0 when m = 1); the defect
-    identities of `defect_spaces` are the check that can fail on a basis
-    off the model space."""
+    is one n x n product of row blocks of Q (0 when m = 1).  The basis
+    build has measured Q against the model space (`ModelSpaceBasis`, gate
+    OFF_ULPS); the defect identities of `defect_spaces` are a second check."""
     if "shift" not in basis.cache:
         d, q = basis.inner.d, basis.q
         s = q[d:].conj().T @ q[: q.shape[0] - d]

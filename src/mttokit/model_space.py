@@ -10,7 +10,8 @@ space is I - L L* with L the block Toeplitz matrix of Theta.  No SVD is
 needed: n is trace P, read off Theta's blocks, and the basis is
 Gram-Schmidt over the columns of P, which only the basis build forms; it
 normalizes no residual below GS_CUT = 1 / MAX_WINDOW and still keeps n.
-Membership of a window element f is ||L* f||, read by `off_space`.
+Membership of a window element f is ||L* f||, read by `off_space`, and of
+a basis column q by ||q - P q||, which also names the repair qr(P Q).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .numerics import (CHECK_TOL, DET_TOL, INNER_TOL, INPUT_TOL, TRACE_TOL, colu
 MAX_WINDOW = 2048  # largest m*d coefficient window a model space is built on
 PANEL = 64  # projector columns orthogonalized per block step of the basis
 GS_CUT = 1 / MAX_WINDOW  # the basis keeps a projected column whose residual norm exceeds GS_CUT
+OFF_ULPS = 64  # a basis column may lie OFF_ULPS * m*d * eps off the model space before it is re-projected
 
 
 def _require_window(m: int, d: int) -> None:
@@ -292,6 +294,9 @@ class ModelSpaceBasis:
     columns square-sum to n minus the count kept, which is then below 1, so
     n are kept; and no direction is normalized from a residual below the
     cut, which bounds how much one step magnifies the rounding of P.
+    It bounds one step, not a chain, so P Q is formed once and ||q - P q|| =
+    ||L* q|| read per column: above OFF_ULPS * m*d * eps (no generic Theta
+    is), Q becomes the Q factor of P Q, read again and refused if still so.
     Each column's first significant entry is then rotated to the positive
     real axis and signed zeros are made positive, so the same Theta always
     yields the same bytes.  The basis is named by `serialize.basis_id`, a
@@ -300,12 +305,19 @@ class ModelSpaceBasis:
 
     def __init__(self, inner: InnerFunction):
         self.inner = inner
-        q = _panel_gram_schmidt(window_projector(inner.blocks), inner.n)
+        p = window_projector(inner.blocks)
+        q = _panel_gram_schmidt(p, inner.n)
         if q.shape[1] != inner.n:
             raise IdentityCheckError(
                 f"model dimension mismatch: Gram-Schmidt count {q.shape[1]}, projector trace {inner.n}"
             )
+        gate, pq = OFF_ULPS * p.shape[0] * np.finfo(np.float64).eps, p @ q
+        if np.linalg.norm(q - pq, axis=0).max() > gate:  # rounding compounded over near-cut columns
+            q = np.linalg.qr(pq)[0]
+            require_small(np.linalg.norm(q - p @ q, axis=0).max(), gate, IdentityCheckError,
+                          "basis left the model space, max ||L* q|| {residual:.3e} after re-projection")
         self.q = fix_column_phases(q) + 0.0  # adding +0.0 turns every -0.0 into +0.0
+        self.q.setflags(write=False)
         self._basis_id = None
         self.cache = {}  # read-only operator data of this space, filled once by model_operator and mtto
 

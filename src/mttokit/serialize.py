@@ -20,7 +20,7 @@ from .laurent import MatLaurent
 from .numerics import require_finite
 
 SCHEMA_VERSION = 1
-BASIS_ID_PREFIX = "v4-"  # changes whenever the rule that builds a basis from Theta does
+BASIS_ID_PREFIX = "v5-"  # changes whenever the rule that builds a basis from Theta does
 
 
 def check_schema_version(obj) -> None:

@@ -13,6 +13,8 @@ column by column; and an encoder that recurses once per scalar.
 `model_space.off_space` measures membership as ||L* f|| on the window
 from Theta's blocks; `membership_residual` takes it through Laurent
 objects, Theta* f in full, and also sees frequencies outside the window.
+`turned_off` turns an orthonormal basis of the model space off it, as
+rounding can.
 """
 
 import numpy as np
@@ -79,3 +81,19 @@ def array_to_json_recursive(a):
         z = complex(a[()])
         return [float(z.real), float(z.imag)]
     return [array_to_json_recursive(sub) for sub in a]
+
+
+def _unit(rng, size):
+    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return v / np.linalg.norm(v)
+
+
+def turned_off(q, angle=1e-4, seed=0):
+    """The orthonormal columns q with their span turned by `angle` off the
+    model space they span: a random direction q c is rotated towards a
+    random window direction w orthogonal to the span, q -> q + ((cos - 1)
+    q c + sin w) c*, and the columns stay orthonormal."""
+    rng = np.random.default_rng(seed)
+    outside = np.linalg.qr(q, mode="complete")[0][:, q.shape[1] :]
+    c, w = _unit(rng, q.shape[1]), outside @ _unit(rng, outside.shape[1])
+    return q + np.outer((np.cos(angle) - 1) * (q @ c) + np.sin(angle) * w, c.conj())

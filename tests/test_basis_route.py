@@ -9,7 +9,10 @@ sweeps a panel with skipped columns further on its triangular factor.
 the projector built from an SVD of the constraint matrix, and
 `fix_column_phases_loop` fixes the phases column by column; both are the
 references here.  The rotated monomial spaces of `monomial_oracles` skip
-many columns of P and have n = sum m_i.
+many columns of P and have n = sum m_i.  The build then reads ||q - P q||
+per column and re-projects, Q = qr(P Q), only above OFF_ULPS * m*d * eps:
+no generic basis crosses that gate, a basis turned off the model space
+is brought back, and one still above it after the re-projection is refused.
 """
 
 import re
@@ -24,24 +27,30 @@ from mttokit import model_space  # noqa: E402
 from mttokit.errors import IdentityCheckError, ParseError  # noqa: E402
 from mttokit.fixtures import FIXTURE_NAMES, fixture  # noqa: E402
 from mttokit.laurent import MatLaurent  # noqa: E402
+from mttokit.model_operator import defect_spaces  # noqa: E402
 from mttokit.model_space import (  # noqa: E402
     MAX_WINDOW,
     PANEL,
     InnerFunction,
     ModelSpaceBasis,
+    off_space,
     potapov_product,
     window_projector,
 )
 from mttokit.numerics import PHASE_CUT, fix_column_phases  # noqa: E402
-from mttokit.randgen import haar_unitary, random_inner, random_projection  # noqa: E402
+from mttokit.randgen import haar_unitary, random_gamma_symmetric_triple, random_inner, random_projection  # noqa: E402
 
-from basis_oracles import constraint_matrix, fix_column_phases_loop, gram_schmidt_loop  # noqa: E402
+from basis_oracles import constraint_matrix, fix_column_phases_loop, gram_schmidt_loop, turned_off  # noqa: E402
 from monomial_oracles import monomial_inner  # noqa: E402
+from test_conditioning_family import nested_pairs_d3  # noqa: E402
 
 # (d, m, seed) of seeded random spaces; the last has n >= 120
 SEEDED = [(1, 4, 11), (2, 3, 12), (3, 5, 13), (4, 12, 14), (6, 40, 15)]
 # unequal m_i of rotated monomial spaces, n = sum m_i from 7 to 59
 MONOMIAL = [(1, 4, 2), (5, 5, 1, 3), (3, 1, 7, 2, 6), (9, 2, 14, 7, 1, 12, 4, 10)]
+# (d, factor ranks) of the benchmark's membership, recovery and spaces workloads
+BENCHMARK_SHAPES = [(1, [1] * 8), (2, [1, 2] * 5 + [1]), (4, [2, 3] * 6), (2, [1, 2, 1, 2, 1, 2, 1, 1]),
+                    (3, [3, 2] * 3), (2, [1, 2, 1, 2, 1, 2, 1]), (4, [3, 3, 3, 3]), (7, [4, 4])]
 
 
 def _monomial(ms):
@@ -257,3 +266,65 @@ def test_window_of_a_thousand_coordinates_is_admitted():
     inner = InnerFunction(MatLaurent(1000, np.eye(1)[None]))  # Theta = z^1000: P is the identity
     assert (inner.m * inner.d, inner.n) == (1000, 1000)
     assert np.array_equal(window_projector(inner.blocks), np.eye(1000))
+
+
+def _generic_thetas():
+    """(label, Theta, Potapov data): the fixtures, the seeded spaces, three
+    draws of each benchmark shape and gamma-symmetric draws."""
+    for name in FIXTURE_NAMES:
+        inner = fixture(name)
+        yield name, inner.theta, inner._potapov
+    for d, m, seed in SEEDED:
+        inner = random_inner(d, m, np.random.default_rng(seed))
+        yield f"seeded {d}x{m}", inner.theta, inner._potapov
+    for k, (d, ranks) in enumerate(BENCHMARK_SHAPES):
+        rng = np.random.default_rng(k)
+        for draw in range(3):
+            yield f"benchmark {d} {ranks} {draw}", *potapov_product(
+                [random_projection(d, r, rng) for r in ranks], haar_unitary(d, rng))
+    for seed in range(12):
+        d, m = 1 + seed % 4, 1 + seed % 3
+        inner = random_gamma_symmetric_triple(d, m, np.random.default_rng(seed))[1]
+        yield f"gamma-symmetric {d}x{m} {seed}", inner.theta, inner._potapov
+
+
+@pytest.mark.parametrize("kind", ["potapov", "coeffs"])
+def test_no_generic_basis_crosses_the_gate(monkeypatch, kind):
+    inners = [(label, InnerFunction(theta, potapov if kind == "potapov" else None))
+              for label, theta, potapov in _generic_thetas()]
+    bases = [ModelSpaceBasis(inner).q for _, inner in inners]
+    monkeypatch.setattr(model_space, "OFF_ULPS", 2**62)  # no basis is re-projected
+    for (label, inner), q in zip(inners, bases):
+        gram_schmidt = model_space._panel_gram_schmidt(window_projector(inner.blocks), inner.n)
+        assert q.tobytes() == (fix_column_phases(gram_schmidt) + 0.0).tobytes(), label
+        assert ModelSpaceBasis(inner).q.tobytes() == q.tobytes(), label
+
+
+@pytest.mark.parametrize("name", ["FIX3", "FIX5", "seeded 3x5", "monomial (1, 4, 2)"])
+def test_a_basis_turned_off_the_model_space_is_re_projected(monkeypatch, name):
+    inner = dict(_spaces())[name]
+    want = ModelSpaceBasis(inner).q
+    gate = model_space.OFF_ULPS * inner.m * inner.d * np.finfo(np.float64).eps
+    real = model_space._panel_gram_schmidt
+    assert off_space(inner, turned_off(real(window_projector(inner.blocks), inner.n))).max() > 1e-5
+    monkeypatch.setattr(model_space, "_panel_gram_schmidt", lambda p, n: turned_off(real(p, n)))
+    basis = ModelSpaceBasis(inner)
+    assert off_space(inner, basis.q).max() <= gate
+    assert np.abs(basis.q.conj().T @ basis.q - np.eye(inner.n)).max() <= 1e-13
+    assert np.abs(basis.q @ basis.q.conj().T - want @ want.conj().T).max() <= 1e-12  # the model space again
+    defect_spaces(basis)
+
+
+def test_a_basis_still_off_the_model_space_after_the_re_projection_is_refused(monkeypatch):
+    inner = InnerFunction(*potapov_product(nested_pairs_d3(1e-2, 8, 1)))
+    ModelSpaceBasis(inner)  # re-projected within the gate
+    monkeypatch.setattr(model_space, "OFF_ULPS", 0)
+    with pytest.raises(IdentityCheckError, match=r"left the model space, max \|\|L\* q\|\| \d\.\d{3}e-\d+ after"):
+        ModelSpaceBasis(inner)
+
+
+@pytest.mark.parametrize("factors", [None, nested_pairs_d3(1e-2, 8, 1)], ids=["FIX3", "re-projected"])
+def test_the_published_basis_is_read_only(factors):
+    basis = ModelSpaceBasis(fixture("FIX3") if factors is None else InnerFunction(*potapov_product(factors)))
+    with pytest.raises(ValueError, match="read-only"):
+        basis.q[0, 0] = 1.0

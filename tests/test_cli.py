@@ -149,7 +149,7 @@ def _op_file_with_id(tmp_path, basis_id):
 
 def test_op_file_with_a_current_id_is_read(tmp_path, capsys):
     basis_id = ModelSpaceBasis(fixture("FIX3")).basis_id
-    assert basis_id.startswith("v4-")
+    assert basis_id.startswith("v5-")
     code, out, _ = run(capsys, "op", "test", "--theta", "FIX3", "--op", _op_file_with_id(tmp_path, basis_id))
     assert code == 0 and json.loads(out)["verdict"]
 
@@ -176,7 +176,7 @@ def test_op_file_with_a_v2_id_is_refused(tmp_path, capsys, command):
     code, out, err = run(capsys, "op", command, "--theta", "FIX3", "--op", _op_file_with_id(tmp_path, "v2-c94075ba28d66639"))
     _assert_parse_error(code, out, err)
     message = json.loads(err)["message"]
-    assert "v2-c94075ba28d66639" in message and "v4" in message and "rebuild" in message
+    assert "v2-c94075ba28d66639" in message and "v5" in message and "rebuild" in message
 
 
 def test_op_file_with_a_wrong_v3_id_is_refused(tmp_path, capsys):
@@ -184,11 +184,19 @@ def test_op_file_with_a_wrong_v3_id_is_refused(tmp_path, capsys):
     code, out, err = run(capsys, "op", "recover", "--theta", "FIX3", "--op", _op_file_with_id(tmp_path, "v3-8745784d20305f31"))
     _assert_parse_error(code, out, err)
     message = json.loads(err)["message"]
-    assert "v3-8745784d20305f31" in message and "v2, v3 and v4" in message and "rebuild" in message
+    assert "v3-8745784d20305f31" in message and "v2, v3, v4 and v5" in message and "rebuild" in message
 
 
 def test_op_file_with_a_wrong_v4_id_is_refused(tmp_path, capsys):
-    wrong = "v4-" + "0" * 16
+    # FIX3's id under the v4 rule, which kept a basis that rounding had taken off the model space
+    code, out, err = run(capsys, "op", "test", "--theta", "FIX3", "--op", _op_file_with_id(tmp_path, "v4-8745784d20305f31"))
+    _assert_parse_error(code, out, err)
+    message = json.loads(err)["message"]
+    assert "v4-8745784d20305f31" in message and "v2, v3, v4 and v5" in message and "rebuild" in message
+
+
+def test_op_file_with_a_wrong_v5_id_is_refused(tmp_path, capsys):
+    wrong = "v5-" + "0" * 16
     code, out, err = run(capsys, "op", "test", "--theta", "FIX3", "--op", _op_file_with_id(tmp_path, wrong))
     _assert_parse_error(code, out, err)
     message = json.loads(err)["message"]

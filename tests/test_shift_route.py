@@ -3,8 +3,8 @@
 Z moves window block j to block j + 1, so S = Q* Z Q = Q[d:]* Q[:md - d]
 and S* is its conjugate transpose; no md x md window matrix is formed.
 The dense compression Q* Z Q stays as the oracle (`membership_oracles`),
-and the defect identities of `defect_spaces` are the check that refuses
-a basis turned off the model space.  A cold `s_theta` or
+and the defect identities of `defect_spaces` are a check that refuses a
+basis turned off the model space after it was built.  A cold `s_theta` or
 `semi_commutator_left_factor` must stay below one md x md complex array
 in traced memory.
 """
@@ -21,6 +21,7 @@ from mttokit.model_space import ModelSpaceBasis, make_inner_potapov
 from mttokit.mtto import semi_commutator_left_factor
 from mttokit.randgen import haar_unitary, random_inner, random_projection, random_symbol
 
+from basis_oracles import turned_off
 from membership_oracles import _shift
 from monomial_oracles import monomial_inner
 
@@ -55,22 +56,10 @@ def test_shift_is_zero_when_m_is_one(name):
     assert s.mat.shape == (basis.n, basis.n) and not s.mat.any() and not s_adj.mat.any()
 
 
-def _unit(rng, size):
-    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return v / np.linalg.norm(v)
-
-
-def _turned(inner, angle=1e-4, seed=0):
-    """A basis whose span is turned by `angle` off the model space: a random
-    direction Q c of it is rotated towards a random window direction w
-    orthogonal to the model space, Q -> Q + ((cos - 1) Q c + sin w) c*, and
-    the columns stay orthonormal."""
-    rng = np.random.default_rng(seed)
+def _turned(inner):
+    """A basis turned 1e-4 off the model space after it was built."""
     basis = ModelSpaceBasis(inner)
-    q = basis.q
-    outside = np.linalg.qr(q, mode="complete")[0][:, q.shape[1] :]
-    c, w = _unit(rng, q.shape[1]), outside @ _unit(rng, outside.shape[1])
-    basis.q = q + np.outer((np.cos(angle) - 1) * (q @ c) + np.sin(angle) * w, c.conj())
+    basis.q = turned_off(basis.q)
     return basis
 
 
