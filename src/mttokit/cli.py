@@ -168,7 +168,8 @@ def _op_recover(args):
 def _symbol_zero_test(args):
     basis = _basis(args)
     result = zero_symbol_decompose(basis, _load_symbol(args.symbol), args.tol)
-    doc = {"schema_version": serialize.SCHEMA_VERSION, "is_zero": result.is_zero, "operator_norm": result.operator_norm}
+    doc = {"schema_version": serialize.SCHEMA_VERSION, "is_zero": result.is_zero, "operator_norm": result.operator_norm,
+           "tol": result.tol}
     if result.is_zero:
         doc["analytic_factor"] = serialize.laurent_to_json(result.psi1)
         doc["costar_factor"] = serialize.laurent_to_json(result.psi2)

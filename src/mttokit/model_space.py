@@ -16,6 +16,8 @@ a basis column q by ||q - P q||, which also names the repair qr(P Q).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import serialize
@@ -33,6 +35,7 @@ from .laurent import (
     evaluate,
     inner_residual,
     is_pure,
+    reversed_adjoint,
     tilde,
 )
 from .numerics import (CHECK_TOL, DET_TOL, INNER_TOL, INPUT_TOL, TRACE_TOL, column_norms, fix_column_phases, frobenius,
@@ -104,7 +107,7 @@ class InnerFunction:
     ||Theta_k||_F^2, with no P formed.  A window wider than MAX_WINDOW
     coordinates is refused before anything is allocated.  `blocks` holds
     Theta_0, ..., Theta_m as one read-only (m+1, d, d) array; `_potapov`
-    is (U, [P_1, ...], sum of rank P_j).
+    is (U, [P_1, ...], sum of rank P_j); `adjoint_blocks`, `tail_inverse` are lazy.
     """
 
     def __init__(self, theta: MatLaurent, _potapov=None):
@@ -137,6 +140,22 @@ class InnerFunction:
 
     def __repr__(self):
         return f"InnerFunction(d={self.d}, m={self.m}, n={self.n})"
+
+    @cached_property
+    def adjoint_blocks(self) -> np.ndarray:
+        """The blocks of Theta(z)*, (Theta_m)*, ..., (Theta_0)* at frequencies -m..0."""
+        out = reversed_adjoint(self.blocks)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def tail_inverse(self) -> np.ndarray:
+        """R^-1 Q*, the left inverse of [Theta_1; ...; Theta_m] = QR, of rank d
+        for pure Theta: its Gram matrix is I - Theta_0* Theta_0."""
+        q, r = np.linalg.qr(self.blocks[1:].reshape(self.m * self.d, self.d))
+        out = np.linalg.solve(r, q.conj().T)
+        out.setflags(write=False)
+        return out
 
     def evaluate(self, z: complex) -> np.ndarray:
         return evaluate(self.theta, z)
@@ -319,7 +338,7 @@ class ModelSpaceBasis:
         self.q = fix_column_phases(q) + 0.0  # adding +0.0 turns every -0.0 into +0.0
         self.q.setflags(write=False)
         self._basis_id = None
-        self.cache = {}  # read-only operator data of this space, filled once by model_operator and mtto
+        self.cache = {}  # read-only operator data of this space, filled once by model_operator
 
     @property
     def n(self) -> int:

@@ -16,10 +16,11 @@ Frobenius norm, with no SVD, on ||P Delta P||_F against the scale-relative
 threshold numerics.REL * ||A||_F (1e-9 ||A||_F); the zero operator passes
 with residual exactly 0, and residual / 2 <= dist_F(A, class) <=
 m * residual.  The zero-symbol tests default to REL * ||Phi||, with ||Phi||
-the norm of the coefficients.  A symbol of the zero operator is split by
-one batched division by Theta on coefficient arrays, Phi and Phi* side by
-side, with both constant terms from one QR of [Theta_1; ...; Theta_m] per
-space.  The class dimension is a count, 2nd - d^2, read off the space.
+the norm of the coefficients.  A symbol of the zero operator is split on
+Theta alone (`_zero_split`): an analytic or coanalytic one by one division,
+a mixed one with Phi* beside it and both constant terms from the left
+inverse of [Theta_1; ...; Theta_m] that the InnerFunction keeps.  The class
+dimension is a count, 2nd - d^2, read off the space.
 """
 
 from __future__ import annotations
@@ -174,32 +175,31 @@ def is_mtto(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> MttoDecis
     return MttoDecision(bool(residual <= tol), float(residual), float(tol), bounds)
 
 
-def _divide_by_theta(blocks: np.ndarray, lo: int, target: np.ndarray):
+def _divide_by_theta(inner: InnerFunction, lo: int, target: np.ndarray):
     """Divide a coefficient array by Theta, all its columns in one batch:
     `target` (K, d, ...) holds frequencies lo..hi of one symbol or several
-    side by side (Phi and Phi* in `zero_symbol_decompose`, whose constant
-    terms `_analytic_slot` fixes with the QR cached per space), `blocks`
-    Theta_0..Theta_m.  Returns (start, Q, R): Q = P+(Theta* target) over
-    frequencies start..top, start = max(lo - m, 0) (Theta* target vanishes
-    below lo - m) and top = max(hi, 0), and the remainder R = target - Theta Q
-    over min(lo, start)..top + m, least in norm because Theta is unitary on
-    the circle.  Theta* has frequencies -m..0 only, so it lowers every
-    frequency it multiplies: the target's blocks below 0 never reach the
-    quotient, and only those at max(lo, 0)..hi are convolved (a target
-    wholly below 0 has quotient 0), each quotient block the same sum in the
-    same order as over the whole target.  So the cost follows the length of
-    target, not |lo|, and a zero symbol's split convolves half of it."""
-    m, hi = blocks.shape[0] - 1, lo + target.shape[0] - 1
+    side by side (Phi and Phi* in `_zero_split`).  Returns (start, Q, R):
+    Q = P+(Theta* target) over frequencies start..top, start = max(lo - m, 0)
+    (Theta* target vanishes below lo - m) and top = max(hi, 0), and the
+    remainder R = target - Theta Q over min(lo, start)..top + m, least in
+    norm because Theta is unitary on the circle.  Theta* has frequencies
+    -m..0 only (`inner.adjoint_blocks`), so it lowers every frequency it
+    multiplies: the target's blocks below 0 never reach the quotient, and
+    only those at max(lo, 0)..hi are convolved (a target wholly below 0 has
+    quotient 0), each quotient block the same sum in the same order as over
+    the whole target.  So the cost follows the length of target, not |lo|,
+    and a zero symbol's split convolves half of it."""
+    m, hi = inner.m, lo + target.shape[0] - 1
     start, top = max(lo - m, 0), max(hi, 0)
     base = min(lo, start)
     if hi < 0:
         quotient = np.zeros((1,) + target.shape[1:], dtype=np.complex128)
     else:
         analytic = max(lo, 0)
-        quotient = convolve(reversed_adjoint(blocks), target[analytic - lo :])[max(m - analytic, 0) :]
+        quotient = convolve(inner.adjoint_blocks, target[analytic - lo :])[max(m - analytic, 0) :]
     remainder = np.zeros((top + m + 1 - base,) + target.shape[1:], dtype=np.complex128)
     remainder[lo - base : lo - base + target.shape[0]] = target
-    remainder[start - base :] -= convolve(blocks, quotient)
+    remainder[start - base :] -= convolve(inner.blocks, quotient)
     return start, quotient, remainder
 
 
@@ -210,10 +210,10 @@ def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent):
     that consequence is verified before returning."""
     if phi.lo < 0:
         raise ValueError("commutant factorization needs an analytic symbol")
-    blocks = basis.inner.blocks
-    start, phi1, remainder = _divide_by_theta(blocks, phi.lo, convolve(phi.coeffs, blocks))  # Phi Theta from phi.lo
+    inner = basis.inner
+    start, phi1, remainder = _divide_by_theta(inner, phi.lo, convolve(phi.coeffs, inner.blocks))  # Phi Theta from phi.lo
     residual = frobenius(remainder)
-    if residual <= CHECK_TOL * (1.0 + phi.norm() * basis.inner.theta.norm()):
+    if residual <= CHECK_TOL * (1.0 + phi.norm() * inner.theta.norm()):
         a_phi = build(basis, phi)
         s, _ = s_theta(basis)
         comm = opnorm(a_phi.mat @ s.mat - s.mat @ a_phi.mat)
@@ -265,88 +265,64 @@ class ZeroSymbolResult:
     psi1: Optional[MatLaurent] = None
     psi2: Optional[MatLaurent] = None
     residual: Optional[float] = None
+    tol: Optional[float] = None  # the bound operator_norm was decided against
 
 
-def _analytic_slot(basis: ModelSpaceBasis, pair: np.ndarray):
-    """Psi in target = Theta Psi + (Theta Psi')* for every column block of
-    `pair` (frequencies -b..b): Theta* target - Psi is coanalytic, so the
-    quotient Q agrees with Psi off j = 0 and the remainder at k = 1..m is
-    Theta_k (Psi(0) - Q(0)), solved by the left inverse R^-1 Q* of the stack
-    [Theta_1; ...; Theta_m] = QR, of rank d for pure Theta (its Gram matrix
-    is I - Theta_0* Theta_0) and kept in the basis cache.  Returns Psi over
-    0..b and target - Theta Psi over -b..b+m."""
-    blocks, d, m = basis.inner.blocks, basis.inner.d, basis.inner.m
-    if "tail_inverse" not in basis.cache:
-        q, r = np.linalg.qr(blocks[1:].reshape(m * d, d))
-        basis.cache["tail_inverse"] = np.linalg.solve(r, q.conj().T)
-        basis.cache["tail_inverse"].setflags(write=False)
-    b = pair.shape[0] // 2
-    _, psi, remainder = _divide_by_theta(blocks, -b, pair)
-    fix = basis.cache["tail_inverse"] @ remainder[b + 1 : b + m + 1].reshape(m * d, -1)
+def _zero_split(inner: InnerFunction, phi: MatLaurent):
+    """((Psi1, Psi2), E), both analytic, with E the coefficients of Phi -
+    Theta Psi1 - (Theta Psi2)* (of its adjoint for a coanalytic Phi), read
+    off Theta alone.  The pair is unique for pure Theta (Theta Psi1 = -(Theta
+    Psi2)* is a constant C with Theta* C analytic, so C = 0), so an analytic
+    Phi has Psi2 = 0 and Psi1 = P+(Theta* Phi), one division, and a
+    coanalytic Phi the mirror image.  A mixed Phi is divided with Phi* beside
+    it: Theta* target - Psi is coanalytic, so the quotient Q agrees with Psi
+    off j = 0, and the remainder at k = 1..m is Theta_k (Psi(0) - Q(0)),
+    solved for both constant terms by `inner.tail_inverse`."""
+    d, m = inner.d, inner.m
+    if phi.lo >= 0 or phi.hi <= 0:  # Phi = Theta (Theta* Phi), or Phi* = Theta (Theta* Phi*)
+        far = phi if phi.lo >= 0 else boundary_adjoint(phi)
+        start, psi, err = _divide_by_theta(inner, far.lo, far.coeffs)
+        pair = (MatLaurent(start, psi), MatLaurent.zero(d))
+        return (pair if far is phi else pair[::-1]), err
+    b = max(phi.hi, -phi.lo)
+    window = phi.window(-b, b)
+    _, psi, remainder = _divide_by_theta(inner, -b, np.concatenate([window, reversed_adjoint(window)], axis=2))
+    fix = inner.tail_inverse @ remainder[b + 1 : b + m + 1].reshape(m * d, -1)
     psi[0] += fix
-    remainder[b : b + m + 1] -= blocks @ fix
-    return psi, remainder
-
-
-def _zero_operator_test(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional[float]):
-    """(||A_Phi||, ||Phi||, tol) for the zero-operator test ||A_Phi|| <= tol,
-    tol defaulting to REL * ||Phi|| with ||Phi|| the norm of the coefficients."""
-    nrm, scale = opnorm(build(basis, phi).mat), phi.norm()
-    return nrm, scale, REL * scale if tol is None else tol
+    remainder[b : b + m + 1] -= inner.blocks @ fix
+    # Phi - Theta Psi1 - (Theta Psi2)* = R1 + R2* - Phi for R = [Phi, Phi*] - Theta [Psi1, Psi2]
+    err = np.zeros((2 * (b + m) + 1, d, d), dtype=np.complex128)  # frequencies -(b+m)..b+m
+    err[m:] = remainder[:, :, :d]
+    err[: 2 * b + m + 1] += reversed_adjoint(remainder[:, :, d:])
+    err[m : m + 2 * b + 1] -= window
+    return (MatLaurent(0, psi[:, :, :d]), MatLaurent(0, psi[:, :, d:])), err
 
 
 def zero_symbol_decompose(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional[float] = None) -> ZeroSymbolResult:
-    """If phi induces the zero operator, write it as Theta Psi1 plus the
-    boundary adjoint of Theta Psi2 with both factors analytic; otherwise
-    report the operator norm as the non-vanishing certificate.  For pure
-    Theta the pair is unique (Theta Psi1 = -(Theta Psi2)* is a constant C
-    with Theta* C analytic, so C = 0); Psi1 and Psi2 come from one division
-    of [Phi, Phi*] by Theta, both constant terms from one solve.  A symbol
-    wholly at |k| >= m has the closed form Psi1 = Theta* Phi, Psi2 = 0 (or
-    the mirror image for k <= -m), whose cost does not grow with |k|."""
-    d, m = basis.inner.d, basis.inner.m
-    if phi.dim != d:
+    """Decide ||A_Phi|| <= tol, tol defaulting to REL * ||Phi||, the norm of
+    the coefficients: split a zero symbol by `_zero_split`, checked to
+    REBUILD_TOL * ||Phi||, and certify any other by its operator norm."""
+    if phi.dim != basis.inner.d:
         raise DimensionMismatchError("symbol dimension does not match")
-    nrm, scale, tol = _zero_operator_test(basis, phi, tol)
+    nrm, scale = opnorm(build(basis, phi).mat), phi.norm()
+    tol = float(REL * scale if tol is None else tol)
     if nrm > tol:
-        return ZeroSymbolResult(is_zero=False, operator_norm=float(nrm))
-    if phi.lo >= m or phi.hi <= -m:  # Phi = Theta (Theta* Phi), or Phi* = Theta (Theta* Phi*)
-        far = phi if phi.lo >= m else boundary_adjoint(phi)
-        start, psi, err = _divide_by_theta(basis.inner.blocks, far.lo, far.coeffs)
-        psi1, psi2 = MatLaurent(start, psi), MatLaurent.zero(d)
-        if far is not phi:
-            psi1, psi2 = psi2, psi1
-    else:
-        b = max(phi.hi, -phi.lo)
-        window = phi.window(-b, b)
-        psi, remainder = _analytic_slot(basis, np.concatenate([window, reversed_adjoint(window)], axis=2))
-        # Phi - Theta Psi1 - (Theta Psi2)* = R1 + R2* - Phi for R = [Phi, Phi*] - Theta [Psi1, Psi2]
-        err = np.zeros((2 * (b + m) + 1, d, d), dtype=np.complex128)  # frequencies -(b+m)..b+m
-        err[m:] = remainder[:, :, :d]
-        err[: 2 * b + m + 1] += reversed_adjoint(remainder[:, :, d:])
-        err[m : m + 2 * b + 1] -= window
-        psi1, psi2 = MatLaurent(0, psi[:, :, :d]), MatLaurent(0, psi[:, :, d:])
+        return ZeroSymbolResult(is_zero=False, operator_norm=float(nrm), tol=tol)
+    (psi1, psi2), err = _zero_split(basis.inner, phi)
     residual = require_small(frobenius(err), REBUILD_TOL * scale, IdentityCheckError,
                              "zero-operator symbol failed to decompose, residual {residual:.3e}")
-    return ZeroSymbolResult(True, float(nrm), psi1, psi2, residual)
+    return ZeroSymbolResult(True, float(nrm), psi1, psi2, residual, tol)
 
 
 def factor_through_theta(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional[float] = None):
-    """Divide an analytic symbol of the zero operator by Theta.
-
-    Multiplying by the boundary adjoint of Theta inverts it on the
-    circle, and for these symbols the result is again analytic; the
-    analytic part is returned together with the reconstruction residual.
-    """
+    """Divide an analytic symbol of the zero operator by Theta: its split
+    has Psi2 = 0, so Phi = Theta Psi1, and (Psi1, residual) is returned."""
     if phi.lo < 0:
         raise ValueError("only analytic symbols factor through Theta")
-    nrm, scale, tol = _zero_operator_test(basis, phi, tol)
-    if nrm > tol:
-        raise NotZeroOperatorError(f"operator norm {nrm:.3e} exceeds {tol:.3e}")
-    start, phi1, remainder = _divide_by_theta(basis.inner.blocks, phi.lo, phi.coeffs)
-    residual = require_small(frobenius(remainder), REBUILD_TOL * scale, IdentityCheckError,
-                             "division by Theta left residual {residual:.3e}")
-    return MatLaurent(start, phi1), residual
+    result = zero_symbol_decompose(basis, phi, tol)
+    if not result.is_zero:
+        raise NotZeroOperatorError(f"operator norm {result.operator_norm:.3e} exceeds {result.tol:.3e}")
+    return result.psi1, result.residual
 
 
 @dataclass

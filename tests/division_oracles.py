@@ -2,10 +2,11 @@
 test references.
 
 `mttokit.mtto` divides whole coefficient arrays by Theta: the zero-symbol
-decomposition stacks Phi and Phi* side by side, takes one convolution with
-the reversed adjoint blocks of Theta for both quotients and one with the
-blocks for the remainders, and fixes both constant terms with one cached
-left inverse of [Theta_1; ...; Theta_m].  The functions below are the
+split divides an analytic or coanalytic symbol alone, and stacks a mixed
+Phi and Phi* side by side, takes one convolution with the blocks of Theta*
+for both quotients and one with the blocks for the remainders, and fixes
+both constant terms with the left inverse of [Theta_1; ...; Theta_m] that
+the InnerFunction keeps.  The functions below are the
 route it replaced, one Laurent product, split, subtraction and `lstsq` per
 slot, with the same tolerances and refusals, the split F = F_plus + F_star*
 it rested on, and the minimum-norm least squares over block-Toeplitz

@@ -373,7 +373,7 @@ def test_every_command_writes_its_pinned_keys_on_fix3(tmp_path, capsys):
     symbol = write_symbol(tmp_path, "symbol.json", MatLaurent.identity(2))
     zero = write_symbol(tmp_path, "zero.json", fixture("FIX3").theta)
     op = _member_op_file(tmp_path)
-    zero_keys = {"schema_version", "is_zero", "operator_norm"}
+    zero_keys = {"schema_version", "is_zero", "operator_norm", "tol"}
     runs = {
         ("inner", "check"): ([], {"analytic", "inner_residual", "purity_margin", "verdict"}),
         ("space", "basis"): ([], {"schema_version", "basis_id", "n", "d", "degree", "columns"}),

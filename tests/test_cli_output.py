@@ -211,8 +211,9 @@ def test_symbol_zero_test_matches_the_laurent_route(tmp_path, capsys, name):
         assert got["is_zero"] is want.is_zero and code == (0 if want.is_zero else 1)
         tol = 1e-15 * phi.norm()  # every float is measured in the symbol's norm
         assert abs(got["operator_norm"] - want.operator_norm) <= tol
+        assert got["tol"] == 1e-9 * phi.norm()  # the default bound, REL * ||Phi||
         if not want.is_zero:
-            assert sorted(got) == ["is_zero", "operator_norm", "schema_version"]
+            assert sorted(got) == ["is_zero", "operator_norm", "schema_version", "tol"]
             continue
         assert abs(got["residual"] - want.residual) <= tol
         for key, ref in (("analytic_factor", want.psi1), ("costar_factor", want.psi2)):

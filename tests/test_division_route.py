@@ -2,10 +2,12 @@
 route it replaced and to block-Toeplitz least squares.
 
 `mtto._divide_by_theta` divides every column of one coefficient array by
-Theta at once; `zero_symbol_decompose` runs it on Phi and Phi* side by side
-and fixes both constant terms with one cached left inverse, and
-`commutant_factor` and `factor_through_theta` divide analytic targets with
-it.  Each must give what the Laurent route of division_oracles gives, on
+Theta at once; `zero_symbol_decompose` runs it once on an analytic or
+coanalytic symbol, and on a mixed one with Phi* beside it, fixing both
+constant terms with the left inverse the InnerFunction keeps;
+`commutant_factor` divides analytic targets with it, and
+`factor_through_theta` is `zero_symbol_decompose` on an analytic symbol.
+Each must give what the Laurent route of division_oracles gives, on
 fixtures, seeded Potapov products and inner functions given by their
 coefficients, with d = 1 and m = 1 among them, and on symbols whose support
 misses frequency 0.  A symbol wholly at |k| >= m, as far out as 1e12, is
@@ -78,7 +80,7 @@ def test_array_division_matches_the_laurent_division(basis):
     theta, d, m = basis.inner.theta, basis.inner.d, basis.inner.m
     for lo, hi in ((0, 2), (m + 2, m + 4), (-4, -1), (-3, m + 1), (0, 0)):
         f, g = random_symbol(d, lo, hi, rng), random_symbol(d, lo, hi, rng)
-        start, quotient, remainder = _divide_by_theta(basis.inner.blocks, f.lo, np.concatenate([f.coeffs, g.coeffs], axis=2))
+        start, quotient, remainder = _divide_by_theta(basis.inner, f.lo, np.concatenate([f.coeffs, g.coeffs], axis=2))
         top, base = max(f.hi, 0), min(f.lo, start)
         assert start == max(lo - m, 0)
         assert quotient.shape[0] == top + 1 - start and remainder.shape[0] == top + m + 1 - base
@@ -102,7 +104,7 @@ def test_the_division_of_the_analytic_part_is_the_full_division_bit_for_bit(basi
     for lo, hi in spans:
         for columns in (d, 2 * d, 3 * d):
             target = rng.standard_normal((hi - lo + 1, d, columns)) + 1j * rng.standard_normal((hi - lo + 1, d, columns))
-            start, quotient, remainder = _divide_by_theta(basis.inner.blocks, lo, target)
+            start, quotient, remainder = _divide_by_theta(basis.inner, lo, target)
             want = oracle.full_array_division(basis.inner.blocks, lo, target)
             assert start == want[0], (lo, hi)
             assert quotient.dtype == want[1].dtype and remainder.dtype == want[2].dtype
@@ -125,6 +127,8 @@ def test_zero_symbol_decompose_matches_the_laurent_route_and_least_squares(basis
         _assert_same_pair(result, oracle.lstsq_zero_symbol(basis, phi), scale)
         assert abs(result.residual - want.residual) <= 1e-12 * scale
         assert result.residual <= 1e-12 * scale
+        if label in ("shifted", "costar", "theta"):  # one-sided: the other factor is exactly 0
+            assert (result.psi1 if label == "costar" else result.psi2).is_zero()
         if label == "zero":
             assert result.psi1.is_zero() and result.psi2.is_zero() and result.residual == 0.0
 
@@ -204,15 +208,27 @@ def test_factor_through_theta_gives_what_the_laurent_route_gives(basis):
             route(basis, outside)
 
 
-def test_a_broken_constant_term_solve_is_refused():
-    # with Theta(0) != 0 both quotients need a constant-term correction;
-    # dropping it must fail the 1e-8 ||Phi|| gate
-    basis = oracle.rank_one_space(2, 3, 54)
-    phi = oracle.zero_symbol(basis.inner.theta, *(random_symbol(2, 0, 2, np.random.default_rng(s)) for s in (1, 2)))
-    zero_symbol_decompose(basis, phi)
-    basis.cache["tail_inverse"] = np.zeros_like(basis.cache["tail_inverse"])
-    with pytest.raises(IdentityCheckError, match="failed to decompose"):
-        zero_symbol_decompose(basis, phi)
+def test_a_broken_constant_term_solve_is_refused(monkeypatch):
+    # with Theta(0) != 0 a mixed symbol's quotients need a constant-term
+    # correction, and dropping it must fail the 1e-8 ||Phi|| gate; an analytic
+    # or coanalytic symbol takes the closed form, which never reads it
+    rng = np.random.default_rng(54)
+    for basis in (oracle.rank_one_space(2, 3, 54), SPACES["FIX5"]):
+        theta, d = basis.inner.theta, basis.inner.d
+        psi1, psi2 = random_symbol(d, 0, 2, rng), random_symbol(d, 0, 2, rng)
+        assert np.abs(basis.inner.blocks[0]).max() > 0.1
+        one_sided = [multiply(theta, psi1), boundary_adjoint(multiply(theta, psi2))]
+        before = [zero_symbol_decompose(basis, phi) for phi in one_sided]
+        mixed = oracle.zero_symbol(theta, psi1, psi2)
+        zero_symbol_decompose(basis, mixed)
+        monkeypatch.setattr(basis.inner, "tail_inverse", np.zeros_like(basis.inner.tail_inverse))
+        for phi, want in zip(one_sided, before):
+            got = zero_symbol_decompose(basis, phi)
+            assert got.residual == want.residual
+            for a, b in ((got.psi1, want.psi1), (got.psi2, want.psi2)):
+                assert a.lo == b.lo and np.array_equal(a.coeffs, b.coeffs)
+        with pytest.raises(IdentityCheckError, match="failed to decompose"):
+            zero_symbol_decompose(basis, mixed)
 
 
 @pytest.mark.parametrize("basis", BASES, ids=IDS)

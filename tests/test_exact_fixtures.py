@@ -17,16 +17,25 @@ m*d coefficient window:
 
 Each count is compared with `InnerFunction.n`, `det_degree`, the float S
 of `s_theta` and `mtto_dimension`.
+
+The zero-symbol split is checked against exact pairs: for Gaussian-rational
+Psi1, Psi2 of degree 2, Phi = Theta Psi1 + (Theta Psi2)*, Theta Psi1 or
+(Theta Psi2)* is formed exactly, and `zero_symbol_decompose` must return
+Psi1 and Psi2 within 1e-13 ||Phi||, with the absent factor of a one-sided
+symbol exactly 0.  The split reads Theta alone, so it runs on an
+InnerFunction for which no basis was ever built.
 """
 
 import numpy as np
 import pytest
 
+from mttokit import model_space
 from mttokit.fixtures import fixture
+from mttokit.laurent import MatLaurent
 from mttokit.model_operator import s_theta
 from mttokit.model_space import ModelSpaceBasis, det_degree, make_inner_potapov
-from mttokit.mtto import mtto_dimension
-from mttokit.numerics import rank
+from mttokit.mtto import _zero_split, mtto_dimension, zero_symbol_decompose
+from mttokit.numerics import frobenius, rank
 
 sympy = pytest.importorskip("sympy")
 
@@ -141,3 +150,101 @@ def test_seeded_d3_exact_counts_match_the_float_space(seed, ranks, turned):
     assert exact[2][0] == n and exact[2][2] == 2 * n * 3 - 9  # n = sum of the factor ranks, dimension 2nd - d^2
     inner = make_inner_potapov([np.array(p, dtype=float) for p in factors], np.array(u, dtype=float))
     _assert_float_space_counts(inner, blocks, *exact)
+
+
+# --- the zero-symbol split ----------------------------------------------------
+
+SPLIT_SPACES = sorted(FACTORS) + [f"seeded-{i}" for i in range(len(SEEDED))]
+KINDS = ("mixed", "analytic", "coanalytic")
+
+
+def _exact_space(name):
+    """(exact blocks of Theta, float InnerFunction) of a fixture or a seeded d = 3 space."""
+    if name in FACTORS:
+        return _theta_blocks(FACTORS[name]), fixture(name)
+    factors, u = _seeded_factors(*SEEDED[int(name.rsplit("-", 1)[1])])
+    return _theta_blocks(factors, u), make_inner_potapov([np.array(p, dtype=float) for p in factors],
+                                                         np.array(u, dtype=float))
+
+
+def _gaussian_symbol(d, rng, degree=2):
+    """Blocks 0..degree of an analytic symbol with entries (a + b i) / 4, a, b in -4..4."""
+    def entry(i, j):
+        a, b = (int(x) for x in rng.integers(-4, 5, size=2))
+        return sympy.Rational(a, 4) + sympy.I * sympy.Rational(b, 4)
+    return [sympy.Matrix(d, d, entry) for _ in range(degree + 1)]
+
+
+def _times(theta, psi):
+    """Blocks of Theta Psi, frequencies 0..m + deg Psi."""
+    d = theta[0].shape[0]
+    out = [sympy.zeros(d, d) for _ in range(len(theta) + len(psi) - 1)]
+    for i, t in enumerate(theta):
+        for j, p in enumerate(psi):
+            out[i + j] += t * p
+    return out
+
+
+def _floats(blocks):
+    return np.array([np.array(b, dtype=np.complex128) for b in blocks])
+
+
+def _exact_zero_symbol(theta, kind, seed):
+    """(Phi as a float MatLaurent, exact Psi1 and Psi2 as float arrays, 0 for an absent factor)."""
+    d = theta[0].shape[0]
+    rng = np.random.default_rng(seed)
+    psi1, psi2 = _gaussian_symbol(d, rng), _gaussian_symbol(d, rng)
+    if kind == "coanalytic":
+        psi1 = [sympy.zeros(d, d)]
+    if kind == "analytic":
+        psi2 = [sympy.zeros(d, d)]
+    plus, star = _times(theta, psi1), _times(theta, psi2)
+    top = len(star) - 1  # (Theta Psi2)* has frequencies -top..0, block -k the adjoint of block k
+    blocks = [star[top - i].H for i in range(top)] + [star[0].H + plus[0]] + plus[1:]
+    return MatLaurent(-top, _floats(blocks)), _floats(psi1), _floats(psi2)
+
+
+def _assert_exact_pair(pair, want, scale, kind):
+    for got, ref, absent in zip(pair, want, (kind == "coanalytic", kind == "analytic")):
+        if absent:
+            assert got.is_zero() and got.lo == 0, kind  # exactly 0, not roundoff
+            continue
+        assert got.lo >= 0
+        assert np.linalg.norm(got.window(0, max(got.hi, len(ref) - 1)) - MatLaurent(0, ref).window(
+            0, max(got.hi, len(ref) - 1))) <= 1e-13 * scale, kind
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", SPLIT_SPACES)
+def test_zero_symbol_decompose_returns_the_exact_pair(name, kind):
+    theta, inner = _exact_space(name)
+    assert _floats(theta).shape == inner.blocks.shape and np.abs(_floats(theta) - inner.blocks).max() <= 1e-15
+    for seed in range(3):
+        phi, psi1, psi2 = _exact_zero_symbol(theta, kind, seed)
+        result = zero_symbol_decompose(ModelSpaceBasis(inner), phi)
+        scale = frobenius(phi.coeffs)
+        assert result.is_zero and result.residual <= 1e-13 * scale
+        _assert_exact_pair((result.psi1, result.psi2), (psi1, psi2), scale, kind)
+
+
+@pytest.mark.parametrize("name", ["FIX5", "seeded-2"])
+def test_the_split_runs_on_theta_alone(name, monkeypatch):
+    theta, inner = _exact_space(name)  # a new InnerFunction: no basis was built on it
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the split built a basis")
+
+    monkeypatch.setattr(model_space.ModelSpaceBasis, "__init__", refuse)
+    monkeypatch.setattr(model_space, "window_projector", refuse)
+    splits = {}
+    for kind in KINDS:
+        phi, psi1, psi2 = _exact_zero_symbol(theta, kind, 7)
+        splits[kind] = phi, _zero_split(inner, phi)
+        _assert_exact_pair(splits[kind][1][0], (psi1, psi2), frobenius(phi.coeffs), kind)
+    monkeypatch.undo()
+    basis = ModelSpaceBasis(inner)
+    for kind, (phi, ((p1, p2), err)) in splits.items():  # the decomposition is that split, bit for bit
+        result = zero_symbol_decompose(basis, phi)
+        assert result.residual == frobenius(err)
+        for got, want in ((result.psi1, p1), (result.psi2, p2)):
+            assert got.lo == want.lo and np.array_equal(got.coeffs, want.coeffs)

@@ -7,7 +7,7 @@ which stays finite at every finite scale.  Symbols and matrices far above
 with finite numbers instead of passing a check against an infinite bound.
 The source of the three modules that hold the checks is read with `ast`:
 no threshold there is a bare literal, and no residual error is raised but
-through the gate.
+through the gate.  The suite's registry names every tolerance it holds.
 """
 
 import ast
@@ -35,7 +35,7 @@ ROUTED = {  # every identity check of the three modules, by the function that ho
     "model_space.py": ["det_degree", "__init__", "potapov_product", "require_member", "kernel_window",
                        "tilde_kernel_window"],
     "model_operator.py": ["_frame_svd", "defect_spaces", "j_operators", "__init__", "conjugation_matrix"],
-    "mtto.py": ["commutant_factor", "recover_symbol", "zero_symbol_decompose", "factor_through_theta"],
+    "mtto.py": ["commutant_factor", "recover_symbol", "zero_symbol_decompose"],
 }
 HUGE = MatLaurent(0, [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]]])  # ||Phi|| = 1.414e200
 
@@ -201,3 +201,16 @@ def test_every_identity_check_calls_the_gate(name):
             calls[node.name] = calls.get(node.name, 0) + len(gated)
     missing = [fn for fn in ROUTED[name] if not calls.get(fn)]
     assert not missing, f"{name}: no call to the gate in {missing}"
+
+
+def test_the_suite_registry_names_every_tolerance():
+    tree = _tree("suite.py")
+    registry = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["_REGISTRY"])
+    assert all(isinstance(row.elts[-1], ast.Name) for row in registry.elts)
+    floats = [f"suite.py:{n.lineno} {n.value!r}" for n in ast.walk(registry)
+              if isinstance(n, ast.Constant) and type(n.value) is float]
+    assert not floats, f"float literals in suite._REGISTRY: {floats}"
+    non_members = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_check_non_members")
+    cuts = [n.value for n in ast.walk(non_members) if isinstance(n, ast.Constant) and type(n.value) is float]
+    assert set(cuts) <= {0.0, 1.0} and "MIN_DEFECT" in {n.id for n in ast.walk(non_members) if isinstance(n, ast.Name)}
