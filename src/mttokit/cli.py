@@ -26,8 +26,6 @@ from .mtto import build, is_mtto, mtto_dimension, recover_symbol, zero_symbol_de
 from .numerics import INNER_TOL, REL
 from .suite import SuiteConfig, run_suite
 
-_TOL_ENV = "MTTO_TOL"
-
 
 def _emit(doc, out_path) -> None:
     text = serialize.canonical_json(doc) + "\n"
@@ -92,26 +90,21 @@ def _load_operator(path: str, basis: ModelSpaceBasis) -> np.ndarray:
     declared = obj.get("basis_id")
     if declared is not None and not str(declared).startswith(serialize.BASIS_ID_PREFIX):
         raise ParseError(f"basis_id {declared!r} has no {serialize.BASIS_ID_PREFIX} prefix; "
-                         "basis ids changed in v2, v3, v4 and v5, rebuild the operator")
+                         "it was written under an older basis rule, rebuild the operator")
     if declared is not None and declared != basis.basis_id:
         raise ParseError(f"operator was written in basis {declared}, current basis is {basis.basis_id}")
     return mat
 
 
-def _tol_from(raw: str | None) -> float | None:
-    """Decision tolerance from --tol (`raw`), else from $MTTO_TOL; either
-    must be a finite number in (0, 1)."""
-    source = "--tol"
-    if raw is None:
-        raw, source = os.environ.get(_TOL_ENV), _TOL_ENV
-        if raw is None:
-            return None
+def _tolerance(raw: str) -> float:
+    """argparse's `type` for --tol: a finite number in (0, 1), checked while
+    parsing, so a bad tolerance is a usage error, reported before any input."""
     try:
         tol = float(raw)
-    except ValueError as exc:
-        raise ParseError(f"{source} must be a number, got {raw!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {raw!r}") from None
     if not 0 < tol < 1:  # also refuses nan
-        raise ParseError(f"{source} must lie in (0, 1), got {tol}")
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {tol}")
     return tol
 
 
@@ -125,8 +118,10 @@ def _inner_check(args):
     ok = analytic and residual <= INNER_TOL and margin > REL  # is_inner and is_pure, each measured once
     return {
         "inner_residual": residual if np.isfinite(residual) else None,
+        "inner_tol": INNER_TOL,
         "analytic": analytic,
         "purity_margin": margin,
+        "purity_floor": REL,
         "verdict": bool(ok),
     }, 0 if ok else 1
 
@@ -162,6 +157,7 @@ def _op_recover(args):
         "analytic_part": serialize.laurent_to_json(rec.psi1),
         "costar_part": serialize.laurent_to_json(rec.psi2),
         "rebuild_residual": rec.residual,
+        "rebuild_tol": rec.tol,
     }, 0
 
 
@@ -186,7 +182,9 @@ def _dim(args):
 
 
 def _suite(args):
-    if args.config:
+    if args.config is not None and args.seed is not None:
+        raise ParseError("suite takes --config or --seed, not both")
+    if args.config is not None:
         cfg = SuiteConfig.from_json(serialize.load_json_file(args.config))
     elif args.seed is not None:
         cfg = SuiteConfig.from_json({"seed": args.seed})
@@ -198,10 +196,9 @@ def _suite(args):
 
 _THETA = ("--theta", dict(required=True, metavar="NAME|FILE",
                           help=f"fixture name ({', '.join(FIXTURE_NAMES)}) or inner-function JSON file"))
-_TOL = ("--tol", dict(metavar="T",
-                      help=f"decision tolerance in (0, 1); defaults to ${_TOL_ENV}, else 1e-9 * ||A||_F "
-                           "for an operator, compared with a Frobenius-norm residual, and 1e-9 * ||Phi|| "
-                           "for a symbol"))
+_TOL = ("--tol", dict(type=_tolerance, metavar="T",
+                      help=f"absolute decision tolerance in (0, 1); defaults to {REL:g} * ||A||_F for an "
+                           f"operator, compared with a Frobenius-norm residual, and {REL:g} * ||Phi|| for a symbol"))
 _OUT = ("--out", dict(metavar="FILE", help="write the JSON result here instead of stdout"))
 
 # (group, group help, command, command help, arguments, handler) in the order
@@ -255,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if "tol" in args:  # read before anything is loaded, so a bad tolerance is reported first
-            args.tol = _tol_from(args.tol)
         if args.out:
             _check_out(args.out)
         doc, status = args.fn(args)

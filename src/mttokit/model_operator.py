@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import serialize
 from .errors import DimensionMismatchError, IdentityCheckError, NotGammaSymmetricError, NotUnitaryError
 from .laurent import MatLaurent, convolve
 from .model_space import ModelSpaceBasis, kernel_frame, off_space, require_member, tilde_kernel_frame
 from .numerics import (CHECK_TOL, INPUT_TOL, RANK_CUT, REL, column_norms, fix_column_phases, frobenius, opnorm,
-                       require_finite, require_small)
+                       rank_of_singular_values, require_finite, require_small)
 
 
 @dataclass
@@ -35,12 +36,7 @@ class OperatorMatrix:
             raise ValueError(f"operator matrix must be {n} x {n}, got {self.mat.shape}")
         require_finite(self.mat, "operator entries must be finite")
 
-    def adjoint(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.basis, self.mat.conj().T)
-
     def to_json(self) -> dict:
-        from . import serialize
-
         return {
             "schema_version": serialize.SCHEMA_VERSION,
             "n": self.basis.n,
@@ -114,11 +110,11 @@ class DefectSpaces:
 
 def _frame_svd(frame: np.ndarray):
     """Orthonormal basis and left inverse K+ of a kernel frame K, both
-    from one thin SVD; refuses a frame whose rank, cut as in
-    `numerics.rank`, is not its column count d."""
+    from one thin SVD; refuses a frame whose rank, by the rule of
+    `numerics.rank` on these singular values, is not its column count d."""
     d = frame.shape[1]
     u, sv, vh = np.linalg.svd(frame, full_matrices=False)
-    if int(np.sum(sv > RANK_CUT * sv[0] * max(frame.shape))) != d:
+    if rank_of_singular_values(sv, frame.shape) != d:
         raise IdentityCheckError("defect spaces did not come out d-dimensional")
     kp = vh.conj().T @ ((1.0 / sv)[:, None] * u.conj().T)
     require_small(frobenius(kp @ frame - np.eye(d)), CHECK_TOL, IdentityCheckError,
@@ -250,9 +246,6 @@ class Conjugation:
         require_small(frobenius(symmetry), INPUT_TOL, ValueError, "conjugation matrix must be symmetric")
         self.u = u
         self.dim = u.shape[0]
-
-    def apply(self, x) -> np.ndarray:
-        return self.u @ np.conj(np.asarray(x, dtype=np.complex128))
 
 
 def gamma_symmetric_residual(f: MatLaurent, gamma: Conjugation) -> float:

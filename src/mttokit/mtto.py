@@ -227,6 +227,7 @@ class RecoveredSymbol:
     psi1: MatLaurent
     psi2: MatLaurent
     residual: float
+    tol: Optional[float] = None  # the bound the rebuild residual was checked against, REBUILD_TOL * ||A||_F
 
 
 def recover_symbol(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> RecoveredSymbol:
@@ -253,9 +254,10 @@ def recover_symbol(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> Re
     p1, p2 = f @ (x + k0 @ c), f @ (y - k0 @ c.conj().T)
     # T_{Psi1 + Psi2*}: block (k, j) is Psi1_{k-j} for k >= j plus (Psi2_{j-k})* for j >= k
     tiles = np.concatenate([reversed_adjoint(p2[1:]), p1[:1] + reversed_adjoint(p2[:1]), p1[1:]])
-    residual = require_small(frobenius(_compress_toeplitz(basis, tiles) - amat), REBUILD_TOL * scale,
+    bound = REBUILD_TOL * scale
+    residual = require_small(frobenius(_compress_toeplitz(basis, tiles) - amat), bound,
                              IdentityCheckError, "recovered symbol rebuilds with residual {residual:.3e}")
-    return RecoveredSymbol(MatLaurent(0, p1), MatLaurent(0, p2), float(residual))
+    return RecoveredSymbol(MatLaurent(0, p1), MatLaurent(0, p2), float(residual), float(bound))
 
 
 @dataclass

@@ -108,9 +108,13 @@ def rank(a, scale: float = 0.0) -> int:
     a = as_cmatrix(a)
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    cut = RANK_CUT * max(s[0], scale) * max(a.shape)
-    return int(np.sum(s > cut))
+    return rank_of_singular_values(np.linalg.svd(a, compute_uv=False), a.shape, scale)
+
+
+def rank_of_singular_values(s: np.ndarray, shape, scale: float = 0.0) -> int:
+    """The one rank rule: the number of singular values `s` (descending) of
+    a matrix of `shape` above RANK_CUT * max(s[0], scale) * max(shape)."""
+    return int(np.sum(s > RANK_CUT * max(s[0] if s.size else 0.0, scale) * max(shape)))
 
 
 def fix_column_phases(q: np.ndarray) -> np.ndarray:
@@ -138,9 +142,7 @@ def nullspace(a, scale: float = 0.0) -> np.ndarray:
     if a.size == 0:
         return np.eye(a.shape[1], dtype=np.complex128)
     _, s, vh = np.linalg.svd(a)
-    cut = RANK_CUT * max(s[0] if s.size else 0.0, scale) * max(a.shape)
-    r = int(np.sum(s > cut))
-    return fix_column_phases(vh[r:].conj().T)
+    return fix_column_phases(vh[rank_of_singular_values(s, a.shape, scale):].conj().T)
 
 
 def solve_min_norm(a, b):

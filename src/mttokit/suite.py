@@ -69,7 +69,7 @@ from .randgen import (
     random_non_member,
     random_symbol,
 )
-from .serialize import json_to_mat_laurent, laurent_to_json
+from .serialize import SCHEMA_VERSION, json_to_mat_laurent, laurent_to_json
 
 _DEFAULT_SHAPES = ((2, 2), (3, 2))
 MAX_SUITE_CASES = 100  # largest `cases` a config may ask for
@@ -459,7 +459,7 @@ def run_suite(config: SuiteConfig) -> dict:
             record["notes"] = sorted(notes)
         checks.append(record)
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "config": config.to_json(),
         "checks": checks,
         "pass": all(record["pass"] for record in checks),

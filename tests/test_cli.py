@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import importlib.metadata
 import inspect
@@ -71,7 +72,8 @@ def test_inner_check_reports_a_non_analytic_theta(tmp_path, capsys):
     serialize.dump_json_file(tmp_path / "inner.json", doc)
     code, out, err = run(capsys, "inner", "check", "--theta", str(tmp_path / "inner.json"))
     assert code == 1 and err == ""
-    assert json.loads(out) == {"analytic": False, "inner_residual": None, "purity_margin": None, "verdict": False}
+    assert json.loads(out) == {"analytic": False, "inner_residual": None, "inner_tol": 1e-10, "purity_margin": None,
+                               "purity_floor": 1e-9, "verdict": False}
 
 
 def test_space_basis_reports_dimensions(capsys):
@@ -160,7 +162,7 @@ def test_op_file_with_an_unprefixed_id_is_refused(tmp_path, capsys, command):
     code, out, err = run(capsys, "op", command, "--theta", "FIX3", "--op", _op_file_with_id(tmp_path, "3f2a9c0d1b7e4a55"))
     _assert_parse_error(code, out, err)
     message = json.loads(err)["message"]
-    assert "v2" in message and "rebuild" in message
+    assert "has no v5- prefix" in message and "rebuild" in message
 
 
 def test_op_file_with_a_wrong_v2_id_is_refused(tmp_path, capsys):
@@ -184,7 +186,7 @@ def test_op_file_with_a_wrong_v3_id_is_refused(tmp_path, capsys):
     code, out, err = run(capsys, "op", "recover", "--theta", "FIX3", "--op", _op_file_with_id(tmp_path, "v3-8745784d20305f31"))
     _assert_parse_error(code, out, err)
     message = json.loads(err)["message"]
-    assert "v3-8745784d20305f31" in message and "v2, v3, v4 and v5" in message and "rebuild" in message
+    assert "v3-8745784d20305f31" in message and "has no v5- prefix" in message and "rebuild" in message
 
 
 def test_op_file_with_a_wrong_v4_id_is_refused(tmp_path, capsys):
@@ -192,7 +194,7 @@ def test_op_file_with_a_wrong_v4_id_is_refused(tmp_path, capsys):
     code, out, err = run(capsys, "op", "test", "--theta", "FIX3", "--op", _op_file_with_id(tmp_path, "v4-8745784d20305f31"))
     _assert_parse_error(code, out, err)
     message = json.loads(err)["message"]
-    assert "v4-8745784d20305f31" in message and "v2, v3, v4 and v5" in message and "rebuild" in message
+    assert "v4-8745784d20305f31" in message and "has no v5- prefix" in message and "rebuild" in message
 
 
 def test_op_file_with_a_wrong_v5_id_is_refused(tmp_path, capsys):
@@ -254,23 +256,26 @@ def test_malformed_first_factor_keeps_its_parse_error(tmp_path, capsys, first):
     assert json.loads(err)["message"] == "expected 2 levels of non-empty, equally long lists over [re, im] pairs"
 
 
-def test_tol_flag_and_env_are_honored(tmp_path, capsys, monkeypatch):
+def test_tol_flag_is_honored(tmp_path, capsys):
     basis = ModelSpaceBasis(fixture("FIX3"))
     op = build(basis, MatLaurent.identity(2))
     op_path = tmp_path / "op.json"
     serialize.dump_json_file(op_path, op.to_json())
-    code, *_ = run(capsys, "op", "test", "--theta", "FIX3", "--op", str(op_path))
-    assert code == 0
-    # identity has residual 0, so only an impossible tolerance flips it
-    monkeypatch.setenv("MTTO_TOL", "not-a-number")
-    code, _, err = run(capsys, "op", "test", "--theta", "FIX3", "--op", str(op_path))
-    assert code == 2 and json.loads(err)["error"] == "E_PARSE"
-    monkeypatch.setenv("MTTO_TOL", "0.5")
     code, out, _ = run(capsys, "op", "test", "--theta", "FIX3", "--op", str(op_path))
-    assert code == 0 and json.loads(out)["tol"] == 0.5
-    monkeypatch.delenv("MTTO_TOL")
+    assert code == 0 and json.loads(out)["tol"] == 1e-9 * np.linalg.norm(op.mat)
     code, out, _ = run(capsys, "op", "test", "--theta", "FIX3", "--op", str(op_path), "--tol", "1e-3")
     assert code == 0 and json.loads(out)["tol"] == 1e-3
+
+
+def test_op_recover_writes_the_bound_of_its_result(tmp_path, capsys, monkeypatch):
+    op_path = _member_op_file(tmp_path)
+    code, out, _ = run(capsys, "op", "recover", "--theta", "FIX3", "--op", op_path)
+    doc, amat = json.loads(out), serialize.json_to_matrix(serialize.load_json_file(op_path)["entries"])
+    assert code == 0 and doc["rebuild_tol"] == 1e-8 * np.linalg.norm(amat) and doc["rebuild_residual"] <= doc["rebuild_tol"]
+    recover = mtto.recover_symbol  # the document carries the result's own bound, not one the command line recomputes
+    monkeypatch.setattr(cli, "recover_symbol", lambda *args: dataclasses.replace(recover(*args), tol=0.125))
+    code, out, _ = run(capsys, "op", "recover", "--theta", "FIX3", "--op", op_path)
+    assert code == 0 and json.loads(out)["rebuild_tol"] == 0.125
 
 
 def test_symbol_zero_test_both_verdicts(tmp_path, capsys):
@@ -375,11 +380,13 @@ def test_every_command_writes_its_pinned_keys_on_fix3(tmp_path, capsys):
     op = _member_op_file(tmp_path)
     zero_keys = {"schema_version", "is_zero", "operator_norm", "tol"}
     runs = {
-        ("inner", "check"): ([], {"analytic", "inner_residual", "purity_margin", "verdict"}),
+        ("inner", "check"): ([], {"analytic", "inner_residual", "inner_tol", "purity_margin", "purity_floor",
+                                  "verdict"}),
         ("space", "basis"): ([], {"schema_version", "basis_id", "n", "d", "degree", "columns"}),
         ("op", "build"): (["--symbol", symbol], {"schema_version", "n", "basis_id", "entries"}),
         ("op", "test"): (["--op", op], {"distance_bounds", "residual", "tol", "verdict"}),
-        ("op", "recover"): (["--op", op], {"schema_version", "analytic_part", "costar_part", "rebuild_residual"}),
+        ("op", "recover"): (["--op", op], {"schema_version", "analytic_part", "costar_part", "rebuild_residual",
+                                           "rebuild_tol"}),
         ("symbol", "zero-test"): (["--symbol", symbol], zero_keys),
         (None, "dim"): ([], {"dim", "gauge_dim", "operator_space_dim", "symbol_pair_dim"}),
     }
@@ -440,6 +447,14 @@ def test_suite_past_its_work_bound_exits_2_before_any_draw(tmp_path, capsys, mon
     assert time.perf_counter() - start < 1.0
     _assert_parse_error(code, out, err)
     assert len(err.splitlines()) == 1
+
+
+def test_suite_refuses_a_config_and_a_seed_together(tmp_path, capsys, monkeypatch):
+    """Either one names the run; given both, neither is silently dropped."""
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: pytest.fail("run_suite called"))
+    code, out, err = run(capsys, "suite", "--config", _small_suite_config(tmp_path), "--seed", "9")
+    _assert_parse_error(code, out, err)
+    assert json.loads(err)["message"] == "suite takes --config or --seed, not both"
 
 
 def test_suite_shape_that_draws_no_pure_inner_exits_2(tmp_path, capsys, monkeypatch):
@@ -578,7 +593,8 @@ def test_out_under_a_file_is_refused_before_any_input_or_work(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["op", "test", "--op", "MISSING", "--tol", "abc", "--out", "BAD"], "--tol must be a number, got 'abc'"),
+    (["op", "test", "--op", "MISSING", "--tol", "abc", "--out", "BAD"],
+     "mtto op test: argument --tol: must be a number, got 'abc'"),
     (["op", "test", "--op", "MISSING", "--out", "BAD"], "cannot write BAD: "),
     (["dim", "--out", "BAD"], "cannot write BAD: "),
 ])
@@ -600,35 +616,13 @@ def test_a_run_that_fails_on_its_input_leaves_out_alone(tmp_path, capsys):
     assert path.read_text() == "kept"
 
 
-_NO_TOL_COMMANDS = {
-    "dim": ["dim", "--theta", "FIX3"],
-    "space basis": ["space", "basis", "--theta", "FIX3"],
-    "op build": ["op", "build", "--theta", "FIX3", "--symbol", "SYMBOL"],
-    "inner check": ["inner", "check", "--theta", "FIX3"],
-    "suite": ["suite", "--config", "CONFIG"],
-}
-
-
-@pytest.mark.parametrize("command", sorted(_NO_TOL_COMMANDS))
-def test_a_bad_mtto_tol_is_not_read_by_commands_without_tol(tmp_path, capsys, monkeypatch, command):
-    inputs = {"SYMBOL": write_symbol(tmp_path, "sym.json", MatLaurent.identity(2)), "CONFIG": _small_suite_config(tmp_path)}
-    monkeypatch.setenv("MTTO_TOL", "not-a-number")
-    code, out, err = run(capsys, *[inputs.get(a, a) for a in _NO_TOL_COMMANDS[command]])
-    assert code == 0 and err == "" and json.loads(out)
-
-
-@pytest.mark.parametrize("source", ["--tol", "MTTO_TOL"])
 @pytest.mark.parametrize("command, input_flag", [(("op", "test"), "--op"), (("op", "recover"), "--op"),
                                                  (("symbol", "zero-test"), "--symbol")])
-def test_a_bad_tol_is_reported_before_a_missing_theta_file(capsys, monkeypatch, source, command, input_flag):
-    argv = [*command, "--theta", "/nonexistent/theta.json", input_flag, "/nonexistent/input.json"]
-    if source == "--tol":
-        argv += ["--tol", "abc"]
-    else:
-        monkeypatch.setenv("MTTO_TOL", "abc")
+def test_a_bad_tol_is_reported_before_a_missing_theta_file(capsys, command, input_flag):
+    argv = [*command, "--theta", "/nonexistent/theta.json", input_flag, "/nonexistent/input.json", "--tol", "abc"]
     code, out, err = run(capsys, *argv)
     _assert_parse_error(code, out, err)
-    assert json.loads(err)["message"] == f"{source} must be a number, got 'abc'"
+    assert json.loads(err)["message"] == f"mtto {' '.join(command)}: argument --tol: must be a number, got 'abc'"
 
 
 @pytest.mark.parametrize("command", [("op", "build"), ("symbol", "zero-test")])
@@ -688,15 +682,9 @@ def _assert_parse_error(code, out, err):
     assert json.loads(err)["error"] == "E_PARSE"
 
 
-@pytest.mark.parametrize("source", ["--tol", "MTTO_TOL"])
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1", "abc"])
-def test_tol_outside_the_open_unit_interval_exits_2(tmp_path, capsys, monkeypatch, source, value):
-    argv = ["op", "test", "--theta", "FIX3", "--op", _member_op_file(tmp_path)]
-    if source == "--tol":
-        argv += ["--tol", value]
-    else:
-        monkeypatch.setenv(source, value)
-    _assert_parse_error(*run(capsys, *argv))
+def test_tol_outside_the_open_unit_interval_exits_2(tmp_path, capsys, value):
+    _assert_parse_error(*run(capsys, "op", "test", "--theta", "FIX3", "--op", _member_op_file(tmp_path), "--tol", value))
 
 
 def test_symbol_without_dim_exits_2(tmp_path, capsys):

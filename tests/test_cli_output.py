@@ -110,10 +110,10 @@ _OVERFLOWING = {
 
 # (exit status, error code or None, stdout document or None) per payload and command
 _EXPECTED = {
-    ("coeffs 1e153", "inner"): (1, None, {"analytic": True, "inner_residual": None,
-                                          "purity_margin": -1e153, "verdict": False}),
-    ("coeffs 1e154", "inner"): (1, None, {"analytic": True, "inner_residual": None,
-                                          "purity_margin": -1e154, "verdict": False}),
+    ("coeffs 1e153", "inner"): (1, None, {"analytic": True, "inner_residual": None, "inner_tol": 1e-10,
+                                          "purity_margin": -1e153, "purity_floor": 1e-9, "verdict": False}),
+    ("coeffs 1e154", "inner"): (1, None, {"analytic": True, "inner_residual": None, "inner_tol": 1e-10,
+                                          "purity_margin": -1e154, "purity_floor": 1e-9, "verdict": False}),
     ("coeffs 1e153", "dim"): (1, "E_NOT_INNER", None),
     ("coeffs 1e154", "dim"): (1, "E_NOT_INNER", None),
     ("nan factor", "inner"): (1, "E_NOT_PROJECTION", None),
@@ -157,14 +157,17 @@ _CANDIDATES = {
 
 def _inner_check_oracle(candidate) -> str:
     """The earlier `inner check` body, which measured Theta*Theta and
-    ||Theta(0)|| a second time inside is_inner and is_pure."""
+    ||Theta(0)|| a second time inside is_inner and is_pure, with the two
+    bounds the document now writes beside the two measures."""
     analytic = candidate.lo >= 0
     residual = inner_residual(candidate) if analytic else float("inf")
     ok = analytic and is_inner(candidate) and is_pure(candidate)
     return serialize.canonical_json({
         "inner_residual": residual if np.isfinite(residual) else None,
+        "inner_tol": 1e-10,
         "analytic": analytic,
         "purity_margin": purity_margin(candidate) if analytic else None,
+        "purity_floor": 1e-9,
         "verdict": bool(ok),
     }) + "\n"
 

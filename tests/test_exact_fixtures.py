@@ -1,4 +1,4 @@
-"""FIX3, FIX5 and seeded d = 3 spaces in rational arithmetic.
+"""FIX1-FIX5 and seeded d = 3 spaces in rational arithmetic.
 
 Theta is multiplied out from the fixtures' Potapov factors with sympy
 rationals, and from seeded rational ones: projections V (V* V)^-1 V* onto
@@ -18,6 +18,20 @@ m*d coefficient window:
 Each count is compared with `InnerFunction.n`, `det_degree`, the float S
 of `s_theta` and `mtto_dimension`.
 
+The paper's two results and the compression they rest on are checked in
+window coordinates, where they do not depend on the basis Q:
+
+- `build`: Q A_Phi Q* = P T_Phi P for a Gaussian-rational Phi of degrees
+  -2..2, within 1e-13 ||Phi||;
+- `is_mtto`: for A = Q* M Q with a Gaussian-rational window matrix M, the
+  float residual squared is the exact ||(P - Pi) Delta (P - Pi)||_F^2 to
+  1e-12 relative, where Delta = P M P - (P Z P)(P M P)(P Z P)* and Pi is
+  the projector onto ran(P E0), E0 the first block column: the first
+  defect space, spanned by the kernel at the origin.
+
+Every P here is real (so is every Theta), so each side is taken
+separately on the real and the imaginary part of a symbol or of M.
+
 The zero-symbol split is checked against exact pairs: for Gaussian-rational
 Psi1, Psi2 of degree 2, Phi = Theta Psi1 + (Theta Psi2)*, Theta Psi1 or
 (Theta Psi2)* is formed exactly, and `zero_symbol_decompose` must return
@@ -34,17 +48,21 @@ from mttokit.fixtures import fixture
 from mttokit.laurent import MatLaurent
 from mttokit.model_operator import s_theta
 from mttokit.model_space import ModelSpaceBasis, det_degree, make_inner_potapov
-from mttokit.mtto import _zero_split, mtto_dimension, zero_symbol_decompose
+from mttokit.mtto import _zero_split, build, is_mtto, mtto_dimension, zero_symbol_decompose
 from mttokit.numerics import frobenius, rank
 
 sympy = pytest.importorskip("sympy")
 
 HALF = sympy.Rational(1, 2)
 FACTORS = {  # the Potapov factors of `mttokit.fixtures`, with exact entries
+    "FIX1": [sympy.eye(1)],
+    "FIX2": [sympy.eye(1), sympy.eye(1)],
     "FIX3": [sympy.diag(0, 1), sympy.eye(2)],
+    "FIX4": [sympy.eye(2)],
     "FIX5": [sympy.Matrix([[HALF, HALF], [HALF, HALF]]), sympy.diag(1, 0)],
 }
-EXPECTED = {"FIX3": (3, 1, 8), "FIX5": (2, 1, 4)}  # n, rank S, class dimension 2nd - d^2
+# n, rank S, class dimension 2nd - d^2
+EXPECTED = {"FIX1": (1, 0, 1), "FIX2": (2, 1, 3), "FIX3": (3, 1, 8), "FIX4": (2, 0, 4), "FIX5": (2, 1, 4)}
 # (seed, factor ranks, turned by U) of seeded d = 3 spaces; each draws a pure Theta
 SEEDED = [(2, (1, 2), False), (2, (2, 1), True), (1, (1, 2, 1), True)]
 
@@ -74,12 +92,18 @@ def _window_matrix(m, d, block):
     return out
 
 
-def _exact_counts(blocks):
+def _exact_window(blocks):
+    """(P = I - L L*, the compressed shift P Z P) on the window of Theta."""
     m, d = len(blocks) - 1, blocks[0].shape[0]
     lower = _window_matrix(m, d, lambda k: blocks[k] if k >= 0 else None)
     p = sympy.eye(m * d) - lower * lower.H
     assert p * p == p and p.H == p
-    shift = p * _window_matrix(m, d, lambda k: sympy.eye(d) if k == 1 else None) * p
+    return p, p * _window_matrix(m, d, lambda k: sympy.eye(d) if k == 1 else None) * p
+
+
+def _exact_counts(blocks):
+    m, d = len(blocks) - 1, blocks[0].shape[0]
+    p, shift = _exact_window(blocks)
     assert shift**m == sympy.zeros(m * d, m * d)
     columns = []
     for k in range(1 - m, m):
@@ -154,7 +178,7 @@ def test_seeded_d3_exact_counts_match_the_float_space(seed, ranks, turned):
 
 # --- the zero-symbol split ----------------------------------------------------
 
-SPLIT_SPACES = sorted(FACTORS) + [f"seeded-{i}" for i in range(len(SEEDED))]
+EXACT_SPACES = sorted(FACTORS) + [f"seeded-{i}" for i in range(len(SEEDED))]
 KINDS = ("mixed", "analytic", "coanalytic")
 
 
@@ -215,7 +239,7 @@ def _assert_exact_pair(pair, want, scale, kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("name", SPLIT_SPACES)
+@pytest.mark.parametrize("name", EXACT_SPACES)
 def test_zero_symbol_decompose_returns_the_exact_pair(name, kind):
     theta, inner = _exact_space(name)
     assert _floats(theta).shape == inner.blocks.shape and np.abs(_floats(theta) - inner.blocks).max() <= 1e-15
@@ -248,3 +272,67 @@ def test_the_split_runs_on_theta_alone(name, monkeypatch):
         assert result.residual == frobenius(err)
         for got, want in ((result.psi1, p1), (result.psi2, p2)):
             assert got.lo == want.lo and np.array_equal(got.coeffs, want.coeffs)
+
+
+# --- compression and membership in window coordinates ------------------------
+
+def _gaussian_parts(rows, cols, rng):
+    """Real and imaginary parts, as exact rationals, of a rows x cols matrix
+    with entries (a + b i) / 4, a, b in -4..4."""
+    return [sympy.Matrix(part.tolist()) / 4 for part in rng.integers(-4, 5, size=(2, rows, cols))]
+
+
+def _real_floats(mat):
+    return np.array(mat.tolist(), dtype=float)
+
+
+def _exact_real_window(name):
+    """(exact blocks of Theta, float InnerFunction, P, P Z P), P real."""
+    theta, inner = _exact_space(name)
+    p, shift = _exact_window(theta)
+    assert all(x.is_real for x in p)
+    return theta, inner, p, shift
+
+
+@pytest.mark.parametrize("name", EXACT_SPACES)
+def test_build_is_the_exact_compressed_toeplitz_matrix(name):
+    theta, inner, p, _ = _exact_real_window(name)
+    m, d = inner.m, inner.d
+    basis = ModelSpaceBasis(inner)
+    q = basis.q
+    rng = np.random.default_rng(inner.n)
+    for _ in range(3):
+        parts = _gaussian_parts(5 * d, d, rng)  # Phi_-2, ..., Phi_2 stacked
+        exact = 0
+        for part, unit in zip(parts, (1, 1j)):
+            toeplitz = _window_matrix(m, d, lambda k: part[(k + 2) * d : (k + 3) * d, :] if abs(k) <= 2 else None)
+            exact = exact + unit * _real_floats(p * toeplitz * p)
+        phi = MatLaurent(-2, (_real_floats(parts[0]) + 1j * _real_floats(parts[1])).reshape(5, d, d))
+        got = q @ build(basis, phi).mat @ q.conj().T
+        assert frobenius(got - exact) <= 1e-13 * phi.norm()
+
+
+def _exact_off_defect_square(p, shift, d, mat):
+    """||(P - Pi) Delta (P - Pi)||_F^2, Delta = P M P - (P Z P)(P M P)(P Z P)*,
+    Pi the projector onto ran(P E0), for a real rational M."""
+    frame = p[:, :d]  # P E0
+    off = p - frame * (frame.T * frame).inv() * frame.T
+    pmp = p * mat * p
+    residual = off * (pmp - shift * pmp * shift.T) * off
+    return sum(x**2 for x in residual)
+
+
+@pytest.mark.parametrize("name", EXACT_SPACES)
+def test_is_mtto_residual_is_the_exact_off_defect_norm(name):
+    _, inner, p, shift = _exact_real_window(name)
+    md, d = inner.m * inner.d, inner.d
+    basis = ModelSpaceBasis(inner)
+    q = basis.q
+    rng = np.random.default_rng(inner.n + 1)
+    for _ in range(3):
+        parts = _gaussian_parts(md, md, rng)
+        exact = sum(_exact_off_defect_square(p, shift, d, part) for part in parts)
+        assert (exact == 0) == (inner.n == d)  # P = Pi exactly when the defect space is the whole space
+        a = q.conj().T @ (_real_floats(parts[0]) + 1j * _real_floats(parts[1])) @ q
+        residual = is_mtto(basis, a).residual
+        assert abs(residual**2 - float(exact)) <= 1e-12 * float(exact)

@@ -65,10 +65,10 @@ def test_shift_norm_is_strictly_below_one():
 
 def test_operator_matrix_apply_and_adjoint():
     basis = _basis("FIX2")
-    s, _ = s_theta(basis)
+    s, s_adj = s_theta(basis)
     one = VecLaurent(0, [[1.0]])
     np.testing.assert_allclose(basis.coords(apply(s, one)), basis.coords(VecLaurent(1, [[1.0]])), atol=1e-14)
-    back = apply(s.adjoint(), VecLaurent(1, [[1.0]]))
+    back = apply(s_adj, VecLaurent(1, [[1.0]]))
     assert (back - one).norm() <= 1e-12
     with pytest.raises(ValueError):
         OperatorMatrix(basis, np.zeros((3, 3)))

@@ -8,6 +8,10 @@ with finite numbers instead of passing a check against an infinite bound.
 The source of the three modules that hold the checks is read with `ast`:
 no threshold there is a bare literal, and no residual error is raised but
 through the gate.  The suite's registry names every tolerance it holds.
+Each rule has one owner in the package source: the package reads no
+environment, only `serialize` writes a schema version, and the rank cut
+is applied in `numerics` alone (and in the `pinv` cutoff of
+`model_operator.j_operators`, which no package code calls).
 """
 
 import ast
@@ -214,3 +218,66 @@ def test_the_suite_registry_names_every_tolerance():
     non_members = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_check_non_members")
     cuts = [n.value for n in ast.walk(non_members) if isinstance(n, ast.Constant) and type(n.value) is float]
     assert set(cuts) <= {0.0, 1.0} and "MIN_DEFECT" in {n.id for n in ast.walk(non_members) if isinstance(n, ast.Name)}
+
+
+# --- one owner for each rule ----------------------------------------------------
+
+
+def _package_trees():
+    return {path.name: _tree(path.name) for path in sorted(SRC.glob("*.py"))}
+
+
+def test_the_package_reads_no_environment():
+    """A value a command decides by comes in through its arguments only."""
+    names = {"environ", "getenv"}
+    reads = [f"{name}:{node.lineno}" for name, tree in _package_trees().items() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in names
+             or isinstance(node, ast.Name) and node.id in names
+             or isinstance(node, ast.alias) and node.name in names]
+    assert not reads, f"environment read in the package: {reads}"
+
+
+def _schema_version_values(tree):
+    """The values written under a "schema_version" key: in a dict display, by
+    an item assignment, or as a keyword argument."""
+    key = lambda node: isinstance(node, ast.Constant) and node.value == "schema_version"  # noqa: E731
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            yield from (v for k, v in zip(node.keys, node.values) if key(k))
+        elif isinstance(node, ast.Assign):
+            yield from (node.value for t in node.targets if isinstance(t, ast.Subscript) and key(t.slice))
+        elif isinstance(node, ast.keyword) and node.arg == "schema_version":
+            yield node.value
+
+
+def test_only_serialize_spells_the_schema_version():
+    literals = [f"{name}:{value.lineno} {value.value!r}" for name, tree in _package_trees().items()
+                if name != "serialize.py" for value in _schema_version_values(tree)
+                if isinstance(value, ast.Constant)]
+    assert not literals, f"schema_version literals outside serialize.SCHEMA_VERSION: {literals}"
+
+
+def _rank_cut_products(tree):
+    """(enclosing function, line) of every product with RANK_CUT as a factor."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and any(
+                isinstance(side, ast.Name) and side.id == "RANK_CUT"
+                or isinstance(side, ast.Attribute) and side.attr == "RANK_CUT" for side in (node.left, node.right)):
+            found.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_rank_cut_is_applied_in_numerics_alone():
+    trees = _package_trees()
+    assert {owner for owner, _ in _rank_cut_products(trees["numerics.py"])} >= {"rank_of_singular_values"}
+    elsewhere = [f"{name}:{line} in {owner}" for name, tree in trees.items() if name != "numerics.py"
+                 for owner, line in _rank_cut_products(tree) if (name, owner) != ("model_operator.py", "j_operators")]
+    assert not elsewhere, f"RANK_CUT applied outside numerics: {elsewhere}"
