@@ -115,7 +115,7 @@ def _inner_check(args):
     analytic = candidate.lo >= 0
     residual = inner_residual(candidate) if analytic else float("inf")
     margin = purity_margin(candidate) if analytic else None
-    ok = analytic and residual <= INNER_TOL and margin > REL  # is_inner and is_pure, each measured once
+    ok = analytic and residual <= INNER_TOL and margin > REL  # the bounds InnerFunction and is_pure apply, once each
     return {
         "inner_residual": residual if np.isfinite(residual) else None,
         "inner_tol": INNER_TOL,
@@ -158,6 +158,8 @@ def _op_recover(args):
         "costar_part": serialize.laurent_to_json(rec.psi2),
         "rebuild_residual": rec.residual,
         "rebuild_tol": rec.tol,
+        "membership_residual": rec.membership_residual,
+        "membership_tol": rec.membership_tol,
     }, 0
 
 
@@ -182,15 +184,8 @@ def _dim(args):
 
 
 def _suite(args):
-    if args.config is not None and args.seed is not None:
-        raise ParseError("suite takes --config or --seed, not both")
-    if args.config is not None:
-        cfg = SuiteConfig.from_json(serialize.load_json_file(args.config))
-    elif args.seed is not None:
-        cfg = SuiteConfig.from_json({"seed": args.seed})
-    else:
-        raise ParseError("suite needs --config or --seed")
-    report = run_suite(cfg)
+    obj = {"seed": args.seed} if args.config is None else serialize.load_json_file(args.config)
+    report = run_suite(SuiteConfig.from_json(obj))
     return report, 0 if report["pass"] else 1
 
 
@@ -203,8 +198,10 @@ _OUT = ("--out", dict(metavar="FILE", help="write the JSON result here instead o
 
 # (group, group help, command, command help, arguments, handler) in the order
 # `mtto --help` lists them; a command without a group sits at the top level,
-# and every command also takes --out, last.  A handler returns (document, exit
-# status), and `main` emits the document.
+# and every command also takes --out, last.  An argument is (flag, kwargs), or
+# a tuple of them of which exactly one must be given (argparse's required,
+# mutually exclusive group).  A handler returns (document, exit status), and
+# `main` emits the document.
 COMMANDS = (
     ("inner", "inner-function utilities", "check", "test coefficient unitarity and purity",
      (_THETA,), _inner_check),
@@ -221,8 +218,8 @@ COMMANDS = (
     (None, None, "dim", "dimension report for the operator class",
      (_THETA,), _dim),
     (None, None, "suite", "run the randomized self-check battery",
-     (("--config", dict(metavar="FILE", help="suite configuration JSON")),
-      ("--seed", dict(type=int, metavar="N", help="shorthand for a default config"))), _suite),
+     ((("--config", dict(metavar="FILE", help="suite configuration JSON")),
+       ("--seed", dict(type=int, metavar="N", help="shorthand for a default config"))),), _suite),
 )
 
 
@@ -243,8 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
             group_parser = top.add_parser(group, help=group_help)
             sub = groups[group] = group_parser.add_subparsers(dest="subcommand", required=True)
         p = sub.add_parser(name, help=help_)
-        for flag, kwargs in (*arguments, _OUT):
-            p.add_argument(flag, **kwargs)
+        for spec in (*arguments, _OUT):
+            if isinstance(spec[0], str):
+                p.add_argument(spec[0], **spec[1])
+                continue
+            group = p.add_mutually_exclusive_group(required=True)
+            for flag, kwargs in spec:
+                group.add_argument(flag, **kwargs)
         p.set_defaults(fn=handler)
     return parser
 

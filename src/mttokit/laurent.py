@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .numerics import INNER_TOL, REL, frobenius, require_finite
+from .numerics import REL, frobenius, require_finite
 
 
 def _validate_coeffs(coeffs, block_ndim: int) -> np.ndarray:
@@ -80,10 +80,6 @@ class _Laurent:
         """Multiply by z**k (frequency shift)."""
         return type(self)(self.lo + k, self.coeffs)
 
-    def reverse(self):
-        """Substitute z -> 1/z: coefficient at k moves to -k."""
-        return type(self)(-self.hi, self.coeffs[::-1])
-
     def norm(self) -> float:
         return frobenius(self.coeffs)
 
@@ -134,11 +130,6 @@ class MatLaurent(_Laurent):
     @classmethod
     def identity(cls, dim: int) -> "MatLaurent":
         return cls.constant(np.eye(dim))
-
-    def __matmul__(self, other):
-        if isinstance(other, (MatLaurent, VecLaurent)):
-            return multiply(self, other)
-        return NotImplemented
 
 
 class VecLaurent(_Laurent):
@@ -224,11 +215,6 @@ def inner_residual(theta: MatLaurent) -> float:
             return float("inf")
         dev[theta.hi - theta.lo] -= np.eye(theta.dim)
         return max(float(np.linalg.norm(block)) for block in dev)
-
-
-def is_inner(theta: MatLaurent) -> bool:
-    """Unitary-valued on the circle, tested exactly on coefficients."""
-    return inner_residual(theta) <= INNER_TOL
 
 
 def purity_margin(theta: MatLaurent) -> float:

@@ -68,8 +68,9 @@ def _frozen(*arrays):
         a.setflags(write=False)
 
 
-def s_theta(basis: ModelSpaceBasis):
-    """Compressed shift S = Q* Z Q and its adjoint S* = S.conj().T.  Z moves
+def s_theta(basis: ModelSpaceBasis) -> tuple[np.ndarray, np.ndarray]:
+    """(S, S*) as read-only n x n arrays, formed once per basis: the
+    compressed shift S = Q* Z Q and its adjoint S* = S.conj().T.  Z moves
     window block j to block j + 1 (multiply by z), so S = Q[d:]* Q[:md - d]
     is one n x n product of row blocks of Q (0 when m = 1).  The basis
     build has measured Q against the model space (`ModelSpaceBasis`, gate
@@ -79,7 +80,7 @@ def s_theta(basis: ModelSpaceBasis):
         s = q[d:].conj().T @ q[: q.shape[0] - d]
         s_adj = s.conj().T
         _frozen(s, s_adj)
-        basis.cache["shift"] = (OperatorMatrix(basis, s), OperatorMatrix(basis, s_adj))
+        basis.cache["shift"] = (s, s_adj)
     return basis.cache["shift"]
 
 
@@ -135,19 +136,14 @@ def defect_spaces(basis: ModelSpaceBasis) -> DefectSpaces:
     dt_basis, dt_pinv = _frame_svd(kt0)
     s, s_adj = s_theta(basis)
     eye = np.eye(basis.n)
-    for gg, frame, label in ((eye - s.mat @ s_adj.mat, k0, "I - S S* = K0 K0*"),
-                             (eye - s_adj.mat @ s.mat, kt0, "I - S* S = K0~ K0~*")):
+    for gg, frame, label in ((eye - s @ s_adj, k0, "I - S S* = K0 K0*"),
+                             (eye - s_adj @ s, kt0, "I - S* S = K0~ K0~*")):
         require_small(frobenius(gg - frame @ frame.conj().T), REL * max(1.0, frobenius(gg)), IdentityCheckError,
                       "defect identity " + label + " fails, residual {residual:.3e}")
     ds = DefectSpaces(d_basis, dt_basis, k0, kt0, d_pinv, dt_pinv, *np.linalg.eigh(k0.conj().T @ k0))
     _frozen(*vars(ds).values())
     basis.cache["defects"] = ds
     return ds
-
-
-def eval0_matrix(basis: ModelSpaceBasis) -> np.ndarray:
-    """Matrix of the evaluation-at-origin map, coordinates -> C^d."""
-    return basis.q[: basis.inner.d, :]
 
 
 def _worst_column(r: np.ndarray) -> float:
@@ -175,24 +171,24 @@ def action_check(basis: ModelSpaceBasis) -> dict:
     u, ut = ds.d_basis, ds.dt_basis
     theta0 = basis.inner.theta.coeff(0)
     pad = np.zeros((d, basis.n))
-    mult_z = np.vstack([pad, q]) - np.vstack([q @ s.mat, pad])  # z f - S f, one block longer
-    div_z = np.vstack([q[d:], pad]) - q @ s_adj.mat  # (f - f(0)) / z - S* f
-    s_ut, s_adj_u = s.mat @ ut, s_adj.mat @ u
+    mult_z = np.vstack([pad, q]) - np.vstack([q @ s, pad])  # z f - S f, one block longer
+    div_z = np.vstack([q[d:], pad]) - q @ s_adj  # (f - f(0)) / z - S* f
+    s_ut, s_adj_u = s @ ut, s_adj @ u
     return _report({
         "shift acts as multiplication off the second defect space": _worst_column(off_span(mult_z, ut)),
         "shift sends difference-quotient directions into the first defect space":
-            _worst_column(s.mat @ ds.dt_frame + ds.d_frame @ theta0),
+            _worst_column(s @ ds.dt_frame + ds.d_frame @ theta0),
         "adjoint shift divides by z off the first defect space":
-            max(_worst_column(off_span(div_z, u)), _worst_column(off_span(eval0_matrix(basis), u))),
+            max(_worst_column(off_span(div_z, u)), _worst_column(off_span(q[:d], u))),
         "adjoint shift sends kernel directions into the second defect space":
-            _worst_column(s_adj.mat @ ds.d_frame + ds.dt_frame @ theta0.conj().T),
+            _worst_column(s_adj @ ds.d_frame + ds.dt_frame @ theta0.conj().T),
         "shift maps second defect space into first": frobenius(s_ut - u @ (u.conj().T @ s_ut)),
-        "shift maps second complement into first complement": frobenius(off_span(u.conj().T @ s.mat, ut)),
+        "shift maps second complement into first complement": frobenius(off_span(u.conj().T @ s, ut)),
         "adjoint shift maps first defect space into second": frobenius(s_adj_u - ut @ (ut.conj().T @ s_adj_u)),
         "adjoint shift maps first complement into second complement":
-            frobenius(off_span(ut.conj().T @ s_adj.mat, u)),
+            frobenius(off_span(ut.conj().T @ s_adj, u)),
         "defect operator is evaluation at zero followed by the kernel frame":
-            frobenius(np.eye(basis.n) - s.mat @ s_adj.mat - ds.d_frame @ eval0_matrix(basis)),
+            frobenius(np.eye(basis.n) - s @ s_adj - ds.d_frame @ q[:d]),
     })
 
 
@@ -208,7 +204,7 @@ def j_operators(basis: ModelSpaceBasis, ds: DefectSpaces):
     rcond = RANK_CUT * basis.n
     s, s_adj = s_theta(basis)
     eye = np.eye(basis.n)
-    g, gt = eye - s.mat @ s_adj.mat, eye - s_adj.mat @ s.mat
+    g, gt = eye - s @ s_adj, eye - s_adj @ s
     p_d, p_dt = ds.d_basis @ ds.d_basis.conj().T, ds.dt_basis @ ds.dt_basis.conj().T
     j = np.linalg.pinv(g, rcond=rcond, hermitian=True)
     jt = np.linalg.pinv(gt, rcond=rcond, hermitian=True)
@@ -290,7 +286,7 @@ def c_symmetric(basis: ModelSpaceBasis, gamma: Conjugation, a):
     return residual <= REL * frobenius(mat), float(residual)
 
 
-def kernel_recurrence_check(basis: ModelSpaceBasis, count: int = 20, seed: int = 0) -> dict:
+def kernel_recurrence_check(basis: ModelSpaceBasis, count: int, seed: int) -> dict:
     """Sample the shift recurrences of the two kernel frames at `count`
     points of the disk, each on the whole frame:
     S K_lam = (K_lam - K_0) / conj(lam) and S K~_lam = lam K~_lam - K_0 Theta(lam).
@@ -308,10 +304,10 @@ def kernel_recurrence_check(basis: ModelSpaceBasis, count: int = 20, seed: int =
         while abs(lam) < 1e-3:  # keep away from the removable point
             lam = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * 0.6
         klam, tlam = kernel_frame(basis, lam), tilde_kernel_frame(basis, lam)
-        worst_k = max(worst_k, _worst_column(s.mat @ klam - (klam - k0) / np.conj(lam)))
-        worst_kt = max(worst_kt, _worst_column(s.mat @ tlam - (lam * tlam - k0 @ inner.evaluate(lam))))
+        worst_k = max(worst_k, _worst_column(s @ klam - (klam - k0) / np.conj(lam)))
+        worst_kt = max(worst_kt, _worst_column(s @ tlam - (lam * tlam - k0 @ inner.evaluate(lam))))
     w = np.eye(m * d, d) - inner.blocks[:m].reshape(m * d, d) @ inner.blocks[0].conj().T
-    origin = s.mat @ q.conj().T @ w - q[d:].conj().T @ w[:-d]  # S Q* W - Q* Z W
+    origin = s @ q.conj().T @ w - q[d:].conj().T @ w[:-d]  # S Q* W - Q* Z W
     return _report({
         "kernel frame recurrence": worst_k,
         "difference-quotient frame recurrence": worst_kt,

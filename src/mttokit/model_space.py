@@ -247,10 +247,6 @@ def theta_from_json(obj):
     raise ParseError(f"unknown inner function kind {kind!r}")
 
 
-def inner_from_json(obj) -> InnerFunction:
-    return InnerFunction(*theta_from_json(obj))
-
-
 def _triangular_sweep(r: np.ndarray, room: int) -> np.ndarray:
     """Directions, in the coordinates of the rows of the upper triangular
     r, that Gram-Schmidt keeps from the columns of r in order, at most room

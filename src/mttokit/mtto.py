@@ -120,7 +120,7 @@ def _delta(basis: ModelSpaceBasis, amat: np.ndarray, starred: bool = False) -> n
     """The defect identity Delta = A - S A S*, or A - S* A S when `starred`."""
     s, s_adj = s_theta(basis)
     left, right = (s_adj, s) if starred else (s, s_adj)
-    return amat - left.mat @ amat @ right.mat
+    return amat - left @ amat @ right
 
 
 def membership_witness(basis: ModelSpaceBasis, a, starred: bool = False) -> MttoWitness:
@@ -216,7 +216,7 @@ def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent):
     if residual <= CHECK_TOL * (1.0 + phi.norm() * inner.theta.norm()):
         a_phi = build(basis, phi)
         s, _ = s_theta(basis)
-        comm = opnorm(a_phi.mat @ s.mat - s.mat @ a_phi.mat)
+        comm = opnorm(a_phi.mat @ s - s @ a_phi.mat)
         require_small(comm, CHECK_TOL * (1.0 + opnorm(a_phi.mat)), IdentityCheckError,
                       "factorization succeeded but the operator does not commute, norm {residual:.3e}")
     return MatLaurent(start, phi1), residual
@@ -228,6 +228,8 @@ class RecoveredSymbol:
     psi2: MatLaurent
     residual: float
     tol: Optional[float] = None  # the bound the rebuild residual was checked against, REBUILD_TOL * ||A||_F
+    membership_residual: Optional[float] = None  # ||P Delta P||_F of `_membership`, which passed
+    membership_tol: Optional[float] = None  # the tol it passed against
 
 
 def recover_symbol(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> RecoveredSymbol:
@@ -240,10 +242,10 @@ def recover_symbol(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> Re
     (X + K0 C, Y - K0 C*), with the d x d gauge C of minimum norm:
     H C + C H = Y* K0 - K0* X for H = K0* K0, in the cached eigenbasis of H."""
     amat, ds, m = matrix_of(a, basis), defect_spaces(basis), basis.inner.m
-    delta, residual, scale, tol, (low, high) = _membership(basis, amat, tol)
-    if not residual <= tol:
+    delta, member_residual, scale, tol, (low, high) = _membership(basis, amat, tol)
+    if not member_residual <= tol:
         raise NotMttoError(
-            f"operator is not a truncated Toeplitz operator: residual {residual:.3e}"
+            f"operator is not a truncated Toeplitz operator: residual {member_residual:.3e}"
             f" > tol {tol:.3e}; its Frobenius distance to the class lies in [{low:.3e}, {high:.3e}]"
         )
     lam, v, k0 = ds.gram_values, ds.gram_vectors, ds.d_frame
@@ -257,7 +259,8 @@ def recover_symbol(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> Re
     bound = REBUILD_TOL * scale
     residual = require_small(frobenius(_compress_toeplitz(basis, tiles) - amat), bound,
                              IdentityCheckError, "recovered symbol rebuilds with residual {residual:.3e}")
-    return RecoveredSymbol(MatLaurent(0, p1), MatLaurent(0, p2), float(residual), float(bound))
+    return RecoveredSymbol(MatLaurent(0, p1), MatLaurent(0, p2), float(residual), float(bound),
+                           float(member_residual), float(tol))
 
 
 @dataclass
@@ -364,8 +367,8 @@ def mtto_dimension(space: InnerFunction | ModelSpaceBasis) -> DimensionReport:
     )
 
 
-def finite_rank(basis: ModelSpaceBasis, lam: complex, y, swapped: bool = False) -> OperatorMatrix:
-    """Sandwich a d x d block between the two kernel frames at lam.
+def finite_rank(basis: ModelSpaceBasis, lam: complex, y) -> OperatorMatrix:
+    """Sandwich a d x d block between the two kernel frames at lam: K_lam y K~_lam*.
 
     The result has the same rank as the block and always passes the
     membership test; at lam = 0 it reproduces the defect-to-defect
@@ -377,8 +380,6 @@ def finite_rank(basis: ModelSpaceBasis, lam: complex, y, swapped: bool = False) 
         raise ValueError(f"expected a {d} x {d} block")
     k = kernel_frame(basis, lam)
     kt = tilde_kernel_frame(basis, lam)
-    if swapped:
-        return OperatorMatrix(basis, kt @ y @ k.conj().T)
     return OperatorMatrix(basis, k @ y @ kt.conj().T)
 
 

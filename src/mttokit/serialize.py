@@ -126,8 +126,3 @@ def load_json_file(path) -> dict:
         raise ParseError(f"top-level JSON value in {path} must be an object")
     return obj
 
-
-def dump_json_file(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")

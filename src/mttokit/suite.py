@@ -261,7 +261,7 @@ def _check_shift_actions(basis, rng, config):
     S^m by repeated squaring, about 2 log2 m products."""
     yield action_check(basis)["max_residual"]
     s, _ = s_theta(basis)
-    yield opnorm(np.linalg.matrix_power(s.mat, basis.inner.m))
+    yield opnorm(np.linalg.matrix_power(s, basis.inner.m))
 
 
 def _check_semi_commutator(basis, rng, config):
@@ -351,7 +351,7 @@ def _check_commutant(basis, rng, config):
     s, _ = s_theta(basis)
     for _ in range(config.cases):
         a = build(basis, random_commuting_symbol(basis, rng))
-        yield frobenius(a.mat @ s.mat - s.mat @ a.mat) / (1.0 + frobenius(a.mat))
+        yield frobenius(a.mat @ s - s @ a.mat) / (1.0 + frobenius(a.mat))
 
 
 def _check_conjugation(spaces, rng, config):
@@ -388,7 +388,7 @@ def _check_worked_example(spaces, rng, config):
     yield 0.0 if decision.verdict else 1.0
     gamma = Conjugation(np.eye(2))
     s, _ = s_theta(basis)
-    ok_s, res_s = c_symmetric(basis, gamma, s.mat)
+    ok_s, res_s = c_symmetric(basis, gamma, s)
     yield res_s
     yield 0.0 if ok_s else 1.0
     ok_a, res_a = c_symmetric(basis, gamma, a.mat)
@@ -427,10 +427,6 @@ _REGISTRY = [
     (22, "serialization", "Laurent JSON round-trips bit for bit", _check_serialization, FLAG_CUT),
 ]
 _WHOLE_RUN = (_check_conjugation, _check_worked_example)  # these take the run's list of spaces, once
-
-
-def check_names() -> list:
-    return [name for _, name, _, _, _ in _REGISTRY]
 
 
 def run_suite(config: SuiteConfig) -> dict:

@@ -13,7 +13,7 @@ projectors and I - S S* formed as n x n matrices.
 import numpy as np
 
 from mttokit.laurent import VecLaurent
-from mttokit.model_operator import defect_spaces, eval0_matrix, s_theta
+from mttokit.model_operator import defect_spaces, s_theta
 from mttokit.model_space import kernel, tilde_kernel
 
 from suite_oracles import from_coords
@@ -40,13 +40,13 @@ def action_check_loop(basis) -> dict:
     worst = 0.0
     for j in range(comp_dt.shape[1]):
         f = from_coords(basis, comp_dt[:, j])
-        sf = from_coords(basis, s.mat @ comp_dt[:, j])
+        sf = from_coords(basis, s @ comp_dt[:, j])
         worst = max(worst, (f.shift(1) - sf).norm())
     checks["shift acts as multiplication off the second defect space"] = worst
 
     worst = 0.0
     for i in range(d):
-        lhs = s.mat @ ds.dt_frame[:, i]
+        lhs = s @ ds.dt_frame[:, i]
         rhs = -basis.coords(kernel(basis, 0.0, theta0 @ eye[:, i]))
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     checks["shift sends difference-quotient directions into the first defect space"] = worst
@@ -54,25 +54,25 @@ def action_check_loop(basis) -> dict:
     worst = 0.0
     for j in range(comp_d.shape[1]):
         f = from_coords(basis, comp_d[:, j])
-        bf = from_coords(basis, s_adj.mat @ comp_d[:, j])
+        bf = from_coords(basis, s_adj @ comp_d[:, j])
         worst = max(worst, (_backshift(f) - bf).norm())
         worst = max(worst, float(np.linalg.norm(f.coeff(0))))  # those f vanish at 0
     checks["adjoint shift divides by z off the first defect space"] = worst
 
     worst = 0.0
     for i in range(d):
-        lhs = s_adj.mat @ ds.d_frame[:, i]
+        lhs = s_adj @ ds.d_frame[:, i]
         rhs = -basis.coords(tilde_kernel(basis, 0.0, theta0.conj().T @ eye[:, i]))
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     checks["adjoint shift sends kernel directions into the second defect space"] = worst
 
     # the mapping identities and the defect-operator identity in the Frobenius norm
     norm = np.linalg.norm
-    checks["shift maps second defect space into first"] = norm(comp_d @ s.mat @ p_dt)
-    checks["shift maps second complement into first complement"] = norm(p_d @ s.mat @ comp_dt)
-    checks["adjoint shift maps first defect space into second"] = norm(comp_dt @ s_adj.mat @ p_d)
-    checks["adjoint shift maps first complement into second complement"] = norm(p_dt @ s_adj.mat @ comp_d)
+    checks["shift maps second defect space into first"] = norm(comp_d @ s @ p_dt)
+    checks["shift maps second complement into first complement"] = norm(p_d @ s @ comp_dt)
+    checks["adjoint shift maps first defect space into second"] = norm(comp_dt @ s_adj @ p_d)
+    checks["adjoint shift maps first complement into second complement"] = norm(p_dt @ s_adj @ comp_d)
     checks["defect operator is evaluation at zero followed by the kernel frame"] = norm(
-        n_eye - s.mat @ s_adj.mat - ds.d_frame @ eval0_matrix(basis)
+        n_eye - s @ s_adj - ds.d_frame @ basis.q[: basis.inner.d]
     )
     return checks

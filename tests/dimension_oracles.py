@@ -73,7 +73,7 @@ def stein_constraint(basis) -> np.ndarray:
     s, s_adj = s_theta(basis)
     u = defect_spaces(basis).d_basis
     p = np.eye(basis.n) - u @ u.conj().T
-    return np.kron(p, p.T) - np.kron(p @ s.mat, (s_adj.mat @ p).T)
+    return np.kron(p, p.T) - np.kron(p @ s, (s_adj @ p).T)
 
 
 def svd_counts(basis) -> tuple[int, int]:

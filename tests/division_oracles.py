@@ -108,7 +108,7 @@ def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent):
     if residual <= CHECK_TOL * (1.0 + phi.norm() * theta.norm()):
         a_phi = build(basis, phi)
         s, _ = s_theta(basis)
-        comm = opnorm(a_phi.mat @ s.mat - s.mat @ a_phi.mat)
+        comm = opnorm(a_phi.mat @ s - s @ a_phi.mat)
         if comm > 1e-9 * (1.0 + opnorm(a_phi.mat)):
             raise IdentityCheckError(
                 f"factorization succeeded but the operator does not commute, norm {comm:.3e}"

@@ -109,7 +109,7 @@ def split_decision(basis, a: np.ndarray, tol=None) -> SplitDecision:
     package's scale-safe `frobenius`."""
     if tol is None:
         tol = REL * frobenius(a)
-    s, s_adj = (op.mat for op in s_theta(basis))
+    s, s_adj = s_theta(basis)
     ds = defect_spaces(basis)
     witness = frame_split(a - s @ a @ s_adj, ds.d_frame, ds.d_pinv)
     witness_tilde = frame_split(a - s_adj @ a @ s, ds.dt_frame, ds.dt_pinv)
@@ -125,7 +125,7 @@ def non_member(basis, rng) -> np.ndarray:
     u = defect_spaces(basis).d_basis
     comp = np.linalg.qr(u, mode="complete")[0][:, u.shape[1]:]
     k = comp.shape[1]
-    s, s_adj = (op.mat for op in s_theta(basis))
+    s, s_adj = s_theta(basis)
     for _ in range(64):
         c = rng.standard_normal(k * k) + 1j * rng.standard_normal(k * k)
         b = comp @ c.reshape(k, k) @ comp.conj().T

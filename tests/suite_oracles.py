@@ -59,15 +59,20 @@ def _theta_of(obj):
     return obj.theta if isinstance(obj, InnerFunction) else obj
 
 
+def _reverse(f: VecLaurent) -> VecLaurent:
+    """Substitute z -> 1/z: the coefficient at k moves to -k."""
+    return VecLaurent(-f.hi, f.coeffs[::-1])
+
+
 def tau_apply(theta, f: VecLaurent) -> VecLaurent:
     """Unitary map from the model space of Theta onto that of its
     coefficient-adjointed partner: frequency-reverse f, multiply by the
     coefficient-adjointed Theta, shift down by one."""
-    return multiply(tilde(_theta_of(theta)), f.reverse()).shift(-1)
+    return multiply(tilde(_theta_of(theta)), _reverse(f)).shift(-1)
 
 
 def tau_adjoint_apply(theta, f: VecLaurent) -> VecLaurent:
-    return multiply(_theta_of(theta), f.reverse()).shift(-1)
+    return multiply(_theta_of(theta), _reverse(f)).shift(-1)
 
 
 def conjugation_apply(basis, gamma, f: VecLaurent) -> VecLaurent:

@@ -122,7 +122,7 @@ def test_03_coefficient_reversal_operator_matrix():
         worst_unitary = max(worst_unitary, opnorm(t.conj().T @ t - np.eye(basis.n)))
         s, _ = s_theta(basis)
         s_tilde, _ = s_theta(tilde_basis)
-        worst_intertwine = max(worst_intertwine, opnorm(t @ s.mat - s_tilde.mat.conj().T @ t))
+        worst_intertwine = max(worst_intertwine, opnorm(t @ s - s_tilde.conj().T @ t))
     ok = worst_unitary <= 1e-9 and worst_intertwine <= 1e-9
     _verdict(3, "reversal map is unitary and swaps the shift with its adjoint", ok,
              f"unitarity {worst_unitary:.2e}, intertwining {worst_intertwine:.2e}, both <= 1e-9")
@@ -136,8 +136,8 @@ def test_04_defect_ranges_and_action_formulas():
         ds = defect_spaces(basis)
         eye = np.eye(basis.n)
         p_d, p_dt = ds.d_basis @ ds.d_basis.conj().T, ds.dt_basis @ ds.dt_basis.conj().T
-        worst_range = max(worst_range, opnorm(_range_projector(eye - s.mat @ s_adj.mat) - p_d))
-        worst_range = max(worst_range, opnorm(_range_projector(eye - s_adj.mat @ s.mat) - p_dt))
+        worst_range = max(worst_range, opnorm(_range_projector(eye - s @ s_adj) - p_d))
+        worst_range = max(worst_range, opnorm(_range_projector(eye - s_adj @ s) - p_dt))
         report = action_check(basis)
         assert report["pass"], report
         worst_action = max(worst_action, report["max_residual"])
@@ -291,7 +291,7 @@ def test_09_commutant_containment():
         worst_factor = max(worst_factor, res)
         a = build(basis, phi)
         s, _ = s_theta(basis)
-        worst_comm = max(worst_comm, opnorm(a.mat @ s.mat - s.mat @ a.mat))
+        worst_comm = max(worst_comm, opnorm(a.mat @ s - s @ a.mat))
     ok = worst_factor <= 1e-10 and worst_comm <= 1e-9
     _verdict(9, "symbols fixing Theta H^2 commute with the shift", ok,
              f"factorization residual {worst_factor:.2e} <= 1e-10, commutator {worst_comm:.2e} <= 1e-9")
@@ -310,7 +310,7 @@ def test_10_worked_example():
     member = is_mtto(basis, a).verdict and rank(a.mat) == 1
     gamma = Conjugation(np.eye(2))
     s, _ = s_theta(basis)
-    shift_symmetric, _ = c_symmetric(basis, gamma, s.mat)
+    shift_symmetric, _ = c_symmetric(basis, gamma, s)
     op_symmetric, op_res = c_symmetric(basis, gamma, a.mat)
     report = run_suite(SuiteConfig.from_json({"seed": 1, "cases": 1, "fixtures": ["FIX3"], "random_inners": []}))
     named = {c["name"]: c for c in report["checks"]}["worked_example"]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mttokit.fixtures import fixture
-from mttokit.model_operator import OperatorMatrix, action_check, defect_spaces, kernel_recurrence_check, s_theta
+from mttokit.model_operator import action_check, defect_spaces, kernel_recurrence_check, s_theta
 from mttokit.model_space import ModelSpaceBasis
 from mttokit.randgen import random_inner
 
@@ -47,8 +47,8 @@ def _perturb_shift(basis, size=1e-6, seed=0):
     defect_spaces(basis)
     rng = np.random.default_rng(seed)
     e = rng.standard_normal((basis.n, basis.n)) + 1j * rng.standard_normal((basis.n, basis.n))
-    s = s_theta(basis)[0].mat + size * e / np.linalg.norm(e)
-    basis.cache["shift"] = (OperatorMatrix(basis, s), OperatorMatrix(basis, s.conj().T))
+    s = s_theta(basis)[0] + size * e / np.linalg.norm(e)
+    basis.cache["shift"] = (s, s.conj().T)
 
 
 def _residuals(report):

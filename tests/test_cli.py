@@ -25,6 +25,8 @@ from mttokit.model_space import ModelSpaceBasis
 from mttokit.mtto import build, membership_witness
 from mttokit.suite import SuiteConfig, _spaces
 
+from json_files import dump_json_file
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -36,7 +38,7 @@ def run(capsys, *argv):
 
 def write_symbol(tmp_path, name, f):
     path = tmp_path / name
-    serialize.dump_json_file(path, serialize.laurent_to_json(f))
+    dump_json_file(path, serialize.laurent_to_json(f))
     return str(path)
 
 
@@ -50,7 +52,7 @@ def test_inner_check_fixture(capsys):
 def test_inner_check_rejects_non_inner_file(tmp_path, capsys):
     path = write_symbol(tmp_path, "const.json", MatLaurent.identity(2))
     doc = {"kind": "coeffs", "laurent": json.loads((tmp_path / "const.json").read_text())}
-    serialize.dump_json_file(tmp_path / "inner.json", doc)
+    dump_json_file(tmp_path / "inner.json", doc)
     code, out, err = run(capsys, "inner", "check", "--theta", str(tmp_path / "inner.json"))
     assert code == 1
     assert json.loads(out)["verdict"] is False
@@ -59,7 +61,7 @@ def test_inner_check_rejects_non_inner_file(tmp_path, capsys):
 def test_inner_check_reports_a_non_pure_potapov_product(tmp_path, capsys):
     # one factor diag(1, 0) gives Theta = diag(z, 1): inner, but Theta(0) has norm 1
     doc = {"kind": "potapov", "factors": [serialize.matrix_to_json(np.diag([1.0, 0.0]))]}
-    serialize.dump_json_file(tmp_path / "inner.json", doc)
+    dump_json_file(tmp_path / "inner.json", doc)
     code, out, err = run(capsys, "inner", "check", "--theta", str(tmp_path / "inner.json"))
     report = json.loads(out)
     assert code == 1 and err == ""
@@ -69,7 +71,7 @@ def test_inner_check_reports_a_non_pure_potapov_product(tmp_path, capsys):
 
 def test_inner_check_reports_a_non_analytic_theta(tmp_path, capsys):
     doc = {"kind": "coeffs", "laurent": serialize.laurent_to_json(MatLaurent(-1, 0.5 * np.ones((2, 1, 1))))}
-    serialize.dump_json_file(tmp_path / "inner.json", doc)
+    dump_json_file(tmp_path / "inner.json", doc)
     code, out, err = run(capsys, "inner", "check", "--theta", str(tmp_path / "inner.json"))
     assert code == 1 and err == ""
     assert json.loads(out) == {"analytic": False, "inner_residual": None, "inner_tol": 1e-10, "purity_margin": None,
@@ -109,7 +111,7 @@ def test_op_build_rejects_wrong_symbol_dimension(tmp_path, capsys):
 @pytest.mark.parametrize("command", [("op", "build"), ("symbol", "zero-test")])
 def test_zero_symbol_with_a_wrong_declared_dim_is_a_parse_error(tmp_path, capsys, command):
     path = tmp_path / "sym.json"
-    serialize.dump_json_file(path, {"dim": 3, "lo": 0, "coeffs": serialize.array_to_json(np.zeros((1, 2, 2)))})
+    dump_json_file(path, {"dim": 3, "lo": 0, "coeffs": serialize.array_to_json(np.zeros((1, 2, 2)))})
     code, out, err = run(capsys, *command, "--theta", "FIX3", "--symbol", str(path))
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "E_PARSE" and "declared dim 3" in json.loads(err)["message"]
@@ -119,7 +121,7 @@ def test_op_test_rejects_non_member_and_recover_refuses(tmp_path, capsys):
     mat = np.zeros((3, 3))
     mat[2, 2] = 1.0
     op_path = tmp_path / "op.json"
-    serialize.dump_json_file(op_path, {"n": 3, "entries": serialize.matrix_to_json(mat)})
+    dump_json_file(op_path, {"n": 3, "entries": serialize.matrix_to_json(mat)})
     code, out, _ = run(capsys, "op", "test", "--theta", "FIX3", "--op", str(op_path))
     doc = json.loads(out)
     assert code == 1 and doc["verdict"] is False
@@ -136,7 +138,7 @@ def test_op_file_from_other_basis_is_refused(tmp_path, capsys):
     doc = op.to_json()
     doc["basis_id"] = "0" * 16
     op_path = tmp_path / "op.json"
-    serialize.dump_json_file(op_path, doc)
+    dump_json_file(op_path, doc)
     code, _, err = run(capsys, "op", "test", "--theta", "FIX3", "--op", str(op_path))
     assert code == 2 and json.loads(err)["error"] == "E_PARSE"
 
@@ -145,7 +147,7 @@ def _op_file_with_id(tmp_path, basis_id):
     doc = build(ModelSpaceBasis(fixture("FIX3")), MatLaurent.identity(2)).to_json()
     doc["basis_id"] = basis_id
     op_path = tmp_path / "op.json"
-    serialize.dump_json_file(op_path, doc)
+    dump_json_file(op_path, doc)
     return str(op_path)
 
 
@@ -211,7 +213,7 @@ HUGE_WINDOW = {"kind": "coeffs", "laurent": {"dim": 1, "lo": 1000000, "coeffs": 
 
 @pytest.mark.parametrize("argv", [["dim"], ["space", "basis"], ["op", "build", "--symbol", "SYMBOL"], ["inner", "check"]])
 def test_window_above_the_cap_exits_2(tmp_path, capsys, argv):
-    serialize.dump_json_file(tmp_path / "theta.json", HUGE_WINDOW)
+    dump_json_file(tmp_path / "theta.json", HUGE_WINDOW)
     symbol = write_symbol(tmp_path, "symbol.json", MatLaurent.identity(1))
     argv = [symbol if a == "SYMBOL" else a for a in argv]
     code, out, err = run(capsys, *argv, "--theta", str(tmp_path / "theta.json"))
@@ -223,8 +225,8 @@ def test_window_above_the_cap_exits_2(tmp_path, capsys, argv):
 def test_more_factors_than_the_window_holds_exit_2_before_any_product(tmp_path, capsys, monkeypatch, argv):
     # 1025 factors at d = 2 would multiply out to diag(z^513, z^512), but the bound counts factors
     factors = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])] * 512 + [np.diag([1.0, 0.0])]
-    serialize.dump_json_file(tmp_path / "theta.json",
-                             {"kind": "potapov", "factors": [serialize.matrix_to_json(p) for p in factors]})
+    dump_json_file(tmp_path / "theta.json",
+                   {"kind": "potapov", "factors": [serialize.matrix_to_json(p) for p in factors]})
     products = []
     monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: products.append(args))
     code, out, err = run(capsys, *argv, "--theta", str(tmp_path / "theta.json"))
@@ -235,8 +237,8 @@ def test_more_factors_than_the_window_holds_exit_2_before_any_product(tmp_path, 
 
 def test_oversized_potapov_payload_is_refused_before_any_factor_is_parsed(tmp_path, capsys, monkeypatch):
     # 3000 factors at d = 8: the count and the first factor's rows are read off the JSON
-    serialize.dump_json_file(tmp_path / "theta.json",
-                             {"kind": "potapov", "factors": [serialize.matrix_to_json(np.eye(8))] * 3000})
+    dump_json_file(tmp_path / "theta.json",
+                   {"kind": "potapov", "factors": [serialize.matrix_to_json(np.eye(8))] * 3000})
     parsed = []
     monkeypatch.setattr(serialize, "json_to_matrix", lambda obj: parsed.append(obj))
     code, out, err = run(capsys, "dim", "--theta", str(tmp_path / "theta.json"))
@@ -250,7 +252,7 @@ def test_oversized_potapov_payload_is_refused_before_any_factor_is_parsed(tmp_pa
 def test_malformed_first_factor_keeps_its_parse_error(tmp_path, capsys, first):
     # no rows to count: the factors are parsed as before, and the first one is refused
     factors = [first] + [serialize.matrix_to_json(np.eye(8))] * 2999
-    serialize.dump_json_file(tmp_path / "theta.json", {"kind": "potapov", "factors": factors})
+    dump_json_file(tmp_path / "theta.json", {"kind": "potapov", "factors": factors})
     code, out, err = run(capsys, "dim", "--theta", str(tmp_path / "theta.json"))
     _assert_parse_error(code, out, err)
     assert json.loads(err)["message"] == "expected 2 levels of non-empty, equally long lists over [re, im] pairs"
@@ -260,7 +262,7 @@ def test_tol_flag_is_honored(tmp_path, capsys):
     basis = ModelSpaceBasis(fixture("FIX3"))
     op = build(basis, MatLaurent.identity(2))
     op_path = tmp_path / "op.json"
-    serialize.dump_json_file(op_path, op.to_json())
+    dump_json_file(op_path, op.to_json())
     code, out, _ = run(capsys, "op", "test", "--theta", "FIX3", "--op", str(op_path))
     assert code == 0 and json.loads(out)["tol"] == 1e-9 * np.linalg.norm(op.mat)
     code, out, _ = run(capsys, "op", "test", "--theta", "FIX3", "--op", str(op_path), "--tol", "1e-3")
@@ -272,10 +274,14 @@ def test_op_recover_writes_the_bound_of_its_result(tmp_path, capsys, monkeypatch
     code, out, _ = run(capsys, "op", "recover", "--theta", "FIX3", "--op", op_path)
     doc, amat = json.loads(out), serialize.json_to_matrix(serialize.load_json_file(op_path)["entries"])
     assert code == 0 and doc["rebuild_tol"] == 1e-8 * np.linalg.norm(amat) and doc["rebuild_residual"] <= doc["rebuild_tol"]
-    recover = mtto.recover_symbol  # the document carries the result's own bound, not one the command line recomputes
-    monkeypatch.setattr(cli, "recover_symbol", lambda *args: dataclasses.replace(recover(*args), tol=0.125))
+    decision = json.loads(run(capsys, "op", "test", "--theta", "FIX3", "--op", op_path)[1])
+    assert (doc["membership_residual"], doc["membership_tol"]) == (decision["residual"], decision["tol"])
+    recover = mtto.recover_symbol  # the document carries the result's own bounds, not ones the command line recomputes
+    monkeypatch.setattr(cli, "recover_symbol", lambda *args: dataclasses.replace(
+        recover(*args), tol=0.125, membership_residual=0.25, membership_tol=0.5))
     code, out, _ = run(capsys, "op", "recover", "--theta", "FIX3", "--op", op_path)
-    assert code == 0 and json.loads(out)["rebuild_tol"] == 0.125
+    doc = json.loads(out)
+    assert code == 0 and (doc["rebuild_tol"], doc["membership_residual"], doc["membership_tol"]) == (0.125, 0.25, 0.5)
 
 
 def test_symbol_zero_test_both_verdicts(tmp_path, capsys):
@@ -311,7 +317,7 @@ def test_tiny_input_passed_by_a_loose_tol_fails_its_identity_check(tmp_path, cap
     outside = np.zeros((3, 3))
     outside[2, 2] = 1e-10
     path = tmp_path / "op.json"
-    serialize.dump_json_file(path, {"entries": serialize.matrix_to_json(outside)})
+    dump_json_file(path, {"entries": serialize.matrix_to_json(outside)})
     code, out, err = run(capsys, "op", "recover", "--theta", "FIX3", "--op", str(path), "--tol", "1e-6")
     assert code == 1 and out == "" and json.loads(err)["error"] == "E_IDENTITY_CHECK"
 
@@ -319,7 +325,7 @@ def test_tiny_input_passed_by_a_loose_tol_fails_its_identity_check(tmp_path, cap
 def test_op_recover_of_a_member_scaled_to_1e_300_succeeds_without_warnings(tmp_path, capsys):
     basis = ModelSpaceBasis(fixture("FIX5"))
     path = tmp_path / "op.json"
-    serialize.dump_json_file(path, build(basis, MatLaurent(-1, 1e-300 * np.ones((3, 2, 2)))).to_json())
+    dump_json_file(path, build(basis, MatLaurent(-1, 1e-300 * np.ones((3, 2, 2)))).to_json())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, "op", "recover", "--theta", "FIX5", "--op", str(path))
@@ -351,7 +357,7 @@ def test_op_test_decides_by_the_one_rule_and_never_forms_the_starred_identity(tm
     A - S A S* once and never A - S* A S; `op recover` goes through the same
     rule."""
     potapov = tmp_path / "potapov.json"
-    serialize.dump_json_file(potapov, randgen.random_inner(2, 3, np.random.default_rng(32)).to_json())
+    dump_json_file(potapov, randgen.random_inner(2, 3, np.random.default_rng(32)).to_json())
     deltas, rules = _counted(monkeypatch, "_delta"), _counted(monkeypatch, "_membership")
     rng = np.random.default_rng(33)
     for source in (*FIXTURE_NAMES, str(potapov)):
@@ -359,7 +365,7 @@ def test_op_test_decides_by_the_one_rule_and_never_forms_the_starred_identity(tm
         gaussian = rng.standard_normal((basis.n, basis.n))
         for i, op in enumerate((build(basis, MatLaurent.identity(basis.inner.d)), OperatorMatrix(basis, gaussian))):
             path = tmp_path / f"op{i}.json"
-            serialize.dump_json_file(path, op.to_json())
+            dump_json_file(path, op.to_json())
             rules.clear()
             deltas.clear()
             code, out, err = run(capsys, "op", "test", "--theta", source, "--op", str(path))
@@ -386,7 +392,7 @@ def test_every_command_writes_its_pinned_keys_on_fix3(tmp_path, capsys):
         ("op", "build"): (["--symbol", symbol], {"schema_version", "n", "basis_id", "entries"}),
         ("op", "test"): (["--op", op], {"distance_bounds", "residual", "tol", "verdict"}),
         ("op", "recover"): (["--op", op], {"schema_version", "analytic_part", "costar_part", "rebuild_residual",
-                                           "rebuild_tol"}),
+                                           "rebuild_tol", "membership_residual", "membership_tol"}),
         ("symbol", "zero-test"): (["--symbol", symbol], zero_keys),
         (None, "dim"): ([], {"dim", "gauge_dim", "operator_space_dim", "symbol_pair_dim"}),
     }
@@ -454,7 +460,18 @@ def test_suite_refuses_a_config_and_a_seed_together(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(cli, "run_suite", lambda cfg: pytest.fail("run_suite called"))
     code, out, err = run(capsys, "suite", "--config", _small_suite_config(tmp_path), "--seed", "9")
     _assert_parse_error(code, out, err)
-    assert json.loads(err)["message"] == "suite takes --config or --seed, not both"
+    assert json.loads(err)["message"] == "mtto suite: argument --seed: not allowed with argument --config"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--seed", "1", "--config", "x"], "mtto suite: argument --config: not allowed with argument --seed"),
+    ([], "mtto suite: one of the arguments --config --seed is required"),
+])
+def test_suite_usage_errors_come_before_an_unwritable_out(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: pytest.fail("run_suite called"))
+    code, out, err = run(capsys, "suite", *argv, "--out", "/nonexistent/dir/r.json")
+    _assert_parse_error(code, out, err)
+    assert json.loads(err)["message"] == message
 
 
 def test_suite_shape_that_draws_no_pure_inner_exits_2(tmp_path, capsys, monkeypatch):
@@ -652,7 +669,13 @@ def test_readme_lists_exactly_the_commands_of_the_cli_table():
 @pytest.mark.parametrize("row", COMMANDS, ids=lambda row: " ".join(filter(None, (row[0], row[2]))))
 def test_every_command_accepts_out(row):
     group, _, name, _, arguments, handler = row
-    required = [a for flag, kwargs in arguments if kwargs.get("required") for a in (flag, "x")]
+    required = []
+    for spec in arguments:
+        if isinstance(spec[0], str):
+            flag, kwargs = spec
+            required += [flag, "x"] if kwargs.get("required") else []
+        else:  # a required group of alternatives: give its first
+            required += [spec[0][0], "x"]
     args = build_parser().parse_args([*filter(None, (group, name)), *required, "--out", "result.json"])
     assert args.out == "result.json" and args.fn is handler
 
@@ -660,7 +683,7 @@ def test_every_command_accepts_out(row):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_zero_test_of_a_symbol_at_frequency_1e12_is_cheap(tmp_path, capsys, sign):
     path = tmp_path / "far.json"
-    serialize.dump_json_file(path, {"dim": 2, "lo": sign * 10**12, "coeffs": serialize.array_to_json(np.eye(2)[None])})
+    dump_json_file(path, {"dim": 2, "lo": sign * 10**12, "coeffs": serialize.array_to_json(np.eye(2)[None])})
     start = time.perf_counter()
     code, out, err = run(capsys, "symbol", "zero-test", "--theta", "FIX3", "--symbol", str(path))
     assert time.perf_counter() - start < 1.0
@@ -673,7 +696,7 @@ def test_zero_test_of_a_symbol_at_frequency_1e12_is_cheap(tmp_path, capsys, sign
 def _member_op_file(tmp_path):
     basis = ModelSpaceBasis(fixture("FIX3"))
     op_path = tmp_path / "op.json"
-    serialize.dump_json_file(op_path, build(basis, MatLaurent.identity(2)).to_json())
+    dump_json_file(op_path, build(basis, MatLaurent.identity(2)).to_json())
     return str(op_path)
 
 
@@ -691,7 +714,7 @@ def test_symbol_without_dim_exits_2(tmp_path, capsys):
     doc = serialize.laurent_to_json(MatLaurent.identity(2))
     del doc["dim"]
     path = tmp_path / "sym.json"
-    serialize.dump_json_file(path, doc)
+    dump_json_file(path, doc)
     _assert_parse_error(*run(capsys, "op", "build", "--theta", "FIX3", "--symbol", str(path)))
 
 
@@ -714,7 +737,7 @@ def test_non_integer_laurent_field_exits_2(tmp_path, capsys, kind, field, bad):
 
 
 def test_potapov_payload_without_factors_exits_2(tmp_path, capsys):
-    serialize.dump_json_file(tmp_path / "inner.json", {"kind": "potapov", "factors": []})
+    dump_json_file(tmp_path / "inner.json", {"kind": "potapov", "factors": []})
     _assert_parse_error(*run(capsys, "dim", "--theta", str(tmp_path / "inner.json")))
 
 
@@ -741,7 +764,7 @@ def test_tiny_non_member_is_rejected_and_tiny_member_accepted(tmp_path, capsys):
     member = build(basis, MatLaurent(-1, rng.standard_normal((3, 1, 1)))).mat
     for mat, want in ((1e-10 * g / np.linalg.norm(g, 2), 1), (1e-10 * member, 0)):
         path = tmp_path / "op.json"
-        serialize.dump_json_file(path, {"entries": serialize.matrix_to_json(mat)})
+        dump_json_file(path, {"entries": serialize.matrix_to_json(mat)})
         code, out, _ = run(capsys, "op", "test", "--theta", "FIX2", "--op", str(path))
         assert code == want and json.loads(out)["verdict"] is (want == 0)
 
@@ -762,7 +785,7 @@ def _versioned_inputs(tmp_path, version):
         if version is not None:
             doc["schema_version"] = version
         paths[name] = str(tmp_path / f"{name}.json")
-        serialize.dump_json_file(paths[name], doc)
+        dump_json_file(paths[name], doc)
     return paths
 
 

@@ -28,6 +28,8 @@ from mttokit.model_space import InnerFunction, ModelSpaceBasis, off_space, potap
 from mttokit.mtto import build, is_mtto, recover_symbol
 from mttokit.randgen import haar_unitary, random_symbol
 
+from json_files import dump_json_file
+
 EPS = (1e-2, 7.7e-3, 5.5e-3, 3.9e-3, 2.8e-3)
 COUNTS = (4, 8, 16, 32)
 RESIDUAL_SHARE, OFF_SPACE = 1e-3, 1e-11
@@ -96,7 +98,7 @@ def _run(capsys, *argv):
 
 def _check_members(tmp_path, capsys, d, factors):
     phi = random_symbol(d, -3, 3, np.random.default_rng(len(factors)))
-    serialize.dump_json_file(tmp_path / "phi.json", serialize.laurent_to_json(phi))
+    dump_json_file(tmp_path / "phi.json", serialize.laurent_to_json(phi))
     for kind, inner in _payloads(factors).items():
         assert inner.d == d and inner.n == sum(round(np.trace(p).real) for p in factors)
         basis = ModelSpaceBasis(inner)
@@ -107,7 +109,7 @@ def _check_members(tmp_path, capsys, d, factors):
         recover_symbol(basis, a)
 
         theta = str(tmp_path / f"{kind}.json")
-        serialize.dump_json_file(theta, inner.to_json())
+        dump_json_file(theta, inner.to_json())
         code, out = _run(capsys, "op", "build", "--theta", theta, "--symbol", str(tmp_path / "phi.json"))
         assert code == 0 and np.array_equal(serialize.json_to_matrix(json.loads(out)["entries"]), a.mat)
         (tmp_path / "op.json").write_text(out)

@@ -23,7 +23,7 @@ from mttokit.errors import IdentityCheckError
 from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent
 from mttokit import model_operator
-from mttokit.model_operator import OperatorMatrix, action_check, defect_spaces, s_theta
+from mttokit.model_operator import action_check, defect_spaces, s_theta
 from mttokit.model_space import InnerFunction, ModelSpaceBasis, make_inner_potapov
 from mttokit.mtto import build, is_mtto, mtto_dimension
 from mttokit.numerics import CHECK_TOL
@@ -31,6 +31,7 @@ from mttokit.randgen import haar_unitary, random_inner, random_projection
 from mttokit.serialize import canonical_json
 
 from dimension_oracles import svd_counts
+from json_files import dump_json_file
 
 RANDOM_SHAPES = [(1, [1] * 6), (1, [1] * 12), (2, [1, 2, 1, 2]), (2, [2, 1, 2, 2, 1, 2]), (4, [3, 3, 3]),
                  (4, [2, 4, 1, 3]), (7, [4, 4]), (7, [5, 6])]
@@ -70,7 +71,7 @@ def test_dimension_at_sixty_dimensions_is_fast():
 
 def _fresh():
     basis = _potapov(2, [1, 2, 1], 90)
-    return basis, s_theta(basis)[0].mat, defect_spaces(basis)
+    return basis, s_theta(basis)[0], defect_spaces(basis)
 
 
 def test_non_nilpotent_shift_is_refused():
@@ -78,7 +79,7 @@ def test_non_nilpotent_shift_is_refused():
     basis, s, _ = _fresh()
     assert action_check(basis)["pass"]
     fake = s + 0.5 * np.eye(basis.n)
-    basis.cache["shift"] = (OperatorMatrix(basis, fake), OperatorMatrix(basis, fake.conj().T))
+    basis.cache["shift"] = (fake, fake.conj().T)
     assert np.linalg.norm(np.linalg.matrix_power(fake, basis.inner.m)) > CHECK_TOL
     assert not action_check(basis)["pass"]
 
@@ -130,8 +131,8 @@ def test_report_of_a_space_with_n_equal_to_d_1400_serializes():
 def _theta_files(tmp_path):
     """--theta sources of the three kinds: a fixture, a Potapov file and a coeffs file."""
     inner = random_inner(3, 3, np.random.default_rng(95))
-    serialize.dump_json_file(tmp_path / "potapov.json", inner.to_json())
-    serialize.dump_json_file(tmp_path / "coeffs.json", {"kind": "coeffs", "laurent": serialize.laurent_to_json(inner.theta)})
+    dump_json_file(tmp_path / "potapov.json", inner.to_json())
+    dump_json_file(tmp_path / "coeffs.json", {"kind": "coeffs", "laurent": serialize.laurent_to_json(inner.theta)})
     return {"fixture": "FIX5", "potapov": str(tmp_path / "potapov.json"), "coeffs": str(tmp_path / "coeffs.json")}
 
 
@@ -187,7 +188,7 @@ _REFUSED = {  # payload: (exit status, error code) of both `dim` and `space basi
 @pytest.mark.parametrize("argv", [["dim"], ["space", "basis"]])
 def test_dim_refuses_what_the_basis_route_refuses(tmp_path, capsys, payload, argv):
     doc, (status, code) = _REFUSED[payload]
-    serialize.dump_json_file(tmp_path / "theta.json", doc)
+    dump_json_file(tmp_path / "theta.json", doc)
     assert main([*argv, "--theta", str(tmp_path / "theta.json")]) == status
     captured = capsys.readouterr()
     assert captured.out == "" and json.loads(captured.err)["error"] == code

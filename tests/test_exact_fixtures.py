@@ -27,7 +27,11 @@ window coordinates, where they do not depend on the basis Q:
   float residual squared is the exact ||(P - Pi) Delta (P - Pi)||_F^2 to
   1e-12 relative, where Delta = P M P - (P Z P)(P M P)(P Z P)* and Pi is
   the projector onto ran(P E0), E0 the first block column: the first
-  defect space, spanned by the kernel at the origin.
+  defect space, spanned by the kernel at the origin;
+- `recover_symbol`: for A = `build(basis, Phi)`, the returned pair is the
+  least-Frobenius-norm (Psi1, Psi2) with window columns in ran P and
+  P T_{Psi1 + Psi2*} P = P T_Phi P, solved exactly over the d^2 gauge,
+  within 1e-12 ||Phi||.
 
 Every P here is real (so is every Theta), so each side is taken
 separately on the real and the imaginary part of a symbol or of M.
@@ -48,7 +52,7 @@ from mttokit.fixtures import fixture
 from mttokit.laurent import MatLaurent
 from mttokit.model_operator import s_theta
 from mttokit.model_space import ModelSpaceBasis, det_degree, make_inner_potapov
-from mttokit.mtto import _zero_split, build, is_mtto, mtto_dimension, zero_symbol_decompose
+from mttokit.mtto import _zero_split, build, is_mtto, mtto_dimension, recover_symbol, zero_symbol_decompose
 from mttokit.numerics import frobenius, rank
 
 sympy = pytest.importorskip("sympy")
@@ -146,10 +150,10 @@ def _assert_float_space_counts(inner, blocks, p, shift, counts):
     basis = ModelSpaceBasis(inner)
     assert inner.n == basis.n == n == det_degree(inner.theta) == _exact_det_degree(blocks)
     s, _ = s_theta(basis)
-    assert rank(s.mat, scale=1.0) == rank_s
-    assert np.abs(np.linalg.matrix_power(s.mat, inner.m)).max() <= 1e-14
+    assert rank(s, scale=1.0) == rank_s
+    assert np.abs(np.linalg.matrix_power(s, inner.m)).max() <= 1e-14
     q = basis.q
-    assert np.abs(q.conj().T @ np.array(shift, dtype=np.complex128) @ q - s.mat).max() <= 1e-14
+    assert np.abs(q.conj().T @ np.array(shift, dtype=np.complex128) @ q - s).max() <= 1e-14
     assert np.abs(np.array(p, dtype=np.complex128) @ q - q).max() <= 1e-14
     assert mtto_dimension(basis).dim == dim
 
@@ -336,3 +340,64 @@ def test_is_mtto_residual_is_the_exact_off_defect_norm(name):
         a = q.conj().T @ (_real_floats(parts[0]) + 1j * _real_floats(parts[1])) @ q
         residual = is_mtto(basis, a).residual
         assert abs(residual**2 - float(exact)) <= 1e-12 * float(exact)
+
+
+# --- symbol recovery -----------------------------------------------------------
+
+def _exact_least_norm_pairs(theta, p, parts_list):
+    """For each (real part, imaginary part) of a symbol Phi of degrees -2..2,
+    the least-Frobenius-norm pair (Psi1, Psi2), as md x d window column
+    matrices in ran P, with P T_{Psi1 + Psi2*} P = P T_Phi P.  The columns
+    are E a and E c for a rational basis E of ran P, and P X P = 0 exactly
+    when E^T X E = 0.  The condition is linear and real in (Psi1, conj Psi2),
+    so each part is solved alone; its solutions are one of them plus the
+    gauge, the null space of the map, and the least norm ||Psi1||^2 +
+    ||Psi2||^2 in the metric E^T E is taken over that gauge."""
+    m, d = len(theta) - 1, theta[0].shape[0]
+    basis = sympy.Matrix.hstack(*p.columnspace())
+    n = basis.shape[1]
+
+    def unit(i, j):
+        """Window blocks of the md x d matrix with column i of E as its column j, 0 elsewhere."""
+        out = sympy.zeros(m * d, d)
+        out[:, j] = basis[:, i]
+        return [out[k * d : (k + 1) * d, :] for k in range(m)]
+
+    units = [unit(i, j) for i in range(n) for j in range(d)]
+    columns = [_window_matrix(m, d, lambda k, b=b: b[k] if k >= 0 else None) for b in units]  # T_Psi1
+    columns += [_window_matrix(m, d, lambda k, b=b: b[-k].T if k <= 0 else None) for b in units]  # T_(Psi2*)
+    system = sympy.Matrix.hstack(*[(basis.T * t * basis).reshape(n * n, 1) for t in columns])
+    gauge = sympy.Matrix.hstack(*system.nullspace())
+    assert gauge.shape[1] == d * d  # the zero-symbol gauge, and nothing more
+    gram = basis.T * basis
+    half = sympy.Matrix(n * d, n * d, lambda r, c: gram[r // d, c // d] if r % d == c % d else 0)
+    metric = sympy.diag(half, half)  # ||E a||^2 + ||E c||^2 on the unknowns a, c in the order of `columns`
+    pairs = []
+    for parts in parts_list:
+        solved = []
+        for part in parts:
+            toeplitz = _window_matrix(m, d, lambda k: part[(k + 2) * d : (k + 3) * d, :] if abs(k) <= 2 else None)
+            rhs = (basis.T * toeplitz * basis).reshape(n * n, 1)
+            z, params = system.gauss_jordan_solve(rhs)
+            z = z.subs({t: 0 for t in params})
+            z -= gauge * (gauge.T * metric * gauge).inv() * (gauge.T * metric * z)
+            a, c = z[: n * d, :].reshape(n, d), z[n * d :, :].reshape(n, d)
+            solved.append((_real_floats(basis * a), _real_floats(basis * c)))
+        (a_re, c_re), (a_im, c_im) = solved
+        pairs.append((a_re + 1j * a_im, c_re - 1j * c_im))  # Psi2 = conj(c_re + i c_im)
+    return pairs
+
+
+@pytest.mark.parametrize("name", EXACT_SPACES)
+def test_recover_symbol_returns_the_exact_least_norm_pair(name):
+    theta, inner, p, _ = _exact_real_window(name)
+    m, d = inner.m, inner.d
+    basis = ModelSpaceBasis(inner)
+    rng = np.random.default_rng(inner.n + 2)
+    parts_list = [_gaussian_parts(5 * d, d, rng) for _ in range(2)]  # Phi_-2, ..., Phi_2 stacked
+    for parts, (psi1, psi2) in zip(parts_list, _exact_least_norm_pairs(theta, p, parts_list)):
+        phi = MatLaurent(-2, (_real_floats(parts[0]) + 1j * _real_floats(parts[1])).reshape(5, d, d))
+        rec = recover_symbol(basis, build(basis, phi))
+        for got, want in ((rec.psi1, psi1), (rec.psi2, psi2)):
+            assert got.lo >= 0 and got.hi < m
+            assert frobenius(got.window(0, m - 1) - want.reshape(m, d, d)) <= 1e-12 * phi.norm()

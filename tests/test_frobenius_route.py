@@ -20,7 +20,7 @@ import pytest
 from mttokit import numerics
 from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent
-from mttokit.model_space import ModelSpaceBasis
+from mttokit.model_space import ModelSpaceBasis, kernel_frame, tilde_kernel_frame
 from mttokit.mtto import build, finite_rank, is_mtto, membership_witness, mtto_dimension, recover_symbol
 from mttokit.numerics import REL, column_norms, frobenius
 from mttokit.serialize import canonical_json
@@ -53,7 +53,8 @@ def _operators(basis, rng):
     ops += [("gaussian", _gaussian(n, rng)) for _ in range(3)]
     for lam in (0.0, 0.3 - 0.2j, -0.6):
         y = _gaussian(d, rng)
-        ops += [("sandwich", finite_rank(basis, lam, y).mat), ("sandwich", finite_rank(basis, lam, y, swapped=True).mat)]
+        swapped = tilde_kernel_frame(basis, lam) @ y @ kernel_frame(basis, lam).conj().T  # K~_lam y K_lam*
+        ops += [("sandwich", finite_rank(basis, lam, y).mat), ("sandwich", swapped)]
     if mtto_dimension(basis).dim < n * n:
         ops += [("non-member", random_non_member(basis, rng)) for _ in range(3)]
     return ops

@@ -152,9 +152,9 @@ def test_the_defect_data_is_rank_d_and_the_decision_keeps_no_array(basis):
     assert list(vars(decision)) == ["verdict", "residual", "tol", "distance_bounds"]
     assert not any(isinstance(v, np.ndarray) for v in vars(decision).values())
     c, ct = complement(ds.d_frame), complement(ds.dt_frame)
-    want = frobenius(c.conj().T @ (a - s.mat @ a @ s_adj.mat) @ c)
+    want = frobenius(c.conj().T @ (a - s @ a @ s_adj) @ c)
     assert abs(decision.residual - want) <= 1e-13 * frobenius(a)
-    want_tilde = frobenius(ct.conj().T @ (a - s_adj.mat @ a @ s.mat) @ ct)
+    want_tilde = frobenius(ct.conj().T @ (a - s_adj @ a @ s) @ ct)
     assert abs(membership_witness(basis, a, starred=True).residual - want_tilde) <= 1e-13 * frobenius(a)
 
 

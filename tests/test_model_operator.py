@@ -12,7 +12,6 @@ from mttokit.model_operator import (
     c_symmetric,
     conjugation_matrix,
     defect_spaces,
-    eval0_matrix,
     gamma_symmetric_residual,
     j_operators,
     kernel_recurrence_check,
@@ -36,39 +35,40 @@ def _basis(name):
 
 def test_shift_matrices_on_scalar_fixtures():
     s1, _ = s_theta(_basis("FIX1"))
-    np.testing.assert_allclose(s1.mat, np.zeros((1, 1)), atol=1e-14)
+    np.testing.assert_allclose(s1, np.zeros((1, 1)), atol=1e-14)
     s2, s2_adj = s_theta(_basis("FIX2"))
-    np.testing.assert_allclose(s2.mat, [[0.0, 0.0], [1.0, 0.0]], atol=1e-14)
-    np.testing.assert_allclose(s2_adj.mat, s2.mat.conj().T, atol=1e-14)
+    np.testing.assert_allclose(s2, [[0.0, 0.0], [1.0, 0.0]], atol=1e-14)
+    np.testing.assert_allclose(s2_adj, s2.conj().T, atol=1e-14)
 
 
 def test_shift_matrix_fix3_moves_second_coordinate_up():
     s, _ = s_theta(_basis("FIX3"))
     want = np.zeros((3, 3))
     want[2, 1] = 1.0
-    np.testing.assert_allclose(s.mat, want, atol=1e-14)
+    np.testing.assert_allclose(s, want, atol=1e-14)
 
 
 def test_shift_is_nilpotent_of_order_m():
     for name in ALL_FIXTURES:
         basis = _basis(name)
         s, _ = s_theta(basis)
-        power = np.linalg.matrix_power(s.mat, basis.inner.m)
+        power = np.linalg.matrix_power(s, basis.inner.m)
         assert opnorm(power) <= 1e-12
 
 
 def test_shift_norm_is_strictly_below_one():
     for name in ALL_FIXTURES:
         s, _ = s_theta(_basis(name))
-        assert opnorm(s.mat) <= 1.0 + 1e-12
+        assert opnorm(s) <= 1.0 + 1e-12
 
 
 def test_operator_matrix_apply_and_adjoint():
     basis = _basis("FIX2")
     s, s_adj = s_theta(basis)
     one = VecLaurent(0, [[1.0]])
-    np.testing.assert_allclose(basis.coords(apply(s, one)), basis.coords(VecLaurent(1, [[1.0]])), atol=1e-14)
-    back = apply(s_adj, VecLaurent(1, [[1.0]]))
+    np.testing.assert_allclose(basis.coords(apply(OperatorMatrix(basis, s), one)), basis.coords(VecLaurent(1, [[1.0]])),
+                               atol=1e-14)
+    back = apply(OperatorMatrix(basis, s_adj), VecLaurent(1, [[1.0]]))
     assert (back - one).norm() <= 1e-12
     with pytest.raises(ValueError):
         OperatorMatrix(basis, np.zeros((3, 3)))
@@ -107,8 +107,8 @@ def test_omega_inverts_the_kernel_frame_and_extracts_values_at_zero():
             np.testing.assert_allclose(kp @ frame, np.eye(ds.dim), atol=1e-10)
             np.testing.assert_allclose(frame @ kp, frame @ kp @ frame @ kp, atol=1e-10)
         s, s_adj = s_theta(basis)
-        g = np.eye(basis.n) - s.mat @ s_adj.mat
-        assert opnorm(ds.d_pinv @ g - eval0_matrix(basis)) <= 1e-10
+        g = np.eye(basis.n) - s @ s_adj
+        assert opnorm(ds.d_pinv @ g - basis.q[: basis.inner.d]) <= 1e-10
 
 
 def test_frame_inverses_are_computed_once_per_basis(monkeypatch):
@@ -154,8 +154,8 @@ def test_j_operator_identities_hold_on_general_fixtures():
         j, jt = j_operators(basis, ds)
         s, s_adj = s_theta(basis)
         n = basis.n
-        g = np.eye(n) - s.mat @ s_adj.mat
-        gt = np.eye(n) - s_adj.mat @ s.mat
+        g = np.eye(n) - s @ s_adj
+        gt = np.eye(n) - s_adj @ s
         p_d = ds.d_basis @ ds.d_basis.conj().T
         p_dt = ds.dt_basis @ ds.dt_basis.conj().T
         assert opnorm(g @ j - p_d) <= 1e-9
@@ -186,7 +186,7 @@ def test_xhat_preserves_rank():
 def modified_shift(basis, ds, x):
     """Replace the shift on the second defect space by the block x:
     S (I - U~ U~*) + xhat(x), with U~ the second defect basis."""
-    return off_span(s_theta(basis)[0].mat, ds.dt_basis) + xhat(basis, ds, x).mat
+    return off_span(s_theta(basis)[0], ds.dt_basis) + xhat(basis, ds, x).mat
 
 
 def test_modified_shift_recovers_the_shift_and_stays_contractive():
@@ -195,11 +195,11 @@ def test_modified_shift_recovers_the_shift_and_stays_contractive():
         basis = _basis(name)
         ds = defect_spaces(basis)
         s, _ = s_theta(basis)
-        x_rec = ds.d_basis.conj().T @ s.mat @ ds.dt_basis
-        np.testing.assert_allclose(modified_shift(basis, ds, x_rec), s.mat, atol=1e-10)
+        x_rec = ds.d_basis.conj().T @ s @ ds.dt_basis
+        np.testing.assert_allclose(modified_shift(basis, ds, x_rec), s, atol=1e-10)
         zero = modified_shift(basis, ds, np.zeros((ds.dim, ds.dim)))
         p_dt = ds.dt_basis @ ds.dt_basis.conj().T
-        np.testing.assert_allclose(zero, s.mat @ (np.eye(basis.n) - p_dt), atol=1e-12)
+        np.testing.assert_allclose(zero, s @ (np.eye(basis.n) - p_dt), atol=1e-12)
         for _ in range(5):
             x = rng.standard_normal((ds.dim, ds.dim)) + 1j * rng.standard_normal((ds.dim, ds.dim))
             x /= max(1.0, opnorm(x))
@@ -272,7 +272,7 @@ def test_c_symmetry_verdict_does_not_depend_on_scale(scale):
     basis = _basis("FIX3")
     gamma = Conjugation(np.eye(2))
     s, _ = s_theta(basis)
-    ok, res = c_symmetric(basis, gamma, scale * s.mat)
+    ok, res = c_symmetric(basis, gamma, scale * s)
     assert ok and res <= 1e-12 * scale
     a = np.zeros((3, 3), dtype=complex)
     a[1, 0] = scale

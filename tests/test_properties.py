@@ -64,8 +64,8 @@ def test_witness_splits_both_defect_identities(member):
     ds = defect_spaces(basis)
     assert is_mtto(basis, a).verdict
     for w, delta, k in (
-        (membership_witness(basis, a), a - s.mat @ a @ s_adj.mat, ds.d_frame),
-        (membership_witness(basis, a, starred=True), a - s_adj.mat @ a @ s.mat, ds.dt_frame),
+        (membership_witness(basis, a), a - s @ a @ s_adj, ds.d_frame),
+        (membership_witness(basis, a, starred=True), a - s_adj @ a @ s, ds.dt_frame),
     ):
         assert w.x.shape == w.y.shape == (basis.n, basis.inner.d)
         assert opnorm(delta - w.x @ k.conj().T - k @ w.y.conj().T) <= 1e-12 * opnorm(a)

@@ -15,13 +15,17 @@ is applied in `numerics` alone (and in the `pinv` cutoff of
 """
 
 import ast
+import importlib
+import importlib.util
 import json
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mttokit
 from mttokit import serialize
 from mttokit.cli import main
 from mttokit.errors import IdentityCheckError, NotUnitaryError, NotZeroOperatorError
@@ -31,6 +35,8 @@ from mttokit.model_operator import Conjugation
 from mttokit.model_space import ModelSpaceBasis, kernel_window, tilde_kernel_window
 from mttokit.mtto import factor_through_theta, zero_symbol_decompose
 from mttokit.numerics import require_small
+
+from json_files import dump_json_file
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mttokit"
 GATED = ("model_space.py", "model_operator.py", "mtto.py")
@@ -87,7 +93,7 @@ def test_a_symbol_of_norm_1e200_is_not_the_zero_operator():
 
 def test_zero_test_of_a_symbol_of_norm_1e200_exits_1_without_warnings(tmp_path, capsys):
     path = tmp_path / "phi.json"
-    serialize.dump_json_file(path, serialize.laurent_to_json(HUGE))
+    dump_json_file(path, serialize.laurent_to_json(HUGE))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["symbol", "zero-test", "--theta", "FIX3", "--symbol", str(path)])
@@ -281,3 +287,80 @@ def test_the_rank_cut_is_applied_in_numerics_alone():
     elsewhere = [f"{name}:{line} in {owner}" for name, tree in trees.items() if name != "numerics.py"
                  for owner, line in _rank_cut_products(tree) if (name, owner) != ("model_operator.py", "j_operators")]
     assert not elsewhere, f"RANK_CUT applied outside numerics: {elsewhere}"
+
+
+# --- nothing in the package that only the tests use ------------------------------
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _references(node):
+    """Every name a node reads: bare names and attribute names."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _definitions(tree):
+    """(qualified name, node) of every function, class and method of a module."""
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield prefix + child.name, child
+                yield from visit(child, prefix + child.name + ".")
+            else:
+                yield from visit(child, prefix)
+
+    return visit(tree, "")
+
+
+def _tracer_hooks():
+    """The attribute names `perfbench/tracer.py` wraps: its TIMED, TIMED_INIT
+    and COUNTED lists, and `ModelSpaceBasis.coords`, which `install` wraps by name."""
+    spec = importlib.util.spec_from_file_location("_tracer_under_test", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {attr for _, _, attr in tracer.TIMED + tracer.TIMED_INIT + tracer.COUNTED} | {"coords"}
+
+
+def _overrides(module, qualname):
+    """Whether a method overrides one of a base class from outside the package (`_Parser.error`)."""
+    owner, _, method = qualname.rpartition(".")
+    cls = getattr(importlib.import_module(f"mttokit.{module}"), owner, None)
+    return isinstance(cls, type) and any(hasattr(base, method) for base in cls.__mro__[1:]
+                                         if not base.__module__.startswith("mttokit"))
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    """A function, class or method is read somewhere in src/ outside its own
+    body, exported in `mttokit.__all__`, a dunder or an override of a base
+    class outside the package, or hooked by the benchmark's tracer; a name
+    only the tests reach belongs in tests/."""
+    trees = _package_trees()
+    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    kept = set(mttokit.__all__) | _tracer_hooks()
+    dead = []
+    for name, tree in trees.items():
+        for qualname, node in _definitions(tree):
+            short = node.name
+            if short in kept or short.startswith("__") and short.endswith("__") or _overrides(name[:-3], qualname):
+                continue
+            if everywhere[short] - _references(node)[short] <= 0:
+                dead.append(f"{name}:{node.lineno} {qualname}")
+    assert not dead, f"defined in src/ but used only outside it: {dead}"
+
+
+def test_no_module_level_import_is_unused():
+    unused = []
+    for name, tree in _package_trees().items():
+        exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                    for elt in node.value.elts}
+        imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")]
+        read = sum((_references(node) for node in tree.body if node not in imports), Counter())
+        for node in imports:
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                if bound not in read and bound not in exported:
+                    unused.append(f"{name}:{node.lineno} {bound}")
+    assert not unused, f"unused imports: {unused}"

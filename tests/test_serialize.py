@@ -8,10 +8,11 @@ from mttokit import serialize
 from mttokit.errors import ParseError
 from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent
-from mttokit.model_space import InnerFunction, ModelSpaceBasis, inner_from_json
+from mttokit.model_space import InnerFunction, ModelSpaceBasis, theta_from_json
 from mttokit.randgen import random_inner
 
 from basis_oracles import array_to_json_recursive
+from json_files import dump_json_file
 
 AWKWARD = [0.1, 1.0 / 3.0, 1e-300, 1e300, 123456789.123456789, -2.5e-17, math.pi]
 
@@ -92,21 +93,21 @@ def test_zero_symbol_round_trips(d):
 
 def test_inner_function_round_trip_both_kinds():
     inner = fixture("FIX5")
-    back = inner_from_json(inner.to_json())
+    back = InnerFunction(*theta_from_json(inner.to_json()))
     assert (back.theta - inner.theta).norm() <= 1e-14
     coeffs_doc = {"kind": "coeffs", "laurent": serialize.laurent_to_json(inner.theta)}
-    again = inner_from_json(coeffs_doc)
+    again = InnerFunction(*theta_from_json(coeffs_doc))
     assert (again.theta - inner.theta).norm() == 0.0
     with pytest.raises(ParseError):
-        inner_from_json({"kind": "mystery"})
+        InnerFunction(*theta_from_json({"kind": "mystery"}))
     with pytest.raises(ParseError):
-        inner_from_json(["not", "an", "object"])
+        InnerFunction(*theta_from_json(["not", "an", "object"]))
 
 
 def test_file_round_trip(tmp_path):
     path = tmp_path / "doc.json"
     doc = {"z": serialize.array_to_json(0.1 + 0.2j), "n": 3}
-    serialize.dump_json_file(path, doc)
+    dump_json_file(path, doc)
     text = path.read_text()
     assert text.endswith("\n") and '"n": 3' in text
     assert serialize.load_json_file(path) == json.loads(text)
@@ -131,7 +132,7 @@ def test_readers_refuse_an_unknown_schema_version(version):
     doc["schema_version"] = version
     sym = dict(serialize.laurent_to_json(MatLaurent.identity(2)), schema_version=version)
     with pytest.raises(ParseError, match="schema_version"):
-        inner_from_json(doc)
+        InnerFunction(*theta_from_json(doc))
     with pytest.raises(ParseError, match="schema_version"):
         serialize.json_to_mat_laurent(sym)
 

@@ -43,9 +43,9 @@ SPACES = _spaces()  # FIX1, FIX4 and monomial-1-1-1 have m = 1 (S = 0); FIX5 has
 def test_s_theta_is_the_dense_compression_and_its_adjoint_exactly(name):
     basis = ModelSpaceBasis(SPACES[name])
     s, s_adj = s_theta(basis)
-    assert np.linalg.norm(s.mat - _shift(basis)) <= 1e-14
-    assert np.array_equal(s_adj.mat, s.mat.conj().T)
-    assert not s.mat.flags.writeable and not s_adj.mat.flags.writeable
+    assert np.linalg.norm(s - _shift(basis)) <= 1e-14
+    assert np.array_equal(s_adj, s.conj().T)
+    assert not s.flags.writeable and not s_adj.flags.writeable
 
 
 @pytest.mark.parametrize("name", ["FIX1", "FIX4", "monomial-1-1-1"])
@@ -53,7 +53,7 @@ def test_shift_is_zero_when_m_is_one(name):
     basis = ModelSpaceBasis(SPACES[name])
     assert basis.inner.m == 1
     s, s_adj = s_theta(basis)
-    assert s.mat.shape == (basis.n, basis.n) and not s.mat.any() and not s_adj.mat.any()
+    assert s.shape == (basis.n, basis.n) and not s.any() and not s_adj.any()
 
 
 def _turned(inner):

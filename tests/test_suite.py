@@ -8,7 +8,7 @@ from mttokit.errors import ParseError
 from mttokit.model_operator import action_check, defect_spaces, s_theta
 from mttokit.numerics import frobenius
 from mttokit.serialize import canonical_json
-from mttokit.suite import SuiteConfig, check_names, run_suite
+from mttokit.suite import _REGISTRY, SuiteConfig, run_suite
 
 
 def test_config_defaults_and_round_trip():
@@ -102,7 +102,7 @@ def test_the_d_term_refuses_large_d_and_counts_small_d_by_the_window():
 
 
 def test_report_shape_and_registry():
-    names = check_names()
+    names = [row[1] for row in _REGISTRY]
     assert len(names) == len(set(names))
     assert "worked_example" in names and "members" in names
     cfg = SuiteConfig.from_json(
@@ -155,7 +155,7 @@ def report_7():
     return run_suite(SuiteConfig(seed=7))
 
 
-@pytest.mark.parametrize("dropped", check_names())
+@pytest.mark.parametrize("dropped", [row[1] for row in _REGISTRY])
 def test_dropping_a_check_moves_no_other_checks_draws(monkeypatch, report_7, dropped):
     monkeypatch.setattr(suite, "_REGISTRY", [row for row in suite._REGISTRY if row[1] != dropped])
     want = [canonical_json(c) for c in report_7["checks"] if c["name"] != dropped]
@@ -171,6 +171,6 @@ def test_shift_actions_reports_the_defect_identity_of_the_retired_check(seed):
     for label, basis in suite._spaces(config):
         s, s_adj = s_theta(basis)
         k0 = defect_spaces(basis).d_frame
-        retired = frobenius(np.eye(basis.n) - s.mat @ s_adj.mat - k0 @ k0.conj().T)
+        retired = frobenius(np.eye(basis.n) - s @ s_adj - k0 @ k0.conj().T)
         named = {c["name"]: c["residual"] for c in action_check(basis)["checks"]}
         assert named["defect operator is evaluation at zero followed by the kernel frame"] == retired, label

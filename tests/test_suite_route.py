@@ -142,7 +142,7 @@ def test_c_symmetric_gives_the_spectral_verdicts():
     fix3 = ModelSpaceBasis(fixture("FIX3"))
     corner = build(fix3, MatLaurent.constant(np.array([[0.0, 0.0], [1.0, 0.0]]))).mat
     gamma = Conjugation(np.eye(2))
-    cases += [(fix3, gamma, corner), (fix3, gamma, s_theta(fix3)[0].mat), (fix3, gamma, np.zeros((3, 3)))]
+    cases += [(fix3, gamma, corner), (fix3, gamma, s_theta(fix3)[0]), (fix3, gamma, np.zeros((3, 3)))]
     verdicts = []
     for basis, gamma, a in cases:
         ok, res = c_symmetric(basis, gamma, a)

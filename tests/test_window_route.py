@@ -87,8 +87,8 @@ def test_semi_commutator_left_factor_matches_laurent_products(basis):
 def test_s_theta_matches_shift_and_backshift(basis):
     s, s_adj = s_theta(basis)
     want_s, want_adj = _laurent_shift_pair(basis)
-    _assert_close(s.mat, want_s)
-    _assert_close(s_adj.mat, want_adj)
+    _assert_close(s, want_s)
+    _assert_close(s_adj, want_adj)
 
 
 @pytest.mark.parametrize("basis", SPACES, ids=IDS)
@@ -111,16 +111,16 @@ def test_operator_data_is_computed_once_per_basis():
     ds = defect_spaces(basis)
     j, jt = j_operators(basis, ds)
     again_s, again_adj = s_theta(basis)
-    assert again_s.mat is s.mat and again_adj.mat is s_adj.mat
+    assert again_s is s and again_adj is s_adj
     assert defect_spaces(basis) is ds
     assert all(a is b for a, b in zip(j_operators(basis, ds), (j, jt)))
-    for a in (s.mat, s_adj.mat, ds.d_basis, ds.dt_frame, ds.d_pinv, ds.gram_vectors, j, jt):
+    for a in (s, s_adj, ds.d_basis, ds.dt_frame, ds.d_pinv, ds.gram_vectors, j, jt):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
     fresh = ModelSpaceBasis(basis.inner)
     fresh_s, _ = s_theta(fresh)
     fresh_ds = defect_spaces(fresh)
-    assert fresh_s.mat is not s.mat and fresh_ds is not ds
-    np.testing.assert_array_equal(fresh_s.mat, s.mat)
+    assert fresh_s is not s and fresh_ds is not ds
+    np.testing.assert_array_equal(fresh_s, s)
     np.testing.assert_array_equal(fresh_ds.d_basis, ds.d_basis)
