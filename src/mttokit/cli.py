@@ -164,8 +164,9 @@ def _op_recover(args):
 
 
 def _symbol_zero_test(args):
-    basis = _basis(args)
-    result = zero_symbol_decompose(basis, _load_symbol(args.symbol), args.tol)
+    """A zero symbol is certified on the validated Theta; only a symbol the
+    certificate leaves open builds the basis, for its operator norm."""
+    result = zero_symbol_decompose(_inner(args), _load_symbol(args.symbol), args.tol)
     doc = {"schema_version": serialize.SCHEMA_VERSION, "is_zero": result.is_zero, "operator_norm": result.operator_norm,
            "tol": result.tol}
     if result.is_zero:

@@ -16,15 +16,19 @@ Frobenius norm, with no SVD, on ||P Delta P||_F against the scale-relative
 threshold numerics.REL * ||A||_F (1e-9 ||A||_F); the zero operator passes
 with residual exactly 0, and residual / 2 <= dist_F(A, class) <=
 m * residual.  The zero-symbol tests default to REL * ||Phi||, with ||Phi||
-the norm of the coefficients.  A symbol of the zero operator is split on
-Theta alone (`_zero_split`): an analytic or coanalytic one by one division,
-a mixed one with Phi* beside it and both constant terms from the left
-inverse of [Theta_1; ...; Theta_m] that the InnerFunction keeps.  The class
-dimension is a count, 2nd - d^2, read off the space.
+the norm of the coefficients.  A symbol is split on Theta alone
+(`_zero_split`) before anything else: an analytic or coanalytic one by one
+division, a mixed one with Phi* beside it and both constant terms from the
+left inverse of [Theta_1; ...; Theta_m] that the InnerFunction keeps.  The
+remainder E of that split has A_E = A_Phi, so sqrt(2m - 1) ||E_{|k|<m}||_F
+<= tol certifies a zero symbol with no basis and no SVD; only a symbol it
+leaves open is assembled on a basis and decided by its operator norm.  The
+class dimension is a count, 2nd - d^2, read off the space.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -266,6 +270,8 @@ def recover_symbol(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> Re
 @dataclass
 class ZeroSymbolResult:
     is_zero: bool
+    # an upper bound on ||A_Phi||: on a zero verdict certified by the split,
+    # sqrt(2m - 1) ||E_{|k|<m}||_F (<= tol); on any other, the SVD norm
     operator_norm: float
     psi1: Optional[MatLaurent] = None
     psi2: Optional[MatLaurent] = None
@@ -274,21 +280,22 @@ class ZeroSymbolResult:
 
 
 def _zero_split(inner: InnerFunction, phi: MatLaurent):
-    """((Psi1, Psi2), E), both analytic, with E the coefficients of Phi -
-    Theta Psi1 - (Theta Psi2)* (of its adjoint for a coanalytic Phi), read
-    off Theta alone.  The pair is unique for pure Theta (Theta Psi1 = -(Theta
-    Psi2)* is a constant C with Theta* C analytic, so C = 0), so an analytic
-    Phi has Psi2 = 0 and Psi1 = P+(Theta* Phi), one division, and a
-    coanalytic Phi the mirror image.  A mixed Phi is divided with Phi* beside
-    it: Theta* target - Psi is coanalytic, so the quotient Q agrees with Psi
-    off j = 0, and the remainder at k = 1..m is Theta_k (Psi(0) - Q(0)),
-    solved for both constant terms by `inner.tail_inverse`."""
+    """((Psi1, Psi2), lo, E), both analytic, with E the coefficients of Phi -
+    Theta Psi1 - (Theta Psi2)* (of its adjoint for a coanalytic Phi) at
+    frequencies lo, lo + 1, ..., read off Theta alone.  The pair is unique
+    for pure Theta (Theta Psi1 = -(Theta Psi2)* is a constant C with Theta*
+    C analytic, so C = 0), so an analytic Phi has Psi2 = 0 and Psi1 =
+    P+(Theta* Phi), one division, and a coanalytic Phi the mirror image.
+    A mixed Phi is divided with Phi* beside it: Theta* target - Psi is
+    coanalytic, so the quotient Q agrees with Psi off j = 0, and the
+    remainder at k = 1..m is Theta_k (Psi(0) - Q(0)), solved for both
+    constant terms by `inner.tail_inverse`."""
     d, m = inner.d, inner.m
     if phi.lo >= 0 or phi.hi <= 0:  # Phi = Theta (Theta* Phi), or Phi* = Theta (Theta* Phi*)
         far = phi if phi.lo >= 0 else boundary_adjoint(phi)
         start, psi, err = _divide_by_theta(inner, far.lo, far.coeffs)
         pair = (MatLaurent(start, psi), MatLaurent.zero(d))
-        return (pair if far is phi else pair[::-1]), err
+        return (pair if far is phi else pair[::-1]), min(far.lo, start), err
     b = max(phi.hi, -phi.lo)
     window = phi.window(-b, b)
     _, psi, remainder = _divide_by_theta(inner, -b, np.concatenate([window, reversed_adjoint(window)], axis=2))
@@ -300,20 +307,34 @@ def _zero_split(inner: InnerFunction, phi: MatLaurent):
     err[m:] = remainder[:, :, :d]
     err[: 2 * b + m + 1] += reversed_adjoint(remainder[:, :, d:])
     err[m : m + 2 * b + 1] -= window
-    return (MatLaurent(0, psi[:, :, :d]), MatLaurent(0, psi[:, :, d:])), err
+    return (MatLaurent(0, psi[:, :, :d]), MatLaurent(0, psi[:, :, d:])), -(b + m), err
 
 
-def zero_symbol_decompose(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional[float] = None) -> ZeroSymbolResult:
+def zero_symbol_decompose(space: InnerFunction | ModelSpaceBasis, phi: MatLaurent,
+                          tol: Optional[float] = None) -> ZeroSymbolResult:
     """Decide ||A_Phi|| <= tol, tol defaulting to REL * ||Phi||, the norm of
-    the coefficients: split a zero symbol by `_zero_split`, checked to
-    REBUILD_TOL * ||Phi||, and certify any other by its operator norm."""
-    if phi.dim != basis.inner.d:
+    the coefficients, for a symbol on the space of an `InnerFunction` or of
+    a `ModelSpaceBasis`.  The split of `_zero_split` comes first: A_Phi =
+    A_E, and A_E reads only the K = 2m - 1 blocks E_k at |k| < m, so
+    ||A_Phi|| <= sum ||E_k||_2 <= sqrt(K) ||E_{|k|<m}||_F.  When that bound
+    is <= tol the symbol is a zero symbol, certified on Theta alone with no
+    basis, no `build` and no SVD; otherwise the operator norm of A_Phi,
+    assembled on the basis (built from `space` only here), decides.  The
+    bound is one-sided: near an impure Theta, E can exceed A_Phi by orders
+    of magnitude, so it never refuses.  A zero verdict's split is checked
+    to REBUILD_TOL * ||Phi||."""
+    inner = space.inner if isinstance(space, ModelSpaceBasis) else space
+    if phi.dim != inner.d:
         raise DimensionMismatchError("symbol dimension does not match")
-    nrm, scale = opnorm(build(basis, phi).mat), phi.norm()
+    m, scale = inner.m, phi.norm()
     tol = float(REL * scale if tol is None else tol)
-    if nrm > tol:
-        return ZeroSymbolResult(is_zero=False, operator_norm=float(nrm), tol=tol)
-    (psi1, psi2), err = _zero_split(basis.inner, phi)
+    (psi1, psi2), lo, err = _zero_split(inner, phi)
+    nrm = math.sqrt(2 * m - 1) * frobenius(err[max(1 - m - lo, 0) : max(m - lo, 0)])  # E_k at |k| < m
+    if not nrm <= tol:  # the bound leaves it open: the operator norm decides
+        basis = ModelSpaceBasis(inner) if space is inner else space
+        nrm = opnorm(build(basis, phi).mat)
+        if nrm > tol:
+            return ZeroSymbolResult(is_zero=False, operator_norm=float(nrm), tol=tol)
     residual = require_small(frobenius(err), REBUILD_TOL * scale, IdentityCheckError,
                              "zero-operator symbol failed to decompose, residual {residual:.3e}")
     return ZeroSymbolResult(True, float(nrm), psi1, psi2, residual, tol)

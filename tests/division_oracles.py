@@ -13,7 +13,8 @@ it rested on, and the minimum-norm least squares over block-Toeplitz
 systems that the witness tests pin both to.  `full_array_division` is the
 array route as it was before it dropped the target's frequencies below 0:
 one convolution of Theta* with the whole target, of which only the blocks
-at start..top are kept.
+at start..top are kept.  `zero_certificate` is the bound on ||A_Phi|| that
+the remainder of those slots gives, the one a zero verdict is certified by.
 """
 
 from typing import Optional
@@ -97,6 +98,16 @@ def zero_symbol_decompose(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional
     if residual > 1e-8 * phi.norm():
         raise IdentityCheckError(f"zero-operator symbol failed to decompose, residual {residual:.3e}")
     return ZeroSymbolResult(True, float(nrm), psi1, psi2, float(residual))
+
+
+def zero_certificate(basis: ModelSpaceBasis, phi: MatLaurent) -> float:
+    """sqrt(2m - 1) ||E_{|k|<m}||_F for the remainder E = Phi - Theta Psi1 -
+    (Theta Psi2)* of the two slots above: the bound on ||A_Phi|| = ||A_E||
+    by which `mtto.zero_symbol_decompose` certifies a zero symbol."""
+    theta, m = basis.inner.theta, basis.inner.m
+    psi1, psi2 = analytic_slot(theta, phi), analytic_slot(theta, boundary_adjoint(phi))
+    err = phi - multiply(theta, psi1) - boundary_adjoint(multiply(theta, psi2))
+    return float(np.sqrt(2 * m - 1) * np.linalg.norm(err.window(1 - m, m - 1)))
 
 
 def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent):

@@ -296,6 +296,25 @@ def test_symbol_zero_test_both_verdicts(tmp_path, capsys):
     assert code == 1 and not doc["is_zero"] and doc["operator_norm"] > 0.9
 
 
+def test_symbol_zero_test_builds_a_basis_only_for_a_symbol_the_split_does_not_certify(tmp_path, capsys, monkeypatch):
+    theta = fixture("FIX3").theta
+    zero_sym = write_symbol(tmp_path, "zero.json", theta)
+    live = write_symbol(tmp_path, "live.json", MatLaurent.identity(2))
+    built = []
+    real = ModelSpaceBasis.__init__
+    monkeypatch.setattr(ModelSpaceBasis, "__init__", lambda *args: built.append(1) or real(*args))
+    code, out, _ = run(capsys, "symbol", "zero-test", "--theta", "FIX3", "--symbol", live)
+    assert code == 1 and not json.loads(out)["is_zero"] and built == [1]
+
+    def refuse(*args):
+        raise AssertionError("a certified zero built a basis")
+
+    monkeypatch.setattr(ModelSpaceBasis, "__init__", refuse)
+    code, out, _ = run(capsys, "symbol", "zero-test", "--theta", "FIX3", "--symbol", zero_sym)
+    doc = json.loads(out)
+    assert code == 0 and doc["is_zero"] and doc["operator_norm"] <= doc["tol"]
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-10])
 def test_symbol_zero_test_default_tolerance_is_relative(tmp_path, capsys, scale):
     theta = fixture("FIX3").theta

@@ -11,19 +11,23 @@ Each must give what the Laurent route of division_oracles gives, on
 fixtures, seeded Potapov products and inner functions given by their
 coefficients, with d = 1 and m = 1 among them, and on symbols whose support
 misses frequency 0.  A symbol wholly at |k| >= m, as far out as 1e12, is
-divided at a cost that follows its length, not its frequencies.
+divided at a cost that follows its length, not its frequencies.  A zero
+verdict certified by the split's remainder carries that bound as its
+`operator_norm`; every other verdict is the oracle's SVD norm bit for bit.
 """
 
+import collections
 import time
 
 import numpy as np
 import pytest
 
+from mttokit import mtto
 from mttokit.errors import IdentityCheckError, NotZeroOperatorError
 from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent, boundary_adjoint, multiply, reversed_adjoint
 from mttokit.model_space import InnerFunction, ModelSpaceBasis
-from mttokit.mtto import _divide_by_theta, commutant_factor, factor_through_theta, zero_symbol_decompose
+from mttokit.mtto import _divide_by_theta, build, commutant_factor, factor_through_theta, zero_symbol_decompose
 from mttokit.randgen import haar_unitary, random_commuting_symbol, random_inner, random_symbol
 
 import division_oracles as oracle
@@ -58,6 +62,21 @@ def _assert_same_pair(result, want, scale, rel=1e-12):
     for got, ref in zip((result.psi1, result.psi2), want):
         assert got.lo >= 0
         _assert_close(_window(got, 0, hi), _window(ref, 0, hi), scale, rel)
+
+
+def _assert_same_norm(result, want, basis, phi):
+    """A refusal carries the oracle's SVD norm bit for bit.  A certified
+    zero verdict carries the bound that decided it instead, sqrt(2m - 1)
+    ||E_{|k|<m}||_F: the oracle's own bound with its E within 1e-15 ||Phi||,
+    at least the SVD norm up to its roundoff, and at most tol."""
+    assert result.is_zero is want.is_zero
+    if not want.is_zero:
+        assert result.operator_norm == want.operator_norm
+        return
+    scale, root = phi.norm(), np.sqrt(2 * basis.inner.m - 1)
+    assert abs(result.operator_norm - oracle.zero_certificate(basis, phi)) <= root * 1e-15 * scale
+    assert want.operator_norm <= result.operator_norm + 1e-13 * scale
+    assert result.operator_norm <= result.tol
 
 
 def _zero_symbols(basis, rng):
@@ -121,7 +140,7 @@ def test_zero_symbol_decompose_matches_the_laurent_route_and_least_squares(basis
         result = zero_symbol_decompose(basis, phi)
         want = oracle.zero_symbol_decompose(basis, phi)
         assert result.is_zero and want.is_zero, label
-        assert result.operator_norm == want.operator_norm
+        _assert_same_norm(result, want, basis, phi)
         scale = phi.norm()
         _assert_same_pair(result, (want.psi1, want.psi2), scale)
         _assert_same_pair(result, oracle.lstsq_zero_symbol(basis, phi), scale)
@@ -141,11 +160,45 @@ def test_non_zero_symbols_are_refused_with_the_same_operator_norm(basis):
     for phi in (random_symbol(d, -2, 2, rng), MatLaurent.identity(d), random_symbol(d, 3, 4, rng).shift(-1)):
         result = zero_symbol_decompose(basis, phi)
         want = oracle.zero_symbol_decompose(basis, phi)
-        assert result.is_zero is want.is_zero and result.operator_norm == want.operator_norm
+        _assert_same_norm(result, want, basis, phi)
         if not want.is_zero:
             assert result.psi1 is None and result.psi2 is None and result.residual is None
         verdicts.append(result.is_zero)
     assert verdicts[:2] == [False, False]  # z^2 Phi may give the zero operator when m <= 2
+
+
+def test_verdicts_agree_with_the_operator_norm_and_an_uncertified_zero_falls_back(monkeypatch):
+    # zero symbols, and the same moved by delta ||Phi|| off the zero class:
+    # every outcome is the SVD route's, and near an impure Theta, where E
+    # can exceed A_Phi by orders of magnitude, the bound misses zeros that
+    # the operator norm then decides
+    builds = []
+    monkeypatch.setattr(mtto, "build", lambda *a: builds.append(a) or build(*a))
+    spaces = dict(SPACES, **{f"impure-{margin}": oracle.near_impure_space(margin) for margin in (1e-3, 1e-5, 1e-8)})
+    routes = collections.Counter()
+    for name, basis in spaces.items():
+        rng = np.random.default_rng(basis.n + 41)
+        d = basis.inner.d
+        for label, phi in _zero_symbols(basis, rng).items():
+            step = random_symbol(d, -2, 2, rng)
+            for delta in (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+                moved = phi + step * (delta * phi.norm() / step.norm())
+                outcome = []
+                for route in (zero_symbol_decompose, oracle.zero_symbol_decompose):
+                    builds.clear()
+                    try:
+                        result = route(basis, moved)
+                    except IdentityCheckError:  # an operator norm <= tol with no split within 1e-8 ||Phi||
+                        result = None
+                    outcome.append(("refused" if result is None else result.is_zero, bool(builds), result))
+                (got, fell_back, result), (want, _, svd) = outcome
+                assert got == want, (name, label, delta)
+                routes[got, fell_back] += 1
+                if fell_back and result is not None:  # the operator norm decided, as it does in the oracle
+                    assert result.operator_norm == svd.operator_norm
+    assert routes[True, False] and routes[False, True]  # certified zeros, and refusals by the norm
+    assert routes[True, True]  # zeros the bound left to the operator norm
+    assert not routes[False, False] and not routes["refused", False]  # only the norm refuses
 
 
 @pytest.mark.parametrize("margin", [1e-3, 1e-5, 1e-8])
@@ -159,7 +212,8 @@ def test_zero_symbol_decompose_at_the_purity_edge_matches_the_laurent_route(marg
         phi = oracle.zero_symbol(basis.inner.theta, psi1, psi2)
         result = zero_symbol_decompose(basis, phi)
         want = oracle.zero_symbol_decompose(basis, phi)
-        assert result.is_zero and result.operator_norm == want.operator_norm
+        assert result.is_zero
+        _assert_same_norm(result, want, basis, phi)
         _assert_same_pair(result, (want.psi1, want.psi2), phi.norm())
         _assert_same_pair(result, (psi1, psi2), phi.norm(), rel=1e-9)
         assert result.residual <= 1e-11 * phi.norm()
@@ -240,7 +294,8 @@ def test_a_symbol_wholly_at_or_beyond_the_degree_matches_the_laurent_route(basis
         for phi in (random_symbol(d, lo, lo + 2, rng), random_symbol(d, -lo - 2, -lo, rng)):
             result = zero_symbol_decompose(basis, phi)
             want = oracle.zero_symbol_decompose(basis, phi)
-            assert result.is_zero and want.is_zero and result.operator_norm == want.operator_norm
+            assert result.is_zero and want.is_zero
+            _assert_same_norm(result, want, basis, phi)
             _assert_same_pair(result, (want.psi1, want.psi2), phi.norm())
             assert (result.psi2 if phi.lo > 0 else result.psi1).is_zero()
             assert abs(result.residual - want.residual) <= 1e-12 * phi.norm()

@@ -267,14 +267,16 @@ def test_the_split_runs_on_theta_alone(name, monkeypatch):
     splits = {}
     for kind in KINDS:
         phi, psi1, psi2 = _exact_zero_symbol(theta, kind, 7)
-        splits[kind] = phi, _zero_split(inner, phi)
+        splits[kind] = phi, _zero_split(inner, phi), zero_symbol_decompose(inner, phi)  # certified on Theta
         _assert_exact_pair(splits[kind][1][0], (psi1, psi2), frobenius(phi.coeffs), kind)
     monkeypatch.undo()
     basis = ModelSpaceBasis(inner)
-    for kind, (phi, ((p1, p2), err)) in splits.items():  # the decomposition is that split, bit for bit
+    for kind, (phi, ((p1, p2), _, err), on_theta) in splits.items():  # the decomposition is that split, bit for bit
         result = zero_symbol_decompose(basis, phi)
-        assert result.residual == frobenius(err)
-        for got, want in ((result.psi1, p1), (result.psi2, p2)):
+        assert result.residual == frobenius(err) and result.is_zero and on_theta.is_zero
+        assert (result.operator_norm, result.residual, result.tol) == (on_theta.operator_norm, on_theta.residual,
+                                                                      on_theta.tol)
+        for got, want in ((result.psi1, p1), (result.psi2, p2), (on_theta.psi1, p1), (on_theta.psi2, p2)):
             assert got.lo == want.lo and np.array_equal(got.coeffs, want.coeffs)
 
 

@@ -119,6 +119,27 @@ def test_a_zero_symbol_of_norm_1e200_decomposes_with_a_finite_residual():
     assert (result.psi1 - psi1).norm() <= 1e-12 * psi1.norm()
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_a_zero_symbol_at_1e200_and_1e_minus_200_is_certified_on_theta_alone(scale, monkeypatch):
+    inner = fixture("FIX3")
+    psi1, psi2 = MatLaurent(0, [[[1.0, 0.5], [0.0, -1.0]], [[0.0, 2.0], [1.0, 0.0]]]), MatLaurent(0, [[[0.0, 1.0], [0.5, 0.0]]])
+    phi = multiply(inner.theta, psi1) + boundary_adjoint(multiply(inner.theta, psi2))
+
+    def refuse(*args):
+        raise AssertionError("a certified zero built a basis")
+
+    monkeypatch.setattr(ModelSpaceBasis, "__init__", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = zero_symbol_decompose(inner, phi * scale)
+        unscaled = zero_symbol_decompose(inner, phi)
+    assert result.is_zero and 0.0 <= result.operator_norm <= result.tol and np.isfinite(result.tol)
+    assert result.residual <= 1e-8 * (phi * scale).norm()
+    for got, want in ((result.psi1, psi1), (result.psi2, psi2)):
+        assert got.lo == 0 and np.abs(got.window(0, 1) / scale - want.window(0, 1)).max() <= 1e-12
+    assert abs(result.operator_norm / scale - unscaled.operator_norm) <= 1e-15 * phi.norm()
+
+
 @pytest.mark.parametrize("window", [kernel_window, tilde_kernel_window])
 def test_kernel_witnesses_stay_finite_for_a_vector_of_norm_1e200(window):
     inner = fixture("FIX5")
