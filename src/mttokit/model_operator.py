@@ -17,7 +17,7 @@ import numpy as np
 from . import serialize
 from .errors import DimensionMismatchError, IdentityCheckError, NotGammaSymmetricError, NotUnitaryError
 from .laurent import MatLaurent, convolve
-from .model_space import ModelSpaceBasis, kernel_frame, off_space, require_member, tilde_kernel_frame
+from .model_space import InnerFunction, ModelSpaceBasis, kernel_frame, off_space, require_member, tilde_kernel_frame
 from .numerics import (CHECK_TOL, INPUT_TOL, RANK_CUT, REL, column_norms, fix_column_phases, frobenius, opnorm,
                        rank_of_singular_values, require_finite, require_small)
 
@@ -72,9 +72,9 @@ def s_theta(basis: ModelSpaceBasis) -> tuple[np.ndarray, np.ndarray]:
     """(S, S*) as read-only n x n arrays, formed once per basis: the
     compressed shift S = Q* Z Q and its adjoint S* = S.conj().T.  Z moves
     window block j to block j + 1 (multiply by z), so S = Q[d:]* Q[:md - d]
-    is one n x n product of row blocks of Q (0 when m = 1).  The basis
-    build has measured Q against the model space (`ModelSpaceBasis`, gate
-    OFF_ULPS); the defect identities of `defect_spaces` are a second check."""
+    is one n x n product of row blocks of Q (0 when m = 1), measured against
+    the model space by the basis build (`ModelSpaceBasis`, gate OFF_ULPS);
+    `defect_spaces` writes down what that gate implies for I - S S*."""
     if "shift" not in basis.cache:
         d, q = basis.inner.d, basis.q
         s = q[d:].conj().T @ q[: q.shape[0] - d]
@@ -123,23 +123,28 @@ def _frame_svd(frame: np.ndarray):
     return fix_column_phases(u), kp
 
 
+def _kernel_at_zero(inner: InnerFunction) -> np.ndarray:
+    """Window columns of the kernel at 0 applied to e_1, ..., e_d: E0 - [Theta_0; ...; Theta_{m-1}] Theta_0*."""
+    md = inner.m * inner.d
+    return np.eye(md, inner.d) - inner.blocks[:-1].reshape(md, inner.d) @ inner.blocks[0].conj().T
+
+
 def defect_spaces(basis: ModelSpaceBasis) -> DefectSpaces:
-    """Defect spaces spanned by the kernel frames at the origin, checked
-    once per basis against the two defect operators, formed for this check
-    only: I - S S* = K0 K0* and I - S* S = K0~ K0~*, in the Frobenius norm
-    relative to the operator's norm (floored at 1).  With rank K0 =
-    rank K0~ = d from `_frame_svd`, this fixes the rank and range of each."""
+    """The defect data of a basis (`DefectSpaces`).  The basis gate implies
+    I - S S* = K0 K0*, which is not formed: I - S S* - K0 K0* =
+    Q* Z (I - Q Q*) Z* Q is positive semidefinite, so its norm is at most its
+    trace, ||L* Z* Q||_F^2 = 0 for Q in K_Theta (and I - S* S = K0~ K0~* is
+    the same for Theta~).  Checked, in O(m d n d), is that Q still spans
+    K_Theta: Q K0 and Q K0~ give back the kernel and the difference quotient
+    at 0, read off Theta."""
     if "defects" in basis.cache:
         return basis.cache["defects"]
     k0, kt0 = kernel_frame(basis, 0.0), tilde_kernel_frame(basis, 0.0)
     d_basis, d_pinv = _frame_svd(k0)
     dt_basis, dt_pinv = _frame_svd(kt0)
-    s, s_adj = s_theta(basis)
-    eye = np.eye(basis.n)
-    for gg, frame, label in ((eye - s @ s_adj, k0, "I - S S* = K0 K0*"),
-                             (eye - s_adj @ s, kt0, "I - S* S = K0~ K0~*")):
-        require_small(frobenius(gg - frame @ frame.conj().T), REL * max(1.0, frobenius(gg)), IdentityCheckError,
-                      "defect identity " + label + " fails, residual {residual:.3e}")
+    windows = _kernel_at_zero(basis.inner), basis.inner.blocks[1:].reshape(-1, basis.d)
+    for frame, w, what in zip((k0, kt0), windows, ("kernel frame at 0", "difference-quotient frame at 0")):
+        require_member(_worst_column(basis.q @ frame - w), 1.0, what)
     ds = DefectSpaces(d_basis, dt_basis, k0, kt0, d_pinv, dt_pinv, *np.linalg.eigh(k0.conj().T @ k0))
     _frozen(*vars(ds).values())
     basis.cache["defects"] = ds
@@ -291,10 +296,9 @@ def kernel_recurrence_check(basis: ModelSpaceBasis, count: int, seed: int) -> di
     points of the disk, each on the whole frame:
     S K_lam = (K_lam - K_0) / conj(lam) and S K~_lam = lam K~_lam - K_0 Theta(lam).
     At the removable point lam = 0 the first one is S Q* W = Q* Z W for the
-    closed-form kernel W = I - Theta(z) Theta(0)* on the window (the
-    projected frame K_0 would satisfy it by construction)."""
-    inner = basis.inner
-    d, m, q = inner.d, inner.m, basis.q
+    closed-form kernel W of `_kernel_at_zero` (the projected frame K_0
+    would satisfy it by construction)."""
+    inner, d, q = basis.inner, basis.d, basis.q
     rng = np.random.default_rng(seed)
     s, _ = s_theta(basis)
     k0 = kernel_frame(basis, 0.0)
@@ -306,7 +310,7 @@ def kernel_recurrence_check(basis: ModelSpaceBasis, count: int, seed: int) -> di
         klam, tlam = kernel_frame(basis, lam), tilde_kernel_frame(basis, lam)
         worst_k = max(worst_k, _worst_column(s @ klam - (klam - k0) / np.conj(lam)))
         worst_kt = max(worst_kt, _worst_column(s @ tlam - (lam * tlam - k0 @ inner.evaluate(lam))))
-    w = np.eye(m * d, d) - inner.blocks[:m].reshape(m * d, d) @ inner.blocks[0].conj().T
+    w = _kernel_at_zero(inner)
     origin = s @ q.conj().T @ w - q[d:].conj().T @ w[:-d]  # S Q* W - Q* Z W
     return _report({
         "kernel frame recurrence": worst_k,

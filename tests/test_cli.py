@@ -19,7 +19,7 @@ import pytest
 from mttokit import cli, mtto, randgen, serialize
 from mttokit.cli import COMMANDS, build_parser, main
 from mttokit.fixtures import FIXTURE_NAMES, fixture
-from mttokit.laurent import MatLaurent
+from mttokit.laurent import MatLaurent, multiply
 from mttokit.model_operator import OperatorMatrix
 from mttokit.model_space import ModelSpaceBasis
 from mttokit.mtto import build, membership_witness
@@ -786,6 +786,23 @@ def test_tiny_non_member_is_rejected_and_tiny_member_accepted(tmp_path, capsys):
         dump_json_file(path, {"entries": serialize.matrix_to_json(mat)})
         code, out, _ = run(capsys, "op", "test", "--theta", "FIX2", "--op", str(path))
         assert code == want and json.loads(out)["verdict"] is (want == 0)
+
+
+def test_operator_of_a_zero_symbol_passes_op_test_at_the_zero_tests_tol(tmp_path, capsys):
+    # A = A_{Theta Psi} is roundoff of the zero operator: the default tol REL * ||A||_F
+    # has no floor, so `op test` needs the tol that `symbol zero-test` decided by
+    inner = randgen.random_inner(2, 3, np.random.default_rng(100))
+    theta = tmp_path / "theta.json"
+    dump_json_file(theta, inner.to_json())
+    phi = write_symbol(tmp_path, "phi.json", multiply(inner.theta, randgen.random_symbol(2, 0, 1, np.random.default_rng(0))))
+    code, out, _ = run(capsys, "symbol", "zero-test", "--theta", str(theta), "--symbol", phi)
+    zero = json.loads(out)
+    assert code == 0 and zero["is_zero"]
+    op_path = tmp_path / "op.json"
+    code, _, _ = run(capsys, "op", "build", "--theta", str(theta), "--symbol", phi, "--out", str(op_path))
+    assert code == 0
+    code, out, _ = run(capsys, "op", "test", "--theta", str(theta), "--op", str(op_path), "--tol", repr(zero["tol"]))
+    assert code == 0 and json.loads(out)["verdict"] is True
 
 
 def _versioned_inputs(tmp_path, version):

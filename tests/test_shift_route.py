@@ -2,13 +2,16 @@
 
 Z moves window block j to block j + 1, so S = Q* Z Q = Q[d:]* Q[:md - d]
 and S* is its conjugate transpose; no md x md window matrix is formed.
-The dense compression Q* Z Q stays as the oracle (`membership_oracles`),
-and the defect identities of `defect_spaces` are a check that refuses a
-basis turned off the model space after it was built.  A cold `s_theta` or
-`semi_commutator_left_factor` must stay below one md x md complex array
-in traced memory.
+The dense compression Q* Z Q stays as the oracle (`membership_oracles`).
+`defect_spaces` forms no S: it refuses a basis turned off the model space
+after it was built, or a Theta_1 moved under its basis, by comparing
+Q K0 and Q K0~ with the kernel and the difference quotient at 0, read off
+Theta.  A cold `s_theta`, `semi_commutator_left_factor` or
+`defect_spaces` must stay below one md x md complex array in traced
+memory.
 """
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -16,6 +19,7 @@ import pytest
 
 from mttokit.errors import IdentityCheckError
 from mttokit.fixtures import FIXTURE_NAMES, fixture
+from mttokit.laurent import MatLaurent
 from mttokit.model_operator import defect_spaces, s_theta
 from mttokit.model_space import ModelSpaceBasis, make_inner_potapov
 from mttokit.mtto import semi_commutator_left_factor
@@ -70,8 +74,27 @@ def test_defect_spaces_refuses_a_basis_turned_off_the_model_space(name):
     defect_spaces(ModelSpaceBasis(inner))
     basis = _turned(inner)
     assert np.allclose(basis.q.conj().T @ basis.q, np.eye(basis.n))
-    with pytest.raises(IdentityCheckError, match="defect identity"):
+    with pytest.raises(IdentityCheckError, match="frame at 0 left the model space"):
         defect_spaces(basis)
+
+
+@pytest.mark.parametrize("name", ["FIX5", "random-3x3"])
+def test_defect_spaces_refuses_a_theta1_moved_under_its_basis(name):
+    """Theta_1 moved by 1e-6 on a copy of a built basis, as
+    `test_suite_route._with_theta1` does: the kernel at 0 has the window
+    E0 - [Theta_0; ...; Theta_{m-1}] Theta_0*, which leaves span Q.  These
+    are the spaces here with Theta_0 != 0; where Theta_0 = 0 the constants
+    lie in K_Theta and both windows stay in span Q, so the move is not seen."""
+    basis = ModelSpaceBasis(SPACES[name])
+    inner = copy.copy(basis.inner)
+    rng = np.random.default_rng(7)
+    blocks = inner.blocks.copy()
+    blocks[1] += 1e-6 * (rng.standard_normal(blocks[1].shape) + 1j * rng.standard_normal(blocks[1].shape))
+    inner.theta, inner.blocks = MatLaurent(0, blocks), blocks
+    moved = copy.copy(basis)
+    moved.inner, moved.cache = inner, {}
+    with pytest.raises(IdentityCheckError, match="kernel frame at 0 left the model space"):
+        defect_spaces(moved)
 
 
 def _traced_peak(fn, *args):
@@ -83,13 +106,25 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_cold_shift_and_left_factor_stay_below_one_window_matrix():
+def _window_480(rng):
+    """The d = 6, m = 80 Potapov space (n = 240) and the bytes of one
+    md x md complex array, 3.69 MB."""
     d, m = 6, 80
-    rng = np.random.default_rng(3)
     inner = make_inner_potapov([random_projection(d, 3, rng) for _ in range(m)], left_unitary=haar_unitary(d, rng))
     basis = ModelSpaceBasis(inner)
     assert (basis.n, inner.m * d) == (240, 480)
-    window_bytes = (inner.m * d) ** 2 * np.dtype(np.complex128).itemsize  # 3.69 MB
+    return basis, (inner.m * d) ** 2 * np.dtype(np.complex128).itemsize
+
+
+def test_cold_shift_and_left_factor_stay_below_one_window_matrix():
+    rng = np.random.default_rng(3)
+    basis, window_bytes = _window_480(rng)
     assert _traced_peak(s_theta, basis) < window_bytes
-    phi = random_symbol(d, 0, 5, rng)
+    phi = random_symbol(basis.inner.d, 0, 5, rng)
     assert _traced_peak(semi_commutator_left_factor, basis, phi) < window_bytes
+
+
+def test_cold_defect_spaces_forms_no_shift_and_stays_below_one_window_matrix():
+    basis, window_bytes = _window_480(np.random.default_rng(3))
+    assert _traced_peak(defect_spaces, basis) < window_bytes
+    assert "shift" not in basis.cache and "defects" in basis.cache

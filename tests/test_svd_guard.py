@@ -1,9 +1,13 @@
 """Per-space facts are read off the defect data, not measured again by SVD.
 
 `defect_spaces` takes one SVD per kernel frame, in `_frame_svd`, which
-fixes rank K0 = rank K0~ = d; it checks I - S S* = K0 K0* and
-I - S* S = K0~ K0~* in the Frobenius norm instead of taking the rank and
-range of each defect operator by SVD.  `mtto_dimension` is a count on n
+fixes rank K0 = rank K0~ = d; I - S S* = K0 K0* and I - S* S = K0~ K0~*
+follow from the basis gate, so the rank and range of each defect operator
+are taken neither by SVD nor from the operator itself.  The two dense
+identities are kept as an oracle (`defect_oracles.defect_identities`) and
+run here on the fixtures, the seeded spaces of `test_shift_route` and the
+conditioning families of `test_conditioning_family`; a shift that breaks
+the first is refused by `action_check`.  `mtto_dimension` is a count on n
 and d: on a fresh basis it takes no SVD and caches nothing.
 `zero_symbol_decompose` divides by Theta on coefficient arrays with a left
 inverse factored once per space by QR, and certifies a zero symbol by the
@@ -23,14 +27,18 @@ import pytest
 
 import mttokit
 from mttokit import mtto
-from mttokit.errors import IdentityCheckError
 from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent, boundary_adjoint, multiply
-from mttokit.model_operator import defect_spaces, s_theta
-from mttokit.model_space import ModelSpaceBasis
+from mttokit.model_operator import action_check, defect_spaces, s_theta
+from mttokit.model_space import InnerFunction, ModelSpaceBasis, potapov_product
 from mttokit.mtto import build, mtto_dimension, zero_symbol_decompose
+from mttokit.numerics import CHECK_TOL
 from mttokit.randgen import random_inner, random_symbol
 from mttokit.suite import SuiteConfig, run_suite
+
+import test_shift_route
+from defect_oracles import defect_identities, frame_check_residuals
+from test_conditioning_family import _cases as conditioning_cases
 
 np_linalg = getattr(np.linalg, "_linalg", np.linalg)  # where np.linalg.norm and pinv look up svd
 INNERS = [fixture(name) for name in FIXTURE_NAMES] + [
@@ -72,25 +80,46 @@ def test_mtto_dimension_takes_no_svd_and_leaves_the_cache_empty(inner, svd_calle
     assert report.dim == 2 * n * d - d * d
 
 
-@pytest.mark.parametrize("inner", INNERS, ids=IDS)
+def _identity_spaces():
+    """The inners above, the seeded spaces of `test_shift_route` and the
+    conditioning families (alternating, rotated and nested pairs)."""
+    spaces = [pytest.param(inner, id=name) for inner, name in zip(INNERS, IDS)]
+    spaces += [pytest.param(inner, id="shift-route-" + name)
+               for name, inner in test_shift_route.SPACES.items() if name not in FIXTURE_NAMES]
+    spaces += [pytest.param(InnerFunction(*potapov_product(case.values[1])), id="family-" + case.id)
+               for case in conditioning_cases()]
+    return spaces
+
+
+IDENTITY_SPACES = _identity_spaces()
+
+
+@pytest.mark.parametrize("inner", IDENTITY_SPACES)
 def test_defect_identities_hold_to_roundoff(inner):
-    basis = ModelSpaceBasis(inner)
-    ds = defect_spaces(basis)
-    s, s_adj = s_theta(basis)
-    eye = np.eye(basis.n)
-    for g, frame in ((eye - s @ s_adj, ds.d_frame), (eye - s_adj @ s, ds.dt_frame)):
-        assert np.linalg.norm(g - frame @ frame.conj().T) <= 1e-13
+    for residual, bound in defect_identities(ModelSpaceBasis(inner)):
+        assert residual <= bound  # the check defect_spaces made before it read the frames off Theta
+        if inner in INNERS:
+            assert residual <= 1e-13
+
+
+@pytest.mark.parametrize("inner", IDENTITY_SPACES)
+def test_untouched_bases_read_far_below_the_frame_check_bound(inner):
+    assert max(frame_check_residuals(ModelSpaceBasis(inner))) <= 1e-3 * CHECK_TOL
 
 
 @pytest.mark.parametrize("inner", INNERS, ids=IDS)
 def test_perturbed_shift_fails_the_defect_identity(inner):
+    """A cached S + 1e-3 E passes `defect_spaces`, which reads no S, and
+    is refused where the identity I - S S* = K0 K0* is still formed."""
     basis = ModelSpaceBasis(inner)
     s = s_theta(basis)[0]
     rng = np.random.default_rng(basis.n)
     fake = s + 1e-3 * (rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape))
     basis.cache["shift"] = (fake, fake.conj().T)
-    with pytest.raises(IdentityCheckError, match="I - S S\\* = K0 K0\\*"):
-        defect_spaces(basis)
+    report = action_check(basis)
+    named = {c["name"]: c["residual"] for c in report["checks"]}
+    assert not report["pass"]
+    assert named["defect operator is evaluation at zero followed by the kernel frame"] > CHECK_TOL
 
 
 @pytest.fixture
