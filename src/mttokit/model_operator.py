@@ -136,7 +136,8 @@ def defect_spaces(basis: ModelSpaceBasis) -> DefectSpaces:
     trace, ||L* Z* Q||_F^2 = 0 for Q in K_Theta (and I - S* S = K0~ K0~* is
     the same for Theta~).  Checked, in O(m d n d), is that Q still spans
     K_Theta: Q K0 and Q K0~ give back the kernel and the difference quotient
-    at 0, read off Theta."""
+    at 0, read off Theta.  It trusts `basis.inner` to be the Theta of Q (no package
+    path reassigns it): a Theta_1 moved under Q is seen only where Theta_0 != 0."""
     if "defects" in basis.cache:
         return basis.cache["defects"]
     k0, kt0 = kernel_frame(basis, 0.0), tilde_kernel_frame(basis, 0.0)
@@ -144,16 +145,11 @@ def defect_spaces(basis: ModelSpaceBasis) -> DefectSpaces:
     dt_basis, dt_pinv = _frame_svd(kt0)
     windows = _kernel_at_zero(basis.inner), basis.inner.blocks[1:].reshape(-1, basis.d)
     for frame, w, what in zip((k0, kt0), windows, ("kernel frame at 0", "difference-quotient frame at 0")):
-        require_member(_worst_column(basis.q @ frame - w), 1.0, what)
+        require_member(column_norms(basis.q @ frame - w).max(), 1.0, what)
     ds = DefectSpaces(d_basis, dt_basis, k0, kt0, d_pinv, dt_pinv, *np.linalg.eigh(k0.conj().T @ k0))
     _frozen(*vars(ds).values())
     basis.cache["defects"] = ds
     return ds
-
-
-def _worst_column(r: np.ndarray) -> float:
-    """Largest column norm of a residual matrix; 0 when it has no columns."""
-    return float(np.linalg.norm(r, axis=0).max(initial=0.0))
 
 
 def _report(residuals: dict) -> dict:
@@ -180,13 +176,13 @@ def action_check(basis: ModelSpaceBasis) -> dict:
     div_z = np.vstack([q[d:], pad]) - q @ s_adj  # (f - f(0)) / z - S* f
     s_ut, s_adj_u = s @ ut, s_adj @ u
     return _report({
-        "shift acts as multiplication off the second defect space": _worst_column(off_span(mult_z, ut)),
+        "shift acts as multiplication off the second defect space": column_norms(off_span(mult_z, ut)).max(),
         "shift sends difference-quotient directions into the first defect space":
-            _worst_column(s @ ds.dt_frame + ds.d_frame @ theta0),
+            column_norms(s @ ds.dt_frame + ds.d_frame @ theta0).max(),
         "adjoint shift divides by z off the first defect space":
-            max(_worst_column(off_span(div_z, u)), _worst_column(off_span(q[:d], u))),
+            max(column_norms(off_span(div_z, u)).max(), column_norms(off_span(q[:d], u)).max()),
         "adjoint shift sends kernel directions into the second defect space":
-            _worst_column(s_adj @ ds.d_frame + ds.dt_frame @ theta0.conj().T),
+            column_norms(s_adj @ ds.d_frame + ds.dt_frame @ theta0.conj().T).max(),
         "shift maps second defect space into first": frobenius(s_ut - u @ (u.conj().T @ s_ut)),
         "shift maps second complement into first complement": frobenius(off_span(u.conj().T @ s, ut)),
         "adjoint shift maps first defect space into second": frobenius(s_adj_u - ut @ (ut.conj().T @ s_adj_u)),
@@ -197,18 +193,17 @@ def action_check(basis: ModelSpaceBasis) -> dict:
     })
 
 
-def j_operators(basis: ModelSpaceBasis, ds: DefectSpaces):
+def j_operators(basis: ModelSpaceBasis):
     """Pseudo-inverses of the two defect operators, computed once per basis.
 
     J satisfies (I - S S*) J = J* (I - S S*) = projector onto the first
-    defect space, and likewise for the second; both identities are
-    verified before they are kept.
+    defect space of `defect_spaces(basis)`, and likewise for the second;
+    both identities are verified before they are kept.
     """
     if "j" in basis.cache:
         return basis.cache["j"]
-    rcond = RANK_CUT * basis.n
-    s, s_adj = s_theta(basis)
-    eye = np.eye(basis.n)
+    ds, (s, s_adj) = defect_spaces(basis), s_theta(basis)
+    eye, rcond = np.eye(basis.n), RANK_CUT * basis.n
     g, gt = eye - s @ s_adj, eye - s_adj @ s
     p_d, p_dt = ds.d_basis @ ds.d_basis.conj().T, ds.dt_basis @ ds.dt_basis.conj().T
     j = np.linalg.pinv(g, rcond=rcond, hermitian=True)
@@ -225,10 +220,10 @@ def j_operators(basis: ModelSpaceBasis, ds: DefectSpaces):
     return j, jt
 
 
-def xhat(basis: ModelSpaceBasis, ds: DefectSpaces, x) -> OperatorMatrix:
-    """Operator acting as x (in defect coordinates) from the second
-    defect space to the first, and as zero on the complement."""
-    x = np.asarray(x, dtype=np.complex128)
+def xhat(basis: ModelSpaceBasis, x) -> OperatorMatrix:
+    """Operator acting as x (in the coordinates of `defect_spaces(basis)`)
+    from the second defect space to the first, and as zero on the complement."""
+    ds, x = defect_spaces(basis), np.asarray(x, dtype=np.complex128)
     if x.shape != (ds.dim, ds.dim):
         raise ValueError(f"expected a {ds.dim} x {ds.dim} block, got {x.shape}")
     return OperatorMatrix(basis, ds.d_basis @ x @ ds.dt_basis.conj().T)
@@ -308,12 +303,12 @@ def kernel_recurrence_check(basis: ModelSpaceBasis, count: int, seed: int) -> di
         while abs(lam) < 1e-3:  # keep away from the removable point
             lam = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * 0.6
         klam, tlam = kernel_frame(basis, lam), tilde_kernel_frame(basis, lam)
-        worst_k = max(worst_k, _worst_column(s @ klam - (klam - k0) / np.conj(lam)))
-        worst_kt = max(worst_kt, _worst_column(s @ tlam - (lam * tlam - k0 @ inner.evaluate(lam))))
+        worst_k = max(worst_k, column_norms(s @ klam - (klam - k0) / np.conj(lam)).max())
+        worst_kt = max(worst_kt, column_norms(s @ tlam - (lam * tlam - k0 @ inner.evaluate(lam))).max())
     w = _kernel_at_zero(inner)
     origin = s @ q.conj().T @ w - q[d:].conj().T @ w[:-d]  # S Q* W - Q* Z W
     return _report({
         "kernel frame recurrence": worst_k,
         "difference-quotient frame recurrence": worst_kt,
-        "origin limit via direct shift": _worst_column(origin),
+        "origin limit via direct shift": column_norms(origin).max(),
     })

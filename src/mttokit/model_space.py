@@ -197,9 +197,9 @@ def potapov_product(factors, left_unitary=None):
     _require_window(len(mats), d)
     ps, eye = np.stack(mats), np.eye(d)
     with np.errstate(all="ignore"):  # an overflow leaves an inf or nan residual, refused below
-        unitary = np.linalg.norm(u.conj().T @ u - eye)
-        hermitian = np.linalg.norm(ps - ps.conj().transpose(0, 2, 1), axis=(1, 2))
-        idempotent = np.linalg.norm(ps @ ps - ps, axis=(1, 2))
+        unitary = frobenius(u.conj().T @ u - eye)
+        hermitian = column_norms((ps - ps.conj().transpose(0, 2, 1)).reshape(len(mats), -1).T)  # one per factor
+        idempotent = column_norms((ps @ ps - ps).reshape(len(mats), -1).T)
     require_small(unitary, INPUT_TOL, NotUnitaryError, "left factor is not unitary")
     require_small(np.maximum(hermitian, idempotent).max(), INPUT_TOL, NotProjectionError,
                   "factor is not an orthogonal projection")
@@ -263,7 +263,7 @@ def _triangular_sweep(r: np.ndarray, room: int) -> np.ndarray:
         kept.append(axes[:, : min(stop, room)])
         room -= kept[-1].shape[1]
         rest = r[stop:, stop + 1 :]  # what the later columns have outside the axes kept
-        big = np.flatnonzero(np.linalg.norm(rest, axis=0) > GS_CUT)  # the columns before big[0] are dropped too
+        big = np.flatnonzero(column_norms(rest) > GS_CUT)  # the columns before big[0] are dropped too
         if not room or not big.size:
             return np.concatenate(kept, axis=1)
         w, r = np.linalg.qr(rest[:, big[0] :])
@@ -327,9 +327,9 @@ class ModelSpaceBasis:
                 f"model dimension mismatch: Gram-Schmidt count {q.shape[1]}, projector trace {inner.n}"
             )
         gate, pq = OFF_ULPS * p.shape[0] * np.finfo(np.float64).eps, p @ q
-        if np.linalg.norm(q - pq, axis=0).max() > gate:  # rounding compounded over near-cut columns
+        if column_norms(q - pq).max() > gate:  # rounding compounded over near-cut columns
             q = np.linalg.qr(pq)[0]
-            require_small(np.linalg.norm(q - p @ q, axis=0).max(), gate, IdentityCheckError,
+            require_small(column_norms(q - p @ q).max(), gate, IdentityCheckError,
                           "basis left the model space, max ||L* q|| {residual:.3e} after re-projection")
         self.q = fix_column_phases(q) + 0.0  # adding +0.0 turns every -0.0 into +0.0
         self.q.setflags(write=False)
@@ -439,24 +439,21 @@ def tilde_kernel_window(inner: InnerFunction, lam: complex, y):
     return q, rem
 
 
-def _checked_element(basis, window, witness, v, what, return_witness):
-    out = VecLaurent(0, window)
+def _checked_element(basis, window, v, what):
     require_member(float(off_space(basis.inner, window)[0]), 1.0 + frobenius(v), what)
-    return (out, witness) if return_witness else out
+    return VecLaurent(0, window)
 
 
-def kernel(basis: ModelSpaceBasis, lam: complex, x, return_witness: bool = False):
+def kernel(basis: ModelSpaceBasis, lam: complex, x) -> VecLaurent:
     """Reproducing kernel direction at lam applied to x in C^d, checked to
-    lie in the model space; the witness is the tail of `kernel_window`."""
-    return _checked_element(basis, *kernel_window(basis.inner, lam, x), x, "kernel", return_witness)
+    lie in the model space; `kernel_window` gives the tail it was cut from."""
+    return _checked_element(basis, kernel_window(basis.inner, lam, x)[0], x, "kernel")
 
 
-def tilde_kernel(basis: ModelSpaceBasis, lam: complex, y, return_witness: bool = False):
+def tilde_kernel(basis: ModelSpaceBasis, lam: complex, y) -> VecLaurent:
     """Difference-quotient kernel at lam applied to y, checked to lie in the
-    model space; the witness is the remainder of `tilde_kernel_window`."""
-    return _checked_element(
-        basis, *tilde_kernel_window(basis.inner, lam, y), y, "difference-quotient kernel", return_witness
-    )
+    model space; `tilde_kernel_window` gives the division's remainder."""
+    return _checked_element(basis, tilde_kernel_window(basis.inner, lam, y)[0], y, "difference-quotient kernel")
 
 
 def kernel_frame(basis: ModelSpaceBasis, lam: complex) -> np.ndarray:

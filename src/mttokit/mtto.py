@@ -42,7 +42,6 @@ from .errors import (
 )
 from .laurent import MatLaurent, boundary_adjoint, convolve, reversed_adjoint
 from .model_operator import (
-    DefectSpaces,
     OperatorMatrix,
     defect_spaces,
     matrix_of,
@@ -231,9 +230,9 @@ class RecoveredSymbol:
     psi1: MatLaurent
     psi2: MatLaurent
     residual: float
-    tol: Optional[float] = None  # the bound the rebuild residual was checked against, REBUILD_TOL * ||A||_F
-    membership_residual: Optional[float] = None  # ||P Delta P||_F of `_membership`, which passed
-    membership_tol: Optional[float] = None  # the tol it passed against
+    tol: float  # the bound the rebuild residual was checked against
+    membership_residual: float  # ||P Delta P||_F of `_membership`, which passed
+    membership_tol: float  # the tol it passed against
 
 
 def recover_symbol(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> RecoveredSymbol:
@@ -242,7 +241,8 @@ def recover_symbol(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> Re
     is_mtto decides by, forms Delta = A - S A S*, so the two agree at every
     tol: a non-member is refused with the certified interval of its
     distance to the class; a member's Delta is split once over K0, and the
-    rebuild is checked to REBUILD_TOL ||A||_F.  Psi1, Psi2 have coordinates
+    rebuild, within m * residual of A, is checked to max(REBUILD_TOL ||A||_F,
+    m * residual), kept as `tol`.  Psi1, Psi2 have coordinates
     (X + K0 C, Y - K0 C*), with the d x d gauge C of minimum norm:
     H C + C H = Y* K0 - K0* X for H = K0* K0, in the cached eigenbasis of H."""
     amat, ds, m = matrix_of(a, basis), defect_spaces(basis), basis.inner.m
@@ -260,7 +260,7 @@ def recover_symbol(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> Re
     p1, p2 = f @ (x + k0 @ c), f @ (y - k0 @ c.conj().T)
     # T_{Psi1 + Psi2*}: block (k, j) is Psi1_{k-j} for k >= j plus (Psi2_{j-k})* for j >= k
     tiles = np.concatenate([reversed_adjoint(p2[1:]), p1[:1] + reversed_adjoint(p2[:1]), p1[1:]])
-    bound = REBUILD_TOL * scale
+    bound = max(REBUILD_TOL * scale, high)
     residual = require_small(frobenius(_compress_toeplitz(basis, tiles) - amat), bound,
                              IdentityCheckError, "recovered symbol rebuilds with residual {residual:.3e}")
     return RecoveredSymbol(MatLaurent(0, p1), MatLaurent(0, p2), float(residual), float(bound),
@@ -322,7 +322,7 @@ def zero_symbol_decompose(space: InnerFunction | ModelSpaceBasis, phi: MatLauren
     assembled on the basis (built from `space` only here), decides.  The
     bound is one-sided: near an impure Theta, E can exceed A_Phi by orders
     of magnitude, so it never refuses.  A zero verdict's split is checked
-    to REBUILD_TOL * ||Phi||."""
+    to tol, or to REBUILD_TOL * ||Phi|| if that is larger."""
     inner = space.inner if isinstance(space, ModelSpaceBasis) else space
     if phi.dim != inner.d:
         raise DimensionMismatchError("symbol dimension does not match")
@@ -335,7 +335,7 @@ def zero_symbol_decompose(space: InnerFunction | ModelSpaceBasis, phi: MatLauren
         nrm = opnorm(build(basis, phi).mat)
         if nrm > tol:
             return ZeroSymbolResult(is_zero=False, operator_norm=float(nrm), tol=tol)
-    residual = require_small(frobenius(err), REBUILD_TOL * scale, IdentityCheckError,
+    residual = require_small(frobenius(err), max(REBUILD_TOL * scale, tol), IdentityCheckError,
                              "zero-operator symbol failed to decompose, residual {residual:.3e}")
     return ZeroSymbolResult(True, float(nrm), psi1, psi2, residual, tol)
 
@@ -404,9 +404,9 @@ def finite_rank(basis: ModelSpaceBasis, lam: complex, y) -> OperatorMatrix:
     return OperatorMatrix(basis, k @ y @ kt.conj().T)
 
 
-def finite_rank_as_xhat(basis: ModelSpaceBasis, ds: DefectSpaces, y) -> OperatorMatrix:
-    """The lam = 0 sandwich expressed through the orthonormal defect
-    bases: the block is conjugated by the frame-to-basis changes."""
-    r_d = ds.d_basis.conj().T @ ds.d_frame
-    r_dt = ds.dt_basis.conj().T @ ds.dt_frame
-    return xhat(basis, ds, r_d @ np.asarray(y, dtype=np.complex128) @ r_dt.conj().T)
+def finite_rank_as_xhat(basis: ModelSpaceBasis, y) -> OperatorMatrix:
+    """The lam = 0 sandwich through the orthonormal bases of
+    `defect_spaces(basis)`: the block is conjugated by the frame-to-basis changes."""
+    ds = defect_spaces(basis)
+    r_d, r_dt = ds.d_basis.conj().T @ ds.d_frame, ds.dt_basis.conj().T @ ds.dt_frame
+    return xhat(basis, r_d @ np.asarray(y, dtype=np.complex128) @ r_dt.conj().T)

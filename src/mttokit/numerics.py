@@ -90,11 +90,15 @@ def frobenius(a: np.ndarray) -> float:
 
 
 def column_norms(a: np.ndarray) -> np.ndarray:
-    """`frobenius` of each column of a 2-d array: numpy's norms, with only
-    the columns outside (1e-150, 1e150) taken again by the rescaling rule."""
-    with np.errstate(over="ignore"):
-        nrm = np.linalg.norm(a, axis=0)
-    for j in np.flatnonzero(~((1e-150 < nrm) & (nrm < 1e150))):
+    """numpy's norm of each column of a 2-d array; if a square leaves the normal range,
+    the non-zero columns outside (1e-150, 1e150) are taken again by `frobenius`."""
+    try:
+        with np.errstate(all="raise"):
+            return np.linalg.norm(a, axis=0)
+    except FloatingPointError:
+        with np.errstate(all="ignore"):
+            nrm = np.linalg.norm(a, axis=0)
+    for j in np.flatnonzero(~((1e-150 < nrm) & (nrm < 1e150)) & ((nrm != 0) | a.any(axis=0))):
         nrm[j] = frobenius(a[:, j])
     return nrm
 

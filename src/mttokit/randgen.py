@@ -57,11 +57,11 @@ def random_inner(d: int, m: int, rng: np.random.Generator) -> InnerFunction:
     raise ParseError(f"could not draw a pure inner function with d = {d}, m = {m} in 200 draws")
 
 
-def random_symbol(d: int, lo: int, hi: int, rng: np.random.Generator, scale: float = 1.0) -> MatLaurent:
+def random_symbol(d: int, lo: int, hi: int, rng: np.random.Generator) -> MatLaurent:
     if hi < lo:
         raise ValueError("empty degree window")
     c = rng.standard_normal((hi - lo + 1, d, d)) + 1j * rng.standard_normal((hi - lo + 1, d, d))
-    return MatLaurent(lo, scale * c)
+    return MatLaurent(lo, c)
 
 
 def random_element_coords(basis: ModelSpaceBasis, rng: np.random.Generator) -> np.ndarray:

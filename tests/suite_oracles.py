@@ -17,7 +17,7 @@ from mttokit import suite
 from mttokit.errors import DimensionMismatchError, IdentityCheckError, NotGammaSymmetricError
 from mttokit.laurent import VecLaurent, evaluate, multiply, tilde
 from mttokit.model_operator import gamma_symmetric_residual, matrix_of
-from mttokit.model_space import InnerFunction, kernel, tilde_kernel
+from mttokit.model_space import InnerFunction, kernel, kernel_window, tilde_kernel, tilde_kernel_window
 from mttokit.mtto import build
 from mttokit.numerics import REL, frobenius, opnorm
 from mttokit.randgen import random_element_coords, random_gamma_symmetric_triple, random_symbol
@@ -136,7 +136,7 @@ def reproducing_kernels(basis, rng, config):
     for _ in range(config.cases):
         lam = 0.8 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
         x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        k, witness = kernel(basis, lam, x, return_witness=True)
+        k, witness = kernel(basis, lam, x), kernel_window(basis.inner, lam, x)[1]
         yield witness / (1.0 + np.linalg.norm(x))
         f = from_coords(basis, random_element_coords(basis, rng))
         lhs = l2_inner(f, k)
@@ -150,7 +150,7 @@ def difference_quotients(basis, rng, config):
     for _ in range(config.cases):
         lam = 0.8 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
         y = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        kt, witness = tilde_kernel(basis, lam, y, return_witness=True)
+        kt, witness = tilde_kernel(basis, lam, y), tilde_kernel_window(basis.inner, lam, y)[1]
         yield witness / (1.0 + np.linalg.norm(y))
         shifted = kt.shift(1) - complex(lam) * kt
         target = multiply(theta, VecLaurent.constant(y)) - VecLaurent.constant(evaluate(theta, lam) @ y)

@@ -23,7 +23,7 @@ from mttokit.model_operator import (
     defect_spaces,
     s_theta,
 )
-from mttokit.model_space import ModelSpaceBasis, kernel, make_inner_potapov
+from mttokit.model_space import ModelSpaceBasis, kernel, kernel_window, make_inner_potapov
 from mttokit.mtto import (
     build,
     commutant_factor,
@@ -100,7 +100,7 @@ def test_02_reproducing_kernels():
         lam = 0.85 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
         x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         x = x / np.linalg.norm(x)
-        k, witness = kernel(basis, lam, x, return_witness=True)
+        k, witness = kernel(basis, lam, x), kernel_window(basis.inner, lam, x)[1]
         worst_tail = max(worst_tail, witness)
         coords = random_element_coords(basis, rng)
         f = from_coords(basis, coords / np.linalg.norm(coords))
@@ -259,7 +259,6 @@ def test_08_finite_rank_sandwiches():
     for name in ("FIX3", "FIX5"):
         basis = ModelSpaceBasis(fixture(name))
         d = basis.inner.d
-        ds = defect_spaces(basis)
         for lam in (0.0, 0.5, 0.3 + 0.4j):
             for r in range(d + 1):
                 if r == 0:
@@ -272,7 +271,7 @@ def test_08_finite_rank_sandwiches():
                 ok = ok and rank(op.mat) == r and is_mtto(basis, op).verdict
         y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         direct = finite_rank(basis, 0.0, y)
-        via = finite_rank_as_xhat(basis, ds, y)
+        via = finite_rank_as_xhat(basis, y)
         worst_origin = max(worst_origin, opnorm(direct.mat - via.mat))
     ok = ok and worst_origin <= 1e-9
     _verdict(8, "kernel sandwiches keep rank, stay members, match defect form at 0", ok,

@@ -25,6 +25,7 @@ from mttokit.model_space import ModelSpaceBasis
 from mttokit.mtto import build, membership_witness
 from mttokit.suite import SuiteConfig, _spaces
 
+from division_oracles import near_impure_space
 from json_files import dump_json_file
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -327,18 +328,77 @@ def test_symbol_zero_test_default_tolerance_is_relative(tmp_path, capsys, scale)
     assert code == 1 and not doc["is_zero"] and doc["operator_norm"] == pytest.approx(scale)
 
 
-def test_tiny_input_passed_by_a_loose_tol_fails_its_identity_check(tmp_path, capsys):
+def test_tiny_input_passed_by_a_loose_tol_decomposes_within_that_tol(tmp_path, capsys):
     # --tol 1e-6 lets 1e-10 * I pass as a zero symbol and 1e-10 * E_22 as a
-    # member, but neither has a decomposition within 1e-8 of its own scale
+    # member; neither has a decomposition within 1e-8 of its own scale, and
+    # each by-product is checked to what its decision certified instead
     tiny = write_symbol(tmp_path, "tiny.json", 1e-10 * MatLaurent.identity(2))
     code, out, err = run(capsys, "symbol", "zero-test", "--theta", "FIX3", "--symbol", tiny, "--tol", "1e-6")
-    assert code == 1 and out == "" and json.loads(err)["error"] == "E_IDENTITY_CHECK"
+    doc = json.loads(out)
+    assert code == 0 and err == "" and doc["is_zero"] and doc["tol"] == 1e-6
+    assert 1e-8 * np.sqrt(2) * 1e-10 < doc["residual"] <= doc["tol"]  # above 1e-8 ||Phi||, within the tol
     outside = np.zeros((3, 3))
     outside[2, 2] = 1e-10
     path = tmp_path / "op.json"
     dump_json_file(path, {"entries": serialize.matrix_to_json(outside)})
     code, out, err = run(capsys, "op", "recover", "--theta", "FIX3", "--op", str(path), "--tol", "1e-6")
-    assert code == 1 and out == "" and json.loads(err)["error"] == "E_IDENTITY_CHECK"
+    doc = json.loads(out)
+    assert code == 0 and err == "" and doc["membership_residual"] <= doc["membership_tol"] == 1e-6
+    assert 1e-8 * 1e-10 < doc["rebuild_residual"] <= doc["rebuild_tol"] == 2 * doc["membership_residual"]
+
+
+def test_op_test_and_op_recover_agree_at_a_loose_tol(tmp_path, capsys):
+    # A = A_Phi + 1e-5 G / ||G||_F is admitted at --tol 1e-3 with residual 2.87e-6;
+    # its rebuild lies within m * residual of A, so it is checked to that upper
+    # end of the distance bracket, not to 1e-8 ||A||_F, and recovery succeeds
+    basis = ModelSpaceBasis(fixture("FIX3"))
+    rng = np.random.default_rng(1)
+    phi = randgen.random_symbol(2, -2, 2, rng)
+    g = rng.standard_normal((basis.n, basis.n)) + 1j * rng.standard_normal((basis.n, basis.n))
+    amat = build(basis, phi).mat + 1e-5 * g / np.linalg.norm(g)
+    path = tmp_path / "op.json"
+    dump_json_file(path, OperatorMatrix(basis, amat).to_json())
+    code, out, _ = run(capsys, "op", "test", "--theta", "FIX3", "--op", str(path), "--tol", "1e-3")
+    decision = json.loads(out)
+    assert code == 0 and decision["verdict"] and f"{decision['residual']:.3e}" == "2.873e-06"
+    code, out, err = run(capsys, "op", "recover", "--theta", "FIX3", "--op", str(path), "--tol", "1e-3")
+    doc = json.loads(out)
+    assert code == 0 and err == ""
+    assert (doc["membership_residual"], doc["membership_tol"]) == (decision["residual"], decision["tol"])
+    assert doc["rebuild_tol"] == decision["distance_bounds"][1] > 1e-8 * np.linalg.norm(amat)
+    assert f"{doc['rebuild_residual']:.3e}" == "2.873e-06" and doc["rebuild_residual"] <= doc["rebuild_tol"]
+
+
+def test_a_zero_verdict_at_a_loose_tol_keeps_its_split_within_that_tol(tmp_path, capsys):
+    # Phi = Theta Psi1 + 1e-6 C on FIX5 has ||A_Phi|| = 1.4e-6 <= 1e-3, and its
+    # split misses Phi by 1.435e-6: above 1e-8 ||Phi||, within the tol decided on
+    inner = fixture("FIX5")
+    rng = np.random.default_rng(0)
+    psi1 = randgen.random_symbol(2, 0, 0, rng)
+    phi = multiply(inner.theta, psi1) + MatLaurent(0, [rng.standard_normal((2, 2))]) * 1e-6
+    path = write_symbol(tmp_path, "phi.json", phi)
+    code, out, err = run(capsys, "symbol", "zero-test", "--theta", "FIX5", "--symbol", path, "--tol", "1e-3")
+    doc = json.loads(out)
+    assert code == 0 and err == "" and doc["is_zero"] and doc["tol"] == 1e-3
+    assert f"{doc['residual']:.3e}" == "1.435e-06" and doc["residual"] > 1e-8 * phi.norm()
+    code, out, err = run(capsys, "symbol", "zero-test", "--theta", "FIX5", "--symbol", path)
+    assert code == 1 and not json.loads(out)["is_zero"]  # the default tol 1e-9 ||Phi|| refuses it
+
+
+def test_a_split_beyond_the_tol_of_its_zero_verdict_is_still_refused(tmp_path, capsys):
+    # near an impure Theta a mixed symbol's split remainder E can exceed A_Phi by
+    # orders of magnitude: here ||A_Phi|| is about 4e-7 <= tol = 1e-4, decided by the
+    # operator norm, while ||E|| is about 2e-3 > tol, so the split is refused
+    basis = near_impure_space(1e-8)
+    theta = tmp_path / "theta.json"
+    dump_json_file(theta, basis.inner.to_json())
+    phi = randgen.random_symbol(2, -1, 1, np.random.default_rng(0)) * 1e-7
+    _, _, split_err = mtto._zero_split(basis.inner, phi)
+    assert np.linalg.norm(build(basis, phi).mat, 2) <= 1e-4 < np.linalg.norm(split_err)
+    path = write_symbol(tmp_path, "phi.json", phi)
+    code, out, err = run(capsys, "symbol", "zero-test", "--theta", str(theta), "--symbol", path, "--tol", "1e-4")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "E_IDENTITY_CHECK" and "failed to decompose" in json.loads(err)["message"]
 
 
 def test_op_recover_of_a_member_scaled_to_1e_300_succeeds_without_warnings(tmp_path, capsys):

@@ -31,7 +31,12 @@ window coordinates, where they do not depend on the basis Q:
 - `recover_symbol`: for A = `build(basis, Phi)`, the returned pair is the
   least-Frobenius-norm (Psi1, Psi2) with window columns in ran P and
   P T_{Psi1 + Psi2*} P = P T_Phi P, solved exactly over the d^2 gauge,
-  within 1e-12 ||Phi||.
+  within 1e-12 ||Phi||;
+- `is_mtto`'s `distance_bounds`, on rotated monomial spaces
+  Theta = W diag(z^m_1, ..., z^m_d) W* with W a rational orthogonal
+  matrix and m*d <= 9: the exact Frobenius distance from P M P to the span
+  of the P T_Phi P is held by the exact bracket (R / 2, m R), R the exact
+  residual, and each float bound is its exact end to 1e-12 in the square.
 
 Every P here is real (so is every Theta), so each side is taken
 separately on the real and the imaginary part of a symbol or of M.
@@ -54,6 +59,8 @@ from mttokit.model_operator import s_theta
 from mttokit.model_space import ModelSpaceBasis, det_degree, make_inner_potapov
 from mttokit.mtto import _zero_split, build, is_mtto, mtto_dimension, recover_symbol, zero_symbol_decompose
 from mttokit.numerics import frobenius, rank
+
+from monomial_oracles import exact_distance, monomial_inner
 
 sympy = pytest.importorskip("sympy")
 
@@ -105,10 +112,9 @@ def _exact_window(blocks):
     return p, p * _window_matrix(m, d, lambda k: sympy.eye(d) if k == 1 else None) * p
 
 
-def _exact_counts(blocks):
-    m, d = len(blocks) - 1, blocks[0].shape[0]
-    p, shift = _exact_window(blocks)
-    assert shift**m == sympy.zeros(m * d, m * d)
+def _class_map(p, m, d):
+    """The matrix whose column (k, a, b) is P T_Phi P, raveled, for Phi = E_ab z^k
+    at the frequencies 1 - m..m - 1 that the window sees: its span is the class."""
     columns = []
     for k in range(1 - m, m):
         for a in range(d):
@@ -116,8 +122,14 @@ def _exact_counts(blocks):
                 unit = sympy.zeros(d, d)
                 unit[a, b] = 1
                 columns.append(list(p * _window_matrix(m, d, lambda i: unit if i == k else None) * p))
-    class_map = sympy.Matrix(columns).T  # column (k, a, b) is P T_Phi P for Phi = E_ab z^k
-    return p, shift, (p.rank(), shift.rank(), class_map.rank())
+    return sympy.Matrix(columns).T
+
+
+def _exact_counts(blocks):
+    m, d = len(blocks) - 1, blocks[0].shape[0]
+    p, shift = _exact_window(blocks)
+    assert shift**m == sympy.zeros(m * d, m * d)
+    return p, shift, (p.rank(), shift.rank(), _class_map(p, m, d).rank())
 
 
 def _seeded_factors(seed, ranks, turned):
@@ -403,3 +415,63 @@ def test_recover_symbol_returns_the_exact_least_norm_pair(name):
         for got, want in ((rec.psi1, psi1), (rec.psi2, psi2)):
             assert got.lo >= 0 and got.hi < m
             assert frobenius(got.window(0, m - 1) - want.reshape(m, d, d)) <= 1e-12 * phi.norm()
+
+
+# --- the distance bracket on rotated monomial spaces ---------------------------
+
+# the exponents m_i of Theta = W diag(z^m_1, ..., z^m_d) W*, m * d <= 9, and a seed for W
+MONOMIALS = [((2,), 0), ((5,), 0), ((1, 2), 1), ((2, 2), 2), ((1, 4), 3), ((2, 3), 4), ((1, 1, 2), 5),
+             ((1, 2, 3), 6)]
+
+
+def _rational_orthogonal(d, seed):
+    """The Cayley transform (I - K)(I + K)^-1 of an integer skew matrix K."""
+    rng = np.random.default_rng(seed)
+    skew = sympy.zeros(d, d)
+    for i in range(d):
+        for j in range(i + 1, d):
+            skew[i, j] = int(rng.integers(1, 4))
+            skew[j, i] = -skew[i, j]
+    return (sympy.eye(d) - skew) * (sympy.eye(d) + skew).inv()
+
+
+def _exact_distance_square(p, class_span, mat):
+    """||X - Pi X||_F^2 for X = P M P, a real rational M, and Pi the orthogonal
+    projection onto the span of the columns of `class_span` (raveled matrices)."""
+    x = (p * mat * p).reshape(mat.rows * mat.cols, 1)
+    moments = class_span.T * x
+    return (x.T * x)[0] - (moments.T * (class_span.T * class_span).solve(moments))[0]
+
+
+@pytest.mark.parametrize("ms, seed", MONOMIALS, ids=["-".join(map(str, ms)) for ms, _ in MONOMIALS])
+def test_distance_bounds_are_the_exact_bracket_of_the_exact_distance(ms, seed):
+    """In window coordinates, where Q does not enter, the class is the span of
+    the P T_Phi P over the unit symbols, and A = Q* M Q is P M P.  Exactly,
+    D^2 = dist_F(P M P, class)^2 and R^2 = ||(P - Pi) Delta (P - Pi)||_F^2 satisfy
+    R^2 / 4 <= D^2 <= m^2 R^2; the float bounds of `is_mtto` are R / 2 and m R to
+    1e-12 in their squares, so a bound moved by 1 +- 1e-12 fails here, and D
+    is `monomial_oracles.exact_distance`, the averaging of U* A U along diagonals."""
+    d, m = len(ms), max(ms)
+    w = _rational_orthogonal(d, seed)
+    theta = [w * sympy.diag(*[int(mi == k) for mi in ms]) * w.T for k in range(m + 1)]
+    w_float = _real_floats(w)
+    inner = monomial_inner(w_float, ms)
+    assert np.abs(_floats(theta) - inner.blocks).max() <= 1e-15
+    p, shift = _exact_window(theta)
+    class_span = sympy.Matrix.hstack(*_class_map(p, m, d).columnspace())
+    assert class_span.shape[1] == 2 * sum(ms) * d - d * d  # the class dimension 2nd - d^2
+    basis = ModelSpaceBasis(inner)
+    q = basis.q
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        parts = _gaussian_parts(m * d, m * d, rng)
+        dist2 = sum(_exact_distance_square(p, class_span, part) for part in parts)
+        res2 = sum(_exact_off_defect_square(p, shift, d, part) for part in parts)
+        assert res2 / 4 <= dist2 <= m**2 * res2  # the bracket holds the distance, in exact arithmetic
+        a = q.conj().T @ (_real_floats(parts[0]) + 1j * _real_floats(parts[1])) @ q
+        lo, hi = is_mtto(basis, a).distance_bounds
+        for end, want in ((lo, res2 / 4), (hi, m**2 * res2)):
+            assert abs(end**2 - float(want)) <= 1e-12 * float(want)
+        dist = float(sympy.sqrt(dist2).evalf(20))
+        assert lo <= dist <= hi
+        assert abs(exact_distance(basis, w_float, ms, a) - dist) <= 1e-12 * dist

@@ -179,6 +179,21 @@ def test_column_norms_are_numpys_in_range_and_frobenius_outside():
     assert np.all(np.abs(got - want) <= 1e-14 * want)
 
 
+def test_column_norms_take_no_exactly_zero_column_again(monkeypatch):
+    # a zero column reads 0 in numpy's sum; only a column whose squares left
+    # the normal range is taken again by the rescaling rule
+    a = _gaussian(6, np.random.default_rng(6))
+    taken = []
+    monkeypatch.setattr(numerics, "frobenius", lambda col: taken.append(col.copy()) or frobenius(col))
+    assert not column_norms(np.zeros((6, 4))).any() and taken == []
+    a[:, [1, 3]] = 0.0
+    a[:, 2] *= 1e-170
+    got = column_norms(a)
+    assert len(taken) == 1 and np.array_equal(taken[0], a[:, 2])
+    assert got[1] == got[3] == 0.0 and got[2] == frobenius(a[:, 2]) > 0.0
+    assert np.array_equal(got[[0, 4, 5]], np.linalg.norm(a[:, [0, 4, 5]], axis=0))
+
+
 def test_a_member_with_a_subnormal_largest_entry_keeps_a_finite_tolerance():
     # the rescale in `frobenius` divides magnitudes: a complex division by
     # a subnormal scalar overflows forming its reciprocal and gave tol nan

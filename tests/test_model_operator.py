@@ -141,8 +141,7 @@ def test_frame_inverses_are_computed_once_per_basis(monkeypatch):
 
 def test_j_operator_fix3_is_the_defect_projector():
     basis = _basis("FIX3")
-    ds = defect_spaces(basis)
-    j, jt = j_operators(basis, ds)
+    j, jt = j_operators(basis)
     np.testing.assert_allclose(j, np.diag([1.0, 1.0, 0.0]), atol=1e-10)
     np.testing.assert_allclose(jt, np.diag([1.0, 0.0, 1.0]), atol=1e-10)
 
@@ -151,7 +150,7 @@ def test_j_operator_identities_hold_on_general_fixtures():
     for name in ("FIX2", "FIX5"):
         basis = _basis(name)
         ds = defect_spaces(basis)
-        j, jt = j_operators(basis, ds)
+        j, jt = j_operators(basis)
         s, s_adj = s_theta(basis)
         n = basis.n
         g = np.eye(n) - s @ s_adj
@@ -164,8 +163,7 @@ def test_j_operator_identities_hold_on_general_fixtures():
 
 def test_xhat_identity_block_fix3():
     basis = _basis("FIX3")
-    ds = defect_spaces(basis)
-    op = xhat(basis, ds, np.eye(2))
+    op = xhat(basis, np.eye(2))
     want = np.zeros((3, 3))
     want[0, 0] = 1.0
     want[1, 2] = 1.0
@@ -180,13 +178,13 @@ def test_xhat_preserves_rank():
         a = rng.standard_normal((ds.dim, r)) + 1j * rng.standard_normal((ds.dim, r))
         b = rng.standard_normal((r, ds.dim)) + 1j * rng.standard_normal((r, ds.dim))
         x = a @ b if r else np.zeros((ds.dim, ds.dim))
-        assert rank(xhat(basis, ds, x).mat) == rank(x) == r
+        assert rank(xhat(basis, x).mat) == rank(x) == r
 
 
 def modified_shift(basis, ds, x):
     """Replace the shift on the second defect space by the block x:
     S (I - U~ U~*) + xhat(x), with U~ the second defect basis."""
-    return off_span(s_theta(basis)[0], ds.dt_basis) + xhat(basis, ds, x).mat
+    return off_span(s_theta(basis)[0], ds.dt_basis) + xhat(basis, x).mat
 
 
 def test_modified_shift_recovers_the_shift_and_stays_contractive():

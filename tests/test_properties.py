@@ -47,7 +47,7 @@ def members(draw):
     lo, hi = draw(st.integers(-4, 0)), draw(st.integers(0, 4))
     scale = 10.0 ** draw(st.integers(-8, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return basis, build(basis, random_symbol(basis.inner.d, lo, hi, rng, scale)).mat
+    return basis, build(basis, scale * random_symbol(basis.inner.d, lo, hi, rng)).mat
 
 
 def _coords(basis, psi):
@@ -93,7 +93,7 @@ def laurents(draw, count=1):
     for _ in range(count):
         lo = draw(st.integers(-4, 4))
         hi = lo + draw(st.integers(0, 4))
-        out.append(random_symbol(d, lo, hi, rng, 10.0 ** draw(st.integers(-6, 6))))
+        out.append(10.0 ** draw(st.integers(-6, 6)) * random_symbol(d, lo, hi, rng))
     return out
 
 
@@ -144,8 +144,8 @@ def zero_symbols(draw):
     with patch.object(randgen, "MIN_PURITY", 1e-3):
         basis = ModelSpaceBasis(random_inner(d, m, rng))
     scale = 10.0 ** draw(st.integers(-6, 6))
-    psi1 = random_symbol(d, 0, draw(st.integers(0, 4)), rng, scale)
-    psi2 = random_symbol(d, 0, draw(st.integers(0, 4)), rng, scale)
+    psi1 = scale * random_symbol(d, 0, draw(st.integers(0, 4)), rng)
+    psi2 = scale * random_symbol(d, 0, draw(st.integers(0, 4)), rng)
     return basis, psi1, psi2
 
 

@@ -9,8 +9,9 @@ The source of the three modules that hold the checks is read with `ast`:
 no threshold there is a bare literal, and no residual error is raised but
 through the gate.  The suite's registry names every tolerance it holds.
 Each rule has one owner in the package source: the package reads no
-environment, only `serialize` writes a schema version, and the rank cut
-is applied in `numerics` alone (and in the `pinv` cutoff of
+environment, only `serialize` writes a schema version, the three modules
+take every norm through `numerics`, and the rank cut is applied in
+`numerics` alone (and in the `pinv` cutoff of
 `model_operator.j_operators`, which no package code calls).
 """
 
@@ -308,6 +309,28 @@ def test_the_rank_cut_is_applied_in_numerics_alone():
     elsewhere = [f"{name}:{line} in {owner}" for name, tree in trees.items() if name != "numerics.py"
                  for owner, line in _rank_cut_products(tree) if (name, owner) != ("model_operator.py", "j_operators")]
     assert not elsewhere, f"RANK_CUT applied outside numerics: {elsewhere}"
+
+
+def _linalg_norms(tree):
+    """Lines that reach numpy's `linalg.norm`, by attribute or by import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "norm" and (
+                isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+                or isinstance(node.value, ast.Name) and node.value.id == "linalg"):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg") and any(
+                alias.name == "norm" for alias in node.names):
+            yield node.lineno
+
+
+def test_the_gated_modules_take_every_norm_in_numerics():
+    """`numerics.frobenius` and `column_norms` take the norms of the three
+    modules that hold the checks: finite at every finite scale, and numpy's
+    own norms in range."""
+    trees = _package_trees()
+    assert list(_linalg_norms(trees["numerics.py"]))  # the owner, so the search finds a call
+    calls = [f"{name}:{line}" for name in GATED for line in _linalg_norms(trees[name])]
+    assert not calls, f"np.linalg.norm outside numerics in a gated module: {calls}"
 
 
 # --- nothing in the package that only the tests use ------------------------------

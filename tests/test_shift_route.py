@@ -4,9 +4,9 @@ Z moves window block j to block j + 1, so S = Q* Z Q = Q[d:]* Q[:md - d]
 and S* is its conjugate transpose; no md x md window matrix is formed.
 The dense compression Q* Z Q stays as the oracle (`membership_oracles`).
 `defect_spaces` forms no S: it refuses a basis turned off the model space
-after it was built, or a Theta_1 moved under its basis, by comparing
-Q K0 and Q K0~ with the kernel and the difference quotient at 0, read off
-Theta.  A cold `s_theta`, `semi_commutator_left_factor` or
+after it was built, or a Theta_1 moved under its basis where Theta_0 != 0,
+by comparing Q K0 and Q K0~ with the kernel and the difference quotient at
+0, read off Theta; where Theta_0 = 0 that move is not seen.  A cold `s_theta`, `semi_commutator_left_factor` or
 `defect_spaces` must stay below one md x md complex array in traced
 memory.
 """
@@ -78,13 +78,12 @@ def test_defect_spaces_refuses_a_basis_turned_off_the_model_space(name):
         defect_spaces(basis)
 
 
-@pytest.mark.parametrize("name", ["FIX5", "random-3x3"])
-def test_defect_spaces_refuses_a_theta1_moved_under_its_basis(name):
-    """Theta_1 moved by 1e-6 on a copy of a built basis, as
-    `test_suite_route._with_theta1` does: the kernel at 0 has the window
-    E0 - [Theta_0; ...; Theta_{m-1}] Theta_0*, which leaves span Q.  These
-    are the spaces here with Theta_0 != 0; where Theta_0 = 0 the constants
-    lie in K_Theta and both windows stay in span Q, so the move is not seen."""
+MOVED_THETA1_REFUSED = ["FIX5", "random-3x3"]  # the spaces here with Theta_0 != 0
+
+
+def _theta1_moved(name):
+    """A copy of a built basis whose Theta_1 is moved by 1e-6, as
+    `test_suite_route._with_theta1` does, with `basis.inner` reassigned."""
     basis = ModelSpaceBasis(SPACES[name])
     inner = copy.copy(basis.inner)
     rng = np.random.default_rng(7)
@@ -93,8 +92,26 @@ def test_defect_spaces_refuses_a_theta1_moved_under_its_basis(name):
     inner.theta, inner.blocks = MatLaurent(0, blocks), blocks
     moved = copy.copy(basis)
     moved.inner, moved.cache = inner, {}
+    return moved
+
+
+@pytest.mark.parametrize("name", MOVED_THETA1_REFUSED)
+def test_defect_spaces_refuses_a_theta1_moved_under_its_basis(name):
+    """The kernel at 0 has the window E0 - [Theta_0; ...; Theta_{m-1}] Theta_0*,
+    which leaves span Q when Theta_0 != 0."""
+    assert np.linalg.norm(SPACES[name].blocks[0]) > 0.1
     with pytest.raises(IdentityCheckError, match="kernel frame at 0 left the model space"):
-        defect_spaces(moved)
+        defect_spaces(_theta1_moved(name))
+
+
+@pytest.mark.parametrize("name", [name for name in SPACES if name not in MOVED_THETA1_REFUSED])
+def test_defect_spaces_does_not_see_a_theta1_moved_where_theta0_is_zero(name):
+    """Where Theta_0 = 0 (up to rounding) the constants lie in K_Theta, so both
+    windows the frame check compares stay in span Q and the move is not seen.
+    No package path reassigns `basis.inner`: `defect_spaces` trusts that the
+    inner function of a basis is the one it was built from."""
+    assert np.linalg.norm(SPACES[name].blocks[0]) <= 1e-16
+    assert defect_spaces(_theta1_moved(name)).dim == SPACES[name].d
 
 
 def _traced_peak(fn, *args):

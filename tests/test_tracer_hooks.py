@@ -24,7 +24,7 @@ import mttokit.cli  # noqa: F401  (install wraps the modules already imported)
 import tracer as tracer_module
 tracer = tracer_module.Tracer().install()
 from mttokit.laurent import MatLaurent, VecLaurent
-from mttokit.model_operator import defect_spaces, j_operators
+from mttokit.model_operator import j_operators
 from mttokit.model_space import ModelSpaceBasis, kernel, tilde_kernel
 from mttokit.mtto import build, is_mtto
 from mttokit.randgen import random_inner
@@ -35,7 +35,7 @@ assert is_mtto(basis, op.mat).verdict
 assert run_suite(SuiteConfig(seed=1, cases=1, fixtures=("FIX2",), random_inners=()))["pass"]
 kernel(basis, 0.3, [1.0, 0.0])
 tilde_kernel(basis, 0.3, [1.0, 0.0])
-j_operators(basis, defect_spaces(basis))
+j_operators(basis)
 basis.coords(VecLaurent.constant([1.0, 0.0]))
 layers = [row[0] for row in tracer_module.TIMED + tracer_module.TIMED_INIT + tracer_module.COUNTED]
 layers += [tracer_module.SERIALIZE[0], "model_space.coords", "laurent.objects"]

@@ -109,11 +109,11 @@ def test_operator_data_is_computed_once_per_basis():
     basis = ModelSpaceBasis(fixture("FIX5"))
     s, s_adj = s_theta(basis)
     ds = defect_spaces(basis)
-    j, jt = j_operators(basis, ds)
+    j, jt = j_operators(basis)
     again_s, again_adj = s_theta(basis)
     assert again_s is s and again_adj is s_adj
     assert defect_spaces(basis) is ds
-    assert all(a is b for a, b in zip(j_operators(basis, ds), (j, jt)))
+    assert all(a is b for a, b in zip(j_operators(basis), (j, jt)))
     for a in (s, s_adj, ds.d_basis, ds.dt_frame, ds.d_pinv, ds.gram_vectors, j, jt):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
