@@ -73,9 +73,6 @@ class _Laurent:
             out[a - lo : b - lo + 1] = self.coeffs[a - self.lo : b - self.lo + 1]
         return out
 
-    def is_zero(self) -> bool:
-        return not np.any(self.coeffs)
-
     def shift(self, k: int):
         """Multiply by z**k (frequency shift)."""
         return type(self)(self.lo + k, self.coeffs)

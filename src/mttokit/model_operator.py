@@ -18,8 +18,8 @@ from . import serialize
 from .errors import DimensionMismatchError, IdentityCheckError, NotGammaSymmetricError, NotUnitaryError
 from .laurent import MatLaurent, convolve
 from .model_space import InnerFunction, ModelSpaceBasis, kernel_frame, off_space, require_member, tilde_kernel_frame
-from .numerics import (CHECK_TOL, INPUT_TOL, RANK_CUT, REL, column_norms, fix_column_phases, frobenius, opnorm,
-                       rank_of_singular_values, require_finite, require_small)
+from .numerics import (CHECK_TOL, INPUT_TOL, REL, column_norms, fix_column_phases, frobenius, rank_of_singular_values,
+                       require_finite, require_small)
 
 
 @dataclass
@@ -91,9 +91,11 @@ class DefectSpaces:
     origin (column j from the j-th coordinate vector of C^d) and, from one
     thin SVD K = U Sigma V* of each, the phase-fixed orthonormal bases U
     (d_basis / dt_basis) and the left inverses K+ = V Sigma^-1 U*
-    (d_pinv / dt_pinv).  gram_values / gram_vectors diagonalize H = K0* K0
-    for the gauge solve of `recover_symbol`.  Projectors are not kept: a
-    reader applies I - U U* as a rank-d correction (`off_span`)."""
+    (d_pinv / dt_pinv), whose products (K+)* K+ are the pseudo-inverses J
+    and J~ of the defect operators (`j_operators`).  gram_values /
+    gram_vectors diagonalize H = K0* K0 for the gauge solve of
+    `recover_symbol`.  Projectors are not kept: a reader applies I - U U*
+    as a rank-d correction (`off_span`)."""
 
     d_basis: np.ndarray
     dt_basis: np.ndarray
@@ -194,30 +196,20 @@ def action_check(basis: ModelSpaceBasis) -> dict:
 
 
 def j_operators(basis: ModelSpaceBasis):
-    """Pseudo-inverses of the two defect operators, computed once per basis.
-
-    J satisfies (I - S S*) J = J* (I - S S*) = projector onto the first
-    defect space of `defect_spaces(basis)`, and likewise for the second;
-    both identities are verified before they are kept.
-    """
-    if "j" in basis.cache:
-        return basis.cache["j"]
-    ds, (s, s_adj) = defect_spaces(basis), s_theta(basis)
-    eye, rcond = np.eye(basis.n), RANK_CUT * basis.n
-    g, gt = eye - s @ s_adj, eye - s_adj @ s
-    p_d, p_dt = ds.d_basis @ ds.d_basis.conj().T, ds.dt_basis @ ds.dt_basis.conj().T
-    j = np.linalg.pinv(g, rcond=rcond, hermitian=True)
-    jt = np.linalg.pinv(gt, rcond=rcond, hermitian=True)
-    for lhs, label in (
-        (g @ j - p_d, "G J"),
-        (j.conj().T @ g - p_d, "J* G"),
-        (gt @ jt - p_dt, "Gt Jt"),
-        (jt.conj().T @ gt - p_dt, "Jt* Gt"),
-    ):
-        require_small(opnorm(lhs), CHECK_TOL, IdentityCheckError, f"{label} is not the defect projector")
-    _frozen(j, jt)
-    basis.cache["j"] = (j, jt)
-    return j, jt
+    """J = (K0+)* K0+ and J~ = (K0~+)* K0~+, computed once per basis from
+    the left inverses of `defect_spaces(basis)`: the pseudo-inverses of the
+    defect operators I - S S* = K0 K0* and I - S* S = K0~ K0~*.  With
+    K0 = U Sigma V*, J = U Sigma^-2 U*, so (I - S S*) J = J* (I - S S*) =
+    U U*, the projector onto the first defect space, follows from
+    K0+ K0 = I, which `_frame_svd` checks, and from the defect identity the
+    basis gate implies; likewise for the second.  No n x n operator is
+    formed or inverted."""
+    if "j" not in basis.cache:
+        ds = defect_spaces(basis)
+        j, jt = (kp.conj().T @ kp for kp in (ds.d_pinv, ds.dt_pinv))
+        _frozen(j, jt)
+        basis.cache["j"] = (j, jt)
+    return basis.cache["j"]
 
 
 def xhat(basis: ModelSpaceBasis, x) -> OperatorMatrix:

@@ -36,7 +36,6 @@ from .laurent import (
     inner_residual,
     is_pure,
     reversed_adjoint,
-    tilde,
 )
 from .numerics import (CHECK_TOL, DET_TOL, INNER_TOL, INPUT_TOL, TRACE_TOL, column_norms, fix_column_phases, frobenius,
                        require_small)
@@ -159,11 +158,6 @@ class InnerFunction:
 
     def evaluate(self, z: complex) -> np.ndarray:
         return evaluate(self.theta, z)
-
-    def tilde(self) -> "InnerFunction":
-        """Coefficient-adjointed partner; swaps the roles of the two
-        defect spaces and of the shift with its adjoint."""
-        return InnerFunction(tilde(self.theta))
 
     def to_json(self) -> dict:
         doc = {"schema_version": serialize.SCHEMA_VERSION}

@@ -49,7 +49,7 @@ from .model_operator import (
     xhat,
 )
 from .model_space import InnerFunction, ModelSpaceBasis, kernel_frame, tilde_kernel_frame
-from .numerics import CHECK_TOL, REBUILD_TOL, REL, block_toeplitz, frobenius, opnorm, require_small
+from .numerics import REBUILD_TOL, REL, block_toeplitz, frobenius, opnorm, require_small
 
 
 def _compress_toeplitz(basis: ModelSpaceBasis, tiles: np.ndarray) -> np.ndarray:
@@ -208,21 +208,19 @@ def _divide_by_theta(inner: InnerFunction, lo: int, target: np.ndarray):
 
 def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent):
     """Solve Theta Phi1 = Phi Theta for an analytic Phi1 by division by
-    Theta.  A small residual certifies that multiplication by phi leaves
-    Theta H^2 invariant, which forces A_phi to commute with the shift;
-    that consequence is verified before returning."""
+    Theta; returns (Phi1, residual) with residual = ||R||_F for the
+    remainder R = Phi Theta - Theta Phi1 of the division, K blocks long.
+    R bounds the commutator of A_Phi with the shift, so no operator is
+    built: for f in K_Theta, z f = P(z f) + Theta c with c = P+(Theta* z f)
+    constant and ||c|| <= ||f||, and (A_Phi S - S A_Phi) f = -P(Phi Theta c)
+    = -P(R c), so ||A_Phi S - S A_Phi|| <= ||R||_inf <= sqrt(K) residual.
+    A residual of 0 says that multiplication by Phi leaves Theta H^2
+    invariant and A_Phi commutes with S."""
     if phi.lo < 0:
         raise ValueError("commutant factorization needs an analytic symbol")
     inner = basis.inner
     start, phi1, remainder = _divide_by_theta(inner, phi.lo, convolve(phi.coeffs, inner.blocks))  # Phi Theta from phi.lo
-    residual = frobenius(remainder)
-    if residual <= CHECK_TOL * (1.0 + phi.norm() * inner.theta.norm()):
-        a_phi = build(basis, phi)
-        s, _ = s_theta(basis)
-        comm = opnorm(a_phi.mat @ s - s @ a_phi.mat)
-        require_small(comm, CHECK_TOL * (1.0 + opnorm(a_phi.mat)), IdentityCheckError,
-                      "factorization succeeded but the operator does not commute, norm {residual:.3e}")
-    return MatLaurent(start, phi1), residual
+    return MatLaurent(start, phi1), frobenius(remainder)
 
 
 @dataclass

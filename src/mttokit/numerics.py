@@ -103,22 +103,19 @@ def column_norms(a: np.ndarray) -> np.ndarray:
     return nrm
 
 
-def rank(a, scale: float = 0.0) -> int:
-    """Numerical rank: count singular values above the relative cut.
-
-    The cut is anchored at the largest singular value, or at `scale` if
-    that is larger; pass the natural scale of the data when the whole
-    matrix may consist of roundoff noise."""
+def rank(a) -> int:
+    """Numerical rank: count singular values above the relative cut of
+    `rank_of_singular_values`, anchored at the largest singular value."""
     a = as_cmatrix(a)
     if a.size == 0:
         return 0
-    return rank_of_singular_values(np.linalg.svd(a, compute_uv=False), a.shape, scale)
+    return rank_of_singular_values(np.linalg.svd(a, compute_uv=False), a.shape)
 
 
-def rank_of_singular_values(s: np.ndarray, shape, scale: float = 0.0) -> int:
+def rank_of_singular_values(s: np.ndarray, shape) -> int:
     """The one rank rule: the number of singular values `s` (descending) of
-    a matrix of `shape` above RANK_CUT * max(s[0], scale) * max(shape)."""
-    return int(np.sum(s > RANK_CUT * max(s[0] if s.size else 0.0, scale) * max(shape)))
+    a matrix of `shape` above RANK_CUT * s[0] * max(shape)."""
+    return int(np.sum(s > RANK_CUT * (s[0] if s.size else 0.0) * max(shape)))
 
 
 def fix_column_phases(q: np.ndarray) -> np.ndarray:
@@ -139,14 +136,13 @@ def fix_column_phases(q: np.ndarray) -> np.ndarray:
     return q
 
 
-def nullspace(a, scale: float = 0.0) -> np.ndarray:
-    """Orthonormal basis of the kernel, via SVD.  `scale` anchors the
-    rank cut exactly as in `rank`."""
+def nullspace(a) -> np.ndarray:
+    """Orthonormal basis of the kernel, via SVD, past the rank cut of `rank`."""
     a = as_cmatrix(a)
     if a.size == 0:
         return np.eye(a.shape[1], dtype=np.complex128)
     _, s, vh = np.linalg.svd(a)
-    return fix_column_phases(vh[rank_of_singular_values(s, a.shape, scale):].conj().T)
+    return fix_column_phases(vh[rank_of_singular_values(s, a.shape):].conj().T)
 
 
 def solve_min_norm(a, b):

@@ -21,7 +21,9 @@ import numpy as np
 
 from mttokit import model_space
 from mttokit.laurent import boundary_adjoint, multiply, reversed_adjoint
-from mttokit.numerics import PHASE_CUT, block_toeplitz, nullspace
+from mttokit.numerics import PHASE_CUT, block_toeplitz, fix_column_phases
+
+from dimension_oracles import anchored_cut
 
 
 def constraint_matrix(theta) -> np.ndarray:
@@ -58,7 +60,9 @@ def gram_schmidt_loop(inner) -> np.ndarray:
     dimensional window, every column of the projector visited, a column
     kept above the same cut as the library's, `model_space.GS_CUT`."""
     d, m, n = inner.d, inner.m, inner.n
-    null = nullspace(constraint_matrix(inner.theta), scale=1.0)
+    c = constraint_matrix(inner.theta)
+    _, s, vh = np.linalg.svd(c)
+    null = fix_column_phases(vh[anchored_cut(s, c.shape):].conj().T)
     assert null.shape[1] == n, "nullspace dimension disagrees with model dimension"
     proj = null @ null.conj().T
     accepted = []

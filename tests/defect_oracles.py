@@ -7,14 +7,16 @@ phase fix for the basis, and numpy's pinv for the left inverse.
 checked on every basis, I - S S* = K0 K0* and I - S* S = K0~ K0~*, with
 the bound it used.  `frame_check_windows` builds the window elements that
 `defect_spaces` compares Q K0 and Q K0~ with, one column at a time, from
-the closed-form kernels at 0.
+the closed-form kernels at 0.  `pinv_j` takes J and J~ the earlier way, as
+numpy's pinv of the dense defect operators, and `j_identities` forms the
+four identities `j_operators` once checked on J and J~ before keeping them.
 """
 
 import numpy as np
 
-from mttokit.model_operator import defect_spaces, s_theta
+from mttokit.model_operator import defect_spaces, j_operators, s_theta
 from mttokit.model_space import kernel_window, tilde_kernel_window
-from mttokit.numerics import RANK_CUT, REL, fix_column_phases
+from mttokit.numerics import CHECK_TOL, RANK_CUT, REL, fix_column_phases, opnorm
 
 
 def frame_basis_and_inverse(frame: np.ndarray):
@@ -23,14 +25,19 @@ def frame_basis_and_inverse(frame: np.ndarray):
     return fix_column_phases(u[:, :r]), np.linalg.pinv(frame, rcond=RANK_CUT * max(frame.shape))
 
 
+def _defect_operators(basis):
+    """The dense I - S S* and I - S* S."""
+    s, s_adj = s_theta(basis)
+    eye = np.eye(basis.n)
+    return eye - s @ s_adj, eye - s_adj @ s
+
+
 def defect_identities(basis):
     """(residual, bound) of each defect identity: ||G - K K*||_F against
     REL * max(1, ||G||_F), for G = I - S S* with K0 and G = I - S* S with K0~."""
-    s, s_adj = s_theta(basis)
     ds = defect_spaces(basis)
-    eye = np.eye(basis.n)
     out = []
-    for g, frame in ((eye - s @ s_adj, ds.d_frame), (eye - s_adj @ s, ds.dt_frame)):
+    for g, frame in zip(_defect_operators(basis), (ds.d_frame, ds.dt_frame)):
         out.append((float(np.linalg.norm(g - frame @ frame.conj().T)), REL * max(1.0, float(np.linalg.norm(g)))))
     return out
 
@@ -49,3 +56,21 @@ def frame_check_residuals(basis):
     ds = defect_spaces(basis)
     return [float(np.linalg.norm(basis.q @ frame - w, axis=0).max())
             for frame, w in zip((ds.d_frame, ds.dt_frame), frame_check_windows(basis.inner))]
+
+
+def pinv_j(basis):
+    """(J, J~) as the pseudo-inverses of the dense defect operators, with
+    the rank cut RANK_CUT * n."""
+    return tuple(np.linalg.pinv(g, rcond=RANK_CUT * basis.n, hermitian=True) for g in _defect_operators(basis))
+
+
+def j_identities(basis):
+    """(label, residual, bound) of G J = J* G = U U* for G = I - S S* and
+    the first defect space, and of the same for I - S* S, J~ and the
+    second, in the spectral norm against CHECK_TOL * max(1, ||J||)."""
+    ds, (j, jt) = defect_spaces(basis), j_operators(basis)
+    out = []
+    for g, jj, u, label in zip(_defect_operators(basis), (j, jt), (ds.d_basis, ds.dt_basis), ("G", "Gt")):
+        p, bound = u @ u.conj().T, CHECK_TOL * max(1.0, opnorm(jj))
+        out += [(f"{label} J", opnorm(g @ jj - p), bound), (f"J* {label}", opnorm(jj.conj().T @ g - p), bound)]
+    return out

@@ -17,9 +17,23 @@ import numpy as np
 from mttokit.errors import DimensionMismatchError
 from mttokit.laurent import MatLaurent
 from mttokit.model_operator import defect_spaces, s_theta
-from mttokit.numerics import block_toeplitz, rank
+from mttokit.numerics import RANK_CUT, block_toeplitz
 
 DET_CUT = 1e-8  # det_degree_by_fft: coefficients up to DET_CUT * max(1, largest) count as zero
+
+
+def anchored_cut(s: np.ndarray, shape) -> int:
+    """The rank rule of `numerics.rank_of_singular_values` with its cut
+    anchored at max(s[0], 1), so that a matrix of roundoff noise alone has
+    rank 0: the number of singular values `s` (descending) of a matrix of
+    `shape` above RANK_CUT * max(s[0], 1) * max(shape)."""
+    return int(np.sum(s > RANK_CUT * max(s[0] if s.size else 0.0, 1.0) * max(shape)))
+
+
+def anchored_rank(a) -> int:
+    """Numerical rank of a matrix by `anchored_cut`."""
+    a = np.asarray(a, dtype=np.complex128)
+    return anchored_cut(np.linalg.svd(a, compute_uv=False), a.shape) if a.size else 0
 
 
 def det_degree_by_fft(theta: MatLaurent) -> int:
@@ -80,7 +94,7 @@ def svd_counts(basis) -> tuple[int, int]:
     """Class dimension as the rank of the pair map and as the nullity of
     the Stein constraint."""
     n = basis.n
-    return rank(symbol_pair_map(basis), scale=1.0), n * n - rank(stein_constraint(basis), scale=1.0)
+    return anchored_rank(symbol_pair_map(basis)), n * n - anchored_rank(stein_constraint(basis))
 
 
 def hs_inner(f: MatLaurent, g: MatLaurent) -> complex:
@@ -121,4 +135,4 @@ def symbol_space_dim_bruteforce(basis) -> int:
     analytic-part constraint on matrix polynomials of degree < m."""
     theta, m, eye = basis.inner.theta, basis.inner.m, np.eye(basis.inner.d)
     c = toeplitz_of(lambda t: np.kron(theta.coeff(-t).conj().T, eye), m, m)
-    return c.shape[1] - rank(c, scale=1.0)
+    return c.shape[1] - anchored_rank(c)

@@ -15,6 +15,7 @@ from mttokit.laurent import (
     evaluate,
     inner_residual,
     multiply,
+    tilde,
 )
 from mttokit.model_operator import (
     Conjugation,
@@ -23,7 +24,7 @@ from mttokit.model_operator import (
     defect_spaces,
     s_theta,
 )
-from mttokit.model_space import ModelSpaceBasis, kernel, kernel_window, make_inner_potapov
+from mttokit.model_space import InnerFunction, ModelSpaceBasis, kernel, kernel_window, make_inner_potapov
 from mttokit.mtto import (
     build,
     commutant_factor,
@@ -115,7 +116,7 @@ def test_03_coefficient_reversal_operator_matrix():
     worst_intertwine = 0.0
     for name in ("FIX2", "FIX3", "FIX5"):
         basis = ModelSpaceBasis(fixture(name))
-        tilde_basis = ModelSpaceBasis(basis.inner.tilde())
+        tilde_basis = ModelSpaceBasis(InnerFunction(tilde(basis.inner.theta)))
         theta = basis.inner.theta
         cols = [tilde_basis.coords(tau_apply(theta, element(basis, j))) for j in range(basis.n)]
         t = np.column_stack(cols)

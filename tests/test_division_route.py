@@ -5,7 +5,9 @@ route it replaced and to block-Toeplitz least squares.
 Theta at once; `zero_symbol_decompose` runs it once on an analytic or
 coanalytic symbol, and on a mixed one with Phi* beside it, fixing both
 constant terms with the left inverse the InnerFunction keeps;
-`commutant_factor` divides analytic targets with it, and
+`commutant_factor` divides analytic targets with it, and its remainder R
+bounds the commutator of A_Phi with the shift by sqrt(K) ||R||_F over the
+K blocks of R, and
 `factor_through_theta` is `zero_symbol_decompose` on an analytic symbol.
 Each must give what the Laurent route of division_oracles gives, on
 fixtures, seeded Potapov products and inner functions given by their
@@ -25,9 +27,11 @@ import pytest
 from mttokit import mtto
 from mttokit.errors import IdentityCheckError, NotZeroOperatorError
 from mttokit.fixtures import FIXTURE_NAMES, fixture
-from mttokit.laurent import MatLaurent, boundary_adjoint, multiply, reversed_adjoint
+from mttokit.laurent import MatLaurent, boundary_adjoint, convolve, multiply, reversed_adjoint
+from mttokit.model_operator import s_theta
 from mttokit.model_space import InnerFunction, ModelSpaceBasis
 from mttokit.mtto import _divide_by_theta, build, commutant_factor, factor_through_theta, zero_symbol_decompose
+from mttokit.numerics import opnorm
 from mttokit.randgen import haar_unitary, random_commuting_symbol, random_inner, random_symbol
 
 import division_oracles as oracle
@@ -147,9 +151,9 @@ def test_zero_symbol_decompose_matches_the_laurent_route_and_least_squares(basis
         assert abs(result.residual - want.residual) <= 1e-12 * scale
         assert result.residual <= 1e-12 * scale
         if label in ("shifted", "costar", "theta"):  # one-sided: the other factor is exactly 0
-            assert (result.psi1 if label == "costar" else result.psi2).is_zero()
+            assert not (result.psi1 if label == "costar" else result.psi2).coeffs.any()
         if label == "zero":
-            assert result.psi1.is_zero() and result.psi2.is_zero() and result.residual == 0.0
+            assert not result.psi1.coeffs.any() and not result.psi2.coeffs.any() and result.residual == 0.0
 
 
 @pytest.mark.parametrize("basis", BASES, ids=IDS)
@@ -245,6 +249,22 @@ def test_commutant_factor_gives_what_the_laurent_route_gives(basis):
 
 
 @pytest.mark.parametrize("basis", BASES, ids=IDS)
+def test_commutant_factor_residual_bounds_the_commutator(basis):
+    """||A_Phi S - S A_Phi|| <= sqrt(K) residual on commuting draws, where
+    both sides are roundoff, and on draws moved off the commutant."""
+    rng = np.random.default_rng(basis.n + 36)
+    inner, s = basis.inner, s_theta(basis)[0]
+    for _ in range(5):
+        commuting = random_commuting_symbol(basis, rng)
+        for phi in (commuting, commuting + 1e-6 * random_symbol(inner.d, 0, 2, rng),
+                    commuting + random_symbol(inner.d, 0, 2, rng)):
+            _, res = commutant_factor(basis, phi)
+            blocks = _divide_by_theta(inner, phi.lo, convolve(phi.coeffs, inner.blocks))[2].shape[0]
+            a = build(basis, phi).mat
+            assert opnorm(a @ s - s @ a) <= np.sqrt(blocks) * res
+
+
+@pytest.mark.parametrize("basis", BASES, ids=IDS)
 def test_factor_through_theta_gives_what_the_laurent_route_gives(basis):
     rng = np.random.default_rng(basis.n + 35)
     theta, d = basis.inner.theta, basis.inner.d
@@ -297,7 +317,7 @@ def test_a_symbol_wholly_at_or_beyond_the_degree_matches_the_laurent_route(basis
             assert result.is_zero and want.is_zero
             _assert_same_norm(result, want, basis, phi)
             _assert_same_pair(result, (want.psi1, want.psi2), phi.norm())
-            assert (result.psi2 if phi.lo > 0 else result.psi1).is_zero()
+            assert not (result.psi2 if phi.lo > 0 else result.psi1).coeffs.any()
             assert abs(result.residual - want.residual) <= 1e-12 * phi.norm()
 
 
@@ -311,7 +331,7 @@ def test_a_symbol_at_frequency_1e12_takes_the_closed_form_at_once(name, sign):
     result = zero_symbol_decompose(basis, MatLaurent(sign * far, np.eye(d)[None]))
     assert time.perf_counter() - start < 1.0
     factor, other = (result.psi1, result.psi2) if sign > 0 else (result.psi2, result.psi1)
-    assert result.is_zero and result.residual <= 1e-13 and other.is_zero()
+    assert result.is_zero and result.residual <= 1e-13 and not other.coeffs.any()
     assert factor.lo == far - m and np.array_equal(factor.coeffs, reversed_adjoint(theta.coeffs))
 
 

@@ -42,7 +42,7 @@ def test_construction_trims_exact_zero_edges():
 
 def test_zero_is_canonical():
     f = MatLaurent(5, np.zeros((3, 2, 2)))
-    assert f.is_zero()
+    assert not f.coeffs.any()
     assert (f.lo, f.hi) == (0, 0)
 
 
@@ -189,7 +189,7 @@ def test_analytic_split_moves_negative_part_to_starred_factor():
 def test_analytic_split_of_analytic_argument_has_zero_star_part():
     f = MatLaurent(0, np.stack([np.eye(2), np.eye(2)]))
     plus, star = analytic_split(f)
-    assert star.is_zero()
+    assert not star.coeffs.any()
     assert (plus - f).norm() == 0.0
 
 

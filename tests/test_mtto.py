@@ -247,7 +247,7 @@ def test_recover_symbol_round_trips_built_operators():
 def test_recover_symbol_of_zero_is_the_zero_pair():
     basis = _basis("FIX3")
     rec = recover_symbol(basis, np.zeros((3, 3)))
-    assert rec.psi1.is_zero() and rec.psi2.is_zero()
+    assert not rec.psi1.coeffs.any() and not rec.psi2.coeffs.any()
 
 
 def test_recover_symbol_refuses_outsiders():
@@ -442,4 +442,4 @@ def test_default_tolerance_is_relative_to_the_operator_scale():
     zero = is_mtto(basis, np.zeros((2, 2)))
     assert zero.verdict and zero.residual == zero.tol == 0.0
     rec = recover_symbol(basis, np.zeros((2, 2)))
-    assert rec.psi1.is_zero() and rec.psi2.is_zero()
+    assert not rec.psi1.coeffs.any() and not rec.psi2.coeffs.any()

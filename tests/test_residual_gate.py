@@ -11,8 +11,7 @@ through the gate.  The suite's registry names every tolerance it holds.
 Each rule has one owner in the package source: the package reads no
 environment, only `serialize` writes a schema version, the three modules
 take every norm through `numerics`, and the rank cut is applied in
-`numerics` alone (and in the `pinv` cutoff of
-`model_operator.j_operators`, which no package code calls).
+`numerics` alone.
 """
 
 import ast
@@ -45,8 +44,8 @@ VERDICT_ERRORS = {"NotMttoError", "NotZeroOperatorError"}  # decisions, reported
 ROUTED = {  # every identity check of the three modules, by the function that holds it
     "model_space.py": ["det_degree", "__init__", "potapov_product", "require_member", "kernel_window",
                        "tilde_kernel_window"],
-    "model_operator.py": ["_frame_svd", "defect_spaces", "j_operators", "__init__", "conjugation_matrix"],
-    "mtto.py": ["commutant_factor", "recover_symbol", "zero_symbol_decompose"],
+    "model_operator.py": ["_frame_svd", "defect_spaces", "__init__", "conjugation_matrix"],
+    "mtto.py": ["recover_symbol", "zero_symbol_decompose"],
 }
 HUGE = MatLaurent(0, [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]]])  # ||Phi|| = 1.414e200
 
@@ -307,7 +306,7 @@ def test_the_rank_cut_is_applied_in_numerics_alone():
     trees = _package_trees()
     assert {owner for owner, _ in _rank_cut_products(trees["numerics.py"])} >= {"rank_of_singular_values"}
     elsewhere = [f"{name}:{line} in {owner}" for name, tree in trees.items() if name != "numerics.py"
-                 for owner, line in _rank_cut_products(tree) if (name, owner) != ("model_operator.py", "j_operators")]
+                 for owner, line in _rank_cut_products(tree)]
     assert not elsewhere, f"RANK_CUT applied outside numerics: {elsewhere}"
 
 
@@ -338,18 +337,20 @@ def test_the_gated_modules_take_every_norm_in_numerics():
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def _references(node):
-    """Every name a node reads: bare names and attribute names."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+def _references(node, attributes_only=False):
+    """Every name a node reads: bare names and attribute names, or the
+    attribute names alone."""
+    kinds = ast.Attribute if attributes_only else (ast.Name, ast.Attribute)
+    return Counter(n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(node) if isinstance(n, kinds))
 
 
 def _definitions(tree):
-    """(qualified name, node) of every function, class and method of a module."""
+    """(qualified name, node, whether it is a method) of every function,
+    class and method of a module."""
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                yield prefix + child.name, child
+                yield prefix + child.name, child, isinstance(node, ast.ClassDef)
                 yield from visit(child, prefix + child.name + ".")
             else:
                 yield from visit(child, prefix)
@@ -375,20 +376,24 @@ def _overrides(module, qualname):
 
 
 def test_every_definition_has_a_caller_in_the_package():
-    """A function, class or method is read somewhere in src/ outside its own
-    body, exported in `mttokit.__all__`, a dunder or an override of a base
-    class outside the package, or hooked by the benchmark's tracer; a name
-    only the tests reach belongs in tests/."""
+    """A function or class is read somewhere in src/ outside its own body
+    or exported in `mttokit.__all__`, and a method is read as an attribute
+    (`x.name`) somewhere in src/ outside its own body, so a function or an
+    export of the same name does not keep it; either may instead be a
+    dunder, an override of a base class outside the package, or hooked by
+    the benchmark's tracer.  A name only the tests reach belongs in tests/."""
     trees = _package_trees()
     everywhere = sum((_references(tree) for tree in trees.values()), Counter())
-    kept = set(mttokit.__all__) | _tracer_hooks()
+    attributes = sum((_references(tree, attributes_only=True) for tree in trees.values()), Counter())
+    exported, hooks = set(mttokit.__all__), _tracer_hooks()
     dead = []
     for name, tree in trees.items():
-        for qualname, node in _definitions(tree):
+        for qualname, node, method in _definitions(tree):
             short = node.name
-            if short in kept or short.startswith("__") and short.endswith("__") or _overrides(name[:-3], qualname):
+            if short in hooks or short.startswith("__") and short.endswith("__") or _overrides(name[:-3], qualname):
                 continue
-            if everywhere[short] - _references(node)[short] <= 0:
+            reads = (attributes if method else everywhere)[short] - _references(node, attributes_only=method)[short]
+            if reads <= 0 and (method or short not in exported):
                 dead.append(f"{name}:{node.lineno} {qualname}")
     assert not dead, f"defined in src/ but used only outside it: {dead}"
 

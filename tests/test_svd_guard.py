@@ -7,7 +7,13 @@ are taken neither by SVD nor from the operator itself.  The two dense
 identities are kept as an oracle (`defect_oracles.defect_identities`) and
 run here on the fixtures, the seeded spaces of `test_shift_route` and the
 conditioning families of `test_conditioning_family`; a shift that breaks
-the first is refused by `action_check`.  `mtto_dimension` is a count on n
+the first is refused by `action_check`.  J and J~ are read off the left
+inverses of the frames with no SVD; the four identities `j_operators` once
+checked (`defect_oracles.j_identities`) and the pinv route it took
+(`defect_oracles.pinv_j`) are kept as oracles and run here on the same
+spaces, the conditioning families with both payloads.  `commutant_factor`
+divides by Theta and takes no SVD and no `build`: its remainder bounds the
+commutator it once measured.  `mtto_dimension` is a count on n
 and d: on a fresh basis it takes no SVD and caches nothing.
 `zero_symbol_decompose` divides by Theta on coefficient arrays with a left
 inverse factored once per space by QR, and certifies a zero symbol by the
@@ -29,15 +35,15 @@ import mttokit
 from mttokit import mtto
 from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent, boundary_adjoint, multiply
-from mttokit.model_operator import action_check, defect_spaces, s_theta
+from mttokit.model_operator import action_check, defect_spaces, j_operators, s_theta
 from mttokit.model_space import InnerFunction, ModelSpaceBasis, potapov_product
-from mttokit.mtto import build, mtto_dimension, zero_symbol_decompose
-from mttokit.numerics import CHECK_TOL
-from mttokit.randgen import random_inner, random_symbol
+from mttokit.mtto import build, commutant_factor, mtto_dimension, zero_symbol_decompose
+from mttokit.numerics import CHECK_TOL, opnorm
+from mttokit.randgen import random_commuting_symbol, random_inner, random_symbol
 from mttokit.suite import SuiteConfig, run_suite
 
 import test_shift_route
-from defect_oracles import defect_identities, frame_check_residuals
+from defect_oracles import defect_identities, frame_check_residuals, j_identities, pinv_j
 from test_conditioning_family import _cases as conditioning_cases
 
 np_linalg = getattr(np.linalg, "_linalg", np.linalg)  # where np.linalg.norm and pinv look up svd
@@ -82,12 +88,15 @@ def test_mtto_dimension_takes_no_svd_and_leaves_the_cache_empty(inner, svd_calle
 
 def _identity_spaces():
     """The inners above, the seeded spaces of `test_shift_route` and the
-    conditioning families (alternating, rotated and nested pairs)."""
+    conditioning families (alternating, rotated and nested pairs), each
+    family given by its Potapov factors and by its coefficients alone."""
     spaces = [pytest.param(inner, id=name) for inner, name in zip(INNERS, IDS)]
     spaces += [pytest.param(inner, id="shift-route-" + name)
                for name, inner in test_shift_route.SPACES.items() if name not in FIXTURE_NAMES]
-    spaces += [pytest.param(InnerFunction(*potapov_product(case.values[1])), id="family-" + case.id)
-               for case in conditioning_cases()]
+    for case in conditioning_cases():
+        theta, potapov = potapov_product(case.values[1])
+        spaces += [pytest.param(InnerFunction(theta, potapov), id="family-" + case.id),
+                   pytest.param(InnerFunction(theta), id="family-coeffs-" + case.id)]
     return spaces
 
 
@@ -105,6 +114,42 @@ def test_defect_identities_hold_to_roundoff(inner):
 @pytest.mark.parametrize("inner", IDENTITY_SPACES)
 def test_untouched_bases_read_far_below_the_frame_check_bound(inner):
     assert max(frame_check_residuals(ModelSpaceBasis(inner))) <= 1e-3 * CHECK_TOL
+
+
+@pytest.mark.parametrize("inner", IDENTITY_SPACES)
+def test_j_identities_hold_to_check_tol_times_the_norm_of_j(inner):
+    for label, residual, bound in j_identities(ModelSpaceBasis(inner)):
+        assert residual <= bound, label  # what j_operators checked before it read J off the frames
+
+
+@pytest.mark.parametrize("inner", IDENTITY_SPACES)
+def test_j_agrees_with_the_pinv_route(inner):
+    """Both routes lose about eps ||J||^2: the defect operators have norm 1
+    and condition ||J|| on their ranges."""
+    basis = ModelSpaceBasis(inner)
+    for got, want in zip(j_operators(basis), pinv_j(basis)):
+        assert opnorm(got - want) <= 1e-13 * max(1.0, opnorm(want)) ** 2
+
+
+@pytest.mark.parametrize("inner", INNERS, ids=IDS)
+def test_j_operators_takes_no_svd_on_a_basis_with_defect_data(inner, svd_callers):
+    basis = ModelSpaceBasis(inner)
+    defect_spaces(basis)
+    svd_callers.clear()
+    j_operators(basis)
+    assert svd_callers == []
+
+
+@pytest.mark.parametrize("inner", INNERS, ids=IDS)
+def test_commutant_factor_takes_no_svd_and_no_build(inner, svd_callers, monkeypatch):
+    basis = ModelSpaceBasis(inner)
+    rng = np.random.default_rng(basis.n + 6)
+    builds = []
+    monkeypatch.setattr(mtto, "build", lambda *a: builds.append(a) or build(*a))
+    for phi in (random_commuting_symbol(basis, rng), inner.theta, random_symbol(inner.d, 0, 2, rng)):
+        svd_callers.clear()
+        commutant_factor(basis, phi)
+        assert svd_callers == [] and builds == []
 
 
 @pytest.mark.parametrize("inner", INNERS, ids=IDS)
