@@ -16,8 +16,8 @@ import numpy as np
 
 from . import serialize
 from .errors import DimensionMismatchError, IdentityCheckError, NotGammaSymmetricError, NotUnitaryError
-from .laurent import MatLaurent, convolve
-from .model_space import InnerFunction, ModelSpaceBasis, kernel_frame, off_space, require_member, tilde_kernel_frame
+from .laurent import MatLaurent, convolve, evaluate
+from .model_space import InnerFunction, ModelSpaceBasis, kernel_frame, require_member, tilde_kernel_frame
 from .numerics import (CHECK_TOL, INPUT_TOL, REL, column_norms, fix_column_phases, frobenius, rank_of_singular_values,
                        require_finite, require_small)
 
@@ -246,10 +246,15 @@ def conjugation_matrix(basis: ModelSpaceBasis, gamma: Conjugation) -> np.ndarray
     """Coordinate matrix M of the model-space conjugation: C f has
     coordinates M conj(c).  C f applies gamma coefficientwise with frequency
     reversal, multiplies by Theta and shifts down once; on the window of Q
-    that is one block convolution over all n columns.  The images must lie
-    in the model space (no negative frequencies and L* W = 0, measured by
-    `off_space` from Theta's blocks) and M must be symmetric unitary; both
-    are verified."""
+    that is one block convolution over all n columns.  Theta must be
+    gamma-symmetric, and then C maps K_Theta onto itself antiunitarily
+    (Garcia-Putinar), so the images lie in the space and M is unitary.
+    Neither is measured again: both read at most 2e-14 on 300
+    gamma-symmetric spaces, and on spaces turned off gamma-symmetry the
+    images' distance from the space stayed below 0.81 times the
+    gamma-symmetry residual the precondition bounds by CHECK_TOL
+    (`tests/element_oracles.py`).  M = M^T is checked: it read up to 2.6
+    times that residual, so the precondition does not imply it."""
     inner = basis.inner
     d, m, n = inner.d, inner.m, basis.n
     if gamma.dim != d:
@@ -258,12 +263,9 @@ def conjugation_matrix(basis: ModelSpaceBasis, gamma: Conjugation) -> np.ndarray
                   "theta is not gamma-symmetric, residual {residual:.3e}")
     flipped = gamma.u @ np.conj(basis.q.reshape(m, d, n)[::-1])
     image = convolve(inner.blocks, flipped)  # block i sits at frequency i - m
-    window = image[m:].reshape(m * d, n)
-    negative = column_norms(image[:m].reshape(m * d, n))
-    require_member(float(np.hypot(negative, off_space(inner, window)).max(initial=0.0)), 1.0, "conjugation")
-    mat = basis.q.conj().T @ window
-    for resid in (frobenius(mat.conj().T @ mat - np.eye(n)), frobenius(mat - mat.T)):
-        require_small(resid, CHECK_TOL, IdentityCheckError, "conjugation matrix is not symmetric unitary")
+    mat = basis.q.conj().T @ image[m:].reshape(m * d, n)
+    require_small(frobenius(mat - mat.T), CHECK_TOL, IdentityCheckError,
+                  "conjugation matrix is not symmetric, residual {residual:.3e}")
     return mat
 
 
@@ -296,7 +298,7 @@ def kernel_recurrence_check(basis: ModelSpaceBasis, count: int, seed: int) -> di
             lam = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * 0.6
         klam, tlam = kernel_frame(basis, lam), tilde_kernel_frame(basis, lam)
         worst_k = max(worst_k, column_norms(s @ klam - (klam - k0) / np.conj(lam)).max())
-        worst_kt = max(worst_kt, column_norms(s @ tlam - (lam * tlam - k0 @ inner.evaluate(lam))).max())
+        worst_kt = max(worst_kt, column_norms(s @ tlam - (lam * tlam - k0 @ evaluate(inner.theta, lam))).max())
     w = _kernel_at_zero(inner)
     origin = s @ q.conj().T @ w - q[d:].conj().T @ w[:-d]  # S Q* W - Q* Z W
     return _report({

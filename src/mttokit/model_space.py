@@ -156,21 +156,6 @@ class InnerFunction:
         out.setflags(write=False)
         return out
 
-    def evaluate(self, z: complex) -> np.ndarray:
-        return evaluate(self.theta, z)
-
-    def to_json(self) -> dict:
-        doc = {"schema_version": serialize.SCHEMA_VERSION}
-        if self._potapov is not None:
-            u, factors, _ = self._potapov
-            doc["kind"] = "potapov"
-            doc["left_unitary"] = serialize.matrix_to_json(u)
-            doc["factors"] = [serialize.matrix_to_json(p) for p in factors]
-        else:
-            doc["kind"] = "coeffs"
-            doc["laurent"] = serialize.laurent_to_json(self.theta)
-        return doc
-
 
 def potapov_product(factors, left_unitary=None):
     """Validate the factors of U (I - P_1 + z P_1) ... (I - P_r + z P_r) and
@@ -397,7 +382,7 @@ def kernel_window(inner: InnerFunction, lam: complex, x):
     """
     lam, x = _disk_point(lam), _vector(x, inner.d)
     m = inner.m
-    g = -(inner.blocks @ (inner.evaluate(lam).conj().T @ x))  # (I - Theta(z) Theta(lam)*) x
+    g = -(inner.blocks @ (evaluate(inner.theta, lam).conj().T @ x))  # (I - Theta(z) Theta(lam)*) x
     g[0] += x
     powers = np.conj(lam) ** np.arange(2 * m + 1)
     c = np.zeros((2 * m + 1, inner.d), dtype=np.complex128)
@@ -426,28 +411,29 @@ def tilde_kernel_window(inner: InnerFunction, lam: complex, y):
     (exact in coefficients), and the norm of the division's remainder."""
     lam, y = _disk_point(lam), _vector(y, inner.d)
     p = inner.blocks @ y
-    p[0] -= inner.evaluate(lam) @ y
+    p[0] -= evaluate(inner.theta, lam) @ y
     q = _synthetic_division(p, lam)
     rem = require_small(frobenius(p[0] + lam * q[0]), CHECK_TOL * (1.0 + frobenius(y)), IdentityCheckError,
                         "synthetic division remainder {residual:.3e} did not vanish")
     return q, rem
 
 
-def _checked_element(basis, window, v, what):
-    require_member(float(off_space(basis.inner, window)[0]), 1.0 + frobenius(v), what)
-    return VecLaurent(0, window)
+def kernel(inner: InnerFunction, lam: complex, x) -> VecLaurent:
+    """Reproducing kernel direction at lam applied to x in C^d, read off
+    Theta; `kernel_window` checks the tail it was cut from and returns it.
+    A window whose tail vanishes is the kernel, so membership is not
+    measured again: ||L* k|| read at most 1e-5 of its bound CHECK_TOL
+    (1 + ||x||) on the fixtures, 150 seeded spaces and the conditioning
+    families at |lam| <= 0.8 (`tests/element_oracles.py`)."""
+    return VecLaurent(0, kernel_window(inner, lam, x)[0])
 
 
-def kernel(basis: ModelSpaceBasis, lam: complex, x) -> VecLaurent:
-    """Reproducing kernel direction at lam applied to x in C^d, checked to
-    lie in the model space; `kernel_window` gives the tail it was cut from."""
-    return _checked_element(basis, kernel_window(basis.inner, lam, x)[0], x, "kernel")
-
-
-def tilde_kernel(basis: ModelSpaceBasis, lam: complex, y) -> VecLaurent:
-    """Difference-quotient kernel at lam applied to y, checked to lie in the
-    model space; `tilde_kernel_window` gives the division's remainder."""
-    return _checked_element(basis, tilde_kernel_window(basis.inner, lam, y)[0], y, "difference-quotient kernel")
+def tilde_kernel(inner: InnerFunction, lam: complex, y) -> VecLaurent:
+    """Difference-quotient kernel at lam applied to y, read off Theta;
+    `tilde_kernel_window` checks the division's remainder and returns it.
+    An exact quotient lies in the model space, so membership is not
+    measured again (the same margin as `kernel`)."""
+    return VecLaurent(0, tilde_kernel_window(inner, lam, y)[0])
 
 
 def kernel_frame(basis: ModelSpaceBasis, lam: complex) -> np.ndarray:

@@ -102,12 +102,11 @@ def random_gamma_symmetric_triple(d: int, m: int, rng: np.random.Generator):
     return gamma, inner, phi
 
 
-def random_commuting_symbol(basis: ModelSpaceBasis, rng: np.random.Generator) -> MatLaurent:
+def random_commuting_symbol(inner: InnerFunction, rng: np.random.Generator) -> MatLaurent:
     """Random polynomial in z and the inner function itself; symbols of
     this shape leave Theta H^2 invariant, so the built operator commutes
     with the compressed shift."""
-    theta = basis.inner.theta
-    d = basis.inner.d
+    theta, d = inner.theta, inner.d
     powers = [MatLaurent.identity(d)]
     for _ in range(MAX_POWER):
         powers.append(multiply(powers[-1], theta))

@@ -236,7 +236,7 @@ def _check_difference_quotients(basis, rng, config):
         shifted[1:] = kt
         shifted[:-1] -= lam * kt
         target = inner.blocks @ y  # (Theta(z) - Theta(lam)) y
-        target[0] -= inner.evaluate(lam) @ y
+        target[0] -= evaluate(inner.theta, lam) @ y
         yield np.linalg.norm(shifted - target) / scale
 
 
@@ -350,7 +350,7 @@ def _check_kernel_recurrences(basis, rng, config):
 def _check_commutant(basis, rng, config):
     s, _ = s_theta(basis)
     for _ in range(config.cases):
-        a = build(basis, random_commuting_symbol(basis, rng))
+        a = build(basis, random_commuting_symbol(basis.inner, rng))
         yield frobenius(a.mat @ s - s @ a.mat) / (1.0 + frobenius(a.mat))
 
 

@@ -47,7 +47,7 @@ def action_check_loop(basis) -> dict:
     worst = 0.0
     for i in range(d):
         lhs = s @ ds.dt_frame[:, i]
-        rhs = -basis.coords(kernel(basis, 0.0, theta0 @ eye[:, i]))
+        rhs = -basis.coords(kernel(inner, 0.0, theta0 @ eye[:, i]))
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     checks["shift sends difference-quotient directions into the first defect space"] = worst
 
@@ -62,7 +62,7 @@ def action_check_loop(basis) -> dict:
     worst = 0.0
     for i in range(d):
         lhs = s_adj @ ds.d_frame[:, i]
-        rhs = -basis.coords(tilde_kernel(basis, 0.0, theta0.conj().T @ eye[:, i]))
+        rhs = -basis.coords(tilde_kernel(inner, 0.0, theta0.conj().T @ eye[:, i]))
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     checks["adjoint shift sends kernel directions into the second defect space"] = worst
 

@@ -101,7 +101,7 @@ def test_02_reproducing_kernels():
         lam = 0.85 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
         x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         x = x / np.linalg.norm(x)
-        k, witness = kernel(basis, lam, x), kernel_window(basis.inner, lam, x)[1]
+        k, witness = kernel(basis.inner, lam, x), kernel_window(basis.inner, lam, x)[1]
         worst_tail = max(worst_tail, witness)
         coords = random_element_coords(basis, rng)
         f = from_coords(basis, coords / np.linalg.norm(coords))
@@ -286,8 +286,8 @@ def test_09_commutant_containment():
     worst_comm = 0.0
     for i in range(10):
         basis = hosts[i % len(hosts)]
-        phi = random_commuting_symbol(basis, rng)
-        _, res = commutant_factor(basis, phi)
+        phi = random_commuting_symbol(basis.inner, rng)
+        _, res = commutant_factor(basis.inner, phi)
         worst_factor = max(worst_factor, res)
         a = build(basis, phi)
         s, _ = s_theta(basis)

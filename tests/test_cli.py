@@ -26,7 +26,7 @@ from mttokit.mtto import build, membership_witness
 from mttokit.suite import SuiteConfig, _spaces
 
 from division_oracles import near_impure_space
-from json_files import dump_json_file
+from json_files import dump_json_file, inner_to_json
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -391,7 +391,7 @@ def test_a_split_beyond_the_tol_of_its_zero_verdict_is_still_refused(tmp_path, c
     # operator norm, while ||E|| is about 2e-3 > tol, so the split is refused
     basis = near_impure_space(1e-8)
     theta = tmp_path / "theta.json"
-    dump_json_file(theta, basis.inner.to_json())
+    dump_json_file(theta, inner_to_json(basis.inner))
     phi = randgen.random_symbol(2, -1, 1, np.random.default_rng(0)) * 1e-7
     _, _, split_err = mtto._zero_split(basis.inner, phi)
     assert np.linalg.norm(build(basis, phi).mat, 2) <= 1e-4 < np.linalg.norm(split_err)
@@ -436,7 +436,7 @@ def test_op_test_decides_by_the_one_rule_and_never_forms_the_starred_identity(tm
     A - S A S* once and never A - S* A S; `op recover` goes through the same
     rule."""
     potapov = tmp_path / "potapov.json"
-    dump_json_file(potapov, randgen.random_inner(2, 3, np.random.default_rng(32)).to_json())
+    dump_json_file(potapov, inner_to_json(randgen.random_inner(2, 3, np.random.default_rng(32))))
     deltas, rules = _counted(monkeypatch, "_delta"), _counted(monkeypatch, "_membership")
     rng = np.random.default_rng(33)
     for source in (*FIXTURE_NAMES, str(potapov)):
@@ -853,7 +853,7 @@ def test_operator_of_a_zero_symbol_passes_op_test_at_the_zero_tests_tol(tmp_path
     # has no floor, so `op test` needs the tol that `symbol zero-test` decided by
     inner = randgen.random_inner(2, 3, np.random.default_rng(100))
     theta = tmp_path / "theta.json"
-    dump_json_file(theta, inner.to_json())
+    dump_json_file(theta, inner_to_json(inner))
     phi = write_symbol(tmp_path, "phi.json", multiply(inner.theta, randgen.random_symbol(2, 0, 1, np.random.default_rng(0))))
     code, out, _ = run(capsys, "symbol", "zero-test", "--theta", str(theta), "--symbol", phi)
     zero = json.loads(out)
@@ -870,7 +870,7 @@ def _versioned_inputs(tmp_path, version):
     (no schema_version field at all when version is None)."""
     inner = fixture("FIX3")
     docs = {
-        "theta": inner.to_json(),
+        "theta": inner_to_json(inner),
         "coeffs": {"kind": "coeffs", "laurent": serialize.laurent_to_json(inner.theta)},
         "symbol": serialize.laurent_to_json(MatLaurent.identity(2)),
         "op": build(ModelSpaceBasis(inner), MatLaurent.identity(2)).to_json(),

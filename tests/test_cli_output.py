@@ -26,7 +26,7 @@ from mttokit.mtto import build
 from mttokit.randgen import random_symbol
 
 import division_oracles
-from json_files import dump_json_file
+from json_files import dump_json_file, inner_to_json
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,7 +68,7 @@ def test_stdout_is_one_canonical_json_line(tmp_path, capsys, command, name):
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_a_fixture_name_and_its_file_give_the_same_bytes(tmp_path, capsys, command, name):
     inputs, path = _inputs(tmp_path, name), tmp_path / "theta.json"
-    dump_json_file(path, fixture(name).to_json())
+    dump_json_file(path, inner_to_json(fixture(name)))
     runs = []
     for theta in (name, str(path)):
         code = main([a.format(theta=theta, **inputs) for a in _COMMANDS[command]])

@@ -28,7 +28,7 @@ from mttokit.model_space import InnerFunction, ModelSpaceBasis, off_space, potap
 from mttokit.mtto import build, is_mtto, recover_symbol
 from mttokit.randgen import haar_unitary, random_symbol
 
-from json_files import dump_json_file
+from json_files import dump_json_file, inner_to_json
 
 EPS = (1e-2, 7.7e-3, 5.5e-3, 3.9e-3, 2.8e-3)
 COUNTS = (4, 8, 16, 32)
@@ -46,9 +46,9 @@ def alternating_d2(eps, count):
     return [_projection(lines[j % 2]) for j in range(count)]
 
 
-def _turn(eps, rng):
-    """R = exp(i eps H) for a Gaussian Hermitian H scaled to unit norm."""
-    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+def turn(eps, rng, d=3):
+    """R = exp(i eps H) for a Gaussian d x d Hermitian H scaled to unit norm."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     lam, v = np.linalg.eigh((g + g.conj().T) / 2)
     return (v * np.exp(1j * eps * lam / np.abs(lam).max())) @ v.conj().T
 
@@ -59,7 +59,7 @@ def rotated_pairs_d3(eps, count, seed):
     from its neighbour's."""
     rng = np.random.default_rng(seed)
     b = haar_unitary(3, rng)
-    rot = _turn(eps, rng)
+    rot = turn(eps, rng)
     return [_projection((rot if j % 2 else np.eye(3)) @ b[:, : 1 + (j // 2) % 2]) for j in range(count)]
 
 
@@ -68,7 +68,7 @@ def nested_pairs_d3(eps, count, seed):
     rank-1 range inside the next rank-2 one, every second pair turned by R."""
     rng = np.random.default_rng(seed)
     b = haar_unitary(3, rng)
-    rot = _turn(eps, rng)
+    rot = turn(eps, rng)
     return [_projection((rot if (j // 2) % 2 else np.eye(3)) @ b[:, : 1 + j % 2]) for j in range(count)]
 
 
@@ -109,7 +109,7 @@ def _check_members(tmp_path, capsys, d, factors):
         recover_symbol(basis, a)
 
         theta = str(tmp_path / f"{kind}.json")
-        dump_json_file(theta, inner.to_json())
+        dump_json_file(theta, inner_to_json(inner))
         code, out = _run(capsys, "op", "build", "--theta", theta, "--symbol", str(tmp_path / "phi.json"))
         assert code == 0 and np.array_equal(serialize.json_to_matrix(json.loads(out)["entries"]), a.mat)
         (tmp_path / "op.json").write_text(out)

@@ -31,7 +31,7 @@ from mttokit.randgen import haar_unitary, random_inner, random_projection
 from mttokit.serialize import canonical_json
 
 from dimension_oracles import svd_counts
-from json_files import dump_json_file
+from json_files import dump_json_file, inner_to_json
 
 RANDOM_SHAPES = [(1, [1] * 6), (1, [1] * 12), (2, [1, 2, 1, 2]), (2, [2, 1, 2, 2, 1, 2]), (4, [3, 3, 3]),
                  (4, [2, 4, 1, 3]), (7, [4, 4]), (7, [5, 6])]
@@ -131,7 +131,7 @@ def test_report_of_a_space_with_n_equal_to_d_1400_serializes():
 def _theta_files(tmp_path):
     """--theta sources of the three kinds: a fixture, a Potapov file and a coeffs file."""
     inner = random_inner(3, 3, np.random.default_rng(95))
-    dump_json_file(tmp_path / "potapov.json", inner.to_json())
+    dump_json_file(tmp_path / "potapov.json", inner_to_json(inner))
     dump_json_file(tmp_path / "coeffs.json", {"kind": "coeffs", "laurent": serialize.laurent_to_json(inner.theta)})
     return {"fixture": "FIX5", "potapov": str(tmp_path / "potapov.json"), "coeffs": str(tmp_path / "coeffs.json")}
 

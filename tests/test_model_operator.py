@@ -146,21 +146,6 @@ def test_j_operator_fix3_is_the_defect_projector():
     np.testing.assert_allclose(jt, np.diag([1.0, 0.0, 1.0]), atol=1e-10)
 
 
-def test_j_operator_identities_hold_on_general_fixtures():
-    for name in ("FIX2", "FIX5"):
-        basis = _basis(name)
-        ds = defect_spaces(basis)
-        j, jt = j_operators(basis)
-        s, s_adj = s_theta(basis)
-        n = basis.n
-        g = np.eye(n) - s @ s_adj
-        gt = np.eye(n) - s_adj @ s
-        p_d = ds.d_basis @ ds.d_basis.conj().T
-        p_dt = ds.dt_basis @ ds.dt_basis.conj().T
-        assert opnorm(g @ j - p_d) <= 1e-9
-        assert opnorm(gt @ jt - p_dt) <= 1e-9
-
-
 def test_xhat_identity_block_fix3():
     basis = _basis("FIX3")
     op = xhat(basis, np.eye(2))

@@ -31,7 +31,7 @@ def _results(gamma, basis, phi):
     out += [rec.psi1.coeffs, rec.psi2.coeffs, np.array(rec.residual)]
     for lam in (0.0, 0.3 - 0.4j):
         for x in np.eye(3):
-            out += [kernel(basis, lam, x).coeffs, tilde_kernel(basis, lam, x).coeffs]
+            out += [kernel(basis.inner, lam, x).coeffs, tilde_kernel(basis.inner, lam, x).coeffs]
     return out
 
 
@@ -88,5 +88,5 @@ def test_membership_is_measured_at_every_finite_scale(scale):
     np.testing.assert_allclose(off_space(basis.inner, scale * w), scale * want, rtol=1e-14, atol=0)
     x = np.array([1.0, -1.0, 0.3])
     for f in (kernel, tilde_kernel):
-        k = f(basis, 0.3 - 0.4j, scale * x)
-        np.testing.assert_allclose(k.coeffs, scale * f(basis, 0.3 - 0.4j, x).coeffs, rtol=1e-13, atol=0)
+        k = f(basis.inner, 0.3 - 0.4j, scale * x)
+        np.testing.assert_allclose(k.coeffs, scale * f(basis.inner, 0.3 - 0.4j, x).coeffs, rtol=1e-13, atol=0)

@@ -77,7 +77,7 @@ def test_random_commuting_symbol_commutes():
     basis = ModelSpaceBasis(fixture("FIX3"))
     s, _ = s_theta(basis)
     for _ in range(5):
-        phi = random_commuting_symbol(basis, rng)
+        phi = random_commuting_symbol(basis.inner, rng)
         a = build(basis, phi)
         assert opnorm(a.mat @ s - s @ a.mat) <= 1e-9 * (1 + opnorm(a.mat))
 

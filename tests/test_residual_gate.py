@@ -11,7 +11,9 @@ through the gate.  The suite's registry names every tolerance it holds.
 Each rule has one owner in the package source: the package reads no
 environment, only `serialize` writes a schema version, the three modules
 take every norm through `numerics`, and the rank cut is applied in
-`numerics` alone.
+`numerics` alone.  Nothing in the package is reached only from the tests:
+a name has a reader in src/, a method one through a receiver of its own
+class, and a `basis` parameter is read for more than its `inner`.
 """
 
 import ast
@@ -413,3 +415,123 @@ def test_no_module_level_import_is_unused():
                 if bound not in read and bound not in exported:
                     unused.append(f"{name}:{node.lineno} {bound}")
     assert not unused, f"unused imports: {unused}"
+
+
+def _parameters(fn):
+    args = fn.args
+    return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+
+
+def _suite_checks(tree):
+    """The names of the checks in suite._REGISTRY, whose signature `run_suite` fixes."""
+    registry = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["_REGISTRY"])
+    return {row.elts[3].id for row in registry.elts}
+
+
+def test_no_function_takes_a_basis_it_reads_only_for_its_inner():
+    """A `basis` parameter read only as `basis.inner` makes every caller
+    build a ModelSpaceBasis (projector, Gram-Schmidt, the basis gate) for
+    work that reads Theta alone: such a function takes the InnerFunction.
+    The suite's checks are exempt: `run_suite` calls each with one signature."""
+    trees = _package_trees()
+    exempt = _suite_checks(trees["suite.py"])
+    only_inner = []
+    for name, tree in trees.items():
+        for qualname, node, _ in _definitions(tree):
+            if isinstance(node, ast.ClassDef) or "basis" not in _parameters(node) or node.name in exempt:
+                continue
+            parents = {id(child): parent for parent in ast.walk(node) for child in ast.iter_child_nodes(parent)}
+            through = {getattr(parents[id(n)], "attr", None) for n in ast.walk(node)
+                       if isinstance(n, ast.Name) and n.id == "basis"}
+            if through == {"inner"}:
+                only_inner.append(f"{name}:{node.lineno} {qualname}")
+    assert not only_inner, f"a basis read only as basis.inner: {only_inner}"
+
+
+def _annotated_class(annotation, classes):
+    """The package class an annotation names, bare or as a string, or None."""
+    if isinstance(annotation, ast.Name):
+        return annotation.id if annotation.id in classes else None
+    if isinstance(annotation, ast.Constant) and annotation.value in classes:
+        return annotation.value
+    return None
+
+
+def _receiver_class(node, env, classes, returns):
+    """The package class of the receiver `node` of an attribute read: a
+    class named bare, a name of known class, or a call of a class or of a
+    function (or `Class.method`) whose return annotation names one."""
+    if isinstance(node, ast.Name):
+        return node.id if node.id in classes else env.get(node.id)
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name):
+            return func.id if func.id in classes else returns.get(func.id)
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            return returns.get(f"{func.value.id}.{func.attr}")
+    return None
+
+
+def _method_reads(trees):
+    """(class, method) -> reads, for every method name that several package
+    classes define, each attribute read credited to the class that defines
+    the method for the receiver's class; the class comes from a parameter
+    annotation (or `self`), from an assignment of a constructor call or of
+    a call whose return annotation names it, and a read whose receiver
+    cannot be resolved is credited to every class that defines the name.
+    A read inside the method's own body is not counted for it."""
+    classes, owners = {}, {}
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = getattr(importlib.import_module(f"mttokit.{name[:-3]}"), node.name)
+                for f in node.body:
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        owners.setdefault(f.name, set()).add(node.name)
+    shared = {m for m, cls in owners.items() if len(cls) > 1 and not (m.startswith("__") and m.endswith("__"))}
+    returns, ambiguous = {}, set()  # qualified name -> the class its return annotation names
+    for tree in trees.values():
+        for qualname, node, _ in _definitions(tree):
+            if not isinstance(node, ast.ClassDef):
+                cls = _annotated_class(node.returns, classes)
+                if returns.get(qualname, cls) != cls:  # the same name in two modules
+                    ambiguous.add(qualname)
+                returns[qualname] = cls
+    returns = {k: v for k, v in returns.items() if v is not None and k not in ambiguous}
+
+    def definer(cls, method):
+        """The package class whose definition of `method` the receiver class `cls` uses."""
+        return next((base.__name__ for base in classes[cls].__mro__
+                     if base.__name__ in owners[method] and classes[base.__name__] is base), None)
+
+    reads = Counter()
+    for tree in trees.values():
+        for qualname, node, is_method in _definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                continue
+            env = {p.arg: _annotated_class(p.annotation, classes) for p in node.args.posonlyargs + node.args.args
+                   + node.args.kwonlyargs}
+            if is_method and _parameters(node):
+                env[_parameters(node)[0]] = qualname.rsplit(".", 2)[-2]
+            for n in ast.walk(node):
+                if isinstance(n, ast.Assign) and len(n.targets) == 1 and isinstance(n.targets[0], ast.Name):
+                    env[n.targets[0].id] = _receiver_class(n.value, env, classes, returns)
+            own = (qualname.rsplit(".", 2)[-2], node.name) if is_method else None
+            for n in ast.walk(node):
+                if isinstance(n, ast.Attribute) and n.attr in shared and isinstance(n.ctx, ast.Load):
+                    cls = _receiver_class(n.value, env, classes, returns)
+                    credited = {definer(cls, n.attr)} - {None} if cls else owners[n.attr]
+                    reads.update((c, n.attr) for c in credited if (c, n.attr) != own)
+    return {(cls, m): reads[(cls, m)] for m in shared for cls in owners[m]}
+
+
+def test_a_method_several_classes_define_is_read_through_its_own_class():
+    """`x.to_json()` keeps the `to_json` of the class of x alone, not every
+    class that defines one: a method name several package classes share is
+    resolved by the receiver's class.  A method no read reaches that way
+    (and the tracer does not hook) belongs in tests/."""
+    hooks = _tracer_hooks()
+    dead = [f"{cls}.{method}" for (cls, method), count in _method_reads(_package_trees()).items()
+            if count == 0 and method not in hooks]
+    assert not dead, f"methods read through no receiver of their class: {sorted(dead)}"

@@ -11,9 +11,12 @@ the first is refused by `action_check`.  J and J~ are read off the left
 inverses of the frames with no SVD; the four identities `j_operators` once
 checked (`defect_oracles.j_identities`) and the pinv route it took
 (`defect_oracles.pinv_j`) are kept as oracles and run here on the same
-spaces, the conditioning families with both payloads.  `commutant_factor`
-divides by Theta and takes no SVD and no `build`: its remainder bounds the
-commutator it once measured.  `mtto_dimension` is a count on n
+spaces, the conditioning families with both payloads; on the fixtures and
+seeded spaces the identities also hold to an absolute 1e-9.
+`commutant_factor` divides by Theta and takes no SVD, no `build` and no
+basis: its remainder bounds the commutator it once measured.  `kernel`,
+`tilde_kernel` and a `factor_through_theta` the split certifies read
+Theta alone too, and build no basis.  `mtto_dimension` is a count on n
 and d: on a fresh basis it takes no SVD and caches nothing.
 `zero_symbol_decompose` divides by Theta on coefficient arrays with a left
 inverse factored once per space by QR, and certifies a zero symbol by the
@@ -36,8 +39,8 @@ from mttokit import mtto
 from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent, boundary_adjoint, multiply
 from mttokit.model_operator import action_check, defect_spaces, j_operators, s_theta
-from mttokit.model_space import InnerFunction, ModelSpaceBasis, potapov_product
-from mttokit.mtto import build, commutant_factor, mtto_dimension, zero_symbol_decompose
+from mttokit.model_space import InnerFunction, ModelSpaceBasis, kernel, potapov_product, tilde_kernel
+from mttokit.mtto import build, commutant_factor, factor_through_theta, mtto_dimension, zero_symbol_decompose
 from mttokit.numerics import CHECK_TOL, opnorm
 from mttokit.randgen import random_commuting_symbol, random_inner, random_symbol
 from mttokit.suite import SuiteConfig, run_suite
@@ -120,6 +123,8 @@ def test_untouched_bases_read_far_below_the_frame_check_bound(inner):
 def test_j_identities_hold_to_check_tol_times_the_norm_of_j(inner):
     for label, residual, bound in j_identities(ModelSpaceBasis(inner)):
         assert residual <= bound, label  # what j_operators checked before it read J off the frames
+        if inner in INNERS:  # ||J|| is of order 1 here, so the absolute bound holds as well
+            assert residual <= 1e-9, label
 
 
 @pytest.mark.parametrize("inner", IDENTITY_SPACES)
@@ -140,16 +145,37 @@ def test_j_operators_takes_no_svd_on_a_basis_with_defect_data(inner, svd_callers
     assert svd_callers == []
 
 
+@pytest.fixture
+def no_basis(monkeypatch):
+    """Refuse every ModelSpaceBasis built from here on."""
+    def refuse(*args):
+        raise AssertionError("work on Theta alone built a basis")
+
+    monkeypatch.setattr(ModelSpaceBasis, "__init__", refuse)
+
+
 @pytest.mark.parametrize("inner", INNERS, ids=IDS)
-def test_commutant_factor_takes_no_svd_and_no_build(inner, svd_callers, monkeypatch):
-    basis = ModelSpaceBasis(inner)
-    rng = np.random.default_rng(basis.n + 6)
+def test_commutant_factor_takes_no_svd_and_no_build(inner, svd_callers, monkeypatch, no_basis):
+    rng = np.random.default_rng(inner.n + 6)
     builds = []
     monkeypatch.setattr(mtto, "build", lambda *a: builds.append(a) or build(*a))
-    for phi in (random_commuting_symbol(basis, rng), inner.theta, random_symbol(inner.d, 0, 2, rng)):
+    for phi in (random_commuting_symbol(inner, rng), inner.theta, random_symbol(inner.d, 0, 2, rng)):
         svd_callers.clear()
-        commutant_factor(basis, phi)
+        commutant_factor(inner, phi)
         assert svd_callers == [] and builds == []
+
+
+@pytest.mark.parametrize("inner", INNERS, ids=IDS)
+def test_kernels_and_a_certified_factor_through_theta_build_no_basis(inner, svd_callers, no_basis):
+    rng = np.random.default_rng(inner.n + 7)
+    for lam in (0.0, 0.5 - 0.2j):
+        x = rng.standard_normal(inner.d) + 1j * rng.standard_normal(inner.d)
+        for k in (kernel(inner, lam, x), tilde_kernel(inner, lam, x)):
+            assert 0 <= k.lo <= k.hi < inner.m and k.dim == inner.d
+    psi = random_symbol(inner.d, 0, 2, rng)
+    phi1, residual = factor_through_theta(inner, multiply(inner.theta, psi))
+    assert (phi1 - psi).norm() <= 1e-10 * psi.norm() and residual <= 1e-8 * psi.norm()
+    assert svd_callers == []
 
 
 @pytest.mark.parametrize("inner", INNERS, ids=IDS)

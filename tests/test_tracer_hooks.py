@@ -33,8 +33,8 @@ basis = ModelSpaceBasis(random_inner(2, 2, np.random.default_rng(0)))
 op = build(basis, MatLaurent.identity(2))
 assert is_mtto(basis, op.mat).verdict
 assert run_suite(SuiteConfig(seed=1, cases=1, fixtures=("FIX2",), random_inners=()))["pass"]
-kernel(basis, 0.3, [1.0, 0.0])
-tilde_kernel(basis, 0.3, [1.0, 0.0])
+kernel(basis.inner, 0.3, [1.0, 0.0])
+tilde_kernel(basis.inner, 0.3, [1.0, 0.0])
 j_operators(basis)
 basis.coords(VecLaurent.constant([1.0, 0.0]))
 layers = [row[0] for row in tracer_module.TIMED + tracer_module.TIMED_INIT + tracer_module.COUNTED]

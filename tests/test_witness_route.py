@@ -87,9 +87,9 @@ def test_recovery_matches_least_squares_over_the_pair_map(basis):
 def test_commutant_factor_matches_block_toeplitz_least_squares(basis):
     rng = np.random.default_rng(basis.n + 8)
     d = basis.inner.d
-    symbols = [random_commuting_symbol(basis, rng), random_symbol(d, 0, 2, rng), basis.inner.theta]
+    symbols = [random_commuting_symbol(basis.inner, rng), random_symbol(d, 0, 2, rng), basis.inner.theta]
     for phi in symbols:
-        phi1, res = commutant_factor(basis, phi)
+        phi1, res = commutant_factor(basis.inner, phi)
         want, want_res = lstsq_commutant(basis, phi)
         count = max(phi1.hi, want.hi) + 1
         _assert_close(_window(phi1, count), _window(want, count))
