@@ -4,10 +4,15 @@ A value F with support [lo, hi] is stored as the dense block list
 [F_lo, ..., F_hi]; all algebra happens on coefficients, never through
 sampling.  Support endpoints are explicit: construction trims blocks that
 are exactly zero but nothing is ever truncated by tolerance behind the
-caller's back.
+caller's back.  Every product of two coefficient arrays is one block
+convolution, `convolve`: the block-Toeplitz matrix of one operand,
+gathered through a cached lag index, times the other operand as one
+matrix, so a product costs one BLAS call and no Python loop over blocks.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -25,12 +30,18 @@ def _validate_coeffs(coeffs, block_ndim: int) -> np.ndarray:
 
 
 def _trim(lo: int, coeffs: np.ndarray):
-    """Drop exactly-zero edge blocks; canonical zero sits at frequency 0."""
-    if not (coeffs[0].any() and coeffs[-1].any()):
-        nz = np.flatnonzero(coeffs.reshape(coeffs.shape[0], -1).any(axis=1))
+    """Drop exactly-zero edge blocks; canonical zero sits at frequency 0.
+    The edge test counts non-zero entries (`np.count_nonzero`, one C call
+    per edge block) where `.any()` would go through numpy's Python-level
+    reduction wrappers, and the first and last non-zero blocks are read off
+    the flat indices of the non-zero entries; a block is zero under each
+    exactly when every entry is 0 or -0 in both parts."""
+    if not (np.count_nonzero(coeffs[0]) and np.count_nonzero(coeffs[-1])):
+        nz = coeffs.reshape(-1).nonzero()[0]
         if nz.size == 0:
             return 0, np.zeros((1,) + coeffs.shape[1:], dtype=np.complex128)
-        lo, coeffs = lo + int(nz[0]), coeffs[nz[0] : nz[-1] + 1]  # lo stays a Python int for JSON
+        first, last = int(nz[0]) // coeffs[0].size, int(nz[-1]) // coeffs[0].size  # Python ints for JSON
+        lo, coeffs = lo + first, coeffs[first : last + 1]
     return lo, np.ascontiguousarray(coeffs)
 
 
@@ -149,21 +160,67 @@ def multiply(f: MatLaurent, g):
     return type(g)(f.lo + g.lo, convolve(f.coeffs, g.coeffs))
 
 
-def convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+# np.dot under np.errstate: one BLAS product that sets no floating-point
+# warning; an overflow leaves inf or nan for the caller's finiteness check
+_quiet_dot = np.errstate(over="ignore", invalid="ignore")(np.dot)
+
+
+@functools.lru_cache(maxsize=64)
+def _lags(p: int, q: int) -> np.ndarray:
+    """The read-only lag index of a block convolution of p blocks by q:
+    entry [l, k] is l - k where 0 <= l - k < p, and p (a zero block)
+    elsewhere, for l in 0..p+q-2.  Built once per shape; the 64 shapes
+    used last are kept."""
+    lag = np.subtract.outer(np.arange(p + q - 1), np.arange(q))
+    lag[(lag < 0) | (lag >= p)] = p
+    lag.setflags(write=False)
+    return lag
+
+
+def convolve(f: np.ndarray, g: np.ndarray, first: int = 0) -> np.ndarray:
     """Block convolution of coefficient arrays: block l of the result is the
     sum over i + k = l of f[i] g[k].  f has shape (p, d, d) and g shape
-    (q, d) or (q, d, c), so the c columns of g are convolved at once."""
-    nf, ng = f.shape[0], g.shape[0]
-    prods = np.einsum("iab,kb...->ika...", f, g)  # prods[i, k] = F_i G_k
-    out = np.zeros((nf + ng - 1,) + g.shape[1:], dtype=np.complex128)
-    for i in range(nf):  # in order of i: the summation order fixes the result's bytes
-        out[i : i + ng] += prods[i]
-    return out
+    (q, d) or (q, d, c), so the c columns of g are convolved at once.
+    Blocks first..p+q-2 are returned; a caller that reads only those forms
+    no other block.
+
+    It is one matrix product.  When q*d <= p*c the block-Toeplitz matrix of
+    f (block (l, k) = f[l - k]) multiplies g stacked as a qd x c matrix;
+    otherwise f laid side by side as a d x pd matrix multiplies the
+    block-Toeplitz matrix of g (block (i, l) = g[l - i]).  Either matrix is
+    gathered through the lag index of the shape (`_lags`) straight into the
+    layout the product reads, so only the result is transposed after it.
+    The rule takes the smaller matrix: with c >= d it holds at most
+    (p+q-1)/max(p, q) < 2 times the p*q*d*c entries of all the products
+    F_i G_k at once, and with a vector-valued g (c = 1) up to d times that.
+
+    BLAS takes each sum in its own order, so a block agrees with the sum
+    taken in order of i up to rounding: each is within sqrt(2)
+    gamma_{K+2} (|F| * |G|) of the exact sum, K = min(p, q) d, and the two
+    agree bit for bit where every product and partial sum is exact (a sum
+    that is exactly zero is +0.0).  An overflow gives inf or nan, as it
+    would elementwise, and sets no floating-point warning; callers that
+    keep the result check it for finiteness."""
+    p, q, d = f.shape[0], g.shape[0], f.shape[1]
+    cols = g.reshape(q, d, -1)
+    c, count = cols.shape[2], p + q - 1 - first
+    if q * d <= p * c:  # rows (a, l), columns (k, b): f[l - k, a, b]
+        tiles = np.zeros((d, p + 1, d), dtype=np.complex128)
+        tiles[:, :p] = f.transpose(1, 0, 2)
+        toeplitz = tiles.take(_lags(p, q)[first:], axis=1)
+        out = _quiet_dot(toeplitz.reshape(d * count, q * d), cols.reshape(q * d, c))
+    else:  # rows (b, i), columns (l, c): g[l - i, b, c]
+        tiles = np.zeros((d, q + 1, c), dtype=np.complex128)
+        tiles[:, :q] = cols.transpose(1, 0, 2)
+        toeplitz = tiles.take(_lags(q, p)[first:].T, axis=1)
+        out = _quiet_dot(f.transpose(1, 2, 0).reshape(d, d * p), toeplitz.reshape(d * p, count * c))
+    out += 0.0  # a sum that is exactly zero becomes +0.0, as a sum taken from zero is; BLAS can leave -0.0
+    return np.ascontiguousarray(out.reshape(d, count, c).transpose(1, 0, 2)).reshape((count,) + g.shape[1:])
 
 
 def reversed_adjoint(coeffs: np.ndarray) -> np.ndarray:
     """Coefficient blocks of F(z)* from those of F: reversed, each block adjointed."""
-    return np.conj(np.transpose(coeffs[::-1], (0, 2, 1)))
+    return coeffs[::-1].transpose(0, 2, 1).conj()
 
 
 def boundary_adjoint(f: MatLaurent) -> MatLaurent:
@@ -173,7 +230,7 @@ def boundary_adjoint(f: MatLaurent) -> MatLaurent:
 
 def tilde(f: MatLaurent) -> MatLaurent:
     """F~(z) = F(conj(z))*: every coefficient is replaced by its adjoint."""
-    return MatLaurent(f.lo, np.conj(np.transpose(f.coeffs, (0, 2, 1))))
+    return MatLaurent(f.lo, f.coeffs.transpose(0, 2, 1).conj())
 
 
 def evaluate(f, z: complex) -> np.ndarray:
@@ -203,15 +260,20 @@ def evaluate(f, z: complex) -> np.ndarray:
 def inner_residual(theta: MatLaurent) -> float:
     """Largest deviation of the coefficient products sum_k A_k* A_{k+j}
     from delta_{j0} I, i.e. how far Theta*Theta is from the constant I;
-    inf when that product or its norm overflows."""
+    inf when that product or its norm overflows.  Theta*Theta is
+    self-adjoint on the circle, so its block at -j is the adjoint of its
+    block at j and has the same norm: only the lags j >= 0 are formed
+    (`convolve`'s `first`).  Their norms are one `np.linalg.norm` over the
+    blocks' rows, under the same `errstate` as the product: an overflowing
+    block reads inf, and a nan (an overflow of opposite signs) is read as
+    inf too."""
     if theta.lo < 0:
         raise ValueError("inner test requires an analytic argument")
     with np.errstate(over="ignore", invalid="ignore"):
-        dev = convolve(reversed_adjoint(theta.coeffs), theta.coeffs)  # Theta*Theta at -(hi-lo)..hi-lo
-        if not np.isfinite(dev).all():  # a coefficient of Theta*Theta overflowed
-            return float("inf")
-        dev[theta.hi - theta.lo] -= np.eye(theta.dim)
-        return max(float(np.linalg.norm(block)) for block in dev)
+        dev = convolve(reversed_adjoint(theta.coeffs), theta.coeffs, theta.hi - theta.lo)  # lags 0..hi-lo
+        dev[0] -= np.eye(theta.dim)
+        worst = float(np.linalg.norm(dev.reshape(len(dev), -1), axis=1).max())
+    return worst if np.isfinite(worst) else float("inf")
 
 
 def purity_margin(theta: MatLaurent) -> float:

@@ -246,15 +246,15 @@ def conjugation_matrix(basis: ModelSpaceBasis, gamma: Conjugation) -> np.ndarray
     """Coordinate matrix M of the model-space conjugation: C f has
     coordinates M conj(c).  C f applies gamma coefficientwise with frequency
     reversal, multiplies by Theta and shifts down once; on the window of Q
-    that is one block convolution over all n columns.  Theta must be
-    gamma-symmetric, and then C maps K_Theta onto itself antiunitarily
-    (Garcia-Putinar), so the images lie in the space and M is unitary.
-    Neither is measured again: both read at most 2e-14 on 300
-    gamma-symmetric spaces, and on spaces turned off gamma-symmetry the
-    images' distance from the space stayed below 0.81 times the
-    gamma-symmetry residual the precondition bounds by CHECK_TOL
-    (`tests/element_oracles.py`).  M = M^T is checked: it read up to 2.6
-    times that residual, so the precondition does not imply it."""
+    that is one block convolution over all n columns, of which only the m
+    window blocks are formed.  Theta must be gamma-symmetric, and then C
+    maps K_Theta onto itself antiunitarily (Garcia-Putinar), so the images
+    lie in the space and M is unitary.  Neither is measured again: both
+    read at most 2e-14 on 300 gamma-symmetric spaces, and on spaces turned
+    off gamma-symmetry the images' distance from the space stayed below
+    0.81 times the gamma-symmetry residual the precondition bounds by
+    CHECK_TOL (`tests/element_oracles.py`).  M = M^T is checked: it read up
+    to 2.6 times that residual, so the precondition does not imply it."""
     inner = basis.inner
     d, m, n = inner.d, inner.m, basis.n
     if gamma.dim != d:
@@ -262,8 +262,8 @@ def conjugation_matrix(basis: ModelSpaceBasis, gamma: Conjugation) -> np.ndarray
     require_small(gamma_symmetric_residual(inner.theta, gamma), CHECK_TOL, NotGammaSymmetricError,
                   "theta is not gamma-symmetric, residual {residual:.3e}")
     flipped = gamma.u @ np.conj(basis.q.reshape(m, d, n)[::-1])
-    image = convolve(inner.blocks, flipped)  # block i sits at frequency i - m
-    mat = basis.q.conj().T @ image[m:].reshape(m * d, n)
+    image = convolve(inner.blocks, flipped, m)  # the window blocks, frequencies 0..m-1
+    mat = basis.q.conj().T @ image.reshape(m * d, n)
     require_small(frobenius(mat - mat.T), CHECK_TOL, IdentityCheckError,
                   "conjugation matrix is not symmetric, residual {residual:.3e}")
     return mat

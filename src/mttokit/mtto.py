@@ -189,9 +189,9 @@ def _divide_by_theta(inner: InnerFunction, lo: int, target: np.ndarray):
     -m..0 only (`inner.adjoint_blocks`), so it lowers every frequency it
     multiplies: the target's blocks below 0 never reach the quotient, and
     only those at max(lo, 0)..hi are convolved (a target wholly below 0 has
-    quotient 0), each quotient block the same sum in the same order as over
-    the whole target.  So the cost follows the length of target, not |lo|,
-    and a zero symbol's split convolves half of it."""
+    quotient 0), and of that convolution only the blocks at start..top are
+    formed (`convolve`'s `first`).  So the cost follows the length of
+    target, not |lo|, and a zero symbol's split convolves half of it."""
     m, hi = inner.m, lo + target.shape[0] - 1
     start, top = max(lo - m, 0), max(hi, 0)
     base = min(lo, start)
@@ -199,7 +199,7 @@ def _divide_by_theta(inner: InnerFunction, lo: int, target: np.ndarray):
         quotient = np.zeros((1,) + target.shape[1:], dtype=np.complex128)
     else:
         analytic = max(lo, 0)
-        quotient = convolve(inner.adjoint_blocks, target[analytic - lo :])[max(m - analytic, 0) :]
+        quotient = convolve(inner.adjoint_blocks, target[analytic - lo :], max(m - analytic, 0))
     remainder = np.zeros((top + m + 1 - base,) + target.shape[1:], dtype=np.complex128)
     remainder[lo - base : lo - base + target.shape[0]] = target
     remainder[start - base :] -= convolve(inner.blocks, quotient)

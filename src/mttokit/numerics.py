@@ -33,8 +33,11 @@ PHASE_CUT = 1e-8  # entries up to PHASE_CUT * max(1, column max) cannot carry th
 
 
 def require_finite(a: np.ndarray, message: str) -> np.ndarray:
-    """Return `a` unchanged, or raise ValueError(message) if an entry is NaN or infinite."""
-    if not np.isfinite(a).all():
+    """Return `a` unchanged, or raise ValueError(message) if an entry is NaN or
+    infinite.  The finite entries are counted (`np.count_nonzero`, one C
+    call) rather than reduced with `.all()`, which goes through numpy's
+    Python-level wrappers on every array the package checks."""
+    if np.count_nonzero(np.isfinite(a)) != a.size:
         raise ValueError(message)
     return a
 

@@ -6,15 +6,20 @@ split divides an analytic or coanalytic symbol alone, and stacks a mixed
 Phi and Phi* side by side, takes one convolution with the blocks of Theta*
 for both quotients and one with the blocks for the remainders, and fixes
 both constant terms with the left inverse of [Theta_1; ...; Theta_m] that
-the InnerFunction keeps.  The functions below are the
-route it replaced, one Laurent product, split, subtraction and `lstsq` per
-slot, with the same tolerances and refusals, the split F = F_plus + F_star*
-it rested on, and the minimum-norm least squares over block-Toeplitz
-systems that the witness tests pin both to.  `full_array_division` is the
-array route as it was before it dropped the target's frequencies below 0:
-one convolution of Theta* with the whole target, of which only the blocks
-at start..top are kept.  `zero_certificate` is the bound on ||A_Phi|| that
-the remainder of those slots gives, the one a zero verdict is certified by.
+the InnerFunction keeps.  The functions below are the route it replaced,
+one Laurent product, split, subtraction and `lstsq` per slot, with the
+same tolerances and refusals, the split F = F_plus + F_star* it rested on,
+and the minimum-norm least squares over block-Toeplitz systems that the
+witness tests pin both to.  Every product here is
+`product_oracles.einsum_convolve`, the convolution `laurent.convolve`
+replaced, so no oracle shares the kernel under test.
+`full_array_division` is the array route as it was before it dropped the
+target's frequencies below 0: one convolution of Theta* with the whole
+target, of which only the blocks at start..top are kept;
+`division_rounding_bounds` is how far the array route may lie from it when
+their sums are taken in other orders.  `zero_certificate` is the bound on
+||A_Phi|| that the remainder of those slots gives, the one a zero verdict
+is certified by.
 """
 
 from typing import Optional
@@ -22,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from mttokit.errors import DimensionMismatchError, IdentityCheckError, NotZeroOperatorError
-from mttokit.laurent import MatLaurent, boundary_adjoint, convolve, multiply, reversed_adjoint
+from mttokit.laurent import MatLaurent, boundary_adjoint, reversed_adjoint
 from mttokit.model_operator import s_theta
 from mttokit.model_space import ModelSpaceBasis, make_inner_potapov
 from mttokit.mtto import ZeroSymbolResult, build
@@ -30,6 +35,7 @@ from mttokit.numerics import CHECK_TOL, REL, opnorm, solve_min_norm
 from mttokit.randgen import haar_unitary, random_projection
 
 from dimension_oracles import toeplitz_of
+from product_oracles import einsum_convolve, einsum_multiply, rounding_bound
 
 
 def full_array_division(blocks: np.ndarray, lo: int, target: np.ndarray):
@@ -38,13 +44,32 @@ def full_array_division(blocks: np.ndarray, lo: int, target: np.ndarray):
     m, hi = blocks.shape[0] - 1, lo + target.shape[0] - 1
     start, top = max(lo - m, 0), max(hi, 0)
     base = min(lo, start)
-    keep = convolve(reversed_adjoint(blocks), target)[max(m - lo, 0) :]  # frequencies start..top
+    keep = einsum_convolve(reversed_adjoint(blocks), target)[max(m - lo, 0) :]  # frequencies start..top
     quotient = np.zeros((top + 1 - start,) + target.shape[1:], dtype=np.complex128)
     quotient[quotient.shape[0] - keep.shape[0] :] = keep
     remainder = np.zeros((top + m + 1 - base,) + target.shape[1:], dtype=np.complex128)
     remainder[lo - base : lo - base + target.shape[0]] = target
-    remainder[start - base :] -= convolve(blocks, quotient)
+    remainder[start - base :] -= einsum_convolve(blocks, quotient)
     return start, quotient, remainder
+
+
+def division_rounding_bounds(blocks: np.ndarray, lo: int, target: np.ndarray, want):
+    """Entrywise bounds on how far `mtto._divide_by_theta` may lie from
+    `want`, what `full_array_division` gives, when the two take their sums
+    in other orders: the rounding bound of the quotient's convolution, and
+    for the remainder target - Theta Q that of Theta by Q, plus |Theta|
+    convolved with the quotient's bound, plus the two subtractions'
+    roundings."""
+    m, u = blocks.shape[0] - 1, 2.0**-53
+    start, quotient, remainder = want
+    base = min(lo, start)
+    bound_q = np.zeros(quotient.shape)
+    keep = rounding_bound(reversed_adjoint(blocks), target)[max(m - lo, 0) :]
+    bound_q[quotient.shape[0] - keep.shape[0] :] = keep
+    product = rounding_bound(blocks, np.abs(quotient) + bound_q) + einsum_convolve(np.abs(blocks), bound_q).real
+    bound_r = np.zeros(remainder.shape)
+    bound_r[start - base :] = product
+    return bound_q, bound_r + 2 * u * (np.abs(remainder) + bound_r)
 
 
 def analytic_split(f: MatLaurent):
@@ -69,8 +94,8 @@ def analytic_split(f: MatLaurent):
 
 def divide_by_theta(theta: MatLaurent, target: MatLaurent):
     """Analytic quotient Q = P+(Theta* target) and the remainder target - Theta Q."""
-    quotient, _ = analytic_split(multiply(boundary_adjoint(theta), target))
-    return quotient, target - multiply(theta, quotient)
+    quotient, _ = analytic_split(einsum_multiply(boundary_adjoint(theta), target))
+    return quotient, target - einsum_multiply(theta, quotient)
 
 
 def analytic_slot(theta: MatLaurent, target: MatLaurent) -> MatLaurent:
@@ -94,7 +119,7 @@ def zero_symbol_decompose(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional
         return ZeroSymbolResult(is_zero=False, operator_norm=float(nrm))
     psi1 = analytic_slot(theta, phi)
     psi2 = analytic_slot(theta, boundary_adjoint(phi))
-    residual = (phi - multiply(theta, psi1) - boundary_adjoint(multiply(theta, psi2))).norm()
+    residual = (phi - einsum_multiply(theta, psi1) - boundary_adjoint(einsum_multiply(theta, psi2))).norm()
     if residual > 1e-8 * phi.norm():
         raise IdentityCheckError(f"zero-operator symbol failed to decompose, residual {residual:.3e}")
     return ZeroSymbolResult(True, float(nrm), psi1, psi2, float(residual))
@@ -106,7 +131,7 @@ def zero_certificate(basis: ModelSpaceBasis, phi: MatLaurent) -> float:
     by which `mtto.zero_symbol_decompose` certifies a zero symbol."""
     theta, m = basis.inner.theta, basis.inner.m
     psi1, psi2 = analytic_slot(theta, phi), analytic_slot(theta, boundary_adjoint(phi))
-    err = phi - multiply(theta, psi1) - boundary_adjoint(multiply(theta, psi2))
+    err = phi - einsum_multiply(theta, psi1) - boundary_adjoint(einsum_multiply(theta, psi2))
     return float(np.sqrt(2 * m - 1) * np.linalg.norm(err.window(1 - m, m - 1)))
 
 
@@ -114,7 +139,7 @@ def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent):
     if phi.lo < 0:
         raise ValueError("commutant factorization needs an analytic symbol")
     theta = basis.inner.theta
-    phi1, remainder = divide_by_theta(theta, multiply(phi, theta))
+    phi1, remainder = divide_by_theta(theta, einsum_multiply(phi, theta))
     residual = remainder.norm()
     if residual <= CHECK_TOL * (1.0 + phi.norm() * theta.norm()):
         a_phi = build(basis, phi)
@@ -149,11 +174,11 @@ def lstsq_commutant(basis, phi):
     d, m = basis.inner.d, basis.inner.m
     q = phi.hi + m
     sys = toeplitz_of(lambda t: np.kron(theta.coeff(t), np.eye(d)), m + q + 1, q + 1)
-    rhs_fun = multiply(phi, theta)
+    rhs_fun = einsum_multiply(phi, theta)
     rhs = np.concatenate([rhs_fun.coeff(k).reshape(-1) for k in range(m + q + 1)])
     x, _ = solve_min_norm(sys, rhs)
     phi1 = MatLaurent(0, x.reshape(q + 1, d, d))
-    return phi1, (multiply(theta, phi1) - rhs_fun).norm()
+    return phi1, (einsum_multiply(theta, phi1) - rhs_fun).norm()
 
 
 def lstsq_zero_symbol(basis, phi):
@@ -181,7 +206,7 @@ def lstsq_zero_symbol(basis, phi):
 
 def zero_symbol(theta, psi1, psi2):
     """Theta Psi1 + (Theta Psi2)*, a symbol of the zero operator."""
-    return multiply(theta, psi1) + boundary_adjoint(multiply(theta, psi2))
+    return einsum_multiply(theta, psi1) + boundary_adjoint(einsum_multiply(theta, psi2))
 
 
 def near_impure_space(margin, count=4, seed=7):

@@ -17,11 +17,12 @@ refuses.
 
 import numpy as np
 
-from mttokit.laurent import MatLaurent, convolve
+from mttokit.laurent import MatLaurent
 from mttokit.model_operator import gamma_symmetric_residual
 from mttokit.model_space import InnerFunction, kernel_window, off_space, tilde_kernel_window
 from mttokit.numerics import CHECK_TOL, column_norms, frobenius
 
+from product_oracles import einsum_convolve
 from test_conditioning_family import turn
 
 
@@ -40,7 +41,7 @@ def conjugation_residuals(basis, gamma) -> dict:
     inner = basis.inner
     d, m, n = inner.d, inner.m, basis.n
     flipped = gamma.u @ np.conj(basis.q.reshape(m, d, n)[::-1])
-    image = convolve(inner.blocks, flipped)  # block i sits at frequency i - m
+    image = einsum_convolve(inner.blocks, flipped)  # block i sits at frequency i - m
     window = image[m:].reshape(m * d, n)
     negative = column_norms(image[:m].reshape(m * d, n))
     mat = basis.q.conj().T @ window

@@ -1,18 +1,49 @@
 """Earlier implementations of the Laurent product and the Potapov
 product, kept as test references.
 
-`laurent.multiply` forms every block product F_i G_k with one einsum and
-then sums them in order of i; `model_space.potapov_product` multiplies the
-factors out in one coefficient array.  The functions below do the same
-work the direct way: one einsum per block of the left factor, and one
-`MatLaurent` and one `multiply` per Potapov factor, with each factor
-checked on its own.
+`laurent.convolve` takes a block convolution as one product with a gathered
+block-Toeplitz matrix, and `model_space.potapov_product` multiplies the
+factors out in one coefficient array.  The functions below do the same work
+the earlier ways: `einsum_convolve` forms every block product F_i G_k with
+one einsum and sums them in order of i, as `laurent.convolve` did, and
+`einsum_multiply` is `laurent.multiply` on it; `multiply_loop` takes one
+einsum per block of the left factor, and `potapov_product_loop` one
+`MatLaurent` and one `einsum_multiply` per Potapov factor, with each factor
+checked on its own.  The other oracles multiply through these, so no oracle
+shares the kernel it is compared with.
 """
 
 import numpy as np
 
 from mttokit.errors import NotProjectionError, NotUnitaryError
-from mttokit.laurent import MatLaurent, multiply
+from mttokit.laurent import MatLaurent
+
+
+def einsum_convolve(f, g):
+    """Block l = sum over i + k = l of f[i] g[k], for f (p, d, d) and g
+    (q, d) or (q, d, c): all p * q products at once, summed in order of i."""
+    nf, ng = f.shape[0], g.shape[0]
+    prods = np.einsum("iab,kb...->ika...", f, g)  # prods[i, k] = F_i G_k
+    out = np.zeros((nf + ng - 1,) + g.shape[1:], dtype=np.complex128)
+    for i in range(nf):
+        out[i : i + ng] += prods[i]
+    return out
+
+
+def rounding_bound(f, g):
+    """Entrywise bound on how far two roundings of the block convolution of
+    f by g lie apart, in any summation order: a computed complex sum of
+    K = min(p, q) d products is within sqrt(2) gamma_{K+2} (|F| * |G|) of
+    the exact one (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 3), so two of them within twice that.  |F| * |G| is the einsum
+    convolution of the entries' magnitudes; gamma_n = n u / (1 - n u)."""
+    n, u = min(f.shape[0], g.shape[0]) * f.shape[1] + 2, 2.0**-53
+    return 2.0 * np.sqrt(2.0) * n * u / (1.0 - n * u) * einsum_convolve(np.abs(f), np.abs(g)).real
+
+
+def einsum_multiply(f, g):
+    """F(z) G(z) by `einsum_convolve`; g is a MatLaurent or a VecLaurent."""
+    return type(g)(f.lo + g.lo, einsum_convolve(f.coeffs, g.coeffs))
 
 
 def multiply_loop(f, g):
@@ -36,5 +67,5 @@ def potapov_product_loop(factors, left_unitary=None):
     for p in mats:
         if np.linalg.norm(p - p.conj().T) > 1e-10 or np.linalg.norm(p @ p - p) > 1e-10:
             raise NotProjectionError("factor is not an orthogonal projection")
-        theta = multiply(theta, MatLaurent(0, np.stack([eye - p, p])))
+        theta = einsum_multiply(theta, MatLaurent(0, np.stack([eye - p, p])))
     return theta, (u, mats, sum(int(round(np.trace(p).real)) for p in mats))

@@ -5,23 +5,28 @@ pinned to the loops they replaced.
 window 0..m-1 of an element through it; `model_space.off_space` measures
 membership as ||L* f|| from Theta's blocks on window arrays;
 `inner_residual` and `gamma_symmetric_residual` use whole coefficient
-arrays; `block_toeplitz` takes the blocks at every offset as one array;
-and `recover_symbol` checks its pair on T_{Psi1 + Psi2*} assembled straight
-from the two coefficient arrays.  Where the arithmetic is the same the
-results must be equal; `off_space` sums its squares in another order than
-the loop over Theta* f, so it gets a tolerance of a few ulps.
+arrays (the first takes Theta* Theta in BLAS's summation order, pinned to
+the einsum product of `product_oracles` within their rounding bound, and
+inf wherever the loop gives inf); `block_toeplitz` takes the blocks at
+every offset as one array; and `recover_symbol` checks its pair on
+T_{Psi1 + Psi2*} assembled straight from the two coefficient arrays.
+Where the arithmetic is the same the results must be equal; `off_space`
+sums its squares in another order than the loop over Theta* f, so it gets
+a tolerance of a few ulps.
 """
 
 import numpy as np
 import pytest
 
 from mttokit.fixtures import FIXTURE_NAMES, fixture
-from mttokit.laurent import MatLaurent, VecLaurent, boundary_adjoint, inner_residual, multiply
+from mttokit.laurent import MatLaurent, VecLaurent, boundary_adjoint, inner_residual, multiply, reversed_adjoint
 from mttokit.model_operator import Conjugation, gamma_symmetric_residual
 from mttokit.model_space import ModelSpaceBasis, off_space
 from mttokit.mtto import build, recover_symbol
 from mttokit.numerics import frobenius
 from mttokit.randgen import random_inner, random_symbol
+
+from product_oracles import einsum_multiply, rounding_bound
 
 INNERS = [fixture(name) for name in FIXTURE_NAMES] + [
     random_inner(d, m, np.random.default_rng(80 + d)) for d, m in ((1, 3), (2, 3), (3, 2))
@@ -56,7 +61,7 @@ def _loop_membership_residual(basis, f):
 def _loop_inner_residual(theta):
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            prod = multiply(boundary_adjoint(theta), theta)
+            prod = einsum_multiply(boundary_adjoint(theta), theta)
         except ValueError:
             return float("inf")
         worst = 0.0
@@ -122,7 +127,16 @@ def test_inner_residual_matches_the_coefficient_loop(inner):
     ]
     for candidate in candidates:
         with np.errstate(over="ignore", invalid="ignore"):
-            assert inner_residual(candidate) == _loop_inner_residual(candidate)
+            got, want = inner_residual(candidate), _loop_inner_residual(candidate)
+        if not np.isfinite(want):
+            assert got == want
+            continue
+        # both take the blocks of Theta* Theta, in other summation orders,
+        # and their norms, in other orders again
+        c = candidate.coeffs
+        bound = rounding_bound(reversed_adjoint(c), c)
+        block_bound = float(np.linalg.norm(bound.reshape(len(bound), -1), axis=1).max())
+        assert abs(got - want) <= block_bound + (d * d + 2) * 2.0**-53 * want
 
 
 @pytest.mark.parametrize("inner", INNERS, ids=IDS)

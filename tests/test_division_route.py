@@ -71,14 +71,19 @@ def _assert_same_pair(result, want, scale, rel=1e-12):
 def _assert_same_norm(result, want, basis, phi):
     """A refusal carries the oracle's SVD norm bit for bit.  A certified
     zero verdict carries the bound that decided it instead, sqrt(2m - 1)
-    ||E_{|k|<m}||_F: the oracle's own bound with its E within 1e-15 ||Phi||,
-    at least the SVD norm up to its roundoff, and at most tol."""
+    ||E_{|k|<m}||_F: the oracle's own bound with its E within 1e-15 ||Phi||
+    times ||tail_inverse||_2 (both E are rounding of a zero remainder, and
+    the constant-term fix through the left inverse of [Theta_1; ...;
+    Theta_m] amplifies it; the norm is at least 1 and about (2 margin)^(-1/2)
+    at the purity edge), at least the SVD norm up to its roundoff, and at
+    most tol."""
     assert result.is_zero is want.is_zero
     if not want.is_zero:
         assert result.operator_norm == want.operator_norm
         return
     scale, root = phi.norm(), np.sqrt(2 * basis.inner.m - 1)
-    assert abs(result.operator_norm - oracle.zero_certificate(basis, phi)) <= root * 1e-15 * scale
+    amplified = root * 1e-15 * scale * np.linalg.norm(basis.inner.tail_inverse, 2)  # rounding of E = 0 through the fix
+    assert abs(result.operator_norm - oracle.zero_certificate(basis, phi)) <= amplified
     assert want.operator_norm <= result.operator_norm + 1e-13 * scale
     assert result.operator_norm <= result.tol
 
@@ -117,21 +122,34 @@ def test_array_division_matches_the_laurent_division(basis):
 
 
 @pytest.mark.parametrize("basis", BASES, ids=IDS)
-def test_the_division_of_the_analytic_part_is_the_full_division_bit_for_bit(basis):
+def test_the_division_of_the_analytic_part_is_the_full_division(basis):
     # Theta* lowers frequencies, so the target's blocks below 0 never reach
-    # the quotient: dropping them must not move a bit of Q or R
+    # the quotient: dropping them, and forming only the quotient's blocks,
+    # must move Q and R by rounding alone, and not a bit where the
+    # arithmetic is exact (integer targets over the dyadic fixtures)
     rng = np.random.default_rng(basis.n + 37)
     d, m = basis.inner.d, basis.inner.m
+    exact = np.array_equal(4 * basis.inner.blocks, np.round(4 * basis.inner.blocks))  # FIX1-FIX5, z^2
     spans = [(-m - 3, 2), (-m - 3, m + 2), (-m, 0), (-m, m), (-1, 1), (0, 0), (0, m + 1), (m - 1, m + 1),
              (m, m), (m + 2, m + 5), (-m - 4, -1), (-2, -1), (-1, -1), (-10, 10)]
     for lo, hi in spans:
         for columns in (d, 2 * d, 3 * d):
-            target = rng.standard_normal((hi - lo + 1, d, columns)) + 1j * rng.standard_normal((hi - lo + 1, d, columns))
+            shape = (hi - lo + 1, d, columns)
+            if exact:
+                target = rng.integers(-9, 10, shape) + 1j * rng.integers(-9, 10, shape)
+            else:
+                target = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             start, quotient, remainder = _divide_by_theta(basis.inner, lo, target)
             want = oracle.full_array_division(basis.inner.blocks, lo, target)
             assert start == want[0], (lo, hi)
             assert quotient.dtype == want[1].dtype and remainder.dtype == want[2].dtype
-            assert np.array_equal(quotient, want[1]) and np.array_equal(remainder, want[2]), (lo, hi, columns)
+            assert quotient.shape == want[1].shape and remainder.shape == want[2].shape
+            if exact:
+                assert quotient.tobytes() == want[1].tobytes() and remainder.tobytes() == want[2].tobytes()
+            else:
+                bound_q, bound_r = oracle.division_rounding_bounds(basis.inner.blocks, lo, target, want)
+                assert (np.abs(quotient - want[1]) <= bound_q).all(), (lo, hi, columns)
+                assert (np.abs(remainder - want[2]) <= bound_r).all(), (lo, hi, columns)
             if hi < 0:  # wholly below 0: the quotient is 0 and the remainder is the target
                 assert quotient.shape[0] == 1 and not quotient.any()
                 assert np.array_equal(remainder[: hi - lo + 1], target) and not remainder[hi - lo + 1 :].any()

@@ -10,8 +10,9 @@ no threshold there is a bare literal, and no residual error is raised but
 through the gate.  The suite's registry names every tolerance it holds.
 Each rule has one owner in the package source: the package reads no
 environment, only `serialize` writes a schema version, the three modules
-take every norm through `numerics`, and the rank cut is applied in
-`numerics` alone.  Nothing in the package is reached only from the tests:
+take every norm through `numerics`, the rank cut is applied in
+`numerics` alone, and a Laurent product is `laurent.convolve`'s one
+matrix product, with no einsum and no loop over blocks.  Nothing in the package is reached only from the tests:
 a name has a reader in src/, a method one through a receiver of its own
 class, and a `basis` parameter is read for more than its `inner`.
 """
@@ -332,6 +333,20 @@ def test_the_gated_modules_take_every_norm_in_numerics():
     assert list(_linalg_norms(trees["numerics.py"]))  # the owner, so the search finds a call
     calls = [f"{name}:{line}" for name in GATED for line in _linalg_norms(trees[name])]
     assert not calls, f"np.linalg.norm outside numerics in a gated module: {calls}"
+
+
+def test_the_laurent_products_take_one_route_with_no_loop_over_blocks():
+    """`laurent.convolve` is every Laurent product's one route, a gathered
+    block-Toeplitz matrix times one matrix: `laurent.py` calls no einsum
+    (the einsum route lives in tests/product_oracles.py), and `convolve`
+    has no loop or comprehension over blocks."""
+    tree = _package_trees()["laurent.py"]
+    einsums = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "einsum"]
+    assert not einsums, f"np.einsum in laurent.py at lines {einsums}"
+    convolve = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "convolve")
+    loops = [node.lineno for node in ast.walk(convolve)
+             if isinstance(node, (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))]
+    assert not loops, f"laurent.convolve loops at lines {loops}"
 
 
 # --- nothing in the package that only the tests use ------------------------------
