@@ -60,7 +60,7 @@ def _fail(code: str, message: str, status: int) -> int:
 
 
 def _theta(source: str):
-    """(Theta, Potapov data or None) of --theta, a fixture name or a file, not
+    """(Theta, factor rank sum or None) of --theta, a fixture name or a file, not
     yet checked to be pure inner, so that `inner check` can judge bad input."""
     if source in FIXTURE_FACTORS:
         return potapov_product(FIXTURE_FACTORS[source])

@@ -8,6 +8,8 @@ caller's back.  Every product of two coefficient arrays is one block
 convolution, `convolve`: the block-Toeplitz matrix of one operand,
 gathered through a cached lag index, times the other operand as one
 matrix, so a product costs one BLAS call and no Python loop over blocks.
+That lag index (`_lags`) is the package's one block-Toeplitz index: the
+compression Q* T_Phi Q of `mtto` gathers T_Phi through it as well.
 """
 
 from __future__ import annotations
@@ -169,8 +171,10 @@ _quiet_dot = np.errstate(over="ignore", invalid="ignore")(np.dot)
 def _lags(p: int, q: int) -> np.ndarray:
     """The read-only lag index of a block convolution of p blocks by q:
     entry [l, k] is l - k where 0 <= l - k < p, and p (a zero block)
-    elsewhere, for l in 0..p+q-2.  Built once per shape; the 64 shapes
-    used last are kept."""
+    elsewhere, for l in 0..p+q-2.  Row m - 1 + k of `_lags(2m - 1, m)`
+    holds k - j + m - 1 in column j, so its rows m-1..2m-2 index the m x m
+    block Toeplitz T that `mtto._compress_toeplitz` gathers.  Built once
+    per shape; the 64 shapes used last are kept."""
     lag = np.subtract.outer(np.arange(p + q - 1), np.arange(q))
     lag[(lag < 0) | (lag >= p)] = p
     lag.setflags(write=False)

@@ -32,6 +32,7 @@ from .errors import (
 from .laurent import (
     MatLaurent,
     VecLaurent,
+    convolve,
     evaluate,
     inner_residual,
     is_pure,
@@ -99,17 +100,17 @@ class InnerFunction:
     space dimension n independently as the trace of the window projector
     P = I - L L* (which must lie within m*d*TRACE_TOL of an integer) and
     as the degree of det Theta, read at one interior point; for a Potapov
-    product it also reads n off as the sum of the factor ranks, and the
+    product it also takes the sum of the factor ranks, `rank_sum`, and the
     basis counts its Gram-Schmidt directions.  It refuses to continue unless
     all of them agree.  Diagonal block k of L L* is the sum over i <= k of
     Theta_i Theta_i*, so trace P = m*d - sum over k < m of (m - k)
     ||Theta_k||_F^2, with no P formed.  A window wider than MAX_WINDOW
     coordinates is refused before anything is allocated.  `blocks` holds
-    Theta_0, ..., Theta_m as one read-only (m+1, d, d) array; `_potapov`
-    is (U, [P_1, ...], sum of rank P_j); `adjoint_blocks`, `tail_inverse` are lazy.
+    Theta_0, ..., Theta_m as one read-only (m+1, d, d) array;
+    `adjoint_blocks`, `tail_inverse` are lazy.
     """
 
-    def __init__(self, theta: MatLaurent, _potapov=None):
+    def __init__(self, theta: MatLaurent, rank_sum: int | None = None):
         if theta.lo < 0:
             raise NotInnerError("inner functions must be analytic")
         _require_window(theta.hi, theta.dim)
@@ -122,15 +123,14 @@ class InnerFunction:
         self.blocks = np.zeros((self.m + 1, self.d, self.d), dtype=np.complex128)  # Theta_0, ..., Theta_m
         self.blocks[theta.lo :] = theta.coeffs
         self.blocks.setflags(write=False)
-        self._potapov = _potapov
         norms = np.sum(np.abs(self.blocks[: self.m]) ** 2, axis=(1, 2))  # ||Theta_k||_F^2, k < m
         trace = self.m * self.d - float(np.arange(self.m, 0, -1) @ norms)  # trace of P = I - L L*
         tol = self.m * self.d * TRACE_TOL
         require_small(abs(trace - round(trace)), tol, IdentityCheckError,
                       f"projector trace {trace!r} is not within {tol:.1e} of an integer")
         witnesses = {"projector trace": int(round(trace)), "det degree": det_degree(theta)}
-        if _potapov is not None:
-            witnesses["factor rank sum"] = _potapov[2]
+        if rank_sum is not None:
+            witnesses["factor rank sum"] = rank_sum
         if len(set(witnesses.values())) != 1:
             raise IdentityCheckError(
                 "model dimension mismatch: " + ", ".join(f"{k} {v}" for k, v in witnesses.items())
@@ -159,11 +159,11 @@ class InnerFunction:
 
 def potapov_product(factors, left_unitary=None):
     """Validate the factors of U (I - P_1 + z P_1) ... (I - P_r + z P_r) and
-    multiply them out; purity is not checked.  Returns (Theta, (U, [P_1,
-    ...], sum rank P_j)), the ranks read off from the rounded traces.  Factor
-    j turns the blocks H_k of one (r+1, d, d) array into H_k (I - P_j) at k
-    plus H_k P_j at k + 1, contracted and summed as in `multiply`.  r*d >
-    MAX_WINDOW is refused before any product, even if U P_1 ... P_r = 0."""
+    multiply them out; purity is not checked.  Returns (Theta, sum rank P_j),
+    the ranks read off from the rounded traces.  Factor j turns the blocks
+    H_k of one (r+1, d, d) array into H_k (I - P_j) at k plus H_k P_j at
+    k + 1, contracted and summed as in `multiply`.  r*d > MAX_WINDOW is
+    refused before any product, even if U P_1 ... P_r = 0."""
     mats = [np.asarray(p, dtype=np.complex128) for p in factors]
     if not mats:
         raise ValueError("need at least one factor")
@@ -188,7 +188,7 @@ def potapov_product(factors, left_unitary=None):
         high = np.einsum("kab,bc->kac", coeffs[:j], p)
         coeffs[:j] = np.einsum("kab,bc->kac", coeffs[:j], eye - p)
         coeffs[1 : j + 1] += high
-    return MatLaurent(0, coeffs), (u, mats, sum(int(round(np.trace(p).real)) for p in mats))
+    return MatLaurent(0, coeffs), sum(int(round(np.trace(p).real)) for p in mats)
 
 
 def make_inner_potapov(factors, left_unitary=None) -> InnerFunction:
@@ -198,7 +198,7 @@ def make_inner_potapov(factors, left_unitary=None) -> InnerFunction:
 
 
 def theta_from_json(obj):
-    """(Theta, Potapov data or None) of an inner-function payload, its window
+    """(Theta, factor rank sum or None) of an inner-function payload, its window
     within MAX_WINDOW; Theta is multiplied out but not checked to be pure inner."""
     serialize.check_schema_version(obj)
     try:
@@ -356,14 +356,11 @@ def off_space(inner: InnerFunction, w: np.ndarray) -> np.ndarray:
     """||L* f|| for each element f in the columns of the window array w
     (m*d rows): block k of L* f is the sum over i of Theta_i* f_{k+i}, the
     analytic part of Theta* f at frequency k, which vanishes exactly on the
-    model space.  It reads Theta, not the projector the basis was built
-    from, and forms no md x md matrix."""
-    m = inner.m
-    w = w.reshape(m, inner.d, -1)
-    out = np.zeros(w.shape, dtype=np.complex128)
-    for i in range(m):
-        out[: m - i] += inner.blocks[i].conj().T @ w[i:]
-    return column_norms(out.reshape(m * inner.d, -1))
+    model space.  It reads Theta's blocks, not the projector the basis was
+    built from, and takes Theta* w at frequencies 0..m-1 as one `convolve`,
+    which forms L* itself, md x md, for w of d columns or more."""
+    m, d = inner.m, inner.d
+    return column_norms(convolve(reversed_adjoint(inner.blocks), w.reshape(m, d, -1), m).reshape(m * d, -1))
 
 
 def require_member(residual: float, scale: float, what: str) -> None:

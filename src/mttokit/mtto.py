@@ -40,7 +40,7 @@ from .errors import (
     NotMttoError,
     NotZeroOperatorError,
 )
-from .laurent import MatLaurent, boundary_adjoint, convolve, reversed_adjoint
+from .laurent import MatLaurent, _lags, boundary_adjoint, convolve, reversed_adjoint
 from .model_operator import (
     OperatorMatrix,
     defect_spaces,
@@ -49,14 +49,17 @@ from .model_operator import (
     xhat,
 )
 from .model_space import InnerFunction, ModelSpaceBasis, kernel_frame, tilde_kernel_frame
-from .numerics import REBUILD_TOL, REL, block_toeplitz, frobenius, opnorm, require_small
+from .numerics import REBUILD_TOL, REL, frobenius, opnorm, require_small
 
 
 def _compress_toeplitz(basis: ModelSpaceBasis, tiles: np.ndarray) -> np.ndarray:
     """Q* T Q for the block Toeplitz T on the coefficient window whose
-    block (k, j) is tiles[k - j + m - 1], the blocks at offsets 1 - m .. m - 1."""
+    block (k, j) is tiles[k - j + m - 1], the blocks at offsets 1 - m .. m - 1,
+    gathered through rows m - 1 .. 2m - 2 of the lag index `laurent._lags(2m - 1, m)`."""
     m, q = basis.inner.m, basis.q
-    return q.conj().T @ block_toeplitz(tiles, m, m) @ q
+    toeplitz = tiles.take(_lags(2 * m - 1, m)[m - 1 : 2 * m - 1], axis=0)  # block (k, j) of T at [k, j]
+    toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(q.shape[0], q.shape[0])  # frees the gather before Q* is formed
+    return q.conj().T @ toeplitz @ q
 
 
 def build(basis: ModelSpaceBasis, phi: MatLaurent) -> OperatorMatrix:

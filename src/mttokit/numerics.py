@@ -2,9 +2,8 @@
 
 Everything here is a thin, opinionated wrapper around numpy's SVD/lstsq
 machinery: one rank rule, one phase convention for orthonormal columns,
-one block-Toeplitz assembly, whose block-offset index is built once per
-shape, and the Frobenius norm, finite at every finite scale and equal bit
-for bit to numpy's, used consistently by the rest of the package.  The
+and the Frobenius norm, finite at every finite scale and equal bit for
+bit to numpy's, used consistently by the rest of the package.  The
 hot helpers do no more per call than their result needs: at the sizes the
 package decides on most (n up to a few dozen) a call costs its numpy
 dispatch, not its flops.  `nullspace` and
@@ -16,7 +15,6 @@ REL or REBUILD_TOL times a norm) to the one gate, `require_small`, which
 refuses a residual above the bound, NaN or infinite.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -166,22 +164,3 @@ def solve_min_norm(a, b):
     if b_arr.ndim == 1:
         x = x[:, 0]
     return x, residual
-
-
-@functools.lru_cache(maxsize=16)
-def _toeplitz_offsets(rows: int, cols: int) -> np.ndarray:
-    """The read-only index k - j + cols - 1 of block (k, j), built once per
-    shape; a space has one window, so a run holds a few of these at most."""
-    offsets = np.subtract.outer(np.arange(rows), np.arange(cols)) + cols - 1
-    offsets.setflags(write=False)
-    return offsets
-
-
-def block_toeplitz(tiles: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Matrix of rows x cols blocks whose (k, j) block is tiles[k - j + cols - 1].
-
-    `tiles` holds the blocks at offsets 1 - cols, ..., rows - 1 in order;
-    they are copied in unchanged, through the offset index of the shape,
-    built once (`_toeplitz_offsets`)."""
-    r, c = tiles.shape[1:]
-    return tiles[_toeplitz_offsets(rows, cols)].transpose(0, 2, 1, 3).reshape(rows * r, cols * c)

@@ -115,12 +115,16 @@ def _reject_constant(name):
 
 
 def load_json_file(path) -> dict:
+    """The JSON object in a file.  Text the decoder refuses (bad syntax, an integer
+    past Python's digit limit, nesting past the recursion limit) is a ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh, parse_constant=_reject_constant)
+            text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        obj = json.loads(text, parse_constant=_reject_constant)
+    except (RecursionError, ValueError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"top-level JSON value in {path} must be an object")

@@ -21,9 +21,10 @@ import numpy as np
 
 from mttokit import model_space
 from mttokit.laurent import boundary_adjoint, multiply, reversed_adjoint
-from mttokit.numerics import PHASE_CUT, block_toeplitz, fix_column_phases
+from mttokit.numerics import PHASE_CUT, fix_column_phases
 
 from dimension_oracles import anchored_cut
+from product_oracles import block_toeplitz
 
 
 def constraint_matrix(theta) -> np.ndarray:

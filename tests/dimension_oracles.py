@@ -17,7 +17,9 @@ import numpy as np
 from mttokit.errors import DimensionMismatchError
 from mttokit.laurent import MatLaurent
 from mttokit.model_operator import defect_spaces, s_theta
-from mttokit.numerics import RANK_CUT, block_toeplitz
+from mttokit.numerics import RANK_CUT
+
+from product_oracles import block_toeplitz
 
 DET_CUT = 1e-8  # det_degree_by_fft: coefficients up to DET_CUT * max(1, largest) count as zero
 

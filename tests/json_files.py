@@ -3,6 +3,8 @@ the tests, and the inner-function payload the CLI reads back."""
 
 import json
 
+import numpy as np
+
 from mttokit import serialize
 
 
@@ -13,14 +15,14 @@ def dump_json_file(path, obj) -> None:
         fh.write("\n")
 
 
-def inner_to_json(inner) -> dict:
-    """The payload `--theta FILE` reads back as `inner`: its left unitary
-    and factors for a Potapov product, its coefficients otherwise."""
+def inner_to_json(inner, factors=None, left_unitary=None) -> dict:
+    """The payload `--theta FILE` reads back as `inner`: a Potapov payload
+    when the test that built `inner` passes the factors (and the left
+    unitary, I if omitted) it built it from, the coefficients otherwise."""
     doc = {"schema_version": serialize.SCHEMA_VERSION}
-    if inner._potapov is not None:
-        u, factors, _ = inner._potapov
+    if factors is not None:
         doc["kind"] = "potapov"
-        doc["left_unitary"] = serialize.matrix_to_json(u)
+        doc["left_unitary"] = serialize.matrix_to_json(np.eye(inner.d) if left_unitary is None else left_unitary)
         doc["factors"] = [serialize.matrix_to_json(p) for p in factors]
     else:
         doc["kind"] = "coeffs"

@@ -1,12 +1,14 @@
-"""Earlier implementations of the Laurent product and the Potapov
-product, kept as test references.
+"""Earlier implementations of the Laurent product, the Potapov product
+and the block-Toeplitz matrix, kept as test references.
 
 `laurent.convolve` takes a block convolution as one product with a gathered
-block-Toeplitz matrix, and `model_space.potapov_product` multiplies the
-factors out in one coefficient array.  The functions below do the same work
-the earlier ways: `einsum_convolve` forms every block product F_i G_k with
-one einsum and sums them in order of i, as `laurent.convolve` did, and
-`einsum_multiply` is `laurent.multiply` on it; `multiply_loop` takes one
+block-Toeplitz matrix, `mtto.build` gathers T_Phi through the same lag
+index, and `model_space.potapov_product` multiplies the factors out in one
+coefficient array.  The functions below do the same work the earlier ways:
+`block_toeplitz` lays the blocks out one by one with `np.block`, as no
+route of the package does; `einsum_convolve` forms every block product
+F_i G_k with one einsum and sums them in order of i, as `laurent.convolve`
+did, and `einsum_multiply` is `laurent.multiply` on it; `multiply_loop` takes one
 einsum per block of the left factor, and `potapov_product_loop` one
 `MatLaurent` and one `einsum_multiply` per Potapov factor, with each factor
 checked on its own.  The other oracles multiply through these, so no oracle
@@ -17,6 +19,12 @@ import numpy as np
 
 from mttokit.errors import NotProjectionError, NotUnitaryError
 from mttokit.laurent import MatLaurent
+
+
+def block_toeplitz(tiles, rows: int, cols: int) -> np.ndarray:
+    """Matrix of rows x cols blocks whose (k, j) block is tiles[k - j + cols - 1]:
+    `tiles` holds the blocks at offsets 1 - cols, ..., rows - 1 in order."""
+    return np.block([[tiles[k - j + cols - 1] for j in range(cols)] for k in range(rows)])
 
 
 def einsum_convolve(f, g):
@@ -56,7 +64,7 @@ def multiply_loop(f, g):
 
 
 def potapov_product_loop(factors, left_unitary=None):
-    """(Theta, (U, [P_1, ...], sum rank P_j)) by one Laurent product per factor."""
+    """(Theta, sum rank P_j) by one Laurent product per factor."""
     mats = [np.asarray(p, dtype=np.complex128) for p in factors]
     d = mats[0].shape[0]
     u = np.eye(d, dtype=np.complex128) if left_unitary is None else np.asarray(left_unitary, dtype=np.complex128)
@@ -68,4 +76,4 @@ def potapov_product_loop(factors, left_unitary=None):
         if np.linalg.norm(p - p.conj().T) > 1e-10 or np.linalg.norm(p @ p - p) > 1e-10:
             raise NotProjectionError("factor is not an orthogonal projection")
         theta = einsum_multiply(theta, MatLaurent(0, np.stack([eye - p, p])))
-    return theta, (u, mats, sum(int(round(np.trace(p).real)) for p in mats))
+    return theta, sum(int(round(np.trace(p).real)) for p in mats)

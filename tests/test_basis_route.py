@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from mttokit import model_space  # noqa: E402
 from mttokit.errors import IdentityCheckError, ParseError  # noqa: E402
-from mttokit.fixtures import FIXTURE_NAMES, fixture  # noqa: E402
+from mttokit.fixtures import FIXTURE_FACTORS, FIXTURE_NAMES, fixture  # noqa: E402
 from mttokit.laurent import MatLaurent  # noqa: E402
 from mttokit.model_operator import defect_spaces  # noqa: E402
 from mttokit.model_space import (  # noqa: E402
@@ -127,7 +127,7 @@ def test_vectorized_phase_fix_is_bit_equal_to_the_loop(q, label):
 @pytest.mark.parametrize("kind", ["potapov", "coeffs"])
 def test_constraint_matrix_is_factored_once(monkeypatch, d, ranks, kind):
     rng = np.random.default_rng(sum(ranks))
-    theta, potapov = potapov_product([random_projection(d, r, rng) for r in ranks], haar_unitary(d, rng))
+    theta, rank_sum = potapov_product([random_projection(d, r, rng) for r in ranks], haar_unitary(d, rng))
     md = theta.hi * theta.dim
     shapes = []
     svd = np.linalg.svd
@@ -137,7 +137,7 @@ def test_constraint_matrix_is_factored_once(monkeypatch, d, ranks, kind):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    basis = ModelSpaceBasis(InnerFunction(theta, potapov if kind == "potapov" else None))
+    basis = ModelSpaceBasis(InnerFunction(theta, rank_sum if kind == "potapov" else None))
     assert basis.n == sum(ranks)
     assert shapes.count((md, md)) == 0  # P = I - L L* needs no factorization of the constraint map
 
@@ -231,10 +231,10 @@ def test_the_window_cut_keeps_n_columns_and_moves_no_generic_basis(monkeypatch):
 
 def test_wrong_factor_rank_sum_is_refused_by_the_projector_trace():
     rng = np.random.default_rng(3)
-    theta, (u, factors, rank_sum) = potapov_product([random_projection(3, r, rng) for r in (1, 2, 2)], haar_unitary(3, rng))
-    assert InnerFunction(theta, (u, factors, rank_sum)).n == rank_sum == 5
+    theta, rank_sum = potapov_product([random_projection(3, r, rng) for r in (1, 2, 2)], haar_unitary(3, rng))
+    assert InnerFunction(theta, rank_sum).n == rank_sum == 5
     with pytest.raises(IdentityCheckError, match="projector trace 5, det degree 5, factor rank sum 4"):
-        InnerFunction(theta, (u, factors, rank_sum - 1))
+        InnerFunction(theta, rank_sum - 1)
 
 
 def test_projector_trace_off_an_integer_is_refused(monkeypatch):
@@ -269,14 +269,15 @@ def test_window_of_a_thousand_coordinates_is_admitted():
 
 
 def _generic_thetas():
-    """(label, Theta, Potapov data): the fixtures, the seeded spaces, three
-    draws of each benchmark shape and gamma-symmetric draws."""
+    """(label, Theta, factor rank sum): the fixtures, the seeded spaces,
+    three draws of each benchmark shape and gamma-symmetric draws.  A space
+    the test does not build from its factors gives its n, the rank sum its
+    own construction was checked against."""
     for name in FIXTURE_NAMES:
-        inner = fixture(name)
-        yield name, inner.theta, inner._potapov
+        yield name, *potapov_product(FIXTURE_FACTORS[name])
     for d, m, seed in SEEDED:
         inner = random_inner(d, m, np.random.default_rng(seed))
-        yield f"seeded {d}x{m}", inner.theta, inner._potapov
+        yield f"seeded {d}x{m}", inner.theta, inner.n
     for k, (d, ranks) in enumerate(BENCHMARK_SHAPES):
         rng = np.random.default_rng(k)
         for draw in range(3):
@@ -285,13 +286,13 @@ def _generic_thetas():
     for seed in range(12):
         d, m = 1 + seed % 4, 1 + seed % 3
         inner = random_gamma_symmetric_triple(d, m, np.random.default_rng(seed))[1]
-        yield f"gamma-symmetric {d}x{m} {seed}", inner.theta, inner._potapov
+        yield f"gamma-symmetric {d}x{m} {seed}", inner.theta, inner.n
 
 
 @pytest.mark.parametrize("kind", ["potapov", "coeffs"])
 def test_no_generic_basis_crosses_the_gate(monkeypatch, kind):
-    inners = [(label, InnerFunction(theta, potapov if kind == "potapov" else None))
-              for label, theta, potapov in _generic_thetas()]
+    inners = [(label, InnerFunction(theta, rank_sum if kind == "potapov" else None))
+              for label, theta, rank_sum in _generic_thetas()]
     bases = [ModelSpaceBasis(inner).q for _, inner in inners]
     monkeypatch.setattr(model_space, "OFF_ULPS", 2**62)  # no basis is re-projected
     for (label, inner), q in zip(inners, bases):

@@ -18,10 +18,10 @@ import pytest
 
 from mttokit import cli, mtto, randgen, serialize
 from mttokit.cli import COMMANDS, build_parser, main
-from mttokit.fixtures import FIXTURE_NAMES, fixture
+from mttokit.fixtures import FIXTURE_FACTORS, FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent, multiply
 from mttokit.model_operator import OperatorMatrix
-from mttokit.model_space import ModelSpaceBasis
+from mttokit.model_space import ModelSpaceBasis, make_inner_potapov
 from mttokit.mtto import build, membership_witness
 from mttokit.suite import SuiteConfig, _spaces
 
@@ -435,8 +435,9 @@ def test_op_test_decides_by_the_one_rule_and_never_forms_the_starred_identity(tm
     Gaussian operator goes through `_membership` once, which forms
     A - S A S* once and never A - S* A S; `op recover` goes through the same
     rule."""
-    potapov = tmp_path / "potapov.json"
-    dump_json_file(potapov, inner_to_json(randgen.random_inner(2, 3, np.random.default_rng(32))))
+    potapov, rng = tmp_path / "potapov.json", np.random.default_rng(32)
+    factors, u = [randgen.random_projection(2, 1, rng) for _ in range(3)], randgen.haar_unitary(2, rng)
+    dump_json_file(potapov, inner_to_json(make_inner_potapov(factors, u), factors, u))
     deltas, rules = _counted(monkeypatch, "_delta"), _counted(monkeypatch, "_membership")
     rng = np.random.default_rng(33)
     for source in (*FIXTURE_NAMES, str(potapov)):
@@ -834,6 +835,29 @@ def test_boolean_complex_entry_exits_2(tmp_path, capsys):
     _assert_parse_error(*run(capsys, "op", "test", "--theta", "FIX1", "--op", str(path)))
 
 
+HOSTILE_JSON = {
+    "nested": "[" * 10**5 + "]" * 10**5,  # deeper than the recursion limit
+    "long-integer": '{"kind": "coeffs", "laurent": {"dim": 1, "lo": ' + "1" * 5000 + "}}",  # above 4300 digits
+}
+READERS = {
+    "theta": ("dim", "--theta"),
+    "symbol": ("op", "build", "--theta", "FIX3", "--symbol"),
+    "op": ("op", "test", "--theta", "FIX3", "--op"),
+    "config": ("suite", "--config"),
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("shape", HOSTILE_JSON)
+def test_json_the_decoder_refuses_exits_2_naming_the_file(tmp_path, capsys, shape, reader):
+    path = tmp_path / "hostile.json"
+    path.write_text(HOSTILE_JSON[shape])
+    code, out, err = run(capsys, *READERS[reader], str(path))
+    _assert_parse_error(code, out, err)
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert json.loads(err)["message"].startswith(f"invalid JSON in {path}: ")
+
+
 def test_tiny_non_member_is_rejected_and_tiny_member_accepted(tmp_path, capsys):
     # the default tolerance scales with ||A||, so scaling an operator
     # down by 1e-10 leaves its verdict alone
@@ -870,7 +894,7 @@ def _versioned_inputs(tmp_path, version):
     (no schema_version field at all when version is None)."""
     inner = fixture("FIX3")
     docs = {
-        "theta": inner_to_json(inner),
+        "theta": inner_to_json(inner, FIXTURE_FACTORS["FIX3"]),
         "coeffs": {"kind": "coeffs", "laurent": serialize.laurent_to_json(inner.theta)},
         "symbol": serialize.laurent_to_json(MatLaurent.identity(2)),
         "op": build(ModelSpaceBasis(inner), MatLaurent.identity(2)).to_json(),

@@ -19,7 +19,7 @@ import pytest
 
 from mttokit import cli, laurent, serialize
 from mttokit.cli import main
-from mttokit.fixtures import FIXTURE_NAMES, fixture
+from mttokit.fixtures import FIXTURE_FACTORS, FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent, boundary_adjoint, inner_residual, is_pure, multiply, purity_margin
 from mttokit.model_space import ModelSpaceBasis, theta_from_json
 from mttokit.mtto import build
@@ -68,7 +68,7 @@ def test_stdout_is_one_canonical_json_line(tmp_path, capsys, command, name):
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_a_fixture_name_and_its_file_give_the_same_bytes(tmp_path, capsys, command, name):
     inputs, path = _inputs(tmp_path, name), tmp_path / "theta.json"
-    dump_json_file(path, inner_to_json(fixture(name)))
+    dump_json_file(path, inner_to_json(fixture(name), FIXTURE_FACTORS[name]))
     runs = []
     for theta in (name, str(path)):
         code = main([a.format(theta=theta, **inputs) for a in _COMMANDS[command]])

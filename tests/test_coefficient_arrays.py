@@ -7,12 +7,15 @@ membership as ||L* f|| from Theta's blocks on window arrays;
 `inner_residual` and `gamma_symmetric_residual` use whole coefficient
 arrays (the first takes Theta* Theta in BLAS's summation order, pinned to
 the einsum product of `product_oracles` within their rounding bound, and
-inf wherever the loop gives inf); `block_toeplitz` takes the blocks at
-every offset as one array; and `recover_symbol` checks its pair on
+inf wherever the loop gives inf); `build` gathers T_Phi through the lag
+index of `laurent.convolve`, pinned to the block-by-block layout of
+`product_oracles.block_toeplitz`; and `recover_symbol` checks its pair on
 T_{Psi1 + Psi2*} assembled straight from the two coefficient arrays.
 Where the arithmetic is the same the results must be equal; `off_space`
-sums its squares in another order than the loop over Theta* f, so it gets
-a tolerance of a few ulps.
+takes Theta* f as one BLAS product and sums its squares in other orders
+than the loop over Theta* f, so it gets a tolerance of a few ulps.  The
+n = 240 space (d = 6, m = 80) joins the spaces the compression and
+`off_space` are pinned on.
 """
 
 import numpy as np
@@ -21,18 +24,28 @@ import pytest
 from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent, VecLaurent, boundary_adjoint, inner_residual, multiply, reversed_adjoint
 from mttokit.model_operator import Conjugation, gamma_symmetric_residual
-from mttokit.model_space import ModelSpaceBasis, off_space
+from mttokit.model_space import ModelSpaceBasis, make_inner_potapov, off_space
 from mttokit.mtto import build, recover_symbol
 from mttokit.numerics import frobenius
-from mttokit.randgen import random_inner, random_symbol
+from mttokit.randgen import haar_unitary, random_inner, random_projection, random_symbol
 
-from product_oracles import einsum_multiply, rounding_bound
+from product_oracles import block_toeplitz, einsum_multiply, rounding_bound
 
 INNERS = [fixture(name) for name in FIXTURE_NAMES] + [
     random_inner(d, m, np.random.default_rng(80 + d)) for d, m in ((1, 3), (2, 3), (3, 2))
 ]
 IDS = list(FIXTURE_NAMES) + ["random-1x3", "random-2x3", "random-3x2"]
 BASES = [ModelSpaceBasis(inner) for inner in INNERS]
+
+
+def _cell_240():
+    """The seeded Potapov space of eighty rank-3 factors at d = 6: n = 240 on a window of 480."""
+    rng = np.random.default_rng(3)
+    factors = [random_projection(6, 3, rng) for _ in range(80)]
+    return ModelSpaceBasis(make_inner_potapov(factors, left_unitary=haar_unitary(6, rng)))
+
+
+WITH_240, IDS_240 = BASES + [_cell_240()], IDS + ["n240"]
 
 
 def _loop_window(f, lo, hi):
@@ -100,7 +113,7 @@ def test_window_and_coords_match_the_coefficient_loops(basis):
             assert np.array_equal(f.window(lo, hi), _loop_window(f, lo, hi))
 
 
-@pytest.mark.parametrize("basis", BASES, ids=IDS)
+@pytest.mark.parametrize("basis", WITH_240, ids=IDS_240)
 def test_off_space_matches_the_coefficient_loop(basis):
     rng = np.random.default_rng(basis.n + 2)
     d, m = basis.inner.d, basis.inner.m
@@ -149,12 +162,23 @@ def test_gamma_symmetric_residual_matches_the_coefficient_loop(inner):
             assert gamma_symmetric_residual(f, gamma) == _loop_gamma_symmetric_residual(f, gamma)
 
 
-@pytest.mark.parametrize("basis", BASES, ids=IDS)
+def _oracle_compression(basis, phi):
+    """Q* T Q with T laid out block by block from the blocks of phi at offsets 1 - m .. m - 1."""
+    m, q = basis.inner.m, basis.q
+    return q.conj().T @ block_toeplitz(phi.window(1 - m, m - 1), m, m) @ q
+
+
+@pytest.mark.parametrize("basis", WITH_240, ids=IDS_240)
 def test_recover_symbol_checks_the_pair_on_the_window_that_build_assembles(basis):
+    """`build` and the rebuild of `recover_symbol` are, bit for bit, the
+    compression of the block-Toeplitz matrix the oracle lays out."""
     rng = np.random.default_rng(basis.n + 5)
-    d = basis.inner.d
-    for lo, hi in ((-2, 2), (0, 3), (-3, 0)):
-        a = build(basis, random_symbol(d, lo, hi, rng)).mat
+    d, m = basis.inner.d, basis.inner.m
+    for lo, hi in ((-2, 2), (0, 3), (-3, 0), (1 - m, m + 1)):
+        phi = random_symbol(d, lo, hi, rng)
+        a = build(basis, phi).mat
+        assert a.tobytes() == _oracle_compression(basis, phi).tobytes()
         rec = recover_symbol(basis, a)
-        rebuilt = build(basis, rec.psi1 + boundary_adjoint(rec.psi2)).mat
+        rebuilt = _oracle_compression(basis, rec.psi1 + boundary_adjoint(rec.psi2))
         assert rec.residual == frobenius(rebuilt - a)
+

@@ -85,8 +85,8 @@ def _cases():
 
 
 def _payloads(factors):
-    theta, potapov = potapov_product(factors)
-    return {"potapov": InnerFunction(theta, potapov), "coeffs": InnerFunction(theta)}
+    theta, rank_sum = potapov_product(factors)
+    return {"potapov": InnerFunction(theta, rank_sum), "coeffs": InnerFunction(theta)}
 
 
 def _run(capsys, *argv):
@@ -109,7 +109,7 @@ def _check_members(tmp_path, capsys, d, factors):
         recover_symbol(basis, a)
 
         theta = str(tmp_path / f"{kind}.json")
-        dump_json_file(theta, inner_to_json(inner))
+        dump_json_file(theta, inner_to_json(inner, factors if kind == "potapov" else None))
         code, out = _run(capsys, "op", "build", "--theta", theta, "--symbol", str(tmp_path / "phi.json"))
         assert code == 0 and np.array_equal(serialize.json_to_matrix(json.loads(out)["entries"]), a.mat)
         (tmp_path / "op.json").write_text(out)

@@ -27,7 +27,7 @@ from mttokit.model_operator import action_check, defect_spaces, s_theta
 from mttokit.model_space import InnerFunction, ModelSpaceBasis, make_inner_potapov
 from mttokit.mtto import build, is_mtto, mtto_dimension
 from mttokit.numerics import CHECK_TOL
-from mttokit.randgen import haar_unitary, random_inner, random_projection
+from mttokit.randgen import haar_unitary, random_projection
 from mttokit.serialize import canonical_json
 
 from dimension_oracles import svd_counts
@@ -130,8 +130,10 @@ def test_report_of_a_space_with_n_equal_to_d_1400_serializes():
 
 def _theta_files(tmp_path):
     """--theta sources of the three kinds: a fixture, a Potapov file and a coeffs file."""
-    inner = random_inner(3, 3, np.random.default_rng(95))
-    dump_json_file(tmp_path / "potapov.json", inner_to_json(inner))
+    rng = np.random.default_rng(95)
+    factors, u = [random_projection(3, r, rng) for r in (1, 2, 2)], haar_unitary(3, rng)
+    inner = make_inner_potapov(factors, u)
+    dump_json_file(tmp_path / "potapov.json", inner_to_json(inner, factors, u))
     dump_json_file(tmp_path / "coeffs.json", {"kind": "coeffs", "laurent": serialize.laurent_to_json(inner.theta)})
     return {"fixture": "FIX5", "potapov": str(tmp_path / "potapov.json"), "coeffs": str(tmp_path / "coeffs.json")}
 

@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mttokit import numerics
+from mttokit import laurent, numerics
 from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent
 from mttokit.model_space import ModelSpaceBasis, kernel_frame, tilde_kernel_frame
@@ -119,7 +119,7 @@ def test_no_norm_dispatch_and_no_errstate_in_warm_build_is_mtto_or_recover_symbo
 
 
 def test_the_toeplitz_offset_index_is_built_once_per_shape():
-    offsets = numerics._toeplitz_offsets
+    offsets = laurent._lags
     offsets.cache_clear()
     rng = np.random.default_rng(3)
     for basis in SPACES:
@@ -127,7 +127,7 @@ def test_the_toeplitz_offset_index_is_built_once_per_shape():
         for _ in range(3):
             a = build(basis, phi).mat
             recover_symbol(basis, a)
-    shapes = {(basis.inner.m, basis.inner.m) for basis in SPACES}
+    shapes = {(2 * basis.inner.m - 1, basis.inner.m) for basis in SPACES}
     info = offsets.cache_info()
     assert info.misses == len(shapes) and info.hits == 6 * len(SPACES) - len(shapes)
     assert info.currsize == len(shapes) <= info.maxsize

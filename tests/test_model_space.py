@@ -11,7 +11,7 @@ from mttokit.errors import (
     NotPureError,
     NotUnitaryError,
 )
-from mttokit.fixtures import fixture
+from mttokit.fixtures import FIXTURE_FACTORS, fixture
 from mttokit.laurent import MatLaurent, VecLaurent, evaluate, inner_residual, multiply, tilde
 from mttokit.model_space import (
     InnerFunction,
@@ -210,11 +210,10 @@ def test_inner_function_accepts_theta_perturbed_along_the_reading():
 
 
 def test_wrong_factor_rank_sum_is_refused():
-    inner = fixture("FIX5")
-    u, factors, rank_sum = inner._potapov
-    assert rank_sum == inner.n
+    theta, rank_sum = potapov_product(FIXTURE_FACTORS["FIX5"])
+    assert rank_sum == fixture("FIX5").n
     with pytest.raises(IdentityCheckError, match="factor rank sum 3"):
-        InnerFunction(inner.theta, _potapov=(u, factors, rank_sum + 1))
+        InnerFunction(theta, rank_sum=rank_sum + 1)
 
 
 def test_fix3_basis_is_the_expected_monomial_family():

@@ -12,9 +12,12 @@ Each rule has one owner in the package source: the package reads no
 environment, only `serialize` writes a schema version, the three modules
 take every norm through `numerics`, the rank cut is applied in
 `numerics` alone, and a Laurent product is `laurent.convolve`'s one
-matrix product, with no einsum and no loop over blocks.  Nothing in the package is reached only from the tests:
-a name has a reader in src/, a method one through a receiver of its own
-class, and a `basis` parameter is read for more than its `inner`.
+matrix product, with no einsum and no loop over blocks, as is the
+membership measure `model_space.off_space`; the block-Toeplitz index is
+built in `laurent.py` alone.  Nothing in the package is reached only from
+the tests: a name has a reader in src/, a method one through a receiver
+of its own class, an attribute stored on `self` one by attribute, and a
+`basis` parameter is read for more than its `inner`.
 """
 
 import ast
@@ -338,15 +341,31 @@ def test_the_gated_modules_take_every_norm_in_numerics():
 def test_the_laurent_products_take_one_route_with_no_loop_over_blocks():
     """`laurent.convolve` is every Laurent product's one route, a gathered
     block-Toeplitz matrix times one matrix: `laurent.py` calls no einsum
-    (the einsum route lives in tests/product_oracles.py), and `convolve`
-    has no loop or comprehension over blocks."""
-    tree = _package_trees()["laurent.py"]
-    einsums = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "einsum"]
+    (the einsum route lives in tests/product_oracles.py), and neither
+    `convolve` nor `model_space.off_space`, which applies L* through it,
+    has a loop or comprehension over blocks."""
+    trees = _package_trees()
+    einsums = [node.lineno for node in ast.walk(trees["laurent.py"])
+               if isinstance(node, ast.Attribute) and node.attr == "einsum"]
     assert not einsums, f"np.einsum in laurent.py at lines {einsums}"
-    convolve = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "convolve")
-    loops = [node.lineno for node in ast.walk(convolve)
-             if isinstance(node, (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))]
-    assert not loops, f"laurent.convolve loops at lines {loops}"
+    for module, function in (("laurent.py", "convolve"), ("model_space.py", "off_space")):
+        fn = next(node for node in trees[module].body if isinstance(node, ast.FunctionDef) and node.name == function)
+        loops = [node.lineno for node in ast.walk(fn)
+                 if isinstance(node, (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))]
+        assert not loops, f"{module[:-3]}.{function} loops at lines {loops}"
+
+
+def test_the_block_toeplitz_index_is_built_in_laurent_alone():
+    """`laurent._lags`, built by `np.subtract.outer`, is the package's one
+    block-Toeplitz index: `convolve` and `mtto._compress_toeplitz` gather
+    through it, so no other module builds an index that way."""
+    trees = _package_trees()
+    outers = {name: [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                     and node.attr == "outer" and isinstance(node.value, ast.Attribute) and node.value.attr == "subtract"]
+              for name, tree in trees.items()}
+    assert outers.pop("laurent.py"), "laurent._lags builds its index by np.subtract.outer"
+    elsewhere = {name: lines for name, lines in outers.items() if lines}
+    assert not elsewhere, f"np.subtract.outer outside laurent.py: {elsewhere}"
 
 
 # --- nothing in the package that only the tests use ------------------------------
@@ -413,6 +432,25 @@ def test_every_definition_has_a_caller_in_the_package():
             if reads <= 0 and (method or short not in exported):
                 dead.append(f"{name}:{node.lineno} {qualname}")
     assert not dead, f"defined in src/ but used only outside it: {dead}"
+
+
+def test_every_attribute_stored_on_self_is_read_in_the_package():
+    """An attribute a method stores on `self` is read as an attribute
+    (`x.name`, or updated in place) somewhere in src/; one that only the
+    tests read is state the package keeps for nothing."""
+    stored, read = [], Counter()
+    for name, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                read[node.target.attr] += 1
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                read[node.attr] += 1
+            elif isinstance(node.ctx, ast.Store) and isinstance(node.value, ast.Name) and node.value.id == "self":
+                stored.append((f"{name}:{node.lineno} self.{node.attr}", node.attr))
+    unread = [where for where, attr in stored if not read[attr]]
+    assert stored and not unread, f"attributes stored on self that src/ never reads: {unread}"
 
 
 def test_no_module_level_import_is_unused():

@@ -6,7 +6,7 @@ import pytest
 
 from mttokit import serialize
 from mttokit.errors import ParseError
-from mttokit.fixtures import FIXTURE_NAMES, fixture
+from mttokit.fixtures import FIXTURE_FACTORS, FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent
 from mttokit.model_space import InnerFunction, ModelSpaceBasis, theta_from_json
 from mttokit.randgen import random_inner
@@ -93,7 +93,7 @@ def test_zero_symbol_round_trips(d):
 
 def test_inner_function_round_trip_both_kinds():
     inner = fixture("FIX5")
-    back = InnerFunction(*theta_from_json(inner_to_json(inner)))
+    back = InnerFunction(*theta_from_json(inner_to_json(inner, FIXTURE_FACTORS["FIX5"])))
     assert (back.theta - inner.theta).norm() <= 1e-14
     coeffs_doc = {"kind": "coeffs", "laurent": serialize.laurent_to_json(inner.theta)}
     again = InnerFunction(*theta_from_json(coeffs_doc))
@@ -128,7 +128,7 @@ def test_load_json_file_errors(tmp_path):
 
 @pytest.mark.parametrize("version", [2, "1", True, 1.0, None])
 def test_readers_refuse_an_unknown_schema_version(version):
-    doc = inner_to_json(fixture("FIX5"))
+    doc = inner_to_json(fixture("FIX5"), FIXTURE_FACTORS["FIX5"])
     doc["schema_version"] = version
     sym = dict(serialize.laurent_to_json(MatLaurent.identity(2)), schema_version=version)
     with pytest.raises(ParseError, match="schema_version"):

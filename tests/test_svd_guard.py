@@ -97,8 +97,8 @@ def _identity_spaces():
     spaces += [pytest.param(inner, id="shift-route-" + name)
                for name, inner in test_shift_route.SPACES.items() if name not in FIXTURE_NAMES]
     for case in conditioning_cases():
-        theta, potapov = potapov_product(case.values[1])
-        spaces += [pytest.param(InnerFunction(theta, potapov), id="family-" + case.id),
+        theta, rank_sum = potapov_product(case.values[1])
+        spaces += [pytest.param(InnerFunction(theta, rank_sum), id="family-" + case.id),
                    pytest.param(InnerFunction(theta), id="family-coeffs-" + case.id)]
     return spaces
 
