@@ -157,7 +157,6 @@ def _op_recover(args):
         "analytic_part": serialize.laurent_to_json(rec.psi1),
         "costar_part": serialize.laurent_to_json(rec.psi2),
         "rebuild_residual": rec.residual,
-        "rebuild_tol": rec.tol,
         "membership_residual": rec.membership_residual,
         "membership_tol": rec.membership_tol,
     }, 0

@@ -141,7 +141,7 @@ def membership_witness(basis: ModelSpaceBasis, a, starred: bool = False) -> Mtto
 
 def _membership(basis: ModelSpaceBasis, amat: np.ndarray, tol: Optional[float]):
     """The membership rule, written once for `is_mtto` and `recover_symbol`:
-    (Delta, residual, ||A||_F, tol, bracket) for Delta = A - S A S* and the
+    (Delta, residual, tol, bracket) for Delta = A - S A S* and the
     residual ||P Delta P||_F, P = I - U U* off the first defect space, two
     n x n products and two rank-d corrections, no SVD on a warm basis, and
     exactly 0 when n = d (P = 0).  A is a member when residual <= tol, tol
@@ -150,9 +150,8 @@ def _membership(basis: ModelSpaceBasis, amat: np.ndarray, tol: Optional[float]):
     dist_F(A, class)."""
     delta = _delta(basis, amat)
     residual = _off_defect_norm(delta, defect_spaces(basis).d_basis)
-    scale = frobenius(amat)
-    tol = REL * scale if tol is None else tol
-    return delta, residual, scale, tol, (residual / 2, basis.inner.m * residual)
+    tol = REL * frobenius(amat) if tol is None else tol
+    return delta, residual, tol, (residual / 2, basis.inner.m * residual)
 
 
 @dataclass
@@ -177,7 +176,7 @@ def is_mtto(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> MttoDecis
     class, by the one rule that recover_symbol shares (`_membership`).  It
     forms Delta once, copies nothing and splits nothing.  An operator of
     another space is refused."""
-    _, residual, _, tol, bounds = _membership(basis, matrix_of(a, basis), tol)
+    _, residual, tol, bounds = _membership(basis, matrix_of(a, basis), tol)
     return MttoDecision(bool(residual <= tol), float(residual), float(tol), bounds)
 
 
@@ -230,9 +229,8 @@ def commutant_factor(inner: InnerFunction, phi: MatLaurent):
 class RecoveredSymbol:
     psi1: MatLaurent
     psi2: MatLaurent
-    residual: float
-    tol: float  # the bound the rebuild residual was checked against
-    membership_residual: float  # ||P Delta P||_F of `_membership`, which passed
+    residual: float  # ||A - A_Psi||_F: the upper end of the distance to the class, up to rounding
+    membership_residual: float  # ||P Delta P||_F of `_membership`, which passed; half is the lower end
     membership_tol: float  # the tol it passed against
 
 
@@ -241,13 +239,14 @@ def recover_symbol(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> Re
     space, with A = A_{Psi1 + Psi2*}.  The rule of `_membership`, the one
     is_mtto decides by, forms Delta = A - S A S*, so the two agree at every
     tol: a non-member is refused with the certified interval of its
-    distance to the class; a member's Delta is split once over K0, and the
-    rebuild, within m * residual of A, is checked to max(REBUILD_TOL ||A||_F,
-    m * residual), kept as `tol`.  Psi1, Psi2 have coordinates
-    (X + K0 C, Y - K0 C*), with the d x d gauge C of minimum norm:
-    H C + C H = Y* K0 - K0* X for H = K0* K0, in the cached eigenbasis of H."""
+    distance to the class; a member's Delta is split once over K0.  Psi1,
+    Psi2 have coordinates (X + K0 C, Y - K0 C*), with the d x d gauge C of
+    minimum norm: H C + C H = Y* K0 - K0* X for H = K0* K0, in the cached
+    eigenbasis of H.  A_Psi = A - sum_{k<m} S^k E S*^k, E = P Delta P, is
+    the member behind the bracket's upper end: ||A - A_Psi||_F <= m *
+    membership_residual up to rounding, so it is reported, not checked."""
     amat, ds, m = matrix_of(a, basis), defect_spaces(basis), basis.inner.m
-    delta, member_residual, scale, tol, (low, high) = _membership(basis, amat, tol)
+    delta, member_residual, tol, (low, high) = _membership(basis, amat, tol)
     if not member_residual <= tol:
         raise NotMttoError(
             f"operator is not a truncated Toeplitz operator: residual {member_residual:.3e}"
@@ -261,11 +260,8 @@ def recover_symbol(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> Re
     p1, p2 = f @ (x + k0 @ c), f @ (y - k0 @ c.conj().T)
     # T_{Psi1 + Psi2*}: block (k, j) is Psi1_{k-j} for k >= j plus (Psi2_{j-k})* for j >= k
     tiles = np.concatenate([reversed_adjoint(p2[1:]), p1[:1] + reversed_adjoint(p2[:1]), p1[1:]])
-    bound = max(REBUILD_TOL * scale, high)
-    residual = require_small(frobenius(_compress_toeplitz(basis, tiles) - amat), bound,
-                             IdentityCheckError, "recovered symbol rebuilds with residual {residual:.3e}")
-    return RecoveredSymbol(MatLaurent(0, p1), MatLaurent(0, p2), float(residual), float(bound),
-                           float(member_residual), float(tol))
+    residual = frobenius(_compress_toeplitz(basis, tiles) - amat)
+    return RecoveredSymbol(MatLaurent(0, p1), MatLaurent(0, p2), float(residual), float(member_residual), float(tol))
 
 
 @dataclass
@@ -379,8 +375,8 @@ def mtto_dimension(space: InnerFunction | ModelSpaceBasis) -> DimensionReport:
     basis of a pure Theta: K0* K0 = I - Theta(0) Theta(0)* is invertible,
     and S^k = Q* Z^k Q because Z maps Theta H^2 into itself, so S^m = 0.
     Nothing is measured here; `InnerFunction` has already checked n by
-    the projector trace and the det degree, `defect_spaces` refuses a
-    rank-deficient kernel frame, and the suite measures ||S^m||.
+    the projector trace and the det degree, and its purity floor gives
+    K0 rank d (`model_operator._frame_svd`); the suite measures ||S^m||.
     """
     n, d = space.n, space.d
     return DimensionReport(

@@ -115,12 +115,12 @@ def _reject_constant(name):
 
 
 def load_json_file(path) -> dict:
-    """The JSON object in a file.  Text the decoder refuses (bad syntax, an integer
-    past Python's digit limit, nesting past the recursion limit) is a ParseError."""
+    """The JSON object in a file.  Bytes that are not UTF-8 and text the decoder refuses (bad
+    syntax, an integer past Python's digit limit, nesting past the recursion limit) are a ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         obj = json.loads(text, parse_constant=_reject_constant)

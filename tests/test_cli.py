@@ -27,6 +27,7 @@ from mttokit.suite import SuiteConfig, _spaces
 
 from division_oracles import near_impure_space
 from json_files import dump_json_file, inner_to_json
+from membership_oracles import rebuild_bound
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -274,15 +275,16 @@ def test_op_recover_writes_the_bound_of_its_result(tmp_path, capsys, monkeypatch
     op_path = _member_op_file(tmp_path)
     code, out, _ = run(capsys, "op", "recover", "--theta", "FIX3", "--op", op_path)
     doc, amat = json.loads(out), serialize.json_to_matrix(serialize.load_json_file(op_path)["entries"])
-    assert code == 0 and doc["rebuild_tol"] == 1e-8 * np.linalg.norm(amat) and doc["rebuild_residual"] <= doc["rebuild_tol"]
+    m = fixture("FIX3").m
+    assert code == 0 and doc["rebuild_residual"] <= rebuild_bound(m, doc["membership_residual"], np.linalg.norm(amat))
     decision = json.loads(run(capsys, "op", "test", "--theta", "FIX3", "--op", op_path)[1])
     assert (doc["membership_residual"], doc["membership_tol"]) == (decision["residual"], decision["tol"])
-    recover = mtto.recover_symbol  # the document carries the result's own bounds, not ones the command line recomputes
+    recover = mtto.recover_symbol  # the document carries the result's own numbers, not ones the command line recomputes
     monkeypatch.setattr(cli, "recover_symbol", lambda *args: dataclasses.replace(
-        recover(*args), tol=0.125, membership_residual=0.25, membership_tol=0.5))
+        recover(*args), residual=0.125, membership_residual=0.25, membership_tol=0.5))
     code, out, _ = run(capsys, "op", "recover", "--theta", "FIX3", "--op", op_path)
     doc = json.loads(out)
-    assert code == 0 and (doc["rebuild_tol"], doc["membership_residual"], doc["membership_tol"]) == (0.125, 0.25, 0.5)
+    assert code == 0 and (doc["rebuild_residual"], doc["membership_residual"], doc["membership_tol"]) == (0.125, 0.25, 0.5)
 
 
 def test_symbol_zero_test_both_verdicts(tmp_path, capsys):
@@ -331,7 +333,7 @@ def test_symbol_zero_test_default_tolerance_is_relative(tmp_path, capsys, scale)
 def test_tiny_input_passed_by_a_loose_tol_decomposes_within_that_tol(tmp_path, capsys):
     # --tol 1e-6 lets 1e-10 * I pass as a zero symbol and 1e-10 * E_22 as a
     # member; neither has a decomposition within 1e-8 of its own scale, and
-    # each by-product is checked to what its decision certified instead
+    # each by-product lies within what its decision certified instead
     tiny = write_symbol(tmp_path, "tiny.json", 1e-10 * MatLaurent.identity(2))
     code, out, err = run(capsys, "symbol", "zero-test", "--theta", "FIX3", "--symbol", tiny, "--tol", "1e-6")
     doc = json.loads(out)
@@ -344,13 +346,13 @@ def test_tiny_input_passed_by_a_loose_tol_decomposes_within_that_tol(tmp_path, c
     code, out, err = run(capsys, "op", "recover", "--theta", "FIX3", "--op", str(path), "--tol", "1e-6")
     doc = json.loads(out)
     assert code == 0 and err == "" and doc["membership_residual"] <= doc["membership_tol"] == 1e-6
-    assert 1e-8 * 1e-10 < doc["rebuild_residual"] <= doc["rebuild_tol"] == 2 * doc["membership_residual"]
+    assert 1e-8 * 1e-10 < doc["rebuild_residual"] <= rebuild_bound(fixture("FIX3").m, doc["membership_residual"], 1e-10)
 
 
 def test_op_test_and_op_recover_agree_at_a_loose_tol(tmp_path, capsys):
     # A = A_Phi + 1e-5 G / ||G||_F is admitted at --tol 1e-3 with residual 2.87e-6;
-    # its rebuild lies within m * residual of A, so it is checked to that upper
-    # end of the distance bracket, not to 1e-8 ||A||_F, and recovery succeeds
+    # its rebuild lies within m * residual of A, the upper end of the distance
+    # bracket, not within 1e-8 ||A||_F, and recovery succeeds
     basis = ModelSpaceBasis(fixture("FIX3"))
     rng = np.random.default_rng(1)
     phi = randgen.random_symbol(2, -2, 2, rng)
@@ -365,8 +367,9 @@ def test_op_test_and_op_recover_agree_at_a_loose_tol(tmp_path, capsys):
     doc = json.loads(out)
     assert code == 0 and err == ""
     assert (doc["membership_residual"], doc["membership_tol"]) == (decision["residual"], decision["tol"])
-    assert doc["rebuild_tol"] == decision["distance_bounds"][1] > 1e-8 * np.linalg.norm(amat)
-    assert f"{doc['rebuild_residual']:.3e}" == "2.873e-06" and doc["rebuild_residual"] <= doc["rebuild_tol"]
+    assert decision["distance_bounds"][1] > 1e-8 * np.linalg.norm(amat)
+    assert f"{doc['rebuild_residual']:.3e}" == "2.873e-06"
+    assert doc["rebuild_residual"] <= rebuild_bound(basis.inner.m, doc["membership_residual"], np.linalg.norm(amat))
 
 
 def test_a_zero_verdict_at_a_loose_tol_keeps_its_split_within_that_tol(tmp_path, capsys):
@@ -472,7 +475,7 @@ def test_every_command_writes_its_pinned_keys_on_fix3(tmp_path, capsys):
         ("op", "build"): (["--symbol", symbol], {"schema_version", "n", "basis_id", "entries"}),
         ("op", "test"): (["--op", op], {"distance_bounds", "residual", "tol", "verdict"}),
         ("op", "recover"): (["--op", op], {"schema_version", "analytic_part", "costar_part", "rebuild_residual",
-                                           "rebuild_tol", "membership_residual", "membership_tol"}),
+                                           "membership_residual", "membership_tol"}),
         ("symbol", "zero-test"): (["--symbol", symbol], zero_keys),
         (None, "dim"): ([], {"dim", "gauge_dim", "operator_space_dim", "symbol_pair_dim"}),
     }
@@ -582,6 +585,18 @@ def test_suite_draws_a_one_factor_space_at_every_seed(seed):
 def test_missing_theta_file_exits_2(capsys):
     code, _, err = run(capsys, "dim", "--theta", "/nonexistent/theta.json")
     assert code == 2 and json.loads(err)["error"] == "E_PARSE"
+
+
+@pytest.mark.parametrize("argv", [["dim", "--theta", "BAD"], ["op", "build", "--theta", "FIX3", "--symbol", "BAD"],
+                                  ["op", "test", "--theta", "FIX3", "--op", "BAD"], ["suite", "--config", "BAD"]],
+                         ids=["theta", "symbol", "op", "config"])
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, *[str(bad) if word == "BAD" else word for word in argv])
+    _assert_parse_error(code, out, err)
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err)["message"].startswith(f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_entry_point_is_installed():

@@ -11,9 +11,8 @@ so an exact zero may come out with the other sign).
 import numpy as np
 import pytest
 
-from mttokit.errors import IdentityCheckError
 from mttokit.fixtures import FIXTURE_NAMES, fixture
-from mttokit.model_operator import _frame_svd, defect_spaces
+from mttokit.model_operator import defect_spaces
 from mttokit.model_space import ModelSpaceBasis
 from mttokit.randgen import random_inner
 
@@ -52,10 +51,3 @@ def test_bases_are_orthonormal_and_every_array_is_rank_d(basis):
     assert ds.gram_values.shape == (d,) and ds.gram_vectors.shape == (d, d)
     lam, v = np.linalg.eigh(h)
     assert np.array_equal(ds.gram_values, lam) and np.array_equal(ds.gram_vectors, v)
-
-
-def test_rank_deficient_frame_is_refused():
-    with pytest.raises(IdentityCheckError, match="did not come out d-dimensional"):
-        _frame_svd(np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]], dtype=np.complex128))
-    with pytest.raises(IdentityCheckError, match="did not come out d-dimensional"):
-        _frame_svd(np.zeros((3, 2), dtype=np.complex128))

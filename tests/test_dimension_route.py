@@ -85,7 +85,8 @@ def test_non_nilpotent_shift_is_refused():
 
 
 def test_rank_deficient_kernel_frame_is_refused(monkeypatch):
-    # rank K0 is measured once, by the frame SVD in defect_spaces
+    # a frame with a repeated column has left the model space: the frame check
+    # of defect_spaces refuses it before any SVD, which trusts the rank d purity gives
     basis = _potapov(2, [1, 2, 1], 90)
     frame_of = model_operator.kernel_frame
 
@@ -96,9 +97,9 @@ def test_rank_deficient_kernel_frame_is_refused(monkeypatch):
 
     monkeypatch.setattr(model_operator, "kernel_frame", deficient)
     a = build(basis, MatLaurent.identity(2))
-    with pytest.raises(IdentityCheckError, match="d-dimensional"):
+    with pytest.raises(IdentityCheckError, match="kernel frame at 0 left the model space"):
         is_mtto(basis, a)
-    with pytest.raises(IdentityCheckError, match="d-dimensional"):
+    with pytest.raises(IdentityCheckError, match="kernel frame at 0 left the model space"):
         defect_spaces(basis)
     assert "defects" not in basis.cache
 

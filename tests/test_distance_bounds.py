@@ -4,10 +4,11 @@ With E the compression of A - S A S* off the first defect space, every
 member B has ||E||_F <= 2 ||A - B||_F, and A - L^-1(E) is a member at
 distance at most m ||E||_F, L(X) = X - S X S*; the starred identity works
 the same way.  So is_mtto's distance_bounds = (residual / 2, m * residual)
-hold the exact distance.  Two exact references check it: on rotated
-monomial spaces, averaging U* A U along block diagonals
-(monomial_oracles); on the fixtures, projecting onto the span of the
-operators of the unit symbols (membership_oracles).
+hold the exact distance, and recover_symbol's rebuild, that member
+A - L^-1(E), lies between the distance and the upper end.  Two exact
+references check both: on rotated monomial spaces, averaging U* A U
+along block diagonals (monomial_oracles); on the fixtures, projecting
+onto the span of the operators of the unit symbols (membership_oracles).
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from mttokit.fixtures import FIXTURE_NAMES, fixture  # noqa: E402
 from mttokit.model_space import ModelSpaceBasis  # noqa: E402
-from mttokit.mtto import build, is_mtto, mtto_dimension  # noqa: E402
+from mttokit.mtto import build, is_mtto, mtto_dimension, recover_symbol  # noqa: E402
 from mttokit.randgen import haar_unitary, random_non_member, random_symbol  # noqa: E402
 
 from membership_oracles import class_distance, class_span  # noqa: E402
@@ -32,6 +33,18 @@ def _assert_bracketed(decision, dist, scale):
     lo, hi = decision.distance_bounds
     slack = 1e-12 * scale
     assert lo <= dist + slack and dist <= hi + slack, (lo, dist, hi)
+
+
+def _assert_rebuild_bracketed(basis, a, dist, scale):
+    """res / 2 <= dist <= rebuild residual <= m * res, each up to roundoff of
+    the operator's scale: recover_symbol's rebuild is a member at most the
+    bracket's upper end from A."""
+    decision = is_mtto(basis, a)
+    rec = recover_symbol(basis, a, tol=decision.residual)
+    lo, hi = decision.distance_bounds
+    slack = 1e-12 * scale
+    assert lo <= dist + slack and dist <= rec.residual + slack, (lo, dist, rec.residual)
+    assert rec.residual <= hi + slack, (rec.residual, hi)
 
 
 def _unit_gaussian(n, rng):
@@ -62,6 +75,7 @@ def test_bounds_hold_against_the_exact_distance_on_monomial_spaces(case):
     assert exact_distance(basis, w, ms, member) <= 1e-12 * scale  # the oracle's class holds A_Phi
     a = member + eps * scale * _unit_gaussian(basis.n, rng)
     _assert_bracketed(is_mtto(basis, a), exact_distance(basis, w, ms, a), scale)
+    _assert_rebuild_bracketed(basis, a, exact_distance(basis, w, ms, a), scale)
     if basis.n > d:
         b = random_non_member(basis, rng)
         _assert_bracketed(is_mtto(basis, b), exact_distance(basis, w, ms, b), 1.0)
@@ -80,6 +94,7 @@ def test_bounds_hold_against_the_class_span_on_the_fixtures(name):
         for eps in PERTURBATIONS:
             a = member + eps * scale * _unit_gaussian(n, rng)
             _assert_bracketed(is_mtto(basis, a), class_distance(span, a), scale)
+            _assert_rebuild_bracketed(basis, a, class_distance(span, a), scale)
         if n > d:
             b = random_non_member(basis, rng)
             _assert_bracketed(is_mtto(basis, b), class_distance(span, b), 1.0)

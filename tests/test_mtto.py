@@ -33,6 +33,7 @@ from mttokit.randgen import random_inner
 
 from basis_oracles import membership_residual
 from dimension_oracles import SymbolSpaceBasis
+from membership_oracles import rebuild_bound
 from suite_oracles import from_coords, project
 
 
@@ -303,10 +304,10 @@ def test_zero_symbol_default_tolerance_is_relative(scale):
 
 
 def test_identity_checks_hold_to_what_the_decision_certified():
-    # a loose decision tol lets a 1e-10 input through; its identity check holds
-    # to what that decision certified (tol for a zero symbol's split, the upper
+    # a loose decision tol lets a 1e-10 input through; its by-product holds to
+    # what that decision certified (tol for a zero symbol's split, the upper
     # end m * residual of the distance bracket for a rebuild), above 1e-8 of the
-    # input's own scale; at the default tol the check is that 1e-8 floor
+    # input's own scale; at the default tol a member rebuilds to rounding
     basis = _basis("FIX3")
     tiny = 1e-10 * MatLaurent.identity(2)  # no Theta Psi1 + (Theta Psi2)* equals it
     result = zero_symbol_decompose(basis, tiny, tol=1e-6)
@@ -315,10 +316,12 @@ def test_identity_checks_hold_to_what_the_decision_certified():
     outside = np.zeros((3, 3), dtype=complex)
     outside[2, 2] = 1e-10
     rec = recover_symbol(basis, outside, tol=1e-6)
-    assert rec.tol == basis.inner.m * rec.membership_residual and 1e-8 * 1e-10 < rec.residual <= rec.tol
+    m = basis.inner.m
+    assert 1e-8 * 1e-10 < rec.residual <= rebuild_bound(m, rec.membership_residual, np.linalg.norm(outside))
     member = 1e-10 * build(basis, _rand_symbol(2, -2, 2, np.random.default_rng(44))).mat
     rec = recover_symbol(basis, member)
-    assert rec.residual <= 1e-12 * opnorm(member) and rec.tol == 1e-8 * np.linalg.norm(member)
+    assert rec.residual <= 1e-12 * opnorm(member)
+    assert rec.residual <= rebuild_bound(m, rec.membership_residual, np.linalg.norm(member))
 
 
 def test_kernel_frame_pairs_induce_the_zero_operator():

@@ -10,11 +10,12 @@ no threshold there is a bare literal, and no residual error is raised but
 through the gate.  The suite's registry names every tolerance it holds.
 Each rule has one owner in the package source: the package reads no
 environment, only `serialize` writes a schema version, the three modules
-take every norm through `numerics`, the rank cut is applied in
-`numerics` alone, and a Laurent product is `laurent.convolve`'s one
-matrix product, with no einsum and no loop over blocks, as is the
-membership measure `model_space.off_space`; the block-Toeplitz index is
-built in `laurent.py` alone.  Nothing in the package is reached only from
+take every norm through `numerics`, the rank cut and the rank rule are
+applied in `numerics` alone (`defect_spaces` runs its frame check before
+the frame SVDs, which purity makes rank d), and a Laurent product is
+`laurent.convolve`'s one matrix product, with no einsum and no loop over
+blocks, as is the membership measure `model_space.off_space`; the
+block-Toeplitz index is built in `laurent.py` alone.  Nothing in the package is reached only from
 the tests: a name has a reader in src/, a method one through a receiver
 of its own class, an attribute stored on `self` one by attribute, and a
 `basis` parameter is read for more than its `inner`.
@@ -50,8 +51,8 @@ VERDICT_ERRORS = {"NotMttoError", "NotZeroOperatorError"}  # decisions, reported
 ROUTED = {  # every identity check of the three modules, by the function that holds it
     "model_space.py": ["det_degree", "__init__", "potapov_product", "require_member", "kernel_window",
                        "tilde_kernel_window"],
-    "model_operator.py": ["_frame_svd", "defect_spaces", "__init__", "conjugation_matrix"],
-    "mtto.py": ["recover_symbol", "zero_symbol_decompose"],
+    "model_operator.py": ["defect_spaces", "__init__", "conjugation_matrix"],
+    "mtto.py": ["zero_symbol_decompose"],
 }
 HUGE = MatLaurent(0, [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]]])  # ||Phi|| = 1.414e200
 
@@ -290,16 +291,14 @@ def test_only_serialize_spells_the_schema_version():
     assert not literals, f"schema_version literals outside serialize.SCHEMA_VERSION: {literals}"
 
 
-def _rank_cut_products(tree):
-    """(enclosing function, line) of every product with RANK_CUT as a factor."""
+def _owned(tree, match):
+    """(enclosing function, line) of every node that `match` accepts."""
     found = []
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and any(
-                isinstance(side, ast.Name) and side.id == "RANK_CUT"
-                or isinstance(side, ast.Attribute) and side.attr == "RANK_CUT" for side in (node.left, node.right)):
+        if match(node):
             found.append((owner, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
@@ -308,12 +307,48 @@ def _rank_cut_products(tree):
     return found
 
 
+def _named(node, name):
+    return isinstance(node, ast.Name) and node.id == name or isinstance(node, ast.Attribute) and node.attr == name
+
+
+def _rank_cut_products(tree):
+    """(enclosing function, line) of every product with RANK_CUT as a factor."""
+    return _owned(tree, lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                  and any(_named(side, "RANK_CUT") for side in (node.left, node.right)))
+
+
+def _calls_of(tree, name):
+    """(enclosing function, line) of every call of `name`, by name or as an attribute."""
+    return _owned(tree, lambda node: isinstance(node, ast.Call) and _named(node.func, name))
+
+
 def test_the_rank_cut_is_applied_in_numerics_alone():
     trees = _package_trees()
     assert {owner for owner, _ in _rank_cut_products(trees["numerics.py"])} >= {"rank_of_singular_values"}
     elsewhere = [f"{name}:{line} in {owner}" for name, tree in trees.items() if name != "numerics.py"
                  for owner, line in _rank_cut_products(tree)]
     assert not elsewhere, f"RANK_CUT applied outside numerics: {elsewhere}"
+
+
+def test_the_rank_rule_is_called_in_numerics_alone():
+    """No module outside `numerics` counts singular values: the defect frames
+    are rank d by purity and the frame check (`model_operator._frame_svd`)."""
+    trees = _package_trees()
+    assert _calls_of(trees["numerics.py"], "rank_of_singular_values")  # the owner, so the search finds a call
+    elsewhere = [f"{name}:{line} in {owner}" for name, tree in trees.items() if name != "numerics.py"
+                 for owner, line in _calls_of(tree, "rank_of_singular_values")]
+    assert not elsewhere, f"rank_of_singular_values called outside numerics: {elsewhere}"
+
+
+def test_the_frame_check_precedes_the_frame_svds():
+    """`_frame_svd` cuts no rank and checks no inverse because the frames it
+    is handed passed the frame check: in `defect_spaces` every statement that
+    calls `require_member` comes before the first that calls `_frame_svd`."""
+    fn = next(node for node in _tree("model_operator.py").body
+              if isinstance(node, ast.FunctionDef) and node.name == "defect_spaces")
+    checks = [i for i, stmt in enumerate(fn.body) if _calls_of(stmt, "require_member")]
+    svds = [i for i, stmt in enumerate(fn.body) if _calls_of(stmt, "_frame_svd")]
+    assert checks and svds and max(checks) < min(svds), f"frame check at {checks}, _frame_svd at {svds}"
 
 
 def _linalg_norms(tree):
