@@ -17,7 +17,7 @@ import numpy as np
 from . import serialize
 from .errors import DimensionMismatchError, IdentityCheckError, NotGammaSymmetricError, NotUnitaryError
 from .laurent import MatLaurent, convolve, evaluate
-from .model_space import InnerFunction, ModelSpaceBasis, kernel_frame, require_member, tilde_kernel_frame
+from .model_space import ModelSpaceBasis, kernel, kernel_frame, require_member, tilde_kernel_frame
 from .numerics import (CHECK_TOL, INPUT_TOL, REL, column_norms, fix_column_phases, frobenius, require_finite,
                        require_small)
 
@@ -123,28 +123,23 @@ def _frame_svd(frame: np.ndarray):
     return fix_column_phases(u), vh.conj().T @ ((1.0 / sv)[:, None] * u.conj().T)
 
 
-def _kernel_at_zero(inner: InnerFunction) -> np.ndarray:
-    """Window columns of the kernel at 0 applied to e_1, ..., e_d: E0 - [Theta_0; ...; Theta_{m-1}] Theta_0*."""
-    md = inner.m * inner.d
-    return np.eye(md, inner.d) - inner.blocks[:-1].reshape(md, inner.d) @ inner.blocks[0].conj().T
-
-
 def defect_spaces(basis: ModelSpaceBasis) -> DefectSpaces:
     """The defect data of a basis (`DefectSpaces`).  The basis gate implies
     I - S S* = K0 K0*, which is not formed: I - S S* - K0 K0* =
     Q* Z (I - Q Q*) Z* Q is positive semidefinite, so its norm is at most its
     trace, ||L* Z* Q||_F^2 = 0 for Q in K_Theta (and I - S* S = K0~ K0~* is
     the same for Theta~).  Checked first, in O(m d n d), is that Q still
-    spans K_Theta: Q K0 and Q K0~ give back the kernel and the difference
-    quotient at 0, read off Theta, which makes each frame rank d for the
-    SVDs (`_frame_svd`).  It trusts `basis.inner` to be the Theta of Q: a
+    spans K_Theta: Q K0 and Q K0~ give back the kernel windows at 0 read off
+    Theta, `kernel(inner, 0, I)` = E0 - [Theta_0; ...; Theta_{m-1}] Theta_0*
+    and [Theta_1; ...; Theta_m], which makes each frame rank d for the SVDs
+    (`_frame_svd`).  It trusts `basis.inner` to be the Theta of Q: a
     Theta_1 moved under Q is seen only where Theta_0 != 0."""
     if "defects" in basis.cache:
         return basis.cache["defects"]
     k0, kt0 = kernel_frame(basis, 0.0), tilde_kernel_frame(basis, 0.0)
-    windows = _kernel_at_zero(basis.inner), basis.inner.blocks[1:].reshape(-1, basis.d)
+    windows = kernel(basis.inner, 0.0, np.eye(basis.d))[0], basis.inner.blocks[1:]
     for frame, w, what in zip((k0, kt0), windows, ("kernel frame at 0", "difference-quotient frame at 0")):
-        require_member(column_norms(basis.q @ frame - w).max(), 1.0, what)
+        require_member(column_norms(basis.q @ frame - w.reshape(-1, basis.d)).max(), 1.0, what)
     d_basis, d_pinv = _frame_svd(k0)
     dt_basis, dt_pinv = _frame_svd(kt0)
     ds = DefectSpaces(d_basis, dt_basis, k0, kt0, d_pinv, dt_pinv, *np.linalg.eigh(k0.conj().T @ k0))
@@ -262,7 +257,7 @@ def conjugation_matrix(basis: ModelSpaceBasis, gamma: Conjugation) -> np.ndarray
                   "theta is not gamma-symmetric, residual {residual:.3e}")
     flipped = gamma.u @ np.conj(basis.q.reshape(m, d, n)[::-1])
     image = convolve(inner.blocks, flipped, m)  # the window blocks, frequencies 0..m-1
-    mat = basis.q.conj().T @ image.reshape(m * d, n)
+    mat = basis.coords(image)
     require_small(frobenius(mat - mat.T), CHECK_TOL, IdentityCheckError,
                   "conjugation matrix is not symmetric, residual {residual:.3e}")
     return mat
@@ -284,8 +279,9 @@ def kernel_recurrence_check(basis: ModelSpaceBasis, count: int, seed: int) -> di
     points of the disk, each on the whole frame:
     S K_lam = (K_lam - K_0) / conj(lam) and S K~_lam = lam K~_lam - K_0 Theta(lam).
     At the removable point lam = 0 the first one is S Q* W = Q* Z W for the
-    closed-form kernel W of `_kernel_at_zero` (the projected frame K_0
-    would satisfy it by construction)."""
+    kernel window W = E0 - [Theta_0; ...; Theta_{m-1}] Theta_0* that
+    `kernel(inner, 0, I)` reads off Theta (the projected frame K_0 would
+    satisfy it by construction)."""
     inner, d, q = basis.inner, basis.d, basis.q
     rng = np.random.default_rng(seed)
     s, _ = s_theta(basis)
@@ -298,8 +294,8 @@ def kernel_recurrence_check(basis: ModelSpaceBasis, count: int, seed: int) -> di
         klam, tlam = kernel_frame(basis, lam), tilde_kernel_frame(basis, lam)
         worst_k = max(worst_k, column_norms(s @ klam - (klam - k0) / np.conj(lam)).max())
         worst_kt = max(worst_kt, column_norms(s @ tlam - (lam * tlam - k0 @ evaluate(inner.theta, lam))).max())
-    w = _kernel_at_zero(inner)
-    origin = s @ q.conj().T @ w - q[d:].conj().T @ w[:-d]  # S Q* W - Q* Z W
+    w = kernel(inner, 0.0, np.eye(d))[0]
+    origin = s @ basis.coords(w) - q[d:].conj().T @ w[:-1].reshape(-1, d)  # S Q* W - Q* Z W
     return _report({
         "kernel frame recurrence": worst_k,
         "difference-quotient frame recurrence": worst_kt,

@@ -31,7 +31,6 @@ from .errors import (
 )
 from .laurent import (
     MatLaurent,
-    VecLaurent,
     convolve,
     evaluate,
     inner_residual,
@@ -329,26 +328,31 @@ class ModelSpaceBasis:
             self._basis_id = serialize.basis_id(self.inner.theta, self.n)
         return self._basis_id
 
-    def coords(self, f: VecLaurent) -> np.ndarray:
-        """Coefficients against the basis of the window of f (frequencies
-        0..m-1, all that the model space can see); for f outside the model
-        space these are the coordinates of its orthogonal projection."""
-        if f.dim != self.inner.d:
-            raise ValueError(f"dimension mismatch: {f.dim} vs {self.inner.d}")
-        return self.q.conj().T @ f.window(0, self.inner.m - 1).reshape(-1)
+    def coords(self, w: np.ndarray) -> np.ndarray:
+        """Q* w for a window array w: m blocks of d (m x d, or m x d x c for
+        c elements) or m*d rows (one or c columns); an array that reads
+        both ways (d = 1, one column) is taken as m blocks.  For an element
+        outside the model space these are the coordinates of its orthogonal
+        projection."""
+        m, d = self.inner.m, self.inner.d
+        w = np.asarray(w)
+        lead = 2 if w.shape[:2] == (m, d) else 1
+        if (lead == 1 and w.shape[:1] != (m * d,)) or w.ndim not in (lead, lead + 1):
+            raise ValueError(f"expected a window of {m} blocks of {d} or {m * d} rows, got shape {w.shape}")
+        return self.q.conj().T @ w.reshape(m * d, *w.shape[lead:])
 
 
 def _disk_point(lam) -> complex:
     lam = complex(lam)
-    if abs(lam) >= 1:
+    if not abs(lam) < 1:  # NaN fails this test too
         raise ValueError("kernel points must lie in the open unit disk")
     return lam
 
 
-def _vector(x, d: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if x.size != d:
-        raise ValueError(f"expected a vector in C^{d}")
+def _directions(x, d: int) -> np.ndarray:
+    x = np.asarray(x, dtype=np.complex128)
+    if x.shape[:1] != (d,) or x.ndim > 2:
+        raise ValueError(f"expected a vector in C^{d} or a block of {d} rows, got shape {x.shape}")
     return x
 
 
@@ -369,25 +373,29 @@ def require_member(residual: float, scale: float, what: str) -> None:
                   what + " left the model space, residual {residual:.3e}")
 
 
-def kernel_window(inner: InnerFunction, lam: complex, x):
-    """Window blocks (m x d) of the reproducing kernel at lam applied to x
-    in C^d, and the norm of the tail that was cut off.
+def kernel(inner: InnerFunction, lam: complex, x):
+    """Window blocks of the reproducing kernel at lam applied to x, a vector
+    in C^d (blocks m x d) or a d x c block (m x d x c), and the norm of the
+    series that was cut off.
 
-    Computed by multiplying (I - Theta(z) Theta(lam)*) x with the
-    geometric series of 1/(1 - conj(lam) z); the product must break off
-    at degree m-1, and the discarded tail is checked against that.
+    The kernel is (I - Theta(z) Theta(lam)*) x = g_0 + ... + g_m z^m times
+    the geometric series of 1/(1 - conj(lam) z), so its block k is
+    c_k = conj(lam) c_{k-1} + g_k up to k = m and conj(lam)^(k-m) c_m past
+    it.  That series must break off at degree m-1: the dropped part has
+    norm ||c_m|| / sqrt(1 - |lam|^2), checked against CHECK_TOL (1 + ||x||).
+    At lam = 0 the blocks are the g_k.  A window whose tail vanishes is the
+    kernel, so membership is not measured again: ||L* k|| read at most 1e-5
+    of the same bound on the fixtures, 150 seeded spaces and the
+    conditioning families at |lam| <= 0.8 (`tests/element_oracles.py`).
     """
-    lam, x = _disk_point(lam), _vector(x, inner.d)
-    m = inner.m
-    g = -(inner.blocks @ (evaluate(inner.theta, lam).conj().T @ x))  # (I - Theta(z) Theta(lam)*) x
-    g[0] += x
-    powers = np.conj(lam) ** np.arange(2 * m + 1)
-    c = np.zeros((2 * m + 1, inner.d), dtype=np.complex128)
-    for i in range(m + 1):
-        c[i:] += powers[: 2 * m + 1 - i, None] * g[i]
-    tail = require_small(frobenius(c[m:]), CHECK_TOL * (1.0 + frobenius(x)), IdentityCheckError,
-                         "kernel truncation tail {residual:.3e} did not vanish")
-    return c[:m], tail
+    lam, x = _disk_point(lam), _directions(x, inner.d)
+    c = -(inner.blocks @ (evaluate(inner.theta, lam).conj().T @ x))  # g_0, ..., g_m
+    c[0] += x
+    for k in range(1, inner.m + 1):
+        c[k] += lam.conjugate() * c[k - 1]
+    tail = require_small(frobenius(c[-1]) / np.sqrt(1.0 - abs(lam) ** 2), CHECK_TOL * (1.0 + frobenius(x)),
+                         IdentityCheckError, "kernel truncation tail {residual:.3e} did not vanish")
+    return c[:-1], tail
 
 
 def _synthetic_division(p: np.ndarray, lam: complex) -> np.ndarray:
@@ -402,11 +410,14 @@ def _synthetic_division(p: np.ndarray, lam: complex) -> np.ndarray:
     return q
 
 
-def tilde_kernel_window(inner: InnerFunction, lam: complex, y):
-    """Window blocks (m x d) of the difference-quotient kernel
-    (Theta(z) - Theta(lam)) y / (z - lam), computed by synthetic division
-    (exact in coefficients), and the norm of the division's remainder."""
-    lam, y = _disk_point(lam), _vector(y, inner.d)
+def tilde_kernel(inner: InnerFunction, lam: complex, y):
+    """Window blocks of the difference-quotient kernel
+    (Theta(z) - Theta(lam)) y / (z - lam) for y a vector in C^d (m x d) or
+    a d x c block (m x d x c), by synthetic division (exact in
+    coefficients), and the norm of the division's remainder, checked
+    against CHECK_TOL (1 + ||y||).  An exact quotient lies in the model
+    space, so membership is not measured again (the margin of `kernel`)."""
+    lam, y = _disk_point(lam), _directions(y, inner.d)
     p = inner.blocks @ y
     p[0] -= evaluate(inner.theta, lam) @ y
     q = _synthetic_division(p, lam)
@@ -415,32 +426,13 @@ def tilde_kernel_window(inner: InnerFunction, lam: complex, y):
     return q, rem
 
 
-def kernel(inner: InnerFunction, lam: complex, x) -> VecLaurent:
-    """Reproducing kernel direction at lam applied to x in C^d, read off
-    Theta; `kernel_window` checks the tail it was cut from and returns it.
-    A window whose tail vanishes is the kernel, so membership is not
-    measured again: ||L* k|| read at most 1e-5 of its bound CHECK_TOL
-    (1 + ||x||) on the fixtures, 150 seeded spaces and the conditioning
-    families at |lam| <= 0.8 (`tests/element_oracles.py`)."""
-    return VecLaurent(0, kernel_window(inner, lam, x)[0])
-
-
-def tilde_kernel(inner: InnerFunction, lam: complex, y) -> VecLaurent:
-    """Difference-quotient kernel at lam applied to y, read off Theta;
-    `tilde_kernel_window` checks the division's remainder and returns it.
-    An exact quotient lies in the model space, so membership is not
-    measured again (the same margin as `kernel`)."""
-    return VecLaurent(0, tilde_kernel_window(inner, lam, y)[0])
-
-
 def kernel_frame(basis: ModelSpaceBasis, lam: complex) -> np.ndarray:
     """n x d matrix whose column j has the coordinates of the kernel at lam
     applied to e_j.  That kernel is the projection of e_j / (1 - conj(lam) z),
     so the frame is Q* V with window block k of V equal to conj(lam)^k I;
     at lam = 0 it is Q[:d]*."""
-    d, m = basis.inner.d, basis.inner.m
-    powers = np.conj(_disk_point(lam)) ** np.arange(m)
-    return basis.q.conj().T @ (powers[:, None, None] * np.eye(d)).reshape(m * d, d)
+    powers = np.conj(_disk_point(lam)) ** np.arange(basis.inner.m)
+    return basis.coords(powers[:, None, None] * np.eye(basis.inner.d))
 
 
 def tilde_kernel_frame(basis: ModelSpaceBasis, lam: complex) -> np.ndarray:
@@ -448,6 +440,4 @@ def tilde_kernel_frame(basis: ModelSpaceBasis, lam: complex) -> np.ndarray:
     window block k of W equal to sum over j > k of lam^(j-k-1) Theta_j,
     the quotient of Theta(z) by z - lam; at lam = 0 it is
     Q* [Theta_1; ...; Theta_m]."""
-    inner = basis.inner
-    w = _synthetic_division(inner.blocks, _disk_point(lam))
-    return basis.q.conj().T @ w.reshape(inner.m * inner.d, inner.d)
+    return basis.coords(_synthetic_division(basis.inner.blocks, _disk_point(lam)))

@@ -39,10 +39,10 @@ from .model_operator import (
 )
 from .model_space import (
     ModelSpaceBasis,
-    kernel_window,
+    kernel,
     off_space,
     require_member,
-    tilde_kernel_window,
+    tilde_kernel,
 )
 from .mtto import (
     _delta,
@@ -213,7 +213,7 @@ def _check_reproducing(basis, rng, config):
     for _ in range(config.cases):
         lam = 0.8 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
         x = rng.standard_normal(inner.d) + 1j * rng.standard_normal(inner.d)
-        k, tail = kernel_window(inner, lam, x)
+        k, tail = kernel(inner, lam, x)
         scale = 1.0 + np.linalg.norm(x)
         require_member(float(off_space(inner, k)[0]), scale, "kernel")
         yield tail / scale
@@ -228,7 +228,7 @@ def _check_difference_quotients(basis, rng, config):
     for _ in range(config.cases):
         lam = 0.8 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
         y = rng.standard_normal(inner.d) + 1j * rng.standard_normal(inner.d)
-        kt, rem = tilde_kernel_window(inner, lam, y)
+        kt, rem = tilde_kernel(inner, lam, y)
         scale = 1.0 + np.linalg.norm(y)
         require_member(float(off_space(inner, kt)[0]), scale, "difference-quotient kernel")
         yield rem / scale

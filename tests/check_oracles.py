@@ -14,8 +14,8 @@ import numpy as np
 
 from mttokit.laurent import VecLaurent
 from mttokit.model_operator import defect_spaces, s_theta
-from mttokit.model_space import kernel, tilde_kernel
 
+from element_oracles import element_coords, kernel_element, tilde_kernel_element
 from suite_oracles import from_coords
 
 
@@ -47,7 +47,7 @@ def action_check_loop(basis) -> dict:
     worst = 0.0
     for i in range(d):
         lhs = s @ ds.dt_frame[:, i]
-        rhs = -basis.coords(kernel(inner, 0.0, theta0 @ eye[:, i]))
+        rhs = -element_coords(basis, kernel_element(inner, 0.0, theta0 @ eye[:, i]))
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     checks["shift sends difference-quotient directions into the first defect space"] = worst
 
@@ -62,7 +62,7 @@ def action_check_loop(basis) -> dict:
     worst = 0.0
     for i in range(d):
         lhs = s_adj @ ds.d_frame[:, i]
-        rhs = -basis.coords(tilde_kernel(inner, 0.0, theta0.conj().T @ eye[:, i]))
+        rhs = -element_coords(basis, tilde_kernel_element(inner, 0.0, theta0.conj().T @ eye[:, i]))
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     checks["adjoint shift sends kernel directions into the second defect space"] = worst
 

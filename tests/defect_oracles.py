@@ -15,7 +15,7 @@ four identities `j_operators` once checked on J and J~ before keeping them.
 import numpy as np
 
 from mttokit.model_operator import defect_spaces, j_operators, s_theta
-from mttokit.model_space import kernel_window, tilde_kernel_window
+from mttokit.model_space import kernel, tilde_kernel
 from mttokit.numerics import CHECK_TOL, RANK_CUT, REL, fix_column_phases, opnorm
 
 
@@ -47,7 +47,7 @@ def frame_check_windows(inner):
     quotient at 0 applied to e_1, ..., e_d."""
     eye = np.eye(inner.d)
     return [np.stack([fn(inner, 0.0, e)[0].reshape(-1) for e in eye], axis=1)
-            for fn in (kernel_window, tilde_kernel_window)]
+            for fn in (kernel, tilde_kernel)]
 
 
 def frame_check_residuals(basis):

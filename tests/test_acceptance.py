@@ -24,7 +24,7 @@ from mttokit.model_operator import (
     defect_spaces,
     s_theta,
 )
-from mttokit.model_space import InnerFunction, ModelSpaceBasis, kernel, kernel_window, make_inner_potapov
+from mttokit.model_space import InnerFunction, ModelSpaceBasis, kernel, make_inner_potapov
 from mttokit.mtto import (
     build,
     commutant_factor,
@@ -49,6 +49,7 @@ from mttokit.suite import SuiteConfig, run_suite
 
 from basis_oracles import membership_residual
 from dimension_oracles import SymbolSpaceBasis
+from element_oracles import element_coords
 from suite_oracles import element, from_coords, l2_inner, tau_apply
 
 
@@ -101,7 +102,8 @@ def test_02_reproducing_kernels():
         lam = 0.85 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
         x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         x = x / np.linalg.norm(x)
-        k, witness = kernel(basis.inner, lam, x), kernel_window(basis.inner, lam, x)[1]
+        window, witness = kernel(basis.inner, lam, x)
+        k = VecLaurent(0, window)
         worst_tail = max(worst_tail, witness)
         coords = random_element_coords(basis, rng)
         f = from_coords(basis, coords / np.linalg.norm(coords))
@@ -118,7 +120,7 @@ def test_03_coefficient_reversal_operator_matrix():
         basis = ModelSpaceBasis(fixture(name))
         tilde_basis = ModelSpaceBasis(InnerFunction(tilde(basis.inner.theta)))
         theta = basis.inner.theta
-        cols = [tilde_basis.coords(tau_apply(theta, element(basis, j))) for j in range(basis.n)]
+        cols = [element_coords(tilde_basis, tau_apply(theta, element(basis, j))) for j in range(basis.n)]
         t = np.column_stack(cols)
         worst_unitary = max(worst_unitary, opnorm(t.conj().T @ t - np.eye(basis.n)))
         s, _ = s_theta(basis)

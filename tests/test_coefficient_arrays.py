@@ -1,9 +1,10 @@
 """Loops over Laurent coefficient blocks that became array operations,
 pinned to the loops they replaced.
 
-`window` reads a frequency range as one array, and `coords` reads the
-window 0..m-1 of an element through it; `model_space.off_space` measures
-membership as ||L* f|| from Theta's blocks on window arrays;
+`window` reads a frequency range as one array, and `coords` takes the
+window 0..m-1 of an element it reads (`element_oracles.element_coords`);
+`model_space.off_space` measures membership as ||L* f|| from Theta's
+blocks on window arrays;
 `inner_residual` and `gamma_symmetric_residual` use whole coefficient
 arrays (the first takes Theta* Theta in BLAS's summation order, pinned to
 the einsum product of `product_oracles` within their rounding bound, and
@@ -29,6 +30,7 @@ from mttokit.mtto import build, recover_symbol
 from mttokit.numerics import frobenius
 from mttokit.randgen import haar_unitary, random_inner, random_projection, random_symbol
 
+from element_oracles import element_coords
 from product_oracles import block_toeplitz, einsum_multiply, rounding_bound
 
 INNERS = [fixture(name) for name in FIXTURE_NAMES] + [
@@ -107,7 +109,7 @@ def test_window_and_coords_match_the_coefficient_loops(basis):
     for f in _vectors(d, m, rng):
         embedded = _loop_embed_window(basis, f)
         assert np.array_equal(f.window(0, m - 1).reshape(-1), embedded)
-        assert np.array_equal(basis.coords(f), basis.q.conj().T @ embedded)
+        assert np.array_equal(element_coords(basis, f), basis.q.conj().T @ embedded)
         ranges = ((f.lo, f.hi), (f.lo - 2, f.hi + 2), (f.hi + 1, f.hi + 3), (f.lo - 3, f.lo - 1), (f.lo - 6, f.lo - 3), (0, 0))
         for lo, hi in ranges:
             assert np.array_equal(f.window(lo, hi), _loop_window(f, lo, hi))

@@ -24,6 +24,7 @@ from mttokit.mtto import build, is_mtto
 from mttokit.numerics import opnorm, rank
 from mttokit.randgen import random_symbol
 
+from element_oracles import element_coords
 from suite_oracles import apply, conjugation_apply, element, from_coords, l2_inner
 
 ALL_FIXTURES = ("FIX1", "FIX2", "FIX3", "FIX4", "FIX5")
@@ -66,8 +67,8 @@ def test_operator_matrix_apply_and_adjoint():
     basis = _basis("FIX2")
     s, s_adj = s_theta(basis)
     one = VecLaurent(0, [[1.0]])
-    np.testing.assert_allclose(basis.coords(apply(OperatorMatrix(basis, s), one)), basis.coords(VecLaurent(1, [[1.0]])),
-                               atol=1e-14)
+    np.testing.assert_allclose(element_coords(basis, apply(OperatorMatrix(basis, s), one)),
+                               element_coords(basis, VecLaurent(1, [[1.0]])), atol=1e-14)
     back = apply(OperatorMatrix(basis, s_adj), VecLaurent(1, [[1.0]]))
     assert (back - one).norm() <= 1e-12
     with pytest.raises(ValueError):

@@ -423,8 +423,8 @@ def test_kernel_frame_columns_reproduce_kernels():
             assert k.shape == kt.shape == (basis.n, d)
             for j, e in enumerate(np.eye(d)):
                 for got, want in (
-                    (k[:, j], basis.coords(kernel(basis.inner, lam, e))),
-                    (kt[:, j], basis.coords(tilde_kernel(basis.inner, lam, e))),
+                    (k[:, j], basis.coords(kernel(basis.inner, lam, e)[0])),
+                    (kt[:, j], basis.coords(tilde_kernel(basis.inner, lam, e)[0])),
                 ):
                     assert np.linalg.norm(got - want) <= 1e-12 * (1.0 + np.linalg.norm(want))
             c = rng.standard_normal(basis.n) + 1j * rng.standard_normal(basis.n)

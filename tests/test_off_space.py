@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from mttokit.model_operator import conjugation_matrix
-from mttokit.model_space import ModelSpaceBasis, kernel, off_space, tilde_kernel
+from mttokit.model_space import ModelSpaceBasis, off_space
 from mttokit.mtto import build, is_mtto, recover_symbol
 from mttokit.randgen import random_gamma_symmetric_triple, random_inner
+
+from element_oracles import kernel_element, tilde_kernel_element
 
 
 def _space():
@@ -31,7 +33,7 @@ def _results(gamma, basis, phi):
     out += [rec.psi1.coeffs, rec.psi2.coeffs, np.array(rec.residual)]
     for lam in (0.0, 0.3 - 0.4j):
         for x in np.eye(3):
-            out += [kernel(basis.inner, lam, x).coeffs, tilde_kernel(basis.inner, lam, x).coeffs]
+            out += [kernel_element(basis.inner, lam, x).coeffs, tilde_kernel_element(basis.inner, lam, x).coeffs]
     return out
 
 
@@ -87,6 +89,6 @@ def test_membership_is_measured_at_every_finite_scale(scale):
     assert want.min() > 0.1  # these columns lie outside the space
     np.testing.assert_allclose(off_space(basis.inner, scale * w), scale * want, rtol=1e-14, atol=0)
     x = np.array([1.0, -1.0, 0.3])
-    for f in (kernel, tilde_kernel):
+    for f in (kernel_element, tilde_kernel_element):
         k = f(basis.inner, 0.3 - 0.4j, scale * x)
         np.testing.assert_allclose(k.coeffs, scale * f(basis.inner, 0.3 - 0.4j, x).coeffs, rtol=1e-13, atol=0)

@@ -112,8 +112,8 @@ def test_both_routes_fail_alike_on_a_corrupted_space(monkeypatch, perturb, names
             assert window == oracle, name
 
 
-@pytest.mark.parametrize("name,attr,what", [("reproducing_kernels", "kernel_window", "kernel"),
-                                            ("difference_quotients", "tilde_kernel_window", "difference-quotient kernel")])
+@pytest.mark.parametrize("name,attr,what", [("reproducing_kernels", "kernel", "kernel"),
+                                            ("difference_quotients", "tilde_kernel", "difference-quotient kernel")])
 def test_both_routes_refuse_a_kernel_outside_the_space(monkeypatch, name, attr, what):
     """A kernel whose tail vanishes but which leaves the model space."""
     window_of = getattr(model_space, attr)
@@ -124,6 +124,7 @@ def test_both_routes_refuse_a_kernel_outside_the_space(monkeypatch, name, attr, 
 
     monkeypatch.setattr(model_space, attr, outside)
     monkeypatch.setattr(suite, attr, outside)
+    monkeypatch.setattr(suite_oracles, attr, outside)
     fix3 = ModelSpaceBasis(fixture("FIX3"))
     outcomes = {_outcome(name, fn, "FIX3", fix3) for fn in suite_oracles.CHECKS[name]}
     assert outcomes == {(IdentityCheckError, f"{what} left the model space,")}

@@ -39,7 +39,7 @@ from mttokit import mtto
 from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent, boundary_adjoint, multiply
 from mttokit.model_operator import action_check, defect_spaces, j_operators, s_theta
-from mttokit.model_space import InnerFunction, ModelSpaceBasis, kernel, potapov_product, tilde_kernel
+from mttokit.model_space import InnerFunction, ModelSpaceBasis, potapov_product
 from mttokit.mtto import build, commutant_factor, factor_through_theta, mtto_dimension, zero_symbol_decompose
 from mttokit.numerics import CHECK_TOL, opnorm
 from mttokit.randgen import random_commuting_symbol, random_inner, random_symbol
@@ -47,6 +47,7 @@ from mttokit.suite import SuiteConfig, run_suite
 
 import test_shift_route
 from defect_oracles import defect_identities, frame_check_residuals, j_identities, pinv_j
+from element_oracles import kernel_element, tilde_kernel_element
 from test_conditioning_family import _cases as conditioning_cases
 
 np_linalg = getattr(np.linalg, "_linalg", np.linalg)  # where np.linalg.norm and pinv look up svd
@@ -170,7 +171,7 @@ def test_kernels_and_a_certified_factor_through_theta_build_no_basis(inner, svd_
     rng = np.random.default_rng(inner.n + 7)
     for lam in (0.0, 0.5 - 0.2j):
         x = rng.standard_normal(inner.d) + 1j * rng.standard_normal(inner.d)
-        for k in (kernel(inner, lam, x), tilde_kernel(inner, lam, x)):
+        for k in (kernel_element(inner, lam, x), tilde_kernel_element(inner, lam, x)):
             assert 0 <= k.lo <= k.hi < inner.m and k.dim == inner.d
     psi = random_symbol(inner.d, 0, 2, rng)
     phi1, residual = factor_through_theta(inner, multiply(inner.theta, psi))

@@ -18,6 +18,7 @@ from mttokit.mtto import build, semi_commutator_left_factor
 from mttokit.randgen import random_inner, random_symbol
 
 from dimension_oracles import SymbolSpaceBasis, stein_constraint, symbol_pair_map
+from element_oracles import element_coords
 from suite_oracles import element
 
 
@@ -37,15 +38,15 @@ def _assert_close(got, want):
 
 
 def _laurent_build(basis, phi):
-    return np.column_stack([basis.coords(multiply(phi, element(basis, j))) for j in range(basis.n)])
+    return np.column_stack([element_coords(basis, multiply(phi, element(basis, j))) for j in range(basis.n)])
 
 
 def _laurent_shift_pair(basis):
     s, s_adj = [], []
     for j in range(basis.n):
         e = element(basis, j)
-        s.append(basis.coords(e.shift(1)))
-        s_adj.append(basis.coords((e - VecLaurent.constant(e.coeff(0))).shift(-1)))
+        s.append(element_coords(basis, e.shift(1)))
+        s_adj.append(element_coords(basis, (e - VecLaurent.constant(e.coeff(0))).shift(-1)))
     return np.column_stack(s), np.column_stack(s_adj)
 
 
@@ -78,7 +79,7 @@ def test_semi_commutator_left_factor_matches_laurent_products(basis):
     d = basis.inner.d
     phi = random_symbol(d, 0, 3, rng)
     want = np.column_stack(
-        [basis.coords(multiply(phi, VecLaurent.constant(basis.q[:d, j]))) for j in range(basis.n)]
+        [element_coords(basis, multiply(phi, VecLaurent.constant(basis.q[:d, j]))) for j in range(basis.n)]
     )
     _assert_close(semi_commutator_left_factor(basis, phi), want)
 
