@@ -238,27 +238,16 @@ def tilde(f: MatLaurent) -> MatLaurent:
 
 
 def evaluate(f, z: complex) -> np.ndarray:
-    """Evaluate at a point.  z = 0 needs a nonnegative support."""
+    """Value at a point, matrix or vector: the powers z^lo, ..., z^hi times
+    the coefficient blocks, one product.  At z = 0 it is block 0 exactly,
+    and a negative support is refused there."""
     z = complex(z)
-    shape = f.coeffs.shape[1:]
     if z == 0:
         if f.lo < 0:
             raise ZeroDivisionError("cannot evaluate negative frequencies at z = 0")
         return f.coeff(0).copy()
-    # split into Horner evaluations in z (analytic part) and 1/z (the rest)
-    out = np.zeros(shape, dtype=np.complex128)
-    if f.hi >= 0:
-        acc = np.zeros(shape, dtype=np.complex128)
-        for k in range(f.hi, max(f.lo, 0) - 1, -1):
-            acc = acc * z + f.coeff(k)
-        out += acc * z ** max(f.lo, 0)
-    if f.lo < 0:
-        w = 1.0 / z
-        acc = np.zeros(shape, dtype=np.complex128)
-        for k in range(f.lo, min(f.hi, -1) + 1):
-            acc = acc * w + f.coeff(k)
-        out += acc * w
-    return out
+    powers = z ** np.arange(f.lo, f.hi + 1)
+    return (powers @ f.coeffs.reshape(len(powers), -1)).reshape(f.coeffs.shape[1:])
 
 
 def inner_residual(theta: MatLaurent) -> float:

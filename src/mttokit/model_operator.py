@@ -94,8 +94,10 @@ class DefectSpaces:
     (d_pinv / dt_pinv), whose products (K+)* K+ are the pseudo-inverses J
     and J~ of the defect operators (`j_operators`).  gram_values /
     gram_vectors diagonalize H = K0* K0 for the gauge solve of
-    `recover_symbol`.  Projectors are not kept: a reader applies I - U U*
-    as a rank-d correction (`off_span`)."""
+    `recover_symbol`.  d_window (m x d x d) is the kernel window at 0,
+    `kernel(inner, 0, I)`, that the frame check compared Q K0 with and
+    `kernel_recurrence_check` reads.  Projectors are not kept: a reader
+    applies I - U U* as a rank-d correction (`off_span`)."""
 
     d_basis: np.ndarray
     dt_basis: np.ndarray
@@ -105,6 +107,7 @@ class DefectSpaces:
     dt_pinv: np.ndarray
     gram_values: np.ndarray
     gram_vectors: np.ndarray
+    d_window: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -142,7 +145,7 @@ def defect_spaces(basis: ModelSpaceBasis) -> DefectSpaces:
         require_member(column_norms(basis.q @ frame - w.reshape(-1, basis.d)).max(), 1.0, what)
     d_basis, d_pinv = _frame_svd(k0)
     dt_basis, dt_pinv = _frame_svd(kt0)
-    ds = DefectSpaces(d_basis, dt_basis, k0, kt0, d_pinv, dt_pinv, *np.linalg.eigh(k0.conj().T @ k0))
+    ds = DefectSpaces(d_basis, dt_basis, k0, kt0, d_pinv, dt_pinv, *np.linalg.eigh(k0.conj().T @ k0), windows[0])
     _frozen(*vars(ds).values())
     basis.cache["defects"] = ds
     return ds
@@ -279,13 +282,14 @@ def kernel_recurrence_check(basis: ModelSpaceBasis, count: int, seed: int) -> di
     points of the disk, each on the whole frame:
     S K_lam = (K_lam - K_0) / conj(lam) and S K~_lam = lam K~_lam - K_0 Theta(lam).
     At the removable point lam = 0 the first one is S Q* W = Q* Z W for the
-    kernel window W = E0 - [Theta_0; ...; Theta_{m-1}] Theta_0* that
-    `kernel(inner, 0, I)` reads off Theta (the projected frame K_0 would
+    kernel window W = E0 - [Theta_0; ...; Theta_{m-1}] Theta_0* read off
+    Theta, the defect data's d_window (the projected frame K_0 would
     satisfy it by construction)."""
     inner, d, q = basis.inner, basis.d, basis.q
     rng = np.random.default_rng(seed)
     s, _ = s_theta(basis)
-    k0 = defect_spaces(basis).d_frame
+    ds = defect_spaces(basis)
+    k0, w = ds.d_frame, ds.d_window
     worst_k = worst_kt = 0.0
     for _ in range(count):
         lam = 0.0
@@ -294,7 +298,6 @@ def kernel_recurrence_check(basis: ModelSpaceBasis, count: int, seed: int) -> di
         klam, tlam = kernel_frame(basis, lam), tilde_kernel_frame(basis, lam)
         worst_k = max(worst_k, column_norms(s @ klam - (klam - k0) / np.conj(lam)).max())
         worst_kt = max(worst_kt, column_norms(s @ tlam - (lam * tlam - k0 @ evaluate(inner.theta, lam))).max())
-    w = kernel(inner, 0.0, np.eye(d))[0]
     origin = s @ basis.coords(w) - q[d:].conj().T @ w[:-1].reshape(-1, d)  # S Q* W - Q* Z W
     return _report({
         "kernel frame recurrence": worst_k,

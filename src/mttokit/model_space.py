@@ -56,7 +56,7 @@ def det_degree(theta: MatLaurent) -> int:
 
     For a pure polynomial inner Theta, det Theta(z) = c z^n with |c| = 1, so
     n = -m log|det Theta(r)| at r = e^(-1/m), where ||Theta(r)^-1|| <= r^-m = e
-    (Theta(z) z^m Theta(1/conj z)* = z^m I): one Horner pass and one `slogdet`.
+    (Theta(z) z^m Theta(1/conj z)* = z^m I): one `evaluate` and one `slogdet`.
     A reading not finite or not within DET_TOL of an integer is refused.
     """
     if theta.lo < 0:
@@ -329,17 +329,14 @@ class ModelSpaceBasis:
         return self._basis_id
 
     def coords(self, w: np.ndarray) -> np.ndarray:
-        """Q* w for a window array w: m blocks of d (m x d, or m x d x c for
-        c elements) or m*d rows (one or c columns); an array that reads
-        both ways (d = 1, one column) is taken as m blocks.  For an element
-        outside the model space these are the coordinates of its orthogonal
-        projection."""
+        """Q* w for a window array w of m blocks of d: m x d for one
+        element, m x d x c for c.  For an element outside the model space
+        these are the coordinates of its orthogonal projection."""
         m, d = self.inner.m, self.inner.d
         w = np.asarray(w)
-        lead = 2 if w.shape[:2] == (m, d) else 1
-        if (lead == 1 and w.shape[:1] != (m * d,)) or w.ndim not in (lead, lead + 1):
-            raise ValueError(f"expected a window of {m} blocks of {d} or {m * d} rows, got shape {w.shape}")
-        return self.q.conj().T @ w.reshape(m * d, *w.shape[lead:])
+        if w.shape[:2] != (m, d) or w.ndim > 3:
+            raise ValueError(f"expected a window of {m} blocks of {d}, got shape {w.shape}")
+        return self.q.conj().T @ w.reshape(m * d, *w.shape[2:])
 
 
 def _disk_point(lam) -> complex:

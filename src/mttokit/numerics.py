@@ -74,7 +74,8 @@ def frobenius(a: np.ndarray) -> float:
     and underflow below 1e-154, so a result outside (1e-150, 1e150) is
     taken again on the magnitudes rescaled by the largest one (real
     division: a complex division by a subnormal scalar overflows forming
-    its reciprocal).  NaN gives nan and an infinite entry inf."""
+    its reciprocal); a zero result from an array with no non-zero entry
+    is returned at once.  NaN gives nan and an infinite entry inf."""
     x = np.asarray(a).ravel(order="K")
     if x.dtype.kind == "c":
         re, im = x.real, x.imag
@@ -82,7 +83,7 @@ def frobenius(a: np.ndarray) -> float:
     else:
         x = x.astype(float, copy=False)  # as np.linalg.norm reads an integer array
         nrm = math.sqrt(np.vdot(x, x))
-    if 1e-150 < nrm < 1e150:
+    if 1e-150 < nrm < 1e150 or (nrm == 0.0 and not np.count_nonzero(x)):
         return nrm
     big = float(np.abs(a).max(initial=0.0))
     if big == 0.0 or not np.isfinite(big):

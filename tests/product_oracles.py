@@ -12,7 +12,11 @@ did, and `einsum_multiply` is `laurent.multiply` on it; `multiply_loop` takes on
 einsum per block of the left factor, and `potapov_product_loop` one
 `MatLaurent` and one `einsum_multiply` per Potapov factor, with each factor
 checked on its own.  The other oracles multiply through these, so no oracle
-shares the kernel it is compared with.
+shares the kernel it is compared with.  `horner_evaluate` is
+`laurent.evaluate` as it was: one Horner loop in z over the analytic half
+and one in 1/z over the rest, with the last power of 1/z it missed where
+the support ends below -1 put back, and `evaluation_bound` how far two roundings
+of a value may lie apart.
 """
 
 import numpy as np
@@ -77,3 +81,39 @@ def potapov_product_loop(factors, left_unitary=None):
             raise NotProjectionError("factor is not an orthogonal projection")
         theta = einsum_multiply(theta, MatLaurent(0, np.stack([eye - p, p])))
     return theta, sum(int(round(np.trace(p).real)) for p in mats)
+
+
+def horner_evaluate(f, z):
+    """F(z) by Horner's rule, matrix or vector: in z over the frequencies
+    max(lo, 0)..hi, in 1/z over lo..min(hi, -1)."""
+    z = complex(z)
+    shape = f.coeffs.shape[1:]
+    if z == 0:
+        if f.lo < 0:
+            raise ZeroDivisionError("cannot evaluate negative frequencies at z = 0")
+        return f.coeff(0).copy()
+    out = np.zeros(shape, dtype=np.complex128)
+    if f.hi >= 0:
+        acc = np.zeros(shape, dtype=np.complex128)
+        for k in range(f.hi, max(f.lo, 0) - 1, -1):
+            acc = acc * z + f.coeff(k)
+        out += acc * z ** max(f.lo, 0)
+    if f.lo < 0:
+        w = 1.0 / z
+        acc = np.zeros(shape, dtype=np.complex128)
+        for k in range(f.lo, min(f.hi, -1) + 1):
+            acc = acc * w + f.coeff(k)
+        out += acc * w ** -min(f.hi, -1)  # the earlier loop took w**1, wrong where hi < -1
+    return out
+
+
+def evaluation_bound(f, z):
+    """Entrywise bound on how far two roundings of F(z) lie apart:
+    8 (K + L + 2) u sum_k |z|^k |F_k|, for K = hi - lo + 1 blocks and
+    L = max(|lo|, |hi|).  Each rounding of a complex multiply-add costs at
+    most sqrt(2) gamma_2 of its terms (Higham, ch. 3); a sum of K terms
+    collects K of them, and a power z^k, formed by either route, carries up
+    to |k| roundings of z."""
+    k = np.arange(f.lo, f.hi + 1)
+    scale = np.tensordot(np.abs(complex(z)) ** k, np.abs(f.coeffs), axes=1)
+    return 8.0 * (len(k) + np.abs(k).max() + 2) * 2.0**-53 * scale

@@ -2,7 +2,8 @@
 pinned to the loops they replaced.
 
 `window` reads a frequency range as one array, and `coords` takes the
-window 0..m-1 of an element it reads (`element_oracles.element_coords`);
+window 0..m-1 of an element it reads (`element_oracles.element_coords`),
+as m blocks of d and in no other layout;
 `model_space.off_space` measures membership as ||L* f|| from Theta's
 blocks on window arrays;
 `inner_residual` and `gamma_symmetric_residual` use whole coefficient
@@ -113,6 +114,19 @@ def test_window_and_coords_match_the_coefficient_loops(basis):
         ranges = ((f.lo, f.hi), (f.lo - 2, f.hi + 2), (f.hi + 1, f.hi + 3), (f.lo - 3, f.lo - 1), (f.lo - 6, f.lo - 3), (0, 0))
         for lo, hi in ranges:
             assert np.array_equal(f.window(lo, hi), _loop_window(f, lo, hi))
+
+
+@pytest.mark.parametrize("basis", BASES, ids=IDS)
+def test_coords_take_a_window_of_m_blocks_of_d_and_refuse_a_flat_array(basis):
+    rng = np.random.default_rng(basis.n + 3)
+    m, d = basis.inner.m, basis.inner.d
+    w = rng.standard_normal((m, d, 3)) + 1j * rng.standard_normal((m, d, 3))
+    qh = basis.q.conj().T
+    assert np.array_equal(basis.coords(w), qh @ w.reshape(m * d, 3))
+    assert np.array_equal(basis.coords(w[..., 0]), qh @ w[..., 0].reshape(-1))
+    for bad in (w[..., 0].reshape(-1), w.reshape(m * d, 3), w[None], w[..., None], np.zeros((m + 1, d))):
+        with pytest.raises(ValueError, match=f"expected a window of {m} blocks of {d}"):
+            basis.coords(bad)
 
 
 @pytest.mark.parametrize("basis", WITH_240, ids=IDS_240)

@@ -5,15 +5,18 @@ the origin and reads the basis and the left inverse off it; it keeps no
 n x n array.  `defect_oracles.frame_basis_and_inverse` computes the basis from
 a thin SVD and the inverse with numpy's pinv, as before; the bases must
 agree bit for bit and the inverses entry for entry (pinv factors conj(K),
-so an exact zero may come out with the other sign).
+so an exact zero may come out with the other sign).  The kernel window at
+0 that the frame check reads is formed once per space and kept beside the
+frames: `kernel_recurrence_check` reads it from there.
 """
 
 import numpy as np
 import pytest
 
 from mttokit.fixtures import FIXTURE_NAMES, fixture
-from mttokit.model_operator import defect_spaces
-from mttokit.model_space import ModelSpaceBasis
+from mttokit import model_operator, model_space
+from mttokit.model_operator import defect_spaces, kernel_recurrence_check
+from mttokit.model_space import ModelSpaceBasis, kernel
 from mttokit.randgen import random_inner
 
 from defect_oracles import frame_basis_and_inverse
@@ -51,3 +54,22 @@ def test_bases_are_orthonormal_and_every_array_is_rank_d(basis):
     assert ds.gram_values.shape == (d,) and ds.gram_vectors.shape == (d, d)
     lam, v = np.linalg.eigh(h)
     assert np.array_equal(ds.gram_values, lam) and np.array_equal(ds.gram_vectors, v)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_a_fresh_basis_forms_the_kernel_at_zero_once(name, monkeypatch):
+    points = []
+
+    def counted(inner, lam, x):
+        points.append(lam)
+        return kernel(inner, lam, x)
+
+    for module in (model_operator, model_space):
+        monkeypatch.setattr(module, "kernel", counted)
+    basis = ModelSpaceBasis(fixture(name))
+    ds = defect_spaces(basis)
+    assert kernel_recurrence_check(basis, count=3, seed=0)["pass"]
+    defect_spaces(basis)
+    assert points == [0.0]
+    assert np.array_equal(ds.d_window, kernel(basis.inner, 0.0, np.eye(basis.d))[0])
+    assert not ds.d_window.flags.writeable

@@ -168,6 +168,36 @@ def test_frobenius_is_safe_at_every_finite_scale(scale):
     assert abs(frobenius(scale * a) - scale * want) <= 1e-14 * scale * want
 
 
+ZEROS = [np.zeros(0), np.zeros((2, 2), dtype=complex), np.zeros((3, 4, 2)), np.zeros(5, dtype=int),
+         np.array([-0.0, 0.0, -0.0]), np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(-0.0, -0.0), 0j]]),
+         np.zeros((4, 6), dtype=complex)[:, ::2]]
+
+
+@pytest.mark.parametrize("a", ZEROS, ids=range(len(ZEROS)))
+def test_an_all_zero_array_reads_numpys_zero_without_the_rescale(a, monkeypatch):
+    want = np.linalg.norm(a)
+    rescaled = []
+    monkeypatch.setattr(np, "abs", lambda x: rescaled.append(x) or np.absolute(x))
+    got = frobenius(a)
+    assert got == want == 0.0 and np.array_equal(np.copysign(1.0, [got]), [1.0])  # +0.0, as numpy's
+    assert rescaled == []
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_underflowing_and_normal_arrays_keep_their_routes(dtype, monkeypatch):
+    rng = np.random.default_rng(7)
+    normal = _gaussian(5, rng) if dtype is complex else rng.standard_normal((5, 5))
+    assert frobenius(normal).hex() == float(np.linalg.norm(normal)).hex()
+    tiny = 1e-170 * normal
+    assert np.linalg.norm(tiny) == 0.0  # every square underflows
+    big = float(np.abs(tiny).max())
+    assert frobenius(tiny) == big * float(np.linalg.norm(np.abs(tiny) / big)) > 0.0
+    rescaled = []
+    monkeypatch.setattr(np, "abs", lambda x: rescaled.append(x) or np.absolute(x))
+    frobenius(tiny)
+    assert len(rescaled) >= 1
+
+
 def test_column_norms_are_numpys_in_range_and_frobenius_outside():
     a = _gaussian(6, np.random.default_rng(5))
     assert np.array_equal(column_norms(a), np.linalg.norm(a, axis=0))  # bit for bit

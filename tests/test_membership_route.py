@@ -16,8 +16,9 @@ refuses exactly the operators is_mtto rejects.  A counting wrapper shows
 that a warm is_mtto splits nothing and takes no SVD, and that
 recover_symbol splits the plain identity once and never calls is_mtto.
 `_delta` is the one place either identity is formed.
-The defect data is O(nd): its arrays hold at most 8 n d complex entries,
-fewer than n^2 on a space with n = 48, d = 2.
+The defect data is O(nd) beside the m d x d kernel window at 0: its
+other arrays hold at most 8 n d complex entries, fewer than n^2 on a space
+with n = 48, d = 2.
 The suite's variants_agree check compares the split residual with the
 projector one, both read off one starred Delta per case.  An operator of
 another space is refused by name at every entry point that takes one.
@@ -145,7 +146,8 @@ def test_the_defect_data_is_rank_d_and_the_decision_keeps_no_array(basis):
     n, d = basis.n, basis.inner.d
     for arr in vars(ds).values():
         assert not arr.flags.writeable
-    assert sum(arr.nbytes for arr in vars(ds).values()) <= 8 * n * d * 16
+    assert ds.d_window.shape == (basis.inner.m, d, d)
+    assert sum(arr.nbytes for name, arr in vars(ds).items() if name != "d_window") <= 8 * n * d * 16
     rng = np.random.default_rng(basis.n + 13)
     a = _gaussian(n, rng)
     decision = is_mtto(basis, a)

@@ -380,12 +380,14 @@ def test_the_laurent_products_take_one_route_with_no_loop_over_blocks():
     block-Toeplitz matrix times one matrix: `laurent.py` calls no einsum
     (the einsum route lives in tests/product_oracles.py), and neither
     `convolve` nor `model_space.off_space`, which applies L* through it,
-    has a loop or comprehension over blocks."""
+    nor `laurent.evaluate`, the powers of z times the blocks (its Horner
+    loop is `product_oracles.horner_evaluate`), has a loop or
+    comprehension over blocks."""
     trees = _package_trees()
     einsums = [node.lineno for node in ast.walk(trees["laurent.py"])
                if isinstance(node, ast.Attribute) and node.attr == "einsum"]
     assert not einsums, f"np.einsum in laurent.py at lines {einsums}"
-    for module, function in (("laurent.py", "convolve"), ("model_space.py", "off_space")):
+    for module, function in (("laurent.py", "convolve"), ("model_space.py", "off_space"), ("laurent.py", "evaluate")):
         fn = next(node for node in trees[module].body if isinstance(node, ast.FunctionDef) and node.name == function)
         loops = [node.lineno for node in ast.walk(fn)
                  if isinstance(node, (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))]
