@@ -7,11 +7,17 @@ z^m H^2 is contained in Theta H^2 and the whole space embeds in the
 polynomials of degree < m; all computations happen in that m*d
 dimensional coefficient window, where the orthogonal projector onto the
 space is I - L L* with L the block Toeplitz matrix of Theta.  No SVD is
-needed: n is trace P, read off Theta's blocks, and the basis is
-Gram-Schmidt over the columns of P, which only the basis build forms; it
-normalizes no residual below GS_CUT = 1 / MAX_WINDOW and still keeps n.
-Membership of a window element f is ||L* f||, read by `off_space`, and of
-a basis column q by ||q - P q||, which also names the repair qr(P Q).
+needed: n is trace P, read off Theta's blocks.  The basis follows the
+payload.  A Potapov product Theta = U B_1 ... B_k, B_j = I - P_j + z P_j,
+keeps its factors, and K_Theta is the orthogonal sum of the spaces
+U B_1 ... B_(j-1) ran P_j (V. P. Potapov, "The multiplicative structure
+of J-contractive matrix functions", 1955), so its basis is read off the
+running products with no md x md array.  A coefficient payload has no
+factors; its basis is Gram-Schmidt over the columns of P, which only that
+route forms, normalizing no residual below GS_CUT = 1 / MAX_WINDOW.
+Membership of a window element f is ||L* f||, read by `off_space`, which
+also measures every Potapov basis; a coefficient basis is measured by
+||q - P q||, and a basis above the gate is repaired as qr(P Q).
 """
 
 from __future__ import annotations
@@ -99,17 +105,20 @@ class InnerFunction:
     space dimension n independently as the trace of the window projector
     P = I - L L* (which must lie within m*d*TRACE_TOL of an integer) and
     as the degree of det Theta, read at one interior point; for a Potapov
-    product it also takes the sum of the factor ranks, `rank_sum`, and the
-    basis counts its Gram-Schmidt directions.  It refuses to continue unless
-    all of them agree.  Diagonal block k of L L* is the sum over i <= k of
-    Theta_i Theta_i*, so trace P = m*d - sum over k < m of (m - k)
-    ||Theta_k||_F^2, with no P formed.  A window wider than MAX_WINDOW
+    product it also takes the sum of the factor ranks, and the basis counts
+    its directions.  It refuses to continue unless all of them agree.
+    Diagonal block k of L L* is the sum over i <= k of Theta_i Theta_i*,
+    so trace P = m*d - sum over k < m of (m - k) ||Theta_k||_F^2, with no
+    P formed.  A window wider than MAX_WINDOW
     coordinates is refused before anything is allocated.  `blocks` holds
-    Theta_0, ..., Theta_m as one read-only (m+1, d, d) array;
+    Theta_0, ..., Theta_m as one read-only (m+1, d, d) array; `factors` is
+    (U, the read-only (k, d, d) stack of the P_j, their ranks) as
+    `potapov_product` returns them for a Potapov payload, which
+    `ModelSpaceBasis` reads, and None for a coefficient payload;
     `adjoint_blocks`, `tail_inverse` are lazy.
     """
 
-    def __init__(self, theta: MatLaurent, rank_sum: int | None = None):
+    def __init__(self, theta: MatLaurent, factors=None):
         if theta.lo < 0:
             raise NotInnerError("inner functions must be analytic")
         _require_window(theta.hi, theta.dim)
@@ -117,6 +126,7 @@ class InnerFunction:
         if not is_pure(theta):
             raise NotPureError("value at the origin is not a strict contraction")
         self.theta = theta
+        self.factors = factors
         self.d = theta.dim
         self.m = theta.hi
         self.blocks = np.zeros((self.m + 1, self.d, self.d), dtype=np.complex128)  # Theta_0, ..., Theta_m
@@ -128,8 +138,8 @@ class InnerFunction:
         require_small(abs(trace - round(trace)), tol, IdentityCheckError,
                       f"projector trace {trace!r} is not within {tol:.1e} of an integer")
         witnesses = {"projector trace": int(round(trace)), "det degree": det_degree(theta)}
-        if rank_sum is not None:
-            witnesses["factor rank sum"] = rank_sum
+        if factors is not None:
+            witnesses["factor rank sum"] = int(factors[2].sum())
         if len(set(witnesses.values())) != 1:
             raise IdentityCheckError(
                 "model dimension mismatch: " + ", ".join(f"{k} {v}" for k, v in witnesses.items())
@@ -156,48 +166,61 @@ class InnerFunction:
         return out
 
 
+def _advance(h: np.ndarray, j: int, p: np.ndarray) -> None:
+    """Turn the blocks h[:j] of H_(j-1) into the blocks h[:j+1] of
+    H_j = H_(j-1) (I - P) + z H_(j-1) P in place: H_(j-1) P is one product,
+    subtracted at each frequency and added one frequency up."""
+    d = p.shape[0]
+    high = (h[:j].reshape(j * d, d) @ p).reshape(j, d, d)
+    h[:j] -= high
+    h[1 : j + 1] += high
+
+
 def potapov_product(factors, left_unitary=None):
-    """Validate the factors of U (I - P_1 + z P_1) ... (I - P_r + z P_r) and
-    multiply them out; purity is not checked.  Returns (Theta, sum rank P_j),
-    the ranks read off from the rounded traces.  Factor j turns the blocks
-    H_k of one (r+1, d, d) array into H_k (I - P_j) at k plus H_k P_j at
-    k + 1, contracted and summed as in `multiply`.  r*d > MAX_WINDOW is
-    refused before any product, even if U P_1 ... P_r = 0."""
+    """Validate the factors of U (I - P_1 + z P_1) ... (I - P_k + z P_k) and
+    multiply them out; purity is not checked.  Returns (Theta, (U, P,
+    ranks)): P the read-only (k, d, d) stack of the P_j and ranks their
+    traces rounded, read off one batched trace.  The Hermitian and
+    idempotent residuals of every factor are the columns of one
+    `column_norms`.  The running product H_j = U B_1 ... B_j lives in one
+    (k+1, d, d) array that `_advance` turns by one matrix product per
+    factor.  k*d > MAX_WINDOW is refused before any product, even if
+    U P_1 ... P_k = 0."""
     mats = [np.asarray(p, dtype=np.complex128) for p in factors]
     if not mats:
         raise ValueError("need at least one factor")
     d = mats[0].shape[0]
-    u = np.eye(d, dtype=np.complex128) if left_unitary is None else np.asarray(left_unitary, dtype=np.complex128)
+    u = np.eye(d, dtype=np.complex128) if left_unitary is None else np.array(left_unitary, dtype=np.complex128)
     if u.shape != (d, d):
         raise NotUnitaryError(f"left unitary must be {d} x {d}")
     if any(p.shape != (d, d) for p in mats):
         raise NotProjectionError("factor dimensions disagree")
     _require_window(len(mats), d)
-    ps, eye = np.stack(mats), np.eye(d)
+    ps, k = np.stack(mats), len(mats)
     with np.errstate(all="ignore"):  # an overflow leaves an inf or nan residual, refused below
-        unitary = frobenius(u.conj().T @ u - eye)
-        hermitian = column_norms((ps - ps.conj().transpose(0, 2, 1)).reshape(len(mats), -1).T)  # one per factor
-        idempotent = column_norms((ps @ ps - ps).reshape(len(mats), -1).T)
+        unitary = frobenius(u.conj().T @ u - np.eye(d))
+        residuals = np.concatenate([ps - ps.conj().transpose(0, 2, 1), ps @ ps - ps])  # Hermitian, then idempotent
+        projection = column_norms(residuals.reshape(2 * k, d * d).T).max()
     require_small(unitary, INPUT_TOL, NotUnitaryError, "left factor is not unitary")
-    require_small(np.maximum(hermitian, idempotent).max(), INPUT_TOL, NotProjectionError,
-                  "factor is not an orthogonal projection")
-    coeffs = np.zeros((len(mats) + 1, d, d), dtype=np.complex128)
-    coeffs[0] = u
+    require_small(projection, INPUT_TOL, NotProjectionError, "factor is not an orthogonal projection")
+    ranks = np.rint(np.trace(ps, axis1=1, axis2=2).real).astype(np.int64)
+    h = np.zeros((k + 1, d, d), dtype=np.complex128)
+    h[0] = u
     for j, p in enumerate(ps, start=1):
-        high = np.einsum("kab,bc->kac", coeffs[:j], p)
-        coeffs[:j] = np.einsum("kab,bc->kac", coeffs[:j], eye - p)
-        coeffs[1 : j + 1] += high
-    return MatLaurent(0, coeffs), sum(int(round(np.trace(p).real)) for p in mats)
+        _advance(h, j, p)
+    for a in (u, ps, ranks):
+        a.setflags(write=False)
+    return MatLaurent(0, h), (u, ps, ranks)
 
 
 def make_inner_potapov(factors, left_unitary=None) -> InnerFunction:
-    """The inner function `potapov_product` multiplies out; its model
-    space has dimension sum rank P_j."""
+    """The inner function `potapov_product` multiplies out, keeping its
+    factors; its model space has dimension sum rank P_j."""
     return InnerFunction(*potapov_product(factors, left_unitary))
 
 
 def theta_from_json(obj):
-    """(Theta, factor rank sum or None) of an inner-function payload, its window
+    """(Theta, its Potapov factors or None) of an inner-function payload, its window
     within MAX_WINDOW; Theta is multiplied out but not checked to be pure inner."""
     serialize.check_schema_version(obj)
     try:
@@ -276,42 +299,83 @@ def _panel_gram_schmidt(p: np.ndarray, n: int) -> np.ndarray:
     return q[:, :k]
 
 
-class ModelSpaceBasis:
-    """Deterministic orthonormal basis of the model space.
+def _factor_frames(ps: np.ndarray, ranks: np.ndarray) -> list:
+    """V_j for each factor: the first r_j Gram-Schmidt directions of the
+    columns of P_j under the GS_CUT rule, fewer if they run out.  One
+    batched QR factors every P_j; where a column among the first r_j is
+    skipped (|R_ii| <= GS_CUT), the factor is swept further on its R
+    (`_triangular_sweep`)."""
+    frames, rs = np.linalg.qr(ps)
+    kept = np.abs(np.diagonal(rs, axis1=1, axis2=2)) > GS_CUT
+    return [frame[:, :rank] if keep[:rank].all() else frame @ _triangular_sweep(r, rank)
+            for frame, r, keep, rank in zip(frames, rs, kept, ranks)]
 
-    Gram-Schmidt of the columns P e_j of the window projector, in order:
-    each column is projected twice against the directions kept so far and
-    kept when what is left exceeds GS_CUT, and the sweep stops at n
-    (`_panel_gram_schmidt` runs this rule a panel of columns at a time).
-    GS_CUT is 1 / MAX_WINDOW: the final residuals of the at most m*d skipped
-    columns square-sum to n minus the count kept, which is then below 1, so
-    n are kept; and no direction is normalized from a residual below the
-    cut, which bounds how much one step magnifies the rounding of P.
-    It bounds one step, not a chain, so P Q is formed once and ||q - P q|| =
-    ||L* q|| read per column: above OFF_ULPS * m*d * eps (no generic Theta
-    is), Q becomes the Q factor of P Q, read again and refused if still so.
-    Each column's first significant entry is then rotated to the positive
-    real axis and signed zeros are made positive, so the same Theta always
-    yields the same bytes.  The basis is named by `serialize.basis_id`, a
-    hash of Theta, which makes operator matrices comparable across runs.
+
+def _factor_basis(inner: InnerFunction) -> np.ndarray:
+    """The columns U B_1 ... B_(j-1) V_j, group j in window blocks 0..j-1,
+    for the factors of a Potapov payload: one loop writes each group from
+    the running product H_(j-1) and advances it (`_advance`).  A factor
+    count k above m (Theta's top blocks cancel exactly) leaves blocks past
+    the window that vanish on K_Theta; they are dropped."""
+    u, ps, ranks = inner.factors
+    frames = _factor_frames(ps, ranks)
+    k, d = ps.shape[:2]
+    q = np.zeros((k * d, sum(v.shape[1] for v in frames)), dtype=np.complex128)
+    h = np.zeros((k + 1, d, d), dtype=np.complex128)
+    h[0], col = u, 0
+    for j, (p, v) in enumerate(zip(ps, frames), start=1):
+        q[: j * d, col : col + v.shape[1]] = h[:j].reshape(j * d, d) @ v
+        col += v.shape[1]
+        _advance(h, j, p)
+    return q[: inner.m * d]
+
+
+class ModelSpaceBasis:
+    """Deterministic orthonormal basis of the model space, by the payload's one route.
+
+    A Potapov payload's basis is read off its factors (`_factor_basis`):
+    multiplication by the inner U B_1 ... B_(j-1) is an isometry, so the
+    groups H_(j-1) V_j are orthonormal and mutually orthogonal, and they
+    span K_Theta, n = sum r_j columns with no projector and no rank cut.
+    A coefficient payload's basis is Gram-Schmidt of the columns P e_j of
+    the window projector, in order: each column is projected twice against
+    the directions kept so far and kept when what is left exceeds GS_CUT,
+    and the sweep stops at n (`_panel_gram_schmidt` runs this rule a panel
+    of columns at a time).  GS_CUT is 1 / MAX_WINDOW: the final residuals of
+    the at most m*d skipped columns square-sum to n minus the count kept,
+    which is then below 1, so n are kept; and no direction is normalized
+    from a residual below the cut, which bounds how much one step magnifies
+    the rounding of P.  It bounds one step, not a chain, so each basis is
+    measured once, ||L* q|| per column (`off_space` for a Potapov basis,
+    ||q - P q|| where P is at hand): above OFF_ULPS * m*d * eps (no generic
+    Theta is), Q becomes the Q factor of P Q, read again and refused if
+    still so.  Each column is then rotated so its largest entry (the first
+    among ties) is real positive, and signed zeros are made positive, so
+    the same payload always yields the same bytes.  The basis is named by
+    `basis_id`, which makes operator matrices comparable across runs.
     """
 
     def __init__(self, inner: InnerFunction):
         self.inner = inner
-        p = window_projector(inner.blocks)
-        q = _panel_gram_schmidt(p, inner.n)
+        if inner.factors is None:
+            p = window_projector(inner.blocks)
+            q = _panel_gram_schmidt(p, inner.n)
+            off = column_norms(q - p @ q)
+        else:
+            p, q = None, _factor_basis(inner)
+            off = off_space(inner, q)
         if q.shape[1] != inner.n:
             raise IdentityCheckError(
                 f"model dimension mismatch: Gram-Schmidt count {q.shape[1]}, projector trace {inner.n}"
             )
-        gate, pq = OFF_ULPS * p.shape[0] * np.finfo(np.float64).eps, p @ q
-        if column_norms(q - pq).max() > gate:  # rounding compounded over near-cut columns
-            q = np.linalg.qr(pq)[0]
+        gate = OFF_ULPS * inner.m * inner.d * np.finfo(np.float64).eps
+        if off.max() > gate:  # rounding compounded over near-cut columns
+            p = window_projector(inner.blocks) if p is None else p
+            q = np.linalg.qr(p @ q)[0]
             require_small(column_norms(q - p @ q).max(), gate, IdentityCheckError,
                           "basis left the model space, max ||L* q|| {residual:.3e} after re-projection")
         self.q = fix_column_phases(q) + 0.0  # adding +0.0 turns every -0.0 into +0.0
         self.q.setflags(write=False)
-        self._basis_id = None
         self.cache = {}  # read-only operator data of this space, filled once by model_operator
 
     @property
@@ -322,11 +386,15 @@ class ModelSpaceBasis:
     def d(self) -> int:
         return self.inner.d
 
-    @property
+    @cached_property
     def basis_id(self) -> str:
-        if self._basis_id is None:
-            self._basis_id = serialize.basis_id(self.inner.theta, self.n)
-        return self._basis_id
+        """`serialize.basis_id` of the payload the basis is a function of: a
+        Potapov basis hashes (d, m, n), U and the P_j, since Theta has many
+        factorizations; a coefficient basis (d, lo, hi, n) and Theta."""
+        inner = self.inner
+        if inner.factors is None:
+            return serialize.basis_id((inner.d, inner.theta.lo, inner.m, inner.n), inner.theta.coeffs)
+        return serialize.basis_id((inner.d, inner.m, inner.n), *inner.factors[:2])
 
     def coords(self, w: np.ndarray) -> np.ndarray:
         """Q* w for a window array w of m blocks of d: m x d for one
@@ -357,9 +425,9 @@ def off_space(inner: InnerFunction, w: np.ndarray) -> np.ndarray:
     """||L* f|| for each element f in the columns of the window array w
     (m*d rows): block k of L* f is the sum over i of Theta_i* f_{k+i}, the
     analytic part of Theta* f at frequency k, which vanishes exactly on the
-    model space.  It reads Theta's blocks, not the projector the basis was
-    built from, and takes Theta* w at frequencies 0..m-1 as one `convolve`,
-    which forms L* itself, md x md, for w of d columns or more."""
+    model space.  It reads Theta's blocks, not a projector, and takes
+    Theta* w at frequencies 0..m-1 as one `convolve`, which forms L*
+    itself, md x md, for w of d columns or more."""
     m, d = inner.m, inner.d
     return column_norms(convolve(reversed_adjoint(inner.blocks), w.reshape(m, d, -1), m).reshape(m * d, -1))
 

@@ -27,7 +27,6 @@ DET_TOL = 0.25  # det_degree's reading -m log|det Theta(e^(-1/m))| may miss an i
 INPUT_TOL = 1e-10  # largest unitarity, projection or symmetry residual of a caller's matrices
 CHECK_TOL = 1e-9  # largest residual, absolute or per unit of its scale, of an internal identity check
 REBUILD_TOL = 1e-8  # largest residual per unit of the input's norm of a rebuild or a division by Theta
-PHASE_CUT = 1e-8  # entries up to PHASE_CUT * max(1, column max) cannot carry the phase
 
 
 def require_finite(a: np.ndarray, message: str) -> np.ndarray:
@@ -121,20 +120,20 @@ def rank_of_singular_values(s: np.ndarray, shape) -> int:
 
 
 def fix_column_phases(q: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant entry is real positive.
+    """Rotate each column so its largest-magnitude entry, the first among
+    exact ties, is real positive.
 
     Makes SVD/Gram-Schmidt output reproducible up to the underlying
-    factorization; columns that are numerically zero are left alone.
-    One pass over the whole matrix: the pivot of each column is its first
-    entry above PHASE_CUT * max(1, column max).
+    factorization: the pivot is where the column is largest, not an entry
+    that rounding can make or unmake, so the bytes move only with the
+    column's own rounding.  Columns with no non-zero entry are left alone.
+    One pass over the whole matrix.
     """
     q = np.array(q, dtype=np.complex128, copy=True)
-    mags = np.abs(q)
-    big = mags > PHASE_CUT * np.maximum(1.0, mags.max(axis=0, initial=0.0))
-    cols = np.flatnonzero(big.any(axis=0))
-    if cols.size:
-        pivots = q[big[:, cols].argmax(axis=0), cols]
-        q[:, cols] *= np.conj(pivots) / np.abs(pivots)
+    if q.size:
+        pivots = q[np.abs(q).argmax(axis=0), np.arange(q.shape[1])]
+        cols = np.flatnonzero(pivots)
+        q[:, cols] *= np.conj(pivots[cols]) / np.abs(pivots[cols])
     return q
 
 

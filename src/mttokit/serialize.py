@@ -7,7 +7,7 @@ two identical runs produce identical bytes.  Both directions convert a
 whole array at once.  Top-level documents carry a schema_version field;
 readers refuse a version they do not know and read a document without
 one as current.  A model-space basis is named by `basis_id`, a hash of
-the bytes of Theta.
+the payload it is built from.
 """
 
 import hashlib
@@ -20,7 +20,7 @@ from .laurent import MatLaurent
 from .numerics import require_finite
 
 SCHEMA_VERSION = 1
-BASIS_ID_PREFIX = "v5-"  # changes whenever the rule that builds a basis from Theta does
+BASIS_ID_PREFIX = "v6-"  # changes whenever the rule that builds a basis from its payload does
 
 
 def check_schema_version(obj) -> None:
@@ -37,15 +37,16 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def basis_id(theta: MatLaurent, n: int) -> str:
-    """Identity of the basis of the model space of Theta: BASIS_ID_PREFIX and the
-    first 16 hex digits of the sha256 of the little-endian bytes of
-    (d, lo, hi, n) as int64, then of the coefficients of Theta as
-    complex128 in row-major order.  The basis is a function of Theta under
-    a fixed rule, so the id hashes Theta alone and does not move when that
-    rule's roundoff does."""
-    h = hashlib.sha256(np.array([theta.dim, theta.lo, theta.hi, n], dtype="<i8").tobytes())
-    h.update(np.ascontiguousarray(theta.coeffs, dtype="<c16").tobytes())
+def basis_id(shape, *arrays) -> str:
+    """Identity of a model-space basis: BASIS_ID_PREFIX and the first 16 hex
+    digits of the sha256 of the little-endian bytes of the integers `shape`
+    as int64, then of each array as complex128 in row-major order.  The
+    basis is a function of its payload under a fixed rule, so the id hashes
+    that payload (`ModelSpaceBasis.basis_id` names the arrays) and does not
+    move when that rule's roundoff does."""
+    h = hashlib.sha256(np.array(shape, dtype="<i8").tobytes())
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<c16").tobytes())
     return BASIS_ID_PREFIX + h.hexdigest()[:16]
 
 

@@ -14,17 +14,22 @@ column by column; and an encoder that recurses once per scalar.
 from Theta's blocks; `membership_residual` takes it through Laurent
 objects, Theta* f in full, and also sees frequencies outside the window.
 `turned_off` turns an orthonormal basis of the model space off it, as
-rounding can.
+rounding can, and `potapov_cell` draws the factors of the benchmark's
+large cells; SEEDED lists the seeded random spaces the basis tests share.
 """
 
 import numpy as np
 
 from mttokit import model_space
 from mttokit.laurent import boundary_adjoint, multiply, reversed_adjoint
-from mttokit.numerics import PHASE_CUT, fix_column_phases
+from mttokit.numerics import fix_column_phases
+from mttokit.randgen import haar_unitary
 
 from dimension_oracles import anchored_cut
 from product_oracles import block_toeplitz
+
+# (d, m, seed) of seeded random spaces; the last has n >= 120
+SEEDED = [(1, 4, 11), (2, 3, 12), (3, 5, 13), (4, 12, 14), (6, 40, 15)]
 
 
 def constraint_matrix(theta) -> np.ndarray:
@@ -43,15 +48,15 @@ def membership_residual(basis, f) -> float:
 
 
 def fix_column_phases_loop(q: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first entry above PHASE_CUT * max(1,
-    column max) is real positive; numerically zero columns stay alone."""
+    """Rotate each column so its largest-magnitude entry, the first among
+    exact ties, is real positive; a column with no non-zero entry stays alone."""
     q = np.array(q, dtype=np.complex128, copy=True)
     for j in range(q.shape[1]):
         col = q[:, j]
-        idx = np.flatnonzero(np.abs(col) > PHASE_CUT * max(1.0, np.abs(col).max(initial=0.0)))
-        if idx.size == 0:
+        mags = [abs(x) for x in col]
+        if not any(mags):
             continue
-        pivot = col[idx[0]]
+        pivot = col[mags.index(max(mags))]
         q[:, j] = col * (np.conj(pivot) / np.abs(pivot))
     return q
 
@@ -102,3 +107,20 @@ def turned_off(q, angle=1e-4, seed=0):
     outside = np.linalg.qr(q, mode="complete")[0][:, q.shape[1] :]
     c, w = _unit(rng, q.shape[1]), outside @ _unit(rng, outside.shape[1])
     return q + np.outer((np.cos(angle) - 1) * (q @ c) + np.sin(angle) * w, c.conj())
+
+
+def potapov_cell(d, ranks, seed):
+    """(factors, U) as `perfbench/workloads.random_potapov` draws them from
+    seed: U and the projections onto the first r columns of Haar unitaries,
+    drawn again until ||Theta(0)|| <= 0.95.  Rank-3 factors at d = 6, 80 of
+    them, give the n = 240 cell."""
+    rng = np.random.default_rng(seed)
+    while True:
+        u = haar_unitary(d, rng)
+        frames = [haar_unitary(d, rng)[:, :r] for r in ranks]
+        factors = [f @ f.conj().T for f in frames]
+        value0 = u
+        for p in factors:
+            value0 = value0 @ (np.eye(d) - p)
+        if np.linalg.norm(value0, 2) <= 0.95:
+            return factors, u

@@ -4,14 +4,16 @@ and the block-Toeplitz matrix, kept as test references.
 `laurent.convolve` takes a block convolution as one product with a gathered
 block-Toeplitz matrix, `mtto.build` gathers T_Phi through the same lag
 index, and `model_space.potapov_product` multiplies the factors out in one
-coefficient array.  The functions below do the same work the earlier ways:
+coefficient array, H -> H - H P + z H P by one matrix product per factor.
+The functions below do the same work the earlier ways:
 `block_toeplitz` lays the blocks out one by one with `np.block`, as no
 route of the package does; `einsum_convolve` forms every block product
 F_i G_k with one einsum and sums them in order of i, as `laurent.convolve`
 did, and `einsum_multiply` is `laurent.multiply` on it; `multiply_loop` takes one
 einsum per block of the left factor, and `potapov_product_loop` one
 `MatLaurent` and one `einsum_multiply` per Potapov factor, with each factor
-checked on its own.  The other oracles multiply through these, so no oracle
+checked on its own, and `potapov_bound` how far two roundings of that
+product may lie apart.  The other oracles multiply through these, so no oracle
 shares the kernel it is compared with.  `horner_evaluate` is
 `laurent.evaluate` as it was: one Horner loop in z over the analytic half
 and one in 1/z over the rest, with the last power of 1/z it missed where
@@ -81,6 +83,27 @@ def potapov_product_loop(factors, left_unitary=None):
             raise NotProjectionError("factor is not an orthogonal projection")
         theta = einsum_multiply(theta, MatLaurent(0, np.stack([eye - p, p])))
     return theta, sum(int(round(np.trace(p).real)) for p in mats)
+
+
+def potapov_bound(factors, left_unitary=None):
+    """Entrywise bound on how far two roundings of U B_1 ... B_k lie apart,
+    B_j = I - P_j + z P_j.  A step H -> H (I - P) + z H P, taken either as
+    H - H P or as H (I - P), is within sqrt(2) gamma_{d+2} of |H| times
+    C = (|I - P| + |P|) + z |P| of the exact step on the computed H, since
+    |H| <= |H| (|I - P| + |P|); the later factors carry that error, and
+    |B_j| <= C_j, so each rounding is within sqrt(2) gamma_{k(d+2)} of the
+    magnitude product |U| C_1 ... C_k (to first order; Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3), and two of them within
+    twice that."""
+    mats = [np.asarray(p, dtype=np.complex128) for p in factors]
+    d = mats[0].shape[0]
+    u = np.eye(d) if left_unitary is None else np.asarray(left_unitary)
+    mag = np.abs(u)[np.newaxis].astype(np.complex128)
+    for p in mats:
+        step = np.stack([np.abs(np.eye(d) - p) + np.abs(p), np.abs(p)])  # C_j = (|I - P| + |P|) + z |P|
+        mag = einsum_convolve(mag, step.astype(np.complex128))
+    n, u = len(mats) * (d + 2), 2.0**-53
+    return 2.0 * np.sqrt(2.0) * n * u / (1.0 - n * u) * mag.real
 
 
 def horner_evaluate(f, z):

@@ -1,9 +1,10 @@
-"""The model-space basis pinned to the ambient-space Gram-Schmidt.
+"""The coefficient payload's basis pinned to the ambient-space Gram-Schmidt.
 
 `InnerFunction` reads n off trace P, P = I - L L* the window projector,
-in closed form from Theta's blocks; `ModelSpaceBasis` builds P by running
-sums along its block diagonals and runs Gram-Schmidt on its columns a
-panel at a time, by block passes and one Householder QR per panel, and
+in closed form from Theta's blocks; for a coefficient payload (no Potapov
+factors; the factor route is pinned in `test_factor_route.py`)
+`ModelSpaceBasis` builds P by running sums along its block diagonals and
+runs Gram-Schmidt on its columns a panel at a time, by block passes and one Householder QR per panel, and
 sweeps a panel with skipped columns further on its triangular factor.
 `basis_oracles.gram_schmidt_loop` does the same work column by column on
 the projector built from an SVD of the constraint matrix, and
@@ -37,15 +38,13 @@ from mttokit.model_space import (  # noqa: E402
     potapov_product,
     window_projector,
 )
-from mttokit.numerics import PHASE_CUT, fix_column_phases  # noqa: E402
+from mttokit.numerics import fix_column_phases  # noqa: E402
 from mttokit.randgen import haar_unitary, random_gamma_symmetric_triple, random_inner, random_projection  # noqa: E402
 
-from basis_oracles import constraint_matrix, fix_column_phases_loop, gram_schmidt_loop, turned_off  # noqa: E402
+from basis_oracles import SEEDED, constraint_matrix, fix_column_phases_loop, gram_schmidt_loop, turned_off  # noqa: E402
 from monomial_oracles import monomial_inner  # noqa: E402
 from test_conditioning_family import nested_pairs_d3  # noqa: E402
 
-# (d, m, seed) of seeded random spaces; the last has n >= 120
-SEEDED = [(1, 4, 11), (2, 3, 12), (3, 5, 13), (4, 12, 14), (6, 40, 15)]
 # unequal m_i of rotated monomial spaces, n = sum m_i from 7 to 59
 MONOMIAL = [(1, 4, 2), (5, 5, 1, 3), (3, 1, 7, 2, 6), (9, 2, 14, 7, 1, 12, 4, 10)]
 # (d, factor ranks) of the benchmark's membership, recovery and spaces workloads
@@ -75,7 +74,7 @@ def _assert_orthonormal_in_kernel(basis):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixture_basis_matches_the_ambient_loop(name):
-    inner = fixture(name)
+    inner = InnerFunction(fixture(name).theta)
     q, want = ModelSpaceBasis(inner).q, gram_schmidt_loop(inner)
     assert np.abs(q - want).max() <= 1e-12
     if name != "FIX5":  # exact data: the two orders of rounding agree bit for bit
@@ -84,7 +83,7 @@ def test_fixture_basis_matches_the_ambient_loop(name):
 
 @pytest.mark.parametrize("d, m, seed", SEEDED)
 def test_seeded_basis_matches_the_ambient_loop(d, m, seed):
-    inner = random_inner(d, m, np.random.default_rng(seed))
+    inner = InnerFunction(random_inner(d, m, np.random.default_rng(seed)).theta)
     basis = ModelSpaceBasis(inner)
     assert np.abs(basis.q - gram_schmidt_loop(inner)).max() <= 1e-12
     _assert_orthonormal_in_kernel(basis)
@@ -113,7 +112,8 @@ def _phase_cases():
         rows, cols = rng.integers(1, 12, size=2)
         q = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) * 10.0 ** rng.integers(-12, 6)
         q[:, rng.integers(cols)] = 0.0
-        q[: rows // 2, rng.integers(cols)] *= PHASE_CUT / 10  # pivot below the cut
+        q[: rows // 2, rng.integers(cols)] *= 1e-9  # the earlier rule's cut: the pivot is still the largest entry
+        q[:, rng.integers(cols)] = 2.0 * rng.choice([1, -1, 1j, -1j], rows)  # exact ties: the first one pivots
         q[rng.integers(rows)] = complex(-0.0, -0.0) if k % 2 else -0.0
         yield q, f"random {k}"
 
@@ -187,7 +187,7 @@ def test_monomial_basis_takes_the_skip_branch_and_matches_the_loop(monkeypatch, 
 
 @pytest.mark.parametrize("d, m, seed", SEEDED)
 def test_basis_without_skips_takes_one_qr_per_panel(monkeypatch, d, m, seed):
-    inner = random_inner(d, m, np.random.default_rng(seed))
+    inner = InnerFunction(random_inner(d, m, np.random.default_rng(seed)).theta)
     factored = []
     real_qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: factored.append(np.shape(a)) or real_qr(a, *args, **kw))
@@ -231,10 +231,10 @@ def test_the_window_cut_keeps_n_columns_and_moves_no_generic_basis(monkeypatch):
 
 def test_wrong_factor_rank_sum_is_refused_by_the_projector_trace():
     rng = np.random.default_rng(3)
-    theta, rank_sum = potapov_product([random_projection(3, r, rng) for r in (1, 2, 2)], haar_unitary(3, rng))
-    assert InnerFunction(theta, rank_sum).n == rank_sum == 5
+    theta, (u, ps, ranks) = potapov_product([random_projection(3, r, rng) for r in (1, 2, 2)], haar_unitary(3, rng))
+    assert InnerFunction(theta, (u, ps, ranks)).n == ranks.sum() == 5
     with pytest.raises(IdentityCheckError, match="projector trace 5, det degree 5, factor rank sum 4"):
-        InnerFunction(theta, rank_sum - 1)
+        InnerFunction(theta, (u, ps, ranks - [1, 0, 0]))
 
 
 def test_projector_trace_off_an_integer_is_refused(monkeypatch):
@@ -269,15 +269,13 @@ def test_window_of_a_thousand_coordinates_is_admitted():
 
 
 def _generic_thetas():
-    """(label, Theta, factor rank sum): the fixtures, the seeded spaces,
-    three draws of each benchmark shape and gamma-symmetric draws.  A space
-    the test does not build from its factors gives its n, the rank sum its
-    own construction was checked against."""
+    """(label, Theta, Potapov factors): the fixtures, the seeded spaces,
+    three draws of each benchmark shape and gamma-symmetric draws."""
     for name in FIXTURE_NAMES:
         yield name, *potapov_product(FIXTURE_FACTORS[name])
     for d, m, seed in SEEDED:
         inner = random_inner(d, m, np.random.default_rng(seed))
-        yield f"seeded {d}x{m}", inner.theta, inner.n
+        yield f"seeded {d}x{m}", inner.theta, inner.factors
     for k, (d, ranks) in enumerate(BENCHMARK_SHAPES):
         rng = np.random.default_rng(k)
         for draw in range(3):
@@ -286,24 +284,27 @@ def _generic_thetas():
     for seed in range(12):
         d, m = 1 + seed % 4, 1 + seed % 3
         inner = random_gamma_symmetric_triple(d, m, np.random.default_rng(seed))[1]
-        yield f"gamma-symmetric {d}x{m} {seed}", inner.theta, inner.n
+        yield f"gamma-symmetric {d}x{m} {seed}", inner.theta, inner.factors
 
 
 @pytest.mark.parametrize("kind", ["potapov", "coeffs"])
 def test_no_generic_basis_crosses_the_gate(monkeypatch, kind):
-    inners = [(label, InnerFunction(theta, rank_sum if kind == "potapov" else None))
-              for label, theta, rank_sum in _generic_thetas()]
+    inners = [(label, InnerFunction(theta, factors if kind == "potapov" else None))
+              for label, theta, factors in _generic_thetas()]
     bases = [ModelSpaceBasis(inner).q for _, inner in inners]
     monkeypatch.setattr(model_space, "OFF_ULPS", 2**62)  # no basis is re-projected
     for (label, inner), q in zip(inners, bases):
-        gram_schmidt = model_space._panel_gram_schmidt(window_projector(inner.blocks), inner.n)
-        assert q.tobytes() == (fix_column_phases(gram_schmidt) + 0.0).tobytes(), label
+        if kind == "potapov":
+            built = model_space._factor_basis(inner)
+        else:
+            built = model_space._panel_gram_schmidt(window_projector(inner.blocks), inner.n)
+        assert q.tobytes() == (fix_column_phases(built) + 0.0).tobytes(), label
         assert ModelSpaceBasis(inner).q.tobytes() == q.tobytes(), label
 
 
 @pytest.mark.parametrize("name", ["FIX3", "FIX5", "seeded 3x5", "monomial (1, 4, 2)"])
 def test_a_basis_turned_off_the_model_space_is_re_projected(monkeypatch, name):
-    inner = dict(_spaces())[name]
+    inner = InnerFunction(dict(_spaces())[name].theta)
     want = ModelSpaceBasis(inner).q
     gate = model_space.OFF_ULPS * inner.m * inner.d * np.finfo(np.float64).eps
     real = model_space._panel_gram_schmidt
@@ -317,7 +318,7 @@ def test_a_basis_turned_off_the_model_space_is_re_projected(monkeypatch, name):
 
 
 def test_a_basis_still_off_the_model_space_after_the_re_projection_is_refused(monkeypatch):
-    inner = InnerFunction(*potapov_product(nested_pairs_d3(1e-2, 8, 1)))
+    inner = InnerFunction(potapov_product(nested_pairs_d3(1e-2, 8, 1))[0])
     ModelSpaceBasis(inner)  # re-projected within the gate
     monkeypatch.setattr(model_space, "OFF_ULPS", 0)
     with pytest.raises(IdentityCheckError, match=r"left the model space, max \|\|L\* q\|\| \d\.\d{3}e-\d+ after"):

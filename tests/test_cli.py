@@ -155,7 +155,7 @@ def _op_file_with_id(tmp_path, basis_id):
 
 def test_op_file_with_a_current_id_is_read(tmp_path, capsys):
     basis_id = ModelSpaceBasis(fixture("FIX3")).basis_id
-    assert basis_id.startswith("v5-")
+    assert basis_id.startswith("v6-")
     code, out, _ = run(capsys, "op", "test", "--theta", "FIX3", "--op", _op_file_with_id(tmp_path, basis_id))
     assert code == 0 and json.loads(out)["verdict"]
 
@@ -166,7 +166,7 @@ def test_op_file_with_an_unprefixed_id_is_refused(tmp_path, capsys, command):
     code, out, err = run(capsys, "op", command, "--theta", "FIX3", "--op", _op_file_with_id(tmp_path, "3f2a9c0d1b7e4a55"))
     _assert_parse_error(code, out, err)
     message = json.loads(err)["message"]
-    assert "has no v5- prefix" in message and "rebuild" in message
+    assert "has no v6- prefix" in message and "rebuild" in message
 
 
 def test_op_file_with_a_wrong_v2_id_is_refused(tmp_path, capsys):
@@ -182,7 +182,7 @@ def test_op_file_with_a_v2_id_is_refused(tmp_path, capsys, command):
     code, out, err = run(capsys, "op", command, "--theta", "FIX3", "--op", _op_file_with_id(tmp_path, "v2-c94075ba28d66639"))
     _assert_parse_error(code, out, err)
     message = json.loads(err)["message"]
-    assert "v2-c94075ba28d66639" in message and "v5" in message and "rebuild" in message
+    assert "v2-c94075ba28d66639" in message and "v6" in message and "rebuild" in message
 
 
 def test_op_file_with_a_wrong_v3_id_is_refused(tmp_path, capsys):
@@ -190,7 +190,7 @@ def test_op_file_with_a_wrong_v3_id_is_refused(tmp_path, capsys):
     code, out, err = run(capsys, "op", "recover", "--theta", "FIX3", "--op", _op_file_with_id(tmp_path, "v3-8745784d20305f31"))
     _assert_parse_error(code, out, err)
     message = json.loads(err)["message"]
-    assert "v3-8745784d20305f31" in message and "has no v5- prefix" in message and "rebuild" in message
+    assert "v3-8745784d20305f31" in message and "has no v6- prefix" in message and "rebuild" in message
 
 
 def test_op_file_with_a_wrong_v4_id_is_refused(tmp_path, capsys):
@@ -198,11 +198,20 @@ def test_op_file_with_a_wrong_v4_id_is_refused(tmp_path, capsys):
     code, out, err = run(capsys, "op", "test", "--theta", "FIX3", "--op", _op_file_with_id(tmp_path, "v4-8745784d20305f31"))
     _assert_parse_error(code, out, err)
     message = json.loads(err)["message"]
-    assert "v4-8745784d20305f31" in message and "has no v5- prefix" in message and "rebuild" in message
+    assert "v4-8745784d20305f31" in message and "has no v6- prefix" in message and "rebuild" in message
 
 
-def test_op_file_with_a_wrong_v5_id_is_refused(tmp_path, capsys):
-    wrong = "v5-" + "0" * 16
+def test_op_file_with_a_v5_id_is_refused(tmp_path, capsys):
+    # FIX3's id under the v5 rule, a Gram-Schmidt basis named by a hash of Theta alone
+    op_path = _op_file_with_id(tmp_path, "v5-8745784d20305f31")
+    code, out, err = run(capsys, "op", "test", "--theta", "FIX3", "--op", op_path)
+    _assert_parse_error(code, out, err)
+    message = json.loads(err)["message"]
+    assert "v5-8745784d20305f31" in message and "has no v6- prefix" in message and "rebuild" in message
+
+
+def test_op_file_with_a_wrong_v6_id_is_refused(tmp_path, capsys):
+    wrong = "v6-" + "0" * 16
     code, out, err = run(capsys, "op", "test", "--theta", "FIX3", "--op", _op_file_with_id(tmp_path, wrong))
     _assert_parse_error(code, out, err)
     message = json.loads(err)["message"]
@@ -350,7 +359,8 @@ def test_tiny_input_passed_by_a_loose_tol_decomposes_within_that_tol(tmp_path, c
 
 
 def test_op_test_and_op_recover_agree_at_a_loose_tol(tmp_path, capsys):
-    # A = A_Phi + 1e-5 G / ||G||_F is admitted at --tol 1e-3 with residual 2.87e-6;
+    # A = A_Phi + 1e-5 G / ||G||_F, G Gaussian in FIX3's basis coordinates, is admitted
+    # at --tol 1e-3 with residual 6.94e-6;
     # its rebuild lies within m * residual of A, the upper end of the distance
     # bracket, not within 1e-8 ||A||_F, and recovery succeeds
     basis = ModelSpaceBasis(fixture("FIX3"))
@@ -362,13 +372,13 @@ def test_op_test_and_op_recover_agree_at_a_loose_tol(tmp_path, capsys):
     dump_json_file(path, OperatorMatrix(basis, amat).to_json())
     code, out, _ = run(capsys, "op", "test", "--theta", "FIX3", "--op", str(path), "--tol", "1e-3")
     decision = json.loads(out)
-    assert code == 0 and decision["verdict"] and f"{decision['residual']:.3e}" == "2.873e-06"
+    assert code == 0 and decision["verdict"] and f"{decision['residual']:.3e}" == "6.939e-06"
     code, out, err = run(capsys, "op", "recover", "--theta", "FIX3", "--op", str(path), "--tol", "1e-3")
     doc = json.loads(out)
     assert code == 0 and err == ""
     assert (doc["membership_residual"], doc["membership_tol"]) == (decision["residual"], decision["tol"])
     assert decision["distance_bounds"][1] > 1e-8 * np.linalg.norm(amat)
-    assert f"{doc['rebuild_residual']:.3e}" == "2.873e-06"
+    assert f"{doc['rebuild_residual']:.3e}" == "6.939e-06"
     assert doc["rebuild_residual"] <= rebuild_bound(basis.inner.m, doc["membership_residual"], np.linalg.norm(amat))
 
 

@@ -43,9 +43,9 @@ def test_shift_matrices_on_scalar_fixtures():
 
 
 def test_shift_matrix_fix3_moves_second_coordinate_up():
-    s, _ = s_theta(_basis("FIX3"))
+    s, _ = s_theta(_basis("FIX3"))  # the basis is (0, 1), (1, 0), z (0, 1)
     want = np.zeros((3, 3))
-    want[2, 1] = 1.0
+    want[2, 0] = 1.0
     np.testing.assert_allclose(s, want, atol=1e-14)
 
 
@@ -79,10 +79,10 @@ def test_defect_spaces_fix3_are_constants_and_quotients():
     basis = _basis("FIX3")
     ds = defect_spaces(basis)
     assert ds.dim == 2
-    span_d = np.abs(ds.d_basis)
-    np.testing.assert_allclose(span_d, np.array([[1, 0], [0, 1], [0, 0]]), atol=1e-12)
+    span_d = np.abs(ds.d_basis)  # the basis is (0, 1), (1, 0), z (0, 1)
+    np.testing.assert_allclose(span_d, np.array([[0, 1], [1, 0], [0, 0]]), atol=1e-12)
     span_dt = np.abs(ds.dt_basis)
-    np.testing.assert_allclose(span_dt, np.array([[1, 0], [0, 0], [0, 1]]), atol=1e-12)
+    np.testing.assert_allclose(span_dt, np.array([[0, 0], [1, 0], [0, 1]]), atol=1e-12)
 
 
 def test_defect_spaces_fill_everything_when_n_equals_d():
@@ -144,15 +144,15 @@ def test_j_operator_fix3_is_the_defect_projector():
     basis = _basis("FIX3")
     j, jt = j_operators(basis)
     np.testing.assert_allclose(j, np.diag([1.0, 1.0, 0.0]), atol=1e-10)
-    np.testing.assert_allclose(jt, np.diag([1.0, 0.0, 1.0]), atol=1e-10)
+    np.testing.assert_allclose(jt, np.diag([0.0, 1.0, 1.0]), atol=1e-10)  # the basis is (0, 1), (1, 0), z (0, 1)
 
 
 def test_xhat_identity_block_fix3():
     basis = _basis("FIX3")
     op = xhat(basis, np.eye(2))
     want = np.zeros((3, 3))
-    want[0, 0] = 1.0
-    want[1, 2] = 1.0
+    want[1, 1] = 1.0
+    want[0, 2] = 1.0
     np.testing.assert_allclose(op.mat, want, atol=1e-12)
 
 
@@ -214,7 +214,7 @@ def test_conjugation_on_scalar_double_shift_sends_one_to_z():
 def test_conjugation_matrix_fix3_swaps_the_tail_pair():
     basis = _basis("FIX3")
     mat = conjugation_matrix(basis, Conjugation(np.eye(2)))
-    want = np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 1.0, 0]])
+    want = np.array([[0, 0, 1.0], [0, 1.0, 0], [1.0, 0, 0]])
     np.testing.assert_allclose(mat, want, atol=1e-12)
 
 

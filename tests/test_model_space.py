@@ -209,17 +209,17 @@ def test_inner_function_accepts_theta_perturbed_along_the_reading():
 
 
 def test_wrong_factor_rank_sum_is_refused():
-    theta, rank_sum = potapov_product(FIXTURE_FACTORS["FIX5"])
-    assert rank_sum == fixture("FIX5").n
+    theta, (u, ps, ranks) = potapov_product(FIXTURE_FACTORS["FIX5"])
+    assert ranks.sum() == fixture("FIX5").n
     with pytest.raises(IdentityCheckError, match="factor rank sum 3"):
-        InnerFunction(theta, rank_sum=rank_sum + 1)
+        InnerFunction(theta, (u, ps, ranks + [1, 0]))
 
 
 def test_fix3_basis_is_the_expected_monomial_family():
-    basis = ModelSpaceBasis(fixture("FIX3"))
+    basis = ModelSpaceBasis(fixture("FIX3"))  # ran P_1 = span e_2, then diag(1, z) e_1 and diag(1, z) e_2
     want = [
-        VecLaurent(0, [[1.0, 0.0]]),
         VecLaurent(0, [[0.0, 1.0]]),
+        VecLaurent(0, [[1.0, 0.0]]),
         VecLaurent(1, [[0.0, 1.0]]),
     ]
     for j, w in enumerate(want):

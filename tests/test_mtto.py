@@ -52,9 +52,9 @@ def _lower_corner_symbol():
 
 def test_build_constant_lower_corner_on_diag_theta():
     basis = _basis("FIX3")
-    a = build(basis, _lower_corner_symbol())
+    a = build(basis, _lower_corner_symbol())  # the basis is (0, 1), (1, 0), z (0, 1)
     want = np.zeros((3, 3))
-    want[1, 0] = 1.0
+    want[0, 1] = 1.0
     np.testing.assert_allclose(a.mat, want, atol=1e-14)
     assert rank(a.mat) == 1
 

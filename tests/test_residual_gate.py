@@ -21,7 +21,8 @@ of its own class, an attribute stored on `self` one by attribute, and a
 `basis` parameter is read for more than its `inner`; the names the
 benchmark's tracer alone keeps are exactly `j_operators`, `nullspace`
 and `solve_min_norm`, and no module that checks an element names
-`VecLaurent`.
+`VecLaurent`.  A Potapov basis is read off its factors: it builds with
+the window projector and the Gram-Schmidt sweep made to raise.
 """
 
 import ast
@@ -36,16 +37,18 @@ import numpy as np
 import pytest
 
 import mttokit
-from mttokit import serialize
+from mttokit import model_space, serialize
 from mttokit.cli import main
 from mttokit.errors import IdentityCheckError, NotUnitaryError, NotZeroOperatorError
-from mttokit.fixtures import fixture
+from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent, boundary_adjoint, multiply
 from mttokit.model_operator import Conjugation
-from mttokit.model_space import ModelSpaceBasis, kernel, tilde_kernel
+from mttokit.model_space import ModelSpaceBasis, kernel, make_inner_potapov, tilde_kernel
 from mttokit.mtto import factor_through_theta, zero_symbol_decompose
 from mttokit.numerics import require_small
+from mttokit.randgen import random_inner
 
+from basis_oracles import SEEDED, potapov_cell
 from json_files import dump_json_file
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mttokit"
@@ -646,3 +649,21 @@ def test_a_method_several_classes_define_is_read_through_its_own_class():
     dead = [f"{cls}.{method}" for (cls, method), count in _method_reads(_package_trees()).items()
             if count == 0 and method not in hooks]
     assert not dead, f"methods read through no receiver of their class: {sorted(dead)}"
+
+
+# --- a Potapov basis forms no md x md array -------------------------------------
+
+
+def test_a_potapov_basis_forms_no_window_projector_and_runs_no_gram_schmidt(monkeypatch):
+    spaces = [fixture(name) for name in FIXTURE_NAMES]
+    spaces += [random_inner(d, m, np.random.default_rng(seed)) for d, m, seed in SEEDED]
+    spaces.append(make_inner_potapov(*potapov_cell(6, [3] * 80, 1)))  # the n = 240 cell
+
+    def refuse(*args):
+        raise AssertionError("a Potapov basis formed the md x md window projector or swept it")
+
+    monkeypatch.setattr(model_space, "window_projector", refuse)
+    monkeypatch.setattr(model_space, "_panel_gram_schmidt", refuse)
+    for inner in spaces:
+        assert ModelSpaceBasis(inner).q.shape == (inner.m * inner.d, inner.n)
+    assert spaces[-1].n == 240

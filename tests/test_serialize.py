@@ -8,7 +8,7 @@ from mttokit import serialize
 from mttokit.errors import ParseError
 from mttokit.fixtures import FIXTURE_FACTORS, FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent
-from mttokit.model_space import InnerFunction, ModelSpaceBasis, theta_from_json
+from mttokit.model_space import InnerFunction, ModelSpaceBasis, make_inner_potapov, theta_from_json
 from mttokit.randgen import random_inner
 
 from basis_oracles import array_to_json_recursive
@@ -193,35 +193,54 @@ def _theta(seed=5):
     return MatLaurent(0, rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2)))
 
 
+def _coeffs_id(theta, n):
+    return serialize.basis_id((theta.dim, theta.lo, theta.hi, n), theta.coeffs)
+
+
 def test_basis_id_is_versioned_and_deterministic():
     theta = _theta()
-    bid = serialize.basis_id(theta, 3)
-    assert bid.startswith("v5-") and len(bid) == 19 and int(bid[3:], 16) >= 0
-    assert bid == serialize.basis_id(MatLaurent(0, theta.coeffs.copy()), 3)
+    bid = _coeffs_id(theta, 3)
+    assert bid.startswith("v6-") and len(bid) == 19 and int(bid[3:], 16) >= 0
+    assert bid == _coeffs_id(MatLaurent(0, theta.coeffs.copy()), 3)
     for name in FIXTURE_NAMES:
         assert ModelSpaceBasis(fixture(name)).basis_id == ModelSpaceBasis(fixture(name)).basis_id
 
 
 def test_basis_id_sees_one_ulp_of_theta_and_q_is_rebuilt_bit_for_bit():
     theta = _theta()
-    bid = serialize.basis_id(theta, 3)
+    bid = _coeffs_id(theta, 3)
     c = theta.coeffs.copy()
     c[1, 0, 1] = complex(np.nextafter(c[1, 0, 1].real, np.inf), c[1, 0, 1].imag)
-    assert serialize.basis_id(MatLaurent(0, c), 3) != bid
+    assert _coeffs_id(MatLaurent(0, c), 3) != bid
     # the id no longer hashes Q, so Q itself must come out the same bytes from the same Theta
     for name in FIXTURE_NAMES:
         assert ModelSpaceBasis(fixture(name)).q.tobytes() == ModelSpaceBasis(fixture(name)).q.tobytes()
     inner = random_inner(3, 5, np.random.default_rng(8))
     again = InnerFunction(MatLaurent(inner.theta.lo, inner.theta.coeffs.copy()))
-    assert ModelSpaceBasis(inner).q.tobytes() == ModelSpaceBasis(again).q.tobytes()
+    assert ModelSpaceBasis(again).q.tobytes() == ModelSpaceBasis(InnerFunction(inner.theta)).q.tobytes()
+    u, ps, ranks = inner.factors
+    same = InnerFunction(inner.theta, (u.copy(), ps.copy(), ranks.copy()))
+    assert ModelSpaceBasis(inner).q.tobytes() == ModelSpaceBasis(same).q.tobytes()
 
 
 def test_basis_id_sees_the_shape_behind_equal_bytes():
     theta = _theta()
-    bid = serialize.basis_id(theta, 3)
+    bid = _coeffs_id(theta, 3)
     shifted = MatLaurent(1, theta.coeffs)  # same coefficient bytes, lo 1
     scalar = MatLaurent(0, theta.coeffs.reshape(8, 1, 1))  # same bytes, d 1
     assert shifted.coeffs.tobytes() == scalar.coeffs.tobytes() == theta.coeffs.tobytes()
-    ids = {bid, serialize.basis_id(shifted, 3), serialize.basis_id(scalar, 3)}
+    ids = {bid, _coeffs_id(shifted, 3), _coeffs_id(scalar, 3)}
     assert len(ids) == 3
-    assert serialize.basis_id(theta, 2) != bid  # the same Theta with another n
+    assert _coeffs_id(theta, 2) != bid  # the same Theta with another n
+
+
+def test_a_potapov_basis_id_hashes_the_factors_not_theta():
+    # diag(z, z^2) = diag(1, z) (z I) = (z I) diag(1, z): one Theta, two factorizations, two bases
+    first, second = ([np.diag([0.0, 1.0]), np.eye(2)], [np.eye(2), np.diag([0.0, 1.0])])
+    a, b = (ModelSpaceBasis(make_inner_potapov(f)) for f in (first, second))
+    assert a.inner.theta.coeffs.tobytes() == b.inner.theta.coeffs.tobytes()
+    assert a.basis_id != b.basis_id and a.q.tobytes() != b.q.tobytes()
+    u, ps, _ = a.inner.factors
+    assert a.basis_id == serialize.basis_id((2, 2, 3), u, ps)
+    coeffs = ModelSpaceBasis(InnerFunction(a.inner.theta))
+    assert coeffs.basis_id == _coeffs_id(a.inner.theta, 3) not in (a.basis_id, b.basis_id)
