@@ -60,8 +60,9 @@ def _fail(code: str, message: str, status: int) -> int:
 
 
 def _theta(source: str):
-    """(Theta, factor rank sum or None) of --theta, a fixture name or a file, not
-    yet checked to be pure inner, so that `inner check` can judge bad input."""
+    """(Theta, its Potapov factors or None) of --theta, a fixture name or a
+    file, not yet checked to be pure inner, so that `inner check` can judge
+    bad input; the factors are (U, the stack of the P_j, their ranks)."""
     if source in FIXTURE_FACTORS:
         return potapov_product(FIXTURE_FACTORS[source])
     return theta_from_json(serialize.load_json_file(source))
@@ -177,7 +178,7 @@ def _symbol_zero_test(args):
 
 def _dim(args):
     """The class dimension read off the validated Theta's n and d.  No basis
-    is built, so `dim` forms no window projector and runs no Gram-Schmidt
+    is built, so `dim` forms no window projector and runs no basis column
     count check; n is witnessed by the projector trace, the det degree and,
     for a Potapov payload, the factor rank sum."""
     return mtto_dimension(_inner(args)).to_json(), 0

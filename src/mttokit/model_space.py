@@ -349,10 +349,11 @@ class ModelSpaceBasis:
     measured once, ||L* q|| per column (`off_space` for a Potapov basis,
     ||q - P q|| where P is at hand): above OFF_ULPS * m*d * eps (no generic
     Theta is), Q becomes the Q factor of P Q, read again and refused if
-    still so.  Each column is then rotated so its largest entry (the first
-    among ties) is real positive, and signed zeros are made positive, so
-    the same payload always yields the same bytes.  The basis is named by
-    `basis_id`, which makes operator matrices comparable across runs.
+    still so.  Each column is then rotated so its pivot, the first entry
+    within PHASE_TIE of its largest magnitude, is real positive, and signed
+    zeros are made positive, so the same payload always yields the same
+    bytes.  The basis is named by `basis_id`, which makes operator matrices
+    comparable across runs.
     """
 
     def __init__(self, inner: InnerFunction):
@@ -366,7 +367,7 @@ class ModelSpaceBasis:
             off = off_space(inner, q)
         if q.shape[1] != inner.n:
             raise IdentityCheckError(
-                f"model dimension mismatch: Gram-Schmidt count {q.shape[1]}, projector trace {inner.n}"
+                f"model dimension mismatch: basis column count {q.shape[1]}, projector trace {inner.n}"
             )
         gate = OFF_ULPS * inner.m * inner.d * np.finfo(np.float64).eps
         if off.max() > gate:  # rounding compounded over near-cut columns

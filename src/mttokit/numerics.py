@@ -27,6 +27,7 @@ DET_TOL = 0.25  # det_degree's reading -m log|det Theta(e^(-1/m))| may miss an i
 INPUT_TOL = 1e-10  # largest unitarity, projection or symmetry residual of a caller's matrices
 CHECK_TOL = 1e-9  # largest residual, absolute or per unit of its scale, of an internal identity check
 REBUILD_TOL = 1e-8  # largest residual per unit of the input's norm of a rebuild or a division by Theta
+PHASE_TIE = 1e-8  # an entry within PHASE_TIE (relative) of its column's largest magnitude ties with it for the phase pivot
 
 
 def require_finite(a: np.ndarray, message: str) -> np.ndarray:
@@ -120,18 +121,23 @@ def rank_of_singular_values(s: np.ndarray, shape) -> int:
 
 
 def fix_column_phases(q: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry, the first among
-    exact ties, is real positive.
+    """Rotate each column so its pivot is real positive: the first entry
+    whose magnitude is within PHASE_TIE of the column's largest.
 
     Makes SVD/Gram-Schmidt output reproducible up to the underlying
-    factorization: the pivot is where the column is largest, not an entry
-    that rounding can make or unmake, so the bytes move only with the
-    column's own rounding.  Columns with no non-zero entry are left alone.
-    One pass over the whole matrix.
+    factorization.  The pivot is near the column's largest entry, never an
+    entry that rounding can make or unmake, and a tie, exact or within
+    PHASE_TIE, goes to the first entry by position: two entries of equal
+    magnitude in exact arithmetic, such as those of (1, -1) / sqrt 2, are
+    not decided by their last bits, which another BLAS could round the
+    other way.  Columns with no non-zero entry are left alone.  One pass
+    over the whole matrix.
     """
     q = np.array(q, dtype=np.complex128, copy=True)
     if q.size:
-        pivots = q[np.abs(q).argmax(axis=0), np.arange(q.shape[1])]
+        mags = np.abs(q)
+        rows = (mags >= (1.0 - PHASE_TIE) * mags.max(axis=0)).argmax(axis=0)
+        pivots = q[rows, np.arange(q.shape[1])]
         cols = np.flatnonzero(pivots)
         q[:, cols] *= np.conj(pivots[cols]) / np.abs(pivots[cols])
     return q

@@ -22,7 +22,7 @@ import numpy as np
 
 from mttokit import model_space
 from mttokit.laurent import boundary_adjoint, multiply, reversed_adjoint
-from mttokit.numerics import fix_column_phases
+from mttokit.numerics import PHASE_TIE, fix_column_phases
 from mttokit.randgen import haar_unitary
 
 from dimension_oracles import anchored_cut
@@ -48,15 +48,16 @@ def membership_residual(basis, f) -> float:
 
 
 def fix_column_phases_loop(q: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry, the first among
-    exact ties, is real positive; a column with no non-zero entry stays alone."""
+    """Rotate each column so its first entry within PHASE_TIE of the
+    column's largest magnitude is real positive; a column with no non-zero
+    entry stays alone."""
     q = np.array(q, dtype=np.complex128, copy=True)
     for j in range(q.shape[1]):
         col = q[:, j]
         mags = [abs(x) for x in col]
         if not any(mags):
             continue
-        pivot = col[mags.index(max(mags))]
+        pivot = next(x for x, mag in zip(col, mags) if mag >= (1.0 - PHASE_TIE) * max(mags))
         q[:, j] = col * (np.conj(pivot) / np.abs(pivot))
     return q
 

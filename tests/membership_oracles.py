@@ -14,7 +14,8 @@ the larger of the two.  `non_member` is randgen.random_non_member with the
 starred identity B - S* B S written out.  `shift_series_member` is the
 member recover_symbol rebuilds, A - sum_{k<m} S^k E S*^k for
 E = P (A - S A S*) P, formed from the complement of the kernel frame, and
-`rebuild_bound` what its distance from A is held to.
+`rebuild_bound` what its distance from A is held to, at the rounding
+`frame_rounding` allows the space.
 """
 
 from dataclasses import dataclass
@@ -52,10 +53,17 @@ def compressed_defects(basis, a: np.ndarray):
     return c.conj().T @ delta @ c, ct.conj().T @ delta_tilde @ ct
 
 
-# relative rounding of one split and one compression, largest on near_impure_space(3e-9), whose defect
-# frames have sigma_min about 7.7e-5, so eps / sigma_min is 2.9e-12: over 30 draws it reached 5.5e-13 with
-# the Gram-Schmidt basis of Theta's coefficients and 1.7e-12 with the basis read off the Potapov factors
-ROUNDING = 4e-12
+ROUNDING = 1e-12  # relative rounding of one split and one compression on a space whose defect frames are well conditioned
+
+
+def frame_rounding(basis) -> float:
+    """ROUNDING, or eps / sigma_min of the defect frames at the origin if
+    that is larger: the split solves through the frames' left inverses,
+    so a frame with sigma_min = sqrt(1 - ||Theta(0)||^2) near 0 magnifies
+    the rounding by 1 / sigma_min.  Only near_impure_space(3e-9) reaches
+    past ROUNDING (sigma_min about 7.7e-5, so 2.9e-12)."""
+    sigma_min = np.sqrt(1.0 - np.linalg.norm(basis.inner.blocks[0], 2) ** 2)
+    return max(ROUNDING, np.finfo(np.float64).eps / sigma_min)
 
 
 def shift_series_member(basis, a: np.ndarray) -> np.ndarray:
@@ -72,10 +80,10 @@ def shift_series_member(basis, a: np.ndarray) -> np.ndarray:
     return a - total
 
 
-def rebuild_bound(m: int, membership_residual: float, scale: float) -> float:
+def rebuild_bound(m: int, membership_residual: float, scale: float, rounding: float = ROUNDING) -> float:
     """The bound on ||A - A_Psi||_F of a recovered pair: the upper end
-    m * residual of the distance bracket, or ROUNDING times ||A||_F."""
-    return max(m * membership_residual, ROUNDING * scale)
+    m * residual of the distance bracket, or `rounding` times ||A||_F."""
+    return max(m * membership_residual, rounding * scale)
 
 
 def spectral_decision(basis, a: np.ndarray):

@@ -34,11 +34,12 @@ from mttokit.model_space import (  # noqa: E402
     PANEL,
     InnerFunction,
     ModelSpaceBasis,
+    make_inner_potapov,
     off_space,
     potapov_product,
     window_projector,
 )
-from mttokit.numerics import fix_column_phases  # noqa: E402
+from mttokit.numerics import PHASE_TIE, fix_column_phases  # noqa: E402
 from mttokit.randgen import haar_unitary, random_gamma_symmetric_triple, random_inner, random_projection  # noqa: E402
 
 from basis_oracles import SEEDED, constraint_matrix, fix_column_phases_loop, gram_schmidt_loop, turned_off  # noqa: E402
@@ -114,6 +115,7 @@ def _phase_cases():
         q[:, rng.integers(cols)] = 0.0
         q[: rows // 2, rng.integers(cols)] *= 1e-9  # the earlier rule's cut: the pivot is still the largest entry
         q[:, rng.integers(cols)] = 2.0 * rng.choice([1, -1, 1j, -1j], rows)  # exact ties: the first one pivots
+        q[:, rng.integers(cols)] *= 1.0 + rng.integers(-4, 5, rows) * np.finfo(np.float64).eps  # near ties too
         q[rng.integers(rows)] = complex(-0.0, -0.0) if k % 2 else -0.0
         yield q, f"random {k}"
 
@@ -121,6 +123,35 @@ def _phase_cases():
 @pytest.mark.parametrize("q, label", list(_phase_cases()))
 def test_vectorized_phase_fix_is_bit_equal_to_the_loop(q, label):
     assert fix_column_phases(q).tobytes() == fix_column_phases_loop(q).tobytes()
+
+
+@pytest.mark.parametrize("sign", [1, -1, 1j, -1j])
+def test_entries_of_equal_magnitude_pivot_on_the_first_whatever_their_last_bits(sign):
+    # the column of P = [[1/2, -1/2], [-1/2, 1/2]]: its entries tie in exact arithmetic, and each order of
+    # their rounded magnitudes must give the same phase
+    half = np.sqrt(0.5)
+    fixed = [fix_column_phases(np.array([[sign * a], [-sign * b]]))
+             for a, b in [(half, half), (half, np.nextafter(half, 1.0)), (np.nextafter(half, 1.0), half),
+                          (half, half * (1.0 + 0.5 * PHASE_TIE))]]
+    for q in fixed:
+        assert q[0, 0].real > 0 and q[0, 0].imag == 0 and q[1, 0].real < 0
+        assert np.abs(q - fixed[0]).max() <= 2 * PHASE_TIE
+    assert fix_column_phases(np.array([[sign * half], [-sign * half * (1.0 + 2 * PHASE_TIE)]]))[1, 0].real > 0
+
+
+def test_a_basis_column_of_tied_entries_keeps_its_sign_when_the_factor_moves_by_one_ulp():
+    # Theta = (I - P + zP)(P + z(I - P)) = z I: the basis is (1, -1) / sqrt 2, (1, 1) / sqrt 2, each column a
+    # tie; with P moved by one ulp Theta keeps a top block of rounding, and the window a second, empty block
+    p = np.array([[0.5, -0.5], [-0.5, 0.5]])
+    bases = []
+    for row in (None, 0, 1):
+        moved = p.copy()
+        if row is not None:
+            moved[row, row] = np.nextafter(0.5, 1.0)
+        bases.append(ModelSpaceBasis(make_inner_potapov([moved, np.eye(2) - p])).q)
+    for q in bases:
+        assert q[0, 0].real > 0 and q[0, 0].imag == 0 and q[1, 0].real < 0 and q[1, 1].real > 0
+        assert np.abs(q[:2] - bases[0]).max() <= 1e-15 and np.abs(q[2:]).max(initial=0.0) <= 1e-15
 
 
 @pytest.mark.parametrize("d, ranks", [(2, [1, 2, 1]), (3, [2, 3, 1, 2]), (4, [1, 3, 2])])
@@ -247,10 +278,11 @@ def test_projector_trace_off_an_integer_is_refused(monkeypatch):
         InnerFunction(theta)
 
 
-def test_gram_schmidt_count_below_the_trace_is_refused():
-    inner = fixture("FIX5")
+@pytest.mark.parametrize("kind", ["potapov", "coeffs"])
+def test_basis_column_count_below_the_trace_is_refused(kind):
+    inner = fixture("FIX5") if kind == "potapov" else InnerFunction(fixture("FIX5").theta)
     inner.n += 1
-    with pytest.raises(IdentityCheckError, match="Gram-Schmidt count 2, projector trace 3"):
+    with pytest.raises(IdentityCheckError, match="basis column count 2, projector trace 3"):
         ModelSpaceBasis(inner)
 
 

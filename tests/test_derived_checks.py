@@ -29,7 +29,7 @@ from mttokit.numerics import CHECK_TOL, RANK_CUT, frobenius, rank_of_singular_va
 from mttokit.randgen import random_inner, random_symbol
 
 from division_oracles import near_impure_space
-from membership_oracles import ROUNDING, rebuild_bound, shift_series_member
+from membership_oracles import frame_rounding, rebuild_bound, shift_series_member
 from test_conditioning_family import _cases as conditioning_cases
 
 MOVES = (0.0, 0.0, 1e-12, 1e-6)  # two exact members, then members moved by a Gaussian of that relative size
@@ -58,15 +58,15 @@ def test_the_rebuild_is_the_member_behind_the_upper_end_of_the_bracket(basis):
         member = build(basis, random_symbol(d, -3, 3, rng)).mat
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a = member + move * np.linalg.norm(member) * g / np.linalg.norm(g)
-        scale = np.linalg.norm(a)
+        scale, rounding = np.linalg.norm(a), frame_rounding(basis)
         decision = is_mtto(basis, a)
         rec = recover_symbol(basis, a, tol=max(decision.tol, decision.residual))
         assert rec.membership_residual == decision.residual
-        assert rec.residual <= rebuild_bound(m, rec.membership_residual, scale), (move, rec)
+        assert rec.residual <= rebuild_bound(m, rec.membership_residual, scale, rounding), (move, rec)
         rebuilt = build(basis, rec.psi1 + boundary_adjoint(rec.psi2)).mat
-        assert abs(frobenius(rebuilt - a) - rec.residual) <= ROUNDING * scale
-        assert frobenius(rebuilt - shift_series_member(basis, a)) <= ROUNDING * scale, move
-        assert is_mtto(basis, rebuilt, ROUNDING * scale).verdict, move
+        assert abs(frobenius(rebuilt - a) - rec.residual) <= rounding * scale
+        assert frobenius(rebuilt - shift_series_member(basis, a)) <= rounding * scale, move
+        assert is_mtto(basis, rebuilt, rounding * scale).verdict, move
 
 
 @pytest.mark.parametrize("basis", [b for _, b in SPACES], ids=[label for label, _ in SPACES])

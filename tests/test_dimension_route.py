@@ -159,14 +159,19 @@ def test_space_basis_builds_one_basis_and_a_projector_for_coeffs_alone(tmp_path,
     assert built == (["basis", "projector"] if kind == "coeffs" else ["basis"])  # a Potapov basis reads its factors
 
 
-def test_dim_runs_no_gram_schmidt_count_check(capsys, monkeypatch):
+@pytest.mark.parametrize("kind, route", [("fixture", "_factor_basis"), ("coeffs", "_panel_gram_schmidt")])
+def test_dim_runs_no_basis_count_check(tmp_path, capsys, monkeypatch, kind, route):
     # a basis one direction short: `space basis` refuses it, `dim` never builds it
-    columns = model_space._factor_basis
-    monkeypatch.setattr(model_space, "_factor_basis", lambda inner: columns(inner)[:, :-1])
-    assert main(["space", "basis", "--theta", "FIX3"]) == 1
-    assert "Gram-Schmidt count 2, projector trace 3" in json.loads(capsys.readouterr().err)["message"]
-    assert main(["dim", "--theta", "FIX3"]) == 0
-    assert capsys.readouterr().out == DIM_STDOUT["FIX3"]
+    source = _theta_files(tmp_path)[kind]
+    n = InnerFunction(*cli._theta(source)).n
+    assert main(["dim", "--theta", source]) == 0
+    want = capsys.readouterr().out
+    columns = getattr(model_space, route)
+    monkeypatch.setattr(model_space, route, lambda *args: columns(*args)[:, :-1])
+    assert main(["space", "basis", "--theta", source]) == 1
+    assert f"basis column count {n - 1}, projector trace {n}" in json.loads(capsys.readouterr().err)["message"]
+    assert main(["dim", "--theta", source]) == 0
+    assert capsys.readouterr().out == want
 
 
 _REFUSED = {  # payload: (exit status, error code) of both `dim` and `space basis`

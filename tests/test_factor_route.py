@@ -5,20 +5,18 @@ orthogonal sum of the spaces U B_1 ... B_(j-1) ran P_j, so
 `ModelSpaceBasis` writes column group j as H_(j-1) V_j, V_j the first
 r_j Gram-Schmidt directions of the columns of P_j.  The checks here:
 
-- in rational arithmetic (sympy), on FIX3, FIX5, a space with complex
-  factors and one with d = 4, the groups H_(j-1) P_j are fixed by the
-  exact window projector and mutually orthogonal, their ranks sum to n,
-  and each float group lies in its exact group within 1e-14;
 - on FIX1-FIX5, the seeded spaces and the 62 conditioning-family spaces,
   the basis is orthonormal, lies under the gate with no repair, and spans
   the space the Gram-Schmidt basis of the same Theta's coefficients does,
   within 1e-12;
 - a factor basis above the gate takes the coefficient route's repair
   (qr(P Q)), or its refusal, with the gate patched;
-- each column's phase comes from its largest entry, which the repair
-  of the nested-pair case (eps 1e-2, count 8, seed 1) no longer moves;
+- each column's phase comes from its first entry within PHASE_TIE of its
+  largest, which the repair of the nested-pair case (eps 1e-2, count 8, seed 1) no longer moves;
 - the published bytes of `space basis` do not depend on the BLAS thread
   count, for a Potapov and a coefficient payload of the n = 240 cell.
+
+The same groups in rational arithmetic are in test_factor_route_exact.
 """
 
 import os
@@ -33,14 +31,13 @@ from mttokit import model_space, serialize
 from mttokit.errors import IdentityCheckError
 from mttokit.fixtures import FIXTURE_FACTORS, FIXTURE_NAMES
 from mttokit.model_space import InnerFunction, ModelSpaceBasis, make_inner_potapov, off_space, potapov_product
-from mttokit.numerics import fix_column_phases
+from mttokit.numerics import PHASE_TIE, fix_column_phases
 from mttokit.randgen import random_inner
 
 from basis_oracles import SEEDED, potapov_cell, turned_off
 from json_files import dump_json_file, inner_to_json
 from test_conditioning_family import _cases as conditioning_cases, nested_pairs_d3
 
-sympy = pytest.importorskip("sympy")
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -84,87 +81,6 @@ def test_a_trimmed_theta_keeps_the_groups_inside_its_window():
     q = ModelSpaceBasis(inner).q
     assert np.array_equal(q, np.eye(4)[:, [0, 1, 2]])  # e_1, e_2, z e_1
 
-
-# --- the groups in rational arithmetic -------------------------------------------
-
-
-def _expand(a):
-    return a.applyfunc(sympy.expand)
-
-
-def _rational_factors(seed, d, ranks, gaussian):
-    """Projections V (V* V)^-1 V* onto spans of small integer (or Gaussian
-    integer) vectors, and U = (I - K)(I + K)^-1 for K skew-Hermitian."""
-    rng = np.random.default_rng(seed)
-
-    def draw(rows, cols):
-        a = sympy.Matrix(rng.integers(-3, 4, size=(rows, cols)).tolist())
-        return a + sympy.I * sympy.Matrix(rng.integers(-3, 4, size=(rows, cols)).tolist()) if gaussian else a
-
-    factors = []
-    for r in ranks:
-        v = sympy.zeros(d, r)
-        while v.rank() < r:
-            v = draw(d, r)
-        factors.append(_expand(v * (v.H * v).inv() * v.H))
-    k = draw(d, d)
-    return factors, _expand((sympy.eye(d) - (k - k.H)) * (sympy.eye(d) + (k - k.H)).inv())
-
-
-EXACT = {  # (factors, U) of each space
-    "FIX3": ([sympy.diag(0, 1), sympy.eye(2)], sympy.eye(2)),
-    "FIX5": ([sympy.Matrix([[sympy.Rational(1, 2)] * 2] * 2), sympy.diag(1, 0)], sympy.eye(2)),
-    "complex d=3": _rational_factors(5, 3, (1, 2, 2), True),
-    "d=4": _rational_factors(3, 4, (2, 3, 1, 2), False),
-}
-
-
-def _exact_groups(factors, u):
-    """The window columns of H_(j-1) P_j, one md x d matrix per factor, and
-    the blocks of Theta = H_k, by the same recurrence in exact arithmetic."""
-    k, d = len(factors), factors[0].shape[0]
-    h, groups = [u], []
-    for j, p in enumerate(factors):
-        column = sympy.zeros(k * d, d)
-        for i, block in enumerate(h):
-            column[i * d : (i + 1) * d, :] = _expand(block * p)
-        groups.append(column)
-        h = [_expand((h[i] * (sympy.eye(d) - p) if i < len(h) else sympy.zeros(d))
-                     + (h[i - 1] * p if i else sympy.zeros(d))) for i in range(len(h) + 1)]
-    return groups, h
-
-
-@pytest.mark.parametrize("name", sorted(EXACT))
-def test_the_factor_groups_lie_in_the_exact_model_space(name):
-    factors, u = EXACT[name]
-    d = u.shape[0]
-    groups, blocks = _exact_groups(factors, u)
-    m = len(blocks) - 1
-    assert m == len(factors) and blocks[-1] != sympy.zeros(d)  # no trimmed top block here
-    lower = sympy.zeros(m * d, m * d)
-    for r in range(m):
-        for c in range(r + 1):
-            lower[r * d : (r + 1) * d, c * d : (c + 1) * d] = blocks[r - c]
-    p = _expand(sympy.eye(m * d) - lower * lower.H)  # the window projector onto K_Theta
-    ranks = [f.rank() for f in factors]
-    assert p.rank() == sum(ranks) and all(g.rank() == r for g, r in zip(groups, ranks))
-    for i, g in enumerate(groups):
-        assert _expand(p * g - g).is_zero_matrix, i  # inside K_Theta
-        for later in groups[i + 1 :]:
-            assert _expand(g.H * later).is_zero_matrix, i  # orthogonal to every other group
-
-    inner = make_inner_potapov([np.array(f, dtype=np.complex128) for f in factors], np.array(u, dtype=np.complex128))
-    q = ModelSpaceBasis(inner).q
-    exact = [np.array(g, dtype=np.complex128) for g in groups]
-    assert np.abs(np.array(p, dtype=np.complex128) @ q - q).max() <= 1e-14
-    start = 0
-    for j, r in enumerate(ranks):  # float group j is orthogonal to every exact group but its own
-        for i, g in enumerate(exact):
-            if i != j:
-                assert np.abs(g.conj().T @ q[:, start : start + r]).max() <= 1e-14, (i, j)
-        start += r
-
-
 # --- the repair, the phase pivot and the thread count ----------------------------
 
 @pytest.mark.parametrize("name", ["FIX5", "seeded 3x5", "nested-0.01-8"])
@@ -192,13 +108,14 @@ def test_a_factor_basis_still_above_the_gate_after_the_repair_is_refused(monkeyp
 
 
 @pytest.mark.parametrize("kind", ["potapov", "coeffs"])
-def test_each_phase_comes_from_the_largest_entry_and_the_repair_keeps_it(kind, monkeypatch):
+def test_each_phase_comes_from_a_largest_entry_and_the_repair_keeps_it(kind, monkeypatch):
     # nested pairs, eps 1e-2, count 8, seed 1: under the earlier rule column 11 of the coefficient basis
     # took its phase from an entry of 1.13e-8, and the repair moved its entries by up to 1.19
     theta, factors = potapov_product(nested_pairs_d3(1e-2, 8, 1))
     inner = InnerFunction(theta, factors if kind == "potapov" else None)
     q = ModelSpaceBasis(inner).q
-    pivots = q[np.abs(q).argmax(axis=0), np.arange(inner.n)]
+    mags = np.abs(q)
+    pivots = q[(mags >= (1.0 - PHASE_TIE) * mags.max(axis=0)).argmax(axis=0), np.arange(inner.n)]
     assert np.abs(pivots).min() > 0.3 and (pivots.real > 0).all() and np.abs(pivots.imag).max() <= 1e-16
     monkeypatch.setattr(model_space, "OFF_ULPS", 2**62)  # no repair
     assert np.abs(ModelSpaceBasis(inner).q - q).max() <= 1e-7  # the coefficient basis is repaired: 1.2e-8
