@@ -25,7 +25,6 @@ from .laurent import (
     is_pure,
     multiply,
     purity_margin,
-    tilde,
 )
 from .model_operator import (
     Conjugation,
@@ -104,7 +103,6 @@ __all__ = [
     "recover_symbol",
     "run_suite",
     "s_theta",
-    "tilde",
     "tilde_kernel",
     "xhat",
     "zero_symbol_decompose",

@@ -232,11 +232,6 @@ def boundary_adjoint(f: MatLaurent) -> MatLaurent:
     return MatLaurent(-f.hi, reversed_adjoint(f.coeffs))
 
 
-def tilde(f: MatLaurent) -> MatLaurent:
-    """F~(z) = F(conj(z))*: every coefficient is replaced by its adjoint."""
-    return MatLaurent(f.lo, f.coeffs.transpose(0, 2, 1).conj())
-
-
 def evaluate(f, z: complex) -> np.ndarray:
     """Value at a point, matrix or vector: the powers z^lo, ..., z^hi times
     the coefficient blocks, one product.  At z = 0 it is block 0 exactly,

@@ -185,7 +185,8 @@ def potapov_product(factors, left_unitary=None):
     `column_norms`.  The running product H_j = U B_1 ... B_j lives in one
     (k+1, d, d) array that `_advance` turns by one matrix product per
     factor.  k*d > MAX_WINDOW is refused before any product, even if
-    U P_1 ... P_k = 0."""
+    U P_1 ... P_k = 0.  Theta's coefficients are read-only, as U, P and
+    the ranks are."""
     mats = [np.asarray(p, dtype=np.complex128) for p in factors]
     if not mats:
         raise ValueError("need at least one factor")
@@ -208,7 +209,7 @@ def potapov_product(factors, left_unitary=None):
     h[0] = u
     for j, p in enumerate(ps, start=1):
         _advance(h, j, p)
-    for a in (u, ps, ranks):
+    for a in (h, u, ps, ranks):
         a.setflags(write=False)
     return MatLaurent(0, h), (u, ps, ranks)
 

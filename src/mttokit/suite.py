@@ -9,16 +9,26 @@ handled as window arrays: f = Q c on the coefficient window (frequencies
 Theta* f, and products with Theta are block convolutions over all
 columns at once, kept in full wherever a norm of the whole product is
 taken.
+
+The fixture spaces are constants of the package: each fixture's basis,
+and the read-only operator data that `model_operator` keeps in its cache
+(S, the defect data, J), are built once per process (`_fixture_basis`)
+and shared by every `run_suite` in it.  Every check still runs on every
+space of every run, and `basis_deterministic` still rebuilds each basis
+from Theta.  A cold `mtto suite` runs once per process, so it builds them
+as before.  The seeded spaces are drawn and built per run.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import fixtures, model_space
 from .errors import NotMttoError, ParseError
-from .fixtures import FIXTURE_FACTORS, FIXTURE_NAMES, fixture
+from .fixtures import FIXTURE_FACTORS, FIXTURE_NAMES
 from .laurent import (
     MatLaurent,
     VecLaurent,
@@ -162,9 +172,20 @@ def predicted_work(config: SuiteConfig) -> int:
     return config.cases * sum(max(m * d, SPACE_WORK_FLOOR) ** 3 + D_WORK * m * d**3 for d, m in shapes)
 
 
+@functools.lru_cache(maxsize=len(FIXTURE_NAMES))
+def _fixture_basis(name: str) -> ModelSpaceBasis:
+    """The basis of a fixture, built once per process and shared by every
+    run; its arrays, and those `model_operator` caches on it, are
+    read-only.  It is built through `model_space` and `fixtures`, not this
+    module's names, so a patch of `suite.ModelSpaceBasis` (as
+    `tests/test_suite_route.py` makes) never reaches the cache."""
+    return model_space.ModelSpaceBasis(fixtures.fixture(name))
+
+
 def _spaces(config: SuiteConfig) -> list:
-    """The (label, basis) pairs of one run: the fixtures, then the seeded spaces."""
-    spaces = [(name, ModelSpaceBasis(fixture(name))) for name in config.fixtures]
+    """The (label, basis) pairs of one run: the fixtures, shared by every
+    run, then the seeded spaces, drawn and built for this run."""
+    spaces = [(name, _fixture_basis(name)) for name in config.fixtures]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(0xF1D0,)))
     for i, (d, m) in enumerate(config.random_inners):
         spaces.append((f"random-{d}x{m}-{i}", ModelSpaceBasis(random_inner(d, m, rng))))
@@ -354,7 +375,7 @@ def _check_commutant(basis, rng, config):
         yield frobenius(a.mat @ s - s @ a.mat) / (1.0 + frobenius(a.mat))
 
 
-def _check_conjugation(spaces, rng, config):
+def _check_conjugation(_, rng, config):
     """Draws its own spaces: gamma-symmetric inner functions of random shape."""
     for _ in range(config.cases):
         d = int(rng.integers(2, 4))
@@ -368,12 +389,12 @@ def _check_conjugation(spaces, rng, config):
         yield 0.0 if ok else 1.0
 
 
-def _check_worked_example(spaces, rng, config):
+def _check_worked_example(_, rng, config):
     """Rank-one corner symbol on the diag(z, z^2) space, checked end to
     end: the image of (z, 0) stays in the model space but leaves
     Theta H^2, the operator is a rank-one member, and it breaks the
     conjugation symmetry that the compressed shift has."""
-    basis = dict(spaces).get("FIX3") or ModelSpaceBasis(fixture("FIX3"))
+    basis = _fixture_basis("FIX3")
     phi = MatLaurent.constant(np.array([[0.0, 0.0], [1.0, 0.0]]))
     f = VecLaurent(1, [[1.0, 0.0]])
     image = multiply(phi, f)
@@ -426,7 +447,7 @@ _REGISTRY = [
     (21, "worked_example", "corner symbol: image leaves Theta H^2, member of rank one, breaks conjugation symmetry", _check_worked_example, LOOSE),
     (22, "serialization", "Laurent JSON round-trips bit for bit", _check_serialization, FLAG_CUT),
 ]
-_WHOLE_RUN = (_check_conjugation, _check_worked_example)  # these take the run's list of spaces, once
+_ONCE = (_check_conjugation, _check_worked_example)  # these run once per run, on spaces of their own
 
 
 def run_suite(config: SuiteConfig) -> dict:
@@ -435,7 +456,7 @@ def run_suite(config: SuiteConfig) -> dict:
     for stream, name, anchor, fn, tol in _REGISTRY:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(stream,)))
         cases, worst, notes = 0, 0.0, []
-        for label, target in [(None, spaces)] if fn in _WHOLE_RUN else spaces:
+        for label, target in [(None, None)] if fn in _ONCE else spaces:
             for residual in fn(target, rng, config):
                 if isinstance(residual, str):
                     notes.append(f"{label}: {residual}")

@@ -18,7 +18,8 @@ shares the kernel it is compared with.  `horner_evaluate` is
 `laurent.evaluate` as it was: one Horner loop in z over the analytic half
 and one in 1/z over the rest, with the last power of 1/z it missed where
 the support ends below -1 put back, and `evaluation_bound` how far two roundings
-of a value may lie apart.
+of a value may lie apart.  `tilde` is F~(z) = F(conj(z))*, the inner
+function of the partner space K_Theta~ that the tests compare with.
 """
 
 import numpy as np
@@ -140,3 +141,8 @@ def evaluation_bound(f, z):
     k = np.arange(f.lo, f.hi + 1)
     scale = np.tensordot(np.abs(complex(z)) ** k, np.abs(f.coeffs), axes=1)
     return 8.0 * (len(k) + np.abs(k).max() + 2) * 2.0**-53 * scale
+
+
+def tilde(f: MatLaurent) -> MatLaurent:
+    """F~(z) = F(conj(z))*: every coefficient is replaced by its adjoint."""
+    return MatLaurent(f.lo, f.coeffs.transpose(0, 2, 1).conj())

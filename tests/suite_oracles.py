@@ -15,7 +15,7 @@ import numpy as np
 
 from mttokit import suite
 from mttokit.errors import DimensionMismatchError, IdentityCheckError, NotGammaSymmetricError
-from mttokit.laurent import VecLaurent, evaluate, multiply, tilde
+from mttokit.laurent import VecLaurent, evaluate, multiply
 from mttokit.model_operator import gamma_symmetric_residual, matrix_of
 from mttokit.model_space import InnerFunction, kernel, tilde_kernel
 from mttokit.mtto import build
@@ -24,6 +24,7 @@ from mttokit.randgen import random_element_coords, random_gamma_symmetric_triple
 
 from basis_oracles import membership_residual
 from element_oracles import element_coords
+from product_oracles import tilde
 
 
 def l2_inner(f: VecLaurent, g: VecLaurent) -> complex:
@@ -180,7 +181,7 @@ def tau_unitary(basis, rng, config):
         yield (back - f).norm() / (1.0 + f.norm())
 
 
-def conjugation(spaces, rng, config):
+def conjugation(_, rng, config):
     for _ in range(config.cases):
         d = int(rng.integers(2, 4))
         m = int(rng.integers(1, 4))

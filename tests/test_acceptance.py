@@ -15,7 +15,6 @@ from mttokit.laurent import (
     evaluate,
     inner_residual,
     multiply,
-    tilde,
 )
 from mttokit.model_operator import (
     Conjugation,
@@ -50,6 +49,7 @@ from mttokit.suite import SuiteConfig, run_suite
 from basis_oracles import membership_residual
 from dimension_oracles import SymbolSpaceBasis
 from element_oracles import element_coords
+from product_oracles import tilde
 from suite_oracles import element, from_coords, l2_inner, tau_apply
 
 

@@ -9,12 +9,12 @@ from mttokit.laurent import (
     inner_residual,
     is_pure,
     multiply,
-    tilde,
 )
 from mttokit.numerics import INNER_TOL
 
 from dimension_oracles import hs_inner
 from division_oracles import analytic_split
+from product_oracles import tilde
 from suite_oracles import l2_inner
 
 

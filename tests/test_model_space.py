@@ -12,7 +12,7 @@ from mttokit.errors import (
     NotUnitaryError,
 )
 from mttokit.fixtures import FIXTURE_FACTORS, fixture
-from mttokit.laurent import MatLaurent, VecLaurent, evaluate, inner_residual, multiply, tilde
+from mttokit.laurent import MatLaurent, VecLaurent, evaluate, inner_residual, multiply
 from mttokit.model_space import (
     InnerFunction,
     ModelSpaceBasis,
@@ -28,6 +28,7 @@ from mttokit.randgen import haar_unitary, random_inner, random_projection
 from basis_oracles import membership_residual
 from dimension_oracles import DET_CUT, SymbolSpaceBasis, det_degree_by_fft, hs_inner, symbol_space_dim_bruteforce
 from element_oracles import kernel_element, tilde_kernel_element
+from product_oracles import tilde
 from suite_oracles import element, from_coords, l2_inner, project, tau_adjoint_apply, tau_apply
 
 EXPECTED_SHAPE = {

@@ -15,7 +15,9 @@ applied in `numerics` alone (`defect_spaces` runs its frame check before
 the frame SVDs, which purity makes rank d), and a Laurent product is
 `laurent.convolve`'s one matrix product, with no einsum and no loop over
 blocks, as is the membership measure `model_space.off_space`; the
-block-Toeplitz index is built in `laurent.py` alone.  Nothing in the package is reached only from
+block-Toeplitz index is built in `laurent.py` alone.  The process-wide
+`functools` caches are exactly the parser, the lag indices and the suite's
+fixture spaces.  Nothing in the package is reached only from
 the tests: a name has a reader in src/, a method one through a receiver
 of its own class, an attribute stored on `self` one by attribute, and a
 `basis` parameter is read for more than its `inner`; the names the
@@ -408,6 +410,38 @@ def test_the_block_toeplitz_index_is_built_in_laurent_alone():
     assert outers.pop("laurent.py"), "laurent._lags builds its index by np.subtract.outer"
     elsewhere = {name: lines for name, lines in outers.items() if lines}
     assert not elsewhere, f"np.subtract.outer outside laurent.py: {elsewhere}"
+
+
+PROCESS_CACHES = ["cli.build_parser", "laurent._lags", "suite._fixture_basis"]
+
+
+def _names_a_process_cache(node):
+    """Whether a node names `functools.lru_cache` or `functools.cache`, or imports either."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "functools" and any(alias.name in ("lru_cache", "cache") for alias in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+            and isinstance(node.value, ast.Name) and node.value.id == "functools")
+
+
+def test_the_process_wide_caches_are_exactly_the_reviewed_ones():
+    """A `functools` cache lives as long as the process and hands every
+    caller the same result, so each one is a reviewed decision: the parser,
+    the block-Toeplitz lag indices and the suite's fixture spaces, all
+    read-only.  No other function of src/ is decorated with one, and no
+    other line names one."""
+    decorated, elsewhere = [], []
+    for name, tree in _package_trees().items():
+        marks = set()
+        for qualname, node, _ in _definitions(tree):
+            for decorator in getattr(node, "decorator_list", []):
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if _names_a_process_cache(target):
+                    decorated.append(f"{name[:-3]}.{qualname}")
+                    marks.add(id(target))
+        elsewhere += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if _names_a_process_cache(node) and id(node) not in marks]
+    assert sorted(decorated) == PROCESS_CACHES
+    assert not elsewhere, f"a functools cache named outside the reviewed decorators: {elsewhere}"
 
 
 # --- nothing in the package that only the tests use ------------------------------

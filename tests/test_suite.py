@@ -5,7 +5,8 @@ import pytest
 
 from mttokit import suite
 from mttokit.errors import ParseError
-from mttokit.model_operator import action_check, defect_spaces, s_theta
+from mttokit.fixtures import FIXTURE_NAMES
+from mttokit.model_operator import action_check, defect_spaces, j_operators, s_theta
 from mttokit.numerics import frobenius
 from mttokit.serialize import canonical_json
 from mttokit.suite import _REGISTRY, SuiteConfig, run_suite
@@ -174,3 +175,51 @@ def test_shift_actions_reports_the_defect_identity_of_the_retired_check(seed):
         retired = frobenius(np.eye(basis.n) - s @ s_adj - k0 @ k0.conj().T)
         named = {c["name"]: c["residual"] for c in action_check(basis)["checks"]}
         assert named["defect operator is evaluation at zero followed by the kernel frame"] == retired, label
+
+
+@pytest.mark.parametrize("config", [SuiteConfig(seed=7), SuiteConfig(seed=7, cases=1, random_inners=((2, 2),))],
+                         ids=["default", "benchmark"])
+def test_a_run_on_the_shared_fixture_spaces_reports_what_a_cold_run_does(config):
+    """The first run in a process builds the fixture spaces and their
+    operator data (`suite._fixture_basis`); a later run reads them and
+    writes the same bytes."""
+    suite._fixture_basis.cache_clear()
+    cold = canonical_json(run_suite(config))
+    assert suite._fixture_basis.cache_info().currsize == len(FIXTURE_NAMES)
+    assert canonical_json(run_suite(config)) == cold
+
+
+def _reachable_arrays(obj, seen):
+    """Every array reachable from obj through the package's objects and
+    the dicts, tuples and lists they hold."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _reachable_arrays(value, seen)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from _reachable_arrays(value, seen)
+    elif type(obj).__module__.startswith("mttokit"):
+        yield from _reachable_arrays(vars(obj), seen)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_no_array_of_a_shared_fixture_space_can_be_written(name):
+    """Every run reads the same fixture space, so a write into any of its
+    arrays would reach every later run: Q, Theta's coefficients, blocks and
+    factors, the lazy data of Theta, and S, the defect data and J in the
+    basis cache are all read-only."""
+    run_suite(SuiteConfig(seed=0, cases=1, fixtures=(name,), random_inners=()))
+    basis = suite._fixture_basis(name)
+    j_operators(basis), basis.inner.adjoint_blocks, basis.inner.tail_inverse  # the lazy data the run may skip
+    assert set(basis.cache) == {"shift", "defects", "j"}
+    arrays = list(_reachable_arrays(basis, set()))
+    assert any(a is basis.inner.theta.coeffs for a in arrays) and any(a is basis.q for a in arrays)
+    assert len(arrays) == 21  # Q; Theta's coefficients, blocks, U, P, ranks and lazy data (8); S, S*, 9 defect arrays, J, J~
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0

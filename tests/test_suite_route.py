@@ -38,13 +38,12 @@ def _spaces():
 SPACES = _spaces()
 
 
-def _residuals(name, fn, label, basis, rng, cases=3):
+def _residuals(fn, basis, rng, cases=3):
     """Every residual the check yields on one space, arrays flattened, in
-    order: the cases `run_suite` counts.  The conjugation check takes the
-    run's list of spaces."""
-    target = [(label, basis)] if name == "conjugation" else basis
+    order: the cases `run_suite` counts.  The conjugation check draws its
+    own spaces and reads none it is given."""
     config = suite.SuiteConfig(seed=0, cases=cases)
-    return [float(r) for residual in fn(target, rng, config) for r in np.ravel(residual)]
+    return [float(r) for residual in fn(basis, rng, config) for r in np.ravel(residual)]
 
 
 @pytest.mark.parametrize("name", sorted(suite_oracles.CHECKS))
@@ -52,19 +51,19 @@ def _residuals(name, fn, label, basis, rng, cases=3):
 def test_window_check_matches_its_oracle_and_draws_alike(name, label, basis):
     window, oracle = suite_oracles.CHECKS[name]
     got_rng, want_rng = (np.random.default_rng(np.random.SeedSequence(entropy=5)) for _ in range(2))
-    got = _residuals(name, window, label, basis, got_rng)
-    want = _residuals(name, oracle, label, basis, want_rng)
+    got = _residuals(window, basis, got_rng)
+    want = _residuals(oracle, basis, want_rng)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     assert len(got) == len(want)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
     assert max(got) <= TOL[name]
 
 
-def _outcome(name, fn, label, basis):
+def _outcome(fn, basis):
     """The refusal a check raised, as (type, message up to its residual), or
     its residuals."""
     try:
-        return _residuals(name, fn, label, basis, np.random.default_rng(7), cases=2)
+        return _residuals(fn, basis, np.random.default_rng(7), cases=2)
     except MttoError as exc:  # a refused identity fails the check as well
         return type(exc), str(exc).split(" residual")[0]
 
@@ -103,13 +102,35 @@ def test_both_routes_fail_alike_on_a_corrupted_space(monkeypatch, perturb, names
     monkeypatch.setattr(suite, "ModelSpaceBasis",
                         lambda inner: perturb(ModelSpaceBasis(inner), np.random.default_rng(12)))
     for name in names:
-        window, oracle = (_outcome(name, fn, label, broken) for fn in suite_oracles.CHECKS[name])
+        window, oracle = (_outcome(fn, broken) for fn in suite_oracles.CHECKS[name])
         if isinstance(window, list):
             assert isinstance(oracle, list) and len(window) == len(oracle), name
             np.testing.assert_allclose(window, oracle, rtol=1e-9, atol=1e-13, err_msg=name)
             assert max(window) > TOL[name], name
         else:
             assert window == oracle, name
+
+
+def test_a_corrupting_patch_of_the_suite_constructor_never_reaches_the_shared_spaces(monkeypatch):
+    """The patch above corrupts every basis built through
+    `suite.ModelSpaceBasis`.  A fixture space first built under it is built
+    through `model_space`, so the process-wide cache keeps the true one."""
+    suite._fixture_basis.cache_clear()
+    corrupted = []
+
+    def corrupting(inner):
+        corrupted.append(inner)
+        return _with_q(ModelSpaceBasis(inner), np.random.default_rng(12))
+
+    monkeypatch.setattr(suite, "ModelSpaceBasis", corrupting)
+    (_, cached), (_, seeded) = suite._spaces(suite.SuiteConfig(seed=0, cases=1, fixtures=("FIX3",),
+                                                                       random_inners=((2, 2),)))
+    monkeypatch.undo()
+    assert corrupted == [seeded.inner]  # the patch was live: it reached the seeded space
+    fresh = ModelSpaceBasis(fixture("FIX3"))
+    assert cached is suite._fixture_basis("FIX3") and cached.basis_id == fresh.basis_id
+    assert cached.q.tobytes() == fresh.q.tobytes()
+    assert cached.inner.theta.coeffs.tobytes() == fresh.inner.theta.coeffs.tobytes()
 
 
 @pytest.mark.parametrize("name,attr,what", [("reproducing_kernels", "kernel", "kernel"),
@@ -126,7 +147,7 @@ def test_both_routes_refuse_a_kernel_outside_the_space(monkeypatch, name, attr, 
     monkeypatch.setattr(suite, attr, outside)
     monkeypatch.setattr(suite_oracles, attr, outside)
     fix3 = ModelSpaceBasis(fixture("FIX3"))
-    outcomes = {_outcome(name, fn, "FIX3", fix3) for fn in suite_oracles.CHECKS[name]}
+    outcomes = {_outcome(fn, fix3) for fn in suite_oracles.CHECKS[name]}
     assert outcomes == {(IdentityCheckError, f"{what} left the model space,")}
 
 

@@ -24,7 +24,8 @@ remainder's norm, with no SVD and no `build`; only a symbol it does not
 certify takes one, the operator norm.  A wrapper around numpy's SVD counts
 what each call still takes, and names its caller.  A suite request
 scales its roundoff residuals by Frobenius norms; what SVDs it still takes
-are pinned per caller and check.
+are pinned per caller and check, for a request in a new process and for
+one that reads the fixture spaces an earlier request built.
 """
 
 import collections
@@ -35,7 +36,7 @@ import numpy as np
 import pytest
 
 import mttokit
-from mttokit import mtto
+from mttokit import mtto, suite
 from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent, boundary_adjoint, multiply
 from mttokit.model_operator import action_check, defect_spaces, j_operators, s_theta
@@ -236,9 +237,11 @@ def test_zero_symbol_decompose_certifies_a_zero_with_no_svd_and_builds_only_its_
 
 
 PACKAGE_DIR = os.path.dirname(mttokit.__file__) + os.sep
-# Per suite request of the benchmark's shape: the innermost mttokit function
-# that took each SVD, and the check it ran under ("" for the shared spaces).
-SUITE_SVDS = {
+SUITE_SHAPE = SuiteConfig(seed=7, cases=1, random_inners=((2, 2),))  # the benchmark's suite request
+# Per suite request of the benchmark's shape in a new process: the innermost
+# mttokit function that took each SVD, and the check it ran under ("" for
+# the shared spaces).
+SUITE_SVDS_COLD = {
     ("_frame_svd", "_check_shift_actions"): 12,  # defect_spaces, two frames for each of the six spaces
     ("opnorm", ""): 1,  # random_inner's margin
     ("opnorm", "_check_basis_orthonormal"): 6,
@@ -253,9 +256,14 @@ SUITE_SVDS = {
     ("rank", "_check_finite_rank"): 24,  # rank is the claim there
     ("rank", "_check_worked_example"): 1,
 }
+# A later request reads the five fixture spaces an earlier one built
+# (`suite._fixture_basis`): only the seeded space checks its purity and
+# takes its two frame SVDs.
+SUITE_SVDS_WARM = {**SUITE_SVDS_COLD, ("_frame_svd", "_check_shift_actions"): 2, ("purity_margin", ""): 1}
 
 
-def test_suite_request_svds_per_caller(monkeypatch):
+def _suite_request_svds(monkeypatch):
+    """The SVDs of one suite request of the benchmark's shape, by caller and check."""
     counts = collections.Counter()
     real = np_linalg.svd
 
@@ -273,7 +281,17 @@ def test_suite_request_svds_per_caller(monkeypatch):
 
     monkeypatch.setattr(np_linalg, "svd", counted)
     monkeypatch.setattr(np.linalg, "svd", counted)
-    report = run_suite(SuiteConfig(seed=7, cases=1, random_inners=((2, 2),)))
-    assert report["pass"]
-    assert dict(counts) == SUITE_SVDS
-    assert sum(counts.values()) == 79
+    assert run_suite(SUITE_SHAPE)["pass"]
+    return dict(counts)
+
+
+def test_suite_request_svds_per_caller(monkeypatch):
+    suite._fixture_basis.cache_clear()  # as in a new process
+    counts = _suite_request_svds(monkeypatch)
+    assert counts == SUITE_SVDS_COLD and sum(counts.values()) == 79
+
+
+def test_suite_request_on_built_fixture_spaces_svds_per_caller(monkeypatch):
+    run_suite(SUITE_SHAPE)
+    counts = _suite_request_svds(monkeypatch)
+    assert counts == SUITE_SVDS_WARM and sum(counts.values()) == 64
