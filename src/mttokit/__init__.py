@@ -12,7 +12,6 @@ from .errors import (
     NotProjectionError,
     NotPureError,
     NotUnitaryError,
-    NotZeroOperatorError,
     ParseError,
 )
 from .fixtures import FIXTURE_NAMES, fixture
@@ -46,8 +45,6 @@ from .model_space import (
 )
 from .mtto import (
     build,
-    commutant_factor,
-    factor_through_theta,
     finite_rank,
     is_mtto,
     membership_witness,
@@ -74,7 +71,6 @@ __all__ = [
     "NotProjectionError",
     "NotPureError",
     "NotUnitaryError",
-    "NotZeroOperatorError",
     "OperatorMatrix",
     "ParseError",
     "SuiteConfig",
@@ -83,11 +79,9 @@ __all__ = [
     "boundary_adjoint",
     "build",
     "c_symmetric",
-    "commutant_factor",
     "conjugation_matrix",
     "defect_spaces",
     "evaluate",
-    "factor_through_theta",
     "finite_rank",
     "fixture",
     "gamma_symmetric_residual",

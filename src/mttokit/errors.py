@@ -43,10 +43,6 @@ class NotMttoError(MttoError):
     code = "E_NOT_MTTO"
 
 
-class NotZeroOperatorError(MttoError):
-    code = "E_NOT_ZERO_OPERATOR"
-
-
 class IdentityCheckError(MttoError):
     """An internal algebraic identity failed its runtime verification.
 

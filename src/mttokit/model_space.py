@@ -427,11 +427,11 @@ def off_space(inner: InnerFunction, w: np.ndarray) -> np.ndarray:
     """||L* f|| for each element f in the columns of the window array w
     (m*d rows): block k of L* f is the sum over i of Theta_i* f_{k+i}, the
     analytic part of Theta* f at frequency k, which vanishes exactly on the
-    model space.  It reads Theta's blocks, not a projector, and takes
-    Theta* w at frequencies 0..m-1 as one `convolve`, which forms L*
-    itself, md x md, for w of d columns or more."""
+    model space.  It reads Theta*'s blocks (`inner.adjoint_blocks`), not a
+    projector, and takes Theta* w at frequencies 0..m-1 as one `convolve`,
+    which forms L* itself, md x md, for w of d columns or more."""
     m, d = inner.m, inner.d
-    return column_norms(convolve(reversed_adjoint(inner.blocks), w.reshape(m, d, -1), m).reshape(m * d, -1))
+    return column_norms(convolve(inner.adjoint_blocks, w.reshape(m, d, -1), m).reshape(m * d, -1))
 
 
 def require_member(residual: float, scale: float, what: str) -> None:

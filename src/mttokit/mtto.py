@@ -34,12 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    IdentityCheckError,
-    NotMttoError,
-    NotZeroOperatorError,
-)
+from .errors import DimensionMismatchError, IdentityCheckError, NotMttoError
 from .laurent import MatLaurent, _lags, boundary_adjoint, convolve, reversed_adjoint
 from .model_operator import (
     OperatorMatrix,
@@ -208,23 +203,6 @@ def _divide_by_theta(inner: InnerFunction, lo: int, target: np.ndarray):
     return start, quotient, remainder
 
 
-def commutant_factor(inner: InnerFunction, phi: MatLaurent):
-    """Solve Theta Phi1 = Phi Theta for an analytic Phi1 by division by
-    Theta; returns (Phi1, residual) with residual = ||R||_F for the
-    remainder R = Phi Theta - Theta Phi1 of the division, K blocks long.
-    It reads Theta alone.  R bounds the commutator of A_Phi with the
-    shift, so no basis and no operator is built: for f in K_Theta,
-    z f = P(z f) + Theta c with c = P+(Theta* z f) constant and
-    ||c|| <= ||f||, and (A_Phi S - S A_Phi) f = -P(Phi Theta c) = -P(R c),
-    so ||A_Phi S - S A_Phi|| <= ||R||_inf <= sqrt(K) residual.
-    A residual of 0 says that multiplication by Phi leaves Theta H^2
-    invariant and A_Phi commutes with S."""
-    if phi.lo < 0:
-        raise ValueError("commutant factorization needs an analytic symbol")
-    start, phi1, remainder = _divide_by_theta(inner, phi.lo, convolve(phi.coeffs, inner.blocks))  # Phi Theta from phi.lo
-    return MatLaurent(start, phi1), frobenius(remainder)
-
-
 @dataclass
 class RecoveredSymbol:
     psi1: MatLaurent
@@ -335,19 +313,6 @@ def zero_symbol_decompose(space: InnerFunction | ModelSpaceBasis, phi: MatLauren
     residual = require_small(frobenius(err), max(REBUILD_TOL * scale, tol), IdentityCheckError,
                              "zero-operator symbol failed to decompose, residual {residual:.3e}")
     return ZeroSymbolResult(True, float(nrm), psi1, psi2, residual, tol)
-
-
-def factor_through_theta(space: InnerFunction | ModelSpaceBasis, phi: MatLaurent, tol: Optional[float] = None):
-    """Divide an analytic symbol of the zero operator by Theta: its split
-    has Psi2 = 0, so Phi = Theta Psi1, and (Psi1, residual) is returned.
-    `space` is what `zero_symbol_decompose` takes: a zero verdict the split
-    certifies builds no basis."""
-    if phi.lo < 0:
-        raise ValueError("only analytic symbols factor through Theta")
-    result = zero_symbol_decompose(space, phi, tol)
-    if not result.is_zero:
-        raise NotZeroOperatorError(f"operator norm {result.operator_norm:.3e} exceeds {result.tol:.3e}")
-    return result.psi1, result.residual
 
 
 @dataclass

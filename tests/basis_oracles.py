@@ -14,14 +14,18 @@ column by column; and an encoder that recurses once per scalar.
 from Theta's blocks; `membership_residual` takes it through Laurent
 objects, Theta* f in full, and also sees frequencies outside the window.
 `turned_off` turns an orthonormal basis of the model space off it, as
-rounding can, and `potapov_cell` draws the factors of the benchmark's
-large cells; SEEDED lists the seeded random spaces the basis tests share.
+rounding can, `theta1_moved` moves Theta_1 under a built basis, and
+`potapov_cell` draws the factors of the benchmark's large cells; SEEDED
+lists the seeded random spaces the basis tests share.
 """
+
+import copy
+import functools
 
 import numpy as np
 
 from mttokit import model_space
-from mttokit.laurent import boundary_adjoint, multiply, reversed_adjoint
+from mttokit.laurent import MatLaurent, boundary_adjoint, multiply, reversed_adjoint
 from mttokit.numerics import PHASE_TIE, fix_column_phases
 from mttokit.randgen import haar_unitary
 
@@ -108,6 +112,22 @@ def turned_off(q, angle=1e-4, seed=0):
     outside = np.linalg.qr(q, mode="complete")[0][:, q.shape[1] :]
     c, w = _unit(rng, q.shape[1]), outside @ _unit(rng, outside.shape[1])
     return q + np.outer((np.cos(angle) - 1) * (q @ c) + np.sin(angle) * w, c.conj())
+
+
+def theta1_moved(basis, rng):
+    """A copy of a built basis whose Theta_1 is moved by 1e-6, the basis Q
+    kept, with no cached data: neither the basis's nor what the
+    InnerFunction derives from its blocks (Theta*'s blocks and the like)."""
+    inner = copy.copy(basis.inner)
+    for name, attr in vars(model_space.InnerFunction).items():
+        if isinstance(attr, functools.cached_property):
+            inner.__dict__.pop(name, None)
+    blocks = inner.blocks.copy()
+    blocks[1] += 1e-6 * (rng.standard_normal(blocks[1].shape) + 1j * rng.standard_normal(blocks[1].shape))
+    inner.theta, inner.blocks = MatLaurent(0, blocks), blocks
+    moved = copy.copy(basis)
+    moved.inner, moved.cache = inner, {}
+    return moved
 
 
 def potapov_cell(d, ranks, seed):

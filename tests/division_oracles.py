@@ -19,19 +19,21 @@ target, of which only the blocks at start..top are kept;
 `division_rounding_bounds` is how far the array route may lie from it when
 their sums are taken in other orders.  `zero_certificate` is the bound on
 ||A_Phi|| that the remainder of those slots gives, the one a zero verdict
-is certified by.
+is certified by.  `commutant_quotient` is no reference but the array route
+itself on the analytic target Phi Theta, the division the commutant tests
+read; `commutant_factor` is its Laurent route.
 """
 
 from typing import Optional
 
 import numpy as np
 
-from mttokit.errors import DimensionMismatchError, IdentityCheckError, NotZeroOperatorError
-from mttokit.laurent import MatLaurent, boundary_adjoint, reversed_adjoint
+from mttokit.errors import DimensionMismatchError, IdentityCheckError
+from mttokit.laurent import MatLaurent, boundary_adjoint, convolve, reversed_adjoint
 from mttokit.model_operator import s_theta
-from mttokit.model_space import ModelSpaceBasis, make_inner_potapov
-from mttokit.mtto import ZeroSymbolResult, build
-from mttokit.numerics import CHECK_TOL, REL, opnorm, solve_min_norm
+from mttokit.model_space import InnerFunction, ModelSpaceBasis, make_inner_potapov
+from mttokit.mtto import ZeroSymbolResult, _divide_by_theta, build
+from mttokit.numerics import CHECK_TOL, REL, frobenius, opnorm, solve_min_norm
 from mttokit.randgen import haar_unitary, random_projection
 
 from dimension_oracles import toeplitz_of
@@ -135,6 +137,17 @@ def zero_certificate(basis: ModelSpaceBasis, phi: MatLaurent) -> float:
     return float(np.sqrt(2 * m - 1) * np.linalg.norm(err.window(1 - m, m - 1)))
 
 
+def commutant_quotient(inner: InnerFunction, phi: MatLaurent):
+    """(Phi1, ||R||_F) for Phi Theta = Theta Phi1 + R, an analytic Phi,
+    by one `mtto._divide_by_theta` of the array Phi Theta.  R bounds the
+    commutator of A_Phi with the shift: for f in K_Theta, z f = P(z f) +
+    Theta c with c constant and ||c|| <= ||f||, and (A_Phi S - S A_Phi) f =
+    -P(R c), so ||A_Phi S - S A_Phi|| <= sqrt(K) ||R||_F over the K blocks
+    of R, and R = 0 says that A_Phi commutes with S."""
+    start, phi1, remainder = _divide_by_theta(inner, phi.lo, convolve(phi.coeffs, inner.blocks))
+    return MatLaurent(start, phi1), frobenius(remainder)
+
+
 def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent):
     if phi.lo < 0:
         raise ValueError("commutant factorization needs an analytic symbol")
@@ -153,13 +166,15 @@ def commutant_factor(basis: ModelSpaceBasis, phi: MatLaurent):
 
 
 def factor_through_theta(basis: ModelSpaceBasis, phi: MatLaurent, tol: Optional[float] = None):
+    """(Psi1, residual) for an analytic symbol of the zero operator, Phi =
+    Theta Psi1; None when ||A_Phi|| exceeds tol."""
     if phi.lo < 0:
         raise ValueError("only analytic symbols factor through Theta")
     nrm = opnorm(build(basis, phi).mat)
     if tol is None:
         tol = REL * phi.norm()
     if nrm > tol:
-        raise NotZeroOperatorError(f"operator norm {nrm:.3e} exceeds {tol:.3e}")
+        return None
     phi1, remainder = divide_by_theta(basis.inner.theta, phi)
     residual = remainder.norm()
     if residual > 1e-8 * phi.norm():

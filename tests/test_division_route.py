@@ -4,11 +4,11 @@ route it replaced and to block-Toeplitz least squares.
 `mtto._divide_by_theta` divides every column of one coefficient array by
 Theta at once; `zero_symbol_decompose` runs it once on an analytic or
 coanalytic symbol, and on a mixed one with Phi* beside it, fixing both
-constant terms with the left inverse the InnerFunction keeps;
-`commutant_factor` divides analytic targets with it, and its remainder R
-bounds the commutator of A_Phi with the shift by sqrt(K) ||R||_F over the
-K blocks of R, and
-`factor_through_theta` is `zero_symbol_decompose` on an analytic symbol.
+constant terms with the left inverse the InnerFunction keeps; on an
+analytic symbol it gives Psi2 = 0 and Psi1 = Phi / Theta.  Its branch for
+analytic targets divides Phi Theta too (`division_oracles.commutant_quotient`),
+whose remainder R bounds the commutator of A_Phi with the shift by
+sqrt(K) ||R||_F over the K blocks of R.
 Each must give what the Laurent route of division_oracles gives, on
 fixtures, seeded Potapov products and inner functions given by their
 coefficients, with d = 1 and m = 1 among them, and on symbols whose support
@@ -25,12 +25,12 @@ import numpy as np
 import pytest
 
 from mttokit import mtto
-from mttokit.errors import IdentityCheckError, NotZeroOperatorError
+from mttokit.errors import IdentityCheckError
 from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent, boundary_adjoint, convolve, multiply, reversed_adjoint
 from mttokit.model_operator import s_theta
 from mttokit.model_space import InnerFunction, ModelSpaceBasis
-from mttokit.mtto import _divide_by_theta, build, commutant_factor, factor_through_theta, zero_symbol_decompose
+from mttokit.mtto import _divide_by_theta, build, zero_symbol_decompose
 from mttokit.numerics import opnorm
 from mttokit.randgen import haar_unitary, random_commuting_symbol, random_inner, random_symbol
 
@@ -253,12 +253,12 @@ def test_zero_symbol_of_degree_sixty_matches_the_laurent_route():
 
 
 @pytest.mark.parametrize("basis", BASES, ids=IDS)
-def test_commutant_factor_gives_what_the_laurent_route_gives(basis):
+def test_the_division_of_an_analytic_target_gives_what_the_laurent_route_gives(basis):
     rng = np.random.default_rng(basis.n + 34)
     theta, d = basis.inner.theta, basis.inner.d
     z_eye = MatLaurent(1, np.eye(d)[None])
     for phi in (random_commuting_symbol(basis.inner, rng), random_symbol(d, 0, 2, rng), theta, z_eye, z_eye.shift(3)):
-        phi1, res = commutant_factor(basis.inner, phi)
+        phi1, res = oracle.commutant_quotient(basis.inner, phi)
         want, want_res = oracle.commutant_factor(basis, phi)
         scale = phi.norm() * theta.norm()
         hi = max(phi1.hi, want.hi)
@@ -267,7 +267,7 @@ def test_commutant_factor_gives_what_the_laurent_route_gives(basis):
 
 
 @pytest.mark.parametrize("basis", BASES, ids=IDS)
-def test_commutant_factor_residual_bounds_the_commutator(basis):
+def test_the_commutant_remainder_bounds_the_commutator(basis):
     """||A_Phi S - S A_Phi|| <= sqrt(K) residual on commuting draws, where
     both sides are roundoff, and on draws moved off the commutant."""
     rng = np.random.default_rng(basis.n + 36)
@@ -276,28 +276,29 @@ def test_commutant_factor_residual_bounds_the_commutator(basis):
         commuting = random_commuting_symbol(basis.inner, rng)
         for phi in (commuting, commuting + 1e-6 * random_symbol(inner.d, 0, 2, rng),
                     commuting + random_symbol(inner.d, 0, 2, rng)):
-            _, res = commutant_factor(basis.inner, phi)
+            _, res = oracle.commutant_quotient(basis.inner, phi)
             blocks = _divide_by_theta(inner, phi.lo, convolve(phi.coeffs, inner.blocks))[2].shape[0]
             a = build(basis, phi).mat
             assert opnorm(a @ s - s @ a) <= np.sqrt(blocks) * res
 
 
 @pytest.mark.parametrize("basis", BASES, ids=IDS)
-def test_factor_through_theta_gives_what_the_laurent_route_gives(basis):
+def test_an_analytic_zero_symbol_gives_what_the_laurent_route_gives(basis):
     rng = np.random.default_rng(basis.n + 35)
     theta, d = basis.inner.theta, basis.inner.d
     for psi in (random_symbol(d, 0, 3, rng), random_symbol(d, 2, 4, rng)):
         phi = multiply(theta, psi)
-        phi1, res = factor_through_theta(basis, phi)
+        result = zero_symbol_decompose(basis, phi)
+        assert result.is_zero and not result.psi2.coeffs.any()
+        phi1, res = result.psi1, result.residual
         want, want_res = oracle.factor_through_theta(basis, phi)
         hi = max(phi1.hi, want.hi)
         _assert_close(_window(phi1, 0, hi), _window(want, 0, hi), phi.norm(), rel=1e-13)
         assert abs(res - want_res) <= 1e-13 * phi.norm()
         _assert_close(_window(phi1, 0, psi.hi), _window(psi, 0, psi.hi), phi.norm())
     outside = MatLaurent.identity(d)
-    for route in (factor_through_theta, oracle.factor_through_theta):
-        with pytest.raises(NotZeroOperatorError):
-            route(basis, outside)
+    assert not zero_symbol_decompose(basis, outside).is_zero
+    assert oracle.factor_through_theta(basis, outside) is None
 
 
 def test_a_broken_constant_term_solve_is_refused(monkeypatch):
@@ -354,13 +355,15 @@ def test_a_symbol_at_frequency_1e12_takes_the_closed_form_at_once(name, sign):
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_factor_and_commutant_factor_at_frequency_1e12(name):
+def test_analytic_targets_at_frequency_1e12_are_divided_at_once(name):
     basis = SPACES[name]
     theta, d, far = basis.inner.theta, basis.inner.d, 10**12
     z_far = MatLaurent(far, np.eye(d)[None])
     start = time.perf_counter()
-    phi1, res = factor_through_theta(basis, multiply(theta, z_far))
+    result = zero_symbol_decompose(basis, multiply(theta, z_far))
+    phi1, res = result.psi1, result.residual
+    assert result.is_zero and not result.psi2.coeffs.any()
     assert phi1.lo == far and res <= 1e-13 and np.allclose(phi1.coeffs, np.eye(d)[None], atol=1e-14)
-    phi1, res = commutant_factor(basis.inner, z_far)  # Phi Theta = Theta Phi for a scalar Phi
+    phi1, res = oracle.commutant_quotient(basis.inner, z_far)  # Phi Theta = Theta Phi for a scalar Phi
     assert phi1.lo == far and res <= 1e-13 and np.allclose(phi1.coeffs, np.eye(d)[None], atol=1e-14)
     assert time.perf_counter() - start < 1.0

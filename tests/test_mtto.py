@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mttokit.errors import DimensionMismatchError, NotMttoError, NotZeroOperatorError
+from mttokit.errors import DimensionMismatchError, NotMttoError
 from mttokit.fixtures import fixture
 from mttokit.laurent import MatLaurent, VecLaurent, boundary_adjoint, evaluate, multiply
 from mttokit.model_operator import s_theta
@@ -15,8 +15,6 @@ from mttokit.model_space import (
 )
 from mttokit.mtto import (
     build,
-    commutant_factor,
-    factor_through_theta,
     finite_rank,
     finite_rank_as_xhat,
     is_mtto,
@@ -33,6 +31,7 @@ from mttokit.randgen import random_inner
 
 from basis_oracles import membership_residual
 from dimension_oracles import SymbolSpaceBasis
+from division_oracles import commutant_quotient
 from membership_oracles import rebuild_bound
 from suite_oracles import from_coords, project
 
@@ -186,29 +185,29 @@ def test_shift_invariance_defect_agrees_with_membership():
         assert abs(defect - decision.residual) <= 1e-10 * (1 + defect)
 
 
-def test_commutant_factor_for_powers_of_theta_and_the_shift_symbol():
+def test_commutant_quotient_for_powers_of_theta_and_the_shift_symbol():
     basis = _basis("FIX3")
     theta = basis.inner.theta
-    phi1, res = commutant_factor(basis.inner, theta)
+    phi1, res = commutant_quotient(basis.inner, theta)
     assert res <= 1e-12
     assert (phi1 - theta).norm() <= 1e-10
     z_eye = MatLaurent(1, np.eye(2)[np.newaxis])
-    phi1z, resz = commutant_factor(basis.inner, z_eye)
+    phi1z, resz = commutant_quotient(basis.inner, z_eye)
     assert resz <= 1e-12
     assert (phi1z - z_eye).norm() <= 1e-10
 
 
-def test_commutant_factor_fails_for_the_lower_corner_symbol():
+def test_commutant_quotient_fails_for_the_lower_corner_symbol():
     basis = _basis("FIX3")
     phi = _lower_corner_symbol()
-    _, res = commutant_factor(basis.inner, phi)
+    _, res = commutant_quotient(basis.inner, phi)
     assert res > 0.1
     a = build(basis, phi)
     s, _ = s_theta(basis)
     assert opnorm(a.mat @ s - s @ a.mat) > 0.5
 
 
-def test_commutant_factor_on_random_polynomials_in_theta_and_z():
+def test_commutant_quotient_on_random_polynomials_in_theta_and_z():
     rng = np.random.default_rng(37)
     for name in ("FIX3", "FIX5"):
         basis = _basis(name)
@@ -222,7 +221,7 @@ def test_commutant_factor_on_random_polynomials_in_theta_and_z():
                 j = int(rng.integers(0, 3))
                 phi = phi + c * power.shift(j)
                 power = multiply(power, theta)
-            _, res = commutant_factor(basis.inner, phi)
+            _, res = commutant_quotient(basis.inner, phi)
             assert res <= 1e-9 * (1 + phi.norm())
 
 
@@ -297,10 +296,9 @@ def test_zero_symbol_default_tolerance_is_relative(scale):
     zero = scale * (multiply(theta, _lower_corner_symbol()) + boundary_adjoint(theta))
     result = zero_symbol_decompose(basis, zero)
     assert result.is_zero and result.residual <= 1e-12 * zero.norm()
-    with pytest.raises(NotZeroOperatorError):
-        factor_through_theta(basis, scale * MatLaurent.identity(2))
-    phi1, res = factor_through_theta(basis, scale * theta)
-    assert res <= 1e-12 * scale and (phi1 - scale * MatLaurent.identity(2)).norm() <= 1e-12 * scale
+    analytic = zero_symbol_decompose(basis, scale * theta)
+    assert analytic.is_zero and analytic.residual <= 1e-12 * scale and not analytic.psi2.coeffs.any()
+    assert (analytic.psi1 - scale * MatLaurent.identity(2)).norm() <= 1e-12 * scale
 
 
 def test_identity_checks_hold_to_what_the_decision_certified():
@@ -312,7 +310,6 @@ def test_identity_checks_hold_to_what_the_decision_certified():
     tiny = 1e-10 * MatLaurent.identity(2)  # no Theta Psi1 + (Theta Psi2)* equals it
     result = zero_symbol_decompose(basis, tiny, tol=1e-6)
     assert result.is_zero and 1e-8 * tiny.norm() < result.residual <= 1e-6
-    assert factor_through_theta(basis, tiny, tol=1e-6)[1] == result.residual
     outside = np.zeros((3, 3), dtype=complex)
     outside[2, 2] = 1e-10
     rec = recover_symbol(basis, outside, tol=1e-6)
@@ -342,7 +339,7 @@ def test_kernel_frame_pairs_induce_the_zero_operator():
             assert opnorm(build(basis, phi).mat) <= 1e-10 * (1 + phi.norm())
 
 
-def test_factor_through_theta_recovers_the_right_factor():
+def test_an_analytic_zero_symbol_has_psi2_zero_and_psi1_phi_over_theta():
     rng = np.random.default_rng(41)
     for name in ("FIX3", "FIX5"):
         basis = _basis(name)
@@ -350,15 +347,10 @@ def test_factor_through_theta_recovers_the_right_factor():
         for _ in range(5):
             g = _rand_symbol(basis.inner.d, 0, 2, rng)
             phi = multiply(theta, g)
-            phi1, res = factor_through_theta(basis, phi)
-            assert res <= 1e-10 * (1 + phi.norm())
-            assert (phi1 - g).norm() <= 1e-9 * (1 + g.norm())
-
-
-def test_factor_through_theta_refuses_nonzero_operators():
-    basis = _basis("FIX3")
-    with pytest.raises(NotZeroOperatorError):
-        factor_through_theta(basis, MatLaurent.identity(2))
+            result = zero_symbol_decompose(basis, phi)
+            assert result.is_zero and result.residual <= 1e-10 * (1 + phi.norm())
+            assert not result.psi2.coeffs.any()
+            assert (result.psi1 - g).norm() <= 1e-9 * (1 + g.norm())
 
 
 def test_dimension_counts_match_the_linear_reading():

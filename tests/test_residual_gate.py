@@ -17,10 +17,11 @@ the frame SVDs, which purity makes rank d), and a Laurent product is
 blocks, as is the membership measure `model_space.off_space`; the
 block-Toeplitz index is built in `laurent.py` alone.  The process-wide
 `functools` caches are exactly the parser, the lag indices and the suite's
-fixture spaces.  Nothing in the package is reached only from
-the tests: a name has a reader in src/, a method one through a receiver
-of its own class, an attribute stored on `self` one by attribute, and a
-`basis` parameter is read for more than its `inner`; the names the
+fixture spaces.  Nothing in the package is reached only from the tests:
+a name has a reader in src/ (its export in `__all__` is none), a method
+one through a receiver of its own class, an attribute stored on `self`
+one by attribute, and a `basis` parameter is read for more than its
+`inner`; the names the
 benchmark's tracer alone keeps are exactly `j_operators`, `nullspace`
 and `solve_min_norm`, and no module that checks an element names
 `VecLaurent`.  A Potapov basis is read off its factors: it builds with
@@ -38,15 +39,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import mttokit
 from mttokit import model_space, serialize
 from mttokit.cli import main
-from mttokit.errors import IdentityCheckError, NotUnitaryError, NotZeroOperatorError
+from mttokit.errors import IdentityCheckError, NotUnitaryError
 from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent, boundary_adjoint, multiply
 from mttokit.model_operator import Conjugation
 from mttokit.model_space import ModelSpaceBasis, kernel, make_inner_potapov, tilde_kernel
-from mttokit.mtto import factor_through_theta, zero_symbol_decompose
+from mttokit.mtto import zero_symbol_decompose
 from mttokit.numerics import require_small
 from mttokit.randgen import random_inner
 
@@ -55,7 +55,7 @@ from json_files import dump_json_file
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mttokit"
 GATED = ("model_space.py", "model_operator.py", "mtto.py")
-VERDICT_ERRORS = {"NotMttoError", "NotZeroOperatorError"}  # decisions, reported with their residual
+VERDICT_ERRORS = {"NotMttoError"}  # a decision, reported with its residual
 ROUTED = {  # every identity check of the three modules, by the function that holds it
     "model_space.py": ["det_degree", "__init__", "potapov_product", "require_member", "kernel", "tilde_kernel"],
     "model_operator.py": ["defect_spaces", "__init__", "conjugation_matrix"],
@@ -115,11 +115,6 @@ def test_zero_test_of_a_symbol_of_norm_1e200_exits_1_without_warnings(tmp_path, 
     assert code == 1 and captured.err == ""
     doc = json.loads(captured.out)  # one document
     assert doc["is_zero"] is False and doc["operator_norm"] == 1.414213562373095e200
-
-
-def test_a_symbol_of_norm_1e200_does_not_factor_through_theta():
-    with pytest.raises(NotZeroOperatorError):
-        factor_through_theta(ModelSpaceBasis(fixture("FIX3")), HUGE)
 
 
 def test_a_zero_symbol_of_norm_1e200_decomposes_with_a_finite_residual():
@@ -490,21 +485,21 @@ def _overrides(module, qualname):
 def _unread_definitions():
     """(location, short name) of each function, class or method of src/
     that nothing in src/ reads: a function or class is read somewhere in
-    src/ outside its own body or exported in `mttokit.__all__`, and a method
-    is read as an attribute (`x.name`) somewhere in src/ outside its own
-    body, so a function or an export of the same name does not keep it.
+    src/ outside its own body, and a method is read as an attribute
+    (`x.name`) somewhere in src/ outside its own body, so a function of the
+    same name does not keep it.  An export in `mttokit.__all__` is no read:
+    `__init__` names it in an import and a string, neither of which counts.
     Dunders and overrides of a base class outside the package are read."""
     trees = _package_trees()
     everywhere = sum((_references(tree) for tree in trees.values()), Counter())
     attributes = sum((_references(tree, attributes_only=True) for tree in trees.values()), Counter())
-    exported = set(mttokit.__all__)
     for name, tree in trees.items():
         for qualname, node, method in _definitions(tree):
             short = node.name
             if short.startswith("__") and short.endswith("__") or _overrides(name[:-3], qualname):
                 continue
             reads = (attributes if method else everywhere)[short] - _references(node, attributes_only=method)[short]
-            if reads <= 0 and (method or short not in exported):
+            if reads <= 0:
                 yield f"{name}:{node.lineno} {qualname}", short
 
 

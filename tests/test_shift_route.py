@@ -11,7 +11,6 @@ by comparing Q K0 and Q K0~ with the kernel and the difference quotient at
 memory.
 """
 
-import copy
 import tracemalloc
 
 import numpy as np
@@ -19,13 +18,12 @@ import pytest
 
 from mttokit.errors import IdentityCheckError
 from mttokit.fixtures import FIXTURE_NAMES, fixture
-from mttokit.laurent import MatLaurent
 from mttokit.model_operator import defect_spaces, s_theta
 from mttokit.model_space import ModelSpaceBasis, make_inner_potapov
 from mttokit.mtto import semi_commutator_left_factor
 from mttokit.randgen import haar_unitary, random_inner, random_projection, random_symbol
 
-from basis_oracles import turned_off
+from basis_oracles import theta1_moved, turned_off
 from membership_oracles import _shift
 from monomial_oracles import monomial_inner
 
@@ -82,17 +80,7 @@ MOVED_THETA1_REFUSED = ["FIX5", "random-3x3"]  # the spaces here with Theta_0 !=
 
 
 def _theta1_moved(name):
-    """A copy of a built basis whose Theta_1 is moved by 1e-6, as
-    `test_suite_route._with_theta1` does, with `basis.inner` reassigned."""
-    basis = ModelSpaceBasis(SPACES[name])
-    inner = copy.copy(basis.inner)
-    rng = np.random.default_rng(7)
-    blocks = inner.blocks.copy()
-    blocks[1] += 1e-6 * (rng.standard_normal(blocks[1].shape) + 1j * rng.standard_normal(blocks[1].shape))
-    inner.theta, inner.blocks = MatLaurent(0, blocks), blocks
-    moved = copy.copy(basis)
-    moved.inner, moved.cache = inner, {}
-    return moved
+    return theta1_moved(ModelSpaceBasis(SPACES[name]), np.random.default_rng(7))
 
 
 @pytest.mark.parametrize("name", MOVED_THETA1_REFUSED)

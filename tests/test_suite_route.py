@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import suite_oracles
+from basis_oracles import theta1_moved
 from mttokit import model_space, suite
 from mttokit.errors import IdentityCheckError, MttoError
 from mttokit.fixtures import FIXTURE_NAMES, fixture
@@ -75,22 +76,12 @@ def _with_q(basis, rng):
     return out
 
 
-def _with_theta1(basis, rng):
-    inner = copy.copy(basis.inner)
-    coeffs = inner.blocks.copy()
-    coeffs[1] += 1e-6 * (rng.standard_normal(coeffs[1].shape) + 1j * rng.standard_normal(coeffs[1].shape))
-    inner.theta, inner.blocks = MatLaurent(0, coeffs), coeffs
-    out = copy.copy(basis)
-    out.inner, out.cache = inner, {}
-    return out
-
-
 # difference quotients and tau never read Q: they check Theta alone
 READS_Q = ["basis_orthonormal", "conjugation", "projection", "reproducing_kernels"]
 PERTURBED = [("FIX5", ModelSpaceBasis(fixture("FIX5"))), SPACES[-1]]
 
 
-@pytest.mark.parametrize("perturb,names", [(_with_q, READS_Q), (_with_theta1, sorted(suite_oracles.CHECKS))],
+@pytest.mark.parametrize("perturb,names", [(_with_q, READS_Q), (theta1_moved, sorted(suite_oracles.CHECKS))],
                          ids=["Q", "Theta1"])
 @pytest.mark.parametrize("label,basis", PERTURBED, ids=[label for label, _ in PERTURBED])
 def test_both_routes_fail_alike_on_a_corrupted_space(monkeypatch, perturb, names, label, basis):

@@ -13,10 +13,10 @@ checked (`defect_oracles.j_identities`) and the pinv route it took
 (`defect_oracles.pinv_j`) are kept as oracles and run here on the same
 spaces, the conditioning families with both payloads; on the fixtures and
 seeded spaces the identities also hold to an absolute 1e-9.
-`commutant_factor` divides by Theta and takes no SVD, no `build` and no
-basis: its remainder bounds the commutator it once measured.  `kernel`,
-`tilde_kernel` and a `factor_through_theta` the split certifies read
-Theta alone too, and build no basis.  `mtto_dimension` is a count on n
+The division by Theta (`mtto._divide_by_theta`, run here as the commutant
+quotient of `division_oracles`) takes no SVD, no `build` and no basis.
+`kernel`, `tilde_kernel` and an analytic zero symbol the split certifies
+read Theta alone, and build no basis.  `mtto_dimension` is a count on n
 and d: on a fresh basis it takes no SVD and caches nothing.
 `zero_symbol_decompose` divides by Theta on coefficient arrays with a left
 inverse factored once per space by QR, and certifies a zero symbol by the
@@ -41,13 +41,14 @@ from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent, boundary_adjoint, multiply
 from mttokit.model_operator import action_check, defect_spaces, j_operators, s_theta
 from mttokit.model_space import InnerFunction, ModelSpaceBasis, potapov_product
-from mttokit.mtto import build, commutant_factor, factor_through_theta, mtto_dimension, zero_symbol_decompose
+from mttokit.mtto import build, mtto_dimension, zero_symbol_decompose
 from mttokit.numerics import CHECK_TOL, opnorm
 from mttokit.randgen import random_commuting_symbol, random_inner, random_symbol
 from mttokit.suite import SuiteConfig, run_suite
 
 import test_shift_route
 from defect_oracles import defect_identities, frame_check_residuals, j_identities, pinv_j
+from division_oracles import commutant_quotient
 from element_oracles import kernel_element, tilde_kernel_element
 from test_conditioning_family import _cases as conditioning_cases
 
@@ -157,26 +158,27 @@ def no_basis(monkeypatch):
 
 
 @pytest.mark.parametrize("inner", INNERS, ids=IDS)
-def test_commutant_factor_takes_no_svd_and_no_build(inner, svd_callers, monkeypatch, no_basis):
+def test_the_division_by_theta_takes_no_svd_and_no_build(inner, svd_callers, monkeypatch, no_basis):
     rng = np.random.default_rng(inner.n + 6)
     builds = []
     monkeypatch.setattr(mtto, "build", lambda *a: builds.append(a) or build(*a))
     for phi in (random_commuting_symbol(inner, rng), inner.theta, random_symbol(inner.d, 0, 2, rng)):
         svd_callers.clear()
-        commutant_factor(inner, phi)
+        commutant_quotient(inner, phi)
         assert svd_callers == [] and builds == []
 
 
 @pytest.mark.parametrize("inner", INNERS, ids=IDS)
-def test_kernels_and_a_certified_factor_through_theta_build_no_basis(inner, svd_callers, no_basis):
+def test_kernels_and_a_certified_analytic_zero_symbol_build_no_basis(inner, svd_callers, no_basis):
     rng = np.random.default_rng(inner.n + 7)
     for lam in (0.0, 0.5 - 0.2j):
         x = rng.standard_normal(inner.d) + 1j * rng.standard_normal(inner.d)
         for k in (kernel_element(inner, lam, x), tilde_kernel_element(inner, lam, x)):
             assert 0 <= k.lo <= k.hi < inner.m and k.dim == inner.d
     psi = random_symbol(inner.d, 0, 2, rng)
-    phi1, residual = factor_through_theta(inner, multiply(inner.theta, psi))
-    assert (phi1 - psi).norm() <= 1e-10 * psi.norm() and residual <= 1e-8 * psi.norm()
+    result = zero_symbol_decompose(inner, multiply(inner.theta, psi))
+    assert result.is_zero and not result.psi2.coeffs.any()
+    assert (result.psi1 - psi).norm() <= 1e-10 * psi.norm() and result.residual <= 1e-8 * psi.norm()
     assert svd_callers == []
 
 

@@ -3,8 +3,9 @@ the least-squares routes they replaced.
 
 recover_symbol reads the symbol pair off the split
 A - S A S* = X K0* + K0 Y* and fixes the gauge at minimum norm;
-commutant_factor divides Phi Theta by Theta; zero_symbol_decompose
-divides a zero symbol and its boundary adjoint by Theta.  The references
+mtto._divide_by_theta divides Phi Theta by Theta (through
+division_oracles.commutant_quotient); zero_symbol_decompose divides a zero
+symbol and its boundary adjoint by Theta.  The references
 below solve the same problems by minimum-norm least squares: over the
 symbol-pair map for recovery, over the block-Toeplitz matrix of
 multiplication by Theta for the commutant, and over the block-Toeplitz
@@ -21,12 +22,19 @@ from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent, boundary_adjoint, purity_margin
 from mttokit.model_operator import defect_spaces
 from mttokit.model_space import ModelSpaceBasis
-from mttokit.mtto import build, commutant_factor, recover_symbol, zero_symbol_decompose
+from mttokit.mtto import build, recover_symbol, zero_symbol_decompose
 from mttokit.numerics import opnorm, solve_min_norm
 from mttokit.randgen import random_commuting_symbol, random_inner, random_symbol
 
 from dimension_oracles import symbol_pair_map
-from division_oracles import lstsq_commutant, lstsq_zero_symbol, near_impure_space, rank_one_space, zero_symbol
+from division_oracles import (
+    commutant_quotient,
+    lstsq_commutant,
+    lstsq_zero_symbol,
+    near_impure_space,
+    rank_one_space,
+    zero_symbol,
+)
 
 
 def _spaces():
@@ -84,12 +92,12 @@ def test_recovery_matches_least_squares_over_the_pair_map(basis):
 
 
 @pytest.mark.parametrize("basis", SPACES, ids=IDS)
-def test_commutant_factor_matches_block_toeplitz_least_squares(basis):
+def test_commutant_quotient_matches_block_toeplitz_least_squares(basis):
     rng = np.random.default_rng(basis.n + 8)
     d = basis.inner.d
     symbols = [random_commuting_symbol(basis.inner, rng), random_symbol(d, 0, 2, rng), basis.inner.theta]
     for phi in symbols:
-        phi1, res = commutant_factor(basis.inner, phi)
+        phi1, res = commutant_quotient(basis.inner, phi)
         want, want_res = lstsq_commutant(basis, phi)
         count = max(phi1.hi, want.hi) + 1
         _assert_close(_window(phi1, count), _window(want, count))
