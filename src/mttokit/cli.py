@@ -1,7 +1,9 @@
 """Command line front end.
 
 Results go to stdout, and errors (an `error` code and a `message`) to
-stderr, as one line of `serialize.canonical_json`.  Exit status 0 means
+stderr, as one line of `serialize.canonical_json`.  Every command's
+document is written here from what its handler computes; the suite's is
+the report `run_suite` returns.  Exit status 0 means
 success (and a positive verdict where the command decides something), 1
 means a negative verdict or a domain error, 2 means the input could not
 be used at all.
@@ -14,6 +16,7 @@ import errno
 import functools
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -23,7 +26,7 @@ from .fixtures import FIXTURE_FACTORS, FIXTURE_NAMES
 from .laurent import inner_residual, purity_margin
 from .model_space import InnerFunction, ModelSpaceBasis, potapov_product, theta_from_json
 from .mtto import build, is_mtto, mtto_dimension, recover_symbol, zero_symbol_decompose
-from .numerics import INNER_TOL, REL
+from .numerics import INNER_TOL, MAX_NORM, REL, frobenius
 from .suite import SuiteConfig, run_suite
 
 
@@ -76,8 +79,15 @@ def _basis(args) -> ModelSpaceBasis:
     return ModelSpaceBasis(_inner(args))
 
 
+def _require_bounded(norm: float, what: str) -> None:
+    if norm > MAX_NORM:
+        raise ParseError(f"{what} has Frobenius norm {norm!r}, above the limit of {MAX_NORM!r}")
+
+
 def _load_symbol(path: str):
-    return serialize.json_to_mat_laurent(serialize.load_json_file(path))
+    phi = serialize.json_to_mat_laurent(serialize.load_json_file(path))
+    _require_bounded(phi.norm(), "symbol")
+    return phi
 
 
 def _load_operator(path: str, basis: ModelSpaceBasis) -> np.ndarray:
@@ -94,6 +104,10 @@ def _load_operator(path: str, basis: ModelSpaceBasis) -> np.ndarray:
                          "it was written under an older basis rule, rebuild the operator")
     if declared is not None and declared != basis.basis_id:
         raise ParseError(f"operator was written in basis {declared}, current basis is {basis.basis_id}")
+    n = obj.get("n", basis.n)
+    if type(n) is not int or n != basis.n:
+        raise ParseError(f"declared n {n!r} is not the size {basis.n} of the entries")
+    _require_bounded(frobenius(mat), "operator")
     return mat
 
 
@@ -141,13 +155,14 @@ def _space_basis(args):
 
 def _op_build(args):
     basis = _basis(args)
-    return build(basis, _load_symbol(args.symbol)).to_json(), 0
+    entries = serialize.matrix_to_json(build(basis, _load_symbol(args.symbol)).mat)
+    return {"schema_version": serialize.SCHEMA_VERSION, "n": basis.n, "basis_id": basis.basis_id, "entries": entries}, 0
 
 
 def _op_test(args):
     basis = _basis(args)
     decision = is_mtto(basis, _load_operator(args.op, basis), args.tol)
-    return decision.to_json(), 0 if decision.verdict else 1
+    return asdict(decision), 0 if decision.verdict else 1
 
 
 def _op_recover(args):
@@ -181,7 +196,7 @@ def _dim(args):
     is built, so `dim` forms no window projector and runs no basis column
     count check; n is witnessed by the projector trace, the det degree and,
     for a Potapov payload, the factor rank sum."""
-    return mtto_dimension(_inner(args)).to_json(), 0
+    return asdict(mtto_dimension(_inner(args))), 0
 
 
 def _suite(args):

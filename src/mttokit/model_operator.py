@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import serialize
 from .errors import DimensionMismatchError, IdentityCheckError, NotGammaSymmetricError, NotUnitaryError
 from .laurent import MatLaurent, convolve, evaluate
 from .model_space import ModelSpaceBasis, kernel, kernel_frame, require_member, tilde_kernel_frame
@@ -35,14 +34,6 @@ class OperatorMatrix:
         if self.mat.shape != (n, n):
             raise ValueError(f"operator matrix must be {n} x {n}, got {self.mat.shape}")
         require_finite(self.mat, "operator entries must be finite")
-
-    def to_json(self) -> dict:
-        return {
-            "schema_version": serialize.SCHEMA_VERSION,
-            "n": self.basis.n,
-            "basis_id": self.basis.basis_id,
-            "entries": serialize.matrix_to_json(self.mat),
-        }
 
 
 def matrix_of(a, basis: ModelSpaceBasis) -> np.ndarray:

@@ -16,8 +16,8 @@ running products with no md x md array.  A coefficient payload has no
 factors; its basis is Gram-Schmidt over the columns of P, which only that
 route forms, normalizing no residual below GS_CUT = 1 / MAX_WINDOW.
 Membership of a window element f is ||L* f||, read by `off_space`, which
-also measures every Potapov basis; a coefficient basis is measured by
-||q - P q||, and a basis above the gate is repaired as qr(P Q).
+also measures the basis of either route; a basis above the gate is
+repaired as qr(P Q), with P formed for that product alone.
 """
 
 from __future__ import annotations
@@ -346,11 +346,11 @@ class ModelSpaceBasis:
     the at most m*d skipped columns square-sum to n minus the count kept,
     which is then below 1, so n are kept; and no direction is normalized
     from a residual below the cut, which bounds how much one step magnifies
-    the rounding of P.  It bounds one step, not a chain, so each basis is
-    measured once, ||L* q|| per column (`off_space` for a Potapov basis,
-    ||q - P q|| where P is at hand): above OFF_ULPS * m*d * eps (no generic
-    Theta is), Q becomes the Q factor of P Q, read again and refused if
-    still so.  Each column is then rotated so its pivot, the first entry
+    the rounding of P.  It bounds one step, not a chain, so each basis, of
+    either route, is measured once, ||L* q|| per column by `off_space`:
+    above OFF_ULPS * m*d * eps (no generic Theta is), Q becomes the Q
+    factor of P Q, measured again by `off_space` and refused if still so.
+    Each column is then rotated so its pivot, the first entry
     within PHASE_TIE of its largest magnitude, is real positive, and signed
     zeros are made positive, so the same payload always yields the same
     bytes.  The basis is named by `basis_id`, which makes operator matrices
@@ -360,21 +360,17 @@ class ModelSpaceBasis:
     def __init__(self, inner: InnerFunction):
         self.inner = inner
         if inner.factors is None:
-            p = window_projector(inner.blocks)
-            q = _panel_gram_schmidt(p, inner.n)
-            off = column_norms(q - p @ q)
+            q = _panel_gram_schmidt(window_projector(inner.blocks), inner.n)
         else:
-            p, q = None, _factor_basis(inner)
-            off = off_space(inner, q)
+            q = _factor_basis(inner)
         if q.shape[1] != inner.n:
             raise IdentityCheckError(
                 f"model dimension mismatch: basis column count {q.shape[1]}, projector trace {inner.n}"
             )
         gate = OFF_ULPS * inner.m * inner.d * np.finfo(np.float64).eps
-        if off.max() > gate:  # rounding compounded over near-cut columns
-            p = window_projector(inner.blocks) if p is None else p
-            q = np.linalg.qr(p @ q)[0]
-            require_small(column_norms(q - p @ q).max(), gate, IdentityCheckError,
+        if off_space(inner, q).max() > gate:  # rounding compounded over near-cut columns
+            q = np.linalg.qr(window_projector(inner.blocks) @ q)[0]
+            require_small(off_space(inner, q).max(), gate, IdentityCheckError,
                           "basis left the model space, max ||L* q|| {residual:.3e} after re-projection")
         self.q = fix_column_phases(q) + 0.0  # adding +0.0 turns every -0.0 into +0.0
         self.q.setflags(write=False)

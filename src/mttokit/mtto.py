@@ -29,7 +29,7 @@ class dimension is a count, 2nd - d^2, read off the space.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -159,9 +159,6 @@ class MttoDecision:
     residual: float
     tol: float
     distance_bounds: tuple[float, float]
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def is_mtto(basis: ModelSpaceBasis, a, tol: Optional[float] = None) -> MttoDecision:
@@ -324,9 +321,6 @@ class DimensionReport:
     gauge_dim: int
     symbol_pair_dim: int
     operator_space_dim: int
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def mtto_dimension(space: InnerFunction | ModelSpaceBasis) -> DimensionReport:

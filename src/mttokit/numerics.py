@@ -28,6 +28,9 @@ INPUT_TOL = 1e-10  # largest unitarity, projection or symmetry residual of a cal
 CHECK_TOL = 1e-9  # largest residual, absolute or per unit of its scale, of an internal identity check
 REBUILD_TOL = 1e-8  # largest residual per unit of the input's norm of a rebuild or a division by Theta
 PHASE_TIE = 1e-8  # an entry within PHASE_TIE (relative) of its column's largest magnitude ties with it for the phase pivot
+MAX_NORM = 1e300  # largest Frobenius norm of an operator or symbol the CLI reads: with m <= 2048 the bracket
+# end m ||P Delta P|| <= 2m ||A|| and the zero-test bound sqrt(2m - 1) ||E|| <= 64 ||E|| stay far below 1.8e308;
+# op recover's pair, read through the defect frame's pseudo-inverse, is not bounded by ||A|| alone and has the rest
 
 
 def require_finite(a: np.ndarray, message: str) -> np.ndarray:

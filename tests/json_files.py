@@ -1,5 +1,5 @@
 """Write a JSON document to a file, as the CLI's input files are written in
-the tests, and the inner-function payload the CLI reads back."""
+the tests, and the inner-function and operator payloads the CLI reads back."""
 
 import json
 
@@ -28,3 +28,14 @@ def inner_to_json(inner, factors=None, left_unitary=None) -> dict:
         doc["kind"] = "coeffs"
         doc["laurent"] = serialize.laurent_to_json(inner.theta)
     return doc
+
+
+def operator_to_json(op) -> dict:
+    """The document `op build` writes for the OperatorMatrix `op`, which
+    `--op FILE` reads back: its entries, n and the basis_id of its basis."""
+    return {
+        "schema_version": serialize.SCHEMA_VERSION,
+        "n": op.basis.n,
+        "basis_id": op.basis.basis_id,
+        "entries": serialize.matrix_to_json(op.mat),
+    }

@@ -10,10 +10,13 @@ sweeps a panel with skipped columns further on its triangular factor.
 the projector built from an SVD of the constraint matrix, and
 `fix_column_phases_loop` fixes the phases column by column; both are the
 references here.  The rotated monomial spaces of `monomial_oracles` skip
-many columns of P and have n = sum m_i.  The build then reads ||q - P q||
-per column and re-projects, Q = qr(P Q), only above OFF_ULPS * m*d * eps:
-no generic basis crosses that gate, a basis turned off the model space
-is brought back, and one still above it after the re-projection is refused.
+many columns of P and have n = sum m_i.  The build then reads ||L* q|| per
+column by one `off_space` call, as on the factor route, and re-projects,
+Q = qr(P Q), only above OFF_ULPS * m*d * eps, measuring the result by a
+second call: no generic basis crosses that gate, a basis turned off the
+model space is brought back, and one still above it after the
+re-projection is refused.  P is formed for Gram-Schmidt and, again, for
+the re-projection, and nowhere else.
 """
 
 import re
@@ -334,6 +337,25 @@ def test_no_generic_basis_crosses_the_gate(monkeypatch, kind):
         assert ModelSpaceBasis(inner).q.tobytes() == q.tobytes(), label
 
 
+def _counted(monkeypatch, name):
+    """The calls of model_space.`name` from here on, by the shape of their last argument."""
+    calls, real = [], getattr(model_space, name)
+    monkeypatch.setattr(model_space, name, lambda *args: calls.append(args[-1].shape) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["potapov", "coeffs"])
+def test_a_build_measures_its_basis_by_one_off_space_call(monkeypatch, kind):
+    measured, projectors = _counted(monkeypatch, "off_space"), _counted(monkeypatch, "window_projector")
+    for label, theta, factors in _generic_thetas():
+        inner = InnerFunction(theta, factors if kind == "potapov" else None)
+        measured.clear()
+        projectors.clear()
+        ModelSpaceBasis(inner)
+        assert measured == [(inner.m * inner.d, inner.n)], label
+        assert len(projectors) == (kind == "coeffs"), label  # Gram-Schmidt's P alone
+
+
 @pytest.mark.parametrize("name", ["FIX3", "FIX5", "seeded 3x5", "monomial (1, 4, 2)"])
 def test_a_basis_turned_off_the_model_space_is_re_projected(monkeypatch, name):
     inner = InnerFunction(dict(_spaces())[name].theta)
@@ -342,7 +364,10 @@ def test_a_basis_turned_off_the_model_space_is_re_projected(monkeypatch, name):
     real = model_space._panel_gram_schmidt
     assert off_space(inner, turned_off(real(window_projector(inner.blocks), inner.n))).max() > 1e-5
     monkeypatch.setattr(model_space, "_panel_gram_schmidt", lambda p, n: turned_off(real(p, n)))
+    measured, projectors = _counted(monkeypatch, "off_space"), _counted(monkeypatch, "window_projector")
     basis = ModelSpaceBasis(inner)
+    assert measured == [(inner.m * inner.d, inner.n)] * 2  # the basis built, then the re-projection
+    assert len(projectors) == 2  # Gram-Schmidt's P, then the re-projection's
     assert off_space(inner, basis.q).max() <= gate
     assert np.abs(basis.q.conj().T @ basis.q - np.eye(inner.n)).max() <= 1e-13
     assert np.abs(basis.q @ basis.q.conj().T - want @ want.conj().T).max() <= 1e-12  # the model space again

@@ -26,7 +26,7 @@ from mttokit.mtto import build, membership_witness
 from mttokit.suite import SuiteConfig, _spaces
 
 from division_oracles import near_impure_space
-from json_files import dump_json_file, inner_to_json
+from json_files import dump_json_file, inner_to_json, operator_to_json
 from membership_oracles import rebuild_bound
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -89,10 +89,13 @@ def test_space_basis_reports_dimensions(capsys):
 
 
 def test_op_build_test_recover_round_trip(tmp_path, capsys):
-    sym = write_symbol(tmp_path, "sym.json", MatLaurent(1, np.eye(2)[np.newaxis]))
+    phi = MatLaurent(1, np.eye(2)[np.newaxis])
+    sym = write_symbol(tmp_path, "sym.json", phi)
     op_path = str(tmp_path / "op.json")
     code, out, _ = run(capsys, "op", "build", "--theta", "FIX3", "--symbol", sym, "--out", op_path)
     assert code == 0 and out == ""
+    with open(op_path, encoding="utf-8") as fh:  # the document the tests' operator files copy
+        assert json.load(fh) == operator_to_json(build(ModelSpaceBasis(fixture("FIX3")), phi))
     code, out, _ = run(capsys, "op", "test", "--theta", "FIX3", "--op", op_path)
     doc = json.loads(out)
     assert code == 0 and doc["verdict"] and doc["residual"] <= doc["tol"]
@@ -137,7 +140,7 @@ def test_op_test_rejects_non_member_and_recover_refuses(tmp_path, capsys):
 def test_op_file_from_other_basis_is_refused(tmp_path, capsys):
     basis = ModelSpaceBasis(fixture("FIX3"))
     op = build(basis, MatLaurent.identity(2))
-    doc = op.to_json()
+    doc = operator_to_json(op)
     doc["basis_id"] = "0" * 16
     op_path = tmp_path / "op.json"
     dump_json_file(op_path, doc)
@@ -145,8 +148,31 @@ def test_op_file_from_other_basis_is_refused(tmp_path, capsys):
     assert code == 2 and json.loads(err)["error"] == "E_PARSE"
 
 
+@pytest.mark.parametrize("n", [7, 0, True, 1.0, "1", None])
+@pytest.mark.parametrize("command", ["test", "recover"])
+def test_op_file_declaring_an_n_other_than_the_size_of_its_entries_is_refused(tmp_path, capsys, command, n):
+    doc = operator_to_json(build(ModelSpaceBasis(fixture("FIX1")), MatLaurent.identity(1)))
+    assert doc["n"] == 1 and len(doc["entries"]) == 1
+    doc["n"] = n
+    op_path = tmp_path / "op.json"
+    dump_json_file(op_path, doc)
+    code, out, err = run(capsys, "op", command, "--theta", "FIX1", "--op", str(op_path))
+    _assert_parse_error(code, out, err)
+    assert f"declared n {n!r}" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("declared", [{"n": 1}, {}], ids=["n 1", "no n"])
+def test_op_file_declaring_its_size_or_no_n_is_read(tmp_path, capsys, declared):
+    doc = operator_to_json(build(ModelSpaceBasis(fixture("FIX1")), MatLaurent.identity(1)))
+    del doc["n"]
+    op_path = tmp_path / "op.json"
+    dump_json_file(op_path, {**doc, **declared})
+    code, out, _ = run(capsys, "op", "test", "--theta", "FIX1", "--op", str(op_path))
+    assert code == 0 and json.loads(out)["verdict"]
+
+
 def _op_file_with_id(tmp_path, basis_id):
-    doc = build(ModelSpaceBasis(fixture("FIX3")), MatLaurent.identity(2)).to_json()
+    doc = operator_to_json(build(ModelSpaceBasis(fixture("FIX3")), MatLaurent.identity(2)))
     doc["basis_id"] = basis_id
     op_path = tmp_path / "op.json"
     dump_json_file(op_path, doc)
@@ -273,7 +299,7 @@ def test_tol_flag_is_honored(tmp_path, capsys):
     basis = ModelSpaceBasis(fixture("FIX3"))
     op = build(basis, MatLaurent.identity(2))
     op_path = tmp_path / "op.json"
-    dump_json_file(op_path, op.to_json())
+    dump_json_file(op_path, operator_to_json(op))
     code, out, _ = run(capsys, "op", "test", "--theta", "FIX3", "--op", str(op_path))
     assert code == 0 and json.loads(out)["tol"] == 1e-9 * np.linalg.norm(op.mat)
     code, out, _ = run(capsys, "op", "test", "--theta", "FIX3", "--op", str(op_path), "--tol", "1e-3")
@@ -369,7 +395,7 @@ def test_op_test_and_op_recover_agree_at_a_loose_tol(tmp_path, capsys):
     g = rng.standard_normal((basis.n, basis.n)) + 1j * rng.standard_normal((basis.n, basis.n))
     amat = build(basis, phi).mat + 1e-5 * g / np.linalg.norm(g)
     path = tmp_path / "op.json"
-    dump_json_file(path, OperatorMatrix(basis, amat).to_json())
+    dump_json_file(path, operator_to_json(OperatorMatrix(basis, amat)))
     code, out, _ = run(capsys, "op", "test", "--theta", "FIX3", "--op", str(path), "--tol", "1e-3")
     decision = json.loads(out)
     assert code == 0 and decision["verdict"] and f"{decision['residual']:.3e}" == "6.939e-06"
@@ -417,7 +443,7 @@ def test_a_split_beyond_the_tol_of_its_zero_verdict_is_still_refused(tmp_path, c
 def test_op_recover_of_a_member_scaled_to_1e_300_succeeds_without_warnings(tmp_path, capsys):
     basis = ModelSpaceBasis(fixture("FIX5"))
     path = tmp_path / "op.json"
-    dump_json_file(path, build(basis, MatLaurent(-1, 1e-300 * np.ones((3, 2, 2)))).to_json())
+    dump_json_file(path, operator_to_json(build(basis, MatLaurent(-1, 1e-300 * np.ones((3, 2, 2))))))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, "op", "recover", "--theta", "FIX5", "--op", str(path))
@@ -458,7 +484,7 @@ def test_op_test_decides_by_the_one_rule_and_never_forms_the_starred_identity(tm
         gaussian = rng.standard_normal((basis.n, basis.n))
         for i, op in enumerate((build(basis, MatLaurent.identity(basis.inner.d)), OperatorMatrix(basis, gaussian))):
             path = tmp_path / f"op{i}.json"
-            dump_json_file(path, op.to_json())
+            dump_json_file(path, operator_to_json(op))
             rules.clear()
             deltas.clear()
             code, out, err = run(capsys, "op", "test", "--theta", source, "--op", str(path))
@@ -801,7 +827,7 @@ def test_zero_test_of_a_symbol_at_frequency_1e12_is_cheap(tmp_path, capsys, sign
 def _member_op_file(tmp_path):
     basis = ModelSpaceBasis(fixture("FIX3"))
     op_path = tmp_path / "op.json"
-    dump_json_file(op_path, build(basis, MatLaurent.identity(2)).to_json())
+    dump_json_file(op_path, operator_to_json(build(basis, MatLaurent.identity(2))))
     return str(op_path)
 
 
@@ -922,7 +948,7 @@ def _versioned_inputs(tmp_path, version):
         "theta": inner_to_json(inner, FIXTURE_FACTORS["FIX3"]),
         "coeffs": {"kind": "coeffs", "laurent": serialize.laurent_to_json(inner.theta)},
         "symbol": serialize.laurent_to_json(MatLaurent.identity(2)),
-        "op": build(ModelSpaceBasis(inner), MatLaurent.identity(2)).to_json(),
+        "op": operator_to_json(build(ModelSpaceBasis(inner), MatLaurent.identity(2))),
     }
     paths = {}
     for name, doc in docs.items():

@@ -1,6 +1,8 @@
 """What the command line writes: one line of `serialize.canonical_json` on
 stdout for every subcommand, and on stderr nothing or exactly one
-`{"error", "message"}` line, also for inputs that overflow in numpy.
+`{"error", "message"}` line, also for inputs that overflow in numpy and
+for an operator or symbol of Frobenius norm above `numerics.MAX_NORM`,
+which is refused as E_PARSE, while one at the bound gets a finite answer.
 `symbol zero-test` writes what the Laurent-object division by Theta wrote.
 
 pytest's warning capture keeps numpy's RuntimeWarnings out of `capsys`,
@@ -23,10 +25,11 @@ from mttokit.fixtures import FIXTURE_FACTORS, FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent, boundary_adjoint, inner_residual, is_pure, multiply, purity_margin
 from mttokit.model_space import ModelSpaceBasis, theta_from_json
 from mttokit.mtto import build
+from mttokit.numerics import MAX_NORM, frobenius
 from mttokit.randgen import random_symbol
 
 import division_oracles
-from json_files import dump_json_file, inner_to_json
+from json_files import dump_json_file, inner_to_json, operator_to_json
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,7 +41,7 @@ def _inputs(tmp_path, name):
     symbol = MatLaurent(-1, np.stack([np.eye(d), 0.5 * np.eye(d), np.eye(d)[::-1]]))
     paths = {"symbol": tmp_path / "symbol.json", "op": tmp_path / "op.json", "zero": tmp_path / "zero.json"}
     dump_json_file(paths["symbol"], serialize.laurent_to_json(symbol))
-    dump_json_file(paths["op"], build(ModelSpaceBasis(inner), symbol).to_json())
+    dump_json_file(paths["op"], operator_to_json(build(ModelSpaceBasis(inner), symbol)))
     dump_json_file(paths["zero"], serialize.laurent_to_json(inner.theta))
     return {k: str(v) for k, v in paths.items()}
 
@@ -97,6 +100,42 @@ def _coeffs_theta(scale):
     return {"kind": "coeffs", "laurent": {"dim": 1, "lo": 0, "coeffs": [block, block]}}
 
 
+def _at_the_bound(a, above):
+    """`a` rescaled to Frobenius norm MAX_NORM, rounded down onto the bound,
+    or 1e-12 above it."""
+    a = a * (MAX_NORM / frobenius(a))
+    while frobenius(a) > MAX_NORM:
+        a = np.nextafter(a, 0)
+    return a * (1 + 1e-12) if above else a
+
+
+def _bounded_payloads(operator, symbol, above):
+    """An --op and a --symbol payload for FIX3, at the norm bound or just
+    above it."""
+    return {"--op": {"entries": serialize.matrix_to_json(_at_the_bound(operator, above))},
+            "--symbol": serialize.laurent_to_json(MatLaurent(symbol.lo, _at_the_bound(symbol.coeffs.real, above)))}
+
+
+# the identity, a member, and Theta, the symbol of the zero operator
+_ZERO = np.eye(3), fixture("FIX3").theta
+# a Gaussian operator, not a member, and a symbol whose operator is not zero
+_NON_ZERO = (np.random.default_rng(0).standard_normal((3, 3)),
+             MatLaurent(-1, np.stack([np.eye(2), 0.5 * np.eye(2), np.eye(2)[::-1]])))
+
+
+class _Finite:
+    """Equal to any finite number, or nested list of numbers: a field whose
+    value rests on rounding at the scale of 1e300, pinned only as finite."""
+
+    def __eq__(self, other):
+        return not isinstance(other, (bool, str, dict)) and bool(np.isfinite(np.asarray(other, dtype=float)).all())
+
+    def __repr__(self):
+        return "FINITE"
+
+
+FINITE = _Finite()
+
 _OVERFLOWING = {
     "coeffs 1e153": _coeffs_theta(1e153),
     "coeffs 1e154": _coeffs_theta(1e154),
@@ -107,7 +146,28 @@ _OVERFLOWING = {
         "left_unitary": [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]],
         "factors": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]],
     },
+    # --op and --symbol payloads for FIX3, read against numerics.MAX_NORM
+    "1e308 entries": {"--op": {"entries": [[[1e308 * (-1) ** (i * j), 0.0] for j in range(3)] for i in range(3)]},
+                      "--symbol": {"dim": 2, "lo": 1, "coeffs": [[[[1e308, 0.0], [-1e308, 0.0]]] * 2] * 2}},
+    "5e307 entries": {"--op": {"entries": [[[5e307 * (-1) ** (i * j), 0.0] for j in range(3)] for i in range(3)]}},
+    "zero at the bound": _bounded_payloads(*_ZERO, above=False),
+    "zero above the bound": _bounded_payloads(*_ZERO, above=True),
+    "non-zero at the bound": _bounded_payloads(*_NON_ZERO, above=False),
+    "non-zero above the bound": _bounded_payloads(*_NON_ZERO, above=True),
 }
+
+_ARGV = {  # the last argument is the payload's file: a Theta, or the --op or --symbol entry of the payload
+    "inner": ("inner", "check", "--theta", "{file}"),
+    "dim": ("dim", "--theta", "{file}"),
+    "op build": ("op", "build", "--theta", "FIX3", "--symbol", "{file}"),
+    "op test": ("op", "test", "--theta", "FIX3", "--op", "{file}"),
+    "op recover": ("op", "recover", "--theta", "FIX3", "--op", "{file}"),
+    "symbol zero-test": ("symbol", "zero-test", "--theta", "FIX3", "--symbol", "{file}"),
+}
+
+_REFUSED = (2, "E_PARSE", None)
+_FIX3_ID = ModelSpaceBasis(fixture("FIX3")).basis_id
+_LAURENT = {"dim": 2, "lo": 0, "coeffs": FINITE}
 
 # (exit status, error code or None, stdout document or None) per payload and command
 _EXPECTED = {
@@ -121,18 +181,45 @@ _EXPECTED = {
     ("nan factor", "dim"): (1, "E_NOT_PROJECTION", None),
     ("1e308 unitary", "inner"): (1, "E_NOT_UNITARY", None),
     ("1e308 unitary", "dim"): (1, "E_NOT_UNITARY", None),
+    ("1e308 entries", "op build"): _REFUSED,
+    ("1e308 entries", "op test"): _REFUSED,
+    ("1e308 entries", "op recover"): _REFUSED,
+    ("1e308 entries", "symbol zero-test"): _REFUSED,
+    ("5e307 entries", "op test"): _REFUSED,  # ||A||_F = 1.5e308 is finite, m * residual is not
+    ("zero at the bound", "op build"): (0, None, {"schema_version": 1, "n": 3, "basis_id": _FIX3_ID,
+                                                  "entries": FINITE}),
+    ("zero at the bound", "op test"): (0, None, {"verdict": True, "residual": 0.0, "tol": FINITE,
+                                                 "distance_bounds": [0.0, 0.0]}),
+    ("zero at the bound", "op recover"): (0, None, {"schema_version": 1, "analytic_part": _LAURENT,
+                                                    "costar_part": _LAURENT,
+                                                    "membership_residual": 0.0, "membership_tol": FINITE,
+                                                    "rebuild_residual": FINITE}),
+    ("zero at the bound", "symbol zero-test"): (0, None, {"schema_version": 1, "is_zero": True, "operator_norm": 0.0,
+                                                          "analytic_factor": _LAURENT, "costar_factor": _LAURENT,
+                                                          "residual": FINITE, "tol": FINITE}),
+    ("non-zero at the bound", "op build"): (0, None, {"schema_version": 1, "n": 3, "basis_id": _FIX3_ID,
+                                                      "entries": FINITE}),
+    ("non-zero at the bound", "op test"): (1, None, {"verdict": False, "residual": FINITE, "tol": FINITE,
+                                                     "distance_bounds": [FINITE, FINITE]}),
+    ("non-zero at the bound", "op recover"): (1, "E_NOT_MTTO", None),
+    ("non-zero at the bound", "symbol zero-test"): (1, None, {"schema_version": 1, "is_zero": False,
+                                                              "operator_norm": FINITE, "tol": FINITE}),
+    **{(payload, command): _REFUSED for payload in ("zero above the bound", "non-zero above the bound")
+       for command in ("op build", "op test", "op recover", "symbol zero-test")},
 }
 
 
 @pytest.mark.parametrize("payload, command", sorted(_EXPECTED))
 def test_overflowing_input_leaves_stderr_clean(tmp_path, payload, command):
-    path = tmp_path / "theta.json"
-    path.write_text(json.dumps(_OVERFLOWING[payload]), encoding="utf-8")
-    argv = ["inner", "check"] if command == "inner" else ["dim"]
+    """A payload that overflows in numpy, or an operator or symbol above
+    numerics.MAX_NORM, gives one error line; one at the bound an answer with
+    every number finite, and a clean stderr."""
+    argv, source, path = _ARGV[command], _OVERFLOWING[payload], tmp_path / "input.json"
+    path.write_text(json.dumps(source.get(argv[-2], source)), encoding="utf-8")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "mttokit.cli", *argv, "--theta", str(path)],
+        [sys.executable, "-m", "mttokit.cli", *argv[:-1], str(path)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     status, error, doc = _EXPECTED[payload, command]

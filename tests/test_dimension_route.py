@@ -12,6 +12,7 @@ on the fixtures: 2n - 1 for d = 1 and n^2 for n = d.
 
 import json
 import time
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -124,7 +125,7 @@ def test_dim_stdout_is_pinned_on_the_fixtures(capsys, name):
 def test_report_of_a_space_with_n_equal_to_d_1400_serializes():
     # an admitted window (m = 1, m*d = 1400); 2n^d - d^2 would have had more
     # than 4300 digits, past what Python converts from int to str
-    doc = mtto_dimension(SimpleNamespace(n=1400, d=1400)).to_json()
+    doc = asdict(mtto_dimension(SimpleNamespace(n=1400, d=1400)))
     assert canonical_json(doc) == ('{"dim":1960000,"gauge_dim":1960000,"operator_space_dim":1960000,'
                                    '"symbol_pair_dim":3920000}')
 
@@ -142,7 +143,7 @@ def _theta_files(tmp_path):
 @pytest.mark.parametrize("kind", ["fixture", "potapov", "coeffs"])
 def test_dim_builds_no_basis_and_no_projector(tmp_path, capsys, monkeypatch, kind):
     source = _theta_files(tmp_path)[kind]
-    want = canonical_json(mtto_dimension(ModelSpaceBasis(InnerFunction(*cli._theta(source)))).to_json()) + "\n"
+    want = canonical_json(asdict(mtto_dimension(ModelSpaceBasis(InnerFunction(*cli._theta(source)))))) + "\n"
     monkeypatch.setattr(cli, "ModelSpaceBasis", lambda inner: pytest.fail("basis built"))
     monkeypatch.setattr(model_space, "window_projector", lambda blocks: pytest.fail("projector formed"))
     assert main(["dim", "--theta", source]) == 0

@@ -13,6 +13,7 @@ sandwiches at every scale.
 
 import json
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -147,7 +148,7 @@ def test_residuals_are_the_frobenius_norms_of_the_compressed_identities(basis):
         assert decision.tol == REL * np.linalg.norm(a)
         lo, hi = decision.distance_bounds
         assert (lo, hi) == (decision.residual / 2, basis.inner.m * decision.residual)
-        assert json.loads(canonical_json(decision.to_json()))["distance_bounds"] == [lo, hi]
+        assert json.loads(canonical_json(asdict(decision)))["distance_bounds"] == [lo, hi]
 
 
 @pytest.mark.parametrize("basis", SPACES, ids=IDS)

@@ -9,7 +9,9 @@ The source of the three modules that hold the checks is read with `ast`:
 no threshold there is a bare literal, and no residual error is raised but
 through the gate.  The suite's registry names every tolerance it holds.
 Each rule has one owner in the package source: the package reads no
-environment, only `serialize` writes a schema version, the three modules
+environment, only `serialize` spells the schema version and only `cli`
+and `suite` write it into a document (no class but `SuiteConfig` has a
+`to_json`, and `model_operator` imports no `serialize`), the three modules
 take every norm through `numerics`, the rank cut and the rank rule are
 applied in `numerics` alone (`defect_spaces` runs its frame check before
 the frame SVDs, which purity makes rank d), and a Laurent product is
@@ -291,6 +293,22 @@ def test_only_serialize_spells_the_schema_version():
                 if name != "serialize.py" for value in _schema_version_values(tree)
                 if isinstance(value, ast.Constant)]
     assert not literals, f"schema_version literals outside serialize.SCHEMA_VERSION: {literals}"
+
+
+def test_cli_writes_the_command_documents_and_suite_its_report():
+    """No other module puts the schema version into a document, no class but
+    `SuiteConfig`, which `SuiteConfig.from_json` reads back, has a `to_json`,
+    and `model_operator` does not import `serialize`."""
+    trees = _package_trees()
+    writers = sorted(name for name, tree in trees.items() if any(_schema_version_values(tree)))
+    assert writers == ["cli.py", "suite.py"]
+    to_json = [f"{name} {node.name}" for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)
+               and "to_json" in {f.name for f in node.body if isinstance(f, ast.FunctionDef)}]
+    assert to_json == ["suite.py SuiteConfig"]
+    imports = [node for node in ast.walk(trees["model_operator.py"]) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not [node.lineno for node in imports if getattr(node, "module", None) == "serialize"
+                or any(alias.name.rsplit(".", 1)[-1] == "serialize" for alias in node.names)]
 
 
 def _owned(tree, match):
@@ -670,8 +688,8 @@ def _method_reads(trees):
 
 
 def test_a_method_several_classes_define_is_read_through_its_own_class():
-    """`x.to_json()` keeps the `to_json` of the class of x alone, not every
-    class that defines one: a method name several package classes share is
+    """`x.dim` keeps the `dim` of the class of x alone, not every class
+    that defines one: a method name several package classes share is
     resolved by the receiver's class.  A method no read reaches that way
     (and the tracer does not hook) belongs in tests/."""
     hooks = _tracer_hooks()
