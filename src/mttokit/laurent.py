@@ -19,7 +19,7 @@ import functools
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .numerics import REL, frobenius, require_finite
+from .numerics import REL, frobenius, frozen, require_finite
 
 
 def _validate_coeffs(coeffs, block_ndim: int) -> np.ndarray:
@@ -177,7 +177,7 @@ def _lags(p: int, q: int) -> np.ndarray:
     per shape; the 64 shapes used last are kept."""
     lag = np.subtract.outer(np.arange(p + q - 1), np.arange(q))
     lag[(lag < 0) | (lag >= p)] = p
-    lag.setflags(write=False)
+    frozen(lag)
     return lag
 
 

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import DimensionMismatchError, IdentityCheckError, NotGammaSymmetricError, NotUnitaryError
 from .laurent import MatLaurent, convolve, evaluate
 from .model_space import ModelSpaceBasis, kernel, kernel_frame, require_member, tilde_kernel_frame
-from .numerics import (CHECK_TOL, INPUT_TOL, REL, column_norms, fix_column_phases, frobenius, require_finite,
-                       require_small)
+from .numerics import (CHECK_TOL, INPUT_TOL, REL, column_norms, fix_column_phases, frobenius, frozen,
+                       require_finite, require_small)
 
 
 @dataclass
@@ -54,11 +54,6 @@ def off_span(r: np.ndarray, u: np.ndarray) -> np.ndarray:
     return r - (r @ u) @ u.conj().T
 
 
-def _frozen(*arrays):
-    for a in arrays:
-        a.setflags(write=False)
-
-
 def s_theta(basis: ModelSpaceBasis) -> tuple[np.ndarray, np.ndarray]:
     """(S, S*) as read-only n x n arrays, formed once per basis: the
     compressed shift S = Q* Z Q and its adjoint S* = S.conj().T.  Z moves
@@ -70,7 +65,7 @@ def s_theta(basis: ModelSpaceBasis) -> tuple[np.ndarray, np.ndarray]:
         d, q = basis.inner.d, basis.q
         s = q[d:].conj().T @ q[: q.shape[0] - d]
         s_adj = s.conj().T
-        _frozen(s, s_adj)
+        frozen(s, s_adj)
         basis.cache["shift"] = (s, s_adj)
     return basis.cache["shift"]
 
@@ -137,7 +132,7 @@ def defect_spaces(basis: ModelSpaceBasis) -> DefectSpaces:
     d_basis, d_pinv = _frame_svd(k0)
     dt_basis, dt_pinv = _frame_svd(kt0)
     ds = DefectSpaces(d_basis, dt_basis, k0, kt0, d_pinv, dt_pinv, *np.linalg.eigh(k0.conj().T @ k0), windows[0])
-    _frozen(*vars(ds).values())
+    frozen(*vars(ds).values())
     basis.cache["defects"] = ds
     return ds
 
@@ -195,7 +190,7 @@ def j_operators(basis: ModelSpaceBasis):
     if "j" not in basis.cache:
         ds = defect_spaces(basis)
         j, jt = (kp.conj().T @ kp for kp in (ds.d_pinv, ds.dt_pinv))
-        _frozen(j, jt)
+        frozen(j, jt)
         basis.cache["j"] = (j, jt)
     return basis.cache["j"]
 

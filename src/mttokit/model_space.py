@@ -14,7 +14,9 @@ U B_1 ... B_(j-1) ran P_j (V. P. Potapov, "The multiplicative structure
 of J-contractive matrix functions", 1955), so its basis is read off the
 running products with no md x md array.  A coefficient payload has no
 factors; its basis is Gram-Schmidt over the columns of P, which only that
-route forms, normalizing no residual below GS_CUT = 1 / MAX_WINDOW.
+route forms.  Both routes keep a direction by one step, `_kept`, which
+normalizes no residual below GS_CUT = 1 / MAX_WINDOW: on each P_j for
+the factor frames, on each panel of P for the coefficient route.
 Membership of a window element f is ||L* f||, read by `off_space`, which
 also measures the basis of either route; a basis above the gate is
 repaired as qr(P Q), with P formed for that product alone.
@@ -44,7 +46,7 @@ from .laurent import (
     reversed_adjoint,
 )
 from .numerics import (CHECK_TOL, DET_TOL, INNER_TOL, INPUT_TOL, TRACE_TOL, column_norms, fix_column_phases, frobenius,
-                       require_small)
+                       frozen, require_small)
 
 MAX_WINDOW = 2048  # largest m*d coefficient window a model space is built on
 PANEL = 64  # projector columns orthogonalized per block step of the basis
@@ -129,9 +131,8 @@ class InnerFunction:
         self.factors = factors
         self.d = theta.dim
         self.m = theta.hi
-        self.blocks = np.zeros((self.m + 1, self.d, self.d), dtype=np.complex128)  # Theta_0, ..., Theta_m
-        self.blocks[theta.lo :] = theta.coeffs
-        self.blocks.setflags(write=False)
+        self.blocks = theta.window(0, self.m)  # Theta_0, ..., Theta_m
+        frozen(self.blocks)
         norms = np.sum(np.abs(self.blocks[: self.m]) ** 2, axis=(1, 2))  # ||Theta_k||_F^2, k < m
         trace = self.m * self.d - float(np.arange(self.m, 0, -1) @ norms)  # trace of P = I - L L*
         tol = self.m * self.d * TRACE_TOL
@@ -153,7 +154,7 @@ class InnerFunction:
     def adjoint_blocks(self) -> np.ndarray:
         """The blocks of Theta(z)*, (Theta_m)*, ..., (Theta_0)* at frequencies -m..0."""
         out = reversed_adjoint(self.blocks)
-        out.setflags(write=False)
+        frozen(out)
         return out
 
     @cached_property
@@ -162,7 +163,7 @@ class InnerFunction:
         for pure Theta: its Gram matrix is I - Theta_0* Theta_0."""
         q, r = np.linalg.qr(self.blocks[1:].reshape(self.m * self.d, self.d))
         out = np.linalg.solve(r, q.conj().T)
-        out.setflags(write=False)
+        frozen(out)
         return out
 
 
@@ -209,8 +210,7 @@ def potapov_product(factors, left_unitary=None):
     h[0] = u
     for j, p in enumerate(ps, start=1):
         _advance(h, j, p)
-    for a in (h, u, ps, ranks):
-        a.setflags(write=False)
+    frozen(h, u, ps, ranks)
     return MatLaurent(0, h), (u, ps, ranks)
 
 
@@ -272,6 +272,19 @@ def _triangular_sweep(r: np.ndarray, room: int) -> np.ndarray:
         axes = axes[:, stop:] @ w
 
 
+def _kept(frames: np.ndarray, rs: np.ndarray, rooms) -> list:
+    """The one keep step of both basis routes, over a stack of QR factors
+    frame @ r: the first room directions of in-order Gram-Schmidt over the
+    factored columns, a column kept when its residual norm exceeds GS_CUT,
+    fewer when the columns run out.  Up to the first |r_jj| <= GS_CUT the
+    directions are the frame's columns; a stack entry with such a column
+    among its first room is swept further on its r (`_triangular_sweep`).
+    The test on every diagonal is one batched comparison."""
+    small = np.abs(np.diagonal(rs, axis1=1, axis2=2)) <= GS_CUT
+    return [frame @ _triangular_sweep(r, room) if skips[:room].any() else frame[:, :room]
+            for frame, r, skips, room in zip(frames, rs, small, rooms)]
+
+
 def _panel_gram_schmidt(p: np.ndarray, n: int) -> np.ndarray:
     """The first n directions of in-order Gram-Schmidt over the columns of
     p, a column kept when its residual norm exceeds GS_CUT; fewer when the
@@ -279,8 +292,8 @@ def _panel_gram_schmidt(p: np.ndarray, n: int) -> np.ndarray:
     against the directions kept so far, by two products per pass, and
     factored by one Householder QR: its columns are the panel's
     Gram-Schmidt directions up to phase, and |R_jj| are the residual
-    norms, up to the first skipped column.  A panel with skips is swept
-    further on R alone (`_triangular_sweep`)."""
+    norms, up to the first skipped column.  The panel, as a stack of one,
+    goes through the one keep step, `_kept`."""
     q = np.zeros((p.shape[0], n), dtype=np.complex128)
     k = 0
     for start in range(0, p.shape[1], PANEL):
@@ -289,37 +302,22 @@ def _panel_gram_schmidt(p: np.ndarray, n: int) -> np.ndarray:
         panel = p[:, start : start + PANEL]
         for _ in range(2 if k else 0):  # the second pass restores orthogonality
             panel = panel - q[:, :k] @ (q[:, :k].conj().T @ panel)
-        frame, r = np.linalg.qr(panel)  # panel = frame @ r
-        small = np.flatnonzero(np.abs(np.diagonal(r)) <= GS_CUT)
-        if small.size and small[0] < n - k:
-            kept = frame @ _triangular_sweep(r, n - k)
-        else:
-            kept = frame[:, : n - k]
+        kept = _kept(*np.linalg.qr(panel[np.newaxis]), [n - k])[0]
         q[:, k : k + kept.shape[1]] = kept
         k += kept.shape[1]
     return q[:, :k]
 
 
-def _factor_frames(ps: np.ndarray, ranks: np.ndarray) -> list:
-    """V_j for each factor: the first r_j Gram-Schmidt directions of the
-    columns of P_j under the GS_CUT rule, fewer if they run out.  One
-    batched QR factors every P_j; where a column among the first r_j is
-    skipped (|R_ii| <= GS_CUT), the factor is swept further on its R
-    (`_triangular_sweep`)."""
-    frames, rs = np.linalg.qr(ps)
-    kept = np.abs(np.diagonal(rs, axis1=1, axis2=2)) > GS_CUT
-    return [frame[:, :rank] if keep[:rank].all() else frame @ _triangular_sweep(r, rank)
-            for frame, r, keep, rank in zip(frames, rs, kept, ranks)]
-
-
 def _factor_basis(inner: InnerFunction) -> np.ndarray:
     """The columns U B_1 ... B_(j-1) V_j, group j in window blocks 0..j-1,
-    for the factors of a Potapov payload: one loop writes each group from
-    the running product H_(j-1) and advances it (`_advance`).  A factor
+    for the factors of a Potapov payload.  V_j is the first r_j
+    Gram-Schmidt directions of the columns of P_j: one batched QR of every
+    P_j goes through the one keep step, `_kept`.  One loop writes each group
+    from the running product H_(j-1) and advances it (`_advance`).  A factor
     count k above m (Theta's top blocks cancel exactly) leaves blocks past
     the window that vanish on K_Theta; they are dropped."""
     u, ps, ranks = inner.factors
-    frames = _factor_frames(ps, ranks)
+    frames = _kept(*np.linalg.qr(ps), ranks)
     k, d = ps.shape[:2]
     q = np.zeros((k * d, sum(v.shape[1] for v in frames)), dtype=np.complex128)
     h = np.zeros((k + 1, d, d), dtype=np.complex128)
@@ -342,19 +340,20 @@ class ModelSpaceBasis:
     the window projector, in order: each column is projected twice against
     the directions kept so far and kept when what is left exceeds GS_CUT,
     and the sweep stops at n (`_panel_gram_schmidt` runs this rule a panel
-    of columns at a time).  GS_CUT is 1 / MAX_WINDOW: the final residuals of
-    the at most m*d skipped columns square-sum to n minus the count kept,
-    which is then below 1, so n are kept; and no direction is normalized
-    from a residual below the cut, which bounds how much one step magnifies
-    the rounding of P.  It bounds one step, not a chain, so each basis, of
-    either route, is measured once, ||L* q|| per column by `off_space`:
-    above OFF_ULPS * m*d * eps (no generic Theta is), Q becomes the Q
-    factor of P Q, measured again by `off_space` and refused if still so.
-    Each column is then rotated so its pivot, the first entry
-    within PHASE_TIE of its largest magnitude, is real positive, and signed
-    zeros are made positive, so the same payload always yields the same
-    bytes.  The basis is named by `basis_id`, which makes operator matrices
-    comparable across runs.
+    of columns at a time).  Both routes keep their directions by the one
+    keep step, `_kept`: the factor frames V_j and each panel.  GS_CUT is
+    1 / MAX_WINDOW: the final residuals of the at most m*d skipped columns
+    square-sum to n minus the count kept, which is then below 1, so n are
+    kept; and no direction is normalized from a residual below the cut,
+    which bounds how much one step magnifies the rounding of P.  It bounds
+    one step, not a chain, so each basis, of either route, is measured
+    once, ||L* q|| per column by `off_space`: above OFF_ULPS * m*d * eps
+    (no generic Theta is), Q becomes the Q factor of P Q, measured again
+    by `off_space` and refused if still so.  Each column is then rotated
+    so its pivot, the first entry within PHASE_TIE of its largest
+    magnitude, is real positive, and signed zeros are made positive, so
+    the same payload always yields the same bytes.  The basis is named by
+    `basis_id`, which makes operator matrices comparable across runs.
     """
 
     def __init__(self, inner: InnerFunction):
@@ -373,7 +372,7 @@ class ModelSpaceBasis:
             require_small(off_space(inner, q).max(), gate, IdentityCheckError,
                           "basis left the model space, max ||L* q|| {residual:.3e} after re-projection")
         self.q = fix_column_phases(q) + 0.0  # adding +0.0 turns every -0.0 into +0.0
-        self.q.setflags(write=False)
+        frozen(self.q)
         self.cache = {}  # read-only operator data of this space, filled once by model_operator
 
     @property

@@ -12,7 +12,8 @@ looks them up by name.  Every threshold is one of the named constants
 below, which no caller can set.  Every identity check hands its residual
 and its bound (INNER_TOL, m*d*TRACE_TOL, DET_TOL, INPUT_TOL, CHECK_TOL, or
 REL or REBUILD_TOL times a norm) to the one gate, `require_small`, which
-refuses a residual above the bound, NaN or infinite.
+refuses a residual above the bound, NaN or infinite.  Data handed out
+for reading alone is made read-only by `frozen`, the package's one freeze.
 """
 
 import math
@@ -41,6 +42,12 @@ def require_finite(a: np.ndarray, message: str) -> np.ndarray:
     if np.count_nonzero(np.isfinite(a)) != a.size:
         raise ValueError(message)
     return a
+
+
+def frozen(*arrays) -> None:
+    """Make each array read-only: the package's one way to hand out data no caller may write."""
+    for a in arrays:
+        a.setflags(write=False)
 
 
 def require_small(residual: float, bound: float, error: type[Exception], message: str) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ParseError
 from .laurent import MatLaurent, multiply
 from .model_operator import Conjugation, defect_spaces
-from .model_space import InnerFunction, ModelSpaceBasis, make_inner_potapov
+from .model_space import InnerFunction, ModelSpaceBasis, make_inner_potapov, potapov_product
 from .mtto import _delta, is_mtto
 from .numerics import opnorm
 
@@ -48,12 +48,9 @@ def random_inner(d: int, m: int, rng: np.random.Generator) -> InnerFunction:
         raise ValueError("need d >= 1 and m >= 1")
     for _ in range(200):
         factors = [np.eye(d)] if m == 1 else [random_projection(d, int(rng.integers(1, d + 1)), rng) for _ in range(m)]
-        u = haar_unitary(d, rng)
-        value0 = u.copy()
-        for p in factors:
-            value0 = value0 @ (np.eye(d) - p)
-        if opnorm(value0) <= 1.0 - MIN_PURITY:
-            return make_inner_potapov(factors, left_unitary=u)
+        theta, product = potapov_product(factors, haar_unitary(d, rng))
+        if opnorm(theta.coeff(0)) <= 1.0 - MIN_PURITY:
+            return InnerFunction(theta, product)
     raise ParseError(f"could not draw a pure inner function with d = {d}, m = {m} in 200 draws")
 
 

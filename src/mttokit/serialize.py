@@ -4,10 +4,11 @@ Complex arrays travel as nested row-major lists with [re, im] pairs at
 the leaves, and floats are emitted with Python's shortest round-trip
 repr, so serializing and re-parsing a float64 payload is bit-exact and
 two identical runs produce identical bytes.  Both directions convert a
-whole array at once.  Top-level documents carry a schema_version field;
-readers refuse a version they do not know and read a document without
-one as current.  A model-space basis is named by `basis_id`, a hash of
-the payload it is built from.
+whole array at once.  Top-level documents carry a schema_version field,
+except the reports of `inner check`, `op test` and `dim`; readers refuse
+a version they do not know and read a document without one as current.
+A model-space basis is named by `basis_id`, a hash of the payload it is
+built from.
 """
 
 import hashlib

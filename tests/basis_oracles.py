@@ -8,8 +8,9 @@ one pass and `serialize.array_to_json` converts a whole array with one
 `tolist`.  The functions below do the same work the direct way: L* as
 one md x md block Toeplitz matrix (`constraint_matrix`), modified
 Gram-Schmidt, twice, over the m*d columns P e_j of the projector formed
-from an SVD of the constraint map, one column at a time; a phase fix
-column by column; and an encoder that recurses once per scalar.
+from an SVD of the constraint map, one column at a time
+(`gram_schmidt_columns`); a phase fix column by column; and an encoder
+that recurses once per scalar.
 `model_space.off_space` measures membership as ||L* f|| on the window
 from Theta's blocks; `membership_residual` takes it through Laurent
 objects, Theta* f in full, and also sees frequencies outside the window.
@@ -69,24 +70,34 @@ def fix_column_phases_loop(q: np.ndarray) -> np.ndarray:
 def gram_schmidt_loop(inner) -> np.ndarray:
     """Basis matrix Q from Gram-Schmidt of P e_0, P e_1, ... in the m*d
     dimensional window, every column of the projector visited, a column
-    kept above the same cut as the library's, `model_space.GS_CUT`."""
+    kept above the same cut as the library's, `model_space.GS_CUT`
+    (`gram_schmidt_columns`)."""
     d, m, n = inner.d, inner.m, inner.n
     c = constraint_matrix(inner.theta)
     _, s, vh = np.linalg.svd(c)
     null = fix_column_phases(vh[anchored_cut(s, c.shape):].conj().T)
     assert null.shape[1] == n, "nullspace dimension disagrees with model dimension"
-    proj = null @ null.conj().T
+    accepted = gram_schmidt_columns(null @ null.conj().T)
+    assert accepted.shape[1] == n, f"found {accepted.shape[1]} directions, expected {n}"
+    return fix_column_phases_loop(accepted)
+
+
+def gram_schmidt_columns(a) -> np.ndarray:
+    """Gram-Schmidt over the columns of a in order, one column at a time:
+    each is projected twice against the directions kept so far, one
+    vector at a time, and kept, normalized, when what is left of it
+    exceeds `model_space.GS_CUT`.  The directions are the columns of the
+    result, with no phase fixed."""
     accepted = []
-    for j in range(m * d):
-        v = proj[:, j].copy()
+    for j in range(a.shape[1]):
+        v = np.array(a[:, j], dtype=np.complex128)
         for _ in range(2):
             for u in accepted:
                 v -= u * np.vdot(u, v)
         nv = np.linalg.norm(v)
         if nv > model_space.GS_CUT:
             accepted.append(v / nv)
-    assert len(accepted) == n, f"found {len(accepted)} directions, expected {n}"
-    return fix_column_phases_loop(np.column_stack(accepted))
+    return np.column_stack(accepted) if accepted else np.zeros((a.shape[0], 0), dtype=np.complex128)
 
 
 def array_to_json_recursive(a):

@@ -17,7 +17,9 @@ applied in `numerics` alone (`defect_spaces` runs its frame check before
 the frame SVDs, which purity makes rank d), and a Laurent product is
 `laurent.convolve`'s one matrix product, with no einsum and no loop over
 blocks, as is the membership measure `model_space.off_space`; the
-block-Toeplitz index is built in `laurent.py` alone.  The process-wide
+block-Toeplitz index is built in `laurent.py` alone; GS_CUT is read only
+by the one Gram-Schmidt keep step, `model_space._kept`, and the sweep it
+calls; and `numerics.frozen` alone makes an array read-only.  The process-wide
 `functools` caches are exactly the parser, the lag indices and the suite's
 fixture spaces.  Nothing in the package is reached only from the tests:
 a name has a reader in src/ (its export in `__all__` is none), a method
@@ -423,6 +425,24 @@ def test_the_block_toeplitz_index_is_built_in_laurent_alone():
     assert outers.pop("laurent.py"), "laurent._lags builds its index by np.subtract.outer"
     elsewhere = {name: lines for name, lines in outers.items() if lines}
     assert not elsewhere, f"np.subtract.outer outside laurent.py: {elsewhere}"
+
+
+def test_the_gram_schmidt_cut_is_read_by_the_one_keep_step_alone():
+    """`model_space._kept` is both basis routes' one keep step: the factor
+    frames and every panel of the coefficient route keep a column above
+    GS_CUT there, and `_triangular_sweep`, which it calls, sweeps past a
+    skipped one.  No other function of src/ reads the cut."""
+    readers = {(name, owner) for name, tree in _package_trees().items()
+               for owner, _ in _owned(tree, lambda node: _named(node, "GS_CUT") and isinstance(node.ctx, ast.Load))}
+    assert readers == {("model_space.py", "_kept"), ("model_space.py", "_triangular_sweep")}
+
+
+def test_arrays_are_frozen_in_numerics_alone():
+    """`numerics.frozen` is the package's one way to make an array
+    read-only, so `setflags` is named nowhere else in src/."""
+    owners = {(name, owner) for name, tree in _package_trees().items()
+              for owner, _ in _owned(tree, lambda node: _named(node, "setflags"))}
+    assert owners == {("numerics.py", "frozen")}
 
 
 PROCESS_CACHES = ["cli.build_parser", "laurent._lags", "suite._fixture_basis"]
