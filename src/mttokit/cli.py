@@ -3,10 +3,11 @@
 Results go to stdout, and errors (an `error` code and a `message`) to
 stderr, as one line of `serialize.canonical_json`.  Every command's
 document is written here from what its handler computes; the suite's is
-the report `run_suite` returns.  Exit status 0 means
-success (and a positive verdict where the command decides something), 1
-means a negative verdict or a domain error, 2 means the input could not
-be used at all.
+the report `run_suite` returns.  `_emit` alone puts the schema version
+into a document, so every document carries it and no error line does.
+Exit status 0 means success (and a positive verdict where the command
+decides something), 1 means a negative verdict or a domain error, 2 means
+the input could not be used at all.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .suite import SuiteConfig, run_suite
 
 
 def _emit(doc, out_path) -> None:
-    text = serialize.canonical_json(doc) + "\n"
+    text = serialize.canonical_json({"schema_version": serialize.SCHEMA_VERSION, **doc}) + "\n"
     if not out_path:
         sys.stdout.write(text)
         return
@@ -144,7 +145,6 @@ def _inner_check(args):
 def _space_basis(args):
     basis = _basis(args)
     return {
-        "schema_version": serialize.SCHEMA_VERSION,
         "basis_id": basis.basis_id,
         "n": basis.n,
         "d": basis.inner.d,
@@ -156,7 +156,7 @@ def _space_basis(args):
 def _op_build(args):
     basis = _basis(args)
     entries = serialize.matrix_to_json(build(basis, _load_symbol(args.symbol)).mat)
-    return {"schema_version": serialize.SCHEMA_VERSION, "n": basis.n, "basis_id": basis.basis_id, "entries": entries}, 0
+    return {"n": basis.n, "basis_id": basis.basis_id, "entries": entries}, 0
 
 
 def _op_test(args):
@@ -169,7 +169,6 @@ def _op_recover(args):
     basis = _basis(args)
     rec = recover_symbol(basis, _load_operator(args.op, basis), args.tol)
     return {
-        "schema_version": serialize.SCHEMA_VERSION,
         "analytic_part": serialize.laurent_to_json(rec.psi1),
         "costar_part": serialize.laurent_to_json(rec.psi2),
         "rebuild_residual": rec.residual,
@@ -182,8 +181,7 @@ def _symbol_zero_test(args):
     """A zero symbol is certified on the validated Theta; only a symbol the
     certificate leaves open builds the basis, for its operator norm."""
     result = zero_symbol_decompose(_inner(args), _load_symbol(args.symbol), args.tol)
-    doc = {"schema_version": serialize.SCHEMA_VERSION, "is_zero": result.is_zero, "operator_norm": result.operator_norm,
-           "tol": result.tol}
+    doc = {"is_zero": result.is_zero, "operator_norm": result.operator_norm, "tol": result.tol}
     if result.is_zero:
         doc["analytic_factor"] = serialize.laurent_to_json(result.psi1)
         doc["costar_factor"] = serialize.laurent_to_json(result.psi2)

@@ -23,7 +23,7 @@ from mttokit.laurent import MatLaurent, multiply
 from mttokit.model_operator import OperatorMatrix
 from mttokit.model_space import ModelSpaceBasis, make_inner_potapov
 from mttokit.mtto import build, membership_witness
-from mttokit.suite import SuiteConfig, _spaces
+from mttokit.suite import SuiteConfig, _spaces, run_suite
 
 from division_oracles import near_impure_space
 from json_files import dump_json_file, inner_to_json, operator_to_json
@@ -76,8 +76,8 @@ def test_inner_check_reports_a_non_analytic_theta(tmp_path, capsys):
     dump_json_file(tmp_path / "inner.json", doc)
     code, out, err = run(capsys, "inner", "check", "--theta", str(tmp_path / "inner.json"))
     assert code == 1 and err == ""
-    assert json.loads(out) == {"analytic": False, "inner_residual": None, "inner_tol": 1e-10, "purity_margin": None,
-                               "purity_floor": 1e-9, "verdict": False}
+    assert json.loads(out) == {"schema_version": 1, "analytic": False, "inner_residual": None, "inner_tol": 1e-10,
+                               "purity_margin": None, "purity_floor": 1e-9, "verdict": False}
 
 
 def test_space_basis_reports_dimensions(capsys):
@@ -99,7 +99,7 @@ def test_op_build_test_recover_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "op", "test", "--theta", "FIX3", "--op", op_path)
     doc = json.loads(out)
     assert code == 0 and doc["verdict"] and doc["residual"] <= doc["tol"]
-    assert set(doc) == {"distance_bounds", "residual", "tol", "verdict"}
+    assert set(doc) == {"schema_version", "distance_bounds", "residual", "tol", "verdict"}
     assert doc["distance_bounds"] == [doc["residual"] / 2, 2 * doc["residual"]]
     code, out, _ = run(capsys, "op", "recover", "--theta", "FIX3", "--op", op_path)
     rec = json.loads(out)
@@ -505,15 +505,15 @@ def test_every_command_writes_its_pinned_keys_on_fix3(tmp_path, capsys):
     op = _member_op_file(tmp_path)
     zero_keys = {"schema_version", "is_zero", "operator_norm", "tol"}
     runs = {
-        ("inner", "check"): ([], {"analytic", "inner_residual", "inner_tol", "purity_margin", "purity_floor",
-                                  "verdict"}),
+        ("inner", "check"): ([], {"schema_version", "analytic", "inner_residual", "inner_tol", "purity_margin",
+                                  "purity_floor", "verdict"}),
         ("space", "basis"): ([], {"schema_version", "basis_id", "n", "d", "degree", "columns"}),
         ("op", "build"): (["--symbol", symbol], {"schema_version", "n", "basis_id", "entries"}),
-        ("op", "test"): (["--op", op], {"distance_bounds", "residual", "tol", "verdict"}),
+        ("op", "test"): (["--op", op], {"schema_version", "distance_bounds", "residual", "tol", "verdict"}),
         ("op", "recover"): (["--op", op], {"schema_version", "analytic_part", "costar_part", "rebuild_residual",
                                            "membership_residual", "membership_tol"}),
         ("symbol", "zero-test"): (["--symbol", symbol], zero_keys),
-        (None, "dim"): ([], {"dim", "gauge_dim", "operator_space_dim", "symbol_pair_dim"}),
+        (None, "dim"): ([], {"schema_version", "dim", "gauge_dim", "operator_space_dim", "symbol_pair_dim"}),
     }
     assert set(runs) | {(None, "suite")} == {(row[0], row[2]) for row in COMMANDS}
     for (group, name), (extra, keys) in runs.items():
@@ -524,6 +524,72 @@ def test_every_command_writes_its_pinned_keys_on_fix3(tmp_path, capsys):
     assert code == 0 and set(json.loads(out)) == zero_keys | {"analytic_factor", "costar_factor", "residual"}
     code, out, _ = run(capsys, "suite", "--config", _small_suite_config(tmp_path))
     assert code == 0 and set(json.loads(out)) == {"schema_version", "config", "checks", "pass"}
+
+
+_COMMAND_NAMES = [" ".join(filter(None, (row[0], row[2]))) for row in COMMANDS]
+_VERDICT_COMMANDS = {"inner check", "op test", "symbol zero-test", "suite"}  # exit 1 writes a document
+
+
+def _versioned_argv(tmp_path, kind):
+    """(command, exit status) -> argv on FIX3 given as a `kind` payload file.
+    An exit 1 is a negative verdict where the command decides something,
+    and an error line otherwise."""
+    theta, bad = str(tmp_path / f"{kind}.json"), str(tmp_path / f"bad-{kind}.json")
+    factors = FIXTURE_FACTORS["FIX3"] if kind == "potapov" else None
+    dump_json_file(theta, inner_to_json(fixture("FIX3"), factors))
+    dump_json_file(bad, {"kind": "potapov", "factors": [serialize.matrix_to_json(np.diag([1.0, 0.0]))]}
+                   if kind == "potapov" else  # not pure; a constant is not inner
+                   {"kind": "coeffs", "laurent": serialize.laurent_to_json(MatLaurent.identity(2))})
+    basis = ModelSpaceBasis(cli._inner(SimpleNamespace(theta=theta)))
+    member = operator_to_json(build(basis, MatLaurent.identity(2)))
+    gaussian = np.random.default_rng(56).standard_normal((basis.n, basis.n))
+    non_member = dict(member, entries=serialize.matrix_to_json(serialize.json_to_matrix(member["entries"]) + gaussian))
+    ops = {}
+    for label, doc in (("member", member), ("non-member", non_member)):
+        dump_json_file(tmp_path / f"{kind}-{label}.json", doc)
+        ops[label] = str(tmp_path / f"{kind}-{label}.json")
+    symbol = write_symbol(tmp_path, "symbol.json", MatLaurent.identity(2))
+    suite = ["suite", "--config", _small_suite_config(tmp_path)]
+    return {
+        ("inner check", 0): ["inner", "check", "--theta", theta],
+        ("inner check", 1): ["inner", "check", "--theta", bad],
+        ("space basis", 0): ["space", "basis", "--theta", theta],
+        ("space basis", 1): ["space", "basis", "--theta", bad],
+        ("op build", 0): ["op", "build", "--theta", theta, "--symbol", symbol],
+        ("op build", 1): ["op", "build", "--theta", theta, "--symbol",
+                          write_symbol(tmp_path, "d3.json", MatLaurent.identity(3))],
+        **{(f"op {verb}", status): ["op", verb, "--theta", theta, "--op", ops[label]]
+           for verb in ("test", "recover") for status, label in ((0, "member"), (1, "non-member"))},
+        ("symbol zero-test", 0): ["symbol", "zero-test", "--theta", theta, "--symbol",
+                                  write_symbol(tmp_path, "zero.json", fixture("FIX3").theta)],
+        ("symbol zero-test", 1): ["symbol", "zero-test", "--theta", theta, "--symbol", symbol],
+        ("dim", 0): ["dim", "--theta", theta],
+        ("dim", 1): ["dim", "--theta", bad],
+        ("suite", 0): suite,
+        ("suite", 1): suite,  # with run_suite patched to fail
+    }
+
+
+@pytest.mark.parametrize("command, kind, status, to_file", [
+    (command, kind, status, to_file) for command in _COMMAND_NAMES
+    for kind in (("potapov", "coeffs") if command != "suite" else ("config",))
+    for status in (0, 1) for to_file in (False, True)])
+def test_every_document_carries_the_schema_version_and_no_error_line_does(
+        tmp_path, capsys, monkeypatch, command, kind, status, to_file):
+    argv = _versioned_argv(tmp_path, kind)[command, status]
+    if command == "suite" and status == 1:
+        monkeypatch.setattr(cli, "run_suite", lambda config: {**run_suite(config), "pass": False})
+    out_path = tmp_path / "out.json"
+    code, out, err = run(capsys, *argv, *(["--out", str(out_path)] if to_file else []))
+    assert code == status, err
+    if status == 1 and command not in _VERDICT_COMMANDS:
+        assert out == "" and not out_path.exists()
+        (line,) = err.splitlines()
+        assert sorted(json.loads(line)) == ["error", "message"]
+        return
+    assert err == "" and (out == "") is to_file
+    doc = json.loads(out_path.read_text(encoding="utf-8") if to_file else out)
+    assert type(doc["schema_version"]) is int and doc["schema_version"] == 1
 
 
 def test_suite_runs_are_byte_identical(tmp_path, capsys):

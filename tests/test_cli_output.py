@@ -171,10 +171,12 @@ _LAURENT = {"dim": 2, "lo": 0, "coeffs": FINITE}
 
 # (exit status, error code or None, stdout document or None) per payload and command
 _EXPECTED = {
-    ("coeffs 1e153", "inner"): (1, None, {"analytic": True, "inner_residual": None, "inner_tol": 1e-10,
-                                          "purity_margin": -1e153, "purity_floor": 1e-9, "verdict": False}),
-    ("coeffs 1e154", "inner"): (1, None, {"analytic": True, "inner_residual": None, "inner_tol": 1e-10,
-                                          "purity_margin": -1e154, "purity_floor": 1e-9, "verdict": False}),
+    ("coeffs 1e153", "inner"): (1, None, {"schema_version": 1, "analytic": True, "inner_residual": None,
+                                          "inner_tol": 1e-10, "purity_margin": -1e153, "purity_floor": 1e-9,
+                                          "verdict": False}),
+    ("coeffs 1e154", "inner"): (1, None, {"schema_version": 1, "analytic": True, "inner_residual": None,
+                                          "inner_tol": 1e-10, "purity_margin": -1e154, "purity_floor": 1e-9,
+                                          "verdict": False}),
     ("coeffs 1e153", "dim"): (1, "E_NOT_INNER", None),
     ("coeffs 1e154", "dim"): (1, "E_NOT_INNER", None),
     ("nan factor", "inner"): (1, "E_NOT_PROJECTION", None),
@@ -188,8 +190,8 @@ _EXPECTED = {
     ("5e307 entries", "op test"): _REFUSED,  # ||A||_F = 1.5e308 is finite, m * residual is not
     ("zero at the bound", "op build"): (0, None, {"schema_version": 1, "n": 3, "basis_id": _FIX3_ID,
                                                   "entries": FINITE}),
-    ("zero at the bound", "op test"): (0, None, {"verdict": True, "residual": 0.0, "tol": FINITE,
-                                                 "distance_bounds": [0.0, 0.0]}),
+    ("zero at the bound", "op test"): (0, None, {"schema_version": 1, "verdict": True, "residual": 0.0,
+                                                 "tol": FINITE, "distance_bounds": [0.0, 0.0]}),
     ("zero at the bound", "op recover"): (0, None, {"schema_version": 1, "analytic_part": _LAURENT,
                                                     "costar_part": _LAURENT,
                                                     "membership_residual": 0.0, "membership_tol": FINITE,
@@ -199,8 +201,8 @@ _EXPECTED = {
                                                           "residual": FINITE, "tol": FINITE}),
     ("non-zero at the bound", "op build"): (0, None, {"schema_version": 1, "n": 3, "basis_id": _FIX3_ID,
                                                       "entries": FINITE}),
-    ("non-zero at the bound", "op test"): (1, None, {"verdict": False, "residual": FINITE, "tol": FINITE,
-                                                     "distance_bounds": [FINITE, FINITE]}),
+    ("non-zero at the bound", "op test"): (1, None, {"schema_version": 1, "verdict": False, "residual": FINITE,
+                                                     "tol": FINITE, "distance_bounds": [FINITE, FINITE]}),
     ("non-zero at the bound", "op recover"): (1, "E_NOT_MTTO", None),
     ("non-zero at the bound", "symbol zero-test"): (1, None, {"schema_version": 1, "is_zero": False,
                                                               "operator_norm": FINITE, "tol": FINITE}),
@@ -251,6 +253,7 @@ def _inner_check_oracle(candidate) -> str:
     residual = inner_residual(candidate) if analytic else float("inf")
     ok = analytic and residual <= 1e-10 and is_pure(candidate)
     return serialize.canonical_json({
+        "schema_version": 1,
         "inner_residual": residual if np.isfinite(residual) else None,
         "inner_tol": 1e-10,
         "analytic": analytic,

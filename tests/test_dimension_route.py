@@ -108,11 +108,11 @@ def test_rank_deficient_kernel_frame_is_refused(monkeypatch):
 # `mtto dim` on the fixtures as literal bytes: (n, d) = (1, 1), (2, 1), (3, 2),
 # (2, 2), (2, 2); dim = 2nd - d^2, that is 2n - 1 for d = 1 and n^2 for n = d
 DIM_STDOUT = {
-    "FIX1": '{"dim":1,"gauge_dim":1,"operator_space_dim":1,"symbol_pair_dim":2}\n',
-    "FIX2": '{"dim":3,"gauge_dim":1,"operator_space_dim":4,"symbol_pair_dim":4}\n',
-    "FIX3": '{"dim":8,"gauge_dim":4,"operator_space_dim":9,"symbol_pair_dim":12}\n',
-    "FIX4": '{"dim":4,"gauge_dim":4,"operator_space_dim":4,"symbol_pair_dim":8}\n',
-    "FIX5": '{"dim":4,"gauge_dim":4,"operator_space_dim":4,"symbol_pair_dim":8}\n',
+    "FIX1": '{"dim":1,"gauge_dim":1,"operator_space_dim":1,"schema_version":1,"symbol_pair_dim":2}\n',
+    "FIX2": '{"dim":3,"gauge_dim":1,"operator_space_dim":4,"schema_version":1,"symbol_pair_dim":4}\n',
+    "FIX3": '{"dim":8,"gauge_dim":4,"operator_space_dim":9,"schema_version":1,"symbol_pair_dim":12}\n',
+    "FIX4": '{"dim":4,"gauge_dim":4,"operator_space_dim":4,"schema_version":1,"symbol_pair_dim":8}\n',
+    "FIX5": '{"dim":4,"gauge_dim":4,"operator_space_dim":4,"schema_version":1,"symbol_pair_dim":8}\n',
 }
 
 
@@ -143,7 +143,8 @@ def _theta_files(tmp_path):
 @pytest.mark.parametrize("kind", ["fixture", "potapov", "coeffs"])
 def test_dim_builds_no_basis_and_no_projector(tmp_path, capsys, monkeypatch, kind):
     source = _theta_files(tmp_path)[kind]
-    want = canonical_json(asdict(mtto_dimension(ModelSpaceBasis(InnerFunction(*cli._theta(source)))))) + "\n"
+    report = asdict(mtto_dimension(ModelSpaceBasis(InnerFunction(*cli._theta(source)))))
+    want = canonical_json({"schema_version": 1, **report}) + "\n"
     monkeypatch.setattr(cli, "ModelSpaceBasis", lambda inner: pytest.fail("basis built"))
     monkeypatch.setattr(model_space, "window_projector", lambda blocks: pytest.fail("projector formed"))
     assert main(["dim", "--theta", source]) == 0

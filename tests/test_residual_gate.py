@@ -313,6 +313,13 @@ def test_cli_writes_the_command_documents_and_suite_its_report():
                 or any(alias.name.rsplit(".", 1)[-1] == "serialize" for alias in node.names)]
 
 
+def test_cli_spells_the_schema_version_in_its_writer_alone():
+    """`_emit` versions every document, so no handler writes the key."""
+    spelled = _owned(_package_trees()["cli.py"],
+                     lambda node: isinstance(node, ast.Constant) and node.value == "schema_version")
+    assert spelled and {owner for owner, _ in spelled} == {"_emit"}, spelled
+
+
 def _owned(tree, match):
     """(enclosing function, line) of every node that `match` accepts."""
     found = []

@@ -84,14 +84,28 @@ class Command:
     argv: tuple
 
 
-def _write(path: Path, doc) -> str:
+def write_json(path: Path, doc) -> str:
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
 
 
-def _laurent_doc(f) -> dict:
+def laurent_doc(f) -> dict:
     lo, coeffs = f
     return {"dim": coeffs.shape[1], "lo": lo, "coeffs": workloads._complex_json(coeffs)}
+
+
+def potapov_doc(u, projections) -> dict:
+    return {"schema_version": 1, "kind": "potapov", "left_unitary": workloads._complex_json(u),
+            "factors": [workloads._complex_json(p) for p in projections]}
+
+
+def coeffs_doc(theta) -> dict:
+    return {"schema_version": 1, "kind": "coeffs", "laurent": laurent_doc(theta)}
+
+
+def zero_symbol_of(theta, psi1, psi2):
+    """Theta Psi1 + (Theta Psi2)*, a symbol of the zero operator."""
+    return oracles.add(oracles.convolve(theta, psi1), oracles.star(oracles.convolve(theta, psi2)))
 
 
 def write_inputs(folder: Path, names=None) -> list:
@@ -107,15 +121,11 @@ def write_inputs(folder: Path, names=None) -> list:
         rng = np.random.default_rng([seed, 1])
         theta = oracles.potapov_theta(u, projections)
         dim = theta[1].shape[1]
-        symbol = _write(folder / f"{label}-symbol.json", _laurent_doc((-1, workloads.random_coeffs(3, dim, rng))))
+        symbol = write_json(folder / f"{label}-symbol.json", laurent_doc((-1, workloads.random_coeffs(3, dim, rng))))
         psi1, psi2 = ((0, workloads.random_coeffs(2, dim, rng)) for _ in range(2))
-        zero = oracles.add(oracles.convolve(theta, psi1), oracles.star(oracles.convolve(theta, psi2)))
-        zero_symbol = _write(folder / f"{label}-zero.json", _laurent_doc(zero))
-        potapov = label if d is None else _write(folder / f"{label}-potapov.json", {
-            "schema_version": 1, "kind": "potapov", "left_unitary": workloads._complex_json(u),
-            "factors": [workloads._complex_json(p) for p in projections]})
-        coeffs = _write(folder / f"{label}-coeffs.json",
-                        {"schema_version": 1, "kind": "coeffs", "laurent": _laurent_doc(theta)})
+        zero_symbol = write_json(folder / f"{label}-zero.json", laurent_doc(zero_symbol_of(theta, psi1, psi2)))
+        potapov = label if d is None else write_json(folder / f"{label}-potapov.json", potapov_doc(u, projections))
+        coeffs = write_json(folder / f"{label}-coeffs.json", coeffs_doc(theta))
         for kind, source in (("potapov", potapov), ("coeffs", coeffs)):
             payloads.append(Payload(f"{label}-{kind}", source, symbol, zero_symbol))
     return [p for p in payloads if names is None or p.name in names]
@@ -147,7 +157,7 @@ def build_operators(parent: Path, payloads, folder: Path) -> None:
         rng = np.random.default_rng(list(p.name.encode()))  # the same G whichever payloads are run
         g = rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
         doc["entries"] = workloads._complex_json(a + PERTURBATION * g / np.linalg.norm(g, 2))
-        p.operators = {"member": str(member), "non-member": _write(folder / f"{p.name}-non-member.json", doc)}
+        p.operators = {"member": str(member), "non-member": write_json(folder / f"{p.name}-non-member.json", doc)}
 
 
 def command_matrix(payloads, suite_configs=()) -> list:
@@ -176,9 +186,9 @@ def command_matrix(payloads, suite_configs=()) -> list:
 def suite_configs(folder: Path) -> list:
     configs = []
     for seed in SUITE_SEEDS:
-        configs.append((f"default seed {seed}", _write(folder / f"suite-default-{seed}.json", {"seed": seed})))
+        configs.append((f"default seed {seed}", write_json(folder / f"suite-default-{seed}.json", {"seed": seed})))
         configs.append((f"benchmark seed {seed}",
-                        _write(folder / f"suite-benchmark-{seed}.json", {"seed": seed, **BENCHMARK_SUITE})))
+                        write_json(folder / f"suite-benchmark-{seed}.json", {"seed": seed, **BENCHMARK_SUITE})))
     return configs
 
 
