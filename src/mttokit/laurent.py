@@ -86,10 +86,6 @@ class _Laurent:
             out[a - lo : b - lo + 1] = self.coeffs[a - self.lo : b - self.lo + 1]
         return out
 
-    def shift(self, k: int):
-        """Multiply by z**k (frequency shift)."""
-        return type(self)(self.lo + k, self.coeffs)
-
     def norm(self) -> float:
         return frobenius(self.coeffs)
 
@@ -136,10 +132,6 @@ class MatLaurent(_Laurent):
         super().__init__(lo, coeffs)
         if self.coeffs.shape[1] != self.coeffs.shape[2]:
             raise ValueError("matrix coefficients must be square")
-
-    @classmethod
-    def identity(cls, dim: int) -> "MatLaurent":
-        return cls.constant(np.eye(dim))
 
 
 class VecLaurent(_Laurent):

@@ -1,7 +1,9 @@
 """Seeded generators for inner functions, symbols, and conjugations.
 
 Everything takes an explicit numpy Generator so callers control
-reproducibility; nothing in here touches global random state.
+reproducibility; nothing in here touches global random state.  The
+symbols are summed as coefficient arrays and wrapped in one `MatLaurent`
+at the end, which checks finiteness and trims once.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParseError
-from .laurent import MatLaurent, multiply
+from .laurent import MatLaurent, convolve
 from .model_operator import Conjugation, defect_spaces
 from .model_space import InnerFunction, ModelSpaceBasis, make_inner_potapov, potapov_product
 from .mtto import _delta, is_mtto
@@ -54,11 +56,15 @@ def random_inner(d: int, m: int, rng: np.random.Generator) -> InnerFunction:
     raise ParseError(f"could not draw a pure inner function with d = {d}, m = {m} in 200 draws")
 
 
+def random_blocks(count: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """count complex Gaussian d x d blocks: every real part drawn, then every imaginary part."""
+    return rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+
+
 def random_symbol(d: int, lo: int, hi: int, rng: np.random.Generator) -> MatLaurent:
     if hi < lo:
         raise ValueError("empty degree window")
-    c = rng.standard_normal((hi - lo + 1, d, d)) + 1j * rng.standard_normal((hi - lo + 1, d, d))
-    return MatLaurent(lo, c)
+    return MatLaurent(lo, random_blocks(hi - lo + 1, d, rng))
 
 
 def random_element_coords(basis: ModelSpaceBasis, rng: np.random.Generator) -> np.ndarray:
@@ -100,20 +106,26 @@ def random_gamma_symmetric_triple(d: int, m: int, rng: np.random.Generator):
 
 
 def random_commuting_symbol(inner: InnerFunction, rng: np.random.Generator) -> MatLaurent:
-    """Random polynomial in z and the inner function itself; symbols of
-    this shape leave Theta H^2 invariant, so the built operator commutes
-    with the compressed shift."""
+    """Random polynomial in z and the inner function itself, a sum of
+    terms c z^a Theta^p; symbols of this shape leave Theta H^2 invariant,
+    so the built operator commutes with the compressed shift.
+
+    The powers are coefficient arrays: Theta^p is the p-fold convolution of
+    Theta's trimmed coefficients and starts at frequency p * theta.lo.
+    Each term is added, in the order drawn, into one array that starts at
+    +0.0 and covers frequencies 0..MAX_SHIFT + MAX_POWER * theta.hi."""
     theta, d = inner.theta, inner.d
-    powers = [MatLaurent.identity(d)]
-    for _ in range(MAX_POWER):
-        powers.append(multiply(powers[-1], theta))
-    phi = MatLaurent.zero(d)
+    powers = [np.eye(d, dtype=np.complex128)[np.newaxis], theta.coeffs]
+    for _ in range(MAX_POWER - 1):
+        powers.append(convolve(powers[-1], theta.coeffs))
+    coeffs = np.zeros((MAX_SHIFT + MAX_POWER * theta.hi + 1, d, d), dtype=np.complex128)
     for _ in range(COMMUTING_TERMS):
         c = rng.standard_normal() + 1j * rng.standard_normal()
         a = int(rng.integers(0, MAX_SHIFT + 1))
         p = int(rng.integers(0, MAX_POWER + 1))
-        phi = phi + c * powers[p].shift(a)
-    return phi
+        first = a + p * theta.lo
+        coeffs[first : first + len(powers[p])] += powers[p] * c
+    return MatLaurent(0, coeffs)
 
 
 def random_non_member(basis: ModelSpaceBasis, rng: np.random.Generator) -> np.ndarray:

@@ -8,7 +8,10 @@ handled as window arrays: f = Q c on the coefficient window (frequencies
 0..m-1, m blocks of d), membership of f is ||L* f||, the analytic part of
 Theta* f, and products with Theta are block convolutions over all
 columns at once, kept in full wherever a norm of the whole product is
-taken.
+taken.  The drawn symbols are coefficient arrays too: the zero symbols
+Theta Psi1 + (Theta Psi2)* here and the commutant's symbols in
+`randgen.random_commuting_symbol` are each summed in one array and
+wrapped in one `MatLaurent`, which checks finiteness and trims once.
 
 The fixture spaces are constants of the package: each fixture's basis,
 and the read-only operator data that `model_operator` keeps in its cache
@@ -32,11 +35,11 @@ from .fixtures import FIXTURE_FACTORS, FIXTURE_NAMES
 from .laurent import (
     MatLaurent,
     VecLaurent,
-    boundary_adjoint,
     convolve,
     evaluate,
     inner_residual,
     multiply,
+    reversed_adjoint,
 )
 from .model_operator import (
     Conjugation,
@@ -72,6 +75,7 @@ from .mtto import (
 from .numerics import REL, frobenius, opnorm, rank
 from .randgen import (
     MIN_DEFECT,
+    random_blocks,
     random_commuting_symbol,
     random_element_coords,
     random_gamma_symmetric_triple,
@@ -221,8 +225,7 @@ def _check_basis_deterministic(basis, rng, config):
 def _check_projection(basis, rng, config):
     d, m, q = basis.inner.d, basis.inner.m, basis.q
     for _ in range(config.cases):
-        h = random_symbol(d, 0, 2, rng)
-        blocked = convolve(basis.inner.blocks, h.window(0, 2))  # Theta h
+        blocked = convolve(basis.inner.blocks, random_blocks(3, d, rng))  # Theta h, h of degree 2
         projected = q @ (q.conj().T @ blocked[:m].reshape(m * d, d))
         yield np.linalg.norm(projected, axis=0) / (1.0 + np.linalg.norm(blocked, axis=(0, 1)))
         g = q @ random_element_coords(basis, rng)
@@ -341,10 +344,17 @@ def _check_symbol_recovery(basis, rng, config):
 
 
 def _check_zero_symbols(basis, rng, config):
+    """Theta Psi1 + (Theta Psi2)*, Psi of degree 2, summed as one array on
+    frequencies -top..top: Theta Psi1 covers theta.lo..top and
+    (Theta Psi2)* its mirror, -top..-theta.lo."""
     theta, d = basis.inner.theta, basis.inner.d
+    top = theta.hi + 2
     for _ in range(config.cases):
-        psi1, psi2 = random_symbol(d, 0, 2, rng), random_symbol(d, 0, 2, rng)
-        phi = multiply(theta, psi1) + boundary_adjoint(multiply(theta, psi2))
+        psi1, psi2 = random_blocks(3, d, rng), random_blocks(3, d, rng)
+        coeffs = np.zeros((2 * top + 1, d, d), dtype=np.complex128)
+        coeffs[top + theta.lo :] += convolve(theta.coeffs, psi1)
+        coeffs[: top - theta.lo + 1] += reversed_adjoint(convolve(theta.coeffs, psi2))
+        phi = MatLaurent(-top, coeffs)
         result = zero_symbol_decompose(basis, phi)
         yield 0.0 if result.is_zero else 1.0
         if result.is_zero:

@@ -21,7 +21,8 @@ from suite_oracles import from_coords
 
 def _backshift(f: VecLaurent) -> VecLaurent:
     """(f - f(0)) / z for analytic f."""
-    return (f - VecLaurent.constant(f.coeff(0))).shift(-1)
+    g = f - VecLaurent.constant(f.coeff(0))
+    return VecLaurent(g.lo - 1, g.coeffs)
 
 
 def action_check_loop(basis) -> dict:
@@ -41,7 +42,7 @@ def action_check_loop(basis) -> dict:
     for j in range(comp_dt.shape[1]):
         f = from_coords(basis, comp_dt[:, j])
         sf = from_coords(basis, s @ comp_dt[:, j])
-        worst = max(worst, (f.shift(1) - sf).norm())
+        worst = max(worst, (VecLaurent(f.lo + 1, f.coeffs) - sf).norm())
     checks["shift acts as multiplication off the second defect space"] = worst
 
     worst = 0.0

@@ -9,18 +9,30 @@ written on them live here; the tests pin each window check of
 signature of its check: it takes one space (the conjugation check: the
 run's list of spaces), the check's stream and the suite config, and yields
 its residuals in order.
+
+The commutant and zero-symbol checks sum their symbols as coefficient
+arrays.  Their oracles sum them as the Laurent operators do, with
+`multiply`, `+` and scalar `*`, one `MatLaurent` per step, and the tests
+pin the checks to them bit for bit.
 """
 
 import numpy as np
 
 from mttokit import suite
 from mttokit.errors import DimensionMismatchError, IdentityCheckError, NotGammaSymmetricError
-from mttokit.laurent import VecLaurent, evaluate, multiply
-from mttokit.model_operator import gamma_symmetric_residual, matrix_of
+from mttokit.laurent import MatLaurent, VecLaurent, boundary_adjoint, evaluate, multiply
+from mttokit.model_operator import gamma_symmetric_residual, matrix_of, s_theta
 from mttokit.model_space import InnerFunction, kernel, tilde_kernel
-from mttokit.mtto import build
+from mttokit.mtto import build, zero_symbol_decompose
 from mttokit.numerics import CHECK_TOL, REL, frobenius, opnorm
-from mttokit.randgen import random_element_coords, random_gamma_symmetric_triple, random_symbol
+from mttokit.randgen import (
+    COMMUTING_TERMS,
+    MAX_POWER,
+    MAX_SHIFT,
+    random_element_coords,
+    random_gamma_symmetric_triple,
+    random_symbol,
+)
 
 from basis_oracles import membership_residual
 from element_oracles import element_coords
@@ -70,11 +82,13 @@ def tau_apply(theta, f: VecLaurent) -> VecLaurent:
     """Unitary map from the model space of Theta onto that of its
     coefficient-adjointed partner: frequency-reverse f, multiply by the
     coefficient-adjointed Theta, shift down by one."""
-    return multiply(tilde(_theta_of(theta)), _reverse(f)).shift(-1)
+    g = multiply(tilde(_theta_of(theta)), _reverse(f))
+    return VecLaurent(g.lo - 1, g.coeffs)
 
 
 def tau_adjoint_apply(theta, f: VecLaurent) -> VecLaurent:
-    return multiply(_theta_of(theta), _reverse(f)).shift(-1)
+    g = multiply(_theta_of(theta), _reverse(f))
+    return VecLaurent(g.lo - 1, g.coeffs)
 
 
 def conjugation_apply(basis, gamma, f: VecLaurent) -> VecLaurent:
@@ -87,7 +101,8 @@ def conjugation_apply(basis, gamma, f: VecLaurent) -> VecLaurent:
     if res > 1e-9:
         raise NotGammaSymmetricError(f"theta is not gamma-symmetric, residual {res:.3e}")
     flipped = VecLaurent(-f.hi, np.conj(f.coeffs[::-1]) @ gamma.u.T)
-    return multiply(inner.theta, flipped).shift(-1)
+    g = multiply(inner.theta, flipped)
+    return VecLaurent(g.lo - 1, g.coeffs)
 
 
 def conjugation_matrix(basis, gamma) -> np.ndarray:
@@ -166,7 +181,7 @@ def difference_quotients(basis, rng, config):
         kt = VecLaurent(0, window)
         _require_member(basis, kt, y, "difference-quotient kernel")
         yield witness / (1.0 + np.linalg.norm(y))
-        shifted = kt.shift(1) - complex(lam) * kt
+        shifted = VecLaurent(kt.lo + 1, kt.coeffs) - complex(lam) * kt
         target = multiply(theta, VecLaurent.constant(y)) - VecLaurent.constant(evaluate(theta, lam) @ y)
         yield (shifted - target).norm() / (1.0 + np.linalg.norm(y))
 
@@ -193,6 +208,47 @@ def conjugation(_, rng, config):
         yield res / (1.0 + opnorm(a.mat))
         yield 0.0 if ok else 1.0
 
+
+def commuting_symbol(inner, rng) -> MatLaurent:
+    """`randgen.random_commuting_symbol` on the Laurent operators: the
+    powers of Theta by `multiply`, and each term c z^a Theta^p added to the
+    running sum by `+` and scalar `*`, from the same draws in the same order."""
+    theta, d = inner.theta, inner.d
+    powers = [MatLaurent.constant(np.eye(d))]
+    for _ in range(MAX_POWER):
+        powers.append(multiply(powers[-1], theta))
+    phi = MatLaurent.zero(d)
+    for _ in range(COMMUTING_TERMS):
+        c = rng.standard_normal() + 1j * rng.standard_normal()
+        a = int(rng.integers(0, MAX_SHIFT + 1))
+        p = int(rng.integers(0, MAX_POWER + 1))
+        phi = phi + c * MatLaurent(powers[p].lo + a, powers[p].coeffs)
+    return phi
+
+
+def commutant(basis, rng, config):
+    s, _ = s_theta(basis)
+    for _ in range(config.cases):
+        a = build(basis, commuting_symbol(basis.inner, rng))
+        yield frobenius(a.mat @ s - s @ a.mat) / (1.0 + frobenius(a.mat))
+
+
+def zero_symbols(basis, rng, config):
+    theta, d = basis.inner.theta, basis.inner.d
+    for _ in range(config.cases):
+        psi1, psi2 = random_symbol(d, 0, 2, rng), random_symbol(d, 0, 2, rng)
+        phi = multiply(theta, psi1) + boundary_adjoint(multiply(theta, psi2))
+        result = zero_symbol_decompose(basis, phi)
+        yield 0.0 if result.is_zero else 1.0
+        if result.is_zero:
+            yield result.residual / (1.0 + phi.norm())
+
+
+# suite check name -> (array sum, Laurent-operator oracle)
+SUMS = {
+    "commutant": (suite._check_commutant, commutant),
+    "zero_symbols": (suite._check_zero_symbols, zero_symbols),
+}
 
 # suite check name -> (window check, per-vector oracle)
 CHECKS = {

@@ -52,7 +52,7 @@ def test_inner_check_fixture(capsys):
 
 
 def test_inner_check_rejects_non_inner_file(tmp_path, capsys):
-    path = write_symbol(tmp_path, "const.json", MatLaurent.identity(2))
+    path = write_symbol(tmp_path, "const.json", MatLaurent.constant(np.eye(2)))
     doc = {"kind": "coeffs", "laurent": json.loads((tmp_path / "const.json").read_text())}
     dump_json_file(tmp_path / "inner.json", doc)
     code, out, err = run(capsys, "inner", "check", "--theta", str(tmp_path / "inner.json"))
@@ -107,7 +107,7 @@ def test_op_build_test_recover_round_trip(tmp_path, capsys):
 
 
 def test_op_build_rejects_wrong_symbol_dimension(tmp_path, capsys):
-    sym = write_symbol(tmp_path, "sym.json", MatLaurent.identity(3))
+    sym = write_symbol(tmp_path, "sym.json", MatLaurent.constant(np.eye(3)))
     code, out, err = run(capsys, "op", "build", "--theta", "FIX3", "--symbol", sym)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "E_DIM_MISMATCH"
@@ -139,7 +139,7 @@ def test_op_test_rejects_non_member_and_recover_refuses(tmp_path, capsys):
 
 def test_op_file_from_other_basis_is_refused(tmp_path, capsys):
     basis = ModelSpaceBasis(fixture("FIX3"))
-    op = build(basis, MatLaurent.identity(2))
+    op = build(basis, MatLaurent.constant(np.eye(2)))
     doc = operator_to_json(op)
     doc["basis_id"] = "0" * 16
     op_path = tmp_path / "op.json"
@@ -151,7 +151,7 @@ def test_op_file_from_other_basis_is_refused(tmp_path, capsys):
 @pytest.mark.parametrize("n", [7, 0, True, 1.0, "1", None])
 @pytest.mark.parametrize("command", ["test", "recover"])
 def test_op_file_declaring_an_n_other_than_the_size_of_its_entries_is_refused(tmp_path, capsys, command, n):
-    doc = operator_to_json(build(ModelSpaceBasis(fixture("FIX1")), MatLaurent.identity(1)))
+    doc = operator_to_json(build(ModelSpaceBasis(fixture("FIX1")), MatLaurent.constant(np.eye(1))))
     assert doc["n"] == 1 and len(doc["entries"]) == 1
     doc["n"] = n
     op_path = tmp_path / "op.json"
@@ -163,7 +163,7 @@ def test_op_file_declaring_an_n_other_than_the_size_of_its_entries_is_refused(tm
 
 @pytest.mark.parametrize("declared", [{"n": 1}, {}], ids=["n 1", "no n"])
 def test_op_file_declaring_its_size_or_no_n_is_read(tmp_path, capsys, declared):
-    doc = operator_to_json(build(ModelSpaceBasis(fixture("FIX1")), MatLaurent.identity(1)))
+    doc = operator_to_json(build(ModelSpaceBasis(fixture("FIX1")), MatLaurent.constant(np.eye(1))))
     del doc["n"]
     op_path = tmp_path / "op.json"
     dump_json_file(op_path, {**doc, **declared})
@@ -172,7 +172,7 @@ def test_op_file_declaring_its_size_or_no_n_is_read(tmp_path, capsys, declared):
 
 
 def _op_file_with_id(tmp_path, basis_id):
-    doc = operator_to_json(build(ModelSpaceBasis(fixture("FIX3")), MatLaurent.identity(2)))
+    doc = operator_to_json(build(ModelSpaceBasis(fixture("FIX3")), MatLaurent.constant(np.eye(2))))
     doc["basis_id"] = basis_id
     op_path = tmp_path / "op.json"
     dump_json_file(op_path, doc)
@@ -251,7 +251,7 @@ HUGE_WINDOW = {"kind": "coeffs", "laurent": {"dim": 1, "lo": 1000000, "coeffs": 
 @pytest.mark.parametrize("argv", [["dim"], ["space", "basis"], ["op", "build", "--symbol", "SYMBOL"], ["inner", "check"]])
 def test_window_above_the_cap_exits_2(tmp_path, capsys, argv):
     dump_json_file(tmp_path / "theta.json", HUGE_WINDOW)
-    symbol = write_symbol(tmp_path, "symbol.json", MatLaurent.identity(1))
+    symbol = write_symbol(tmp_path, "symbol.json", MatLaurent.constant(np.eye(1)))
     argv = [symbol if a == "SYMBOL" else a for a in argv]
     code, out, err = run(capsys, *argv, "--theta", str(tmp_path / "theta.json"))
     _assert_parse_error(code, out, err)
@@ -297,7 +297,7 @@ def test_malformed_first_factor_keeps_its_parse_error(tmp_path, capsys, first):
 
 def test_tol_flag_is_honored(tmp_path, capsys):
     basis = ModelSpaceBasis(fixture("FIX3"))
-    op = build(basis, MatLaurent.identity(2))
+    op = build(basis, MatLaurent.constant(np.eye(2)))
     op_path = tmp_path / "op.json"
     dump_json_file(op_path, operator_to_json(op))
     code, out, _ = run(capsys, "op", "test", "--theta", "FIX3", "--op", str(op_path))
@@ -328,7 +328,7 @@ def test_symbol_zero_test_both_verdicts(tmp_path, capsys):
     code, out, _ = run(capsys, "symbol", "zero-test", "--theta", "FIX3", "--symbol", zero_sym)
     doc = json.loads(out)
     assert code == 0 and doc["is_zero"] and "analytic_factor" in doc
-    live = write_symbol(tmp_path, "live.json", MatLaurent.identity(2))
+    live = write_symbol(tmp_path, "live.json", MatLaurent.constant(np.eye(2)))
     code, out, _ = run(capsys, "symbol", "zero-test", "--theta", "FIX3", "--symbol", live)
     doc = json.loads(out)
     assert code == 1 and not doc["is_zero"] and doc["operator_norm"] > 0.9
@@ -337,7 +337,7 @@ def test_symbol_zero_test_both_verdicts(tmp_path, capsys):
 def test_symbol_zero_test_builds_a_basis_only_for_a_symbol_the_split_does_not_certify(tmp_path, capsys, monkeypatch):
     theta = fixture("FIX3").theta
     zero_sym = write_symbol(tmp_path, "zero.json", theta)
-    live = write_symbol(tmp_path, "live.json", MatLaurent.identity(2))
+    live = write_symbol(tmp_path, "live.json", MatLaurent.constant(np.eye(2)))
     built = []
     real = ModelSpaceBasis.__init__
     monkeypatch.setattr(ModelSpaceBasis, "__init__", lambda *args: built.append(1) or real(*args))
@@ -359,7 +359,7 @@ def test_symbol_zero_test_default_tolerance_is_relative(tmp_path, capsys, scale)
     zero_sym = write_symbol(tmp_path, "zero.json", scale * theta)
     code, out, _ = run(capsys, "symbol", "zero-test", "--theta", "FIX3", "--symbol", zero_sym)
     assert code == 0 and json.loads(out)["is_zero"]
-    live = write_symbol(tmp_path, "live.json", scale * MatLaurent.identity(2))
+    live = write_symbol(tmp_path, "live.json", scale * MatLaurent.constant(np.eye(2)))
     code, out, _ = run(capsys, "symbol", "zero-test", "--theta", "FIX3", "--symbol", live)
     doc = json.loads(out)
     assert code == 1 and not doc["is_zero"] and doc["operator_norm"] == pytest.approx(scale)
@@ -369,7 +369,7 @@ def test_tiny_input_passed_by_a_loose_tol_decomposes_within_that_tol(tmp_path, c
     # --tol 1e-6 lets 1e-10 * I pass as a zero symbol and 1e-10 * E_22 as a
     # member; neither has a decomposition within 1e-8 of its own scale, and
     # each by-product lies within what its decision certified instead
-    tiny = write_symbol(tmp_path, "tiny.json", 1e-10 * MatLaurent.identity(2))
+    tiny = write_symbol(tmp_path, "tiny.json", 1e-10 * MatLaurent.constant(np.eye(2)))
     code, out, err = run(capsys, "symbol", "zero-test", "--theta", "FIX3", "--symbol", tiny, "--tol", "1e-6")
     doc = json.loads(out)
     assert code == 0 and err == "" and doc["is_zero"] and doc["tol"] == 1e-6
@@ -482,7 +482,8 @@ def test_op_test_decides_by_the_one_rule_and_never_forms_the_starred_identity(tm
     for source in (*FIXTURE_NAMES, str(potapov)):
         basis = cli._basis(SimpleNamespace(theta=source))
         gaussian = rng.standard_normal((basis.n, basis.n))
-        for i, op in enumerate((build(basis, MatLaurent.identity(basis.inner.d)), OperatorMatrix(basis, gaussian))):
+        identity = MatLaurent.constant(np.eye(basis.inner.d))
+        for i, op in enumerate((build(basis, identity), OperatorMatrix(basis, gaussian))):
             path = tmp_path / f"op{i}.json"
             dump_json_file(path, operator_to_json(op))
             rules.clear()
@@ -500,7 +501,7 @@ def test_op_test_decides_by_the_one_rule_and_never_forms_the_starred_identity(tm
 
 
 def test_every_command_writes_its_pinned_keys_on_fix3(tmp_path, capsys):
-    symbol = write_symbol(tmp_path, "symbol.json", MatLaurent.identity(2))
+    symbol = write_symbol(tmp_path, "symbol.json", MatLaurent.constant(np.eye(2)))
     zero = write_symbol(tmp_path, "zero.json", fixture("FIX3").theta)
     op = _member_op_file(tmp_path)
     zero_keys = {"schema_version", "is_zero", "operator_norm", "tol"}
@@ -539,16 +540,16 @@ def _versioned_argv(tmp_path, kind):
     dump_json_file(theta, inner_to_json(fixture("FIX3"), factors))
     dump_json_file(bad, {"kind": "potapov", "factors": [serialize.matrix_to_json(np.diag([1.0, 0.0]))]}
                    if kind == "potapov" else  # not pure; a constant is not inner
-                   {"kind": "coeffs", "laurent": serialize.laurent_to_json(MatLaurent.identity(2))})
+                   {"kind": "coeffs", "laurent": serialize.laurent_to_json(MatLaurent.constant(np.eye(2)))})
     basis = ModelSpaceBasis(cli._inner(SimpleNamespace(theta=theta)))
-    member = operator_to_json(build(basis, MatLaurent.identity(2)))
+    member = operator_to_json(build(basis, MatLaurent.constant(np.eye(2))))
     gaussian = np.random.default_rng(56).standard_normal((basis.n, basis.n))
     non_member = dict(member, entries=serialize.matrix_to_json(serialize.json_to_matrix(member["entries"]) + gaussian))
     ops = {}
     for label, doc in (("member", member), ("non-member", non_member)):
         dump_json_file(tmp_path / f"{kind}-{label}.json", doc)
         ops[label] = str(tmp_path / f"{kind}-{label}.json")
-    symbol = write_symbol(tmp_path, "symbol.json", MatLaurent.identity(2))
+    symbol = write_symbol(tmp_path, "symbol.json", MatLaurent.constant(np.eye(2)))
     suite = ["suite", "--config", _small_suite_config(tmp_path)]
     return {
         ("inner check", 0): ["inner", "check", "--theta", theta],
@@ -557,7 +558,7 @@ def _versioned_argv(tmp_path, kind):
         ("space basis", 1): ["space", "basis", "--theta", bad],
         ("op build", 0): ["op", "build", "--theta", theta, "--symbol", symbol],
         ("op build", 1): ["op", "build", "--theta", theta, "--symbol",
-                          write_symbol(tmp_path, "d3.json", MatLaurent.identity(3))],
+                          write_symbol(tmp_path, "d3.json", MatLaurent.constant(np.eye(3)))],
         **{(f"op {verb}", status): ["op", verb, "--theta", theta, "--op", ops[label]]
            for verb in ("test", "recover") for status, label in ((0, "member"), (1, "non-member"))},
         ("symbol zero-test", 0): ["symbol", "zero-test", "--theta", theta, "--symbol",
@@ -893,7 +894,7 @@ def test_zero_test_of_a_symbol_at_frequency_1e12_is_cheap(tmp_path, capsys, sign
 def _member_op_file(tmp_path):
     basis = ModelSpaceBasis(fixture("FIX3"))
     op_path = tmp_path / "op.json"
-    dump_json_file(op_path, operator_to_json(build(basis, MatLaurent.identity(2))))
+    dump_json_file(op_path, operator_to_json(build(basis, MatLaurent.constant(np.eye(2)))))
     return str(op_path)
 
 
@@ -908,7 +909,7 @@ def test_tol_outside_the_open_unit_interval_exits_2(tmp_path, capsys, value):
 
 
 def test_symbol_without_dim_exits_2(tmp_path, capsys):
-    doc = serialize.laurent_to_json(MatLaurent.identity(2))
+    doc = serialize.laurent_to_json(MatLaurent.constant(np.eye(2)))
     del doc["dim"]
     path = tmp_path / "sym.json"
     dump_json_file(path, doc)
@@ -919,7 +920,7 @@ def test_symbol_without_dim_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("field", ["lo", "dim"])
 @pytest.mark.parametrize("kind", ["symbol", "theta"])
 def test_non_integer_laurent_field_exits_2(tmp_path, capsys, kind, field, bad):
-    laurent = serialize.laurent_to_json(fixture("FIX3").theta if kind == "theta" else MatLaurent.identity(2))
+    laurent = serialize.laurent_to_json(fixture("FIX3").theta if kind == "theta" else MatLaurent.constant(np.eye(2)))
     laurent[field] = 987654321
     doc = {"kind": "coeffs", "laurent": laurent} if kind == "theta" else laurent
     path = tmp_path / "in.json"
@@ -1013,8 +1014,8 @@ def _versioned_inputs(tmp_path, version):
     docs = {
         "theta": inner_to_json(inner, FIXTURE_FACTORS["FIX3"]),
         "coeffs": {"kind": "coeffs", "laurent": serialize.laurent_to_json(inner.theta)},
-        "symbol": serialize.laurent_to_json(MatLaurent.identity(2)),
-        "op": operator_to_json(build(ModelSpaceBasis(inner), MatLaurent.identity(2))),
+        "symbol": serialize.laurent_to_json(MatLaurent.constant(np.eye(2))),
+        "op": operator_to_json(build(ModelSpaceBasis(inner), MatLaurent.constant(np.eye(2)))),
     }
     paths = {}
     for name, doc in docs.items():

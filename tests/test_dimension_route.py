@@ -97,7 +97,7 @@ def test_rank_deficient_kernel_frame_is_refused(monkeypatch):
         return frame
 
     monkeypatch.setattr(model_operator, "kernel_frame", deficient)
-    a = build(basis, MatLaurent.identity(2))
+    a = build(basis, MatLaurent.constant(np.eye(2)))
     with pytest.raises(IdentityCheckError, match="kernel frame at 0 left the model space"):
         is_mtto(basis, a)
     with pytest.raises(IdentityCheckError, match="kernel frame at 0 left the model space"):

@@ -75,7 +75,7 @@ def test_potapov_validation_errors():
 
 def test_inner_function_rejects_non_inner_coefficients():
     with pytest.raises(NotInnerError):
-        InnerFunction(MatLaurent.constant(0.5 * np.eye(2)).shift(1))
+        InnerFunction(MatLaurent(1, 0.5 * np.eye(2)[np.newaxis]))
     with pytest.raises(NotInnerError):
         InnerFunction(MatLaurent(-1, np.stack([np.eye(2)])))
 
@@ -328,7 +328,7 @@ def test_tilde_kernel_division_is_exact():
         k = VecLaurent(0, window)
         assert rem <= 1e-10
         # multiplying back by (z - lam) recovers Theta y minus its value
-        shifted = k.shift(1) - lam * k
+        shifted = VecLaurent(k.lo + 1, k.coeffs) - lam * k
         target = multiply(basis.inner.theta, VecLaurent.constant(y)) - VecLaurent.constant(
             evaluate(basis.inner.theta, lam) @ y
         )

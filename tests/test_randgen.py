@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mttokit.fixtures import fixture
+from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import inner_residual, is_pure, multiply
 from mttokit.model_operator import c_symmetric, conjugation_matrix, gamma_symmetric_residual, s_theta
 from mttokit.model_space import ModelSpaceBasis
@@ -18,6 +18,7 @@ from mttokit.randgen import (
 )
 
 from membership_oracles import non_member
+from suite_oracles import commuting_symbol
 
 
 def test_haar_unitary_is_unitary_and_seeded():
@@ -80,6 +81,21 @@ def test_random_commuting_symbol_commutes():
         phi = random_commuting_symbol(basis.inner, rng)
         a = build(basis, phi)
         assert opnorm(a.mat @ s - s @ a.mat) <= 1e-9 * (1 + opnorm(a.mat))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+def test_random_commuting_symbol_is_the_laurent_operator_sum_bit_for_bit(seed):
+    """The array sum gives the support and the coefficients that `multiply`,
+    `+` and scalar `*` give, on every fixture (Theta starts at frequency 1
+    or 2 on four of them) and on seeded spaces, and draws alike."""
+    inners = [fixture(name) for name in FIXTURE_NAMES]
+    inners += [random_inner(d, m, np.random.default_rng(seed)) for d, m in ((1, 1), (2, 2), (3, 2), (2, 3))]
+    for inner in inners:
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            phi, ref = random_commuting_symbol(inner, got), commuting_symbol(inner, want)
+            assert phi.lo == ref.lo and np.array_equal(phi.coeffs, ref.coeffs)
+        assert got.bit_generator.state == want.bit_generator.state
 
 
 def test_random_non_member_certified():

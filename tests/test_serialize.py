@@ -71,7 +71,7 @@ def test_laurent_round_trip_with_negative_lower_index():
 
 
 def test_laurent_dim_mismatch_rejected():
-    doc = serialize.laurent_to_json(MatLaurent.identity(2))
+    doc = serialize.laurent_to_json(MatLaurent.constant(np.eye(2)))
     doc["dim"] = 3
     with pytest.raises(ParseError):
         serialize.json_to_mat_laurent(doc)
@@ -130,7 +130,7 @@ def test_load_json_file_errors(tmp_path):
 def test_readers_refuse_an_unknown_schema_version(version):
     doc = inner_to_json(fixture("FIX5"), FIXTURE_FACTORS["FIX5"])
     doc["schema_version"] = version
-    sym = dict(serialize.laurent_to_json(MatLaurent.identity(2)), schema_version=version)
+    sym = dict(serialize.laurent_to_json(MatLaurent.constant(np.eye(2))), schema_version=version)
     with pytest.raises(ParseError, match="schema_version"):
         InnerFunction(*theta_from_json(doc))
     with pytest.raises(ParseError, match="schema_version"):

@@ -4,18 +4,22 @@ Each window check must report the residuals of its per-vector oracle in
 tests/suite_oracles.py, in the same order, to 1e-13; it must draw from
 its random stream exactly as the oracle does, so reports keep their case
 counts and every later draw; and on a corrupted Q or Theta_1 both routes
-must fail alike.  `c_symmetric` decides in the Frobenius norm and must give
-the verdicts of the spectral rule it replaced.
+must fail alike.  The commutant and zero-symbol checks, which sum their
+symbols as coefficient arrays, must give the symbols and residuals of the
+sums taken by the Laurent operators bit for bit, and no check may call
+those operators.  `c_symmetric` decides in the Frobenius norm and must
+give the verdicts of the spectral rule it replaced.
 """
 
 import copy
+import json
 
 import numpy as np
 import pytest
 
 import suite_oracles
 from basis_oracles import theta1_moved
-from mttokit import model_space, suite
+from mttokit import laurent, model_space, suite
 from mttokit.errors import IdentityCheckError, MttoError
 from mttokit.fixtures import FIXTURE_NAMES, fixture
 from mttokit.laurent import MatLaurent
@@ -58,6 +62,54 @@ def test_window_check_matches_its_oracle_and_draws_alike(name, label, basis):
     assert len(got) == len(want)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
     assert max(got) <= TOL[name]
+
+
+def _symbols_handed_on(monkeypatch, module):
+    """The support and coefficient bytes of every symbol `module` hands to
+    `build` or `zero_symbol_decompose`, in order."""
+    seen = []
+    for attr in ("build", "zero_symbol_decompose"):
+        def record(space, phi, *args, _fn=getattr(module, attr)):
+            seen.append((phi.lo, phi.coeffs.shape, phi.coeffs.tobytes()))
+            return _fn(space, phi, *args)
+
+        monkeypatch.setattr(module, attr, record)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(suite_oracles.SUMS))
+@pytest.mark.parametrize("label,basis", SPACES, ids=[label for label, _ in SPACES])
+def test_symbol_sums_match_the_laurent_operators_bit_for_bit(monkeypatch, name, label, basis):
+    """The commutant and zero-symbol checks sum their symbols as coefficient
+    arrays; the reports stay byte-identical only if every symbol and every
+    residual equals the one the Laurent-operator sum gives.  Theta starts at
+    frequency 1 on FIX1, FIX3 and FIX4 and at 2 on FIX2, so a sum that
+    placed Theta^p at frequency 0 differs there (in the symbols alone
+    where the commutator vanishes exactly)."""
+    checked, oracle = suite_oracles.SUMS[name]
+    got_symbols, want_symbols = _symbols_handed_on(monkeypatch, suite), _symbols_handed_on(monkeypatch, suite_oracles)
+    got_rng, want_rng = (np.random.default_rng(np.random.SeedSequence(entropy=5)) for _ in range(2))
+    got = _residuals(checked, basis, got_rng)
+    want = _residuals(oracle, basis, want_rng)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert len(got_symbols) == 3 and got_symbols == want_symbols
+    assert got == want
+    assert max(got) <= TOL[name]
+
+
+def test_the_suite_sums_no_symbol_through_the_laurent_operator_overloads(monkeypatch):
+    """With `+`, `-` and scalar `*` of the Laurent classes made to raise,
+    the benchmark's suite shape passes and gives the report it gives with them."""
+    config = suite.SuiteConfig(seed=7, cases=1, random_inners=((2, 2),))
+    want = json.dumps(suite.run_suite(config))
+
+    def refuse(*args):
+        raise AssertionError("a Laurent operator overload was called")
+
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(laurent._Laurent, name, refuse)
+    got = suite.run_suite(config)
+    assert got["pass"] and json.dumps(got) == want
 
 
 def _outcome(fn, basis):

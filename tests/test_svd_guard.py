@@ -230,7 +230,7 @@ def test_zero_symbol_decompose_certifies_a_zero_with_no_svd_and_builds_only_its_
     assert result.is_zero and len(factorizations) == 1
     assert svd_callers == [] and builds == []  # certified by the split
     assert made_laurents == [result.psi1, result.psi2]
-    outside = phi + MatLaurent.identity(d)
+    outside = phi + MatLaurent.constant(np.eye(d))
     svd_callers.clear()
     made_laurents.clear()
     refused = zero_symbol_decompose(basis, outside)

@@ -32,7 +32,7 @@ from mttokit.mtto import build, is_mtto
 from mttokit.randgen import random_inner
 from mttokit.suite import SuiteConfig, run_suite
 basis = ModelSpaceBasis(random_inner(2, 2, np.random.default_rng(0)))
-op = build(basis, MatLaurent.identity(2))
+op = build(basis, MatLaurent.constant(np.eye(2)))
 assert is_mtto(basis, op.mat).verdict
 before = dict(tracer.calls)
 assert run_suite(SuiteConfig(seed=1, cases=1, fixtures=("FIX2",), random_inners=()))["pass"]

@@ -45,8 +45,9 @@ def _laurent_shift_pair(basis):
     s, s_adj = [], []
     for j in range(basis.n):
         e = element(basis, j)
-        s.append(element_coords(basis, e.shift(1)))
-        s_adj.append(element_coords(basis, (e - VecLaurent.constant(e.coeff(0))).shift(-1)))
+        s.append(element_coords(basis, VecLaurent(e.lo + 1, e.coeffs)))
+        g = e - VecLaurent.constant(e.coeff(0))
+        s_adj.append(element_coords(basis, VecLaurent(g.lo - 1, g.coeffs)))
     return np.column_stack(s), np.column_stack(s_adj)
 
 
