@@ -19,7 +19,7 @@ import functools
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .numerics import REL, frobenius, frozen, require_finite
+from .numerics import REL, frobenius, frozen, opnorm, require_finite
 
 
 def _validate_coeffs(coeffs, block_ndim: int) -> np.ndarray:
@@ -260,7 +260,7 @@ def purity_margin(theta: MatLaurent) -> float:
     """1 - ||Theta(0)|| in operator norm; positive means pure."""
     if theta.lo < 0:
         raise ValueError("purity is only defined for analytic arguments")
-    return 1.0 - float(np.linalg.norm(theta.coeff(0), 2))
+    return 1.0 - opnorm(theta.coeff(0))
 
 
 def is_pure(theta: MatLaurent) -> bool:

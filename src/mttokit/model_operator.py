@@ -156,9 +156,12 @@ def action_check(basis: ModelSpaceBasis) -> dict:
     ds = defect_spaces(basis)
     u, ut = ds.d_basis, ds.dt_basis
     theta0 = basis.inner.theta.coeff(0)
-    pad = np.zeros((d, basis.n))
-    mult_z = np.vstack([pad, q]) - np.vstack([q @ s, pad])  # z f - S f, one block longer
-    div_z = np.vstack([q[d:], pad]) - q @ s_adj  # (f - f(0)) / z - S* f
+    mult_z = np.zeros((q.shape[0] + d, basis.n), dtype=np.complex128)  # z f - S f, one block longer
+    mult_z[d:] = q
+    mult_z[:-d] -= q @ s
+    div_z = np.zeros(q.shape, dtype=np.complex128)  # (f - f(0)) / z - S* f
+    div_z[:-d] = q[d:]
+    div_z -= q @ s_adj
     s_ut, s_adj_u = s @ ut, s_adj @ u
     return _report({
         "shift acts as multiplication off the second defect space": column_norms(off_span(mult_z, ut)).max(),

@@ -127,7 +127,7 @@ def rank(a) -> int:
 def rank_of_singular_values(s: np.ndarray, shape) -> int:
     """The one rank rule: the number of singular values `s` (descending) of
     a matrix of `shape` above RANK_CUT * s[0] * max(shape)."""
-    return int(np.sum(s > RANK_CUT * (s[0] if s.size else 0.0) * max(shape)))
+    return int(np.count_nonzero(s > RANK_CUT * (s[0] if s.size else 0.0) * max(shape)))
 
 
 def fix_column_phases(q: np.ndarray) -> np.ndarray:

@@ -3,7 +3,10 @@
 Every check draws from its own numbered stream of one seed, so reports
 for the same configuration are byte-identical across runs.  Each check pins
 the algebraic identity it exercises in the `anchor` field and reports
-the worst normalized residual over all cases.  Model-space elements are
+the worst normalized residual over all cases.  `run_suite` collects each
+check's residuals in one list of floats and reduces it once: the count of
+cases, the worst finite residual and the count of non-finite ones, any of
+which fails the check.  Model-space elements are
 handled as window arrays: f = Q c on the coefficient window (frequencies
 0..m-1, m blocks of d), membership of f is ||L* f||, the analytic part of
 Theta* f, and products with Theta are block convolutions over all
@@ -25,6 +28,7 @@ as before.  The seeded spaces are drawn and built per run.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -72,7 +76,7 @@ from .mtto import (
     semi_commutator_residual,
     zero_symbol_decompose,
 )
-from .numerics import REL, frobenius, opnorm, rank
+from .numerics import REL, column_norms, frobenius, opnorm, rank
 from .randgen import (
     MIN_DEFECT,
     random_blocks,
@@ -227,9 +231,9 @@ def _check_projection(basis, rng, config):
     for _ in range(config.cases):
         blocked = convolve(basis.inner.blocks, random_blocks(3, d, rng))  # Theta h, h of degree 2
         projected = q @ (q.conj().T @ blocked[:m].reshape(m * d, d))
-        yield np.linalg.norm(projected, axis=0) / (1.0 + np.linalg.norm(blocked, axis=(0, 1)))
+        yield column_norms(projected) / (1.0 + column_norms(blocked.reshape(-1, d)))
         g = q @ random_element_coords(basis, rng)
-        yield np.linalg.norm(q @ (q.conj().T @ g) - g) / (1.0 + np.linalg.norm(g))
+        yield frobenius(q @ (q.conj().T @ g) - g) / (1.0 + frobenius(g))
 
 
 def _check_reproducing(basis, rng, config):
@@ -238,7 +242,7 @@ def _check_reproducing(basis, rng, config):
         lam = 0.8 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
         x = rng.standard_normal(inner.d) + 1j * rng.standard_normal(inner.d)
         k, tail = kernel(inner, lam, x)
-        scale = 1.0 + np.linalg.norm(x)
+        scale = 1.0 + frobenius(x)
         require_member(float(off_space(inner, k)[0]), scale, "kernel")
         yield tail / scale
         f = (q @ random_element_coords(basis, rng)).reshape(inner.m, inner.d)
@@ -253,7 +257,7 @@ def _check_difference_quotients(basis, rng, config):
         lam = 0.8 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
         y = rng.standard_normal(inner.d) + 1j * rng.standard_normal(inner.d)
         kt, rem = tilde_kernel(inner, lam, y)
-        scale = 1.0 + np.linalg.norm(y)
+        scale = 1.0 + frobenius(y)
         require_member(float(off_space(inner, kt)[0]), scale, "difference-quotient kernel")
         yield rem / scale
         shifted = np.zeros((inner.m + 1, inner.d), dtype=np.complex128)  # (z - lam) ktilde, blocks 0..m
@@ -261,7 +265,7 @@ def _check_difference_quotients(basis, rng, config):
         shifted[:-1] -= lam * kt
         target = inner.blocks @ y  # (Theta(z) - Theta(lam)) y
         target[0] -= evaluate(inner.theta, lam) @ y
-        yield np.linalg.norm(shifted - target) / scale
+        yield frobenius(shifted - target) / scale
 
 
 def _check_tau(basis, rng, config):
@@ -275,9 +279,9 @@ def _check_tau(basis, rng, config):
         g = convolve(tilde_blocks, f[::-1])  # block i at frequency i - m
         back = convolve(blocks, g[::-1])  # block i at frequency i - m
         back[m : 2 * m] -= f
-        nf = np.linalg.norm(f)
-        yield abs(np.linalg.norm(g) - nf) / (1.0 + nf)
-        yield np.linalg.norm(back) / (1.0 + nf)
+        nf = frobenius(f)
+        yield abs(frobenius(g) - nf) / (1.0 + nf)
+        yield frobenius(back) / (1.0 + nf)
 
 
 def _check_shift_actions(basis, rng, config):
@@ -410,7 +414,7 @@ def _check_worked_example(_, rng, config):
     image = multiply(phi, f)
     yield off_space(basis.inner, image.window(0, basis.inner.m - 1))  # the support {1} lies in the window
     # distance to Theta H^2, the norm of the remainder of the division by Theta, is the full norm of the image
-    dist = np.linalg.norm(_divide_by_theta(basis.inner, image.lo, image.coeffs)[2])
+    dist = frobenius(_divide_by_theta(basis.inner, image.lo, image.coeffs)[2])
     yield 0.0 if dist > 0.9 else 1.0
     a = build(basis, phi)
     yield 0.0 if rank(a.mat) == 1 else 1.0
@@ -465,22 +469,27 @@ def run_suite(config: SuiteConfig) -> dict:
     checks = []
     for stream, name, anchor, fn, tol in _REGISTRY:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(stream,)))
-        cases, worst, notes = 0, 0.0, []
+        values, notes = [], []
         for label, target in [(None, None)] if fn in _ONCE else spaces:
             for residual in fn(target, rng, config):
-                if isinstance(residual, str):
+                if isinstance(residual, np.ndarray):  # one case per entry
+                    values.extend(residual.ravel().tolist())
+                elif isinstance(residual, str):
                     notes.append(f"{label}: {residual}")
-                    continue
-                residual = np.ravel(residual)  # one case per residual, of a number or an array of them
-                cases += residual.size
-                worst = max(worst, float(residual.max(initial=0.0)))
+                else:
+                    values.append(residual)
+        finite = [v for v in values if math.isfinite(v)]  # a NaN or an infinity fails the check
+        worst = float(max([0.0, *finite]))  # floored at +0.0, which max keeps on a tie with -0.0
+        non_finite = len(values) - len(finite)
+        if non_finite:
+            notes.append(f"non-finite residuals: {non_finite}")
         record = {
             "name": name,
             "anchor": anchor,
-            "cases": cases,
+            "cases": len(values),
             "max_residual": worst,
             "tol": tol,
-            "pass": worst <= tol,
+            "pass": worst <= tol and not non_finite,
         }
         if notes:
             record["notes"] = sorted(notes)

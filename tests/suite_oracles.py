@@ -14,6 +14,11 @@ The commutant and zero-symbol checks sum their symbols as coefficient
 arrays.  Their oracles sum them as the Laurent operators do, with
 `multiply`, `+` and scalar `*`, one `MatLaurent` per step, and the tests
 pin the checks to them bit for bit.
+
+`run_suite` collects each check's residuals in one list and reduces it
+once; `reference_records` keeps the fold it replaced, which ravels every
+residual with numpy and keeps the worst with Python's `max`, and the
+tests pin every record of a finite run to it.
 """
 
 import numpy as np
@@ -259,3 +264,28 @@ CHECKS = {
     "tau_unitary": (suite._check_tau, tau_unitary),
     "conjugation": (suite._check_conjugation, conjugation),
 }
+
+
+def reference_records(config):
+    """The check records of `suite.run_suite(config)`, each residual folded
+    in as it is yielded: raveled, counted by its size and maxed from 0.0.
+    Python's `max` keeps the worst on a NaN, so the fold reads only runs
+    whose residuals are all finite."""
+    spaces = suite._spaces(config)
+    records = []
+    for stream, name, anchor, fn, tol in suite._REGISTRY:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(stream,)))
+        cases, worst, notes = 0, 0.0, []
+        for label, target in [(None, None)] if fn in suite._ONCE else spaces:
+            for residual in fn(target, rng, config):
+                if isinstance(residual, str):
+                    notes.append(f"{label}: {residual}")
+                    continue
+                residual = np.ravel(residual)
+                cases += residual.size
+                worst = max(worst, float(residual.max(initial=0.0)))
+        record = {"name": name, "anchor": anchor, "cases": cases, "max_residual": worst, "tol": tol, "pass": worst <= tol}
+        if notes:
+            record["notes"] = sorted(notes)
+        records.append(record)
+    return records

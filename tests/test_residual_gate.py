@@ -12,7 +12,7 @@ Each rule has one owner in the package source: the package reads no
 environment, only `serialize` spells the schema version and only `cli`
 and `suite` write it into a document (no class but `SuiteConfig` has a
 `to_json`, and `model_operator` imports no `serialize`), the three modules
-take every norm through `numerics`, the rank cut and the rank rule are
+and the suite take every norm through `numerics`, the rank cut and the rank rule are
 applied in `numerics` alone (`defect_spaces` runs its frame check before
 the frame SVDs, which purity makes rank d), and a Laurent product is
 `laurent.convolve`'s one matrix product, with no einsum and no loop over
@@ -394,11 +394,11 @@ def _linalg_norms(tree):
 
 def test_the_gated_modules_take_every_norm_in_numerics():
     """`numerics.frobenius` and `column_norms` take the norms of the three
-    modules that hold the checks: finite at every finite scale, and numpy's
-    own norms in range."""
+    modules that hold the checks and of the suite's checks: finite at every
+    finite scale, and numpy's own norms in range."""
     trees = _package_trees()
     assert list(_linalg_norms(trees["numerics.py"]))  # the owner, so the search finds a call
-    calls = [f"{name}:{line}" for name in GATED for line in _linalg_norms(trees[name])]
+    calls = [f"{name}:{line}" for name in GATED + ("suite.py",) for line in _linalg_norms(trees[name])]
     assert not calls, f"np.linalg.norm outside numerics in a gated module: {calls}"
 
 

@@ -1,9 +1,12 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+import suite_oracles
 from mttokit import suite
+from mttokit.cli import main
 from mttokit.errors import ParseError
 from mttokit.fixtures import FIXTURE_NAMES
 from mttokit.model_operator import action_check, defect_spaces, j_operators, s_theta
@@ -223,3 +226,111 @@ def test_no_array_of_a_shared_fixture_space_can_be_written(name):
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
+
+
+# --- the reduction ------------------------------------------------------------
+
+BENCHMARK_SHAPE = {"cases": 1, "random_inners": ((2, 2),)}
+
+
+def _bits(records):
+    """The records with each worst residual as its bits, so a -0.0 differs from 0.0."""
+    return [{**r, "max_residual": (type(r["max_residual"]), r["max_residual"].hex())} for r in records]
+
+
+@pytest.mark.parametrize("shape", [BENCHMARK_SHAPE, {}], ids=["benchmark", "default"])
+@pytest.mark.parametrize("seed", range(21))
+def test_each_check_reduced_once_reports_what_the_per_residual_fold_did(seed, shape):
+    """`run_suite` reduces each check's list of residuals once; every record,
+    `cases`, the bits of `max_residual`, `pass` and `notes`, is the one the
+    fold over each residual as it came gave."""
+    config = SuiteConfig(seed=seed, **shape)
+    assert _bits(run_suite(config)["checks"]) == _bits(suite_oracles.reference_records(config))
+
+
+def _synthetic(*residuals):
+    def check(basis, rng, config):
+        yield from residuals
+
+    return check
+
+
+SYNTHETIC = {
+    "negative_zero": _synthetic(-0.0, np.float64(-0.0), np.array([-0.0, -0.0])),
+    "zero_dimensional": _synthetic(np.array(3e-10), np.array(-0.0), np.float64(1e-12), 0),
+    "empty": _synthetic(np.zeros(0), np.zeros((0, 3)), 2e-10, np.zeros((2, 0))),
+    "notes_only": _synthetic("nothing to check"),
+    "notes_and_arrays": _synthetic(np.array([[1e-11, 4e-10], [2e-10, 0.0]]), "a note", 5e-10, "b note"),
+    "huge": _synthetic(np.array([1e308, 1e308]), 1.5e308),
+}
+
+
+def test_synthetic_residuals_reduce_as_the_per_residual_fold_did(monkeypatch):
+    """-0.0 reads 0.0, a 0-d array is one case, an empty array none, a check
+    of notes alone has no case and a worst of 0.0, and residuals near the top
+    of the float range are finite."""
+    monkeypatch.setattr(suite, "_REGISTRY", [(30 + i, name, name, fn, 1e-9) for i, (name, fn) in enumerate(SYNTHETIC.items())])
+    config = SuiteConfig(seed=3, cases=1, random_inners=((2, 2),))
+    got = run_suite(config)["checks"]
+    assert _bits(got) == _bits(suite_oracles.reference_records(config))
+    spaces = len(FIXTURE_NAMES) + 1
+    assert [(r["cases"], r["max_residual"], r["pass"]) for r in got] == [
+        (4 * spaces, 0.0, True), (4 * spaces, 3e-10, True), (spaces, 2e-10, True),
+        (0, 0.0, True), (5 * spaces, 5e-10, True), (3 * spaces, 1.5e308, False)]
+    assert all(r["max_residual"].hex() == "0x0.0p+0" for r in got if r["max_residual"] == 0.0)
+    assert got[3]["notes"] == sorted(f"{label}: nothing to check" for label, _ in suite._spaces(config))
+
+
+NON_FINITE = {
+    "nan": (float("nan"), 1, 0.0),
+    "inf": (np.float64("inf"), 1, 0.0),
+    "nan in an array": (np.array([0.1, np.nan]), 1, 0.1),
+    "infinities in an array": (np.array([[np.inf], [0.2], [-np.inf]]), 2, 0.2),
+}
+
+
+def _with_serialization_yielding(monkeypatch, value):
+    """The suite with its serialization check yielding `value` after its flag on every space."""
+    def check(basis, rng, config):
+        yield from suite._check_serialization(basis, rng, config)
+        yield value
+
+    monkeypatch.setattr(suite, "_REGISTRY", [row[:3] + (check,) + row[4:] if row[1] == "serialization" else row
+                                             for row in suite._REGISTRY])
+
+
+def _expected_serialization(value, count, worst, spaces):
+    return {"name": "serialization", "anchor": "Laurent JSON round-trips bit for bit",
+            "cases": spaces * (1 + np.size(value)), "max_residual": worst, "tol": suite.FLAG_CUT, "pass": False,
+            "notes": [f"non-finite residuals: {spaces * count}"]}
+
+
+@pytest.mark.parametrize("value,count,worst", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_a_non_finite_residual_fails_its_check_with_a_finite_worst(monkeypatch, value, count, worst):
+    """A NaN or an infinity, alone or among finite residuals, fails its
+    check, which reports the finite worst and notes how many residuals were
+    not finite; every other record is unchanged.  The flags of the
+    serialization check are 0.0 and its cut 0.5, so the worst alone would
+    pass it."""
+    config = SuiteConfig(seed=7, **BENCHMARK_SHAPE)
+    want = run_suite(config)
+    _with_serialization_yielding(monkeypatch, value)
+    report = run_suite(config)
+    got = {r["name"]: r for r in report["checks"]}
+    assert got.pop("serialization") == _expected_serialization(value, count, worst, len(FIXTURE_NAMES) + 1)
+    assert got == {r["name"]: r for r in want["checks"] if r["name"] != "serialization"}
+    assert report["pass"] is False and want["pass"] is True
+    canonical_json(report)  # a finite number, so the report can be written
+
+
+@pytest.mark.parametrize("value,count,worst", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_mtto_suite_writes_a_failing_report_for_a_non_finite_residual(monkeypatch, capsys, value, count, worst):
+    _with_serialization_yielding(monkeypatch, value)
+    code = main(["suite", "--seed", "7"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    report = json.loads(captured.out)
+    assert report["pass"] is False
+    record = next(r for r in report["checks"] if r["name"] == "serialization")
+    assert record == _expected_serialization(value, count, worst, len(FIXTURE_NAMES) + 2)
+    assert all(r["pass"] for r in report["checks"] if r["name"] != "serialization")

@@ -245,23 +245,21 @@ SUITE_SHAPE = SuiteConfig(seed=7, cases=1, random_inners=((2, 2),))  # the bench
 # the shared spaces).
 SUITE_SVDS_COLD = {
     ("_frame_svd", "_check_shift_actions"): 12,  # defect_spaces, two frames for each of the six spaces
-    ("opnorm", ""): 1,  # random_inner's margin
+    ("opnorm", ""): 7,  # random_inner's margin, and purity_margin on each of the six spaces
     ("opnorm", "_check_basis_orthonormal"): 6,
     ("opnorm", "_check_coefficient_unitarity"): 6,
-    ("opnorm", "_check_conjugation"): 1,
+    ("opnorm", "_check_conjugation"): 2,  # purity_margin on its drawn space, and ||A||
     ("opnorm", "_check_finite_rank"): 6,
     ("opnorm", "_check_non_members"): 3,
     ("opnorm", "_check_semi_commutator"): 6,
     ("opnorm", "_check_shift_actions"): 6,  # ||S^m||
-    ("purity_margin", ""): 6,
-    ("purity_margin", "_check_conjugation"): 1,
     ("rank", "_check_finite_rank"): 24,  # rank is the claim there
     ("rank", "_check_worked_example"): 1,
 }
 # A later request reads the five fixture spaces an earlier one built
 # (`suite._fixture_basis`): only the seeded space checks its purity and
 # takes its two frame SVDs.
-SUITE_SVDS_WARM = {**SUITE_SVDS_COLD, ("_frame_svd", "_check_shift_actions"): 2, ("purity_margin", ""): 1}
+SUITE_SVDS_WARM = {**SUITE_SVDS_COLD, ("_frame_svd", "_check_shift_actions"): 2, ("opnorm", ""): 2}
 
 
 def _suite_request_svds(monkeypatch):
